@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fixtures test test-race check bench bench-smoke fuzz-smoke serve-smoke experiments cover clean
+.PHONY: all build vet fmt-check lint lint-fixtures test test-race check bench bench-smoke bench-test bench-quick fuzz-smoke serve-smoke experiments cover clean
 
 all: build vet test
 
@@ -21,8 +21,12 @@ lint:
 lint-fixtures:
 	bash scripts/lint_fixtures.sh
 
-# The full pre-merge gate: compile, vet, invariant lint, and tests.
-check: build vet lint lint-fixtures test
+# gofmt gate: any file gofmt would rewrite fails the build.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
+# The full pre-merge gate: compile, format, vet, invariant lint, and tests.
+check: build fmt-check vet lint lint-fixtures test
 
 build:
 	$(GO) build ./...
@@ -44,8 +48,19 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
+# bench/ is its own module (`replace repro => ../`), so the root ./...
+# never compiles it: build and test it against the packages as they
+# stand here (unit tests plus a -quick run of every workload, ~15 s).
+bench-test:
+	cd bench && $(GO) test .
+
+# A seconds-per-workload smoke of the real benchmark entry point.
+bench-quick:
+	bash bench/run.sh -quick
+
 # Run each fuzz target briefly (CI does this per PR): the trie
-# segmenter against the map-based reference, the table-driven IsPunct
+# segmenter against the map-based reference, the word-ID analysis
+# kernel against the string/map oracle, the table-driven IsPunct
 # against the unicode-package definition, the service's request
 # decoder against arbitrary bodies (never a 5xx), the columnar
 # container decoder against corrupt/truncated/hostile inputs (must
@@ -55,6 +70,7 @@ bench-smoke:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentDifferential -fuzztime=10s ./internal/tokenize
 	$(GO) test -run='^$$' -fuzz=FuzzIsPunct -fuzztime=10s ./internal/tokenize
+	$(GO) test -run='^$$' -fuzz=FuzzAnalyzeDifferential -fuzztime=10s ./internal/features
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFeedback -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzColfmtDecode -fuzztime=10s ./internal/colfmt

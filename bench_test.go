@@ -341,15 +341,43 @@ func BenchmarkFeatureExtractParallel(b *testing.B) {
 }
 
 // BenchmarkVectorSignal measures the fused filter+features entry point
-// the detector scores through: pooled scratch, one allocation (the
-// returned vector) per item.
+// the detector scores through — one word-ID kernel pass per comment on
+// pooled scratch, one allocation (the returned vector) per item. It
+// sizes the kernel on its own: ns/comment here is what the benchmark
+// reports as tokenize.segment_ns_per_comment plus
+// features.vector_ns_per_comment.
 func BenchmarkVectorSignal(b *testing.B) {
 	ex, items := benchExtractor(b)
+	comments := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = ex.VectorSignal(&items[i%len(items)])
+		it := &items[i%len(items)]
+		_, _ = ex.VectorSignal(it)
+		comments += len(it.Comments)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(comments), "ns/comment")
+}
+
+// BenchmarkDetectBatch1024 scores one DetectStream-sized batch (1,024
+// items, every one of them analyzed) with workers = GOMAXPROCS. Run it
+// with -cpu 1,2: the ratio between the two rows is what the batch
+// fan-out delivers, with no socket and no file in the way.
+func BenchmarkDetectBatch1024(b *testing.B) {
+	det, _ := benchFilterHeavyDetector(b)
+	u := synth.Generate(synth.Config{
+		Name: "batch", Seed: 32, FraudEvidence: 24, Normal: 1000, Shops: 12,
+	})
+	items := u.Dataset.Items[:1024]
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := det.DetectWithFeatures(ctx, items, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(items)), "ns/item")
 }
 
 func BenchmarkSentimentScore(b *testing.B) {

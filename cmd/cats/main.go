@@ -20,7 +20,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"repro"
@@ -105,17 +104,15 @@ func run(trainPath, detectPath, clf string, threshold float64, corpusSize int, o
 		fmt.Fprintf(os.Stderr, "cats: saved model to %s (%s)\n", savePath, saveFmt)
 	}
 
-	var w io.Writer = os.Stdout
+	out := os.Stdout
 	if outPath != "-" {
-		f, err := os.Create(outPath)
+		out, err = os.Create(outPath)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		w = f
+		defer out.Close() // for the error returns; success checks Close below
 	}
-	bw := bufio.NewWriter(w)
-	defer bw.Flush()
+	bw := bufio.NewWriter(out)
 	fmt.Fprintln(bw, "item_id\tscore\tfraud\tfiltered")
 
 	// Stream the detection set through the fused pipeline: detections
@@ -142,6 +139,16 @@ func run(trainPath, detectPath, clf string, threshold float64, corpusSize int, o
 	})
 	if err != nil {
 		return fmt.Errorf("detect: %w", err)
+	}
+	// A full disk or closed pipe surfaces here: the TSV is complete only
+	// once the buffer is flushed and the file closed without error.
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("write detections: %w", err)
+	}
+	if outPath != "-" {
+		if err := out.Close(); err != nil {
+			return fmt.Errorf("write detections: %w", err)
+		}
 	}
 	fmt.Fprintf(os.Stderr, "cats: scored %d items, reported %d fraud\n", stats.Items, stats.Reported)
 

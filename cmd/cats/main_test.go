@@ -1,0 +1,89 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/synth"
+	"repro/internal/textgen"
+)
+
+// writeFixture saves a small trained model and a detection set under
+// dir and returns their paths and the number of items.
+func writeFixture(t *testing.T, dir string) (model, detect string, items int) {
+	t.Helper()
+	bank := textgen.NewBank()
+	texts, labels := synth.PolarCorpus(400, 6)
+	a, err := core.OracleAnalyzer(bank, texts, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, err := core.NewDetector(a, core.DetectorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	train := synth.Generate(synth.Config{Name: "train", Seed: 30, FraudEvidence: 40, Normal: 60, Shops: 4})
+	if err := det.Train(&train.Dataset, 0); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := det.Snapshot(bank.Vocabulary(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := core.WriteSnapshotColumnar(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	model = filepath.Join(dir, "model.catc")
+	if err := os.WriteFile(model, buf.Bytes(), 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	score := synth.Generate(synth.Config{Name: "score", Seed: 31, FraudEvidence: 5, Normal: 15, Shops: 2})
+	detect = filepath.Join(dir, "items.jsonl")
+	w, err := dataset.Create(detect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range score.Dataset.Items {
+		if err := w.Write(&score.Dataset.Items[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return model, detect, len(score.Dataset.Items)
+}
+
+// TestRunReportsTruncatedOutput: the TSV here fits inside the output
+// buffer, so the only write to the device happens at the final flush.
+// A device that refuses it must fail the run rather than leave a
+// truncated file behind an exit status of 0.
+func TestRunReportsTruncatedOutput(t *testing.T) {
+	dir := t.TempDir()
+	model, detect, items := writeFixture(t, dir)
+
+	out := filepath.Join(dir, "detections.tsv")
+	if err := run("", detect, "xgboost", 0.5, 0, out, "", "json", model); err != nil {
+		t.Fatalf("run to a regular file: %v", err)
+	}
+	tsv, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := bytes.Count(tsv, []byte("\n")), items+1; got != want {
+		t.Fatalf("TSV has %d lines, want header + %d rows", got, items)
+	}
+
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	if err := run("", detect, "xgboost", 0.5, 0, "/dev/full", "", "json", model); err == nil {
+		t.Fatal("run to /dev/full returned nil: a failed flush was reported as success")
+	}
+}

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/features"
 	"repro/internal/lexicon"
@@ -46,6 +47,12 @@ type Analyzer struct {
 	Positive  *lexicon.Set
 	Negative  *lexicon.Set
 	Sentiment *sentiment.Model
+
+	// extractor is built on first use and then shared: assembling one
+	// reads all three models into its word table, which every detector
+	// over this analyzer (each retrained challenger, say) can reuse.
+	extractorOnce sync.Once
+	extractor     *features.Extractor
 }
 
 // TrainAnalyzer builds an Analyzer from raw text:
@@ -124,9 +131,14 @@ func NewAnalyzerFromParts(seg *tokenize.Segmenter, emb *word2vec.Model, pos, neg
 	return &Analyzer{Segmenter: seg, Embedding: emb, Positive: pos, Negative: neg, Sentiment: sent}
 }
 
-// Extractor returns the feature extractor backed by this analyzer.
+// Extractor returns the feature extractor backed by this analyzer: the
+// same one on every call, built from the fields as they stand at the
+// first.
 func (a *Analyzer) Extractor() *features.Extractor {
-	return features.NewExtractor(a.Segmenter, a.Positive, a.Negative, a.Sentiment)
+	a.extractorOnce.Do(func() {
+		a.extractor = features.NewExtractor(a.Segmenter, a.Positive, a.Negative, a.Sentiment)
+	})
+	return a.extractor
 }
 
 // OracleAnalyzer builds an analyzer that skips word2vec training and

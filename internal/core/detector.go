@@ -19,6 +19,7 @@ import (
 	"repro/internal/ml/svm"
 	"repro/internal/ml/tree"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // ClassifierKind selects the detector's binary classifier — the six
@@ -302,16 +303,18 @@ func (d *Detector) scoreOne(item *ecom.Item) (Detection, []float64) {
 	return det, v
 }
 
-// scoreBatch analyzes items with a worker pool, preserving item order,
-// then scores the survivors. With the default boosted-tree classifier
-// the scoring phase runs through gbt.PredictProbaBatch over the
-// flattened ensemble — the contiguous node array is streamed per chunk
-// instead of re-entering the classifier item by item — split across the
-// same worker budget. Other classifiers score inline in the analysis
-// workers. Both paths produce scores bit-identical to scoreOne.
+// scoreBatch analyzes items in parallel, preserving item order, then
+// scores the survivors. Analysis workers claim items from a shared
+// cursor (par.For), each writing only its own slots of the output
+// slices. With the default boosted-tree classifier the scoring phase
+// runs through gbt.PredictProbaBatch over the flattened ensemble — the
+// contiguous node array is streamed per chunk instead of re-entering
+// the classifier item by item — split across the same worker budget.
+// Other classifiers score inline in the analysis workers. Both paths
+// produce scores bit-identical to scoreOne.
 //
-// workers <= 0 uses GOMAXPROCS. Cancellation of ctx stops dispatching
-// new items and returns the context's error.
+// workers <= 0 uses GOMAXPROCS. Cancellation of ctx stops workers from
+// claiming new items and returns the context's error.
 func (d *Detector) scoreBatch(ctx context.Context, items []ecom.Item, workers int) ([]Detection, [][]float64, error) {
 	if !d.trained {
 		return nil, nil, ErrNotTrained
@@ -321,68 +324,30 @@ func (d *Detector) scoreBatch(ctx context.Context, items []ecom.Item, workers in
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(items) {
-		workers = len(items)
-	}
 	g, batchScoring := d.clf.(*gbt.Classifier)
 	dets := make([]Detection, len(items))
 	X := make([][]float64, len(items))
-	var pending []int // indices awaiting a batch score, in item order
-	if workers <= 1 {
-		for i := range items {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			var need bool
-			dets[i], X[i], need = d.analyzeOne(&items[i])
-			if need {
-				if batchScoring {
-					pending = append(pending, i)
-				} else {
-					sp := obs.StartSpan(d.m.stageScore)
-					score := d.clf.PredictProba(X[i])
-					sp.End()
-					d.applyScore(&dets[i], score)
-				}
-			}
-		}
-		d.scorePending(g, dets, X, pending, 1)
-		return dets, X, nil
-	}
 	needScore := make([]bool, len(items))
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				var need bool
-				dets[i], X[i], need = d.analyzeOne(&items[i])
-				if need && !batchScoring {
-					sp := obs.StartSpan(d.m.stageScore)
-					score := d.clf.PredictProba(X[i])
-					sp.End()
-					d.applyScore(&dets[i], score)
-				}
-				needScore[i] = need
-			}
-		}()
-	}
-dispatch:
-	for i := range items {
-		select {
-		case ch <- i:
-		case <-ctx.Done():
-			break dispatch
+	err := par.For(ctx, len(items), workers, func(i int) {
+		dets[i], X[i], needScore[i] = d.analyzeOne(&items[i])
+		if needScore[i] && !batchScoring {
+			sp := obs.StartSpan(d.m.stageScore)
+			score := d.clf.PredictProba(X[i])
+			sp.End()
+			d.applyScore(&dets[i], score)
 		}
-	}
-	close(ch)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	})
+	if err != nil {
 		return nil, nil, err
 	}
 	if batchScoring {
+		n := 0
+		for _, need := range needScore {
+			if need {
+				n++
+			}
+		}
+		pending := make([]int, 0, n) // indices awaiting a batch score, in item order
 		for i, need := range needScore {
 			if need {
 				pending = append(pending, i)

@@ -62,13 +62,13 @@ func TestRetryCountersAtFinalAttemptBoundary(t *testing.T) {
 		wantStats Stats
 	}{
 		{
-			name:     "recovers_on_final_allowed_attempt",
-			failures: maxRetries,
+			name:      "recovers_on_final_allowed_attempt",
+			failures:  maxRetries,
 			wantStats: Stats{Fetched: 1, Retries: maxRetries, Failures: 0},
 		},
 		{
-			name:     "abandoned_one_past_the_boundary",
-			failures: maxRetries + 1,
+			name:      "abandoned_one_past_the_boundary",
+			failures:  maxRetries + 1,
 			wantStats: Stats{Fetched: 0, Retries: maxRetries, Failures: 1},
 		},
 	}

@@ -10,10 +10,12 @@
 // CommentStructure are all field reads (or pure arithmetic) over data
 // that was computed exactly once.
 //
-// The hot path runs on pooled scratch: token and word buffers, the
-// entropy frequency map, and the item-level distinct-word set all come
-// from a sync.Pool and are reused across comments, so VectorSignal — the
-// detector's fused entry point — allocates only the returned vector.
+// The pass is the word-ID kernel (wordtable.go): the segmenter names
+// each word token with a dense ID as it finds it, and lexicon hits,
+// the sentiment sum, the entropy counts and the item's distinct-word
+// count are all reads of ID-indexed arrays. It runs on pooled scratch
+// reused across comments, so VectorSignal — the detector's fused entry
+// point — allocates only the returned vector.
 package features
 
 import (
@@ -38,7 +40,8 @@ type CommentAnalysis struct {
 	PositiveGrams int
 	// DistinctWords is the number of distinct entries in Words.
 	DistinctWords int
-	// Entropy is stats.EntropyOfWords(Words).
+	// Entropy is the Shannon entropy of Words' frequencies
+	// (stats.EntropyOfWords(Words), computed from per-ID counts).
 	Entropy float64
 	// Sentiment is the sentiment model's score of Words.
 	Sentiment float64
@@ -70,77 +73,104 @@ func (c *CommentAnalysis) Structure() CommentStructure {
 	return cs
 }
 
-// scratch is the pooled per-call workspace of the analysis layer. Every
-// buffer is reused across comments (and across pool round-trips), so a
-// warmed analysis pass performs no allocation beyond outputs the caller
-// retains.
-type scratch struct {
-	toks   []tokenize.Token
-	words  []string
-	freq   map[string]int
-	counts []int
-	uniq   map[string]struct{}
-}
-
 var scratchPool = sync.Pool{New: func() any {
-	return &scratch{
-		toks:  make([]tokenize.Token, 0, 64),
-		words: make([]string, 0, 64),
-		freq:  make(map[string]int, 64),
-		uniq:  make(map[string]struct{}, 128),
-	}
+	return &scratch{toks: make([]tokenize.WordToken, 0, 64)}
 }}
 
 // AnalyzeComment measures one comment in a single segmentation pass.
-// Rune length and punctuation count fall out of the token stream's byte
-// offsets and rune counts (every punctuation rune is its own token and
-// whitespace runs are kept), so the raw text is scanned exactly once
-// and never re-scanned per token. The returned Words slice is owned by
-// the caller.
+// Rune length and punctuation count fall out of the segmentation walk
+// itself (every punctuation rune is its own token and whitespace runs
+// are counted), so the raw text is scanned exactly once and never
+// re-scanned per token. The returned Words slice is owned by the
+// caller.
 func (e *Extractor) AnalyzeComment(content string) CommentAnalysis {
 	sc := scratchPool.Get().(*scratch)
-	ca := e.analyzeComment(sc, content)
-	ca.Words = append([]string(nil), ca.Words...)
+	sc.beginItem(len(e.words), 1)
+	ca := e.analyzeCommentWords(sc, content)
+	sc.endItem()
 	scratchPool.Put(sc)
 	return ca
 }
 
-// analyzeComment is AnalyzeComment over pooled scratch. The returned
-// analysis aliases sc.words: it is valid only until the scratch's next
-// use, and callers that retain it must copy Words first.
+// analyzeCommentWords is analyzeComment plus the caller-owned word
+// sequence, cut from content at the token offsets.
+func (e *Extractor) analyzeCommentWords(sc *scratch, content string) CommentAnalysis {
+	ca, _ := e.analyzeComment(sc, content)
+	ca.Words = make([]string, len(sc.toks))
+	for i, t := range sc.toks {
+		ca.Words[i] = content[t.Start:t.End]
+	}
+	return ca
+}
+
+// analyzeComment is the kernel: one segmentation pass over content,
+// then one loop over its word tokens by ID. The returned analysis has
+// no Words (the scratch holds offsets, not strings); words is their
+// number. sc must be inside a beginItem/endItem bracket, which scopes
+// the transient IDs and the distinct-word count.
+//
+// Results are bit-identical to the string-keyed formulation (the
+// oracle in the tests): a word's sentiment term is the same l1−l0
+// float, added in word order; occurrence counts are sorted before the
+// entropy sum; everything else is integer counting.
 //
 //cats:hotpath
-func (e *Extractor) analyzeComment(sc *scratch, content string) CommentAnalysis {
-	sc.toks = e.seg.AppendTokensAll(sc.toks[:0], content)
-	var ca CommentAnalysis
-	sc.words = sc.words[:0]
+func (e *Extractor) analyzeComment(sc *scratch, content string) (ca CommentAnalysis, words int) {
+	sc.toks, ca.RuneLength, ca.PunctCount = e.seg.AppendWordTokens(sc.toks[:0], content)
+	sc.epoch++
+	epoch := sc.epoch
+	touched := sc.touched[:0]
+	logOdds := e.sent.PriorLogOdds()
+	prevPositive := false
 	for i := range sc.toks {
-		t := &sc.toks[i]
-		ca.RuneLength += t.Runes
-		switch t.Kind {
-		case tokenize.KindWord:
-			sc.words = append(sc.words, t.Text)
-		case tokenize.KindPunct:
-			ca.PunctCount++
+		id := sc.toks[i].ID
+		if id == tokenize.NoID {
+			text := content[sc.toks[i].Start:sc.toks[i].End]
+			h := hashWord(text)
+			if id = e.tableID(h, text); id == tokenize.NoID {
+				id = sc.transientID(len(e.words), h, text)
+			}
 		}
-	}
-	ca.Words = sc.words
-	for wi, w := range ca.Words {
-		if e.pos.Contains(w) {
+		info := &e.oov
+		if int(id) < len(e.words) {
+			info = &e.words[id]
+		}
+		if info.positive {
 			ca.PositiveHits++
 		}
-		if e.neg.Contains(w) {
+		if info.negative {
 			ca.NegativeHits++
 		}
-		if wi+1 < len(ca.Words) && e.isPositiveGram(w, ca.Words[wi+1]) {
+		if i > 0 && (prevPositive || info.positive) {
 			ca.PositiveGrams++
 		}
+		prevPositive = info.positive
+		logOdds += info.term
+
+		c := &sc.cells[id]
+		if c.stamp == epoch {
+			c.count++
+			continue
+		}
+		if c.stamp < sc.itemStart {
+			sc.distinct++
+		}
+		c.stamp, c.count = epoch, 1
+		touched = append(touched, id)
 	}
-	ca.Entropy, ca.DistinctWords = stats.EntropyAndDistinctScratch(ca.Words, sc.freq, &sc.counts)
-	ca.Sentiment = e.sent.Score(ca.Words)
+	counts := sc.counts[:0]
+	for _, id := range touched {
+		counts = append(counts, sc.cells[id].count)
+	}
+	sc.touched, sc.counts = touched, counts
+
+	words = len(sc.toks)
+	ca.DistinctWords = len(counts)
+	ca.Entropy = stats.EntropyOfCounts(counts, words)
+	ca.Sentiment = e.sent.Squash(logOdds, words)
 	mCommentsAnalyzed.Inc()
-	mWordsAnalyzed.Add(uint64(len(ca.Words)))
-	return ca
+	mWordsAnalyzed.Add(uint64(words))
+	return ca, words
 }
 
 // ItemAnalysis aggregates an item's per-comment analyses. The running
@@ -174,13 +204,14 @@ func (e *Extractor) AnalyzeItem(item *ecom.Item) *ItemAnalysis {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	a := &ItemAnalysis{Comments: make([]CommentAnalysis, 0, len(item.Comments))}
-	clear(sc.uniq)
+	sc.beginItem(len(e.words), len(item.Comments))
 	for i := range item.Comments {
-		ca := e.analyzeComment(sc, item.Comments[i].Content)
-		ca.Words = append([]string(nil), ca.Words...)
-		a.add(ca, sc.uniq)
+		ca := e.analyzeCommentWords(sc, item.Comments[i].Content)
+		a.accumulate(&ca, len(ca.Words))
+		a.Comments = append(a.Comments, ca)
 	}
-	a.distinctWords = len(sc.uniq)
+	a.distinctWords = sc.distinct
+	sc.endItem()
 	return a
 }
 
@@ -192,38 +223,34 @@ func (e *Extractor) AnalyzeItem(item *ecom.Item) *ItemAnalysis {
 func (e *Extractor) VectorSignal(item *ecom.Item) ([]float64, bool) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
+	return e.vectorSignal(sc, item)
+}
+
+// vectorSignal is VectorSignal over the caller's scratch.
+func (e *Extractor) vectorSignal(sc *scratch, item *ecom.Item) ([]float64, bool) {
 	var a ItemAnalysis
-	clear(sc.uniq)
+	sc.beginItem(len(e.words), len(item.Comments))
 	for i := range item.Comments {
-		ca := e.analyzeComment(sc, item.Comments[i].Content)
-		a.accumulate(&ca, sc.uniq)
+		ca, words := e.analyzeComment(sc, item.Comments[i].Content)
+		a.accumulate(&ca, words)
 	}
-	a.distinctWords = len(sc.uniq)
+	a.distinctWords = sc.distinct
+	sc.endItem()
 	return a.Vector(), a.hasPositive
 }
 
-// add folds one comment's analysis into the item aggregates and retains
-// it. ca.Words must be caller-owned (not scratch-aliased).
-func (a *ItemAnalysis) add(ca CommentAnalysis, uniq map[string]struct{}) {
-	a.accumulate(&ca, uniq)
-	a.Comments = append(a.Comments, ca)
-}
-
-// accumulate folds one comment's analysis into the item aggregates
-// without retaining it.
+// accumulate folds one comment's analysis, of the given word count,
+// into the item aggregates without retaining it.
 //
 //cats:hotpath
-func (a *ItemAnalysis) accumulate(ca *CommentAnalysis, uniq map[string]struct{}) {
-	for _, w := range ca.Words {
-		uniq[w] = struct{}{}
-	}
+func (a *ItemAnalysis) accumulate(ca *CommentAnalysis, words int) {
 	a.nComments++
-	a.wordTotal += len(ca.Words)
+	a.wordTotal += words
 	a.posTotal += float64(ca.PositiveHits)
 	a.posNegDiff += abs(float64(ca.PositiveHits) - float64(ca.NegativeHits))
 	a.ngramTotal += float64(ca.PositiveGrams)
-	if len(ca.Words) > 1 {
-		a.ngramRatioSum += float64(ca.PositiveGrams) / float64(len(ca.Words)-1)
+	if words > 1 {
+		a.ngramRatioSum += float64(ca.PositiveGrams) / float64(words-1)
 	}
 	a.sentSum += ca.Sentiment
 	a.entropySum += ca.Entropy

@@ -52,7 +52,7 @@ func referenceVector(e *Extractor, item *ecom.Item) []float64 {
 			if e.neg.Contains(w) {
 				ncnt++
 			}
-			if wi+1 < len(words) && e.isPositiveGram(w, words[wi+1]) {
+			if wi+1 < len(words) && (e.pos.Contains(w) || e.pos.Contains(words[wi+1])) {
 				grams++
 			}
 			uniq[w] = struct{}{}
@@ -117,13 +117,13 @@ func TestVectorMatchesPreRefactorReference(t *testing.T) {
 	})
 	items := u.Dataset.Items
 	items = append(items,
-		*item(),                      // zero comments → zero vector
-		*item(""),                    // one empty comment
-		*item("", ""),                // only empty comments
-		*item("！！！，，，"),              // punctuation only
-		*item("   \t\n  "),           // whitespace only
-		*item("很好很好很好"),              // repetition (zero entropy)
-		*item("abc123 DEF456"),       // latin/digit runs
+		*item(),                // zero comments → zero vector
+		*item(""),              // one empty comment
+		*item("", ""),          // only empty comments
+		*item("！！！，，，"),        // punctuation only
+		*item("   \t\n  "),     // whitespace only
+		*item("很好很好很好"),        // repetition (zero entropy)
+		*item("abc123 DEF456"), // latin/digit runs
 		*item("很好，满意！", "", "质量太差。"), // mixed
 	)
 	for i := range items {

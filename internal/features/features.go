@@ -16,11 +16,12 @@
 package features
 
 import (
+	"context"
 	"runtime"
-	"sync"
 
 	"repro/internal/ecom"
 	"repro/internal/lexicon"
+	"repro/internal/par"
 	"repro/internal/sentiment"
 	"repro/internal/tokenize"
 )
@@ -65,13 +66,22 @@ type Extractor struct {
 	pos  *lexicon.Set
 	neg  *lexicon.Set
 	sent *sentiment.Model
+
+	// The word-ID table (wordtable.go): what pos, neg and sent say
+	// about each word, indexed by the ID seg hands out with the token.
+	words []wordInfo
+	extra wordIndex // model words outside seg's dictionary, IDs from DictSize()
+	oov   wordInfo  // what the models say about any word outside the table
 }
 
 // NewExtractor assembles an Extractor from the semantic analyzer's
 // outputs: the segmenter dictionary, the expanded positive and negative
-// lexicons, and the sentiment model.
+// lexicons, and the sentiment model. It reads the three models into the
+// extractor's word table once; they must not change afterwards.
 func NewExtractor(seg *tokenize.Segmenter, pos, neg *lexicon.Set, sent *sentiment.Model) *Extractor {
-	return &Extractor{seg: seg, pos: pos, neg: neg, sent: sent}
+	e := &Extractor{seg: seg, pos: pos, neg: neg, sent: sent}
+	e.buildWordTable()
+	return e
 }
 
 // PositiveSet returns the extractor's positive lexicon.
@@ -94,14 +104,6 @@ func (e *Extractor) Vector(item *ecom.Item) []float64 {
 	return v
 }
 
-// isPositiveGram reports whether (a, b) is a positive 2-gram: "at least
-// one word of Wi and Wj is from the positive set P".
-//
-//cats:hotpath
-func (e *Extractor) isPositiveGram(a, b string) bool {
-	return e.pos.Contains(a) || e.pos.Contains(b)
-}
-
 // HasPositiveSignal reports whether the item contains at least one
 // positive word or positive 2-gram across its comments — the detector's
 // rule filter drops items with none.
@@ -117,9 +119,15 @@ func (e *Extractor) HasPositiveSignal(item *ecom.Item) bool {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	for i := range item.Comments {
-		sc.words = e.seg.WordsAppend(sc.words[:0], item.Comments[i].Content)
-		for _, w := range sc.words {
-			if e.pos.Contains(w) {
+		content := item.Comments[i].Content
+		sc.toks, _, _ = e.seg.AppendWordTokens(sc.toks[:0], content)
+		for _, t := range sc.toks {
+			id := t.ID
+			if id == tokenize.NoID {
+				text := content[t.Start:t.End]
+				id = e.tableID(hashWord(text), text)
+			}
+			if id != tokenize.NoID && e.words[id].positive {
 				return true
 			}
 		}
@@ -134,22 +142,11 @@ func (e *Extractor) ExtractDataset(items []ecom.Item, workers int) [][]float64 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	out := make([][]float64, len(items))
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				out[i] = e.Vector(&items[i])
-			}
-		}()
-	}
-	for i := range items {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
+	// The kept signature supplies no context; nothing can cancel this
+	// one, so For's error is always nil.
+	_ = par.For(context.TODO(), len(items), workers, func(i int) {
+		out[i] = e.Vector(&items[i])
+	})
 	return out
 }
 

@@ -90,9 +90,9 @@ type Builder struct {
 	userIdx map[string]UserID
 	itemIdx map[string]ItemID
 
-	userIDs []string // dense id -> user id string (process-owned copies)
-	userExp []int64  // first-seen ExpValue per user
-	itemIDs []string
+	userIDs   []string // dense id -> user id string (process-owned copies)
+	userExp   []int64  // first-seen ExpValue per user
+	itemIDs   []string
 	itemFraud []bool
 
 	edgeUsers []UserID
@@ -197,9 +197,9 @@ func (b *Builder) Edges() int { return len(b.edgeUsers) }
 type Graph struct {
 	cfg Config
 
-	userIDs []string
-	userExp []int64
-	itemIDs []string
+	userIDs   []string
+	userExp   []int64
+	itemIDs   []string
 	itemFraud []bool
 
 	itemOff   []int64

@@ -114,7 +114,9 @@ func NewSet(words []string) *Set {
 	return s
 }
 
-// Contains reports membership.
+// Contains reports membership. It hashes w; the feature extractor
+// instead marks each member once in its ID-indexed word table (Each)
+// and tests tokens by ID.
 func (s *Set) Contains(w string) bool {
 	_, ok := s.words[w]
 	return ok
@@ -122,6 +124,14 @@ func (s *Set) Contains(w string) bool {
 
 // Len returns the set size.
 func (s *Set) Len() int { return len(s.words) }
+
+// Each calls fn once per member, in no particular order.
+func (s *Set) Each(fn func(w string)) {
+	//lint:ignore map-range-determinism each member is visited once; callers index by word, never by visit order
+	for w := range s.words {
+		fn(w)
+	}
+}
 
 // Words returns the sorted members.
 func (s *Set) Words() []string {

@@ -62,19 +62,14 @@ func Train(docs [][]string, labels []int) (*Model, error) {
 }
 
 // Score returns P(positive|words). Empty input scores a neutral 0.5.
-// The summed log-odds are normalized by the square root of the word
-// count before the logistic squash: long, consistently positive
-// documents still saturate toward 1 (the behavior behind Fig 1's
-// fraud-comment concentration near 1), while short or mixed documents
-// stay graded instead of snapping to {0, 1} the way a raw Naive Bayes
-// posterior would.
 //
-//cats:hotpath
+// This is the string-keyed form: two map lookups per word. The
+// detection path does not call it — the feature extractor reads each
+// word's log-odds term (EachWordLogOdds) into its ID-indexed table once
+// and sums the same floats in the same order — so it stays as the
+// reference the kernel is tested against.
 func (m *Model) Score(words []string) float64 {
-	if !m.fitted || len(words) == 0 {
-		return 0.5
-	}
-	logOdds := m.logPrior[1] - m.logPrior[0]
+	logOdds := m.PriorLogOdds()
 	for _, w := range words {
 		l1, ok := m.logLik[1][w]
 		if !ok {
@@ -86,7 +81,52 @@ func (m *Model) Score(words []string) float64 {
 		}
 		logOdds += l1 - l0
 	}
-	norm := logOdds / (temperature * math.Sqrt(float64(len(words))))
+	return m.Squash(logOdds, len(words))
+}
+
+// PriorLogOdds is the value a document's log-odds sum starts from,
+// before any word's term is added.
+func (m *Model) PriorLogOdds() float64 { return m.logPrior[1] - m.logPrior[0] }
+
+// OOVLogOdds is the term of a word unseen in training.
+func (m *Model) OOVLogOdds() float64 { return m.logOOV[1] - m.logOOV[0] }
+
+// EachWordLogOdds calls fn once per word seen in training, in no
+// particular order, with the term that word adds to a document's
+// log-odds: l1 − l0, each side falling back to its class's smoothed
+// unseen-word likelihood exactly as Score does.
+func (m *Model) EachWordLogOdds(fn func(word string, term float64)) {
+	//lint:ignore map-range-determinism each word is visited once and its term depends on the word alone; callers index by word, never by visit order
+	for w, l1 := range m.logLik[1] {
+		l0, ok := m.logLik[0][w]
+		if !ok {
+			l0 = m.logOOV[0]
+		}
+		fn(w, l1-l0)
+	}
+	//lint:ignore map-range-determinism as above
+	for w, l0 := range m.logLik[0] {
+		if _, ok := m.logLik[1][w]; !ok {
+			fn(w, m.logOOV[1]-l0)
+		}
+	}
+}
+
+// Squash turns a document's summed log-odds (PriorLogOdds plus one term
+// per word, added in word order) over n words into P(positive). The sum
+// is normalized by the square root of the word count before the
+// logistic squash: long, consistently positive documents still saturate
+// toward 1 (the behavior behind Fig 1's fraud-comment concentration
+// near 1), while short or mixed documents stay graded instead of
+// snapping to {0, 1} the way a raw Naive Bayes posterior would. An
+// unfitted model and an empty document score a neutral 0.5.
+//
+//cats:hotpath
+func (m *Model) Squash(logOdds float64, n int) float64 {
+	if !m.fitted || n == 0 {
+		return 0.5
+	}
+	norm := logOdds / (temperature * math.Sqrt(float64(n)))
 	return 1 / (1 + math.Exp(-norm))
 }
 

@@ -2,6 +2,7 @@ package sentiment
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -149,5 +150,57 @@ func TestFraudVsNormalSeparation(t *testing.T) {
 	}
 	if fraudMean < 0.8 {
 		t.Errorf("fraud mean sentiment %.3f, want concentrated near 1", fraudMean)
+	}
+}
+
+// TestWordLogOddsRebuildScore: summing PriorLogOdds and the per-word
+// terms EachWordLogOdds hands out (OOVLogOdds for a word it never
+// names) in word order, then Squash, is Score bit for bit — the
+// contract the feature extractor's ID-indexed table is built on.
+func TestWordLogOddsRebuildScore(t *testing.T) {
+	// Words seen under one polarity only, and under both.
+	shared, err := Train([][]string{{"好", "质量"}, {"质量", "质量", "差"}, {"物流"}}, []int{1, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*Model{trainToy(t), shared} {
+		checkWordLogOdds(t, m)
+	}
+	var unfitted Model
+	if got := unfitted.Squash(3, 2); got != 0.5 {
+		t.Fatalf("unfitted Squash = %v, want 0.5", got)
+	}
+}
+
+func checkWordLogOdds(t *testing.T, m *Model) {
+	t.Helper()
+	terms := map[string]float64{}
+	m.EachWordLogOdds(func(w string, term float64) {
+		if _, dup := terms[w]; dup {
+			t.Fatalf("EachWordLogOdds visited %q twice", w)
+		}
+		terms[w] = term
+	})
+	if len(terms) != m.VocabSize() {
+		t.Fatalf("EachWordLogOdds visited %d words, vocabulary has %d", len(terms), m.VocabSize())
+	}
+	docs := [][]string{nil, {"生词"}, {"生词", "生词", "另一个"}}
+	for w := range terms {
+		docs = append(docs, []string{w}, []string{w, "生词", w})
+		docs[2] = append(docs[2], w)
+	}
+	for _, doc := range docs {
+		sum := m.PriorLogOdds()
+		for _, w := range doc {
+			term, ok := terms[w]
+			if !ok {
+				term = m.OOVLogOdds()
+			}
+			sum += term
+		}
+		got, want := m.Squash(sum, len(doc)), m.Score(doc)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("doc %q: rebuilt %v, Score %v", doc, got, want)
+		}
 	}
 }

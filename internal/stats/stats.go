@@ -9,6 +9,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -235,43 +236,18 @@ func Entropy(counts []int) float64 {
 // Section II-A.4 and Fig 3. Counts are summed in sorted order so the
 // result is bit-for-bit deterministic (float addition is not
 // associative, and Go map iteration order varies).
-func EntropyOfWords(words []string) float64 {
-	h, _ := EntropyAndDistinct(words)
-	return h
-}
-
-// EntropyAndDistinct computes EntropyOfWords together with the number
-// of distinct words, sharing one frequency map — the comment-analysis
-// layer needs both per comment.
-func EntropyAndDistinct(words []string) (entropy float64, distinct int) {
-	if len(words) == 0 {
-		return 0, 0
-	}
-	var counts []int
-	return entropyAndDistinct(words, make(map[string]int, len(words)), &counts)
-}
-
-// EntropyAndDistinctScratch is EntropyAndDistinct over caller-owned
-// scratch: freq is cleared and reused as the frequency map, and
-// *counts's capacity is reused for the sorted count slice. With warmed
-// scratch the call allocates nothing. Results are bit-identical to
-// EntropyAndDistinct (counts are summed in the same sorted order).
 //
-//cats:hotpath
-func EntropyAndDistinctScratch(words []string, freq map[string]int, counts *[]int) (entropy float64, distinct int) {
+// This is the string-keyed form, one map operation per word; the
+// feature extractor counts by word ID and calls EntropyOfCounts.
+func EntropyOfWords(words []string) float64 {
 	if len(words) == 0 {
-		return 0, 0
+		return 0
 	}
-	clear(freq)
-	return entropyAndDistinct(words, freq, counts)
-}
-
-//cats:hotpath
-func entropyAndDistinct(words []string, freq map[string]int, counts *[]int) (entropy float64, distinct int) {
+	freq := make(map[string]int, len(words))
 	for _, w := range words {
 		freq[w]++
 	}
-	cs := (*counts)[:0]
+	cs := make([]int, 0, len(freq))
 	//lint:ignore map-range-determinism the counts are drained into cs and sorted below; no float is summed in map order
 	for _, c := range freq {
 		cs = append(cs, c)
@@ -281,10 +257,50 @@ func entropyAndDistinct(words []string, freq map[string]int, counts *[]int) (ent
 	n := float64(len(words))
 	for _, c := range cs {
 		p := float64(c) / n
-		h -= p * math.Log2(p)
+		// The conversion keeps the product a rounded float64 on
+		// architectures that would otherwise fuse it into the
+		// subtraction, so this and EntropyOfCounts agree everywhere.
+		h -= float64(p * math.Log2(p))
 	}
-	*counts = cs
-	return h, len(cs)
+	return h
+}
+
+// EntropyOfCounts is EntropyOfWords for a caller that has already
+// counted: counts holds each distinct word's occurrences (all positive)
+// and total is their sum, the sequence length. Terms are subtracted in
+// ascending order of count, the order EntropyOfWords sums in, so the
+// two agree bit for bit. Equal counts contribute the same term, so it
+// is computed once per run of equal counts; and since most words of a
+// comment occur once, the ones are peeled off first and only the rest
+// is sorted. counts is reordered in place.
+//
+//cats:hotpath
+func EntropyOfCounts(counts []int32, total int) float64 {
+	rest := counts[:0]
+	for _, c := range counts {
+		if c != 1 {
+			rest = append(rest, c)
+		}
+	}
+	slices.Sort(rest)
+	var h float64
+	n := float64(total)
+	if ones := len(counts) - len(rest); ones > 0 {
+		p := 1 / n
+		term := float64(p * math.Log2(p)) // rounded, never fused: see EntropyOfWords
+		for ; ones > 0; ones-- {
+			h -= term
+		}
+	}
+	for i := 0; i < len(rest); {
+		c := rest[i]
+		p := float64(c) / n
+		term := float64(p * math.Log2(p))
+		for ; i < len(rest) && rest[i] == c; i++ {
+			h -= term
+		}
+	}
+	return h
 }
 
 // WordCount is a word together with its occurrence count.

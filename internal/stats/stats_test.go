@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -161,6 +162,38 @@ func TestEntropyOfWords(t *testing.T) {
 	}
 	if h := EntropyOfWords(nil); h != 0 {
 		t.Errorf("empty entropy = %v", h)
+	}
+}
+
+// TestEntropyOfCountsMatchesWords: the count-based form must return the
+// string-keyed form's result bit for bit — it is what the feature
+// extractor computes comment entropy with — for any mix of repeated
+// and unrepeated words, and whatever order the counts arrive in.
+func TestEntropyOfCountsMatchesWords(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 2000; trial++ {
+		distinct := 1 + rng.Intn(40)
+		var words []string
+		counts := make([]int32, distinct)
+		for w := range counts {
+			c := 1
+			if rng.Intn(3) == 0 {
+				c += rng.Intn(9)
+			}
+			counts[w] = int32(c)
+			for k := 0; k < c; k++ {
+				words = append(words, strconv.Itoa(w))
+			}
+		}
+		rng.Shuffle(len(counts), func(i, j int) { counts[i], counts[j] = counts[j], counts[i] })
+		want := EntropyOfWords(words)
+		if got := EntropyOfCounts(counts, len(words)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: EntropyOfCounts = %v (%#x), EntropyOfWords = %v (%#x)",
+				trial, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	if h := EntropyOfCounts(nil, 0); h != 0 {
+		t.Errorf("EntropyOfCounts of nothing = %v, want 0", h)
 	}
 }
 

@@ -9,12 +9,15 @@ import (
 // deliberately mixes overlapping entries (我/喜欢 vs 我喜欢) and an
 // entry containing punctuation-adjacent runes so maximum matching has
 // real choices to make.
-func fuzzSegmenter() *Segmenter {
-	return NewSegmenter([]string{
-		"我", "喜欢", "我喜欢", "好评", "质量", "不错", "很好", "很", "好",
-		"质量不错", "五星好评", "物流", "很快",
-	})
+func fuzzSegmenter() *Segmenter { return NewSegmenter(fuzzVocab) }
+
+var fuzzVocab = []string{
+	"我", "喜欢", "我喜欢", "好评", "质量", "不错", "很好", "很", "好",
+	"质量不错", "五星好评", "物流", "很快",
 }
+
+// fuzzRef is the map-based reference segmenter over the same dictionary.
+var fuzzRef = newReference(fuzzVocab)
 
 // FuzzSegmentRoundTrip checks the segmenter's lossless property on
 // arbitrary input: rejoining all tokens (with whitespace kept) must
@@ -51,6 +54,8 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 				t.Fatalf("token %q: Runes = %d, want %d", tok.Text, tok.Runes, got)
 			}
 		}
+		// The ID-carrying pass must agree with the token stream.
+		checkWordTokens(t, seg, s)
 		// Words must never contain punctuation runes.
 		for _, w := range seg.Words(s) {
 			for _, r := range w {
@@ -83,7 +88,7 @@ func FuzzSegmentDifferential(f *testing.F) {
 		}
 		for _, keepSpace := range []bool{false, true} {
 			got := seg.appendTokens(nil, s, keepSpace)
-			want := seg.referenceSegment(s, keepSpace)
+			want := fuzzRef.referenceSegment(s, keepSpace)
 			if len(got) != len(want) {
 				t.Fatalf("keepSpace=%v: %d tokens, reference has %d\n got: %v\nwant: %v",
 					keepSpace, len(got), len(want), got, want)

@@ -1,6 +1,30 @@
 package tokenize
 
-import "unicode"
+import (
+	"unicode"
+	"unicode/utf8"
+)
+
+// reference is the pre-trie segmenter: the vocabulary as a plain map
+// and the longest entry's length in runes.
+type reference struct {
+	dict   map[string]struct{}
+	maxLen int
+}
+
+func newReference(vocab []string) *reference {
+	s := &reference{dict: make(map[string]struct{}, len(vocab)), maxLen: 1}
+	for _, w := range vocab {
+		if w == "" {
+			continue
+		}
+		s.dict[w] = struct{}{}
+		if n := utf8.RuneCountInString(w); n > s.maxLen {
+			s.maxLen = n
+		}
+	}
+	return s
+}
 
 // referenceSegment is the pre-trie segmentation algorithm, retained
 // verbatim as the equivalence oracle for the byte-level trie walk: it
@@ -12,7 +36,7 @@ import "unicode"
 //
 // Only Text and Kind are populated: the reference predates byte
 // offsets, and the tests compare the token stream, not the offsets.
-func (s *Segmenter) referenceSegment(text string, keepSpace bool) []Token {
+func (s *reference) referenceSegment(text string, keepSpace bool) []Token {
 	runes := []rune(text)
 	toks := make([]Token, 0, len(runes)/2+1)
 	i := 0

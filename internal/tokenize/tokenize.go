@@ -16,7 +16,10 @@
 // tokens are zero-copy substrings of the input carrying byte offsets
 // and rune counts, and the Append* entry points let callers reuse token
 // and word buffers across comments so a steady-state segmentation pass
-// allocates nothing.
+// allocates nothing. Every dictionary word also has a dense integer ID,
+// carried by the trie node it ends at; AppendWordTokens hands each word
+// token out with its ID, so a consumer that indexes by ID (the feature
+// extractor's analysis kernel) never hashes a word's text.
 package tokenize
 
 import (
@@ -57,13 +60,10 @@ type Token struct {
 // A Segmenter is immutable after construction (apart from its call
 // counter) and safe for concurrent use by multiple goroutines.
 type Segmenter struct {
-	// dict retains the vocabulary as a plain set. The hot path matches
-	// against the flattened trie; the map serves Contains/DictSize and
-	// the referenceSegment oracle the differential fuzz tests pin the
-	// trie against.
-	dict   map[string]struct{}
-	trie   *matchTrie
-	maxLen int // longest dictionary entry, in runes
+	// trie is the vocabulary as a flattened prefix trie whose terminal
+	// nodes carry dense word IDs; it is the segmenter's only copy of
+	// the dictionary.
+	trie *matchTrie
 
 	// calls counts segmentation passes, so tests can assert the
 	// detection paths segment each comment exactly once.
@@ -71,31 +71,23 @@ type Segmenter struct {
 }
 
 // NewSegmenter builds a Segmenter from the given vocabulary. Empty
-// entries are ignored. The segmenter works without a dictionary too, in
+// entries (and entries that are not valid UTF-8, which no token can
+// equal) are ignored. The segmenter works without a dictionary too, in
 // which case every CJK rune becomes its own token.
 func NewSegmenter(vocab []string) *Segmenter {
-	s := &Segmenter{dict: make(map[string]struct{}, len(vocab)), maxLen: 1}
-	for _, w := range vocab {
-		if w == "" {
-			continue
-		}
-		s.dict[w] = struct{}{}
-		if n := utf8.RuneCountInString(w); n > s.maxLen {
-			s.maxLen = n
-		}
-	}
-	s.trie = newMatchTrie(vocab)
-	return s
+	return &Segmenter{trie: newMatchTrie(vocab)}
 }
 
 // Contains reports whether w is a dictionary word.
-func (s *Segmenter) Contains(w string) bool {
-	_, ok := s.dict[w]
-	return ok
-}
+func (s *Segmenter) Contains(w string) bool { return s.trie.lookup(w) != NoID }
 
-// DictSize returns the number of dictionary entries.
-func (s *Segmenter) DictSize() int { return len(s.dict) }
+// DictSize returns the number of dictionary entries. Word IDs are the
+// integers in [0, DictSize()).
+func (s *Segmenter) DictSize() int { return int(s.trie.words) }
+
+// WordID returns the dense ID of dictionary word w — the ID every token
+// equal to w carries — or NoID.
+func (s *Segmenter) WordID(w string) int32 { return s.trie.lookup(w) }
 
 // Segment splits text into tokens. Whitespace runs are skipped (no
 // KindSpace tokens are produced); use SegmentAll to keep them.
@@ -117,14 +109,6 @@ func (s *Segmenter) SegmentAll(text string) []Token {
 //cats:hotpath
 func (s *Segmenter) AppendTokens(dst []Token, text string) []Token {
 	return s.appendTokens(dst, text, false)
-}
-
-// AppendTokensAll is AppendTokens keeping whitespace runs as KindSpace
-// tokens, like SegmentAll.
-//
-//cats:hotpath
-func (s *Segmenter) AppendTokensAll(dst []Token, text string) []Token {
-	return s.appendTokens(dst, text, true)
 }
 
 // Words segments text and returns only the word tokens' text. This is
@@ -161,68 +145,110 @@ var tokenScratch = sync.Pool{New: func() any { b := make([]Token, 0, 64); return
 // is one pass.
 func (s *Segmenter) Segmentations() int64 { return s.calls.Load() }
 
-// appendTokens is the single segmentation walk behind every entry
-// point. It advances over text's UTF-8 bytes directly: runs (space,
-// latin, digit) extend byte offsets, dictionary matches come from the
-// flattened trie, and each emitted token is text[start:end] with its
-// rune count tallied along the way.
+// appendTokens is the Token-producing loop behind Segment, SegmentAll,
+// Words and their Append variants: one scan per token, each emitted as
+// text[start:end] with its rune count.
 //
 //cats:hotpath
 func (s *Segmenter) appendTokens(toks []Token, text string, keepSpace bool) []Token {
 	s.calls.Add(1)
-	i := 0
-	for i < len(text) {
-		r, sz := utf8.DecodeRuneInString(text[i:])
-		switch {
-		case unicode.IsSpace(r):
-			j, n := i+sz, 1
-			for j < len(text) {
-				r2, sz2 := utf8.DecodeRuneInString(text[j:])
-				if !unicode.IsSpace(r2) {
-					break
-				}
-				j += sz2
-				n++
-			}
-			if keepSpace {
-				toks = append(toks, Token{Text: text[i:j], Start: i, End: j, Runes: n, Kind: KindSpace})
-			}
-			i = j
-		case IsPunct(r):
-			toks = append(toks, Token{Text: text[i : i+sz], Start: i, End: i + sz, Runes: 1, Kind: KindPunct})
-			i += sz
-		case isLatin(r):
-			j, n := i+sz, 1
-			for j < len(text) && isLatin(rune(text[j])) {
-				j++
-				n++
-			}
-			toks = append(toks, Token{Text: text[i:j], Start: i, End: j, Runes: n, Kind: KindWord})
-			i = j
-		case unicode.IsDigit(r):
-			j, n := i+sz, 1
-			for j < len(text) {
-				r2, sz2 := utf8.DecodeRuneInString(text[j:])
-				if !unicode.IsDigit(r2) {
-					break
-				}
-				j += sz2
-				n++
-			}
-			toks = append(toks, Token{Text: text[i:j], Start: i, End: j, Runes: n, Kind: KindWord})
-			i = j
-		default:
-			// CJK (or anything else): forward maximum match.
-			if end, n := s.trie.longestMatch(text, i); n >= 2 {
-				toks = append(toks, Token{Text: text[i:end], Start: i, End: end, Runes: n, Kind: KindWord})
-				i = end
-			} else {
-				toks = append(toks, Token{Text: text[i : i+sz], Start: i, End: i + sz, Runes: 1, Kind: KindWord})
-				i += sz
-			}
+	for i := 0; i < len(text); {
+		end, n, kind, _ := s.scan(text, i)
+		if kind != KindSpace || keepSpace {
+			toks = append(toks, Token{Text: text[i:end], Start: i, End: end, Runes: n, Kind: kind})
 		}
+		i = end
 	}
 	return toks
+}
+
+// WordToken is a word token as the analysis kernel consumes it: byte
+// offsets into the segmented text and the word's dictionary ID (NoID
+// for a word the dictionary does not hold). It carries no string, so a
+// pooled buffer of them keeps no input alive.
+type WordToken struct {
+	Start, End int
+	ID         int32
+}
+
+// AppendWordTokens appends text's word tokens to dst, each with its
+// dictionary word ID, and returns the extended slice with the text's
+// total length in runes (whitespace included) and its number of
+// punctuation runes. It is one segmentation pass: the token boundaries
+// are exactly those of SegmentAll.
+//
+//cats:hotpath
+func (s *Segmenter) AppendWordTokens(dst []WordToken, text string) (toks []WordToken, runes, punct int) {
+	s.calls.Add(1)
+	toks = dst
+	for i := 0; i < len(text); {
+		end, n, kind, id := s.scan(text, i)
+		runes += n
+		switch kind {
+		case KindWord:
+			toks = append(toks, WordToken{Start: i, End: end, ID: id})
+		case KindPunct:
+			punct++
+		}
+		i = end
+	}
+	return toks, runes, punct
+}
+
+// scan is the single classification step behind every entry point: it
+// returns the token starting at byte offset i of text as its end
+// offset, rune count, kind and (for a word) dictionary ID. It advances
+// over text's UTF-8 bytes directly: runs (space, latin, digit) extend
+// byte offsets and dictionary matches come from the flattened trie.
+// Runes of the CJK Unified block skip the classifier chain, which can
+// only ever send them to the dictionary match.
+//
+//cats:hotpath
+func (s *Segmenter) scan(text string, i int) (end, runes int, kind Kind, id int32) {
+	r, sz := decodeWide(text, i), 3
+	if r < 0 {
+		r, sz = utf8.DecodeRuneInString(text[i:])
+	}
+	if isHan(r) {
+		end, runes, id = s.trie.match(text, i+sz, s.trie.han[r-hanLo])
+		return end, runes, KindWord, id
+	}
+	switch {
+	case unicode.IsSpace(r):
+		j, n := i+sz, 1
+		for j < len(text) {
+			r2, sz2 := utf8.DecodeRuneInString(text[j:])
+			if !unicode.IsSpace(r2) {
+				break
+			}
+			j += sz2
+			n++
+		}
+		return j, n, KindSpace, NoID
+	case IsPunct(r):
+		return i + sz, 1, KindPunct, NoID
+	case isLatin(r):
+		j := i + sz
+		for j < len(text) && isLatin(rune(text[j])) {
+			j++
+		}
+		return j, j - i, KindWord, s.trie.lookup(text[i:j])
+	case unicode.IsDigit(r):
+		j, n := i+sz, 1
+		for j < len(text) {
+			r2, sz2 := utf8.DecodeRuneInString(text[j:])
+			if !unicode.IsDigit(r2) {
+				break
+			}
+			j += sz2
+			n++
+		}
+		return j, n, KindWord, s.trie.lookup(text[i:j])
+	default:
+		// Anything else that is not Han: forward maximum match too.
+		end, runes, id = s.trie.match(text, i+sz, s.trie.child(0, r))
+		return end, runes, KindWord, id
+	}
 }
 
 // punctExtra lists CJK and ASCII punctuation commonly found in

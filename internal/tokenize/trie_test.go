@@ -36,7 +36,7 @@ func TestTrieMatchesReference(t *testing.T) {
 	for _, text := range trieCorpus(500) {
 		for _, keepSpace := range []bool{false, true} {
 			got := seg.appendTokens(nil, text, keepSpace)
-			want := seg.referenceSegment(text, keepSpace)
+			want := fuzzRef.referenceSegment(text, keepSpace)
 			if len(got) != len(want) {
 				t.Fatalf("%q keepSpace=%v: %d tokens, reference %d", text, keepSpace, len(got), len(want))
 			}
@@ -59,7 +59,7 @@ func TestTrieMatchesReferenceQuick(t *testing.T) {
 			return true
 		}
 		got := seg.appendTokens(nil, s, true)
-		want := seg.referenceSegment(s, true)
+		want := fuzzRef.referenceSegment(s, true)
 		if len(got) != len(want) {
 			return false
 		}
@@ -100,8 +100,8 @@ func TestTokenOffsets(t *testing.T) {
 	}
 }
 
-// TestAppendReuseZeroAlloc: with warmed buffers, AppendTokensAll and
-// WordsAppend must not allocate — the zero-allocation contract of the
+// TestAppendReuseZeroAlloc: with warmed buffers, AppendTokens,
+// AppendWordTokens and WordsAppend must not allocate — the zero-allocation contract of the
 // segmentation hot path.
 func TestAppendReuseZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -110,13 +110,15 @@ func TestAppendReuseZeroAlloc(t *testing.T) {
 	seg := fuzzSegmenter()
 	texts := trieCorpus(50)
 	toks := make([]Token, 0, 256)
+	wtoks := make([]WordToken, 0, 256)
 	words := make([]string, 0, 256)
 	// Warm the Words scratch pool outside the measured region.
 	_ = seg.Words(texts[0])
 
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, text := range texts {
-			toks = seg.AppendTokensAll(toks[:0], text)
+			toks = seg.AppendTokens(toks[:0], text)
+			wtoks, _, _ = seg.AppendWordTokens(wtoks[:0], text)
 			words = seg.WordsAppend(words[:0], text)
 		}
 	})
