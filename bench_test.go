@@ -1,10 +1,11 @@
 package cats_test
 
-// Benchmark harness: one testing.B benchmark per paper table/figure
-// (the same harnesses `catsbench` runs, at a reduced scale so the
-// whole suite completes in minutes) plus micro-benchmarks for the hot
-// paths: segmentation, feature extraction, sentiment scoring, boosted
-// tree training/prediction and the word2vec SGD loop.
+// Benchmark harness: BenchmarkExperiments runs every entry of
+// experiments.Table as a sub-benchmark (the same harnesses `catsbench`
+// runs, at a reduced scale so the whole suite completes in minutes),
+// plus micro-benchmarks for the hot paths: segmentation, feature
+// extraction, sentiment scoring, boosted tree training/prediction and
+// the word2vec SGD loop.
 //
 // Run with:
 //
@@ -55,213 +56,18 @@ func lab() *experiments.Lab {
 	return benchLab
 }
 
-// --- One benchmark per table/figure. ---
-
-func BenchmarkTable1LexiconExpansion(b *testing.B) {
+// BenchmarkExperiments runs each table entry as
+// BenchmarkExperiments/<id> (e.g. -bench=Experiments/table6).
+func BenchmarkExperiments(b *testing.B) {
 	l := lab()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Table1(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable3ClassifierComparison(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Table3(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable4D0Stats(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		_ = l.Table4()
-	}
-}
-
-func BenchmarkTable5D1Stats(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		_ = l.Table5()
-	}
-}
-
-func BenchmarkTable6CATSOnD1(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Table6(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig1SentimentDistribution(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Fig1(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig2PunctuationDistribution(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Fig2(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig3EntropyDistribution(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Fig3(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig4LengthDistribution(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Fig4(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig5UniqueWordRatioDistribution(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Fig5(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig7FeatureImportance(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Fig7(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig8WordClouds(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Fig8(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig10CrossPlatformSentiment(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Fig10(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig11UserExpValue(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		_ = l.Fig11()
-	}
-}
-
-func BenchmarkFig12ClientDistribution(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		_ = l.Fig12()
-	}
-}
-
-func BenchmarkFig13FeatureDistributions(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Fig13(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEPlatformPipeline(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.EPlatform(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRiskyUserAnalysis(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		_ = l.RiskyUsers()
-	}
-}
-
-func BenchmarkDeploymentPerCategory(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Deployment(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkThresholdSweep(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.ThresholdSweep(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Ablation benches (design choices DESIGN.md calls out). ---
-
-func BenchmarkAblationRuleFilter(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.FilterAblation(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationFeatureGroups(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.FeatureGroupAblation(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationLexiconSize(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.LexiconSizeAblation(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationGBTHyperparams(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.GBTAblation(); err != nil {
-			b.Fatal(err)
-		}
+	for _, e := range experiments.Table {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(context.Background(), l); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -496,15 +302,6 @@ func BenchmarkSyntheticGeneration(b *testing.B) {
 	}
 }
 
-func BenchmarkRobustnessSweep(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.RobustnessSweep(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchFilterHeavyDetector builds a trained detector plus a synthetic
 // workload where ≥50% of items sit below the stage-one sales cutoff —
 // the deployment-shaped traffic profile where skipping feature
@@ -581,40 +378,6 @@ func BenchmarkGBTTrainParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		clf := gbt.New(gbt.Config{Rounds: 50, MaxDepth: 4, Seed: 1, Workers: 8})
 		if err := clf.Fit(ds); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAppendixWordTables(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Appendix(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTimeAspect(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		_ = l.TimeAspect()
-	}
-}
-
-func BenchmarkLearningCurve(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.LearningCurve(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRoundsCurve(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.RoundsCurve(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,12 +4,12 @@
 //
 // Usage:
 //
-//	catsbench [-exp all|table1|table3|table4|table5|table6|
-//	           fig1|fig2|fig3|fig4|fig5|fig7|fig8|fig10|fig11|fig12|fig13|
-//	           eplatform|riskyusers|drift|throughput|serve|corpus|graph|
-//	           filterablation|featureablation|lexiconablation|gbtablation]
-//	          [-d0scale f] [-d1scale f] [-epscale f] [-sample n] [-seed n]
-//	          [-json]
+//	catsbench [-exp all|<id>] [-d0scale f] [-d1scale f] [-epscale f]
+//	          [-sample n] [-corpus n] [-graphusers n] [-graphedges n]
+//	          [-seed n] [-json]
+//
+// The ids are the entries of experiments.Table; `catsbench -h` lists
+// them. Performance is measured by bench/ (bash bench/run.sh), not here.
 //
 // Scales default to laptop-sized fractions of the paper's dataset
 // sizes; raise them toward 1.0 to approach the full-size experiments.
@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"repro/internal/experiments"
@@ -34,13 +35,12 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id or 'all'")
+		exp     = flag.String("exp", "all", "'all' or one of: "+strings.Join(experiments.IDs(), " "))
 		d0scale = flag.Float64("d0scale", 0, "D0 scale factor (default 0.05)")
 		d1scale = flag.Float64("d1scale", 0, "D1 scale factor (default 0.004)")
 		epscale = flag.Float64("epscale", 0, "E-platform scale factor (default 0.002)")
 		sample  = flag.Int("sample", 0, "per-class item sample for distribution figures (default 400)")
 		corpus  = flag.Int("corpus", 0, "word2vec corpus comments (default 20000)")
-		stream  = flag.Int("streamcomments", 0, "corpus-experiment streamed comment volume (default 200000)")
 		gusers  = flag.Int("graphusers", 0, "graph-experiment user pool (default 200000)")
 		gedges  = flag.Int("graphedges", 0, "graph-experiment edge count (default 2000000)")
 		seed    = flag.Int64("seed", 0, "seed offset for all universes")
@@ -50,7 +50,7 @@ func main() {
 
 	lab := experiments.NewLab(experiments.Config{
 		D0Scale: *d0scale, D1Scale: *d1scale, EPlatScale: *epscale,
-		SampleItems: *sample, CorpusComments: *corpus, StreamComments: *stream,
+		SampleItems: *sample, CorpusComments: *corpus,
 		GraphUsers: *gusers, GraphEdges: *gedges, Seed: *seed,
 	})
 	if err := run(lab, *exp, *asJSON); err != nil {
@@ -59,19 +59,9 @@ func main() {
 	}
 }
 
-// experimentOrder lists every experiment in report order.
-var experimentOrder = []string{
-	"table1", "table3", "table4", "table5", "table6",
-	"fig1", "fig2", "fig3", "fig4", "fig5", "fig7", "fig8", "appendix",
-	"fig10", "fig11", "fig12", "fig13",
-	"eplatform", "riskyusers", "timeaspect", "deployment", "thresholdsweep", "robustness",
-	"drift", "learningcurve", "roundscurve", "throughput", "serve", "corpus", "graph",
-	"filterablation", "featureablation", "lexiconablation", "gbtablation",
-}
-
 // benchRecord is the BENCH_<exp>.json payload: one experiment run's
 // wall time and allocation cost, plus its result value so downstream
-// tooling can read e.g. the throughput rows' items/s without parsing
+// tooling can read e.g. the graph run's phase seconds without parsing
 // the textual report.
 type benchRecord struct {
 	Exp        string    `json:"exp"`
@@ -85,91 +75,22 @@ type benchRecord struct {
 
 func run(lab *experiments.Lab, exp string, asJSON bool) error {
 	if exp == "all" {
-		for _, id := range experimentOrder {
+		for _, id := range experiments.IDs() {
 			if err := run(lab, id, asJSON); err != nil {
 				return fmt.Errorf("%s: %w", id, err)
 			}
 		}
 		return nil
 	}
+	e, ok := experiments.Lookup(exp)
+	if !ok {
+		return fmt.Errorf("unknown experiment %q; valid ids: all %s", exp, strings.Join(experiments.IDs(), " "))
+	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	mallocs, bytes := ms.Mallocs, ms.TotalAlloc
 	start := time.Now()
-	var out fmt.Stringer
-	var err error
-	switch exp {
-	case "table1":
-		out, err = lab.Table1()
-	case "table3":
-		out, err = lab.Table3()
-	case "table4":
-		out = lab.Table4()
-	case "table5":
-		out = lab.Table5()
-	case "table6":
-		out, err = lab.Table6()
-	case "fig1":
-		out, err = lab.Fig1()
-	case "fig2":
-		out, err = lab.Fig2()
-	case "fig3":
-		out, err = lab.Fig3()
-	case "fig4":
-		out, err = lab.Fig4()
-	case "fig5":
-		out, err = lab.Fig5()
-	case "fig7":
-		out, err = lab.Fig7()
-	case "fig8", "fig9":
-		out, err = lab.Fig8()
-	case "appendix":
-		out, err = lab.Appendix()
-	case "fig10":
-		out, err = lab.Fig10()
-	case "fig11":
-		out = lab.Fig11()
-	case "fig12":
-		out = lab.Fig12()
-	case "fig13":
-		out, err = lab.Fig13()
-	case "eplatform":
-		out, err = lab.EPlatform(context.Background())
-	case "riskyusers":
-		out = lab.RiskyUsers()
-	case "deployment":
-		out, err = lab.Deployment()
-	case "thresholdsweep":
-		out, err = lab.ThresholdSweep()
-	case "robustness":
-		out, err = lab.RobustnessSweep()
-	case "drift":
-		out, err = lab.Drift()
-	case "timeaspect":
-		out = lab.TimeAspect()
-	case "learningcurve":
-		out, err = lab.LearningCurve()
-	case "roundscurve":
-		out, err = lab.RoundsCurve()
-	case "throughput":
-		out, err = lab.Throughput()
-	case "serve":
-		out, err = lab.Serve()
-	case "corpus":
-		out, err = lab.Corpus()
-	case "graph":
-		out, err = lab.Graph()
-	case "filterablation":
-		out, err = lab.FilterAblation()
-	case "featureablation":
-		out, err = lab.FeatureGroupAblation()
-	case "lexiconablation":
-		out, err = lab.LexiconSizeAblation()
-	case "gbtablation":
-		out, err = lab.GBTAblation()
-	default:
-		return fmt.Errorf("unknown experiment %q", exp)
-	}
+	out, err := e.Run(context.Background(), lab)
 	if err != nil {
 		return err
 	}

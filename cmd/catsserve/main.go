@@ -130,7 +130,7 @@ type probeFile struct {
 func main() {
 	var tenants tenantFlags
 	var (
-		modelPath = flag.String("model", "", "trained model JSON, served as the \"default\" tenant")
+		modelPath = flag.String("model", "", "model snapshot (JSON or columnar), served as the \"default\" tenant")
 		modelsDir = flag.String("models", "",
 			"directory of trained model snapshots; each *.json or *.catc becomes a tenant named after its base name")
 		defaultTenant = flag.String("default-tenant", "",

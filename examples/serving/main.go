@@ -24,6 +24,7 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/dispatch"
+	"repro/internal/registry"
 	"repro/internal/service"
 	"repro/internal/synth"
 	"repro/internal/textgen"
@@ -73,12 +74,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := service.New(det, analyzer, service.Options{
-		TrainingSample: det.TrainingSample(), // enables /v1/drift
+	reg := registry.New(registry.Options{
 		// Production shape (DESIGN.md §11): concurrent detect requests
 		// coalesce into fused scoring batches behind a bounded queue.
 		Batching: &dispatch.Options{MaxBatch: 64, MaxWait: 2 * time.Millisecond},
 	})
+	if _, err := reg.Install(context.Background(), service.DefaultTenant, "model.json", det, analyzer); err != nil {
+		log.Fatal(err)
+	}
+	// /v1/drift measures traffic against the training sample the
+	// snapshot carries.
+	srv := service.NewWithRegistry(reg, service.Options{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -131,7 +131,7 @@ func NewDetector(a *Analyzer, cfg DetectorConfig) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Detector{cfg: cfg, extractor: a.Extractor(), clf: clf, m: pipelineMetricsFor(DefaultTenant)}, nil
+	return &Detector{cfg: cfg, extractor: a.Extractor(), clf: clf, m: pipelineByTenant.For(DefaultTenant)}, nil
 }
 
 // SetMetricsTenant rebinds the detector's cats_pipeline_* metrics to
@@ -139,7 +139,10 @@ func NewDetector(a *Analyzer, cfg DetectorConfig) (*Detector, error) {
 // registry calls this once per loaded model, before the detector serves
 // traffic; it is not safe to call concurrently with detection.
 func (d *Detector) SetMetricsTenant(tenant string) {
-	d.m = pipelineMetricsFor(tenant)
+	if tenant == "" {
+		tenant = DefaultTenant
+	}
+	d.m = pipelineByTenant.For(tenant)
 }
 
 // Extractor exposes the detector's feature extractor.

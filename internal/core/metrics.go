@@ -1,11 +1,6 @@
 package core
 
-import (
-	"strings"
-	"sync"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // DefaultTenant is the tenant label applied to pipeline metrics when no
 // tenant is named — the single-model deployments that predate the
@@ -57,32 +52,10 @@ type pipelineMetrics struct {
 	commentsAnalyzed    *obs.Counter
 }
 
-var (
-	pipelineMetricsMu    sync.Mutex
-	pipelineMetricsCache = map[string]*pipelineMetrics{}
-)
-
-// pipelineMetricsFor resolves (and caches) the handle set for one
-// tenant label. Resolution takes the family locks; lookups after the
-// first are a mutex-guarded map read, and detectors hold the returned
-// struct so the detection loop itself never comes back here.
-func pipelineMetricsFor(tenant string) *pipelineMetrics {
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	pipelineMetricsMu.Lock()
-	defer pipelineMetricsMu.Unlock()
-	if m, ok := pipelineMetricsCache[tenant]; ok {
-		return m
-	}
-	// The cache key and the label values live for the process; copy the
-	// caller's string so a decode-arena alias (a tenant name lifted from
-	// a columnar snapshot) is never pinned here.
-	key := strings.Clone(tenant)
-	m := resolvePipelineMetrics(key)
-	pipelineMetricsCache[key] = m
-	return m
-}
+// pipelineByTenant resolves (and caches) the handle set for one
+// tenant label; detectors hold the returned struct, so the detection
+// loop itself never comes back here.
+var pipelineByTenant = obs.PerTenant[pipelineMetrics]{Resolve: resolvePipelineMetrics}
 
 // resolvePipelineMetrics takes the family locks once and resolves every
 // per-tenant series handle. tenant must be a process-owned string: the

@@ -145,7 +145,7 @@ func DetectorFromSnapshot(s *DetectorSnapshot) (*Detector, *Analyzer, error) {
 		clf:         clf,
 		trained:     true,
 		trainSample: s.TrainingSample,
-		m:           pipelineMetricsFor(DefaultTenant),
+		m:           pipelineByTenant.For(DefaultTenant),
 	}
 	return d, a, nil
 }

@@ -167,7 +167,7 @@ func New(s Scorer, opts Options) *Dispatcher {
 	d := &Dispatcher{
 		opts:     opts,
 		scorer:   s,
-		m:        serveMetricsFor(opts.Tenant),
+		m:        serveByTenant.For(opts.Tenant),
 		inflight: map[string]*flight{},
 	}
 	if opts.MaxConcurrentBatches > 0 {

@@ -1,11 +1,6 @@
 package dispatch
 
-import (
-	"strings"
-	"sync"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Dispatcher instrumentation (DESIGN.md §11, §12). Every cats_serve_*
 // family carries a trailing tenant label: each tenant runs its own
@@ -59,30 +54,10 @@ type serveMetrics struct {
 	wait          *obs.Histogram
 }
 
-var (
-	serveMetricsMu    sync.Mutex
-	serveMetricsCache = map[string]*serveMetrics{}
-)
-
-// serveMetricsFor resolves (and caches) the handle set for one tenant
+// serveByTenant resolves (and caches) the handle set for one tenant
 // label. Dispatchers resolve once at construction; the request path
 // only touches the returned atomics.
-func serveMetricsFor(tenant string) *serveMetrics {
-	if tenant == "" {
-		tenant = defaultTenant
-	}
-	serveMetricsMu.Lock()
-	defer serveMetricsMu.Unlock()
-	if m, ok := serveMetricsCache[tenant]; ok {
-		return m
-	}
-	// The cache key and label values live for the process; copy the
-	// caller's string so a decode-arena alias is never pinned here.
-	key := strings.Clone(tenant)
-	m := resolveServeMetrics(key)
-	serveMetricsCache[key] = m
-	return m
-}
+var serveByTenant = obs.PerTenant[serveMetrics]{Resolve: resolveServeMetrics}
 
 // resolveServeMetrics takes the family locks once and resolves every
 // per-tenant series handle. tenant must be a process-owned string: the

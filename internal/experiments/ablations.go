@@ -22,16 +22,9 @@ type FilterAblationResult struct {
 
 // FilterAblation runs Table VI twice: with and without the rule filter.
 func (l *Lab) FilterAblation() (*FilterAblationResult, error) {
-	a, err := l.Analyzer()
-	if err != nil {
-		return nil, err
-	}
 	run := func(disable bool) (eval.Metrics, int, error) {
-		det, err := core.NewDetector(a, core.DetectorConfig{DisableRuleFilter: disable})
+		det, err := l.trainOnD0(nil, core.DetectorConfig{DisableRuleFilter: disable})
 		if err != nil {
-			return eval.Metrics{}, 0, err
-		}
-		if err := det.Train(&l.D0().Dataset, l.cfg.Workers); err != nil {
 			return eval.Metrics{}, 0, err
 		}
 		items := l.D1().Dataset.Items
@@ -190,11 +183,8 @@ func (l *Lab) LexiconSizeAblation() (*LexiconSizeAblationResult, error) {
 			neg = neg[:cap]
 		}
 		capped := core.NewAnalyzerFromParts(a.Segmenter, a.Embedding, lexicon.NewSet(pos), lexicon.NewSet(neg), a.Sentiment)
-		det, err := core.NewDetector(capped, core.DetectorConfig{})
+		det, err := l.trainOnD0(capped, core.DetectorConfig{})
 		if err != nil {
-			return nil, err
-		}
-		if err := det.Train(&l.D0().Dataset, l.cfg.Workers); err != nil {
 			return nil, err
 		}
 		items := l.D1().Dataset.Items

@@ -171,33 +171,3 @@ func TestRoundsCurve(t *testing.T) {
 		t.Error("empty String()")
 	}
 }
-
-func TestThroughput(t *testing.T) {
-	r, err := testLab(t).Throughput()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(r.Rows))
-	}
-	for _, row := range r.Rows {
-		if row.Items == 0 || row.Comments == 0 || row.ItemsPerSec <= 0 {
-			t.Errorf("%s: degenerate measurement %+v", row.Pipeline, row)
-		}
-		// The single-pass guarantee on a 50% filter-heavy workload:
-		// strictly fewer segmentation passes than comments (sales-cut
-		// items are never tokenized), and never more than one per comment.
-		if row.SegPasses >= int64(row.Comments) {
-			t.Errorf("%s: %d seg passes for %d comments — filter not skipping work",
-				row.Pipeline, row.SegPasses, row.Comments)
-		}
-	}
-	// Both pipelines analyze the same comments, so pay identical passes.
-	if r.Rows[0].SegPasses != r.Rows[1].SegPasses {
-		t.Errorf("batch and stream paid different seg passes: %d vs %d",
-			r.Rows[0].SegPasses, r.Rows[1].SegPasses)
-	}
-	if r.String() == "" {
-		t.Error("empty String()")
-	}
-}

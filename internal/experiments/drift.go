@@ -67,11 +67,8 @@ func (l *Lab) Drift() (*DriftResult, error) {
 	// A fresh champion (not the cached l.System()): installing a
 	// detector binds its pipeline metrics to the tenant, and the cached
 	// system is shared with every other experiment.
-	champion, err := core.NewDetector(a, core.DetectorConfig{})
+	champion, err := l.trainOnD0(a, core.DetectorConfig{})
 	if err != nil {
-		return nil, err
-	}
-	if err := champion.Train(&l.D0().Dataset, l.cfg.Workers); err != nil {
 		return nil, err
 	}
 

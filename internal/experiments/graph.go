@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -230,4 +231,37 @@ func (r *GraphResult) String() string {
 		fmt.Fprintf(&b, "  memory    peak RSS %s\n", fmtBytes(r.PeakRSS))
 	}
 	return b.String()
+}
+
+// peakRSSBytes reads the process's resident-set high-water mark from
+// /proc (linux). Returns 0 elsewhere; callers treat 0 as "unmeasured".
+func peakRSSBytes() int64 {
+	b, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			f := strings.Fields(rest)
+			if len(f) >= 1 {
+				if kb, err := strconv.ParseInt(f[0], 10, 64); err == nil {
+					return kb << 10
+				}
+			}
+		}
+	}
+	return 0
+}
+
+func fmtBytes(n int64) string {
+	switch {
+	case n >= 1<<30:
+		return fmt.Sprintf("%.2f GiB", float64(n)/(1<<30))
+	case n >= 1<<20:
+		return fmt.Sprintf("%.1f MiB", float64(n)/(1<<20))
+	case n >= 1<<10:
+		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
+	default:
+		return fmt.Sprintf("%d B", n)
+	}
 }

@@ -51,11 +51,6 @@ type Config struct {
 	// PolarComments is the sentiment training corpus size;
 	// <= 0 means 4,000.
 	PolarComments int
-	// StreamComments is the comment volume of the corpus-scale
-	// streaming benchmark (the paper's platforms run to 72M–100M);
-	// <= 0 means 200,000. The corpus is streamed, never materialized,
-	// so this can be raised to the paper's scale on ordinary hardware.
-	StreamComments int
 	// GraphUsers and GraphEdges size the organized-fraud clustering
 	// benchmark's planted-ring universe; <= 0 means 200,000 users /
 	// 2,000,000 edges. The headline run uses 10M / 100M.
@@ -87,9 +82,6 @@ func (c Config) withDefaults() Config {
 	if c.PolarComments <= 0 {
 		c.PolarComments = 4000
 	}
-	if c.StreamComments <= 0 {
-		c.StreamComments = 200000
-	}
 	if c.GraphUsers <= 0 {
 		c.GraphUsers = 200000
 	}
@@ -120,9 +112,6 @@ type Lab struct {
 
 // NewLab returns a Lab with the given configuration.
 func NewLab(cfg Config) *Lab { return &Lab{cfg: cfg.withDefaults()} }
-
-// Cfg returns the lab's resolved configuration.
-func (l *Lab) Cfg() Config { return l.cfg }
 
 // Bank returns the shared word bank.
 func (l *Lab) Bank() *textgen.Bank {
@@ -178,23 +167,29 @@ func (l *Lab) Analyzer() (*core.Analyzer, error) {
 // IV evaluate.
 func (l *Lab) System() (*core.Detector, error) {
 	l.once.system.Do(func() {
-		a, err := l.Analyzer()
-		if err != nil {
-			l.systemErr = err
-			return
-		}
-		det, err := core.NewDetector(a, core.DetectorConfig{})
-		if err != nil {
-			l.systemErr = err
-			return
-		}
-		if err := det.Train(&l.D0().Dataset, l.cfg.Workers); err != nil {
-			l.systemErr = err
-			return
-		}
-		l.system = det
+		l.system, l.systemErr = l.trainOnD0(nil, core.DetectorConfig{})
 	})
 	return l.system, l.systemErr
+}
+
+// trainOnD0 builds a detector over analyzer a (nil means the shared
+// Analyzer) and trains it on D0 — the step every experiment that needs
+// a model of its own starts with.
+func (l *Lab) trainOnD0(a *core.Analyzer, cfg core.DetectorConfig) (*core.Detector, error) {
+	if a == nil {
+		var err error
+		if a, err = l.Analyzer(); err != nil {
+			return nil, err
+		}
+	}
+	det, err := core.NewDetector(a, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := det.Train(&l.D0().Dataset, l.cfg.Workers); err != nil {
+		return nil, err
+	}
+	return det, nil
 }
 
 // EPlatThreshold is the fraud-score cutoff used for third-party
@@ -208,21 +203,7 @@ const EPlatThreshold = 0.95
 // high-confidence E-platform reporting threshold.
 func (l *Lab) EPlatSystem() (*core.Detector, error) {
 	l.once.epsystem.Do(func() {
-		a, err := l.Analyzer()
-		if err != nil {
-			l.epsystemErr = err
-			return
-		}
-		det, err := core.NewDetector(a, core.DetectorConfig{Threshold: EPlatThreshold})
-		if err != nil {
-			l.epsystemErr = err
-			return
-		}
-		if err := det.Train(&l.D0().Dataset, l.cfg.Workers); err != nil {
-			l.epsystemErr = err
-			return
-		}
-		l.epsystem = det
+		l.epsystem, l.epsystemErr = l.trainOnD0(nil, core.DetectorConfig{Threshold: EPlatThreshold})
 	})
 	return l.epsystem, l.epsystemErr
 }

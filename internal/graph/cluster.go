@@ -87,7 +87,7 @@ type Result struct {
 // union-find components → per-cluster evidence stats in two flat
 // passes over the CSR arrays.
 func (g *Graph) Cluster() *Result {
-	m := graphMetricsFor(g.cfg.Tenant)
+	m := graphByTenant.For(g.cfg.Tenant)
 	sp := startPhase(m.cluster)
 	defer sp.End()
 

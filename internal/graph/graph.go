@@ -78,6 +78,9 @@ func (c Config) withDefaults() Config {
 	if c.MinClusterSize <= 0 {
 		c.MinClusterSize = 2
 	}
+	if c.Tenant == "" {
+		c.Tenant = DefaultTenant
+	}
 	return c
 }
 
@@ -214,7 +217,7 @@ type Graph struct {
 // arrays are consumed (the scatter reuses one of them as scratch);
 // the builder must not be used afterwards.
 func (b *Builder) Build() *Graph {
-	m := graphMetricsFor(b.cfg.Tenant)
+	m := graphByTenant.For(b.cfg.Tenant)
 	sp := startPhase(m.buildCSR)
 	g := &Graph{
 		cfg:     b.cfg,

@@ -1,11 +1,6 @@
 package graph
 
-import (
-	"strings"
-	"sync"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // DefaultTenant labels graph metrics when no tenant is named, matching
 // core's convention.
@@ -49,28 +44,9 @@ type graphMetrics struct {
 	clusterSize     *obs.Histogram
 }
 
-var (
-	graphMetricsMu    sync.Mutex
-	graphMetricsCache = map[string]*graphMetrics{}
-)
-
-// graphMetricsFor resolves (and caches) the handle set for one tenant
-// label, cloning the key so a caller's arena-aliased string is never
-// pinned (same discipline as core.pipelineMetricsFor).
-func graphMetricsFor(tenant string) *graphMetrics {
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	graphMetricsMu.Lock()
-	defer graphMetricsMu.Unlock()
-	if m, ok := graphMetricsCache[tenant]; ok {
-		return m
-	}
-	key := strings.Clone(tenant)
-	m := resolveGraphMetrics(key)
-	graphMetricsCache[key] = m
-	return m
-}
+// graphByTenant resolves (and caches) the handle set for one tenant
+// label (Config.withDefaults has already named the empty one).
+var graphByTenant = obs.PerTenant[graphMetrics]{Resolve: resolveGraphMetrics}
 
 // resolveGraphMetrics takes the family locks once and resolves every
 // per-tenant series handle. tenant must be a process-owned string: the

@@ -84,7 +84,7 @@ func (f *flatEnsemble) margin(x []float64, base, lr float64, n int) float64 {
 // row of X into out, which must have len(X) capacity when non-nil; a
 // nil out is allocated. It returns out. Per-row results are bit-
 // identical to PredictMargin; the batch form exists so callers scoring
-// many vectors (core.scoreBatch, the throughput experiments) stream the
+// many vectors (core.scoreBatch, the batch benchmarks) stream the
 // flat node array through cache once per tree walk instead of
 // re-entering the classifier per item.
 //

@@ -1,11 +1,6 @@
 package registry
 
-import (
-	"strings"
-	"sync"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Registry instrumentation (DESIGN.md §12): reload counts by outcome
 // and the live model generation, both per tenant. An operator watching
@@ -32,24 +27,7 @@ type tenantMetrics struct {
 	modelVersion   *obs.Gauge
 }
 
-var (
-	tenantMetricsMu    sync.Mutex
-	tenantMetricsCache = map[string]*tenantMetrics{}
-)
-
-func tenantMetricsFor(tenant string) *tenantMetrics {
-	tenantMetricsMu.Lock()
-	defer tenantMetricsMu.Unlock()
-	if m, ok := tenantMetricsCache[tenant]; ok {
-		return m
-	}
-	// The cache key and label values live for the process; copy the
-	// caller's string so a decode-arena alias is never pinned here.
-	key := strings.Clone(tenant)
-	m := resolveTenantMetrics(key)
-	tenantMetricsCache[key] = m
-	return m
-}
+var metricsByTenant = obs.PerTenant[tenantMetrics]{Resolve: resolveTenantMetrics}
 
 // resolveTenantMetrics takes the family locks once and resolves every
 // per-tenant series handle. tenant must be a process-owned string: the

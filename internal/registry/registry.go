@@ -269,7 +269,7 @@ func (r *Registry) ensureTenant(name string) *Tenant {
 	if t, ok := r.tenants[name]; ok {
 		return t
 	}
-	t := &Tenant{name: name, reg: r, m: tenantMetricsFor(name), probes: r.opts.Probes}
+	t := &Tenant{name: name, reg: r, m: metricsByTenant.For(name), probes: r.opts.Probes}
 	r.tenants[name] = t
 	return t
 }
@@ -313,29 +313,22 @@ func (r *Registry) Infos() []Info {
 	return out
 }
 
-// Load materializes a snapshot into a candidate model, validates it
-// against the tenant's golden probe set, and atomically publishes it.
+// Load materializes a snapshot into a candidate model and Installs it.
 // On any failure the tenant's previous model stays live and keeps
 // serving. version labels the snapshot in Info and reload responses.
 func (r *Registry) Load(ctx context.Context, tenant, version string, snap *core.DetectorSnapshot) (Info, error) {
-	t := r.ensureTenant(tenant)
 	det, analyzer, err := core.DetectorFromSnapshot(snap)
 	if err != nil {
-		t.m.reloadError.Inc()
+		r.ensureTenant(tenant).m.reloadError.Inc()
 		return Info{}, fmt.Errorf("registry: load %s: %w", tenant, err)
 	}
-	det.SetMetricsTenant(tenant)
-	if err := r.validate(ctx, t, det); err != nil {
-		t.m.reloadRejected.Inc()
-		return Info{}, fmt.Errorf("registry: load %s (version %s): %w", tenant, version, err)
-	}
-	return t.publish(det, analyzer, version), nil
+	return r.Install(ctx, tenant, version, det, analyzer)
 }
 
-// Install publishes an already-materialized model — the path for
-// in-process construction (a freshly trained detector, or the
-// single-tenant service adapter) where no snapshot exists. The
-// candidate passes the same golden-probe gate as Load.
+// Install validates an already-materialized model against the tenant's
+// golden probe set and atomically publishes it — the one publish tail:
+// Load and LoadFile end here, and in-process construction (a freshly
+// trained detector, a trainer promotion) starts here.
 func (r *Registry) Install(ctx context.Context, tenant, version string, det *core.Detector, analyzer *core.Analyzer) (Info, error) {
 	t := r.ensureTenant(tenant)
 	det.SetMetricsTenant(tenant)
@@ -346,9 +339,9 @@ func (r *Registry) Install(ctx context.Context, tenant, version string, det *cor
 	return t.publish(det, analyzer, version), nil
 }
 
-// LoadFile is Load from a snapshot file; the tenant remembers path as
-// its Reload source and the version is derived from the file's base
-// name plus a content hash.
+// LoadFile is Load from a snapshot file; once the model is live the
+// tenant remembers path as its Reload source. The version is derived
+// from the file's base name plus a content hash.
 func (r *Registry) LoadFile(ctx context.Context, tenant, path string) (Info, error) {
 	t := r.ensureTenant(tenant)
 	f, err := os.Open(path)
@@ -370,19 +363,13 @@ func (r *Registry) LoadFile(ctx context.Context, tenant, path string) (Info, err
 		t.m.reloadError.Inc()
 		return Info{}, fmt.Errorf("registry: load %s from %s: %w", tenant, path, err)
 	}
-	version := fmt.Sprintf("%s#%08x", filepath.Base(path), hash.Sum32())
-	det, analyzer, err := core.DetectorFromSnapshot(snap)
+	info, err := r.Load(ctx, tenant, fmt.Sprintf("%s#%08x", filepath.Base(path), hash.Sum32()), snap)
 	if err != nil {
-		t.m.reloadError.Inc()
-		return Info{}, fmt.Errorf("registry: load %s from %s: %w", tenant, path, err)
-	}
-	det.SetMetricsTenant(tenant)
-	if err := r.validate(ctx, t, det); err != nil {
-		t.m.reloadRejected.Inc()
-		return Info{}, fmt.Errorf("registry: load %s (version %s): %w", tenant, version, err)
+		return Info{}, err
 	}
 	t.setSource(path)
-	return t.publish(det, analyzer, version), nil
+	info.Source = path
+	return info, nil
 }
 
 // Reload re-reads the tenant's snapshot source (set by LoadFile) and

@@ -158,7 +158,7 @@ func TestLoadFileErrorsAreDiagnosable(t *testing.T) {
 	}
 
 	r := New(Options{})
-	errBefore := tenantMetricsFor("taobao").reloadError.Value()
+	errBefore := metricsByTenant.For("taobao").reloadError.Value()
 	if _, err := r.LoadFile(context.Background(), "taobao", full); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestCASOrderingConcurrentLoads(t *testing.T) {
 	r := New(Options{})
 	// cats_registry_* series are process-global per tenant label, so
 	// assert deltas, not absolutes.
-	okBefore := tenantMetricsFor("taobao").reloadOK.Value()
+	okBefore := metricsByTenant.For("taobao").reloadOK.Value()
 	const loaders, perLoader = 8, 5
 	var wg sync.WaitGroup
 	for l := 0; l < loaders; l++ {

@@ -18,9 +18,8 @@ import (
 // two instances share the exact same trained model.
 func TestBatchedMatchesUnbatched(t *testing.T) {
 	_, plainTS, test := newTestService(t, Options{})
-	srv, batchTS, _ := newTestService(t, Options{
-		Batching: &dispatch.Options{MaxBatch: 16, MaxWait: time.Millisecond},
-	})
+	srv, batchTS, _ := newBatchedTestService(t, Options{},
+		&dispatch.Options{MaxBatch: 16, MaxWait: time.Millisecond})
 	defer srv.Close()
 
 	body, err := json.Marshal(DetectRequest{Items: test.Dataset.Items})
@@ -56,13 +55,11 @@ func TestBatchedMatchesUnbatched(t *testing.T) {
 // one of each occurs, every 503 carries a Retry-After hint matching the
 // configured delay, and every 200 carries a full, correct verdict set.
 func TestSaturationShedsWith503(t *testing.T) {
-	srv, ts, test := newTestService(t, Options{
-		Batching: &dispatch.Options{
-			MaxBatch:   64,
-			MaxWait:    500 * time.Millisecond, // hold the queue long enough to saturate
-			MaxQueue:   1,
-			RetryAfter: 2 * time.Second,
-		},
+	srv, ts, test := newBatchedTestService(t, Options{}, &dispatch.Options{
+		MaxBatch:   64,
+		MaxWait:    500 * time.Millisecond, // hold the queue long enough to saturate
+		MaxQueue:   1,
+		RetryAfter: 2 * time.Second,
 	})
 	defer srv.Close()
 
@@ -138,9 +135,8 @@ func TestSaturationShedsWith503(t *testing.T) {
 // TestExplainThroughBatcher routes /v1/explain through the dispatcher
 // and checks the single-item path still returns a full explanation.
 func TestExplainThroughBatcher(t *testing.T) {
-	srv, ts, test := newTestService(t, Options{
-		Batching: &dispatch.Options{MaxBatch: 8, MaxWait: time.Millisecond},
-	})
+	srv, ts, test := newBatchedTestService(t, Options{},
+		&dispatch.Options{MaxBatch: 8, MaxWait: time.Millisecond})
 	defer srv.Close()
 
 	body, err := json.Marshal(ExplainRequest{Item: test.Dataset.Items[0]})

@@ -13,12 +13,12 @@ import (
 
 // benchmarkDetect drives concurrent single-item detect requests through
 // the handler, with or without the batching dispatcher in the path.
-// The catsbench "serve" experiment measures the two modes against each
-// other under a fixed 64-client workload; these benchmarks keep the
-// same comparison alive in `go test -bench` form so bench-smoke catches
-// a path that stops compiling or collapses.
+// bench/'s serve_* workloads measure the batched server over a socket;
+// these two keep the batched-vs-unbatched comparison alive in `go test
+// -bench` form so bench-smoke catches a path that stops compiling or
+// collapses.
 func benchmarkDetect(b *testing.B, batching *dispatch.Options) {
-	srv, _, test := newTestService(b, Options{Batching: batching})
+	srv, _, test := newBatchedTestService(b, Options{}, batching)
 	defer srv.Close()
 	handler := srv.Handler()
 	body, err := json.Marshal(DetectRequest{Items: test.Dataset.Items[:1]})

@@ -33,7 +33,7 @@ func clusterTestService(t *testing.T) (*core.Detector, *httptest.Server) {
 	if err := det.Train(&train.Dataset, 0); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(det, analyzer, Options{}).Handler())
+	ts := httptest.NewServer(serveDetector(t, det, analyzer, Options{}, nil).Handler())
 	t.Cleanup(ts.Close)
 	return det, ts
 }

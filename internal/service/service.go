@@ -59,7 +59,6 @@
 package service
 
 import (
-	"context"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
@@ -110,9 +109,8 @@ type Options struct {
 	// service tracks the feature distributions of scored traffic and
 	// /v1/drift reports per-feature KS distances against training —
 	// the drift signal that tells operators the model needs retraining
-	// (fraud campaigns adapt). Registry-backed servers
-	// (NewWithRegistry) additionally fall back to each model's own
-	// snapshot-carried training sample per tenant.
+	// (fraud campaigns adapt). Without it, and for every other tenant,
+	// the baseline is each model's own snapshot-carried training sample.
 	TrainingSample [][]float64
 	// DriftReservoir caps the retained scored-traffic sample per
 	// feature per tenant; <= 0 means 4096.
@@ -121,15 +119,6 @@ type Options struct {
 	// nil means obs.Default (which also carries the pipeline's own
 	// counters and stage histograms).
 	Registry *obs.Registry
-	// Batching, when non-nil, routes detection through a
-	// request-coalescing dispatcher with the given tuning: bounded
-	// queue, flush on max-batch-size or max-wait, singleflight dedup of
-	// identical in-flight items, and early shedding (503 + Retry-After)
-	// when the queue is full or a deadline cannot be met. Nil serves
-	// each request with its own scoring batch, as before. Only
-	// consulted by New — registry-backed servers inherit the
-	// registry's own batching template.
-	Batching *dispatch.Options
 	// Trainer, when non-nil, closes the drift loop: POST /v1/feedback
 	// appends labeled outcomes to its per-tenant retrain windows, GET
 	// /admin/trainer reports the champion/challenger loop's state, and
@@ -174,11 +163,6 @@ type driftState struct {
 type Server struct {
 	opts Options
 	reg  *registry.Registry
-	// modelDrift: tenants fall back to their model's snapshot-carried
-	// training sample as the drift baseline (registry-backed servers).
-	// The single-tenant New adapter leaves it false so drift stays
-	// strictly opt-in via Options.TrainingSample, as it always was.
-	modelDrift bool
 
 	served atomic.Int64
 	ready  atomic.Bool
@@ -189,38 +173,16 @@ type Server struct {
 	drift   map[string]*driftState
 }
 
-// New builds a single-tenant Server around a trained detector: a thin
-// adapter that installs (det, analyzer) as the default tenant of a
-// fresh registry (honoring Options.Batching and Options.Workers) and
-// serves it. The server starts ready; SetReady(false) flips /readyz to
-// 503 (catsserve does this before draining on shutdown, so load
-// balancers stop routing to it).
-func New(det *core.Detector, analyzer *core.Analyzer, opts Options) *Server {
-	opts = opts.withDefaults()
-	reg := registry.New(registry.Options{Batching: opts.Batching, Workers: opts.Workers})
-	// No probe set is configured, so Install cannot reject; an
-	// untrained detector still installs and answers requests with the
-	// same ErrNotTrained it always did.
-	if _, err := reg.Install(context.Background(), opts.DefaultTenant, "in-process", det, analyzer); err != nil {
-		panic(fmt.Sprintf("service: install default tenant: %v", err))
-	}
-	s := newServer(reg, opts)
-	return s
-}
-
-// NewWithRegistry builds a Server over an externally-managed model
-// registry: the multi-tenant path. Tenants the registry loads (before
-// or after this call) become routable immediately; /admin/reload swaps
-// them live. Per-tenant drift baselines come from each model's
-// snapshot-carried training sample, with Options.TrainingSample
-// overriding the default tenant's.
+// NewWithRegistry builds a Server over a model registry. Tenants the
+// registry loads (before or after this call) become routable
+// immediately; /admin/reload swaps them live. The server starts ready;
+// SetReady(false) flips /readyz to 503 (catsserve does this before
+// draining on shutdown, so load balancers stop routing to it).
+// Per-tenant drift baselines come from each model's snapshot-carried
+// training sample, with Options.TrainingSample overriding the default
+// tenant's first generation.
 func NewWithRegistry(reg *registry.Registry, opts Options) *Server {
-	s := newServer(reg, opts.withDefaults())
-	s.modelDrift = true
-	return s
-}
-
-func newServer(reg *registry.Registry, opts Options) *Server {
+	opts = opts.withDefaults()
 	obsReg := opts.Registry
 	if obsReg == nil {
 		obsReg = obs.Default
@@ -240,21 +202,6 @@ func newServer(reg *registry.Registry, opts Options) *Server {
 // batches complete, and further detect requests answer 503. catsserve
 // calls this after the HTTP server finishes its shutdown.
 func (s *Server) Close() { s.reg.Close() }
-
-// Dispatcher exposes the default tenant's current batching dispatcher,
-// or nil when batching is off or no model is loaded.
-func (s *Server) Dispatcher() *dispatch.Dispatcher {
-	t := s.reg.Tenant(s.opts.DefaultTenant)
-	if t == nil {
-		return nil
-	}
-	h := t.Acquire()
-	if h == nil {
-		return nil
-	}
-	defer h.Release()
-	return h.Dispatcher()
-}
 
 // SetReady flips the /readyz verdict. It does not affect request
 // handling — in-flight and new requests still complete — only what the
@@ -311,25 +258,17 @@ func (s *Server) driftFor(tenant string, h *registry.Handle) *driftState {
 
 // baselineFor resolves a tenant's drift baseline. Generation 1 of the
 // default tenant honors the explicit Options.TrainingSample (the
-// operator-provided startup baseline); later generations — trainer
-// promotions and hot reloads — prefer the model's own training sample,
-// so a promoted model is measured against the window it was fitted on,
-// never its predecessor's training set. Registry-backed servers fall
-// back to each model's snapshot-carried sample; a model that carries
-// none falls back to the operator baseline, and with neither, drift is
-// disabled for the tenant.
+// operator-provided startup baseline); everything else — other
+// tenants, trainer promotions, hot reloads — uses the model's own
+// training sample, so a promoted model is measured against the window
+// it was fitted on, never its predecessor's training set. A model that
+// carries none has drift disabled.
 func (s *Server) baselineFor(tenant string, h *registry.Handle) [][]float64 {
-	operator := tenant == s.opts.DefaultTenant && s.opts.TrainingSample != nil
-	if operator && h.Generation <= 1 {
+	if h.Generation <= 1 && tenant == s.opts.DefaultTenant && s.opts.TrainingSample != nil {
 		return s.opts.TrainingSample
 	}
-	if s.modelDrift || h.Generation > 1 {
-		if b := h.Detector.TrainingSample(); len(b) > 0 {
-			return b
-		}
-	}
-	if operator {
-		return s.opts.TrainingSample
+	if b := h.Detector.TrainingSample(); len(b) > 0 {
+		return b
 	}
 	return nil
 }

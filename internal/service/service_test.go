@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,12 +13,44 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dispatch"
 	"repro/internal/ecom"
+	"repro/internal/registry"
 	"repro/internal/synth"
 	"repro/internal/textgen"
 )
 
+// serveDetector serves one in-process detector as the default tenant
+// of a fresh one-tenant registry, with or without a batching
+// dispatcher in front of it.
+func serveDetector(t testing.TB, det *core.Detector, analyzer *core.Analyzer, opts Options, batching *dispatch.Options) *Server {
+	t.Helper()
+	reg := registry.New(registry.Options{Batching: batching, Workers: opts.Workers})
+	if _, err := reg.Install(context.Background(), DefaultTenant, "in-process", det, analyzer); err != nil {
+		t.Fatal(err)
+	}
+	return NewWithRegistry(reg, opts)
+}
+
 func newTestService(t testing.TB, opts Options) (*Server, *httptest.Server, *synth.Universe) {
+	return newBatchedTestService(t, opts, nil)
+}
+
+func newBatchedTestService(t testing.TB, opts Options, batching *dispatch.Options) (*Server, *httptest.Server, *synth.Universe) {
+	t.Helper()
+	det, analyzer, _ := trainTestDetector(t)
+	srv := serveDetector(t, det, analyzer, opts, batching)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	test := synth.Generate(synth.Config{
+		Name: "svc-test", Seed: 93, FraudEvidence: 15, Normal: 45, Shops: 4,
+	})
+	return srv, ts, test
+}
+
+// trainTestDetector trains the fixed-seed model every newTestService
+// instance serves, so two instances share the exact same verdicts.
+func trainTestDetector(t testing.TB) (*core.Detector, *core.Analyzer, *textgen.Bank) {
 	t.Helper()
 	bank := textgen.NewBank()
 	texts, labels := synth.PolarCorpus(800, 91)
@@ -35,13 +68,7 @@ func newTestService(t testing.TB, opts Options) (*Server, *httptest.Server, *syn
 	if err := det.Train(&train.Dataset, 0); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(det, analyzer, opts)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	test := synth.Generate(synth.Config{
-		Name: "svc-test", Seed: 93, FraudEvidence: 15, Normal: 45, Shops: 4,
-	})
-	return srv, ts, test
+	return det, analyzer, bank
 }
 
 func postDetect(t *testing.T, url string, body []byte) (*http.Response, DetectResponse) {
@@ -347,7 +374,7 @@ func TestDriftEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	trainX := det.Extractor().ExtractDataset(train.Dataset.Items, 0)
-	srv := New(det, analyzer, Options{TrainingSample: trainX})
+	srv := serveDetector(t, det, analyzer, Options{TrainingSample: trainX}, nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -408,8 +435,22 @@ func TestDriftEndpoint(t *testing.T) {
 	}
 }
 
+// TestDriftDisabled: a model that carries no training sample (here a
+// snapshot with it cleared) on a server given no operator baseline has
+// nothing to measure drift against, so /v1/drift answers 501.
 func TestDriftDisabled(t *testing.T) {
-	_, ts, _ := newTestService(t, Options{})
+	trained, analyzer, bank := trainTestDetector(t)
+	snap, err := trained.Snapshot(bank.Vocabulary(), analyzer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.TrainingSample = nil
+	det, restored, err := core.DetectorFromSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(serveDetector(t, det, restored, Options{}, nil).Handler())
+	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/v1/drift")
 	if err != nil {
 		t.Fatal(err)
@@ -442,7 +483,7 @@ func TestDetectSegmentsOncePerComment(t *testing.T) {
 		t.Fatal(err)
 	}
 	trainX := det.Extractor().ExtractDataset(train.Dataset.Items, 0)
-	srv := New(det, analyzer, Options{TrainingSample: trainX}) // drift ON
+	srv := serveDetector(t, det, analyzer, Options{TrainingSample: trainX}, nil) // drift ON
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -1,11 +1,6 @@
 package trainer
 
-import (
-	"strings"
-	"sync"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Trainer instrumentation (DESIGN.md §15): retrain cycles by outcome,
 // the live feedback-window size, the gate's F1 delta distribution, and
@@ -60,24 +55,7 @@ type tenantTrainerMetrics struct {
 	trainSeconds       *obs.Histogram
 }
 
-var (
-	trainerMetricsMu    sync.Mutex
-	trainerMetricsCache = map[string]*tenantTrainerMetrics{}
-)
-
-func trainerMetricsFor(tenant string) *tenantTrainerMetrics {
-	trainerMetricsMu.Lock()
-	defer trainerMetricsMu.Unlock()
-	if m, ok := trainerMetricsCache[tenant]; ok {
-		return m
-	}
-	// The cache key and label values live for the process; copy the
-	// caller's string so a request-scoped alias is never pinned here.
-	key := strings.Clone(tenant)
-	m := resolveTrainerMetrics(key)
-	trainerMetricsCache[key] = m
-	return m
-}
+var metricsByTenant = obs.PerTenant[tenantTrainerMetrics]{Resolve: resolveTrainerMetrics}
 
 // resolveTrainerMetrics takes the family locks once and resolves every
 // per-tenant series handle. tenant must be a process-owned string: the

@@ -227,7 +227,7 @@ func (t *Trainer) state(tenant string) *tenantState {
 	}
 	st := &tenantState{
 		name: tenant,
-		m:    trainerMetricsFor(tenant),
+		m:    metricsByTenant.For(tenant),
 		win:  newWindow(t.cfg.Window),
 	}
 	t.tenants[tenant] = st
