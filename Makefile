@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-fixtures test test-race check bench bench-smoke bench-test bench-quick fuzz-smoke serve-smoke experiments cover clean
+.PHONY: all build vet fmt-check lint lint-fixtures deps-check test test-race check bench bench-smoke bench-test bench-quick fuzz-smoke serve-smoke experiments cover clean
 
 all: build vet test
 
@@ -25,8 +25,16 @@ lint-fixtures:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
-# The full pre-merge gate: compile, format, vet, invariant lint, and tests.
-check: build fmt-check vet lint lint-fixtures test
+# Keep the serving binaries lean: the five classifiers that exist only
+# as rows of the Table III comparison (internal/experiments) must not
+# be in the dependency closure of what ships a model or serves one.
+deps-check:
+	@out=$$($(GO) list -deps ./cmd/catsserve ./cmd/cats | grep -E '^repro/internal/ml/(svm|adaboost|mlp|tree|naivebayes)$$'); \
+	if [ -n "$$out" ]; then echo "catsserve/cats link comparison-only classifiers:"; echo "$$out"; exit 1; fi
+
+# The full pre-merge gate: compile, format, vet, invariant lint,
+# dependency closure, and tests.
+check: build fmt-check vet lint lint-fixtures deps-check test
 
 build:
 	$(GO) build ./...

@@ -314,10 +314,7 @@ func benchFilterHeavyDetector(b *testing.B) (*core.Detector, []ecom.Item) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	det, err := core.NewDetector(analyzer, core.DetectorConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	det := core.NewDetector(analyzer, core.DetectorConfig{})
 	train := synth.Generate(synth.Config{
 		Name: "fh-train", Seed: 30, FraudEvidence: 100, Normal: 160, Shops: 8,
 	})

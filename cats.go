@@ -14,8 +14,9 @@
 //   - a feature extractor computing 11 word-level, semantic and
 //     structural features per item (Table II);
 //   - a two-stage detector: a rule filter, then a gradient-boosted-tree
-//     classifier (XGBoost-style; five alternative classifiers are
-//     selectable, matching the paper's Table III comparison).
+//     classifier (XGBoost-style; the paper's five alternatives exist
+//     only as the rows of the Table III experiment,
+//     `catsbench -exp table3`).
 //
 // The typical flow is:
 //
@@ -61,8 +62,6 @@ type (
 	Label = ecom.Label
 	// Detection is one scored item.
 	Detection = core.Detection
-	// ClassifierKind selects the detector's classifier.
-	ClassifierKind = core.ClassifierKind
 	// StreamStats summarizes a DetectStream run.
 	StreamStats = core.StreamStats
 )
@@ -74,16 +73,6 @@ const (
 	FraudManual   = ecom.FraudManual
 )
 
-// Classifier kinds (Table III candidates).
-const (
-	XGBoost      = core.KindGBT
-	SVM          = core.KindSVM
-	AdaBoost     = core.KindAdaBoost
-	NeuralNet    = core.KindMLP
-	DecisionTree = core.KindDecisionTree
-	NaiveBayes   = core.KindNaiveBayes
-)
-
 // FeatureNames lists the 11 feature names in vector order (Table II).
 var FeatureNames = features.Names
 
@@ -92,7 +81,7 @@ type Config struct {
 	// Analyzer holds semantic-analyzer settings (word2vec, lexicon
 	// expansion, seeds).
 	Analyzer core.AnalyzerConfig
-	// Detector holds rule-filter and classifier settings.
+	// Detector holds rule-filter and threshold settings.
 	Detector core.DetectorConfig
 	// Workers bounds feature-extraction parallelism; <= 0 means
 	// GOMAXPROCS.
@@ -103,9 +92,7 @@ type Config struct {
 // experiments: 32-dim skip-gram embeddings, 200-word lexicons, and the
 // XGBoost-style detector.
 func DefaultConfig() Config {
-	return Config{
-		Detector: core.DetectorConfig{Classifier: core.KindGBT},
-	}
+	return Config{}
 }
 
 // TrainingInput carries everything Train needs.
@@ -151,10 +138,7 @@ func Train(ctx context.Context, in TrainingInput, cfg Config) (*System, error) {
 // NewFromAnalyzer builds and trains a System from an existing analyzer
 // (used when the semantic models are trained or loaded separately).
 func NewFromAnalyzer(analyzer *core.Analyzer, labeled *Dataset, cfg Config) (*System, error) {
-	det, err := core.NewDetector(analyzer, cfg.Detector)
-	if err != nil {
-		return nil, err
-	}
+	det := core.NewDetector(analyzer, cfg.Detector)
 	if err := det.Train(labeled, cfg.Workers); err != nil {
 		return nil, err
 	}
@@ -201,21 +185,15 @@ func (s *System) Features(item *Item) []float64 {
 	return s.detector.Extractor().Vector(item)
 }
 
-// FeatureImportance returns the detector's split-count feature
-// importance when the classifier is the boosted-tree model (Fig 7);
-// it returns an error for other classifier kinds.
+// FeatureImportance returns the boosted-tree model's split-count
+// feature importance (Fig 7).
 func (s *System) FeatureImportance() ([]gbt.Importance, error) {
-	g, ok := s.detector.Classifier().(*gbt.Classifier)
-	if !ok {
-		return nil, fmt.Errorf("cats: classifier %T has no split-count importance", s.detector.Classifier())
-	}
-	return g.FeatureImportance()
+	return s.detector.Model().FeatureImportance()
 }
 
 // Explain reports how often each feature was consulted on the item's
 // decision paths through the boosted-tree ensemble, most-used first —
-// a lightweight "why was this item flagged" for reviewer workflows. It
-// errors for non-tree classifiers.
+// a lightweight "why was this item flagged" for reviewer workflows.
 func (s *System) Explain(item *Item) ([]gbt.Importance, error) {
 	return s.detector.Explain(item)
 }

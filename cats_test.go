@@ -105,29 +105,6 @@ func TestFeatureImportance(t *testing.T) {
 	}
 }
 
-func TestFeatureImportanceWrongClassifier(t *testing.T) {
-	bank := textgen.NewBank()
-	polarTexts, polarLabels := synth.PolarCorpus(600, 56)
-	d0 := synth.Generate(synth.Config{
-		Name: "D0", Seed: 57, FraudEvidence: 60, Normal: 60, Shops: 4,
-	})
-	cfg := DefaultConfig()
-	cfg.Detector.Classifier = NaiveBayes
-	sys, err := Train(context.Background(), TrainingInput{
-		Corpus:      synth.TrainingCorpus(1500, 58),
-		PolarTexts:  polarTexts,
-		PolarLabels: polarLabels,
-		Vocabulary:  bank.Vocabulary(),
-		Labeled:     &d0.Dataset,
-	}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.FeatureImportance(); err == nil {
-		t.Fatal("NaiveBayes importance should error")
-	}
-}
-
 func TestCollectIntegration(t *testing.T) {
 	u := synth.Generate(synth.Config{
 		Name: "site", Seed: 59, FraudEvidence: 5, Normal: 25, Shops: 4,
@@ -281,30 +258,6 @@ func TestTrainContextCanceled(t *testing.T) {
 	}, DefaultConfig())
 	if err == nil {
 		t.Fatal("canceled context should abort training")
-	}
-}
-
-func TestSaveUnsupportedClassifier(t *testing.T) {
-	bank := textgen.NewBank()
-	texts, labels := synth.PolarCorpus(400, 66)
-	d0 := synth.Generate(synth.Config{
-		Name: "D0", Seed: 67, FraudEvidence: 40, Normal: 40, Shops: 3,
-	})
-	cfg := DefaultConfig()
-	cfg.Detector.Classifier = DecisionTree
-	sys, err := Train(context.Background(), TrainingInput{
-		Corpus:      synth.TrainingCorpus(1500, 68),
-		PolarTexts:  texts,
-		PolarLabels: labels,
-		Vocabulary:  bank.Vocabulary(),
-		Labeled:     &d0.Dataset,
-	}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := sys.Save(&buf, bank.Vocabulary()); err == nil {
-		t.Fatal("saving a decision-tree system should error")
 	}
 }
 

@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	cats -train d0.jsonl -detect items.jsonl [-classifier xgboost]
-//	     [-threshold 0.5] [-corpus 20000] [-out detections.tsv]
+//	cats -train d0.jsonl -detect items.jsonl [-threshold 0.5]
+//	     [-corpus 20000] [-out detections.tsv]
 //	     [-save-model model.json] [-model-format json|columnar]
 //	cats -load-model model.json -detect items.jsonl
 //
@@ -33,7 +33,6 @@ func main() {
 	var (
 		trainPath  = flag.String("train", "", "labeled training JSONL (required unless -load-model)")
 		detectPath = flag.String("detect", "", "JSONL of items to score (required)")
-		clf        = flag.String("classifier", "xgboost", "classifier: xgboost, svm, adaboost, neural-network, decision-tree, naive-bayes")
 		threshold  = flag.Float64("threshold", 0.5, "fraud probability threshold")
 		corpusSize = flag.Int("corpus", 20000, "generated comments for word2vec training")
 		outPath    = flag.String("out", "-", "output path ('-' = stdout)")
@@ -42,13 +41,13 @@ func main() {
 		loadPath   = flag.String("load-model", "", "load a previously saved system instead of training")
 	)
 	flag.Parse()
-	if err := run(*trainPath, *detectPath, *clf, *threshold, *corpusSize, *outPath, *savePath, *saveFmt, *loadPath); err != nil {
+	if err := run(*trainPath, *detectPath, *threshold, *corpusSize, *outPath, *savePath, *saveFmt, *loadPath); err != nil {
 		fmt.Fprintln(os.Stderr, "cats:", err)
 		os.Exit(1)
 	}
 }
 
-func run(trainPath, detectPath, clf string, threshold float64, corpusSize int, outPath, savePath, saveFmt, loadPath string) error {
+func run(trainPath, detectPath string, threshold float64, corpusSize int, outPath, savePath, saveFmt, loadPath string) error {
 	if detectPath == "" {
 		return fmt.Errorf("-detect is required")
 	}
@@ -82,7 +81,6 @@ func run(trainPath, detectPath, clf string, threshold float64, corpusSize int, o
 		}
 		polarTexts, polarLabels := synth.PolarCorpus(4000, 17)
 		cfg := cats.DefaultConfig()
-		cfg.Detector.Classifier = cats.ClassifierKind(clf)
 		cfg.Detector.Threshold = threshold
 		sys, err = cats.Train(context.Background(), cats.TrainingInput{
 			Corpus:      synth.TrainingCorpus(corpusSize, 18),

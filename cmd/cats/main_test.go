@@ -22,10 +22,7 @@ func writeFixture(t *testing.T, dir string) (model, detect string, items int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := core.NewDetector(a, core.DetectorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	det := core.NewDetector(a, core.DetectorConfig{})
 	train := synth.Generate(synth.Config{Name: "train", Seed: 30, FraudEvidence: 40, Normal: 60, Shops: 4})
 	if err := det.Train(&train.Dataset, 0); err != nil {
 		t.Fatal(err)
@@ -69,7 +66,7 @@ func TestRunReportsTruncatedOutput(t *testing.T) {
 	model, detect, items := writeFixture(t, dir)
 
 	out := filepath.Join(dir, "detections.tsv")
-	if err := run("", detect, "xgboost", 0.5, 0, out, "", "json", model); err != nil {
+	if err := run("", detect, 0.5, 0, out, "", "json", model); err != nil {
 		t.Fatalf("run to a regular file: %v", err)
 	}
 	tsv, err := os.ReadFile(out)
@@ -83,7 +80,7 @@ func TestRunReportsTruncatedOutput(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this system")
 	}
-	if err := run("", detect, "xgboost", 0.5, 0, "/dev/full", "", "json", model); err == nil {
+	if err := run("", detect, 0.5, 0, "/dev/full", "", "json", model); err == nil {
 		t.Fatal("run to /dev/full returned nil: a failed flush was reported as success")
 	}
 }

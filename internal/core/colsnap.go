@@ -14,7 +14,8 @@ import (
 // Columnar snapshot layout (colfmt container, KindSnapshot). Blocks in
 // write order; readers skip unknown names:
 //
-//	meta        snapshot version, detector config, presence flags
+//	meta        snapshot version, classifier kind (always "xgboost"),
+//	            detector config, presence flags
 //	arena       shared string bytes every string column points into
 //	vocab       segmenter dictionary            (string col)
 //	lexicon     positive + negative lexicons    (2 string cols)
@@ -33,6 +34,11 @@ const (
 	snapFlagTrainSample = 1 << 1
 )
 
+// metaModelKind fills the meta block's positional classifier-kind
+// slot, kept so files written before the detector had one model type
+// still load without a version bump. Nothing else was ever writable.
+const metaModelKind = "xgboost"
+
 // WriteSnapshotColumnar encodes a detector snapshot in the columnar
 // binary format. JSON (WriteSnapshot) remains the import/export codec;
 // this is the fast native one.
@@ -49,7 +55,7 @@ func WriteSnapshotColumnar(w io.Writer, s *DetectorSnapshot) error {
 	var meta, vocab, lexicon, sent, w2v, gbtBlk, train colfmt.Enc
 
 	meta.Uvarint(uint64(s.Version))
-	meta.Str(string(s.Config.Classifier))
+	meta.Str(metaModelKind)
 	meta.Varint(int64(s.Config.MinSalesVolume))
 	meta.Bool(s.Config.DisableRuleFilter)
 	meta.F64(s.Config.Threshold)
@@ -233,7 +239,9 @@ func readSnapshotColumnar(r io.Reader) (*DetectorSnapshot, error) {
 		switch name {
 		case "meta":
 			s.Version = int(d.Uvarint())
-			s.Config.Classifier = ClassifierKind(d.Str())
+			if kind := d.Str(); kind != metaModelKind {
+				d.Failf("classifier kind %q is not %q, the only model a snapshot can hold", kind, metaModelKind)
+			}
 			s.Config.MinSalesVolume = d.Int()
 			s.Config.DisableRuleFilter = d.Bool()
 			s.Config.Threshold = d.F64()

@@ -21,10 +21,7 @@ func trainedSnapshot(t *testing.T, seed int64) (*DetectorSnapshot, *Detector) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDetector(a, DetectorConfig{Threshold: 0.6})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDetector(a, DetectorConfig{Threshold: 0.6})
 	train := synth.Generate(synth.Config{
 		Name: "t", Seed: seed, FraudEvidence: 60, Normal: 90, Shops: 5,
 	})
@@ -192,15 +189,14 @@ func TestColumnarSnapshotTruncation(t *testing.T) {
 	}
 }
 
-// TestColumnarSnapshotMissingBlock: dropping a required block is
-// reported by name.
-func TestColumnarSnapshotMissingBlock(t *testing.T) {
-	snap, _ := trainedSnapshot(t, 308)
+// reframeSnapshot re-encodes snap's columnar container block by block:
+// edit returns the payload to write for a block, or false to drop it.
+func reframeSnapshot(t *testing.T, snap *DetectorSnapshot, edit func(name string, payload []byte) ([]byte, bool)) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteSnapshotColumnar(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
-	// Re-frame the container without the "gbt" block.
 	r, err := colfmt.NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -215,16 +211,51 @@ func TestColumnarSnapshotMissingBlock(t *testing.T) {
 		if err != nil {
 			break
 		}
-		if name == "gbt" {
-			continue
-		}
-		if err := w.WriteBlock(name, payload); err != nil {
-			t.Fatal(err)
+		if payload, keep := edit(name, payload); keep {
+			if err := w.WriteBlock(name, payload); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	_, err = ReadSnapshot(bytes.NewReader(out.Bytes()))
+	return out.Bytes()
+}
+
+// TestColumnarSnapshotMissingBlock: dropping a required block is
+// reported by name.
+func TestColumnarSnapshotMissingBlock(t *testing.T) {
+	snap, _ := trainedSnapshot(t, 308)
+	raw := reframeSnapshot(t, snap, func(name string, payload []byte) ([]byte, bool) {
+		return payload, name != "gbt"
+	})
+	_, err := ReadSnapshot(bytes.NewReader(raw))
 	if err == nil || !strings.Contains(err.Error(), "gbt") {
 		t.Fatalf("missing gbt block not named: %v", err)
+	}
+}
+
+// TestColumnarSnapshotForeignModelKind: the meta block keeps its
+// classifier-kind slot for compatibility, but a snapshot can only hold
+// the boosted-tree model — any other name is a decode error carrying
+// the block context, not a model silently loaded as something else.
+func TestColumnarSnapshotForeignModelKind(t *testing.T) {
+	snap, _ := trainedSnapshot(t, 310)
+	raw := reframeSnapshot(t, snap, func(name string, payload []byte) ([]byte, bool) {
+		if name != "meta" {
+			return payload, true
+		}
+		var meta colfmt.Enc
+		meta.Uvarint(uint64(snap.Version))
+		meta.Str("svm")
+		meta.Varint(int64(snap.Config.MinSalesVolume))
+		meta.Bool(snap.Config.DisableRuleFilter)
+		meta.F64(snap.Config.Threshold)
+		meta.Byte(snapFlagTrainSample)
+		return meta.Bytes(), true
+	})
+	_, err := ReadSnapshot(bytes.NewReader(raw))
+	var ce *colfmt.Error
+	if !errors.As(err, &ce) || ce.Block != "meta" || !strings.Contains(ce.Msg, `"svm"`) {
+		t.Fatalf("foreign classifier kind: err = %v, want a colfmt.Error in block meta naming it", err)
 	}
 }
 

@@ -22,10 +22,7 @@ func trainedDetector(t *testing.T, cfg DetectorConfig) (*Detector, *synth.Univer
 	train := synth.Generate(synth.Config{
 		Name: "train", Seed: 22, FraudEvidence: 150, FraudManual: 30, Normal: 220, Shops: 10,
 	})
-	d, err := NewDetector(a, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDetector(a, cfg)
 	if err := d.Train(&train.Dataset, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +69,7 @@ func TestDetectBeforeTrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDetector(a, DetectorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDetector(a, DetectorConfig{})
 	if _, err := d.Detect(nil, 0); !errors.Is(err, ErrNotTrained) {
 		t.Fatalf("Detect err = %v, want ErrNotTrained", err)
 	}
@@ -125,24 +119,6 @@ func TestRuleFilterDisabled(t *testing.T) {
 	item := &ecom.Item{ID: "low", SalesVolume: 0}
 	if !d.PassesFilter(item) {
 		t.Error("disabled filter still filtering")
-	}
-}
-
-func TestNewClassifierKinds(t *testing.T) {
-	for _, k := range Kinds {
-		clf, err := NewClassifier(k)
-		if err != nil {
-			t.Errorf("NewClassifier(%s): %v", k, err)
-		}
-		if clf == nil {
-			t.Errorf("NewClassifier(%s) = nil", k)
-		}
-	}
-	if _, err := NewClassifier("bogus"); err == nil {
-		t.Error("unknown kind should error")
-	}
-	if clf, err := NewClassifier(""); err != nil || clf == nil {
-		t.Error("empty kind should default to GBT")
 	}
 }
 

@@ -12,67 +12,23 @@ import (
 	"repro/internal/features"
 	"repro/internal/graph"
 	"repro/internal/ml"
-	"repro/internal/ml/adaboost"
 	"repro/internal/ml/gbt"
-	"repro/internal/ml/mlp"
-	"repro/internal/ml/naivebayes"
-	"repro/internal/ml/svm"
-	"repro/internal/ml/tree"
 	"repro/internal/obs"
 	"repro/internal/par"
 )
 
-// ClassifierKind selects the detector's binary classifier — the six
-// candidates of Table III.
-type ClassifierKind string
-
-// Classifier kinds.
-const (
-	KindGBT          ClassifierKind = "xgboost" // gradient boosted trees (default)
-	KindSVM          ClassifierKind = "svm"
-	KindAdaBoost     ClassifierKind = "adaboost"
-	KindMLP          ClassifierKind = "neural-network"
-	KindDecisionTree ClassifierKind = "decision-tree"
-	KindNaiveBayes   ClassifierKind = "naive-bayes"
-)
-
-// Kinds lists every selectable classifier in Table III order.
-var Kinds = []ClassifierKind{KindGBT, KindSVM, KindAdaBoost, KindMLP, KindDecisionTree, KindNaiveBayes}
-
-// NewClassifier constructs an untrained classifier of the given kind
-// with the repository's default hyperparameters.
-func NewClassifier(kind ClassifierKind) (ml.Classifier, error) {
-	switch kind {
-	case KindGBT, "":
-		// Column subsampling forces split mass across all 11 features
-		// instead of letting one dominant feature absorb every split
-		// (the paper's Fig 7 shows every feature contributing).
-		return gbt.New(gbt.Config{Rounds: 200, MaxDepth: 5, LearningRate: 0.15, Lambda: 4, MinChildWeight: 6, Subsample: 0.9, ColSample: 0.3, Seed: 11}), nil
-	case KindSVM:
-		// Down-weighted positive class: the margin settles deep inside
-		// the fraud region, so the SVM reports fraud only when very
-		// sure — the conservative high-precision/low-recall behavior
-		// of the paper's SVM row (P=0.99, R=0.62).
-		return svm.New(svm.Config{Epochs: 20, Lambda: 3e-4, Seed: 11, ClassWeightPos: 0.32}), nil
-	case KindAdaBoost:
-		return adaboost.New(adaboost.Config{Rounds: 120}), nil
-	case KindMLP:
-		// A small net stopped early — the undertrained configuration
-		// behind the paper's weakest Table III row.
-		return mlp.New(mlp.Config{Hidden: 6, Epochs: 4, LearningRate: 0.02, Seed: 11}), nil
-	case KindDecisionTree:
-		return tree.New(tree.Config{MaxDepth: 7, MinLeaf: 5}), nil
-	case KindNaiveBayes:
-		return naivebayes.New(), nil
-	default:
-		return nil, fmt.Errorf("core: unknown classifier kind %q", kind)
-	}
+// DefaultGBTConfig is the boosted-tree configuration every detector is
+// built with; Table III's xgboost row (internal/experiments) reads it
+// from here, so the compared model cannot drift from the served one.
+// Column subsampling forces split mass across all 11 features instead
+// of letting one dominant feature absorb every split (the paper's
+// Fig 7 shows every feature contributing).
+func DefaultGBTConfig() gbt.Config {
+	return gbt.Config{Rounds: 200, MaxDepth: 5, LearningRate: 0.15, Lambda: 4, MinChildWeight: 6, Subsample: 0.9, ColSample: 0.3, Seed: 11}
 }
 
 // DetectorConfig configures the detector.
 type DetectorConfig struct {
-	// Classifier selects the model; empty means KindGBT.
-	Classifier ClassifierKind
 	// MinSalesVolume is the rule filter's sales cutoff ("filtering the
 	// e-commerce items, of which the sales volumes are less than 5");
 	// <= 0 means 5.
@@ -84,9 +40,6 @@ type DetectorConfig struct {
 }
 
 func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.Classifier == "" {
-		c.Classifier = KindGBT
-	}
 	if c.MinSalesVolume <= 0 {
 		c.MinSalesVolume = 5
 	}
@@ -97,11 +50,11 @@ func (c DetectorConfig) withDefaults() DetectorConfig {
 }
 
 // Detector is CATS' two-stage detector: a rule filter followed by a
-// trained binary classifier over the 11 features.
+// trained boosted-tree classifier over the 11 features.
 type Detector struct {
 	cfg       DetectorConfig
 	extractor *features.Extractor
-	clf       ml.Classifier
+	clf       *gbt.Classifier
 	trained   bool
 
 	// trainSample is a bounded, deterministic sample of training
@@ -125,13 +78,8 @@ const trainSampleCap = 4096
 
 // NewDetector builds an untrained detector using the analyzer's
 // feature extractor.
-func NewDetector(a *Analyzer, cfg DetectorConfig) (*Detector, error) {
-	cfg = cfg.withDefaults()
-	clf, err := NewClassifier(cfg.Classifier)
-	if err != nil {
-		return nil, err
-	}
-	return &Detector{cfg: cfg, extractor: a.Extractor(), clf: clf, m: pipelineByTenant.For(DefaultTenant)}, nil
+func NewDetector(a *Analyzer, cfg DetectorConfig) *Detector {
+	return &Detector{cfg: cfg.withDefaults(), extractor: a.Extractor(), clf: gbt.New(DefaultGBTConfig()), m: pipelineByTenant.For(DefaultTenant)}
 }
 
 // SetMetricsTenant rebinds the detector's cats_pipeline_* metrics to
@@ -153,8 +101,13 @@ func (d *Detector) Extractor() *features.Extractor { return d.extractor }
 // the thresholds.
 func (d *Detector) Config() DetectorConfig { return d.cfg }
 
-// Classifier exposes the underlying model (e.g. to read GBT feature
-// importance for Fig 7).
+// Model exposes the boosted-tree model (feature importance for Fig 7,
+// staged prediction, decision paths).
+func (d *Detector) Model() *gbt.Classifier { return d.clf }
+
+// Classifier is Model behind the ml.Classifier interface. It exists
+// only because bench/probes.go, which a PR may not edit, type-asserts
+// its result; everything in this module calls Model.
 func (d *Detector) Classifier() ml.Classifier { return d.clf }
 
 // PassesFilter reports whether the item survives stage one: sales
@@ -188,8 +141,7 @@ var ErrNotTrained = errors.New("core: detector not trained")
 
 // Explain reports how often each feature was consulted on the item's
 // decision paths through the boosted-tree ensemble, most-used first —
-// the reviewer-facing "why was this item flagged" view. It errors for
-// non-tree classifiers.
+// the reviewer-facing "why was this item flagged" view.
 func (d *Detector) Explain(item *ecom.Item) ([]gbt.Importance, error) {
 	if !d.trained {
 		return nil, ErrNotTrained
@@ -203,11 +155,7 @@ func (d *Detector) ExplainVector(v []float64) ([]gbt.Importance, error) {
 	if !d.trained {
 		return nil, ErrNotTrained
 	}
-	g, ok := d.clf.(*gbt.Classifier)
-	if !ok {
-		return nil, fmt.Errorf("core: classifier %T has no decision-path explanation", d.clf)
-	}
-	return g.DecisionPathFeatures(v)
+	return d.clf.DecisionPathFeatures(v)
 }
 
 // Train fits the classifier on a labeled dataset (the paper pre-trains
@@ -309,12 +257,9 @@ func (d *Detector) scoreOne(item *ecom.Item) (Detection, []float64) {
 // scoreBatch analyzes items in parallel, preserving item order, then
 // scores the survivors. Analysis workers claim items from a shared
 // cursor (par.For), each writing only its own slots of the output
-// slices. With the default boosted-tree classifier the scoring phase
-// runs through gbt.PredictProbaBatch over the flattened ensemble — the
-// contiguous node array is streamed per chunk instead of re-entering
-// the classifier item by item — split across the same worker budget.
-// Other classifiers score inline in the analysis workers. Both paths
-// produce scores bit-identical to scoreOne.
+// slices; the scoring phase (scorePending) then runs
+// gbt.PredictProbaBatch over the survivors, split across the same
+// worker budget. Scores are bit-identical to scoreOne.
 //
 // workers <= 0 uses GOMAXPROCS. Cancellation of ctx stops workers from
 // claiming new items and returns the context's error.
@@ -327,37 +272,28 @@ func (d *Detector) scoreBatch(ctx context.Context, items []ecom.Item, workers in
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	g, batchScoring := d.clf.(*gbt.Classifier)
 	dets := make([]Detection, len(items))
 	X := make([][]float64, len(items))
 	needScore := make([]bool, len(items))
 	err := par.For(ctx, len(items), workers, func(i int) {
 		dets[i], X[i], needScore[i] = d.analyzeOne(&items[i])
-		if needScore[i] && !batchScoring {
-			sp := obs.StartSpan(d.m.stageScore)
-			score := d.clf.PredictProba(X[i])
-			sp.End()
-			d.applyScore(&dets[i], score)
-		}
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	if batchScoring {
-		n := 0
-		for _, need := range needScore {
-			if need {
-				n++
-			}
+	n := 0
+	for _, need := range needScore {
+		if need {
+			n++
 		}
-		pending := make([]int, 0, n) // indices awaiting a batch score, in item order
-		for i, need := range needScore {
-			if need {
-				pending = append(pending, i)
-			}
-		}
-		d.scorePending(g, dets, X, pending, workers)
 	}
+	pending := make([]int, 0, n) // indices awaiting a batch score, in item order
+	for i, need := range needScore {
+		if need {
+			pending = append(pending, i)
+		}
+	}
+	d.scorePending(dets, X, pending, workers)
 	return dets, X, nil
 }
 
@@ -365,8 +301,8 @@ func (d *Detector) scoreBatch(ctx context.Context, items []ecom.Item, workers in
 // folding in cluster evidence when a graph scorer is installed. The
 // boost moves the score toward 1 by the evidence fraction
 // (score += boost·(1−score)), so it can push a borderline item over
-// the threshold but never past 1 and never down. Every scoring path
-// (single-item, inline batch, flattened-GBT batch) converges here.
+// the threshold but never past 1 and never down. Both scoring paths
+// (single-item and batch) converge here.
 func (d *Detector) applyScore(det *Detection, score float64) {
 	if s := d.graphScorer.Load(); s != nil {
 		if ev, ok := s.ItemEvidence(det.ItemID); ok {
@@ -380,11 +316,13 @@ func (d *Detector) applyScore(det *Detection, score float64) {
 	det.IsFraud = score >= d.cfg.Threshold
 }
 
-// scorePending batch-scores the pending rows through the flattened
-// boosted-tree ensemble, splitting the batch into contiguous chunks
-// across the worker budget. Scores are independent per row, so the
-// chunking changes nothing about the results.
-func (d *Detector) scorePending(g *gbt.Classifier, dets []Detection, X [][]float64, pending []int, workers int) {
+// scorePending batch-scores the pending rows through the boosted-tree
+// ensemble, splitting the batch into contiguous chunks across the
+// worker budget. Scores are independent per row, so the chunking
+// changes nothing about the results. It stays a second phase rather
+// than a per-item score inside the analysis workers because that
+// measured worse end to end (see gbt.PredictMarginBatch).
+func (d *Detector) scorePending(dets []Detection, X [][]float64, pending []int, workers int) {
 	if len(pending) == 0 {
 		return
 	}
@@ -407,7 +345,7 @@ func (d *Detector) scorePending(g *gbt.Classifier, dets []Detection, X [][]float
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			g.PredictProbaBatch(vecs[lo:hi], scores[lo:hi])
+			d.clf.PredictProbaBatch(vecs[lo:hi], scores[lo:hi])
 		}(lo, hi)
 	}
 	wg.Wait()

@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"repro/internal/colfmt"
+	"repro/internal/features"
 	"repro/internal/lexicon"
 	"repro/internal/ml/gbt"
 	"repro/internal/sentiment"
@@ -79,7 +80,6 @@ func AnalyzerFromSnapshot(s *AnalyzerSnapshot) (*Analyzer, error) {
 
 // DetectorSnapshot is the JSON-serializable form of a trained detector
 // (analyzer + rule-filter settings + the fitted boosted-tree model).
-// Only the default boosted-tree classifier supports persistence.
 type DetectorSnapshot struct {
 	Version  int               `json:"version"`
 	Analyzer *AnalyzerSnapshot `json:"analyzer"`
@@ -91,21 +91,13 @@ type DetectorSnapshot struct {
 	TrainingSample [][]float64 `json:"training_sample,omitempty"`
 }
 
-// ErrUnsupportedPersistence is returned when snapshotting a detector
-// whose classifier is not the boosted-tree model.
-var ErrUnsupportedPersistence = errors.New("core: only the boosted-tree classifier supports persistence")
-
 // Snapshot captures a trained detector. vocabulary is the segmenter
 // dictionary the analyzer was built with.
 func (d *Detector) Snapshot(vocabulary []string, a *Analyzer) (*DetectorSnapshot, error) {
 	if !d.trained {
 		return nil, ErrNotTrained
 	}
-	g, ok := d.clf.(*gbt.Classifier)
-	if !ok {
-		return nil, ErrUnsupportedPersistence
-	}
-	gs, err := g.Snapshot()
+	gs, err := d.clf.Snapshot()
 	if err != nil {
 		return nil, err
 	}
@@ -138,6 +130,11 @@ func DetectorFromSnapshot(s *DetectorSnapshot) (*Detector, *Analyzer, error) {
 	clf, err := gbt.FromSnapshot(s.GBT)
 	if err != nil {
 		return nil, nil, err
+	}
+	// The trees index the extractor's vectors: a model over any other
+	// feature count would read past them at detection time.
+	if n := len(s.GBT.SplitCount); n != features.NumFeatures {
+		return nil, nil, fmt.Errorf("core: snapshot model has %d features, the extractor produces %d", n, features.NumFeatures)
 	}
 	d := &Detector{
 		cfg:         s.Config.withDefaults(),

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/synth"
@@ -16,10 +17,7 @@ func TestDetectorSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDetector(a, DetectorConfig{Threshold: 0.7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDetector(a, DetectorConfig{Threshold: 0.7})
 	train := synth.Generate(synth.Config{
 		Name: "t", Seed: 72, FraudEvidence: 80, Normal: 120, Shops: 6,
 	})
@@ -73,34 +71,9 @@ func TestSnapshotRequiresTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDetector(a, DetectorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDetector(a, DetectorConfig{})
 	if _, err := d.Snapshot(bank.Vocabulary(), a); !errors.Is(err, ErrNotTrained) {
 		t.Fatalf("err = %v, want ErrNotTrained", err)
-	}
-}
-
-func TestSnapshotUnsupportedClassifier(t *testing.T) {
-	bank := textgen.NewBank()
-	texts, labels := synth.PolarCorpus(400, 75)
-	a, err := OracleAnalyzer(bank, texts, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDetector(a, DetectorConfig{Classifier: KindNaiveBayes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	train := synth.Generate(synth.Config{
-		Name: "t", Seed: 76, FraudEvidence: 30, Normal: 30, Shops: 3,
-	})
-	if err := d.Train(&train.Dataset, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Snapshot(bank.Vocabulary(), a); !errors.Is(err, ErrUnsupportedPersistence) {
-		t.Fatalf("err = %v, want ErrUnsupportedPersistence", err)
 	}
 }
 
@@ -110,6 +83,13 @@ func TestDetectorFromSnapshotValidation(t *testing.T) {
 	}
 	if _, _, err := DetectorFromSnapshot(&DetectorSnapshot{Version: 99}); err == nil {
 		t.Error("bad version should error")
+	}
+	// A model over a different feature count than the extractor's
+	// vectors would index past them at detection time.
+	snap, _ := trainedSnapshot(t, 78)
+	snap.GBT.SplitCount = append(snap.GBT.SplitCount, 0)
+	if _, _, err := DetectorFromSnapshot(snap); err == nil || !strings.Contains(err.Error(), "12 features") {
+		t.Errorf("12-feature model: err = %v, want a feature-count error", err)
 	}
 }
 
@@ -126,10 +106,7 @@ func TestSnapshotCarriesDriftBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDetector(a, DetectorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDetector(a, DetectorConfig{})
 	train := synth.Generate(synth.Config{
 		Name: "base", Seed: 78, FraudEvidence: 40, Normal: 60, Shops: 4,
 	})

@@ -89,10 +89,7 @@ func TestDetectStreamUntrained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDetector(a, DetectorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDetector(a, DetectorConfig{})
 	if _, err := d.DetectStream(context.Background(), nil, StreamOptions{}, nil); !errors.Is(err, ErrNotTrained) {
 		t.Fatalf("err = %v, want ErrNotTrained", err)
 	}

@@ -119,11 +119,7 @@ func (l *Lab) Fig7() (*Fig7Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, ok := det.Classifier().(*gbt.Classifier)
-	if !ok {
-		return nil, fmt.Errorf("fig7: detector classifier is %T, want boosted trees", det.Classifier())
-	}
-	imp, err := g.FeatureImportance()
+	imp, err := det.Model().FeatureImportance()
 	if err != nil {
 		return nil, err
 	}

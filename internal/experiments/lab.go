@@ -182,10 +182,7 @@ func (l *Lab) trainOnD0(a *core.Analyzer, cfg core.DetectorConfig) (*core.Detect
 			return nil, err
 		}
 	}
-	det, err := core.NewDetector(a, cfg)
-	if err != nil {
-		return nil, err
-	}
+	det := core.NewDetector(a, cfg)
 	if err := det.Train(&l.D0().Dataset, l.cfg.Workers); err != nil {
 		return nil, err
 	}

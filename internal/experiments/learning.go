@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ml/eval"
-	"repro/internal/ml/gbt"
 )
 
 // LearningCurveRow is one training-set-size result.
@@ -62,10 +61,7 @@ func (l *Lab) LearningCurve() (*LearningCurveResult, error) {
 		for _, i := range normalIdx[:nn] {
 			sub.Items = append(sub.Items, d0.Items[i])
 		}
-		det, err := core.NewDetector(a, core.DetectorConfig{})
-		if err != nil {
-			return nil, err
-		}
+		det := core.NewDetector(a, core.DetectorConfig{})
 		if err := det.Train(&sub, l.cfg.Workers); err != nil {
 			return nil, fmt.Errorf("learning curve at %d items: %w", len(sub.Items), err)
 		}
@@ -123,10 +119,7 @@ func (l *Lab) RoundsCurve() (*RoundsCurveResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, ok := det.Classifier().(*gbt.Classifier)
-	if !ok {
-		return nil, fmt.Errorf("roundscurve: classifier is %T, want boosted trees", det.Classifier())
-	}
+	g := det.Model()
 	items := l.D1().Dataset.Items
 	// One fused pass yields both the filter decisions and the feature
 	// matrix for every staged evaluation below.

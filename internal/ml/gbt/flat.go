@@ -1,13 +1,13 @@
 package gbt
 
-// Flattened-ensemble inference: after Fit (or FromSnapshot) the
-// pointer-linked training trees are laid out into one contiguous node
-// slice shared by every tree, so a prediction walks a dense array —
-// feature index, threshold/leaf weight, and child offsets all in one
-// cache line — instead of chasing heap pointers. The pointer trees are
-// retained for training, snapshotting, and decision-path explanations;
-// the flat form is purely an inference mirror, and the equivalence
-// tests pin its margins bit-for-bit to the pointer walk.
+// The flat ensemble is the model's only in-memory form: every tree's
+// nodes live in one contiguous slice, so a prediction walks a dense
+// array — feature index, threshold/leaf weight, and child offsets all
+// in one cache line — instead of chasing heap pointers. Fit's
+// buildNode and FromSnapshot's appendNode both append a tree in
+// pre-order (node, left subtree, right subtree), so tree t occupies
+// nodes[roots[t]:roots[t+1]] and the same model always has the same
+// layout; NodeDTO (snapshot.go) is the wire form only.
 
 // flatNode is one node of the flattened ensemble. Feature >= 0 marks an
 // internal node whose Value is the split threshold; Feature == -1 marks
@@ -27,30 +27,6 @@ type flatEnsemble struct {
 	roots []int32
 }
 
-// finalize rebuilds the flat inference mirror from the pointer trees.
-// Fit and FromSnapshot call it once the ensemble is complete.
-func (c *Classifier) finalize() {
-	f := &flatEnsemble{roots: make([]int32, 0, len(c.trees))}
-	for _, t := range c.trees {
-		f.roots = append(f.roots, int32(len(f.nodes)))
-		f.push(t)
-	}
-	c.flat = f
-}
-
-// push appends n's subtree in pre-order and returns its index.
-func (f *flatEnsemble) push(n *node) int32 {
-	idx := int32(len(f.nodes))
-	if n.leaf {
-		f.nodes = append(f.nodes, flatNode{Feature: -1, Value: n.weight})
-		return idx
-	}
-	f.nodes = append(f.nodes, flatNode{Feature: int32(n.feature), Value: n.threshold})
-	f.nodes[idx].Left = f.push(n.left)
-	f.nodes[idx].Right = f.push(n.right)
-	return idx
-}
-
 // leaf walks one tree from root and returns the reached leaf's weight.
 //
 //cats:hotpath
@@ -68,8 +44,7 @@ func (f *flatEnsemble) leaf(root int32, x []float64) float64 {
 }
 
 // margin accumulates base + lr·leaf over the first n trees, in tree
-// order — the same additive order as the pointer walk, so the result is
-// bit-identical.
+// order — the additive order of Fit's per-round margin updates.
 //
 //cats:hotpath
 func (f *flatEnsemble) margin(x []float64, base, lr float64, n int) float64 {
@@ -83,10 +58,15 @@ func (f *flatEnsemble) margin(x []float64, base, lr float64, n int) float64 {
 // PredictMarginBatch computes raw additive scores (log-odds) for every
 // row of X into out, which must have len(X) capacity when non-nil; a
 // nil out is allocated. It returns out. Per-row results are bit-
-// identical to PredictMargin; the batch form exists so callers scoring
-// many vectors (core.scoreBatch, the batch benchmarks) stream the
-// flat node array through cache once per tree walk instead of
-// re-entering the classifier per item.
+// identical to PredictMargin, and the loop is PredictMargin per row:
+// no tree is walked differently. What the batch form buys is the
+// caller's structure — core.scoreBatch analyzes a whole batch first and
+// scores the survivors in a second phase of a few large chunks, so the
+// node array stays cache-resident across consecutive rows instead of
+// being evicted by each item's segmentation and feature pass. Scoring
+// inline per item instead measured worse on bench/: serve_cold job_s in
+// 4/4 alternating pairs (+0.3…+5.4%), stream_colfmt in 3/4 (+1.1,
+// +4.6, +2.9, −1.0%), serve_hot unresolved.
 //
 //cats:hotpath
 func (c *Classifier) PredictMarginBatch(X [][]float64, out []float64) []float64 {

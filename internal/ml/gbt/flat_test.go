@@ -1,7 +1,9 @@
 package gbt
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/ml"
@@ -21,32 +23,68 @@ func flatTestDataset(n, nf int, seed int64) *ml.Dataset {
 	return ds
 }
 
-// TestFlatMatchesPointerWalk: the flattened ensemble's margins must be
-// bit-identical to the retained pointer-walk reference for every row,
-// including staged prediction at every tree count.
-func TestFlatMatchesPointerWalk(t *testing.T) {
+// wireWalk is the test-only reference for the flat walk: it follows x
+// through one tree in its wire form (NodeDTO, per-tree child indices —
+// a different encoding from the shared flat slice), returning the leaf
+// weight and adding each consulted feature to counts.
+func wireWalk(tree []NodeDTO, x []float64, counts []int) float64 {
+	n := tree[0]
+	for !n.Leaf {
+		counts[n.Feature]++
+		if x[n.Feature] <= n.Threshold {
+			n = tree[n.Left]
+		} else {
+			n = tree[n.Right]
+		}
+	}
+	return n.Weight
+}
+
+// TestFlatMatchesWireWalk: on seeded random vectors the flat ensemble's
+// staged margin at every tree count, its batch probabilities and its
+// decision-path counts must equal, bit for bit, an independent walk
+// over Snapshot().Trees.
+func TestFlatMatchesWireWalk(t *testing.T) {
 	ds := flatTestDataset(400, 7, 3)
 	c := New(Config{Rounds: 40, MaxDepth: 4, Subsample: 0.8, ColSample: 0.6, Seed: 5})
 	if err := c.Fit(ds); err != nil {
 		t.Fatal(err)
 	}
-	if c.flat == nil {
-		t.Fatal("Fit did not build the flat ensemble")
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, x := range ds.X {
-		if got, want := c.PredictMargin(x), c.predictMarginTrees(x); got != want {
-			t.Fatalf("row %d: flat margin %v != pointer margin %v", i, got, want)
-		}
+	if len(snap.Trees) != c.NumTrees() || c.NumTrees() != 40 {
+		t.Fatalf("snapshot has %d trees, model %d, want 40", len(snap.Trees), c.NumTrees())
 	}
-	// Staged margins at every prefix length.
-	x := ds.X[17]
-	for n := 0; n <= c.NumTrees(); n++ {
-		m := c.baseScore
-		for i := 0; i < n; i++ {
-			m += c.cfg.LearningRate * predictNode(c.trees[i], x)
+	X := flatTestDataset(200, 7, 77).X // vectors the model never saw
+	probas := c.PredictProbaBatch(X, nil)
+	for i, x := range X {
+		counts := make([]int, len(snap.SplitCount))
+		m := snap.BaseScore
+		for n := 0; ; n++ {
+			if got := c.PredictProbaAt(x, n); math.Float64bits(got) != math.Float64bits(sigmoid(m)) {
+				t.Fatalf("row %d staged n=%d: flat %v != wire %v", i, n, got, sigmoid(m))
+			}
+			if n == len(snap.Trees) {
+				break
+			}
+			m += snap.Config.LearningRate * wireWalk(snap.Trees[n], x, counts)
 		}
-		if got, want := c.PredictProbaAt(x, n), sigmoid(m); got != want {
-			t.Fatalf("staged n=%d: flat %v != pointer %v", n, got, want)
+		if got := c.PredictMargin(x); math.Float64bits(got) != math.Float64bits(m) {
+			t.Fatalf("row %d: flat margin %v != wire margin %v", i, got, m)
+		}
+		if math.Float64bits(probas[i]) != math.Float64bits(sigmoid(m)) {
+			t.Fatalf("row %d: batch proba %v != wire %v", i, probas[i], sigmoid(m))
+		}
+		path, err := c.DecisionPathFeatures(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range path {
+			if e.Splits != counts[e.Index] {
+				t.Fatalf("row %d: feature %d consulted %d times, wire walk says %d", i, e.Index, e.Splits, counts[e.Index])
+			}
 		}
 	}
 }
@@ -77,8 +115,8 @@ func TestPredictBatchMatchesSingle(t *testing.T) {
 }
 
 // TestSnapshotRoundTripFlat: a classifier rebuilt from its snapshot
-// must predict through a rebuilt flat ensemble, bit-identical to the
-// original.
+// lays its trees out exactly as Fit did — it snapshots to the same
+// value and predicts bit-identically.
 func TestSnapshotRoundTripFlat(t *testing.T) {
 	ds := flatTestDataset(200, 6, 4)
 	c := New(Config{Rounds: 15, MaxDepth: 3, Seed: 8})
@@ -93,8 +131,12 @@ func TestSnapshotRoundTripFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.flat == nil {
-		t.Fatal("FromSnapshot did not build the flat ensemble")
+	again, err := back.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snap, again) {
+		t.Fatal("Fit → Snapshot → FromSnapshot → Snapshot changed the snapshot")
 	}
 	for i, x := range ds.X {
 		if got, want := back.PredictMargin(x), c.PredictMargin(x); got != want {

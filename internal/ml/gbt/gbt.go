@@ -85,26 +85,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-type node struct {
-	feature   int
-	threshold float64
-	left      *node
-	right     *node
-	leaf      bool
-	weight    float64
-}
-
 // Classifier is a fitted boosted-tree model.
 type Classifier struct {
 	cfg        Config
-	trees      []*node
 	baseScore  float64 // log-odds prior
 	splitCount []int   // per-feature split counts (importance)
 	names      []string
 
-	// flat is the contiguous inference mirror of trees, rebuilt by
-	// finalize after Fit/FromSnapshot (see flat.go).
-	flat *flatEnsemble
+	// flat holds every tree (see flat.go): Fit and FromSnapshot append
+	// into it, prediction and Snapshot read it. Non-nil roots mark a
+	// fitted model.
+	flat flatEnsemble
 }
 
 // New returns an untrained model with the given configuration.
@@ -119,7 +110,7 @@ func (c *Classifier) Fit(ds *ml.Dataset) error {
 	nf := ds.NumFeatures()
 	c.names = ds.FeatureNames
 	c.splitCount = make([]int, nf)
-	c.trees = c.trees[:0]
+	c.flat = flatEnsemble{roots: make([]int32, 0, c.cfg.Rounds)}
 
 	// Base score: prior log-odds of the positive class, clamped away
 	// from infinities for single-class training sets.
@@ -156,13 +147,12 @@ func (c *Classifier) Fit(ds *ml.Dataset) error {
 				rows = append(rows, i)
 			}
 		}
-		t := c.buildNode(ds, rows, grad, hess, 0, rng)
-		c.trees = append(c.trees, t)
+		root := c.buildNode(ds, rows, grad, hess, 0, rng)
+		c.flat.roots = append(c.flat.roots, root)
 		for i := 0; i < n; i++ {
-			margin[i] += c.cfg.LearningRate * predictNode(t, ds.X[i])
+			margin[i] += c.cfg.LearningRate * c.flat.leaf(root, ds.X[i])
 		}
 	}
-	c.finalize()
 	return nil
 }
 
@@ -185,15 +175,16 @@ func (c *Classifier) sampleCols(nf int, rng *rand.Rand) []int {
 }
 
 // buildNode grows one tree node via exact greedy search over a per-node
-// column sample.
-func (c *Classifier) buildNode(ds *ml.Dataset, rows []int, grad, hess []float64, depth int, rng *rand.Rand) *node {
+// column sample, appending it and then its left and right subtrees to
+// the flat node slice (pre-order), and returns the node's index.
+func (c *Classifier) buildNode(ds *ml.Dataset, rows []int, grad, hess []float64, depth int, rng *rand.Rand) int32 {
 	var G, H float64
 	for _, i := range rows {
 		G += grad[i]
 		H += hess[i]
 	}
-	leafWeight := -G / (H + c.cfg.Lambda)
-	nd := &node{leaf: true, weight: leafWeight}
+	nd := int32(len(c.flat.nodes))
+	c.flat.nodes = append(c.flat.nodes, flatNode{Feature: -1, Value: -G / (H + c.cfg.Lambda)})
 	if depth >= c.cfg.MaxDepth || len(rows) < 2 {
 		return nd
 	}
@@ -229,11 +220,9 @@ func (c *Classifier) buildNode(ds *ml.Dataset, rows []int, grad, hess []float64,
 		return nd
 	}
 	c.splitCount[bestFeat]++
-	nd.leaf = false
-	nd.feature = bestFeat
-	nd.threshold = bestThr
-	nd.left = c.buildNode(ds, left, grad, hess, depth+1, rng)
-	nd.right = c.buildNode(ds, right, grad, hess, depth+1, rng)
+	l := c.buildNode(ds, left, grad, hess, depth+1, rng)
+	r := c.buildNode(ds, right, grad, hess, depth+1, rng)
+	c.flat.nodes[nd] = flatNode{Feature: int32(bestFeat), Left: l, Right: r, Value: bestThr}
 	return nd
 }
 
@@ -325,57 +314,22 @@ func (c *Classifier) bestSplitParallel(ds *ml.Dataset, rows, cols []int, grad, h
 	return best
 }
 
-func predictNode(n *node, x []float64) float64 {
-	for !n.leaf {
-		if x[n.feature] <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n.weight
-}
-
 //cats:hotpath
 func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
 
-// PredictMargin returns the raw additive score (log-odds) for x. The
-// walk runs over the flattened ensemble; predictMarginTrees is the
-// retained pointer-walk reference the equivalence tests pin it against.
+// PredictMargin returns the raw additive score (log-odds) for x.
 //
 //cats:hotpath
 func (c *Classifier) PredictMargin(x []float64) float64 {
-	if c.flat != nil {
-		return c.flat.margin(x, c.baseScore, c.cfg.LearningRate, len(c.flat.roots))
-	}
-	return c.predictMarginTrees(x)
-}
-
-// predictMarginTrees is the pre-flattening prediction path over the
-// pointer-linked trees, kept as the bit-identical reference oracle.
-func (c *Classifier) predictMarginTrees(x []float64) float64 {
-	m := c.baseScore
-	for _, t := range c.trees {
-		m += c.cfg.LearningRate * predictNode(t, x)
-	}
-	return m
+	return c.flat.margin(x, c.baseScore, c.cfg.LearningRate, len(c.flat.roots))
 }
 
 // PredictProbaAt returns P(fraud|x) using only the first n trees of the
 // fitted ensemble (n is clamped to [0, NumTrees]). Staged prediction
 // supports rounds-vs-quality analysis without retraining.
 func (c *Classifier) PredictProbaAt(x []float64, n int) float64 {
-	if n > len(c.trees) {
-		n = len(c.trees)
-	}
-	if c.flat != nil {
-		return sigmoid(c.flat.margin(x, c.baseScore, c.cfg.LearningRate, n))
-	}
-	m := c.baseScore
-	for i := 0; i < n; i++ {
-		m += c.cfg.LearningRate * predictNode(c.trees[i], x)
-	}
-	return sigmoid(m)
+	n = max(0, min(n, len(c.flat.roots)))
+	return sigmoid(c.flat.margin(x, c.baseScore, c.cfg.LearningRate, n))
 }
 
 // PredictProba returns P(fraud|x).
@@ -385,7 +339,7 @@ func (c *Classifier) PredictProba(x []float64) float64 { return sigmoid(c.Predic
 func (c *Classifier) Predict(x []float64) int { return ml.Threshold(c.PredictProba(x)) }
 
 // NumTrees returns the number of fitted trees.
-func (c *Classifier) NumTrees() int { return len(c.trees) }
+func (c *Classifier) NumTrees() int { return len(c.flat.roots) }
 
 // DecisionPathFeatures reports how often each feature is consulted on
 // x's decision paths across the ensemble — a lightweight per-prediction
@@ -393,38 +347,22 @@ func (c *Classifier) NumTrees() int { return len(c.trees) }
 // averageSentiment"). The counts sum to the total number of internal
 // nodes traversed.
 func (c *Classifier) DecisionPathFeatures(x []float64) ([]Importance, error) {
-	if c.trees == nil {
+	if c.flat.roots == nil {
 		return nil, ErrNotFitted
 	}
 	counts := make([]int, len(c.splitCount))
-	for _, t := range c.trees {
-		n := t
-		for !n.leaf {
-			if n.feature < len(counts) {
-				counts[n.feature]++
-			}
-			if x[n.feature] <= n.threshold {
-				n = n.left
+	nodes := c.flat.nodes
+	for _, i := range c.flat.roots {
+		for nodes[i].Feature >= 0 {
+			counts[nodes[i].Feature]++
+			if x[nodes[i].Feature] <= nodes[i].Value {
+				i = nodes[i].Left
 			} else {
-				n = n.right
+				i = nodes[i].Right
 			}
 		}
 	}
-	out := make([]Importance, len(counts))
-	for i, s := range counts {
-		name := ""
-		if i < len(c.names) {
-			name = c.names[i]
-		}
-		out[i] = Importance{Feature: name, Index: i, Splits: s}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Splits != out[j].Splits {
-			return out[i].Splits > out[j].Splits
-		}
-		return out[i].Index < out[j].Index
-	})
-	return out, nil
+	return c.ranked(counts), nil
 }
 
 // Importance is one feature's split-count importance.
@@ -441,11 +379,17 @@ var ErrNotFitted = errors.New("gbt: model not fitted")
 // the measure Fig 7 plots ("the times this feature is split during the
 // construction process of the Xgboost model").
 func (c *Classifier) FeatureImportance() ([]Importance, error) {
-	if c.trees == nil {
+	if c.flat.roots == nil {
 		return nil, ErrNotFitted
 	}
-	out := make([]Importance, len(c.splitCount))
-	for i, s := range c.splitCount {
+	return c.ranked(c.splitCount), nil
+}
+
+// ranked names per-feature counts and sorts them descending, ties to
+// the lower feature index.
+func (c *Classifier) ranked(counts []int) []Importance {
+	out := make([]Importance, len(counts))
+	for i, s := range counts {
 		name := ""
 		if i < len(c.names) {
 			name = c.names[i]
@@ -458,5 +402,5 @@ func (c *Classifier) FeatureImportance() ([]Importance, error) {
 		}
 		return out[i].Index < out[j].Index
 	})
-	return out, nil
+	return out
 }

@@ -221,12 +221,16 @@ func TestPredictProbaAtStaged(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := ds.X[0]
-	// n = NumTrees equals the plain prediction; n beyond clamps.
+	// n = NumTrees equals the plain prediction; n beyond clamps, and
+	// so does n below zero.
 	if clf.PredictProbaAt(x, clf.NumTrees()) != clf.PredictProba(x) {
 		t.Fatal("full staged prediction differs from PredictProba")
 	}
 	if clf.PredictProbaAt(x, 1000) != clf.PredictProba(x) {
 		t.Fatal("overlong stage not clamped")
+	}
+	if clf.PredictProbaAt(x, -1) != clf.PredictProbaAt(x, 0) {
+		t.Fatal("negative stage not clamped to the prior")
 	}
 	// n = 0 is the prior.
 	p0 := clf.PredictProbaAt(x, 0)

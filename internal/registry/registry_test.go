@@ -29,10 +29,7 @@ func trainSnapshot(t testing.TB, trainSeed int64, cfg core.DetectorConfig) (*cor
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := core.NewDetector(analyzer, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	det := core.NewDetector(analyzer, cfg)
 	train := synth.Generate(synth.Config{
 		Name: "reg-train", Seed: trainSeed, FraudEvidence: 60, Normal: 90, Shops: 5,
 	})
@@ -190,6 +187,75 @@ func TestLoadFileErrorsAreDiagnosable(t *testing.T) {
 	}
 	if info.Generation != 2 {
 		t.Fatalf("generation after reload = %d, want 2", info.Generation)
+	}
+}
+
+// TestLoadFileRejectsHostileTrees: a snapshot that decodes cleanly but
+// whose trees split on feature 99 of 11 must fail the load — counted as
+// outcome=error, the previous generation still answering. Before the
+// load-time bound such a file reached the golden-probe pass and
+// panicked inside a scoring goroutine, which no recover can catch: a
+// reload took the whole process down.
+func TestLoadFileRejectsHostileTrees(t *testing.T) {
+	det, _, snap := trainSnapshot(t, 105, core.DetectorConfig{})
+	items := testItems(t, 15)
+	want, err := det.Detect(items, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := ProbeSet{}
+	for i := range items {
+		probes.Probes = append(probes.Probes, Probe{Item: items[i], WantFraud: boolPtr(want[i].IsFraud)})
+	}
+	dir := t.TempDir()
+	write := func(name string) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := core.WriteSnapshot(&buf, snap); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	good := write("good.json")
+	for _, tree := range snap.GBT.Trees {
+		for i := range tree {
+			if !tree[i].Leaf {
+				tree[i].Feature = 99
+			}
+		}
+	}
+	hostile := write("hostile.json")
+
+	r := New(Options{Probes: probes})
+	if _, err := r.LoadFile(context.Background(), "hostile-trees", good); err != nil {
+		t.Fatal(err)
+	}
+	tn := r.Tenant("hostile-trees")
+	errBefore := tn.m.reloadError.Value()
+	_, err = r.LoadFile(context.Background(), "hostile-trees", hostile)
+	if err == nil || !strings.Contains(err.Error(), "split feature 99") {
+		t.Fatalf("hostile snapshot: err = %v, want the out-of-range split feature named", err)
+	}
+	if got := tn.m.reloadError.Value() - errBefore; got != 1 {
+		t.Fatalf("reloadError delta = %d, want 1", got)
+	}
+	if v, gen, ok := tn.Version(); !ok || gen != 1 || !strings.HasPrefix(v, "good.json#") {
+		t.Fatalf("failed load disturbed the live model: %q gen %d ok %v", v, gen, ok)
+	}
+	h := tn.Acquire()
+	defer h.Release()
+	got, err := h.Detector.Detect(items, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("item %d: previous generation answers %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }
 

@@ -23,10 +23,7 @@ func clusterTestService(t *testing.T) (*core.Detector, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := core.NewDetector(analyzer, core.DetectorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	det := core.NewDetector(analyzer, core.DetectorConfig{})
 	train := synth.Generate(synth.Config{
 		Name: "clu-train", Seed: 92, FraudEvidence: 80, Normal: 120, Shops: 6,
 	})

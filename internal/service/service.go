@@ -585,7 +585,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	exp, err := h.Detector.ExplainVector(vec)
 	if err != nil {
-		writeError(w, http.StatusNotImplemented, err.Error())
+		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, ExplainResponse{
@@ -609,12 +609,7 @@ func (s *Server) handleImportance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer h.Release()
-	g, ok2 := h.Detector.Classifier().(*gbt.Classifier)
-	if !ok2 {
-		writeError(w, http.StatusNotImplemented, "classifier has no split-count importance")
-		return
-	}
-	imp, err := g.FeatureImportance()
+	imp, err := h.Detector.Model().FeatureImportance()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return

@@ -58,10 +58,7 @@ func trainTestDetector(t testing.TB) (*core.Detector, *core.Analyzer, *textgen.B
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := core.NewDetector(analyzer, core.DetectorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	det := core.NewDetector(analyzer, core.DetectorConfig{})
 	train := synth.Generate(synth.Config{
 		Name: "svc-train", Seed: 92, FraudEvidence: 80, Normal: 120, Shops: 6,
 	})
@@ -363,10 +360,7 @@ func TestDriftEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := core.NewDetector(analyzer, core.DetectorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	det := core.NewDetector(analyzer, core.DetectorConfig{})
 	train := synth.Generate(synth.Config{
 		Name: "drift-train", Seed: 95, FraudEvidence: 80, Normal: 120, Shops: 6,
 	})
@@ -472,10 +466,7 @@ func TestDetectSegmentsOncePerComment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := core.NewDetector(analyzer, core.DetectorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	det := core.NewDetector(analyzer, core.DetectorConfig{})
 	train := synth.Generate(synth.Config{
 		Name: "seg-train", Seed: 97, FraudEvidence: 80, Normal: 120, Shops: 6,
 	})

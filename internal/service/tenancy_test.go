@@ -30,10 +30,7 @@ func newTenantFixture(t *testing.T) (*Server, *httptest.Server, string, []byte) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := core.NewDetector(analyzer, core.DetectorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	det := core.NewDetector(analyzer, core.DetectorConfig{})
 	train := synth.Generate(synth.Config{
 		Name: "tenant-train", Seed: 71, FraudEvidence: 60, Normal: 90, Shops: 5,
 	})

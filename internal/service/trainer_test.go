@@ -29,10 +29,7 @@ func newTrainerService(t testing.TB, tcfg trainer.Config, opts Options) (*Server
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := core.NewDetector(analyzer, core.DetectorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	det := core.NewDetector(analyzer, core.DetectorConfig{})
 	train := synth.Generate(synth.Config{
 		Name: "svc-train", Seed: 92, FraudEvidence: 80, Normal: 120, Shops: 6,
 	})

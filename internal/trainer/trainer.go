@@ -354,12 +354,7 @@ func (t *Trainer) RunCycle(ctx context.Context, tenant string) (Decision, error)
 	rng := rand.New(rand.NewSource(t.cfg.Seed ^ int64(hash)))
 	trainItems, holdItems := splitFeedback(fbs, t.cfg.Holdout, rng)
 
-	challenger, err := core.NewDetector(h.Analyzer, h.Detector.Config())
-	if err != nil {
-		d.Outcome = OutcomeError
-		d.Reason = "build challenger: " + err.Error()
-		return t.finish(st, d), nil
-	}
+	challenger := core.NewDetector(h.Analyzer, h.Detector.Config())
 	d.ChallengerVersion = fmt.Sprintf("retrain-c%d#%016x", d.Cycle, hash)
 	t0 := t.clock.Now()
 	if err := challenger.Train(&ecom.Dataset{Name: "feedback-window", Items: trainItems}, t.cfg.Workers); err != nil {

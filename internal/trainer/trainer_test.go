@@ -37,10 +37,7 @@ func newFixture(t testing.TB) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	champion, err := core.NewDetector(analyzer, core.DetectorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	champion := core.NewDetector(analyzer, core.DetectorConfig{})
 	train := synth.Generate(synth.Config{
 		Name: "trainer-clean", Seed: 92, FraudEvidence: 80, Normal: 120, Shops: 6,
 	})
@@ -433,10 +430,7 @@ func TestProbeRejected(t *testing.T) {
 // no analyzer cannot grow a challenger and reports an error outcome.
 func TestChampionWithoutAnalyzer(t *testing.T) {
 	f := newFixture(t)
-	det, err := core.NewDetector(f.analyzer, core.DetectorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	det := core.NewDetector(f.analyzer, core.DetectorConfig{})
 	train := synth.Generate(synth.Config{
 		Name: "no-analyzer", Seed: 92, FraudEvidence: 80, Normal: 120, Shops: 6,
 	})

@@ -23,8 +23,7 @@ const (
 )
 
 // Save serializes the trained system (semantic analyzer, rule-filter
-// settings, and the fitted boosted-tree classifier) as JSON. Only
-// systems using the default XGBoost-style classifier can be saved.
+// settings, and the fitted boosted-tree classifier) as JSON.
 // vocabulary must be the segmenter dictionary used at Train time.
 func (s *System) Save(w io.Writer, vocabulary []string) error {
 	return s.SaveFormat(w, vocabulary, FormatJSON)

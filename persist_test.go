@@ -205,3 +205,42 @@ func TestLoadCorrupt(t *testing.T) {
 		t.Fatal("corrupt input should error")
 	}
 }
+
+// TestLoadRejectsOutOfRangeSplitFeature: a snapshot that decodes
+// cleanly but whose split nodes name feature 99 of 11 must fail at
+// Load. It used to load and then die with an index-out-of-range panic
+// inside a scoring goroutine on the first Detect — unrecoverable, so a
+// serving reload of such a file took the process down.
+func TestLoadRejectsOutOfRangeSplitFeature(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "compat", "parent.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("unedited snapshot: %v", err)
+	}
+	var snap map[string]any
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	edited := 0
+	for _, tree := range snap["gbt"].(map[string]any)["trees"].([]any) {
+		for _, n := range tree.([]any) {
+			if node := n.(map[string]any); node["leaf"] == false {
+				node["f"] = 99
+				edited++
+			}
+		}
+	}
+	if edited == 0 {
+		t.Fatal("fixture has no split nodes to edit")
+	}
+	hostile, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Load(bytes.NewReader(hostile))
+	if err == nil || !strings.Contains(err.Error(), "split feature 99") || !strings.Contains(err.Error(), "tree ") {
+		t.Fatalf("Load of a snapshot splitting on feature 99: err = %v, want an error naming the tree and node", err)
+	}
+}
