@@ -70,7 +70,9 @@ bench-quick:
 # segmenter against the map-based reference, the word-ID analysis
 # kernel against the string/map oracle, the table-driven IsPunct
 # against the unicode-package definition, the service's request
-# decoder against arbitrary bodies (never a 5xx), the columnar
+# decoder against arbitrary bodies (never a 5xx) and its single-pass
+# detect/explain decoder against encoding/json (accepts only what
+# encoding/json accepts, with the same items and answers), the columnar
 # container decoder against corrupt/truncated/hostile inputs (must
 # always fail diagnosably, never panic or over-allocate), and the
 # graph cluster-report decoder under the same contract. -fuzz takes
@@ -80,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzIsPunct -fuzztime=10s ./internal/tokenize
 	$(GO) test -run='^$$' -fuzz=FuzzAnalyzeDifferential -fuzztime=10s ./internal/features
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=10s ./internal/service
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeDetectDifferential -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFeedback -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzColfmtDecode -fuzztime=10s ./internal/colfmt
 	$(GO) test -run='^$$' -fuzz=FuzzReportDecode -fuzztime=10s ./internal/graph
@@ -87,7 +90,9 @@ fuzz-smoke:
 # End-to-end lifecycle smoke of the serving binary (CI runs this):
 # train a tiny model, boot catsserve, probe /healthz + /readyz, POST a
 # detect batch, assert the pipeline counters surface on /metrics, and
-# require a clean SIGTERM drain.
+# require a clean SIGTERM drain; then a second boot checks that a lone
+# request is not held for -batch-max-wait and that a non-canonical body
+# is answered through encoding/json.
 serve-smoke:
 	bash scripts/serve_smoke.sh
 

@@ -10,10 +10,14 @@
 // and identical in-flight items are re-analyzed for every waiter. The
 // dispatcher fixes both:
 //
-//   - Submitted items enqueue onto a bounded queue; a flush fires when
-//     MaxBatch items are waiting or MaxWait has elapsed since the queue
-//     went non-empty, whichever comes first, and scores the whole queue
-//     through one fused Scorer call per MaxBatch chunk.
+//   - Submitted items enqueue onto a bounded queue. A Submit that finds
+//     no batch running flushes at once — there is nothing to coalesce
+//     with, so waiting would only add latency. While a batch is running
+//     the queue holds, and flushes when the last running batch finishes
+//     (what queued during one batch is the next), when MaxBatch items
+//     are waiting, or when MaxWait has elapsed since the queue went
+//     non-empty, whichever comes first. Each flush scores the whole
+//     queue through one fused Scorer call per MaxBatch chunk.
 //   - A singleflight map keyed by item ID deduplicates identical
 //     in-flight items: later submissions attach to the existing flight
 //     and share its verdict instead of re-running analysis.
@@ -42,6 +46,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ecom"
+	"repro/internal/obs"
 )
 
 // Scorer is the fused batch-detection surface the dispatcher drives;
@@ -55,8 +60,9 @@ type Options struct {
 	// MaxBatch flushes the queue once this many items are waiting, and
 	// is the chunk size of dispatched batches; <= 0 means 256.
 	MaxBatch int
-	// MaxWait bounds how long an enqueued item waits for its batch to
-	// fill before the queue is flushed anyway; <= 0 means 2ms.
+	// MaxWait caps how long an item queued behind a running batch waits
+	// before the queue is flushed anyway; an item submitted while no
+	// batch is running does not wait at all. <= 0 means 2ms.
 	MaxWait time.Duration
 	// MaxQueue bounds items enqueued and not yet dispatched. A request
 	// whose new (non-coalesced) items do not fit is shed with
@@ -156,8 +162,9 @@ type Dispatcher struct {
 	mu       sync.Mutex
 	closed   bool
 	queue    []*flight          // awaiting dispatch, FIFO
-	inflight map[string]*flight // item ID → queued-or-scoring flight
-	timer    *time.Timer        // armed while the queue is non-empty
+	inflight map[string]*flight // non-empty item ID → queued-or-scoring flight
+	running  int                // batches dispatched and not yet finished
+	timer    *time.Timer        // armed while the queue waits behind a running batch
 	wg       sync.WaitGroup     // outstanding batch goroutines
 }
 
@@ -202,7 +209,8 @@ func (d *Dispatcher) InFlight() int {
 // Identical item IDs — within the request or across concurrent
 // requests — are scored once and fan the shared verdict out to every
 // waiter; the dispatcher assumes an ID identifies one item's content,
-// which is what platform item IDs mean.
+// which is what platform item IDs mean. An empty ID identifies nothing:
+// such items are always scored on their own.
 func (d *Dispatcher) Submit(ctx context.Context, items []ecom.Item) (Result, error) {
 	if len(items) == 0 {
 		return Result{}, nil
@@ -229,7 +237,7 @@ func (d *Dispatcher) Submit(ctx context.Context, items []ecom.Item) (Result, err
 	// they do not fit.
 	newItems := 0
 	for i := range items {
-		if _, ok := d.inflight[items[i].ID]; !ok {
+		if d.inflightFor(items[i].ID) == nil {
 			newItems++
 		}
 	}
@@ -241,25 +249,42 @@ func (d *Dispatcher) Submit(ctx context.Context, items []ecom.Item) (Result, err
 	now := time.Now()
 	flights := make([]*flight, len(items))
 	for i := range items {
-		if f, ok := d.inflight[items[i].ID]; ok {
+		if f := d.inflightFor(items[i].ID); f != nil {
 			d.m.coalesced.Inc()
 			flights[i] = f
 			continue
 		}
 		f := &flight{item: items[i], enqueued: now, done: make(chan struct{})}
-		d.inflight[items[i].ID] = f
+		if f.item.ID != "" {
+			d.inflight[f.item.ID] = f
+		}
 		d.queue = append(d.queue, f)
 		flights[i] = f
 	}
 	d.m.queueDepth.Set(int64(len(d.queue)))
-	if len(d.queue) >= d.opts.MaxBatch {
-		d.flushLocked()
-	} else if len(d.queue) > 0 && d.timer == nil {
-		d.timer = time.AfterFunc(d.opts.MaxWait, d.flushDue)
+	switch {
+	case len(d.queue) >= d.opts.MaxBatch:
+		d.flushLocked(d.m.flushSize)
+	case d.running == 0:
+		// Nothing is scoring, so nothing more will coalesce onto this
+		// queue by waiting: dispatch now.
+		d.flushLocked(d.m.flushIdle)
+	case len(d.queue) > 0 && d.timer == nil:
+		d.armTimerLocked()
 	}
 	d.mu.Unlock()
 
 	return wait(ctx, items, flights)
+}
+
+// inflightFor returns the queued-or-scoring flight an item ID may
+// attach to. An empty ID never has one: items without an ID are distinct
+// items, not copies of each other. Callers hold d.mu.
+func (d *Dispatcher) inflightFor(id string) *flight {
+	if id == "" {
+		return nil
+	}
+	return d.inflight[id]
 }
 
 // wait blocks on each distinct flight and assembles the request's
@@ -317,21 +342,34 @@ func (d *Dispatcher) bypass(ctx context.Context, items []ecom.Item) (Result, err
 	return Result{Detections: dets, Features: X}, nil
 }
 
-// flushDue is the MaxWait timer callback: flush whatever is queued.
-func (d *Dispatcher) flushDue() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.timer = nil
-	d.flushLocked()
+// armTimerLocked starts the MaxWait cap on a queue that is waiting
+// behind a running batch. Callers hold d.mu.
+func (d *Dispatcher) armTimerLocked() {
+	var t *time.Timer
+	t = time.AfterFunc(d.opts.MaxWait, func() {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		// A flush that raced this firing already took the queue this
+		// timer was capping (and may have armed a successor).
+		if d.timer == t {
+			d.flushLocked(d.m.flushTimer)
+		}
+	})
+	d.timer = t
 }
 
 // flushLocked dispatches the entire queue as MaxBatch-sized chunks,
-// each scored by its own goroutine. Callers hold d.mu.
-func (d *Dispatcher) flushLocked() {
+// each scored by its own goroutine, and counts the flush under the rule
+// that fired it. Callers hold d.mu.
+func (d *Dispatcher) flushLocked(reason *obs.Counter) {
 	if d.timer != nil {
 		d.timer.Stop()
 		d.timer = nil
 	}
+	if len(d.queue) == 0 {
+		return
+	}
+	reason.Inc()
 	for len(d.queue) > 0 {
 		n := d.opts.MaxBatch
 		if n > len(d.queue) {
@@ -340,6 +378,7 @@ func (d *Dispatcher) flushLocked() {
 		batch := make([]*flight, n)
 		copy(batch, d.queue[:n])
 		d.queue = d.queue[n:]
+		d.running++
 		d.wg.Add(1)
 		go d.runBatch(batch)
 	}
@@ -371,10 +410,16 @@ func (d *Dispatcher) runBatch(batch []*flight) {
 
 	// Retire the IDs first so new submissions start fresh flights, then
 	// publish results; the close is the happens-before edge waiters read
-	// det/vec/err across.
+	// det/vec/err across. The last running batch to retire hands the
+	// scorer straight to whatever queued behind it.
 	d.mu.Lock()
 	for _, f := range batch {
-		delete(d.inflight, f.item.ID)
+		if f.item.ID != "" {
+			delete(d.inflight, f.item.ID)
+		}
+	}
+	if d.running--; d.running == 0 {
+		d.flushLocked(d.m.flushDrain)
 	}
 	d.mu.Unlock()
 	for i, f := range batch {
@@ -395,7 +440,7 @@ func (d *Dispatcher) Close() {
 	d.mu.Lock()
 	if !d.closed {
 		d.closed = true
-		d.flushLocked()
+		d.flushLocked(d.m.flushClose)
 	}
 	d.mu.Unlock()
 	d.wg.Wait()

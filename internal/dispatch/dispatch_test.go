@@ -22,13 +22,15 @@ func scoreOf(id string) float64 {
 	return float64(h.Sum32()%1000) / 1000
 }
 
-// stubScorer is a controllable Scorer: per-ID scoring counts, an
-// optional entry handshake (started/release) to hold a batch open, an
-// optional fixed delay, and an injectable error.
+// stubScorer is a controllable Scorer: per-ID scoring counts, the IDs
+// of every batch in call order, an optional entry handshake
+// (started/release) to hold a batch open, an optional fixed delay, and
+// an injectable error.
 type stubScorer struct {
 	mu      sync.Mutex
 	calls   int
 	scored  map[string]int
+	batches [][]string
 	started chan struct{} // closed on first call, if non-nil
 	release chan struct{} // first call blocks on this, if non-nil
 	once    sync.Once
@@ -42,9 +44,12 @@ func (s *stubScorer) DetectWithFeatures(ctx context.Context, items []ecom.Item, 
 	if s.scored == nil {
 		s.scored = map[string]int{}
 	}
+	ids := make([]string, len(items))
 	for i := range items {
 		s.scored[items[i].ID]++
+		ids[i] = items[i].ID
 	}
+	s.batches = append(s.batches, ids)
 	err := s.err
 	s.mu.Unlock()
 	if s.started != nil {
@@ -77,6 +82,12 @@ func (s *stubScorer) callCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.calls
+}
+
+func (s *stubScorer) batch(i int) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.batches[i]
 }
 
 func (s *stubScorer) timesScored(id string) int {
@@ -115,45 +126,172 @@ func checkResult(t *testing.T, res Result, ids ...string) {
 	}
 }
 
-func TestFlushOnMaxBatch(t *testing.T) {
-	stub := &stubScorer{}
-	// MaxWait is an hour: only the size trigger can flush. The test
-	// completing at all proves the size flush fires.
-	d := New(stub, Options{MaxBatch: 4, MaxWait: time.Hour, MaxQueue: 100})
-	defer d.Close()
-	var wg sync.WaitGroup
-	var res1, res2 Result
-	var err1, err2 error
-	wg.Add(2)
+// holdScorer makes the dispatcher busy: it submits one item ("gate")
+// whose batch blocks inside the scorer, so every later Submit finds a
+// batch running and queues behind it. The returned release opens the
+// gate and waits for the gate's own Submit to return.
+func holdScorer(t *testing.T, d *Dispatcher) (stub *stubScorer, release func()) {
+	t.Helper()
+	stub = d.scorer.(*stubScorer)
+	stub.started, stub.release = make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
 	go func() {
-		defer wg.Done()
-		res1, err1 = d.Submit(context.Background(), items("a", "b", "c"))
+		_, err := d.Submit(context.Background(), items("gate"))
+		done <- err
 	}()
-	// Give the first request time to enqueue so the second completes
-	// the batch (ordering is not required for correctness, only for the
-	// single-batch assertion below).
-	for d.QueueDepth() < 3 {
-		time.Sleep(time.Millisecond)
-	}
-	go func() {
-		defer wg.Done()
-		res2, err2 = d.Submit(context.Background(), items("d"))
-	}()
-	wg.Wait()
-	if err1 != nil || err2 != nil {
-		t.Fatalf("errs: %v, %v", err1, err2)
-	}
-	checkResult(t, res1, "a", "b", "c")
-	checkResult(t, res2, "d")
-	if got := stub.callCount(); got != 1 {
-		t.Errorf("scorer calls = %d, want 1 fused batch", got)
+	<-stub.started
+	return stub, func() {
+		t.Helper()
+		close(stub.release)
+		if err := <-done; err != nil {
+			t.Errorf("gate submit: %v", err)
+		}
 	}
 }
 
-func TestFlushOnMaxWait(t *testing.T) {
+// submitAsync runs Submit on its own goroutine; the returned func waits
+// for it and checks the result.
+func submitAsync(t *testing.T, d *Dispatcher, ids ...string) (wait func()) {
+	t.Helper()
+	var res Result
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		res, err = d.Submit(context.Background(), items(ids...))
+	}()
+	return func() {
+		t.Helper()
+		<-done
+		if err != nil {
+			t.Fatalf("submit %v: %v", ids, err)
+		}
+		checkResult(t, res, ids...)
+	}
+}
+
+// serveCounts is a reading of the dispatcher's flush-rule and coalesce
+// counters. The series are per tenant label and outlive a Dispatcher, so
+// tests compare readings, never absolute values.
+type serveCounts struct{ size, idle, drain, timer, coalesced uint64 }
+
+func countsOf(d *Dispatcher) serveCounts {
+	return serveCounts{
+		size:      d.m.flushSize.Value(),
+		idle:      d.m.flushIdle.Value(),
+		drain:     d.m.flushDrain.Value(),
+		timer:     d.m.flushTimer.Value(),
+		coalesced: d.m.coalesced.Value(),
+	}
+}
+
+// since returns how far each counter moved after the reading before.
+func (c serveCounts) since(before serveCounts) serveCounts {
+	return serveCounts{c.size - before.size, c.idle - before.idle, c.drain - before.drain,
+		c.timer - before.timer, c.coalesced - before.coalesced}
+}
+
+// awaitQueued blocks until n items are queued and not yet dispatched.
+func awaitQueued(d *Dispatcher, n int) {
+	for d.QueueDepth() < n {
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestIdleSubmitDoesNotWait(t *testing.T) {
 	stub := &stubScorer{}
-	d := New(stub, Options{MaxBatch: 100, MaxWait: 10 * time.Millisecond})
+	// MaxWait is an hour: the test completing at all proves a Submit to
+	// an idle dispatcher does not wait for it.
+	d := New(stub, Options{MaxBatch: 100, MaxWait: time.Hour, Tenant: t.Name()})
 	defer d.Close()
+	before := countsOf(d)
+	res, err := d.Submit(context.Background(), items("a", "b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkResult(t, res, "a", "b")
+	if got := stub.callCount(); got != 1 {
+		t.Errorf("scorer calls = %d, want 1", got)
+	}
+	if got, want := countsOf(d).since(before), (serveCounts{idle: 1}); got != want {
+		t.Errorf("counters moved %+v, want %+v", got, want)
+	}
+}
+
+func TestBusyQueueFlushesOnCompletion(t *testing.T) {
+	// The scorer is busy and neither the size nor the time trigger is
+	// reachable: only the running batch finishing can flush the queue.
+	d := New(&stubScorer{}, Options{MaxBatch: 100, MaxWait: time.Hour, Tenant: t.Name()})
+	defer d.Close()
+	before := countsOf(d)
+	stub, release := holdScorer(t, d)
+
+	// Six submits over four distinct IDs: the duplicates coalesce onto
+	// the queued flights.
+	var waits []func()
+	for _, ids := range [][]string{{"a"}, {"b", "c"}, {"d"}} {
+		waits = append(waits, submitAsync(t, d, ids...))
+	}
+	awaitQueued(d, 4)
+	for _, ids := range [][]string{{"a"}, {"c", "d"}, {"b"}} {
+		waits = append(waits, submitAsync(t, d, ids...))
+	}
+	for countsOf(d).since(before).coalesced < 4 {
+		time.Sleep(time.Millisecond)
+	}
+	if got := stub.callCount(); got != 1 {
+		t.Fatalf("scorer calls = %d while the gate is held, want 1 (the gate's own)", got)
+	}
+	release()
+	for _, wait := range waits {
+		wait()
+	}
+	if got := stub.callCount(); got != 2 {
+		t.Fatalf("scorer calls = %d, want exactly 2: the held batch, then everything queued behind it", got)
+	}
+	if got := len(stub.batch(1)); got != 4 {
+		t.Errorf("follow-up batch carried %d items (%v), want the 4 distinct ones", got, stub.batch(1))
+	}
+	if depth := d.QueueDepth(); depth != 0 {
+		t.Errorf("queue depth = %d after the drain flush, want 0", depth)
+	}
+	// One idle flush (the gate's own), one drain flush, and no other rule.
+	if got, want := countsOf(d).since(before), (serveCounts{idle: 1, drain: 1, coalesced: 4}); got != want {
+		t.Errorf("counters moved %+v, want %+v", got, want)
+	}
+}
+
+func TestFlushOnMaxBatch(t *testing.T) {
+	// The scorer is busy and MaxWait is an hour: only the size trigger
+	// can flush, and it must not wait for the running batch.
+	d := New(&stubScorer{}, Options{MaxBatch: 4, MaxWait: time.Hour, MaxQueue: 100, Tenant: t.Name()})
+	defer d.Close()
+	before := countsOf(d)
+	stub, release := holdScorer(t, d)
+	defer release()
+
+	wait1 := submitAsync(t, d, "a", "b", "c")
+	awaitQueued(d, 3)
+	wait2 := submitAsync(t, d, "d")
+	wait1()
+	wait2()
+	if got := stub.callCount(); got != 2 {
+		t.Errorf("scorer calls = %d, want 2: the held batch and 1 fused batch", got)
+	}
+	if got, want := countsOf(d).since(before), (serveCounts{idle: 1, size: 1}); got != want {
+		t.Errorf("counters moved %+v, want %+v", got, want)
+	}
+}
+
+func TestMaxWaitCapsQueueWhileBusy(t *testing.T) {
+	d := New(&stubScorer{}, Options{MaxBatch: 100, MaxWait: 10 * time.Millisecond, Tenant: t.Name()})
+	defer d.Close()
+	before := countsOf(d)
+	stub, release := holdScorer(t, d)
+	defer release()
+
+	// The gate stays shut: this Submit returning at all proves the cap
+	// flushed the queue past the running batch.
 	start := time.Now()
 	res, err := d.Submit(context.Background(), items("a", "b"))
 	if err != nil {
@@ -163,8 +301,82 @@ func TestFlushOnMaxWait(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
 		t.Errorf("flushed after %v, before the 10ms max wait", elapsed)
 	}
+	if got := stub.callCount(); got != 2 {
+		t.Errorf("scorer calls = %d, want 2", got)
+	}
+	if got, want := countsOf(d).since(before), (serveCounts{idle: 1, timer: 1}); got != want {
+		t.Errorf("counters moved %+v, want %+v", got, want)
+	}
+}
+
+// TestFlushUnderBatchQuota walks all three busy-side rules with one
+// batch allowed to score at a time: a size flush parks its batch on the
+// quota behind the held one, later items queue behind both, and only
+// the last of them finishing drains the queue.
+func TestFlushUnderBatchQuota(t *testing.T) {
+	d := New(&stubScorer{}, Options{MaxBatch: 2, MaxWait: time.Hour, MaxConcurrentBatches: 1, Tenant: t.Name()})
+	defer d.Close()
+	before := countsOf(d)
+	stub, release := holdScorer(t, d)
+
+	waitA := submitAsync(t, d, "a")
+	awaitQueued(d, 1)
+	waitB := submitAsync(t, d, "b") // completes the batch: size flush
+	for countsOf(d).since(before).size < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	waitC := submitAsync(t, d, "c")
+	awaitQueued(d, 1)
 	if got := stub.callCount(); got != 1 {
-		t.Errorf("scorer calls = %d, want 1", got)
+		t.Fatalf("scorer calls = %d while the quota is held, want 1", got)
+	}
+	release()
+	waitA()
+	waitB()
+	waitC()
+	if got := stub.callCount(); got != 3 {
+		t.Fatalf("scorer calls = %d, want 3", got)
+	}
+	if got := stub.batch(2); len(got) != 1 || got[0] != "c" {
+		t.Errorf("last batch = %v, want [c]", got)
+	}
+	if got, want := countsOf(d).since(before), (serveCounts{idle: 1, size: 1, drain: 1}); got != want {
+		t.Errorf("counters moved %+v, want %+v", got, want)
+	}
+}
+
+// volumeScorer scores an item by its sales volume, so verdicts tell
+// apart items that share an ID.
+type volumeScorer struct{}
+
+func (volumeScorer) DetectWithFeatures(ctx context.Context, items []ecom.Item, workers int) ([]core.Detection, [][]float64, error) {
+	dets := make([]core.Detection, len(items))
+	for i := range items {
+		dets[i] = core.Detection{ItemID: items[i].ID, Score: float64(items[i].SalesVolume)}
+	}
+	return dets, make([][]float64, len(items)), nil
+}
+
+// TestIDlessItemsNeverCoalesce: an empty ID identifies nothing, so two
+// such items are two items, each with its own verdict.
+func TestIDlessItemsNeverCoalesce(t *testing.T) {
+	d := New(volumeScorer{}, Options{MaxBatch: 100, MaxWait: time.Millisecond, Tenant: t.Name()})
+	defer d.Close()
+	before := countsOf(d)
+	res, err := d.Submit(context.Background(), []ecom.Item{{SalesVolume: 7}, {SalesVolume: 900}, {ID: "x", SalesVolume: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []float64{7, 900, 3} {
+		if got := res.Detections[i].Score; got != want {
+			t.Errorf("detection %d scored %v, want %v", i, got, want)
+		}
+	}
+	if n := countsOf(d).since(before).coalesced; n != 0 {
+		t.Errorf("coalesced = %d, want 0", n)
+	}
+	if n := d.InFlight(); n != 0 {
+		t.Errorf("inflight = %d after the batch, want 0", n)
 	}
 }
 
@@ -227,21 +439,14 @@ func TestDuplicateIDsWithinRequest(t *testing.T) {
 }
 
 func TestShedQueueFull(t *testing.T) {
-	stub := &stubScorer{}
-	// No flush can fire: batch threshold and wait are both out of
-	// reach, so the queue stays exactly as filled.
-	d := New(stub, Options{MaxBatch: 100, MaxWait: time.Hour, MaxQueue: 2})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var queuedRes Result
-	var queuedErr error
-	go func() {
-		defer wg.Done()
-		queuedRes, queuedErr = d.Submit(context.Background(), items("a", "b"))
-	}()
-	for d.QueueDepth() < 2 {
-		time.Sleep(time.Millisecond)
-	}
+	// The scorer is busy and neither the size nor the time trigger is
+	// reachable, so the queue stays exactly as filled.
+	d := New(&stubScorer{}, Options{MaxBatch: 100, MaxWait: time.Hour, MaxQueue: 2, Tenant: t.Name()})
+	defer d.Close()
+	before := countsOf(d)
+	_, release := holdScorer(t, d)
+	waitQueued := submitAsync(t, d, "a", "b")
+	awaitQueued(d, 2)
 
 	// A new item does not fit.
 	if _, err := d.Submit(context.Background(), items("c")); !errors.Is(err, ErrQueueFull) {
@@ -256,29 +461,19 @@ func TestShedQueueFull(t *testing.T) {
 		t.Fatalf("queue depth after sheds = %d, want 2 (shed must not enqueue)", depth)
 	}
 	// A pure-coalesce request occupies no new slot and is admitted.
-	coalescedBefore := d.m.coalesced.Value()
-	wg.Add(1)
-	var dupRes Result
-	var dupErr error
-	go func() {
-		defer wg.Done()
-		dupRes, dupErr = d.Submit(context.Background(), items("a"))
-	}()
-	for d.m.coalesced.Value() == coalescedBefore {
+	waitDup := submitAsync(t, d, "a")
+	for countsOf(d).since(before).coalesced == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if got := d.InFlight(); got != 2 { // still just a and b
-		t.Fatalf("inflight = %d after coalesced admit, want 2", got)
+	if got := d.InFlight(); got != 3 { // still just the gate, a and b
+		t.Fatalf("inflight = %d after coalesced admit, want 3", got)
 	}
 
-	// Close flushes the held queue, releasing every admitted waiter.
-	d.Close()
-	wg.Wait()
-	if queuedErr != nil || dupErr != nil {
-		t.Fatalf("admitted waiters errored: %v, %v", queuedErr, dupErr)
-	}
-	checkResult(t, queuedRes, "a", "b")
-	checkResult(t, dupRes, "a")
+	// The held batch finishing flushes the queue, releasing every
+	// admitted waiter.
+	release()
+	waitQueued()
+	waitDup()
 	if !IsShed(ErrQueueFull) {
 		t.Error("IsShed(ErrQueueFull) = false")
 	}
@@ -432,5 +627,21 @@ func TestEmptySubmit(t *testing.T) {
 	}
 	if stub.callCount() != 0 {
 		t.Error("scorer called for an empty submit")
+	}
+}
+
+// BenchmarkSubmitLone is the unloaded floor: one caller, one item, an
+// idle dispatcher with default options and a scorer that costs nothing,
+// so ns/op is what the dispatcher itself adds to a lone request.
+func BenchmarkSubmitLone(b *testing.B) {
+	d := New(volumeScorer{}, Options{})
+	defer d.Close()
+	one := items("a")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.Submit(context.Background(), one); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

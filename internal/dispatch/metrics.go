@@ -36,9 +36,16 @@ var (
 		"Requests at or above the max batch size dispatched directly, "+
 			"skipping the queue (they are already a full batch).", "tenant")
 
+	vFlushes = obs.Default.CounterVec("cats_serve_flushes_total",
+		"Queue flushes by the rule that fired: size (max batch size "+
+			"reached), idle (submitted while no batch was running), drain "+
+			"(the last running batch finished), timer (max wait elapsed "+
+			"behind a running batch), close (dispatcher shutting down).", "reason", "tenant")
+
 	vWait = obs.Default.HistogramVec("cats_serve_wait_seconds",
-		"Time items spend queued before their batch dispatches — bounded "+
-			"by the max-wait flush policy.", obs.LatencyBuckets, "tenant")
+		"Time items spend queued before their batch starts scoring: near "+
+			"zero when submitted to an idle dispatcher, otherwise until the "+
+			"running batch finishes, capped by max wait.", obs.LatencyBuckets, "tenant")
 )
 
 // serveMetrics is one tenant's pre-resolved cats_serve_* handle set.
@@ -51,6 +58,11 @@ type serveMetrics struct {
 	shedClosed    *obs.Counter
 	coalesced     *obs.Counter
 	bypass        *obs.Counter
+	flushSize     *obs.Counter
+	flushIdle     *obs.Counter
+	flushDrain    *obs.Counter
+	flushTimer    *obs.Counter
+	flushClose    *obs.Counter
 	wait          *obs.Histogram
 }
 
@@ -72,6 +84,11 @@ func resolveServeMetrics(tenant string) *serveMetrics {
 		shedClosed:    vShed.With("closed", tenant),
 		coalesced:     vCoalesced.With(tenant),
 		bypass:        vBypass.With(tenant),
+		flushSize:     vFlushes.With("size", tenant),
+		flushIdle:     vFlushes.With("idle", tenant),
+		flushDrain:    vFlushes.With("drain", tenant),
+		flushTimer:    vFlushes.With("timer", tenant),
+		flushClose:    vFlushes.With("close", tenant),
 		wait:          vWait.With(tenant),
 	}
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sync"
 	"testing"
@@ -15,14 +16,25 @@ import (
 // TestBatchedMatchesUnbatched pins the dispatcher's transparency: the
 // same request through a batching service and a plain one must yield
 // byte-identical verdicts. newTestService builds from fixed seeds, so
-// two instances share the exact same trained model.
+// two instances share the exact same trained model. The request is
+// smaller than MaxBatch, so it goes through the queue and the
+// singleflight map rather than the bypass, and it ends with two items
+// that carry no ID: they are different items and must get different
+// verdicts, not share the first one's flight.
 func TestBatchedMatchesUnbatched(t *testing.T) {
 	_, plainTS, test := newTestService(t, Options{})
 	srv, batchTS, _ := newBatchedTestService(t, Options{},
-		&dispatch.Options{MaxBatch: 16, MaxWait: time.Millisecond})
+		&dispatch.Options{MaxBatch: 256, MaxWait: time.Millisecond})
 	defer srv.Close()
 
-	body, err := json.Marshal(DetectRequest{Items: test.Dataset.Items})
+	items := test.Dataset.Items
+	fraud, normal := test.Dataset.Split()
+	for _, it := range []*ecom.Item{fraud[0], normal[0]} {
+		anon := *it
+		anon.ID = ""
+		items = append(items, anon)
+	}
+	body, err := json.Marshal(DetectRequest{Items: items})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,6 +53,9 @@ func TestBatchedMatchesUnbatched(t *testing.T) {
 			t.Errorf("detection %d: plain %+v, batched %+v", i, plainOut.Detections[i], batchOut.Detections[i])
 		}
 	}
+	if n := len(batchOut.Detections); batchOut.Detections[n-2].Score == batchOut.Detections[n-1].Score {
+		t.Errorf("the two ID-less items share one verdict: %+v", batchOut.Detections[n-2:])
+	}
 	if plainOut.Reported != batchOut.Reported {
 		t.Errorf("reported: plain %d, batched %d", plainOut.Reported, batchOut.Reported)
 	}
@@ -49,15 +64,19 @@ func TestBatchedMatchesUnbatched(t *testing.T) {
 	}
 }
 
-// TestSaturationShedsWith503 drives a deliberately tiny admission queue
-// with a burst of concurrent distinct-item requests and asserts the
-// overload contract end to end: every response is 200 or 503, at least
-// one of each occurs, every 503 carries a Retry-After hint matching the
-// configured delay, and every 200 carries a full, correct verdict set.
+// TestSaturationShedsWith503 asserts the overload contract end to end
+// against a one-slot admission queue: a burst of concurrent distinct-item
+// requests is answered 200 or 503 and nothing else, every 503 carries a
+// Retry-After hint matching the configured delay, and every 200 carries
+// a full, correct verdict set. At least one of each occurs whatever the
+// scheduling: the first request to reach the idle dispatcher is always
+// admitted, and client 0 sends two items, which can never fit the queue.
+// (What a busy scorer does to the queue is dispatch.TestShedQueueFull's,
+// where the scorer can be held.)
 func TestSaturationShedsWith503(t *testing.T) {
 	srv, ts, test := newBatchedTestService(t, Options{}, &dispatch.Options{
 		MaxBatch:   64,
-		MaxWait:    500 * time.Millisecond, // hold the queue long enough to saturate
+		MaxWait:    500 * time.Millisecond,
 		MaxQueue:   1,
 		RetryAfter: 2 * time.Second,
 	})
@@ -68,7 +87,6 @@ func TestSaturationShedsWith503(t *testing.T) {
 		status     int
 		retryAfter string
 		detections int
-		itemID     string
 	}
 	outcomes := make([]outcome, clients)
 	var wg sync.WaitGroup
@@ -77,8 +95,14 @@ func TestSaturationShedsWith503(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			item := test.Dataset.Items[c%len(test.Dataset.Items)]
-			item.ID = item.ID + "-sat" // distinct IDs: no coalescing escape hatch
-			body, err := json.Marshal(DetectRequest{Items: []ecom.Item{item}})
+			item.ID = fmt.Sprintf("%s-sat%d", item.ID, c) // distinct IDs: no coalescing escape hatch
+			items := []ecom.Item{item}
+			if c == 0 {
+				second := item
+				second.ID += "-b"
+				items = append(items, second)
+			}
+			body, err := json.Marshal(DetectRequest{Items: items})
 			if err != nil {
 				t.Error(err)
 				return
@@ -89,7 +113,7 @@ func TestSaturationShedsWith503(t *testing.T) {
 				return
 			}
 			defer resp.Body.Close()
-			out := outcome{status: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After"), itemID: item.ID}
+			out := outcome{status: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After")}
 			if resp.StatusCode == http.StatusOK {
 				var dr DetectResponse
 				if err := json.NewDecoder(resp.Body).Decode(&dr); err != nil {
@@ -123,11 +147,11 @@ func TestSaturationShedsWith503(t *testing.T) {
 			t.Errorf("client %d: status %d, want 200 or 503", c, o.status)
 		}
 	}
+	if outcomes[0].status != http.StatusServiceUnavailable {
+		t.Errorf("the two-item request got %d, want 503: it cannot fit a one-slot queue", outcomes[0].status)
+	}
 	if ok == 0 {
 		t.Error("no request was admitted; queue never drained")
-	}
-	if shed == 0 {
-		t.Error("no request was shed despite MaxQueue=1 under a 32-client burst")
 	}
 	t.Logf("saturation burst: %d admitted, %d shed with 503 + Retry-After", ok, shed)
 }

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/synth"
 	"repro/internal/trainer"
 )
 
@@ -61,6 +64,77 @@ func FuzzDecodeRequest(f *testing.F) {
 			if resp.StatusCode >= 500 {
 				t.Fatalf("%s returned %d for body %q; arbitrary input must never be a server error",
 					path, resp.StatusCode, body)
+			}
+		}
+	})
+}
+
+// FuzzDecodeDetectDifferential holds the single-pass request decoder to
+// encoding/json. For arbitrary bytes: when the fast decoder accepts a
+// body, encoding/json accepts it too and yields the same items (nothing
+// is asserted when it declines — declining is always allowed); and a
+// server answers /v1/detect and /v1/explain with the same status and
+// the same verdicts as a server that sends every body through
+// encoding/json.
+func FuzzDecodeDetectDifferential(f *testing.F) {
+	det, analyzer, _ := trainTestDetector(f)
+	opts := Options{MaxItems: 4, MaxBodyBytes: 1 << 16}
+	srv := serveDetector(f, det, analyzer, opts, nil)
+	oracle := serveDetector(f, det, analyzer, opts, nil)
+	oracle.stdlibOnly = true
+	handler, oracleHandler := srv.Handler(), oracle.Handler()
+
+	test := synth.Generate(synth.Config{Name: "svc-fuzz", Seed: 95, FraudEvidence: 1, Normal: 2, Shops: 1})
+	if valid, err := json.Marshal(DetectRequest{Items: test.Dataset.Items}); err == nil {
+		f.Add(valid)
+	}
+	if valid, err := json.Marshal(ExplainRequest{Item: test.Dataset.Items[0]}); err == nil {
+		f.Add(valid)
+	}
+	for _, s := range decodeSeeds {
+		f.Add([]byte(s))
+		f.Add([]byte(strings.Replace(s, `{"items":[`, `{"item":`, 1)))
+	}
+
+	post := func(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkDetectDifferential(t, body)
+
+		got, want := post(handler, "/v1/detect", body), post(oracleHandler, "/v1/detect", body)
+		if got.Code != want.Code {
+			t.Fatalf("/v1/detect status %d, encoding/json alone %d, for body %q", got.Code, want.Code, body)
+		}
+		if got.Code == http.StatusOK {
+			var g, w DetectResponse
+			if err := json.Unmarshal(got.Body.Bytes(), &g); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(want.Body.Bytes(), &w); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(g.Detections, w.Detections) {
+				t.Fatalf("/v1/detect detections differ for body %q:\n got  %+v\n want %+v", body, g.Detections, w.Detections)
+			}
+		}
+
+		got, want = post(handler, "/v1/explain", body), post(oracleHandler, "/v1/explain", body)
+		if got.Code != want.Code {
+			t.Fatalf("/v1/explain status %d, encoding/json alone %d, for body %q", got.Code, want.Code, body)
+		}
+		if got.Code == http.StatusOK {
+			var g, w ExplainResponse
+			if err := json.Unmarshal(got.Body.Bytes(), &g); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(want.Body.Bytes(), &w); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(g.Detection, w.Detection) || !reflect.DeepEqual(g.Vector, w.Vector) {
+				t.Fatalf("/v1/explain differs for body %q:\n got  %+v %v\n want %+v %v", body, g.Detection, g.Vector, w.Detection, w.Vector)
 			}
 		}
 	})

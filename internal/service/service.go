@@ -34,13 +34,16 @@
 // server's default tenant, so single-tenant deployments and existing
 // clients keep working unchanged.
 //
-// All payloads are JSON. Request bodies are size-capped (oversized
-// bodies yield 413), malformed input yields 400 rather than 500, and a
-// wrong method yields 405 with an Allow header. Every route is wrapped
-// in obs HTTP middleware: per-route request counts by status code,
-// per-route latency histograms, and an in-flight gauge. Route labels
-// use the registered pattern ("/t/{tenant}/v1/detect"), so metric
-// cardinality stays bounded no matter how many tenants exist.
+// All payloads are JSON. Request bodies are size-capped (a body over
+// the cap yields 413 whatever it holds), malformed input yields 400
+// rather than 500, and a wrong method yields 405 with an Allow header.
+// Detect and explain bodies in the canonical encoding are read by a
+// single-pass decoder, everything else by encoding/json (decode.go).
+// Every route is wrapped in obs HTTP middleware: per-route request
+// counts by status code, per-route latency histograms, and an
+// in-flight gauge. Route labels use the registered pattern
+// ("/t/{tenant}/v1/detect"), so metric cardinality stays bounded no
+// matter how many tenants exist.
 //
 // With batching configured (registry.Options.Batching), each tenant's
 // detection requests flow through that tenant's own internal/dispatch
@@ -168,6 +171,11 @@ type Server struct {
 	ready  atomic.Bool
 	obsReg *obs.Registry
 	httpm  *obs.HTTPMetrics
+	// Which decoder read each detect/explain body (decode.go).
+	detectDecodes, explainDecodes decodeMetrics
+	// stdlibOnly sends every body through encoding/json. Only the
+	// differential tests set it: it makes a server the oracle.
+	stdlibOnly bool
 
 	driftMu sync.Mutex
 	drift   map[string]*driftState
@@ -194,6 +202,7 @@ func NewWithRegistry(reg *registry.Registry, opts Options) *Server {
 		httpm:  obs.NewHTTPMetrics(obsReg),
 		drift:  map[string]*driftState{},
 	}
+	s.detectDecodes, s.explainDecodes = newDecodeMetrics(obsReg)
 	s.ready.Store(true)
 	return s
 }
@@ -436,8 +445,7 @@ type DetectResponse struct {
 
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	var req DetectRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	if err := s.decodeItems(w, r, s.detectDecodes, &req); err != nil {
 		writeError(w, decodeStatus(err), fmt.Sprintf("decode request: %v", err))
 		return
 	}
@@ -541,8 +549,7 @@ type ExplainResponse struct {
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req ExplainRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	if err := s.decodeItems(w, r, s.explainDecodes, &req); err != nil {
 		writeError(w, decodeStatus(err), fmt.Sprintf("decode request: %v", err))
 		return
 	}

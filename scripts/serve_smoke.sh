@@ -12,8 +12,14 @@
 # promotion swapping the default tenant mid-traffic with zero non-2xx),
 # probes /healthz, /readyz and /metrics (asserting the tenant-labeled
 # pipeline and trainer counters moved), then sends SIGTERM and requires
-# a clean exit. CI runs this via `make serve-smoke`; it needs only the
-# go toolchain and curl.
+# a clean exit. A second boot with -batch-max-wait 500ms then checks the
+# request path's two rules from the outside: a lone detect is dispatched
+# at once (answered far inside the max wait, cats_serve_flushes_total
+# shows an idle flush and no timer flush), and a body the single-pass
+# decoder declines (upper-case key, \u-escaped text) gets the same
+# verdicts through encoding/json (cats_http_decode_total{path="stdlib"}
+# moves). CI runs this via `make serve-smoke`; it needs only the go
+# toolchain and curl.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -240,6 +246,8 @@ for want in \
   'cats_serve_queue_depth{tenant="taobao"}' \
   'cats_serve_coalesced_total{tenant="taobao"}' \
   'cats_serve_shed_total{reason="queue_full",tenant="taobao"}' \
+  'cats_serve_flushes_total{reason="idle",tenant="taobao"}' \
+  'cats_http_decode_total{route="/v1/detect",path="fast"}' \
   'cats_registry_model_version{tenant="mobile"}' \
   'cats_registry_reloads_total{outcome="ok",tenant="taobao"}' \
   'cats_trainer_cycles_total{outcome="promoted",tenant="taobao"}' \
@@ -267,6 +275,77 @@ wait "${SERVER_PID}" || STATUS=$?
 SERVER_PID=""
 if [[ "${STATUS}" -ne 0 ]]; then
   echo "serve-smoke: FAIL: catsserve exited ${STATUS} on SIGTERM" >&2
+  exit 1
+fi
+
+echo "== serve-smoke: second boot, -batch-max-wait 500ms: a lone request does not pay it"
+"${WORK}/catsserve" -models "${WORK}/models" -default-tenant taobao \
+  -addr "127.0.0.1:${PORT}" -shutdown-timeout 10s \
+  -batch -batch-max-wait 500ms &
+SERVER_PID=$!
+for i in $(seq 1 50); do
+  if curl -fsS "${BASE}/healthz" >/dev/null 2>&1; then
+    break
+  fi
+  if ! kill -0 "${SERVER_PID}" 2>/dev/null; then
+    echo "serve-smoke: FAIL: server died during the second startup" >&2
+    exit 1
+  fi
+  sleep 0.2
+done
+
+# counter_value <series> — the sample value of one exact series, 0 if absent.
+counter_value() {
+  curl -fsS "${BASE}/metrics" \
+    | awk -v s="$1" 'index($0, s " ") == 1 { print $2; found = 1 } END { if (!found) print 0 }'
+}
+
+# One item in the canonical encoding, and the same item written the way
+# the single-pass decoder does not read: an upper-case key (encoding/json
+# folds case) and the comment text as \u escapes.
+CANONICAL='{"items":[{"item_id":"smoke-lone","shop_id":"s1","item_name":"n","price_cents":100,"sales_volume":50,"comments":[{"comment_id":"c1","item_id":"smoke-lone","comment_content":"好评很好","user_id":"u1","nickname":"n1","userExpValue":100,"client_information":1,"date":"2018-06-01T08:00:00Z"}],"label":0}]}'
+REENCODED='{"ITEMS":[{"item_id":"smoke-lone","shop_id":"s1","item_name":"n","price_cents":100,"sales_volume":50,"comments":[{"comment_id":"c1","item_id":"smoke-lone","comment_content":"\u597d\u8bc4\u5f88\u597d","user_id":"u1","nickname":"n1","userExpValue":100,"client_information":1,"date":"2018-06-01T08:00:00Z"}],"label":0}]}'
+
+LONE="$(curl -fsS -o "${WORK}/canonical.out" -w '%{time_total}' -X POST \
+  -H 'Content-Type: application/json' -d "${CANONICAL}" "${BASE}/v1/detect")"
+if ! awk -v t="${LONE}" 'BEGIN { exit !(t < 0.25) }'; then
+  echo "serve-smoke: FAIL: a lone detect took ${LONE}s under -batch-max-wait 500ms; it waited for the timer" >&2
+  exit 1
+fi
+IDLE="$(counter_value 'cats_serve_flushes_total{reason="idle",tenant="taobao"}')"
+TIMER="$(counter_value 'cats_serve_flushes_total{reason="timer",tenant="taobao"}')"
+if [[ "${IDLE}" -lt 1 || "${TIMER}" -ne 0 ]]; then
+  echo "serve-smoke: FAIL: flushes after one lone detect: idle=${IDLE} timer=${TIMER}, want >=1 and 0" >&2
+  exit 1
+fi
+echo "== serve-smoke: lone detect answered in ${LONE}s (idle flushes ${IDLE}, timer flushes ${TIMER})"
+
+STDLIB_BEFORE="$(counter_value 'cats_http_decode_total{route="/v1/detect",path="stdlib"}')"
+curl -fsS -o "${WORK}/reencoded.out" -X POST -H 'Content-Type: application/json' \
+  -d "${REENCODED}" "${BASE}/v1/detect"
+STDLIB_AFTER="$(counter_value 'cats_http_decode_total{route="/v1/detect",path="stdlib"}')"
+detections() { grep -o '"detections":\[[^]]*\]' "$1"; }
+if [[ -z "$(detections "${WORK}/canonical.out")" || "$(detections "${WORK}/canonical.out")" != "$(detections "${WORK}/reencoded.out")" ]]; then
+  echo "serve-smoke: FAIL: re-encoded body scored differently:" >&2
+  cat "${WORK}/canonical.out" "${WORK}/reencoded.out" >&2
+  exit 1
+fi
+if [[ "${STDLIB_AFTER}" -le "${STDLIB_BEFORE}" ]]; then
+  echo "serve-smoke: FAIL: cats_http_decode_total{path=\"stdlib\"} did not move (${STDLIB_BEFORE} -> ${STDLIB_AFTER})" >&2
+  exit 1
+fi
+if [[ "$(counter_value 'cats_http_decode_total{route="/v1/detect",path="fast"}')" -lt 1 ]]; then
+  echo "serve-smoke: FAIL: the canonical body did not take the fast decoder" >&2
+  exit 1
+fi
+echo "== serve-smoke: re-encoded body took encoding/json and got the same verdicts"
+
+kill -TERM "${SERVER_PID}"
+STATUS=0
+wait "${SERVER_PID}" || STATUS=$?
+SERVER_PID=""
+if [[ "${STATUS}" -ne 0 ]]; then
+  echo "serve-smoke: FAIL: catsserve (second boot) exited ${STATUS} on SIGTERM" >&2
   exit 1
 fi
 echo "== serve-smoke: PASS"
