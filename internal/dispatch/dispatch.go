@@ -11,13 +11,15 @@
 // dispatcher fixes both:
 //
 //   - Submitted items enqueue onto a bounded queue. A Submit that finds
-//     no batch running flushes at once — there is nothing to coalesce
-//     with, so waiting would only add latency. While a batch is running
-//     the queue holds, and flushes when the last running batch finishes
-//     (what queued during one batch is the next), when MaxBatch items
-//     are waiting, or when MaxWait has elapsed since the queue went
-//     non-empty, whichever comes first. Each flush scores the whole
-//     queue through one fused Scorer call per MaxBatch chunk.
+//     the scorer idle — none of its own batches running, and no
+//     dispatcher in the process having dispatched or retired one within
+//     the last MaxWait — flushes at once: traffic that sparse has
+//     nothing to coalesce with, so waiting would only add latency.
+//     Otherwise the queue collects, and flushes when the last running
+//     batch finishes (what queued during one batch is the next), when
+//     MaxBatch items are waiting, or when MaxWait has elapsed since the
+//     queue went non-empty, whichever comes first. Each flush scores
+//     the whole queue through one fused Scorer call per MaxBatch chunk.
 //   - A singleflight map keyed by item ID deduplicates identical
 //     in-flight items: later submissions attach to the existing flight
 //     and share its verdict instead of re-running analysis.
@@ -42,6 +44,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -60,9 +63,9 @@ type Options struct {
 	// MaxBatch flushes the queue once this many items are waiting, and
 	// is the chunk size of dispatched batches; <= 0 means 256.
 	MaxBatch int
-	// MaxWait caps how long an item queued behind a running batch waits
-	// before the queue is flushed anyway; an item submitted while no
-	// batch is running does not wait at all. <= 0 means 2ms.
+	// MaxWait caps how long a queued item waits before the queue is
+	// flushed anyway, and is how long the scorer must have been idle
+	// for an item to skip the queue wait altogether. <= 0 means 2ms.
 	MaxWait time.Duration
 	// MaxQueue bounds items enqueued and not yet dispatched. A request
 	// whose new (non-coalesced) items do not fit is shed with
@@ -151,6 +154,13 @@ type flight struct {
 	err      error
 }
 
+// lastBusy is when a dispatcher in this process last dispatched or
+// retired a batch, in Unix nanoseconds. It is shared by every
+// dispatcher because the cores are: each tenant's batches fan out over
+// the same GOMAXPROCS workers, so whether the scorer is idle is a fact
+// about the process, not about one tenant's queue.
+var lastBusy atomic.Int64
+
 // Dispatcher coalesces concurrent Submit calls into fused Scorer
 // batches. It is safe for concurrent use.
 type Dispatcher struct {
@@ -164,7 +174,7 @@ type Dispatcher struct {
 	queue    []*flight          // awaiting dispatch, FIFO
 	inflight map[string]*flight // non-empty item ID → queued-or-scoring flight
 	running  int                // batches dispatched and not yet finished
-	timer    *time.Timer        // armed while the queue waits behind a running batch
+	timer    *time.Timer        // armed while the queue collects
 	wg       sync.WaitGroup     // outstanding batch goroutines
 }
 
@@ -265,9 +275,10 @@ func (d *Dispatcher) Submit(ctx context.Context, items []ecom.Item) (Result, err
 	switch {
 	case len(d.queue) >= d.opts.MaxBatch:
 		d.flushLocked(d.m.flushSize)
-	case d.running == 0:
-		// Nothing is scoring, so nothing more will coalesce onto this
-		// queue by waiting: dispatch now.
+	case d.running == 0 && now.UnixNano()-lastBusy.Load() >= int64(d.opts.MaxWait):
+		// Nothing is scoring and nothing has been for MaxWait, so
+		// nothing more will coalesce onto this queue by waiting:
+		// dispatch now.
 		d.flushLocked(d.m.flushIdle)
 	case len(d.queue) > 0 && d.timer == nil:
 		d.armTimerLocked()
@@ -342,8 +353,8 @@ func (d *Dispatcher) bypass(ctx context.Context, items []ecom.Item) (Result, err
 	return Result{Detections: dets, Features: X}, nil
 }
 
-// armTimerLocked starts the MaxWait cap on a queue that is waiting
-// behind a running batch. Callers hold d.mu.
+// armTimerLocked starts the MaxWait cap on a queue that went non-empty
+// and was left to collect. Callers hold d.mu.
 func (d *Dispatcher) armTimerLocked() {
 	var t *time.Timer
 	t = time.AfterFunc(d.opts.MaxWait, func() {
@@ -370,6 +381,7 @@ func (d *Dispatcher) flushLocked(reason *obs.Counter) {
 		return
 	}
 	reason.Inc()
+	lastBusy.Store(time.Now().UnixNano())
 	for len(d.queue) > 0 {
 		n := d.opts.MaxBatch
 		if n > len(d.queue) {
@@ -418,6 +430,7 @@ func (d *Dispatcher) runBatch(batch []*flight) {
 			delete(d.inflight, f.item.ID)
 		}
 	}
+	lastBusy.Store(time.Now().UnixNano())
 	if d.running--; d.running == 0 {
 		d.flushLocked(d.m.flushDrain)
 	}

@@ -126,12 +126,18 @@ func checkResult(t *testing.T, res Result, ids ...string) {
 	}
 }
 
+// idleProcess forgets every batch the process has scored so far, the
+// dispatchers of earlier tests included: the next Submit finds the
+// scorer idle however short a while ago that was.
+func idleProcess() { lastBusy.Store(0) }
+
 // holdScorer makes the dispatcher busy: it submits one item ("gate")
-// whose batch blocks inside the scorer, so every later Submit finds a
-// batch running and queues behind it. The returned release opens the
-// gate and waits for the gate's own Submit to return.
+// to an idle process, whose batch blocks inside the scorer, so every
+// later Submit finds a batch running and queues behind it. The returned
+// release opens the gate and waits for the gate's own Submit to return.
 func holdScorer(t *testing.T, d *Dispatcher) (stub *stubScorer, release func()) {
 	t.Helper()
+	idleProcess()
 	stub = d.scorer.(*stubScorer)
 	stub.started, stub.release = make(chan struct{}), make(chan struct{})
 	done := make(chan error, 1)
@@ -173,7 +179,7 @@ func submitAsync(t *testing.T, d *Dispatcher, ids ...string) (wait func()) {
 // serveCounts is a reading of the dispatcher's flush-rule and coalesce
 // counters. The series are per tenant label and outlive a Dispatcher, so
 // tests compare readings, never absolute values.
-type serveCounts struct{ size, idle, drain, timer, coalesced uint64 }
+type serveCounts struct{ size, idle, drain, timer, close, coalesced uint64 }
 
 func countsOf(d *Dispatcher) serveCounts {
 	return serveCounts{
@@ -181,6 +187,7 @@ func countsOf(d *Dispatcher) serveCounts {
 		idle:      d.m.flushIdle.Value(),
 		drain:     d.m.flushDrain.Value(),
 		timer:     d.m.flushTimer.Value(),
+		close:     d.m.flushClose.Value(),
 		coalesced: d.m.coalesced.Value(),
 	}
 }
@@ -188,7 +195,7 @@ func countsOf(d *Dispatcher) serveCounts {
 // since returns how far each counter moved after the reading before.
 func (c serveCounts) since(before serveCounts) serveCounts {
 	return serveCounts{c.size - before.size, c.idle - before.idle, c.drain - before.drain,
-		c.timer - before.timer, c.coalesced - before.coalesced}
+		c.timer - before.timer, c.close - before.close, c.coalesced - before.coalesced}
 }
 
 // awaitQueued blocks until n items are queued and not yet dispatched.
@@ -204,6 +211,7 @@ func TestIdleSubmitDoesNotWait(t *testing.T) {
 	// an idle dispatcher does not wait for it.
 	d := New(stub, Options{MaxBatch: 100, MaxWait: time.Hour, Tenant: t.Name()})
 	defer d.Close()
+	idleProcess()
 	before := countsOf(d)
 	res, err := d.Submit(context.Background(), items("a", "b"))
 	if err != nil {
@@ -214,6 +222,60 @@ func TestIdleSubmitDoesNotWait(t *testing.T) {
 		t.Errorf("scorer calls = %d, want 1", got)
 	}
 	if got, want := countsOf(d).since(before), (serveCounts{idle: 1}); got != want {
+		t.Errorf("counters moved %+v, want %+v", got, want)
+	}
+}
+
+// TestRecentlyBusyProcessCollects is the other half of the idle rule:
+// a Submit that follows a batch by less than MaxWait is traffic, not a
+// lone request, and is left to collect — on the dispatcher that scored
+// the batch and on any other in the process, since they share the
+// cores. MaxWait is an hour, so only Close can flush what collected.
+func TestRecentlyBusyProcessCollects(t *testing.T) {
+	stub, other := &stubScorer{}, &stubScorer{}
+	d := New(stub, Options{MaxBatch: 100, MaxWait: time.Hour, Tenant: t.Name()})
+	d2 := New(other, Options{MaxBatch: 100, MaxWait: time.Hour, Tenant: t.Name() + "/other"})
+	defer d.Close()
+	defer d2.Close()
+	idleProcess()
+	before, before2 := countsOf(d), countsOf(d2)
+	if _, err := d.Submit(context.Background(), items("a")); err != nil {
+		t.Fatal(err)
+	}
+
+	waitB := submitAsync(t, d, "b")
+	waitC := submitAsync(t, d2, "c")
+	awaitQueued(d, 1)
+	awaitQueued(d2, 1)
+	if got := stub.callCount() + other.callCount(); got != 1 {
+		t.Fatalf("scorer calls = %d with b and c queued, want 1 (a's)", got)
+	}
+	d.Close()
+	d2.Close()
+	waitB()
+	waitC()
+	if got, want := countsOf(d).since(before), (serveCounts{idle: 1, close: 1}); got != want {
+		t.Errorf("counters moved %+v, want %+v", got, want)
+	}
+	if got, want := countsOf(d2).since(before2), (serveCounts{close: 1}); got != want {
+		t.Errorf("other dispatcher's counters moved %+v, want %+v", got, want)
+	}
+}
+
+// TestIdleAgainAfterMaxWait: the scorer counts as idle again once
+// MaxWait has passed since the last batch.
+func TestIdleAgainAfterMaxWait(t *testing.T) {
+	d := New(&stubScorer{}, Options{MaxBatch: 100, MaxWait: 5 * time.Millisecond, Tenant: t.Name()})
+	defer d.Close()
+	idleProcess()
+	before := countsOf(d)
+	for _, id := range []string{"a", "b"} {
+		if _, err := d.Submit(context.Background(), items(id)); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if got, want := countsOf(d).since(before), (serveCounts{idle: 2}); got != want {
 		t.Errorf("counters moved %+v, want %+v", got, want)
 	}
 }
@@ -632,7 +694,9 @@ func TestEmptySubmit(t *testing.T) {
 
 // BenchmarkSubmitLone is the unloaded floor: one caller, one item, an
 // idle dispatcher with default options and a scorer that costs nothing,
-// so ns/op is what the dispatcher itself adds to a lone request.
+// so ns/op is what the dispatcher itself adds to a lone request. The
+// process is declared idle before every Submit: back to back they would
+// be traffic, and collect for MaxWait each.
 func BenchmarkSubmitLone(b *testing.B) {
 	d := New(volumeScorer{}, Options{})
 	defer d.Close()
@@ -640,6 +704,7 @@ func BenchmarkSubmitLone(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		idleProcess()
 		if _, err := d.Submit(context.Background(), one); err != nil {
 			b.Fatal(err)
 		}

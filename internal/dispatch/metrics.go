@@ -38,14 +38,14 @@ var (
 
 	vFlushes = obs.Default.CounterVec("cats_serve_flushes_total",
 		"Queue flushes by the rule that fired: size (max batch size "+
-			"reached), idle (submitted while no batch was running), drain "+
+			"reached), idle (submitted to a scorer idle for max wait), drain "+
 			"(the last running batch finished), timer (max wait elapsed "+
-			"behind a running batch), close (dispatcher shutting down).", "reason", "tenant")
+			"since the queue went non-empty), close (dispatcher shutting down).", "reason", "tenant")
 
 	vWait = obs.Default.HistogramVec("cats_serve_wait_seconds",
 		"Time items spend queued before their batch starts scoring: near "+
-			"zero when submitted to an idle dispatcher, otherwise until the "+
-			"running batch finishes, capped by max wait.", obs.LatencyBuckets, "tenant")
+			"zero when submitted to an idle scorer, otherwise until the "+
+			"running batch finishes or max wait has passed.", obs.LatencyBuckets, "tenant")
 )
 
 // serveMetrics is one tenant's pre-resolved cats_serve_* handle set.

@@ -18,7 +18,10 @@
 # shows an idle flush and no timer flush), and a body the single-pass
 # decoder declines (upper-case key, \u-escaped text) gets the same
 # verdicts through encoding/json (cats_http_decode_total{path="stdlib"}
-# moves). CI runs this via `make serve-smoke`; it needs only the go
+# moves). That second detect follows the first inside the max wait, so
+# it is traffic and collects for it (the flush counters are printed;
+# which rule fired depends on how fast the script ran, so it is not
+# asserted). CI runs this via `make serve-smoke`; it needs only the go
 # toolchain and curl.
 set -euo pipefail
 
@@ -338,7 +341,9 @@ if [[ "$(counter_value 'cats_http_decode_total{route="/v1/detect",path="fast"}')
   echo "serve-smoke: FAIL: the canonical body did not take the fast decoder" >&2
   exit 1
 fi
-echo "== serve-smoke: re-encoded body took encoding/json and got the same verdicts"
+echo "== serve-smoke: re-encoded body took encoding/json and got the same verdicts" \
+  "(idle flushes $(counter_value 'cats_serve_flushes_total{reason="idle",tenant="taobao"}')," \
+  "timer flushes $(counter_value 'cats_serve_flushes_total{reason="timer",tenant="taobao"}'))"
 
 kill -TERM "${SERVER_PID}"
 STATUS=0
