@@ -369,6 +369,40 @@ func BenchmarkDetectStreamFilterHeavy(b *testing.B) {
 	}
 }
 
+// BenchmarkDetectStreamColumnar streams a columnar corpus of three
+// default-size batches through DetectStream, so the read, score and
+// emit stages overlap; it reports comments/s. Run it with -cpu 1,2: one
+// processor shows what the stages cost when nothing can overlap.
+func BenchmarkDetectStreamColumnar(b *testing.B) {
+	det, _ := benchFilterHeavyDetector(b)
+	u := synth.Generate(synth.Config{
+		Name: "col-detect", Seed: 32, FraudEvidence: 64, Normal: 3008, Shops: 24,
+	})
+	var buf bytes.Buffer
+	w := dataset.NewWriterFormat(&buf, dataset.FormatColumnar)
+	comments := 0
+	for i := range u.Dataset.Items {
+		comments += len(u.Dataset.Items[i].Comments)
+		if err := w.Write(&u.Dataset.Items[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := dataset.NewReader(bytes.NewReader(buf.Bytes()))
+		_, err := det.DetectStream(context.Background(), r, core.StreamOptions{},
+			func(*ecom.Item, core.Detection) error { return nil })
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(comments)*float64(b.N)/b.Elapsed().Seconds(), "comments/s")
+}
+
 func BenchmarkGBTTrainParallel(b *testing.B) {
 	ds := benchMLDataset(2000)
 	b.ResetTimer()

@@ -165,11 +165,14 @@ func (s *System) DetectContext(ctx context.Context, items []Item) ([]Detection, 
 	return s.detector.DetectContext(ctx, items, s.workers)
 }
 
-// DetectStream scores a JSONL stream of items (one Item per line) in
-// batches without materializing the dataset, honoring the system's
-// configured worker count — the path for larger-than-memory runs.
-// batchSize <= 0 means 1024. emit receives each item and its detection
-// in input order; a non-nil error from emit aborts the stream.
+// DetectStream scores a stream of items — JSONL (one Item per line) or
+// the columnar dataset format; the reader sniffs which — in batches
+// without materializing the dataset, honoring the system's configured
+// worker count: the path for larger-than-memory runs. batchSize <= 0
+// means 1024. Reading, scoring and emitting overlap, but emit is only
+// ever called from the calling goroutine, one call at a time, with each
+// item and its detection in input order; it must not keep the item past
+// its call. A non-nil error from emit aborts the stream.
 func (s *System) DetectStream(ctx context.Context, r io.Reader, batchSize int, emit func(*Item, Detection) error) (StreamStats, error) {
 	return s.detector.DetectStream(ctx, dataset.NewReader(r),
 		core.StreamOptions{BatchSize: batchSize, Workers: s.workers}, emit)

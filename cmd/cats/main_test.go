@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/synth"
@@ -82,5 +85,33 @@ func TestRunReportsTruncatedOutput(t *testing.T) {
 	}
 	if err := run("", detect, 0.5, 0, "/dev/full", "", "json", model); err == nil {
 		t.Fatal("run to /dev/full returned nil: a failed flush was reported as success")
+	}
+}
+
+// TestAppendRowMatchesFprintf: the TSV row written into the reused
+// buffer is, byte for byte, the row the fmt verbs it replaced print —
+// at the ends of the score range, at a score that rounds up into the
+// next decimal place, and for a filtered item.
+func TestAppendRowMatchesFprintf(t *testing.T) {
+	dets := []cats.Detection{
+		{ItemID: "zero", Score: 0},
+		{ItemID: "one", Score: 1, IsFraud: true},
+		{ItemID: "rounds-up", Score: 0.99995, IsFraud: true},
+		{ItemID: "rounds-down", Score: 0.99994999, IsFraud: true},
+		{ItemID: "half", Score: 0.5, IsFraud: true},
+		{ItemID: "tiny", Score: 4.9e-5},
+		{ItemID: "smallest", Score: math.SmallestNonzeroFloat64},
+		{ItemID: "third", Score: 1.0 / 3},
+		{ItemID: "filtered", Filtered: true},
+		{ItemID: "商品-7", Score: 0.12345, ClusterSize: 3, GraphBoost: 0.01},
+		{ItemID: ""},
+	}
+	var row []byte
+	for _, d := range dets {
+		want := fmt.Sprintf("%s\t%.4f\t%v\t%v\n", d.ItemID, d.Score, d.IsFraud, d.Filtered)
+		row = appendRow(row[:0], &d)
+		if string(row) != want {
+			t.Errorf("appendRow(%+v) = %q, Fprintf wrote %q", d, row, want)
+		}
 	}
 }

@@ -181,6 +181,13 @@ func (c *colReader) next() (*ecom.Item, error) {
 
 // loadChunk reads the next arena/items/comments block triple. Unknown
 // block names are skipped for forward compatibility.
+//
+// Every chunk gets a fresh arena string, item slice and comment slice;
+// nothing of the previous chunk is reused or overwritten. Items already
+// handed out therefore stay intact while a later chunk loads, which is
+// what lets core.DetectStream read ahead on one goroutine while another
+// still scores items of the chunk before (the JSONL reader allocates
+// per line and has the same property).
 func (c *colReader) loadChunk() error {
 	c.items, c.idx = nil, 0
 	var arena string

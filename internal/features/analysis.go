@@ -89,7 +89,20 @@ func (e *Extractor) AnalyzeComment(content string) CommentAnalysis {
 	ca := e.analyzeCommentWords(sc, content)
 	sc.endItem()
 	scratchPool.Put(sc)
+	e.countPasses(1, len(ca.Words))
 	return ca
+}
+
+// countPasses reports comments kernel passes that produced words word
+// tokens to the segmenter's pass counter and the analysis throughput
+// counters. The kernel's callers call it once per item: each of the
+// three is a single cache line that every analysis worker writes, and
+// one add per comment had the workers of a batch trading it back and
+// forth.
+func (e *Extractor) countPasses(comments, words int) {
+	e.seg.CountPasses(comments)
+	mCommentsAnalyzed.Add(uint64(comments))
+	mWordsAnalyzed.Add(uint64(words))
 }
 
 // analyzeCommentWords is analyzeComment plus the caller-owned word
@@ -107,7 +120,8 @@ func (e *Extractor) analyzeCommentWords(sc *scratch, content string) CommentAnal
 // then one loop over its word tokens by ID. The returned analysis has
 // no Words (the scratch holds offsets, not strings); words is their
 // number. sc must be inside a beginItem/endItem bracket, which scopes
-// the transient IDs and the distinct-word count.
+// the transient IDs and the distinct-word count, and the caller owes
+// one countPasses call for all the comments it ran through here.
 //
 // Results are bit-identical to the string-keyed formulation (the
 // oracle in the tests): a word's sentiment term is the same l1−l0
@@ -116,7 +130,7 @@ func (e *Extractor) analyzeCommentWords(sc *scratch, content string) CommentAnal
 //
 //cats:hotpath
 func (e *Extractor) analyzeComment(sc *scratch, content string) (ca CommentAnalysis, words int) {
-	sc.toks, ca.RuneLength, ca.PunctCount = e.seg.AppendWordTokens(sc.toks[:0], content)
+	sc.toks, ca.RuneLength, ca.PunctCount = e.seg.AppendWordTokensUncounted(sc.toks[:0], content)
 	sc.epoch++
 	epoch := sc.epoch
 	touched := sc.touched[:0]
@@ -168,8 +182,6 @@ func (e *Extractor) analyzeComment(sc *scratch, content string) (ca CommentAnaly
 	ca.DistinctWords = len(counts)
 	ca.Entropy = stats.EntropyOfCounts(counts, words)
 	ca.Sentiment = e.sent.Squash(logOdds, words)
-	mCommentsAnalyzed.Inc()
-	mWordsAnalyzed.Add(uint64(words))
 	return ca, words
 }
 
@@ -212,6 +224,7 @@ func (e *Extractor) AnalyzeItem(item *ecom.Item) *ItemAnalysis {
 	}
 	a.distinctWords = sc.distinct
 	sc.endItem()
+	e.countPasses(a.nComments, a.wordTotal)
 	return a
 }
 
@@ -236,6 +249,7 @@ func (e *Extractor) vectorSignal(sc *scratch, item *ecom.Item) ([]float64, bool)
 	}
 	a.distinctWords = sc.distinct
 	sc.endItem()
+	e.countPasses(a.nComments, a.wordTotal)
 	return a.Vector(), a.hasPositive
 }
 

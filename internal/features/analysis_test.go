@@ -1,6 +1,7 @@
 package features
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 	"unicode/utf8"
@@ -241,5 +242,58 @@ func TestAnalyzeItemSegmentsOncePerComment(t *testing.T) {
 	_ = e.CommentStructure("很好，满意！")
 	if got := e.seg.Segmentations() - before; got != 1 {
 		t.Fatalf("CommentStructure ran %d segmentation passes, want 1", got)
+	}
+}
+
+// TestVectorSignalCountsPassesOncePerItem: the kernel reports an item's
+// segmentation passes with one add per item, and the count stays exact
+// with many goroutines sharing the segmenter — the comment total of
+// everything analyzed, no more and no less. HasPositiveSignal stops at
+// the first positive word and counts only the comments it segmented.
+func TestVectorSignalCountsPassesOncePerItem(t *testing.T) {
+	e := synthExtractor(t)
+	items := []*ecom.Item{
+		item(),
+		item(""),
+		item("很好，满意！", "质量太差。", "好评好评"),
+		item("质量一般", "物流太差", "退货", "很好", "满意"),
+	}
+	perRound := 0
+	for _, it := range items {
+		perRound += len(it.Comments)
+	}
+	const goroutines, rounds = 8, 200
+	before := e.seg.Segmentations()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for _, it := range items {
+					e.VectorSignal(it)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := e.seg.Segmentations()-before, int64(goroutines*rounds*perRound); got != want {
+		t.Fatalf("%d goroutines x %d rounds counted %d passes, want %d", goroutines, rounds, got, want)
+	}
+
+	late := items[3] // first positive word in its fourth comment
+	before = e.seg.Segmentations()
+	if !e.HasPositiveSignal(late) {
+		t.Fatal("HasPositiveSignal missed the positive comment")
+	}
+	if got := e.seg.Segmentations() - before; got != 4 {
+		t.Fatalf("HasPositiveSignal counted %d passes, want 4 (it stops at the first positive word)", got)
+	}
+	before = e.seg.Segmentations()
+	if e.HasPositiveSignal(item("质量一般", "物流太差")) {
+		t.Fatal("HasPositiveSignal found a signal in two negative comments")
+	}
+	if got := e.seg.Segmentations() - before; got != 2 {
+		t.Fatalf("HasPositiveSignal counted %d passes over 2 comments", got)
 	}
 }

@@ -120,7 +120,7 @@ func (e *Extractor) HasPositiveSignal(item *ecom.Item) bool {
 	defer scratchPool.Put(sc)
 	for i := range item.Comments {
 		content := item.Comments[i].Content
-		sc.toks, _, _ = e.seg.AppendWordTokens(sc.toks[:0], content)
+		sc.toks, _, _ = e.seg.AppendWordTokensUncounted(sc.toks[:0], content)
 		for _, t := range sc.toks {
 			id := t.ID
 			if id == tokenize.NoID {
@@ -128,10 +128,12 @@ func (e *Extractor) HasPositiveSignal(item *ecom.Item) bool {
 				id = e.tableID(hashWord(text), text)
 			}
 			if id != tokenize.NoID && e.words[id].positive {
+				e.seg.CountPasses(i + 1)
 				return true
 			}
 		}
 	}
+	e.seg.CountPasses(len(item.Comments))
 	return false
 }
 

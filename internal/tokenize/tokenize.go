@@ -66,7 +66,10 @@ type Segmenter struct {
 	trie *matchTrie
 
 	// calls counts segmentation passes, so tests can assert the
-	// detection paths segment each comment exactly once.
+	// detection paths segment each comment exactly once. It is one
+	// cache line every goroutine using the segmenter writes, so the
+	// analysis kernel adds to it once per item (CountPasses), not once
+	// per comment.
 	calls atomic.Int64
 }
 
@@ -142,8 +145,15 @@ var tokenScratch = sync.Pool{New: func() any { b := make([]Token, 0, 64); return
 
 // Segmentations returns the number of segmentation passes run since
 // construction. One Segment/SegmentAll/Words call (or Append* variant)
-// is one pass.
+// is one pass; AppendWordTokensUncounted passes are included once their
+// caller has reported them with CountPasses.
 func (s *Segmenter) Segmentations() int64 { return s.calls.Load() }
+
+// CountPasses adds n to the pass counter on behalf of a caller that ran
+// n AppendWordTokensUncounted passes. Concurrent workers sharing one
+// segmenter all write this counter, so the analysis kernel reports an
+// item's passes with one call instead of one per comment.
+func (s *Segmenter) CountPasses(n int) { s.calls.Add(int64(n)) }
 
 // appendTokens is the Token-producing loop behind Segment, SegmentAll,
 // Words and their Append variants: one scan per token, each emitted as
@@ -180,6 +190,15 @@ type WordToken struct {
 //cats:hotpath
 func (s *Segmenter) AppendWordTokens(dst []WordToken, text string) (toks []WordToken, runes, punct int) {
 	s.calls.Add(1)
+	return s.AppendWordTokensUncounted(dst, text)
+}
+
+// AppendWordTokensUncounted is AppendWordTokens without the add to the
+// pass counter: the caller owes Segmentations one CountPasses call
+// covering every pass it ran this way.
+//
+//cats:hotpath
+func (s *Segmenter) AppendWordTokensUncounted(dst []WordToken, text string) (toks []WordToken, runes, punct int) {
 	toks = dst
 	for i := 0; i < len(text); {
 		end, n, kind, id := s.scan(text, i)

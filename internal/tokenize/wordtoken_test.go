@@ -1,6 +1,7 @@
 package tokenize
 
 import (
+	"slices"
 	"testing"
 	"unicode"
 	"unicode/utf8"
@@ -73,6 +74,19 @@ func checkWordTokens(t *testing.T, seg *Segmenter, text string) {
 	got, runes, punct := seg.AppendWordTokens(nil, text)
 	if d := seg.Segmentations() - before; d != 1 {
 		t.Fatalf("AppendWordTokens(%q) counted %d passes, want 1", text, d)
+	}
+	// The uncounted variant is the same pass and leaves the count to
+	// its caller's CountPasses.
+	same, sameRunes, samePunct := seg.AppendWordTokensUncounted(nil, text)
+	if !slices.Equal(same, got) || sameRunes != runes || samePunct != punct {
+		t.Fatalf("AppendWordTokensUncounted(%q) differs from AppendWordTokens", text)
+	}
+	if d := seg.Segmentations() - before; d != 1 {
+		t.Fatalf("AppendWordTokensUncounted(%q) moved the pass count to %d", text, d)
+	}
+	seg.CountPasses(3)
+	if d := seg.Segmentations() - before; d != 4 {
+		t.Fatalf("CountPasses(3) moved the pass count by %d", d-1)
 	}
 	var wantRunes, wantPunct, k int
 	for _, tok := range seg.SegmentAll(text) {
