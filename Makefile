@@ -25,12 +25,13 @@ lint-fixtures:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
-# Keep the serving binaries lean: the five classifiers that exist only
-# as rows of the Table III comparison (internal/experiments) must not
-# be in the dependency closure of what ships a model or serves one.
+# Keep the serving binaries lean: what exists only for the offline
+# experiments — the five Table III comparison classifiers, the
+# co-purchase graph, the experiments themselves — and the linter must
+# not be in the dependency closure of what ships a model or serves one.
 deps-check:
-	@out=$$($(GO) list -deps ./cmd/catsserve ./cmd/cats | grep -E '^repro/internal/ml/(svm|adaboost|mlp|tree|naivebayes)$$'); \
-	if [ -n "$$out" ]; then echo "catsserve/cats link comparison-only classifiers:"; echo "$$out"; exit 1; fi
+	@out=$$($(GO) list -deps ./cmd/catsserve ./cmd/cats | grep -E '^repro/internal/(ml/(svm|adaboost|mlp|tree|naivebayes)|graph|experiments|lint)$$'); \
+	if [ -n "$$out" ]; then echo "catsserve/cats link offline-only packages (comparison classifiers, graph, experiments, lint):"; echo "$$out"; exit 1; fi
 
 # The full pre-merge gate: compile, format, vet, invariant lint,
 # dependency closure, and tests.
@@ -72,11 +73,10 @@ bench-quick:
 # against the unicode-package definition, the service's request
 # decoder against arbitrary bodies (never a 5xx) and its single-pass
 # detect/explain decoder against encoding/json (accepts only what
-# encoding/json accepts, with the same items and answers), the columnar
-# container decoder against corrupt/truncated/hostile inputs (must
-# always fail diagnosably, never panic or over-allocate), and the
-# graph cluster-report decoder under the same contract. -fuzz takes
-# a single target per invocation, hence the separate runs.
+# encoding/json accepts, with the same items and answers), and the
+# columnar container decoder against corrupt/truncated/hostile inputs
+# (must always fail diagnosably, never panic or over-allocate). -fuzz
+# takes a single target per invocation, hence the separate runs.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentDifferential -fuzztime=10s ./internal/tokenize
 	$(GO) test -run='^$$' -fuzz=FuzzIsPunct -fuzztime=10s ./internal/tokenize
@@ -85,7 +85,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDetectDifferential -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFeedback -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzColfmtDecode -fuzztime=10s ./internal/colfmt
-	$(GO) test -run='^$$' -fuzz=FuzzReportDecode -fuzztime=10s ./internal/graph
 
 # End-to-end lifecycle smoke of the serving binary (CI runs this):
 # train a tiny model, boot catsserve, probe /healthz + /readyz, POST a

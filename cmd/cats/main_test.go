@@ -103,7 +103,7 @@ func TestAppendRowMatchesFprintf(t *testing.T) {
 		{ItemID: "smallest", Score: math.SmallestNonzeroFloat64},
 		{ItemID: "third", Score: 1.0 / 3},
 		{ItemID: "filtered", Filtered: true},
-		{ItemID: "商品-7", Score: 0.12345, ClusterSize: 3, GraphBoost: 0.01},
+		{ItemID: "商品-7", Score: 0.12345},
 		{ItemID: ""},
 	}
 	var row []byte

@@ -66,11 +66,6 @@ func (d *Dec) Failf(format string, args ...any) {
 
 func (d *Dec) remaining() int { return len(d.b) - d.off }
 
-// Remaining reports the unconsumed payload bytes, letting external
-// consumers bound their own count-driven allocations the way the
-// column helpers do internally.
-func (d *Dec) Remaining() int { return d.remaining() }
-
 // Uvarint reads an unsigned varint.
 //
 //cats:hotpath

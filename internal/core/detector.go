@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/ecom"
 	"repro/internal/features"
-	"repro/internal/graph"
 	"repro/internal/ml"
 	"repro/internal/ml/gbt"
 	"repro/internal/obs"
@@ -65,12 +63,6 @@ type Detector struct {
 	// m is the tenant-labeled pipeline instrumentation this detector
 	// reports into; SetMetricsTenant rebinds it. Never nil.
 	m *pipelineMetrics
-
-	// graphScorer is the optional organized-fraud feedback layer
-	// (internal/graph): items swarmed by risky co-purchase clusters
-	// get an evidence boost on top of the text score. Swapped
-	// atomically so a clustering refresh can land mid-traffic.
-	graphScorer atomic.Pointer[graph.Scorer]
 }
 
 // trainSampleCap bounds the retained drift baseline.
@@ -185,28 +177,12 @@ func (d *Detector) Train(ds *ecom.Dataset, workers int) error {
 // returned rows.
 func (d *Detector) TrainingSample() [][]float64 { return d.trainSample }
 
-// SetGraphScorer installs (or, with nil, removes) the cluster-evidence
-// scorer consulted on every scored item. Safe to call concurrently
-// with detection: in-flight batches see either the old or the new
-// scorer per item.
-func (d *Detector) SetGraphScorer(s *graph.Scorer) { d.graphScorer.Store(s) }
-
-// GraphScorer returns the installed cluster-evidence scorer, or nil.
-func (d *Detector) GraphScorer() *graph.Scorer { return d.graphScorer.Load() }
-
 // Detection is one scored item.
 type Detection struct {
 	ItemID   string
-	Score    float64 // P(fraud), including any cluster-evidence boost
+	Score    float64 // P(fraud)
 	IsFraud  bool    // Score >= Threshold
 	Filtered bool    // removed by the stage-one rule filter
-
-	// Cluster evidence (zero-valued unless a graph.Scorer is installed
-	// and attached this item to a qualifying cluster; presence is
-	// signaled by ClusterSize > 0).
-	ClusterID   int32   // attached cluster's report id
-	ClusterSize int     // attached cluster's member count
-	GraphBoost  float64 // score mass added by the cluster evidence
 }
 
 // analyzeOne fuses filter and feature extraction for one item from a
@@ -297,21 +273,9 @@ func (d *Detector) scoreBatch(ctx context.Context, items []ecom.Item, workers in
 	return dets, X, nil
 }
 
-// applyScore finalizes one detection from its fraud probability,
-// folding in cluster evidence when a graph scorer is installed. The
-// boost moves the score toward 1 by the evidence fraction
-// (score += boost·(1−score)), so it can push a borderline item over
-// the threshold but never past 1 and never down. Both scoring paths
-// (single-item and batch) converge here.
+// applyScore finalizes one detection from its fraud probability. Both
+// scoring paths (single-item and batch) converge here.
 func (d *Detector) applyScore(det *Detection, score float64) {
-	if s := d.graphScorer.Load(); s != nil {
-		if ev, ok := s.ItemEvidence(det.ItemID); ok {
-			det.ClusterID = ev.Cluster
-			det.ClusterSize = ev.Size
-			det.GraphBoost = ev.Boost * (1 - score)
-			score += det.GraphBoost
-		}
-	}
 	det.Score = score
 	det.IsFraud = score >= d.cfg.Threshold
 }

@@ -331,6 +331,16 @@ func TestRiskyUsers(t *testing.T) {
 	if r.PairUserSet > 2*r.CollusivePairs+2 {
 		t.Error("pair user set larger than possible")
 	}
+	// The funnel is deterministic at the test lab's scale. A direct
+	// count of user pairs sharing 2+ fraud items gives these numbers
+	// too, so a drift here is a change in graph's mining.
+	if r.RiskyUsers != 101 || r.CollusivePairs != 108 || r.PairUserSet != 37 {
+		t.Errorf("funnel = %d risky users, %d pairs, %d users; want 101, 108, 37",
+			r.RiskyUsers, r.CollusivePairs, r.PairUserSet)
+	}
+	if r.SkippedMegaItems != 0 {
+		t.Errorf("degree cap kept %d fraud items out of the pair count", r.SkippedMegaItems)
+	}
 }
 
 func TestFilterAblation(t *testing.T) {

@@ -48,10 +48,6 @@ type GraphResult struct {
 	RingsSplit     int `json:"rings_split"`
 	RingsMerged    int `json:"rings_merged"`
 
-	// BoostedItems is how many items the Scorer would boost at default
-	// evidence gates.
-	BoostedItems int `json:"boosted_items"`
-
 	PeakRSS int64 `json:"peak_rss_bytes"`
 }
 
@@ -95,7 +91,7 @@ func (l *Lab) Graph() (*GraphResult, error) {
 	// Phase 1: intern the population. User index i keeps dense id i
 	// (items likewise), so edge generation below skips the intern maps.
 	start := time.Now()
-	b := graph.NewBuilder(graph.Config{Tenant: "bench"})
+	b := graph.NewBuilder(graph.Config{})
 	b.Reserve(users, fraudItems+normalItems, edges)
 	for i := 0; i < users; i++ {
 		exp := int64(2500 + i%8000) // organic reputation
@@ -146,10 +142,9 @@ func (l *Lab) Graph() (*GraphResult, error) {
 
 	// Phase 4: mine pairs and cluster.
 	start = time.Now()
-	cl := g.Cluster()
+	rep := g.Cluster()
 	res.ClusterSeconds = time.Since(start).Seconds()
 
-	rep := cl.Report
 	res.CandidatePairs = rep.CandidatePairs
 	res.QualifyingPairs = rep.QualifyingPairs
 	res.Clusters = len(rep.Clusters)
@@ -160,9 +155,6 @@ func (l *Lab) Graph() (*GraphResult, error) {
 
 	res.RingsRecovered, res.RingsSplit, res.RingsMerged =
 		ringRecovery(rep, rings, ringUsers)
-
-	sc := cl.Scorer(graph.ScorerConfig{})
-	res.BoostedItems = sc.Items()
 
 	res.PeakRSS = peakRSSBytes()
 	return res, nil
@@ -225,8 +217,8 @@ func (r *GraphResult) String() string {
 		r.CandidatePairs, r.QualifyingPairs, r.Clusters, r.ClusteredUsers, r.SkippedMegaItems)
 	fmt.Fprintf(&b, "  risky     %d risky users, %d repeat fraud buyers\n",
 		r.RiskyUsers, r.RepeatBuyers)
-	fmt.Fprintf(&b, "  recovery  %d/%d rings exact (%d split, %d merged); %d items boosted by scorer\n",
-		r.RingsRecovered, r.RingsPlanted, r.RingsSplit, r.RingsMerged, r.BoostedItems)
+	fmt.Fprintf(&b, "  recovery  %d/%d rings exact (%d split, %d merged)\n",
+		r.RingsRecovered, r.RingsPlanted, r.RingsSplit, r.RingsMerged)
 	if r.PeakRSS > 0 {
 		fmt.Fprintf(&b, "  memory    peak RSS %s\n", fmtBytes(r.PeakRSS))
 	}

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/ecom"
+	"repro/internal/graph"
 	"repro/internal/stats"
 )
 
@@ -189,6 +189,10 @@ type RiskyUsersResult struct {
 	// paper finds 83,745 pairs collapsing to 1,056 distinct users.
 	CollusivePairs int
 	PairUserSet    int
+	// SkippedMegaItems is how many fraud items the graph's degree cap
+	// kept out of the pair count; the funnel above is the paper's only
+	// while this is 0. Not part of the report.
+	SkippedMegaItems int `json:"-"`
 }
 
 // RiskyUsers analyzes fraud-item purchase behavior on the E-platform
@@ -196,68 +200,44 @@ type RiskyUsersResult struct {
 // reported fraud items.
 func (l *Lab) RiskyUsers() *RiskyUsersResult {
 	ep := l.EPlat()
-	// items purchased per user, and buyers per item.
-	perUser := map[string]map[string]bool{}
+	// The funnel comes from the co-purchase graph at its defaults: the
+	// paper's threshold (pairs sharing 2+ fraud items), and a degree cap
+	// of 256 buyers that no synth fraud item (at most 40 comments, at
+	// every scale) can reach.
+	rep := graph.FromDataset(&ep.Dataset,
+		func(it *ecom.Item) bool { return it.Label.IsFraud() },
+		graph.Config{}).Cluster()
+	res := &RiskyUsersResult{
+		RiskyUsers:       rep.RiskyUsers,
+		CollusivePairs:   rep.QualifyingPairs,
+		PairUserSet:      rep.ClusteredUsers,
+		SkippedMegaItems: rep.SkippedMegaItems,
+	}
+
+	// Purchases count comments, not distinct items: a user who bought
+	// the same fraud item twice is a repeat purchaser here.
 	purchases := map[string]int{}
-	var fraudItems []*ecom.Item
 	for i := range ep.Dataset.Items {
 		it := &ep.Dataset.Items[i]
 		if !it.Label.IsFraud() {
 			continue
 		}
-		fraudItems = append(fraudItems, it)
 		for j := range it.Comments {
-			uid := it.Comments[j].UserID
-			purchases[uid]++
-			if perUser[uid] == nil {
-				perUser[uid] = map[string]bool{}
-			}
-			perUser[uid][it.ID] = true
+			purchases[it.Comments[j].UserID]++
 		}
 	}
-	res := &RiskyUsersResult{RiskyUsers: len(perUser)}
 	multi := 0
-	for uid, n := range purchases {
+	for _, n := range purchases {
 		if n > 1 {
 			multi++
 		}
 		if n > res.MaxPurchases {
 			res.MaxPurchases = n
 		}
-		_ = uid
 	}
 	if len(purchases) > 0 {
 		res.MultiBuyerShare = float64(multi) / float64(len(purchases))
 	}
-
-	// Count pairs sharing >= 2 fraud items: for each item, for each
-	// buyer pair, accumulate shared-item counts.
-	shared := map[[2]string]int{}
-	for _, it := range fraudItems {
-		buyers := map[string]bool{}
-		for j := range it.Comments {
-			buyers[it.Comments[j].UserID] = true
-		}
-		ids := make([]string, 0, len(buyers))
-		for uid := range buyers {
-			ids = append(ids, uid)
-		}
-		sort.Strings(ids)
-		for a := 0; a < len(ids); a++ {
-			for b := a + 1; b < len(ids); b++ {
-				shared[[2]string{ids[a], ids[b]}]++
-			}
-		}
-	}
-	users := map[string]bool{}
-	for pair, n := range shared {
-		if n >= 2 {
-			res.CollusivePairs++
-			users[pair[0]] = true
-			users[pair[1]] = true
-		}
-	}
-	res.PairUserSet = len(users)
 	return res
 }
 

@@ -72,8 +72,8 @@ func BenchmarkCluster(b *testing.B) {
 	g := benchEdges(20000, 200000).Build()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := g.Cluster()
-		if len(res.Report.Clusters) == 0 {
+		rep := g.Cluster()
+		if len(rep.Clusters) == 0 {
 			b.Fatal("no clusters")
 		}
 	}

@@ -22,8 +22,7 @@ type Cluster struct {
 	// cluster members among their buyers — the co-purchase evidence.
 	SharedFraudItems int `json:"shared_fraud_items"`
 	// ItemsTouched counts all items (fraud or not) with at least two
-	// cluster members among their buyers; a risky cluster swarming a
-	// not-yet-scored item is the feedback signal the Scorer surfaces.
+	// cluster members among their buyers.
 	ItemsTouched int `json:"items_touched"`
 	// FraudFraction is SharedFraudItems / ItemsTouched.
 	FraudFraction float64 `json:"fraud_fraction"`
@@ -38,8 +37,8 @@ type Cluster struct {
 // Report is the full clustering result: the pairs→clusters funnel
 // plus every cluster in canonical order (risk-relevant first: size
 // descending, then first member ascending). Reports are deterministic:
-// the same evidence yields byte-identical encodings regardless of edge
-// insertion order.
+// the same evidence yields the same report regardless of edge insertion
+// order.
 type Report struct {
 	Users int `json:"users"`
 	Items int `json:"items"`
@@ -70,27 +69,11 @@ type Report struct {
 	Clusters       []Cluster `json:"clusters"`
 }
 
-// Result is a clustering run over one graph: the serializable report
-// plus the item→cluster attachment the Scorer feeds back into
-// detection.
-type Result struct {
-	Report *Report
-
-	g *Graph
-	// itemCluster[i] is the cluster attached to item i (the cluster
-	// with the most members among its buyers, at least two), or -1.
-	itemCluster []int32
-}
-
 // Cluster mines co-purchase pairs and collapses them into clusters.
 // The pipeline is: qualifying pairs (count >= MinSharedItems) →
 // union-find components → per-cluster evidence stats in two flat
 // passes over the CSR arrays.
-func (g *Graph) Cluster() *Result {
-	m := graphByTenant.For(g.cfg.Tenant)
-	sp := startPhase(m.cluster)
-	defer sp.End()
-
+func (g *Graph) Cluster() *Report {
 	rep := &Report{
 		Users: len(g.userIDs), Items: len(g.itemIDs), Edges: g.edges,
 		FraudItems: g.fraudItems,
@@ -161,19 +144,16 @@ func (g *Graph) Cluster() *Result {
 		}
 	}
 
-	// Item attachment pass: for every item, count distinct member
-	// buyers per cluster; two or more attach the item as co-purchase
-	// evidence. userMark dedupes raw (non-fraud) buyer runs by epoch.
-	res := &Result{Report: rep, g: g, itemCluster: make([]int32, len(g.itemIDs))}
+	// Item evidence pass: for every item, count distinct member buyers
+	// per cluster; two or more make the item co-purchase evidence.
+	// userMark dedupes raw (non-fraud) buyer runs by epoch.
 	userMark := make([]int32, len(g.userIDs))
 	for i := range userMark {
 		userMark[i] = -1
 	}
 	var scratch []clusterCount
 	for it := range g.itemIDs {
-		res.itemCluster[it] = -1
 		scratch = countMembers(g.buyers(it), int32(it), clusterOf, userMark, scratch[:0])
-		best, bestN := int32(-1), int32(1)
 		for _, cc := range scratch {
 			if cc.n < 2 {
 				continue
@@ -182,11 +162,7 @@ func (g *Graph) Cluster() *Result {
 			if g.itemFraud[it] {
 				clusters[cc.cluster].SharedFraudItems++
 			}
-			if cc.n > bestN || (cc.n == bestN && (best < 0 || cc.cluster < best)) {
-				best, bestN = cc.cluster, cc.n
-			}
 		}
-		res.itemCluster[it] = best
 	}
 
 	for c := range clusters {
@@ -204,38 +180,19 @@ func (g *Graph) Cluster() *Result {
 	}
 
 	// Canonical report order: size descending, then first member
-	// ascending. Re-map the attachment to the final ids.
-	perm := make([]int32, len(clusters))
-	order := make([]int32, len(clusters))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ca, cb := &clusters[order[a]], &clusters[order[b]]
+	// ascending (members are disjoint, so first members never tie).
+	sort.Slice(clusters, func(a, b int) bool {
+		ca, cb := &clusters[a], &clusters[b]
 		if ca.Size != cb.Size {
 			return ca.Size > cb.Size
 		}
 		return ca.Users[0] < cb.Users[0]
 	})
-	rep.Clusters = make([]Cluster, len(clusters))
-	for newID, old := range order {
-		rep.Clusters[newID] = clusters[old]
-		rep.Clusters[newID].ID = int32(newID)
-		perm[old] = int32(newID)
+	for i := range clusters {
+		clusters[i].ID = int32(i)
 	}
-	for it := range res.itemCluster {
-		if res.itemCluster[it] >= 0 {
-			res.itemCluster[it] = perm[res.itemCluster[it]]
-		}
-	}
-
-	m.pairsCandidate.Add(uint64(rep.CandidatePairs))
-	m.pairsQualifying.Add(uint64(rep.QualifyingPairs))
-	m.clusters.Add(uint64(len(rep.Clusters)))
-	for i := range rep.Clusters {
-		m.clusterSize.Observe(float64(rep.Clusters[i].Size))
-	}
-	return res
+	rep.Clusters = clusters
+	return rep
 }
 
 // clusterCount is one item's per-cluster distinct-buyer tally.

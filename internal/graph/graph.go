@@ -1,39 +1,3 @@
-// Package graph is the organized-fraud detection layer: it mines
-// colluding-user clusters from user→item purchase evidence at
-// millions-of-users scale on one machine.
-//
-// The paper's measurement study (§V) finds 83,745 risky-user pairs
-// sharing 2+ fraud items that collapse to just 1,056 colluding users —
-// hired promotion rings that co-purchase the same campaign items over
-// and over. Per-item text features cannot see that structure: a ring's
-// comments are spread across many items, each individually plausible.
-// What separates an organized campaign from noise is the co-purchase
-// graph (Marchal & Szyller's scalable categorical clustering, Fire et
-// al.'s bidder networks), so this package builds exactly that:
-//
-//  1. A compact CSR bipartite adjacency over user→item evidence edges
-//     (comments/orders). String ids are interned once at build into
-//     dense int32 ids; the adjacency is two flat arrays (offsets +
-//     edges) in the spirit of internal/ml/gbt's flattened ensemble —
-//     no per-node allocation, no pointers to chase.
-//  2. Co-purchase pair mining: for each fraud-scored item's buyer
-//     list, emit user pairs into an open-addressing count table keyed
-//     by the packed (lo,hi) id pair. Only fraud-scored items are
-//     mined, a per-item degree cap bounds the quadratic blowup on
-//     mega-items, and pairs must share Config.MinSharedItems fraud
-//     items (the paper uses 2+) to qualify.
-//  3. Path-compressed weighted union-find collapses qualifying pairs
-//     into connected components with per-cluster stats: size, shared
-//     fraud items, mean buyer ExpValue, fraud fraction of the items
-//     the cluster touches, and a composite risk score.
-//  4. A Scorer feeds cluster-level risk back as item evidence:
-//     core.Detector consults it after the classifier so items touched
-//     by large risky clusters get a score boost, and internal/service
-//     surfaces the cluster report on /t/{tenant}/v1/clusters.
-//
-// Everything is deterministic: the same evidence always produces a
-// byte-identical cluster report (clusters and members are emitted in
-// canonical order, independent of edge insertion order).
 package graph
 
 import (
@@ -63,9 +27,6 @@ type Config struct {
 	// MinClusterSize drops smaller components from the report;
 	// <= 0 means 2 (a single qualifying pair is already a cluster).
 	MinClusterSize int
-	// Tenant labels the cats_graph_* metrics this build reports into;
-	// empty means "default".
-	Tenant string
 }
 
 func (c Config) withDefaults() Config {
@@ -77,9 +38,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinClusterSize <= 0 {
 		c.MinClusterSize = 2
-	}
-	if c.Tenant == "" {
-		c.Tenant = DefaultTenant
 	}
 	return c
 }
@@ -171,8 +129,7 @@ func (b *Builder) Item(id string) ItemID {
 }
 
 // MarkFraud flags an item as fraud-scored: only flagged items feed
-// the pair miner. The flag typically comes from the detector's verdict
-// (or ground-truth labels in experiments).
+// the pair miner.
 func (b *Builder) MarkFraud(it ItemID) { b.itemFraud[it] = true }
 
 // AddEdge records one user→item evidence edge (a comment or order).
@@ -217,8 +174,6 @@ type Graph struct {
 // arrays are consumed (the scatter reuses one of them as scratch);
 // the builder must not be used afterwards.
 func (b *Builder) Build() *Graph {
-	m := graphByTenant.For(b.cfg.Tenant)
-	sp := startPhase(m.buildCSR)
 	g := &Graph{
 		cfg:     b.cfg,
 		userIDs: b.userIDs, userExp: b.userExp,
@@ -255,8 +210,6 @@ func (b *Builder) Build() *Graph {
 		g.itemEnd[it] = g.itemOff[it] + int64(dedupeSorted(run))
 	}
 	b.edgeUsers, b.edgeItems = nil, nil
-	sp.End()
-	m.edges.Add(uint64(g.edges))
 	return g
 }
 
@@ -322,8 +275,7 @@ func (g *Graph) buyers(it int) []UserID {
 
 // FromDataset builds a graph from a labeled dataset: one edge per
 // comment, with fraudScored deciding which items feed the pair miner
-// (ground-truth labels offline, detector verdicts in a deployment
-// feedback loop).
+// (ground-truth labels in the experiments).
 func FromDataset(ds *ecom.Dataset, fraudScored func(*ecom.Item) bool, cfg Config) *Graph {
 	b := NewBuilder(cfg)
 	for i := range ds.Items {

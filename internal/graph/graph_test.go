@@ -2,8 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
-	"reflect"
 	"sort"
 	"strconv"
 	"testing"
@@ -129,18 +129,29 @@ func TestPairMiningDegreeCap(t *testing.T) {
 	}
 }
 
+// reportBytes is the report's encoding/json form: every field of every
+// cluster, in report order.
+func reportBytes(t *testing.T, rep *Report) []byte {
+	t.Helper()
+	b, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // clusterReportBytes builds, clusters, and encodes one run over the
 // given dataset.
-func clusterReportBytes(ds *ecom.Dataset) []byte {
+func clusterReportBytes(t *testing.T, ds *ecom.Dataset) []byte {
 	g := FromDataset(ds, func(it *ecom.Item) bool { return it.Label.IsFraud() }, Config{})
-	return EncodeReport(g.Cluster().Report)
+	return reportBytes(t, g.Cluster())
 }
 
 func TestReportDeterminism(t *testing.T) {
 	u := synth.RingAttack(synth.RingConfig{Seed: 7})
-	first := clusterReportBytes(&u.Dataset)
+	first := clusterReportBytes(t, &u.Dataset)
 	for run := 0; run < 3; run++ {
-		again := clusterReportBytes(&synth.RingAttack(synth.RingConfig{Seed: 7}).Dataset)
+		again := clusterReportBytes(t, &synth.RingAttack(synth.RingConfig{Seed: 7}).Dataset)
 		if !bytes.Equal(first, again) {
 			t.Fatalf("run %d: report bytes differ from first run", run)
 		}
@@ -150,7 +161,7 @@ func TestReportDeterminism(t *testing.T) {
 func TestReportEdgeOrderIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	b, edges, _ := randomBuilder(rng, 120, 50, 0.5)
-	base := EncodeReport(b.Build().Cluster().Report)
+	base := reportBytes(t, b.Build().Cluster())
 	for trial := 0; trial < 5; trial++ {
 		// Rebuild with identical intern order but shuffled edges.
 		b2 := NewBuilder(Config{})
@@ -163,7 +174,7 @@ func TestReportEdgeOrderIndependence(t *testing.T) {
 		for _, e := range shuffled {
 			b2.AddEdge(UserID(e[0]), ItemID(e[1]))
 		}
-		got := EncodeReport(b2.Build().Cluster().Report)
+		got := reportBytes(t, b2.Build().Cluster())
 		if !bytes.Equal(base, got) {
 			t.Fatalf("trial %d: permuted edge order changed report bytes", trial)
 		}
@@ -187,7 +198,7 @@ func randomBuilderInto(b *Builder, rng *rand.Rand, nUsers, nItems int, fraudShar
 func TestRingRecovery(t *testing.T) {
 	u := synth.RingAttack(synth.RingConfig{Seed: 11})
 	g := FromDataset(&u.Dataset, func(it *ecom.Item) bool { return it.Label.IsFraud() }, Config{})
-	rep := g.Cluster().Report
+	rep := g.Cluster()
 	if len(rep.Clusters) != len(u.Rings) {
 		t.Fatalf("%d clusters for %d planted rings", len(rep.Clusters), len(u.Rings))
 	}
@@ -229,7 +240,7 @@ func TestFunnelMatchesEcomStats(t *testing.T) {
 	u := synth.RingAttack(synth.RingConfig{Seed: 3})
 	stats := u.Dataset.Stats()
 	g := FromDataset(&u.Dataset, func(it *ecom.Item) bool { return it.Label.IsFraud() }, Config{})
-	rep := g.Cluster().Report
+	rep := g.Cluster()
 	if rep.RiskyUsers != stats.RiskyUsers {
 		t.Errorf("graph risky users %d, ecom.Stats %d", rep.RiskyUsers, stats.RiskyUsers)
 	}
@@ -242,79 +253,9 @@ func TestFunnelMatchesEcomStats(t *testing.T) {
 	})
 	gstats := gu.Dataset.Stats()
 	gg := FromDataset(&gu.Dataset, func(it *ecom.Item) bool { return it.Label.IsFraud() }, Config{})
-	grep := gg.Cluster().Report
+	grep := gg.Cluster()
 	if grep.RiskyUsers != gstats.RiskyUsers || grep.RepeatBuyers != gstats.RepeatFraudBuyers {
 		t.Errorf("generate universe: graph funnel (%d,%d) != ecom.Stats (%d,%d)",
 			grep.RiskyUsers, grep.RepeatBuyers, gstats.RiskyUsers, gstats.RepeatFraudBuyers)
-	}
-}
-
-func TestReportCodecRoundTrip(t *testing.T) {
-	u := synth.RingAttack(synth.RingConfig{Seed: 5, Rings: 4})
-	g := FromDataset(&u.Dataset, func(it *ecom.Item) bool { return it.Label.IsFraud() }, Config{})
-	rep := g.Cluster().Report
-	enc := EncodeReport(rep)
-	dec, err := DecodeReport(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rep, dec) {
-		t.Fatal("decoded report differs from original")
-	}
-	if !bytes.Equal(enc, EncodeReport(dec)) {
-		t.Fatal("re-encoding the decoded report changed bytes")
-	}
-	// Hostile inputs must fail cleanly.
-	if _, err := DecodeReport(nil); err == nil {
-		t.Error("nil input decoded")
-	}
-	if _, err := DecodeReport([]byte("CATX\x01")); err == nil {
-		t.Error("bad magic decoded")
-	}
-	if _, err := DecodeReport([]byte{'C', 'A', 'T', 'G', 99}); err == nil {
-		t.Error("unknown version decoded")
-	}
-	for cut := 5; cut < len(enc); cut += 7 {
-		if _, err := DecodeReport(enc[:cut]); err == nil {
-			t.Fatalf("truncation at %d decoded", cut)
-		}
-	}
-}
-
-func TestScorerEvidence(t *testing.T) {
-	u := synth.RingAttack(synth.RingConfig{Seed: 13, Rings: 3})
-	g := FromDataset(&u.Dataset, func(it *ecom.Item) bool { return it.Label.IsFraud() }, Config{})
-	res := g.Cluster()
-	sc := res.Scorer(ScorerConfig{})
-	// Every ring item carries evidence from its own ring's cluster.
-	for itemID, ring := range u.ItemRing {
-		ev, ok := sc.ItemEvidence(itemID)
-		if !ok {
-			t.Fatalf("fraud item %s (ring %d) has no evidence", itemID, ring)
-		}
-		if ev.Size != u.Config.RingSize {
-			t.Errorf("item %s evidence size %d, want %d", itemID, ev.Size, u.Config.RingSize)
-		}
-		if ev.Boost <= 0 || ev.Boost > 0.25 {
-			t.Errorf("item %s boost %v out of (0,0.25]", itemID, ev.Boost)
-		}
-		cl := &res.Report.Clusters[ev.Cluster]
-		if r := u.UserRing[cl.Users[0]]; r != ring {
-			t.Errorf("item %s attached to ring %d's cluster, want %d", itemID, r, ring)
-		}
-	}
-	// Normal items carry none.
-	for i := range u.Dataset.Items {
-		it := &u.Dataset.Items[i]
-		if !it.Label.IsFraud() {
-			if _, ok := sc.ItemEvidence(it.ID); ok {
-				t.Errorf("normal item %s has cluster evidence", it.ID)
-			}
-		}
-	}
-	// A high size gate filters everything out.
-	strict := res.Scorer(ScorerConfig{MinClusterSize: u.Config.RingSize + 1})
-	if strict.Items() != 0 {
-		t.Errorf("strict scorer still boosts %d items", strict.Items())
 	}
 }

@@ -14,7 +14,6 @@
 //	GET  /v1/importance  — the model's Fig 7 split-count importance
 //	GET  /v1/lexicon     — the expanded positive/negative word sets
 //	GET  /v1/drift       — scored-traffic vs training feature drift (KS)
-//	GET  /v1/clusters    — organized-fraud co-purchase cluster report
 //	POST /v1/feedback    — labeled outcomes into the retrain window
 //	POST /t/{tenant}/v1/detect      — tenant-scoped variants of all of
 //	POST /t/{tenant}/v1/explain       the above /v1/* routes
@@ -78,7 +77,6 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/ecom"
 	"repro/internal/features"
-	"repro/internal/graph"
 	"repro/internal/ml/gbt"
 	"repro/internal/obs"
 	"repro/internal/registry"
@@ -321,7 +319,6 @@ func (s *Server) Handler() http.Handler {
 	route("/v1/importance", http.MethodGet, s.handleImportance)
 	route("/v1/drift", http.MethodGet, s.handleDrift)
 	route("/v1/lexicon", http.MethodGet, s.handleLexicon)
-	route("/v1/clusters", http.MethodGet, s.handleClusters)
 	route("/v1/feedback", http.MethodPost, s.handleFeedback)
 	single := func(pattern, method string, h http.HandlerFunc) {
 		mux.Handle(pattern, s.httpm.Wrap(pattern, allowMethod(method, h)))
@@ -410,26 +407,11 @@ type DetectionDTO struct {
 	Score    float64 `json:"score"`
 	IsFraud  bool    `json:"fraud"`
 	Filtered bool    `json:"filtered"`
-	// Cluster carries the organized-fraud evidence when the item is
-	// swarmed by a qualifying co-purchase cluster (internal/graph).
-	Cluster *ClusterDTO `json:"cluster,omitempty"`
 }
 
-// ClusterDTO is the cluster evidence attached to a detection.
-type ClusterDTO struct {
-	ID    int32   `json:"id"`
-	Size  int     `json:"size"`
-	Boost float64 `json:"boost"`
-}
-
-// detectionDTO converts a core detection, attaching cluster evidence
-// when present.
+// detectionDTO converts a core detection.
 func detectionDTO(d core.Detection) DetectionDTO {
-	dto := DetectionDTO{ItemID: d.ItemID, Score: d.Score, IsFraud: d.IsFraud, Filtered: d.Filtered}
-	if d.ClusterSize > 0 {
-		dto.Cluster = &ClusterDTO{ID: d.ClusterID, Size: d.ClusterSize, Boost: d.GraphBoost}
-	}
-	return dto
+	return DetectionDTO{ItemID: d.ItemID, Score: d.Score, IsFraud: d.IsFraud, Filtered: d.Filtered}
 }
 
 // DetectResponse is the /v1/detect response body. Tenant and
@@ -704,48 +686,6 @@ func (s *Server) handleLexicon(w http.ResponseWriter, r *http.Request) {
 		Negative:     h.Analyzer.Negative.Words(),
 		FeatureNames: features.Names,
 	})
-}
-
-// ClustersResponse is the /v1/clusters response body: the tenant
-// model's organized-fraud cluster report. Clusters arrive in the
-// report's canonical order (size descending), so ?limit=N returns the
-// N largest.
-type ClustersResponse struct {
-	Report       *graph.Report `json:"report"`
-	Truncated    bool          `json:"truncated,omitempty"`
-	Tenant       string        `json:"tenant,omitempty"`
-	ModelVersion string        `json:"model_version,omitempty"`
-}
-
-func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
-	tenant, h, ok := s.acquire(w, r)
-	if !ok {
-		return
-	}
-	defer h.Release()
-	sc := h.Detector.GraphScorer()
-	if sc == nil {
-		writeError(w, http.StatusNotFound,
-			fmt.Sprintf("tenant %q has no cluster report loaded", tenant))
-		return
-	}
-	resp := ClustersResponse{Report: sc.Report(), Tenant: tenant, ModelVersion: h.Version}
-	if v := r.URL.Query().Get("limit"); v != "" {
-		limit, err := strconv.Atoi(v)
-		if err != nil || limit < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad limit %q", v))
-			return
-		}
-		if limit < len(resp.Report.Clusters) {
-			// Shallow-copy the report before truncating: the scorer's
-			// report is shared across requests.
-			trimmed := *resp.Report
-			trimmed.Clusters = trimmed.Clusters[:limit]
-			resp.Report = &trimmed
-			resp.Truncated = true
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // ReloadRequest is the /admin/reload request body: which tenant to

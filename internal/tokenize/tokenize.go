@@ -344,13 +344,3 @@ func CountPunct(text string) int {
 func RuneLen(text string) int {
 	return utf8.RuneCountInString(text)
 }
-
-// JoinWords concatenates words with no separator, matching how Chinese
-// comments are written. Useful in tests and generators.
-func JoinWords(words []string) string {
-	var b strings.Builder
-	for _, w := range words {
-		b.WriteString(w)
-	}
-	return b.String()
-}

@@ -134,12 +134,6 @@ func TestRuneLen(t *testing.T) {
 	}
 }
 
-func TestJoinWords(t *testing.T) {
-	if got := JoinWords([]string{"很", "好"}); got != "很好" {
-		t.Fatalf("JoinWords = %q", got)
-	}
-}
-
 // Property: segmentation is lossless over word+punct content — joining
 // all token texts reproduces the input exactly (whitespace kept).
 func TestSegmentRoundTripProperty(t *testing.T) {
