@@ -73,10 +73,14 @@ bench-quick:
 # against the unicode-package definition, the service's request
 # decoder against arbitrary bodies (never a 5xx) and its single-pass
 # detect/explain decoder against encoding/json (accepts only what
-# encoding/json accepts, with the same items and answers), and the
+# encoding/json accepts, with the same items and answers), the
 # columnar container decoder against corrupt/truncated/hostile inputs
-# (must always fail diagnosably, never panic or over-allocate). -fuzz
-# takes a single target per invocation, hence the separate runs.
+# (must always fail diagnosably, never panic or over-allocate; the skip
+# decoders and the string payload reader agree with the building ones),
+# and the dataset reader over arbitrary bytes, alone and with its
+# projected read held to the full one (both fail or both succeed with
+# the same items and texts). -fuzz takes a single target per
+# invocation, hence the separate runs.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentDifferential -fuzztime=10s ./internal/tokenize
 	$(GO) test -run='^$$' -fuzz=FuzzIsPunct -fuzztime=10s ./internal/tokenize
@@ -85,6 +89,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDetectDifferential -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFeedback -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzColfmtDecode -fuzztime=10s ./internal/colfmt
+	$(GO) test -run='^$$' -fuzz=FuzzReader -fuzztime=10s ./internal/dataset
+	$(GO) test -run='^$$' -fuzz=FuzzProjectedReadDifferential -fuzztime=10s ./internal/dataset
 
 # End-to-end lifecycle smoke of the serving binary (CI runs this):
 # train a tiny model, boot catsserve, probe /healthz + /readyz, POST a

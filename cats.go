@@ -172,7 +172,11 @@ func (s *System) DetectContext(ctx context.Context, items []Item) ([]Detection, 
 // means 1024. Reading, scoring and emitting overlap, but emit is only
 // ever called from the calling goroutine, one call at a time, with each
 // item and its detection in input order; it must not keep the item past
-// its call. A non-nil error from emit aborts the stream.
+// its call. The stream reads what the detector uses — item-level fields
+// and comment texts — so on both formats emit's item carries its ID,
+// ShopID, Name, Category, PriceCents, SalesVolume and Label with
+// Comments == nil. A non-nil error from emit aborts the stream; a panic
+// in the read or score stage is returned as an error naming the stage.
 func (s *System) DetectStream(ctx context.Context, r io.Reader, batchSize int, emit func(*Item, Detection) error) (StreamStats, error) {
 	return s.detector.DetectStream(ctx, dataset.NewReader(r),
 		core.StreamOptions{BatchSize: batchSize, Workers: s.workers}, emit)

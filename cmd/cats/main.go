@@ -123,7 +123,8 @@ func run(trainPath, detectPath string, threshold float64, corpusSize int, outPat
 	// Stream the detection set through the fused pipeline: detections
 	// are written as they are scored, the dataset is never materialized,
 	// and the configured worker count applies. Ground-truth labels (when
-	// present) feed the evaluation as they stream past.
+	// present) feed the evaluation as they stream past; the item the
+	// callback sees has its item-level fields and no Comments.
 	var c eval.Confusion
 	labeledFraud := 0
 	var row []byte // one buffer for every row

@@ -36,6 +36,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
+	"strings"
 )
 
 // FormatVersion is bumped on incompatible layout changes.
@@ -205,7 +207,14 @@ func (r *Reader) Offset() int64 { return r.off }
 // are copied out and string columns alias the arena, so block decoders
 // built on Dec never retain it. Returns io.EOF cleanly at end of
 // container.
-func (r *Reader) Next() (name string, payload []byte, err error) {
+func (r *Reader) Next() (name string, payload []byte, err error) { return r.NextArena(nil) }
+
+// NextArena is Next for a reader of dataset chunks, whose strings alias
+// the chunk's arena for as long as the chunk is in use: the payload of
+// a block named "arena" is read straight into *arena, a string of its
+// own, and not returned. The bytes go from the read buffer into the
+// string's memory, the CRC kept as they pass; no scratch copy exists.
+func (r *Reader) NextArena(arena *string) (name string, payload []byte, err error) {
 	if _, err := r.r.Peek(1); err == io.EOF {
 		return "", nil, io.EOF
 	}
@@ -232,18 +241,61 @@ func (r *Reader) Next() (name string, payload []byte, err error) {
 	if err := r.readFull(crcBuf[:], "crc of "+name); err != nil {
 		return "", nil, err
 	}
-	want := binary.LittleEndian.Uint32(crcBuf[:])
-	if uint64(cap(r.buf)) < payLen {
-		r.buf = make([]byte, payLen)
+	want, got := binary.LittleEndian.Uint32(crcBuf[:]), uint32(0)
+	if arena != nil && name == "arena" {
+		*arena, got, err = r.payloadString(name, int(payLen))
+	} else {
+		payload, err = r.payload(name, int(payLen))
+		got = crc32.ChecksumIEEE(payload)
 	}
-	payload = r.buf[:payLen]
-	if err := r.readFull(payload, "payload of "+name); err != nil {
+	if err != nil {
 		return "", nil, err
 	}
-	if got := crc32.ChecksumIEEE(payload); got != want {
+	if got != want {
 		return "", nil, r.failBlock(name, fmt.Sprintf("crc mismatch: stored %08x, computed %08x", want, got), nil)
 	}
 	return name, payload, nil
+}
+
+// payloadStep is the most room a payload gets before its bytes arrive.
+// A frame may declare any length up to the 2 GiB cap, so the length
+// alone sizes no allocation beyond this: a payload within it is read
+// into one exact allocation, a longer one grows as append does, and a
+// frame that declares a gigabyte and delivers nothing costs 4 MiB.
+const payloadStep = 4 << 20
+
+// payload reads a block's n payload bytes into the reader's scratch.
+func (r *Reader) payload(name string, n int) ([]byte, error) {
+	buf := r.buf[:0]
+	for len(buf) < n {
+		// All that is left, if the scratch already has the capacity.
+		step := min(n-len(buf), max(cap(buf)-len(buf), payloadStep))
+		buf = slices.Grow(buf, step)[:len(buf)+step]
+		if err := r.readFull(buf[len(buf)-step:], "payload of "+name); err != nil {
+			return nil, err
+		}
+	}
+	r.buf = buf
+	return buf, nil
+}
+
+// payloadString reads a block's n payload bytes into a string of their
+// own and returns it with its CRC.
+func (r *Reader) payloadString(name string, n int) (string, uint32, error) {
+	var sb strings.Builder
+	sb.Grow(min(n, payloadStep))
+	var crc uint32
+	for sb.Len() < n {
+		if _, err := r.r.Peek(1); err != nil {
+			return "", 0, r.fail("reading payload of "+name, noEOF(err))
+		}
+		p, _ := r.r.Peek(min(n-sb.Len(), r.r.Buffered()))
+		sb.Write(p)
+		crc = crc32.Update(crc, crc32.IEEETable, p)
+		r.r.Discard(len(p)) // cannot fail: p is buffered
+		r.off += int64(len(p))
+	}
+	return sb.String(), crc, nil
 }
 
 // Dec returns a column decoder over payload that reports failures with

@@ -2,9 +2,12 @@ package colfmt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -235,9 +238,76 @@ func TestDecCountGuard(t *testing.T) {
 	// before allocating.
 	var e Enc
 	e.Uvarint(1 << 40)
-	d := NewDec("t", append(e.Bytes(), 1, 2, 3))
+	payload := append(e.Bytes(), 1, 2, 3)
+	d := NewDec("t", payload)
 	if got := d.F64Col(); got != nil || d.Err() == nil {
 		t.Fatalf("oversized count decoded: %v, err %v", got, d.Err())
+	}
+	// The skip decoders sit behind the same guard as the columns they
+	// skip, with the same diagnosis.
+	for name, pair := range skipPairs("some arena") {
+		built, skipped := NewDec("t", payload), NewDec("t", payload)
+		pair.build(built)
+		if n := pair.skip(skipped); n != 0 || skipped.Err() == nil {
+			t.Fatalf("%s: oversized count skipped as %d values, err %v", name, n, skipped.Err())
+		}
+		if built.Err() == nil || built.Err().Error() != skipped.Err().Error() {
+			t.Fatalf("%s: skip diagnosed %q, build %q", name, skipped.Err(), built.Err())
+		}
+	}
+}
+
+// skipPairs is every column decoder that has a skip form, beside it.
+// build returns the built column's length.
+func skipPairs(arena string) map[string]struct {
+	build func(*Dec) int
+	skip  func(*Dec) int
+} {
+	type pair = struct {
+		build func(*Dec) int
+		skip  func(*Dec) int
+	}
+	return map[string]pair{
+		"StringCol": {func(d *Dec) int { return len(d.StringCol(arena)) }, func(d *Dec) int { return d.SkipStringCol(arena) }},
+		"IntCol":    {func(d *Dec) int { return len(d.IntCol()) }, (*Dec).SkipIntCol},
+		"ByteCol":   {func(d *Dec) int { return len(d.ByteCol()) }, (*Dec).SkipByteCol},
+	}
+}
+
+// TestSkipDecodersMatchBuilders: over well-formed columns and over every
+// truncation of them, a skip decoder reports the length its builder
+// builds, stops at the same offset and fails with the same diagnosis —
+// and allocates nothing.
+func TestSkipDecodersMatchBuilders(t *testing.T) {
+	var arena Arena
+	cols := map[string]func(*Enc){
+		"StringCol": func(e *Enc) { e.StringCol(&arena, []string{"a", "", "ccc", "很好"}) },
+		"IntCol":    func(e *Enc) { e.IntCol([]int64{0, -1, 1 << 40, -(1 << 62)}) },
+		"ByteCol":   func(e *Enc) { e.ByteCol([]byte{0, 1, 2, 255}) },
+	}
+	for name, write := range cols {
+		var e Enc
+		write(&e)
+		e.Uvarint(99) // what follows the column
+		pair := skipPairs(string(arena.Bytes()))[name]
+		for cut := len(e.Bytes()); cut >= 0; cut-- {
+			payload := e.Bytes()[:cut]
+			built, skipped := NewDec("t", payload), NewDec("t", payload)
+			want, got := pair.build(built), pair.skip(skipped)
+			if got != want || skipped.off != built.off {
+				t.Fatalf("%s cut at %d: skipped %d values to offset %d, built %d to %d", name, cut, got, skipped.off, want, built.off)
+			}
+			if (built.Err() == nil) != (skipped.Err() == nil) || (built.Err() != nil && built.Err().Error() != skipped.Err().Error()) {
+				t.Fatalf("%s cut at %d: skip err %v, build err %v", name, cut, skipped.Err(), built.Err())
+			}
+		}
+		if raceEnabled {
+			continue
+		}
+		d := NewDec("t", e.Bytes())
+		if allocs := testing.AllocsPerRun(20, func() { d.off = 0; pair.skip(d) }); allocs != 0 {
+			t.Fatalf("%s: skip decoder allocated %.0f times", name, allocs)
+		}
 	}
 }
 
@@ -251,6 +321,7 @@ func TestStringColBounds(t *testing.T) {
 	if got := d.StringCol("short"); got != nil || d.Err() == nil {
 		t.Fatalf("out-of-bounds string decoded: %v", got)
 	}
+	requireSkipRejects(t, e.Bytes(), "short", d.Err())
 
 	var e2 Enc
 	e2.Uvarint(2)
@@ -260,6 +331,26 @@ func TestStringColBounds(t *testing.T) {
 	d = NewDec("t", e2.Bytes())
 	if got := d.StringCol("abcdefgh"); got != nil || d.Err() == nil {
 		t.Fatalf("backwards string offsets decoded: %v", got)
+	}
+	requireSkipRejects(t, e2.Bytes(), "abcdefgh", d.Err())
+
+	var e3 Enc
+	e3.Uvarint(0)
+	e3.U32(9) // base beyond the arena, on a column with no strings
+	d = NewDec("t", e3.Bytes())
+	if d.StringCol("abcdefgh"); d.Err() == nil {
+		t.Fatal("string column base beyond the arena decoded")
+	}
+	requireSkipRejects(t, e3.Bytes(), "abcdefgh", d.Err())
+}
+
+// requireSkipRejects: SkipStringCol fails on payload with the diagnosis
+// StringCol gave.
+func requireSkipRejects(t *testing.T, payload []byte, arena string, want error) {
+	t.Helper()
+	d := NewDec("t", payload)
+	if n := d.SkipStringCol(arena); n != 0 || d.Err() == nil || d.Err().Error() != want.Error() {
+		t.Fatalf("SkipStringCol = %d, err %v; StringCol failed with %v", n, d.Err(), want)
 	}
 }
 
@@ -310,5 +401,97 @@ func TestWriterRejectsBadBlockNames(t *testing.T) {
 	w2, _ := NewWriter(&buf, KindSnapshot)
 	if err := w2.WriteBlock(strings.Repeat("n", 300), nil); err == nil {
 		t.Fatal("overlong block name accepted")
+	}
+}
+
+// TestPayloadAllocationFollowsInput: a frame may declare any payload
+// length up to the 2 GiB cap, so the length alone must not size an
+// allocation. Twenty-one bytes — header, block name "arena", a length of
+// 1 GiB, four CRC bytes and nothing else — used to cost a 1 GiB make
+// before the first payload byte was asked for. Both payload readers now
+// make room for payloadStep and grow past it only with bytes that came.
+func TestPayloadAllocationFollowsInput(t *testing.T) {
+	hostile := []byte{'C', 'A', 'T', 'C', FormatVersion, KindDataset, 5, 'a', 'r', 'e', 'n', 'a'}
+	hostile = binary.AppendUvarint(hostile, 1<<30)
+	hostile = append(hostile, 0, 0, 0, 0)
+	if len(hostile) != 21 {
+		t.Fatalf("the hostile file is %d bytes, want 21", len(hostile))
+	}
+	for _, asString := range []bool{false, true} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := readBlocks(hostile, asString)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("as string %v: err %v, want unexpected EOF", asString, err)
+		}
+		// (The race detector's allocator doubles the count.)
+		if grew := after.TotalAlloc - before.TotalAlloc; !raceEnabled && grew > payloadStep+1<<20 {
+			t.Fatalf("as string %v: allocated %d bytes for a 21-byte file", asString, grew)
+		}
+	}
+}
+
+// readBlocks reads a container of blocks all named "arena" to its end,
+// through Next or — asString — with each payload read into a string of
+// its own by NextArena. err is what ended the read, io.EOF included.
+func readBlocks(data []byte, asString bool) (payloads []string, err error) {
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	for {
+		var p string
+		if asString {
+			_, _, err = r.NextArena(&p)
+		} else {
+			var b []byte
+			_, b, err = r.Next()
+			p = string(b)
+		}
+		if err != nil {
+			return payloads, err
+		}
+		payloads = append(payloads, p)
+	}
+}
+
+// TestPayloadReadersAgree: NextArena reads into its string the bytes
+// Next returns, for a payload longer than payloadStep (both readers
+// grow) and for short ones, and both catch a flipped bit anywhere in a
+// payload and a container cut short.
+func TestPayloadReadersAgree(t *testing.T) {
+	big := bytes.Repeat([]byte("0123456789abcdef"), payloadStep/16+50_000) // past payloadStep
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf, KindDataset)
+	for _, p := range [][]byte{big, nil, big[:70_000], []byte("x"), big[:1<<16]} {
+		if err := w.WriteBlock("arena", p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data := buf.Bytes()
+	want, err := readBlocks(data, false)
+	if err != io.EOF || len(want) != 5 || want[0] != string(big) {
+		t.Fatalf("Next read %d blocks, err %v", len(want), err)
+	}
+	got, err := readBlocks(data, true)
+	if err != io.EOF || !slices.Equal(got, want) {
+		t.Fatalf("NextArena read %d blocks (err %v) that differ from Next's", len(got), err)
+	}
+	for _, at := range []int{30, len(big) / 2, len(big) + 5, len(data) - 1} {
+		bad := bytes.Clone(data)
+		bad[at] ^= 0x04
+		_, errBytes := readBlocks(bad, false)
+		_, errString := readBlocks(bad, true)
+		if errBytes == io.EOF || errString == io.EOF || errBytes.Error() != errString.Error() {
+			t.Fatalf("bit flipped at %d: Next %v, NextArena %v", at, errBytes, errString)
+		}
+	}
+	for _, cut := range []int{len(data) - 1, len(big), 40} {
+		_, errBytes := readBlocks(data[:cut], false)
+		_, errString := readBlocks(data[:cut], true)
+		if !errors.Is(errBytes, io.ErrUnexpectedEOF) || !errors.Is(errString, io.ErrUnexpectedEOF) {
+			t.Fatalf("cut at %d: Next %v, NextArena %v, want unexpected EOF from both", cut, errBytes, errString)
+		}
 	}
 }

@@ -217,6 +217,21 @@ func (d *Dec) IntCol() []int64 {
 	return out
 }
 
+// SkipIntCol is IntCol without the column: the same count guard, every
+// varint decoded, nothing kept. It returns the column's length.
+//
+//cats:hotpath
+func (d *Dec) SkipIntCol() int {
+	n := d.count("int column length", 1)
+	for i := 0; i < n; i++ {
+		d.Varint()
+	}
+	if d.err != nil {
+		return 0
+	}
+	return n
+}
+
 // IntsCol reads an IntCol into machine ints.
 func (d *Dec) IntsCol() []int {
 	n := d.count("int column length", 1)
@@ -252,44 +267,64 @@ func (d *Dec) F64Col() []float64 {
 // ByteCol reads a byte column. The returned slice is copied out of the
 // payload (payload buffers are reused by Reader.Next).
 func (d *Dec) ByteCol() []byte {
-	n := d.count("byte column length", 1)
-	if d.err != nil || n == 0 {
+	n := d.SkipByteCol()
+	if n == 0 {
 		return nil
 	}
 	out := make([]byte, n)
-	copy(out, d.b[d.off:d.off+n])
-	d.off += n
+	copy(out, d.b[d.off-n:d.off])
 	return out
+}
+
+// SkipByteCol steps over a byte column and returns its length.
+//
+//cats:hotpath
+func (d *Dec) SkipByteCol() int {
+	n := d.count("byte column length", 1)
+	d.off += n
+	return n
 }
 
 // StringCol reads a string column: every value is a zero-copy slice of
 // arena, validated to be in-bounds and non-overlapping-backwards.
 func (d *Dec) StringCol(arena string) []string {
-	n := d.count("string column length", 4)
-	if d.err != nil {
-		return nil
-	}
-	base := d.U32()
-	if uint64(base) > uint64(len(arena)) {
-		d.fail(fmt.Sprintf("string column base %d beyond arena size %d", base, len(arena)))
-		return nil
-	}
+	n := d.SkipStringCol(arena)
 	if n == 0 {
 		return nil
 	}
+	// Validated above: the base and n end offsets the skip stepped over.
+	offs := d.b[d.off-4*(n+1) : d.off]
 	out := make([]string, n)
-	prev := base
+	prev := binary.LittleEndian.Uint32(offs)
 	for i := range out {
-		end := d.U32()
-		if d.err != nil {
-			return nil
-		}
-		if end < prev || uint64(end) > uint64(len(arena)) {
-			d.fail(fmt.Sprintf("string %d spans arena [%d:%d] outside [%d:%d]", i, prev, end, base, len(arena)))
-			return nil
-		}
+		end := binary.LittleEndian.Uint32(offs[4*(i+1):])
 		out[i] = arena[prev:end]
 		prev = end
 	}
 	return out
+}
+
+// SkipStringCol is StringCol without the column: the same count guard,
+// base and every end offset checked against arena, nothing built. It
+// returns the column's length.
+//
+//cats:hotpath
+func (d *Dec) SkipStringCol(arena string) int {
+	n := d.count("string column length", 4)
+	base := d.U32()
+	if uint64(base) > uint64(len(arena)) {
+		d.Failf("string column base %d beyond arena size %d", base, len(arena))
+	}
+	prev := base
+	for i := 0; i < n; i++ {
+		end := d.U32()
+		if d.err == nil && (end < prev || uint64(end) > uint64(len(arena))) {
+			d.Failf("string %d spans arena [%d:%d] outside [%d:%d]", i, prev, end, base, len(arena))
+		}
+		if d.err != nil {
+			return 0
+		}
+		prev = end
+	}
+	return n
 }

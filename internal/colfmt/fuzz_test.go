@@ -44,9 +44,17 @@ func FuzzColfmtDecode(f *testing.F) {
 			requireDiagnosable(t, err)
 			return
 		}
+		// The same container with arena blocks read into strings of
+		// their own: the two payload readers must agree block for block.
+		rs, _ := NewReader(bytes.NewReader(data))
 		var arena string
 		for blocks := 0; blocks < 1<<16; blocks++ {
 			name, payload, err := r.Next()
+			var arenaS string
+			nameS, payloadS, errS := rs.NextArena(&arenaS)
+			if (err == nil) != (errS == nil) || (err != nil && err.Error() != errS.Error()) {
+				t.Fatalf("block %d: Next err %v, NextArena err %v", blocks, err, errS)
+			}
 			if errors.Is(err, io.EOF) {
 				return
 			}
@@ -55,7 +63,13 @@ func FuzzColfmtDecode(f *testing.F) {
 				return
 			}
 			if name == "arena" {
-				arena = string(payload)
+				payloadS = []byte(arenaS)
+			}
+			if nameS != name || !bytes.Equal(payloadS, payload) {
+				t.Fatalf("block %d: NextArena read %q (%d bytes), Next %q (%d bytes)", blocks, nameS, len(payloadS), name, len(payload))
+			}
+			if name == "arena" {
+				arena = arenaS
 				continue
 			}
 			// Drive every column getter over the payload; sticky errors
@@ -70,6 +84,16 @@ func FuzzColfmtDecode(f *testing.F) {
 			_ = d.F64Col()
 			_ = d.ByteCol()
 			_ = d.Err()
+			// Each skip decoder accepts, rejects and consumes what its
+			// builder does.
+			for col, pair := range skipPairs(arena) {
+				built, skipped := r.Dec(name, payload), r.Dec(name, payload)
+				want, got := pair.build(built), pair.skip(skipped)
+				if got != want || skipped.off != built.off || (built.Err() == nil) != (skipped.Err() == nil) {
+					t.Fatalf("%s over block %q: skipped %d values to offset %d (err %v), built %d to %d (err %v)",
+						col, name, got, skipped.off, skipped.Err(), want, built.off, built.Err())
+				}
+			}
 		}
 		t.Fatal("reader did not terminate")
 	})

@@ -197,17 +197,27 @@ type Detection struct {
 // item fell to the sales cutoff); filtered-by-signal items still return
 // their vector since the analysis had to run to prove the absence of a
 // positive signal.
-func (d *Detector) analyzeOne(item *ecom.Item) (det Detection, v []float64, needScore bool) {
+//
+// texts stands in for the Comments of an item from a projected read
+// (dataset.Reader.NextTexts), which has none; it is nil otherwise.
+func (d *Detector) analyzeOne(item *ecom.Item, texts []string) (det Detection, v []float64, needScore bool) {
 	det = Detection{ItemID: item.ID}
 	if !d.cfg.DisableRuleFilter && item.SalesVolume < d.cfg.MinSalesVolume {
 		d.m.itemsFilteredSales.Inc()
 		det.Filtered = true
 		return det, nil, false
 	}
+	var hasPositive bool
+	comments := len(item.Comments)
 	sp := obs.StartSpan(d.m.stageAnalyze)
-	v, hasPositive := d.extractor.VectorSignal(item)
+	if comments > 0 {
+		v, hasPositive = d.extractor.VectorSignal(item)
+	} else {
+		comments = len(texts)
+		v, hasPositive = d.extractor.VectorSignalTexts(texts)
+	}
 	sp.End()
-	d.m.commentsAnalyzed.Add(uint64(len(item.Comments)))
+	d.m.commentsAnalyzed.Add(uint64(comments))
 	if !d.cfg.DisableRuleFilter && !hasPositive {
 		d.m.itemsFilteredSignal.Inc()
 		det.Filtered = true
@@ -220,7 +230,7 @@ func (d *Detector) analyzeOne(item *ecom.Item) (det Detection, v []float64, need
 // scoreOne is analyzeOne plus the classifier score — the single-item
 // detection path.
 func (d *Detector) scoreOne(item *ecom.Item) (Detection, []float64) {
-	det, v, need := d.analyzeOne(item)
+	det, v, need := d.analyzeOne(item, nil)
 	if need {
 		sp := obs.StartSpan(d.m.stageScore)
 		score := d.clf.PredictProba(v)
@@ -237,9 +247,10 @@ func (d *Detector) scoreOne(item *ecom.Item) (Detection, []float64) {
 // gbt.PredictProbaBatch over the survivors, split across the same
 // worker budget. Scores are bit-identical to scoreOne.
 //
-// workers <= 0 uses GOMAXPROCS. Cancellation of ctx stops workers from
-// claiming new items and returns the context's error.
-func (d *Detector) scoreBatch(ctx context.Context, items []ecom.Item, workers int) ([]Detection, [][]float64, error) {
+// texts is nil or, for items of a projected read, their comments'
+// contents (see analyzeOne). workers <= 0 uses GOMAXPROCS. Cancellation
+// of ctx stops workers from claiming new items and returns its error.
+func (d *Detector) scoreBatch(ctx context.Context, items []ecom.Item, texts [][]string, workers int) ([]Detection, [][]float64, error) {
 	if !d.trained {
 		return nil, nil, ErrNotTrained
 	}
@@ -252,7 +263,11 @@ func (d *Detector) scoreBatch(ctx context.Context, items []ecom.Item, workers in
 	X := make([][]float64, len(items))
 	needScore := make([]bool, len(items))
 	err := par.For(ctx, len(items), workers, func(i int) {
-		dets[i], X[i], needScore[i] = d.analyzeOne(&items[i])
+		var t []string
+		if texts != nil {
+			t = texts[i]
+		}
+		dets[i], X[i], needScore[i] = d.analyzeOne(&items[i], t)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -350,7 +365,7 @@ func (d *Detector) Detect(items []ecom.Item, workers int) ([]Detection, error) {
 // DetectContext is Detect with cancellation: when ctx is canceled the
 // batch stops early and the context's error is returned.
 func (d *Detector) DetectContext(ctx context.Context, items []ecom.Item, workers int) ([]Detection, error) {
-	dets, _, err := d.scoreBatch(ctx, items, workers)
+	dets, _, err := d.scoreBatch(ctx, items, nil, workers)
 	return dets, err
 }
 
@@ -360,5 +375,5 @@ func (d *Detector) DetectContext(ctx context.Context, items []ecom.Item, workers
 // 11-feature vector, so monitoring (e.g. the service's drift recorder)
 // can consume the vectors without a second extraction pass.
 func (d *Detector) DetectWithFeatures(ctx context.Context, items []ecom.Item, workers int) ([]Detection, [][]float64, error) {
-	return d.scoreBatch(ctx, items, workers)
+	return d.scoreBatch(ctx, items, nil, workers)
 }

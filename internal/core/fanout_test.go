@@ -32,7 +32,7 @@ func TestScoreBatchWorkersMatchSerial(t *testing.T) {
 	d, _ := trainedDetector(t, DetectorConfig{})
 	items := fusedTestItems(t)
 	ctx := context.Background()
-	wantDets, wantX, err := d.scoreBatch(ctx, items, 1)
+	wantDets, wantX, err := d.scoreBatch(ctx, items, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestScoreBatchWorkersMatchSerial(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 2, 3, 8, len(items) + 5} {
-		dets, X, err := d.scoreBatch(ctx, items, workers)
+		dets, X, err := d.scoreBatch(ctx, items, nil, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -62,7 +62,7 @@ func TestScoreBatchWorkersMatchSerial(t *testing.T) {
 		}
 
 		mid := &cancelAfter{Context: ctx, n: int64(len(items) / 2)}
-		dets, X, err = d.scoreBatch(mid, items, workers)
+		dets, X, err = d.scoreBatch(mid, items, nil, workers)
 		if !errors.Is(err, context.Canceled) || dets != nil || X != nil {
 			t.Fatalf("workers=%d canceled mid-batch: err %v, %d detections, %d rows; want context.Canceled and none", workers, err, len(dets), len(X))
 		}

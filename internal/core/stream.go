@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -56,7 +57,10 @@ const streamDepth = 3
 // streamDepth batches are allocated once and recycled, so a batch's
 // items are overwritten by a later read.
 type streamBatch struct {
+	// The projected read: items hold item-level fields only (Comments
+	// nil), texts[i] the contents of items[i]'s comments.
 	items []ecom.Item
+	texts [][]string
 	dets  []Detection // dets[i] scores items[i]; set by the score stage
 	// end is non-nil on the stream's last batch: io.EOF when the input
 	// ended cleanly after items, else the error that stopped the stage
@@ -93,11 +97,19 @@ type streamRun struct {
 // no goroutine. On every return path the stage goroutines have exited
 // and r.Next is not running.
 //
+// The input is read projected (dataset.Reader.NextTexts, so r must not
+// have been read through Next): the detector uses nothing of a comment
+// but its text, and on both formats emit receives the item's ID,
+// ShopID, Name, Category, PriceCents, SalesVolume and Label with
+// Comments == nil.
+//
 // Cancellation of ctx aborts between (and within) batches with the
 // context's error. emit must not retain the item pointer or anything
 // it reaches past its call: the batch is recycled for a later read. A
 // non-nil error from emit aborts the stream; a read error aborts it
-// after every full batch read before it has been emitted.
+// after every full batch read before it has been emitted, and so does
+// a panic in the read or score stage, returned as an error naming the
+// stage: the caller could not recover it from the stage's goroutine.
 func (d *Detector) DetectStream(ctx context.Context, r *dataset.Reader, opts StreamOptions, emit func(*ecom.Item, Detection) error) (StreamStats, error) {
 	if !d.trained {
 		return StreamStats{}, ErrNotTrained
@@ -187,6 +199,7 @@ func (s *streamRun) overlap(ctx context.Context, first *streamBatch) error {
 		// would hold them for as long as the slowest stage takes to
 		// come round.
 		clear(b.items)
+		clear(b.texts)
 		b.dets = nil
 		free <- b
 	}
@@ -212,17 +225,29 @@ func finish(ctx context.Context, end error) error {
 }
 
 func (s *streamRun) newBatch() *streamBatch {
-	return &streamBatch{items: make([]ecom.Item, 0, s.opts.BatchSize)}
+	return &streamBatch{
+		items: make([]ecom.Item, 0, s.opts.BatchSize),
+		texts: make([][]string, 0, s.opts.BatchSize),
+	}
+}
+
+// contain, deferred by a stage's step over b, turns a panic in it into
+// the stream's end: b drops its items and carries the panic and stack.
+func contain(stage string, b *streamBatch) {
+	if p := recover(); p != nil {
+		b.items, b.end = b.items[:0], fmt.Errorf("core: stream %s stage panicked: %v\n%s", stage, p, debug.Stack())
+	}
 }
 
 // fill reads up to BatchSize items into b. A read error drops the
 // partial batch, as the serial loop did: only full batches read before
 // the failure are scored.
 func (s *streamRun) fill(b *streamBatch) {
+	defer contain("read", b)
 	start := time.Now()
-	b.items = b.items[:0]
+	b.items, b.texts = b.items[:0], b.texts[:0]
 	for len(b.items) < s.opts.BatchSize {
-		item, err := s.r.Next()
+		item, texts, err := s.r.NextTexts()
 		if errors.Is(err, io.EOF) {
 			b.end = io.EOF
 			break
@@ -231,7 +256,7 @@ func (s *streamRun) fill(b *streamBatch) {
 			b.items, b.end = b.items[:0], fmt.Errorf("core: stream read: %w", err)
 			break
 		}
-		b.items = append(b.items, *item)
+		b.items, b.texts = append(b.items, *item), append(b.texts, texts)
 	}
 	s.stats.ReadSeconds += time.Since(start).Seconds()
 }
@@ -242,9 +267,10 @@ func (s *streamRun) score(ctx context.Context, b *streamBatch) {
 	if len(b.items) == 0 {
 		return
 	}
+	defer contain("score", b)
 	start := time.Now()
 	var err error
-	if b.dets, _, err = s.d.scoreBatch(ctx, b.items, s.opts.Workers); err != nil {
+	if b.dets, _, err = s.d.scoreBatch(ctx, b.items, b.texts, s.opts.Workers); err != nil {
 		b.items, b.end = b.items[:0], err
 	}
 	s.stats.ScoreSeconds += time.Since(start).Seconds()

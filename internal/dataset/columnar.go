@@ -150,9 +150,16 @@ type colReader struct {
 	items     []ecom.Item
 	ncomments []int // per-item comment counts for the current chunk
 	idx       int
+
+	// texts makes the read projected: a chunk's comment block yields
+	// only contents, its contents column in item order, and items have
+	// no Comments; off is where the item at idx starts in contents.
+	texts    bool
+	contents []string
+	off      int
 }
 
-func newColReader(r io.Reader) (*colReader, error) {
+func newColReader(r io.Reader, texts bool) (*colReader, error) {
 	cr, err := colfmt.NewReader(r)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
@@ -160,40 +167,49 @@ func newColReader(r io.Reader) (*colReader, error) {
 	if cr.Kind() != colfmt.KindDataset {
 		return nil, fmt.Errorf("dataset: container kind %d is not a dataset", cr.Kind())
 	}
-	return &colReader{r: cr}, nil
+	return &colReader{r: cr, texts: texts}, nil
 }
 
-// next hands out the following item of the current chunk, loading the
-// next chunk when the slice runs dry. One pointer move per call: the
-// streaming corpus loop lives here.
+// next hands out the following item of the current chunk — on a
+// projected read with its comments' texts — loading the next chunk
+// when the slice runs dry. One pointer move per call: the streaming
+// corpus loop lives here.
 //
 //cats:hotpath
-func (c *colReader) next() (*ecom.Item, error) {
+func (c *colReader) next() (*ecom.Item, []string, error) {
 	for c.idx >= len(c.items) {
 		if err := c.loadChunk(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	item := &c.items[c.idx]
+	var texts []string
+	if c.texts {
+		end := c.off + c.ncomments[c.idx]
+		texts = c.contents[c.off:end:end]
+		c.off = end
+	}
 	c.idx++
-	return item, nil
+	return item, texts, nil
 }
 
 // loadChunk reads the next arena/items/comments block triple. Unknown
 // block names are skipped for forward compatibility.
 //
-// Every chunk gets a fresh arena string, item slice and comment slice;
-// nothing of the previous chunk is reused or overwritten. Items already
-// handed out therefore stay intact while a later chunk loads, which is
-// what lets core.DetectStream read ahead on one goroutine while another
-// still scores items of the chunk before (the JSONL reader allocates
-// per line and has the same property).
+// The arena is read straight into the string every value of the chunk
+// aliases (NextArena): one allocation per chunk, no other copy. Every
+// chunk gets a fresh arena string, item slice and comment (or contents)
+// slice; nothing of the previous chunk is reused or overwritten. Items
+// already handed out therefore stay intact while a later chunk loads,
+// which is what lets core.DetectStream read ahead on one goroutine
+// while another still scores items of the chunk before (the JSONL
+// reader allocates per line and has the same property).
 func (c *colReader) loadChunk() error {
 	c.items, c.idx = nil, 0
 	var arena string
 	partial := false
 	for {
-		name, payload, err := c.r.Next()
+		name, payload, err := c.r.NextArena(&arena)
 		if err == io.EOF {
 			if partial {
 				return fmt.Errorf("dataset: truncated container: chunk ended before its comment block")
@@ -205,8 +221,6 @@ func (c *colReader) loadChunk() error {
 		}
 		switch name {
 		case "arena":
-			// One copy per chunk; every string below aliases it.
-			arena = string(payload)
 			partial = true
 		case "items":
 			if err := c.decodeItems(c.r.Dec(name, payload), arena); err != nil {
@@ -270,23 +284,39 @@ func fillItems(items []ecom.Item, ids, shops, names, cats []string, prices, sale
 	}
 }
 
+// col decodes one column of a block, of length n: built by read, or
+// with build unset only validated by skip (colfmt's Skip forms make
+// every check the building ones do).
+func col[T any](build bool, read func() []T, skip func() int) (c []T, n int) {
+	if !build {
+		return nil, skip()
+	}
+	c = read()
+	return c, len(c)
+}
+
+// decodeComments decodes a chunk's comment block. The column order is
+// written here once; the projection only decides which columns besides
+// contents are built, so both reads accept and reject the same bytes.
 func (c *colReader) decodeComments(d *colfmt.Dec, arena string) error {
 	if c.items == nil {
 		return fmt.Errorf("dataset: comment block before item block")
 	}
+	str := func() []string { return d.StringCol(arena) }
+	skipStr := func() int { return d.SkipStringCol(arena) }
+	rows := !c.texts
 	m := int(d.Uvarint())
-	ids := d.StringCol(arena)
-	contents := d.StringCol(arena)
-	users := d.StringCol(arena)
-	nicks := d.StringCol(arena)
-	expvals := d.IntCol()
-	dates := d.IntCol()
-	clients := d.ByteCol()
+	ids, n0 := col(rows, str, skipStr)
+	contents, n1 := col(true, str, skipStr)
+	users, n2 := col(rows, str, skipStr)
+	nicks, n3 := col(rows, str, skipStr)
+	expvals, n4 := col(rows, d.IntCol, d.SkipIntCol)
+	dates, n5 := col(rows, d.IntCol, d.SkipIntCol)
+	clients, n6 := col(rows, d.ByteCol, d.SkipByteCol)
 	if err := d.Done(); err != nil {
 		return fmt.Errorf("dataset: %w", err)
 	}
-	if len(ids) != m || len(contents) != m || len(users) != m || len(nicks) != m ||
-		len(expvals) != m || len(dates) != m || len(clients) != m {
+	if n0 != m || n1 != m || n2 != m || n3 != m || n4 != m || n5 != m || n6 != m {
 		return fmt.Errorf("dataset: comment block columns disagree with %d comments", m)
 	}
 	total := 0
@@ -295,6 +325,10 @@ func (c *colReader) decodeComments(d *colfmt.Dec, arena string) error {
 	}
 	if total != m {
 		return fmt.Errorf("dataset: item comment counts sum to %d but chunk has %d comments", total, m)
+	}
+	if c.texts {
+		c.contents, c.off = contents, 0
+		return nil
 	}
 	// One backing slice for the chunk; items slice into it.
 	comments := make([]ecom.Comment, m)

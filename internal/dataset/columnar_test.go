@@ -188,16 +188,23 @@ func TestColumnarCorruption(t *testing.T) {
 	b := buf.Bytes()
 	b[len(b)/2] ^= 0x20
 
-	r := NewReader(bytes.NewReader(b))
-	for i := 0; i <= len(ds.Items); i++ {
-		if _, err := r.Next(); err != nil {
-			if errors.Is(err, io.EOF) {
-				t.Fatal("corruption read through to clean EOF")
-			}
-			return // diagnosed
+	reads := map[string]func(*Reader) error{
+		"Next":      func(r *Reader) error { _, err := r.Next(); return err },
+		"NextTexts": func(r *Reader) error { _, _, err := r.NextTexts(); return err },
+	}
+	for name, next := range reads {
+		r := NewReader(bytes.NewReader(b))
+		var err error
+		for i := 0; i <= len(ds.Items) && err == nil; i++ {
+			err = next(r)
+		}
+		if errors.Is(err, io.EOF) {
+			t.Fatalf("%s: corruption read through to clean EOF", name)
+		}
+		if err == nil {
+			t.Fatalf("%s: corrupted stream fully decoded", name)
 		}
 	}
-	t.Fatal("corrupted stream fully decoded")
 }
 
 // TestColumnarRejectsSnapshotKind: a model snapshot container is not a

@@ -11,6 +11,7 @@ package dataset
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -145,17 +146,19 @@ func WriteAllFormat(path string, ds *ecom.Dataset, f Format) error {
 	return w.Close()
 }
 
-// itemDecoder is one input format behind Reader.
+// itemDecoder is one input format behind Reader. A decoder that reads
+// projected returns the item's comment contents beside it, as texts.
 type itemDecoder interface {
-	next() (*ecom.Item, error)
+	next() (item *ecom.Item, texts []string, err error)
 }
 
 // Reader streams items from JSONL or the columnar container,
 // deciding which on the first read by sniffing the magic bytes.
 type Reader struct {
-	br  *bufio.Reader
-	c   io.Closer
-	dec itemDecoder
+	br    *bufio.Reader
+	c     io.Closer
+	dec   itemDecoder
+	texts bool // dec was opened by NextTexts
 }
 
 // NewReader wraps r.
@@ -179,20 +182,50 @@ func Open(path string) (*Reader, error) {
 // chunk's arena; they stay valid for as long as the item is
 // referenced, at the cost of keeping that chunk's arena alive.
 func (r *Reader) Next() (*ecom.Item, error) {
+	item, _, err := r.next(false)
+	return item, err
+}
+
+// NextTexts is Next for a caller that reads nothing of a comment but
+// its text, as the detector does: the item has its item-level fields
+// and Comments nil, texts holds its comments' contents. A columnar
+// chunk is decoded projected — of the comment block only the contents
+// column is built, the other six are validated and skipped — and
+// accepts and rejects exactly the bytes Next does; a JSONL line is
+// decoded in full and its contents lifted out. A Reader is read through
+// Next or NextTexts: the first call decides, the other then fails.
+func (r *Reader) NextTexts() (item *ecom.Item, texts []string, err error) {
+	if item, texts, err = r.next(true); err == nil && item.Comments != nil {
+		texts = make([]string, len(item.Comments))
+		for i := range item.Comments {
+			texts[i] = item.Comments[i].Content
+		}
+		item.Comments = nil
+	}
+	return item, texts, err
+}
+
+// next reads an item from the format's decoder, opened on the first
+// call for the kind of read that call makes.
+func (r *Reader) next(texts bool) (*ecom.Item, []string, error) {
 	if r.dec == nil {
 		// Sniff once. A short or empty stream cannot be columnar (the
 		// container header alone is longer), so it goes down the JSONL
 		// path, which reports empty input as a clean EOF.
+		r.texts = texts
 		prefix, _ := r.br.Peek(4)
 		if colfmt.Sniff(prefix) {
-			cr, err := newColReader(r.br)
+			cr, err := newColReader(r.br, texts)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			r.dec = cr
 		} else {
 			r.dec = newJSONLReader(r.br)
 		}
+	}
+	if r.texts != texts {
+		return nil, nil, errors.New("dataset: Next and NextTexts mixed on one Reader")
 	}
 	return r.dec.next()
 }
@@ -217,7 +250,7 @@ func newJSONLReader(r io.Reader) *jsonlReader {
 	return &jsonlReader{s: s}
 }
 
-func (r *jsonlReader) next() (*ecom.Item, error) {
+func (r *jsonlReader) next() (*ecom.Item, []string, error) {
 	for r.s.Scan() {
 		r.line++
 		b := r.s.Bytes()
@@ -226,14 +259,14 @@ func (r *jsonlReader) next() (*ecom.Item, error) {
 		}
 		var item ecom.Item
 		if err := json.Unmarshal(b, &item); err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %w", r.line, err)
+			return nil, nil, fmt.Errorf("dataset: line %d: %w", r.line, err)
 		}
-		return &item, nil
+		return &item, nil, nil
 	}
 	if err := r.s.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return nil, io.EOF
+	return nil, nil, io.EOF
 }
 
 // ReadAll loads a whole dataset from path.

@@ -232,19 +232,35 @@ func (e *Extractor) AnalyzeItem(item *ecom.Item) *ItemAnalysis {
 // stage-one positive-signal decision from one pooled analysis pass per
 // comment, retaining nothing: the only allocation is the returned
 // vector. It is the detector's fused scoring entry point; the vector is
-// bit-identical to AnalyzeItem(item).Vector().
+// bit-identical to AnalyzeItem(item).Vector(). The item's contents are
+// gathered in the scratch (endItem drops them again) and go through
+// the entry VectorSignalTexts does.
 func (e *Extractor) VectorSignal(item *ecom.Item) ([]float64, bool) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	return e.vectorSignal(sc, item)
+	return e.vectorSignalTexts(sc, sc.gather(item))
 }
 
-// vectorSignal is VectorSignal over the caller's scratch.
-func (e *Extractor) vectorSignal(sc *scratch, item *ecom.Item) ([]float64, bool) {
+// VectorSignalTexts is VectorSignal for a caller that holds an item's
+// comments as a column of their contents and nothing else — what a
+// projected dataset read (dataset.Reader.NextTexts) yields.
+//
+//cats:hotpath
+func (e *Extractor) VectorSignalTexts(texts []string) ([]float64, bool) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return e.vectorSignalTexts(sc, texts)
+}
+
+// vectorSignalTexts is the kernel's one item-level entry: an item's
+// comment contents, in order, over the caller's scratch.
+//
+//cats:hotpath
+func (e *Extractor) vectorSignalTexts(sc *scratch, texts []string) ([]float64, bool) {
 	var a ItemAnalysis
-	sc.beginItem(len(e.words), len(item.Comments))
-	for i := range item.Comments {
-		ca, words := e.analyzeComment(sc, item.Comments[i].Content)
+	sc.beginItem(len(e.words), len(texts))
+	for _, text := range texts {
+		ca, words := e.analyzeComment(sc, text)
 		a.accumulate(&ca, words)
 	}
 	a.distinctWords = sc.distinct

@@ -179,7 +179,7 @@ func TestScratchHoldsNoInputAfterItem(t *testing.T) {
 	text := strings.Repeat("生僻字 unknown 9999 ", 40)
 	it := item(text, text[:len(text)/2])
 	sc := &scratch{}
-	if _, _ = e.vectorSignal(sc, it); len(sc.transient.used) != 0 {
+	if _, _ = e.vectorSignalTexts(sc, sc.gather(it)); len(sc.transient.used) != 0 {
 		t.Fatalf("transient index still lists %d words after the item", len(sc.transient.used))
 	}
 	if len(sc.transient.slots) == 0 {
@@ -193,7 +193,15 @@ func TestScratchHoldsNoInputAfterItem(t *testing.T) {
 			t.Fatalf("transient slot %d still aliases the input", i)
 		}
 	}
-	// scratch has exactly one field that can hold a string; the rest is
+	if len(sc.texts) != 0 {
+		t.Fatalf("scratch still lists %d comment texts after the item", len(sc.texts))
+	}
+	for i, s := range sc.texts[:cap(sc.texts)] {
+		if s != "" {
+			t.Fatalf("scratch text %d still references the input after the item", i)
+		}
+	}
+	// scratch has exactly two fields that can hold a string; the rest is
 	// integers. A new string-bearing field must come with its own reset.
 	var _ struct {
 		toks      []tokenize.WordToken
@@ -201,6 +209,7 @@ func TestScratchHoldsNoInputAfterItem(t *testing.T) {
 		touched   []int32
 		counts    []int32
 		transient wordIndex
+		texts     []string
 		epoch     uint32
 		itemStart uint32
 		distinct  int
@@ -236,7 +245,7 @@ func TestScratchSharedAcrossExtractors(t *testing.T) {
 			for _, it := range items {
 				for _, e := range []*Extractor{small, large} {
 					want, wantSignal := oracleVectorSignal(e, it)
-					got, signal := e.vectorSignal(sc, it)
+					got, signal := e.vectorSignalTexts(sc, sc.gather(it))
 					for j := range want {
 						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 							t.Fatalf("epoch %d, feature %s: shared scratch %v != oracle %v", sc.epoch, Names[j], got[j], want[j])

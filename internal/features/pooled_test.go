@@ -1,6 +1,7 @@
 package features
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/synth"
@@ -29,10 +30,19 @@ func TestVectorSignalMatchesAnalyzeItem(t *testing.T) {
 		if gotSig != wantSig {
 			t.Fatalf("item %d: VectorSignal signal %v, AnalyzeItem %v", i, gotSig, wantSig)
 		}
+		// The same item as a column of its comments' contents.
+		var texts []string
+		for _, c := range items[i].Comments {
+			texts = append(texts, c.Content)
+		}
+		textsV, textsSig := e.VectorSignalTexts(texts)
+		if textsSig != wantSig {
+			t.Fatalf("item %d: VectorSignalTexts signal %v, AnalyzeItem %v", i, textsSig, wantSig)
+		}
 		for j := range wantV {
-			if gotV[j] != wantV[j] {
-				t.Fatalf("item %d feature %s: VectorSignal %v != AnalyzeItem %v",
-					i, Names[j], gotV[j], wantV[j])
+			if gotV[j] != wantV[j] || math.Float64bits(textsV[j]) != math.Float64bits(wantV[j]) {
+				t.Fatalf("item %d feature %s: VectorSignal %v, VectorSignalTexts %v != AnalyzeItem %v",
+					i, Names[j], gotV[j], textsV[j], wantV[j])
 			}
 		}
 	}
@@ -66,6 +76,13 @@ func TestVectorSignalAllocations(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Fatalf("VectorSignal allocated %.1f times per item, want <= 2", allocs)
+	}
+	texts := []string{it.Comments[0].Content, it.Comments[1].Content, it.Comments[2].Content}
+	allocs = testing.AllocsPerRun(200, func() {
+		_, _ = e.VectorSignalTexts(texts)
+	})
+	if allocs > 2 {
+		t.Fatalf("VectorSignalTexts allocated %.1f times per item, want <= 2", allocs)
 	}
 }
 

@@ -3,6 +3,7 @@ package features
 import (
 	"math"
 
+	"repro/internal/ecom"
 	"repro/internal/tokenize"
 )
 
@@ -176,6 +177,7 @@ type scratch struct {
 	touched   []int32    // IDs first met in the current comment, in order
 	counts    []int32    // their occurrence counts, for the entropy sum
 	transient wordIndex  // current item's words outside the table
+	texts     []string   // current item's comment contents, when VectorSignal gathered them
 
 	epoch     uint32 // current comment
 	itemStart uint32 // first comment epoch of the current item
@@ -197,8 +199,20 @@ func (sc *scratch) beginItem(tableSize, comments int) {
 	sc.distinct = 0
 }
 
+// gather lists the item's comment contents in the scratch, until endItem.
+func (sc *scratch) gather(item *ecom.Item) []string {
+	for i := range item.Comments {
+		sc.texts = append(sc.texts, item.Comments[i].Content)
+	}
+	return sc.texts
+}
+
 // endItem drops what the scratch retained of the item's text.
-func (sc *scratch) endItem() { sc.transient.reset() }
+func (sc *scratch) endItem() {
+	sc.transient.reset()
+	clear(sc.texts)
+	sc.texts = sc.texts[:0]
+}
 
 // transientID returns the item-scoped ID of a word outside the table,
 // growing the cell array to cover it.

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -252,6 +253,25 @@ func reduceCandidates(a, b splitCandidate) splitCandidate {
 	return a
 }
 
+// sortSplitPairs orders a node's pairs by feature value. The compare is
+// negative exactly when a.v < b.v, so slices.SortFunc makes the
+// comparisons and swaps sort.Slice made with that less — the same
+// permutation, ties included, hence the same GL/HL sums and the same
+// model — without sort.Slice's reflection swapper over 24-byte
+// elements. It is a variable so the test can fit the same model through
+// the sort.Slice form and compare snapshots.
+var sortSplitPairs = func(pairs []splitPair) {
+	slices.SortFunc(pairs, func(a, b splitPair) int {
+		switch {
+		case a.v < b.v:
+			return -1
+		case a.v > b.v:
+			return 1
+		}
+		return 0
+	})
+}
+
 // bestSplitFeature finds feature f's gain-maximizing threshold via a
 // sorted sweep. buf must have len(rows) capacity and is clobbered.
 func (c *Classifier) bestSplitFeature(ds *ml.Dataset, rows []int, f int, grad, hess []float64, G, H, parentScore float64, buf []splitPair) splitCandidate {
@@ -259,7 +279,7 @@ func (c *Classifier) bestSplitFeature(ds *ml.Dataset, rows []int, f int, grad, h
 	for k, i := range rows {
 		pairs[k] = splitPair{ds.X[i][f], grad[i], hess[i]}
 	}
-	sort.Slice(pairs, func(a, b int) bool { return pairs[a].v < pairs[b].v })
+	sortSplitPairs(pairs)
 	best := splitCandidate{feat: -1}
 	var GL, HL float64
 	for k := 0; k < len(pairs)-1; k++ {

@@ -1,8 +1,12 @@
 package gbt
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -236,5 +240,65 @@ func TestPredictProbaAtStaged(t *testing.T) {
 	p0 := clf.PredictProbaAt(x, 0)
 	if p0 < 0 || p0 > 1 {
 		t.Fatalf("stage-0 prediction %v", p0)
+	}
+}
+
+// TestSplitSortMatchesSortSlice: the split search's slices.SortFunc and
+// the sort.Slice form it replaced (kept here as the oracle) must fit
+// the same model, byte for byte, with row and column subsampling on —
+// the two leave ties in the same order or the GL/HL sums drift.
+func TestSplitSortMatchesSortSlice(t *testing.T) {
+	fit := func(seed int64) []byte {
+		t.Helper()
+		// Values rounded to one decimal: every feature is full of ties.
+		ds := mltest.Gaussians(900, 6, 1.2, seed)
+		for _, x := range ds.X {
+			for j := range x {
+				x[j] = math.Round(x[j]*10) / 10
+			}
+		}
+		clf := New(Config{Rounds: 30, MaxDepth: 5, Subsample: 0.8, ColSample: 0.5, Seed: seed})
+		if err := clf.Fit(ds); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := clf.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	fast := sortSplitPairs
+	oracle := func(pairs []splitPair) {
+		sort.Slice(pairs, func(a, b int) bool { return pairs[a].v < pairs[b].v })
+	}
+	defer func() { sortSplitPairs = fast }()
+	for _, seed := range []int64{1, 2, 3} {
+		sortSplitPairs = fast
+		got := fit(seed)
+		sortSplitPairs = oracle
+		if want := fit(seed); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: snapshot differs from the sort.Slice model", seed)
+		}
+		// The permutation itself, at lengths on both sides of pdqsort's
+		// insertion-sort and ninther cutoffs; g tells tied values apart.
+		rng := rand.New(rand.NewSource(seed))
+		for _, n := range []int{2, 12, 13, 51, 300, 5000} {
+			pairs := make([]splitPair, n)
+			for i := range pairs {
+				pairs[i] = splitPair{v: float64(rng.Intn(n/3 + 1)), g: float64(i)}
+			}
+			want := append([]splitPair(nil), pairs...)
+			oracle(want)
+			fast(pairs)
+			for i := range pairs {
+				if pairs[i] != want[i] {
+					t.Fatalf("seed %d, %d pairs: position %d holds %+v, sort.Slice put %+v there", seed, n, i, pairs[i], want[i])
+				}
+			}
+		}
 	}
 }
