@@ -3,23 +3,19 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-fixtures deps-check test test-race check bench bench-smoke bench-test bench-quick fuzz-smoke serve-smoke experiments cover clean
+.PHONY: all build vet fmt-check lint deps-check test test-race check bench bench-smoke bench-test bench-quick fuzz-smoke serve-smoke experiments cover clean
 
 all: build vet test
 
-# Run catslint, the project's invariant linter: zero-alloc hot path
-# (//cats:hotpath), sync.Pool Get/Put pairing, map-iteration
-# determinism, ctx propagation, wall-clock/rand hygiene, registry
-# handle lifecycles, colfmt arena aliasing, obs label discipline, and
-# sticky decode errors.
+# Run catslint, the project's invariant linter, eight rules: zero-alloc
+# hot path (//cats:hotpath), sync.Pool Get/Put pairing, map-iteration
+# determinism, ctx propagation, wall-clock/rand hygiene, registry leases
+# taken outside the registry, colfmt arena aliasing, and obs label
+# discipline. The analyzers' own regression gate — one that goes blind or
+# starts overreporting on the fixture corpus fails it — is tier-1:
+# `go test ./internal/lint ./cmd/catslint`.
 lint:
 	$(GO) run ./cmd/catslint
-
-# Pin the analyzers themselves: run catslint over its fixture corpus
-# and diff the findings against the expected file:line set, so an
-# analyzer that goes blind (or starts overreporting) fails the build.
-lint-fixtures:
-	bash scripts/lint_fixtures.sh
 
 # gofmt gate: any file gofmt would rewrite fails the build.
 fmt-check:
@@ -35,7 +31,7 @@ deps-check:
 
 # The full pre-merge gate: compile, format, vet, invariant lint,
 # dependency closure, and tests.
-check: build fmt-check vet lint lint-fixtures deps-check test
+check: build fmt-check vet lint deps-check test
 
 build:
 	$(GO) build ./...

@@ -1,31 +1,20 @@
 // Command catslint runs the project's invariant linter over the module
 // tree: the zero-allocation hot path (//cats:hotpath), sync.Pool
 // Get/Put pairing, map-iteration determinism, context propagation,
-// wall-clock/randomness hygiene, registry handle lifecycles
-// (handle-lease), colfmt arena aliasing (arena-escape), obs label
-// discipline (metric-discipline), and sticky decode errors
-// (sticky-error). It exits 0 when the tree is clean, 1 when there are
-// findings, and 2 on a load or usage error.
+// wall-clock/randomness hygiene, registry leases taken outside the
+// registry (handle-lease), colfmt arena aliasing (arena-escape), and obs
+// label discipline (metric-discipline). It exits 0 when the tree is
+// clean, 1 when there are findings, and 2 on a load or usage error.
 //
 // Usage:
 //
-//	catslint [-root dir] [-rules r1,r2] [-json] [-list] [config overrides]
+//	catslint [-root dir] [-rules r1,r2] [-json] [-list]
 //
 // Findings print as file:line:col: rule: message; -json emits a JSON
 // array instead. Suppress a finding in source with
 // //lint:ignore <rule> <reason> on the offending line or the line
-// directly above it.
-//
-// The package-scoping config defaults to the repository's own policy
-// (lint.DefaultConfig) and can be overridden per run — mainly so the
-// fixture corpus under internal/lint/testdata/src can be linted as its
-// own module with its own scoping:
-//
-//	-det-pkgs        deterministic packages (no-wallclock-rand)
-//	-pinned-pkgs     pinned-summation packages (map-range-determinism)
-//	-exempt-pkgs     packages excused from no-wallclock-rand
-//	-bridges         pkg=fn1+fn2;pkg2=fn wall-clock bridge functions
-//	-label-allowlist identifiers vetted as bounded Vec label values
+// directly above it. Which packages each package-scoped rule covers is
+// the repository's policy, lint.DefaultConfig, and not a flag.
 package main
 
 import (
@@ -38,47 +27,11 @@ import (
 	"repro/internal/lint"
 )
 
-// splitList parses a comma-separated flag value, dropping empty items.
-func splitList(s string) []string {
-	var out []string
-	for _, v := range strings.Split(s, ",") {
-		if v = strings.TrimSpace(v); v != "" {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// parseBridges parses -bridges: semicolon-separated pkg=fn+fn entries.
-func parseBridges(s string) (map[string][]string, error) {
-	out := map[string][]string{}
-	for _, entry := range strings.Split(s, ";") {
-		if entry = strings.TrimSpace(entry); entry == "" {
-			continue
-		}
-		pkg, fns, ok := strings.Cut(entry, "=")
-		if !ok {
-			return nil, fmt.Errorf("bad -bridges entry %q (want pkg=fn+fn)", entry)
-		}
-		for _, fn := range strings.Split(fns, "+") {
-			if fn = strings.TrimSpace(fn); fn != "" {
-				out[pkg] = append(out[pkg], fn)
-			}
-		}
-	}
-	return out, nil
-}
-
 func main() {
 	root := flag.String("root", ".", "module root (directory containing go.mod)")
 	rules := flag.String("rules", "", "comma-separated rule names to run (default: all)")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
 	list := flag.Bool("list", false, "list the rules and exit")
-	detPkgs := flag.String("det-pkgs", "", "override: comma-separated deterministic package suffixes")
-	pinnedPkgs := flag.String("pinned-pkgs", "", "override: comma-separated pinned-summation package suffixes")
-	exemptPkgs := flag.String("exempt-pkgs", "", "override: comma-separated wallclock-exempt package suffixes")
-	bridges := flag.String("bridges", "", "override: pkg=fn+fn;... wall-clock bridge functions")
-	labelAllow := flag.String("label-allowlist", "", "override: comma-separated bounded label identifiers")
 	flag.Parse()
 
 	if *list {
@@ -104,28 +57,7 @@ func main() {
 		}
 	}
 
-	cfg := lint.DefaultConfig
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "det-pkgs":
-			cfg.DeterministicPkgs = splitList(*detPkgs)
-		case "pinned-pkgs":
-			cfg.PinnedOrderPkgs = splitList(*pinnedPkgs)
-		case "exempt-pkgs":
-			cfg.WallclockExemptPkgs = splitList(*exemptPkgs)
-		case "label-allowlist":
-			cfg.MetricLabelAllowlist = splitList(*labelAllow)
-		case "bridges":
-			b, err := parseBridges(*bridges)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "catslint: %v\n", err)
-				os.Exit(2)
-			}
-			cfg.WallclockBridges = b
-		}
-	})
-
-	diags, err := lint.NewRunner().LintModule(*root, cfg)
+	diags, err := lint.NewRunner().LintModule(*root, lint.DefaultConfig)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "catslint: %v\n", err)
 		os.Exit(2)

@@ -205,7 +205,7 @@ func (r *Reader) Offset() int64 { return r.off }
 // Next returns the next block. The payload is valid only until the
 // following Next call (the buffer is reused); decoded numeric columns
 // are copied out and string columns alias the arena, so block decoders
-// built on Dec never retain it. Returns io.EOF cleanly at end of
+// built on Decode never retain it. Returns io.EOF cleanly at end of
 // container.
 func (r *Reader) Next() (name string, payload []byte, err error) { return r.NextArena(nil) }
 
@@ -298,10 +298,15 @@ func (r *Reader) payloadString(name string, n int) (string, uint32, error) {
 	return sb.String(), crc, nil
 }
 
-// Dec returns a column decoder over payload that reports failures with
-// this reader's version and the block's name.
-func (r *Reader) Dec(block string, payload []byte) *Dec {
-	return &Dec{version: r.version, block: block, b: payload}
+// Decode runs fn over a column decoder for payload, one that reports
+// failures with this reader's version and the block's name, and returns
+// the decoder's Done: its first failure, or an error for bytes fn left
+// unread. It is the only way to a Dec outside this package, so no block
+// is decoded without that final check.
+func (r *Reader) Decode(block string, payload []byte, fn func(*Dec)) error {
+	d := &Dec{version: r.version, block: block, b: payload}
+	fn(d)
+	return d.Done()
 }
 
 func (r *Reader) readUvarint(what string) (uint64, error) {

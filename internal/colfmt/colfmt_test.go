@@ -61,6 +61,51 @@ func TestSniff(t *testing.T) {
 	}
 }
 
+// newDec is the decoder Reader.Decode builds, for tests that drive one
+// by hand and look at it between reads.
+func newDec(block string, payload []byte) *Dec {
+	return &Dec{version: FormatVersion, block: block, b: payload}
+}
+
+// decodeBlock runs fn under Reader.Decode, the way the snapshot and
+// dataset readers decode a block.
+func decodeBlock(block string, payload []byte, fn func(*Dec)) error {
+	return (&Reader{version: FormatVersion}).Decode(block, payload, fn)
+}
+
+// TestDecodeOwnsTheFinalCheck: whatever fn does with its decoder, Decode
+// answers with Done — nil only when fn read the payload exactly.
+func TestDecodeOwnsTheFinalCheck(t *testing.T) {
+	var e Enc
+	e.Uvarint(7)
+	e.U32(9)
+	var got uint64
+	if err := decodeBlock("blk", e.Bytes(), func(d *Dec) { got = d.Uvarint(); d.U32() }); err != nil || got != 7 {
+		t.Fatalf("exact read: got %d, err %v", got, err)
+	}
+	// Under-read: the bytes fn left are corruption.
+	err := decodeBlock("blk", e.Bytes(), func(d *Dec) { d.Uvarint() })
+	var ce *Error
+	if !errors.As(err, &ce) || ce.Block != "blk" || !strings.Contains(ce.Msg, "4 trailing bytes") {
+		t.Fatalf("under-read: err %v", err)
+	}
+	// Over-read: the first failure is the one reported, not a later one
+	// and not the (absent) trailing bytes.
+	err = decodeBlock("blk", e.Bytes(), func(d *Dec) {
+		d.Uvarint()
+		d.F64() // 4 bytes left
+		d.Failf("a later failure")
+		d.Uvarint()
+	})
+	if !errors.As(err, &ce) || ce.Msg != "truncated f64" || ce.Offset != 1 {
+		t.Fatalf("over-read: err %v", err)
+	}
+	// fn ignoring a failure it caused cannot make Decode succeed.
+	if err := decodeBlock("blk", e.Bytes(), func(d *Dec) { d.Uvarint(); d.U32(); d.Failf("shape mismatch") }); err == nil {
+		t.Fatal("Failf inside fn did not fail Decode")
+	}
+}
+
 func TestColumnsRoundTrip(t *testing.T) {
 	var arena Arena
 	var e Enc
@@ -81,7 +126,7 @@ func TestColumnsRoundTrip(t *testing.T) {
 	e.F64Col(floats)
 	e.ByteCol(bts)
 
-	d := NewDec("t", e.Bytes())
+	d := newDec("t", e.Bytes())
 	as := string(arena.Bytes())
 	if got := d.Uvarint(); got != 42 {
 		t.Fatalf("Uvarint = %d", got)
@@ -138,7 +183,7 @@ func TestStringColZeroCopy(t *testing.T) {
 	var e Enc
 	e.StringCol(&arena, []string{"alpha", "beta"})
 	as := string(arena.Bytes())
-	d := NewDec("t", e.Bytes())
+	d := newDec("t", e.Bytes())
 	got := d.StringCol(as)
 	// Zero-copy contract: the decoded strings are slices of the arena
 	// string, not fresh allocations.
@@ -214,7 +259,7 @@ func TestBadMagicAndVersionAndKind(t *testing.T) {
 }
 
 func TestDecStickyErrors(t *testing.T) {
-	d := NewDec("blk", []byte{0x01}) // one byte: not enough for a u32
+	d := newDec("blk", []byte{0x01}) // one byte: not enough for a u32
 	_ = d.U32()
 	if d.Err() == nil {
 		t.Fatal("truncated u32 not detected")
@@ -239,14 +284,14 @@ func TestDecCountGuard(t *testing.T) {
 	var e Enc
 	e.Uvarint(1 << 40)
 	payload := append(e.Bytes(), 1, 2, 3)
-	d := NewDec("t", payload)
-	if got := d.F64Col(); got != nil || d.Err() == nil {
-		t.Fatalf("oversized count decoded: %v, err %v", got, d.Err())
+	var got []float64
+	if err := decodeBlock("t", payload, func(d *Dec) { got = d.F64Col() }); got != nil || err == nil {
+		t.Fatalf("oversized count decoded: %v, err %v", got, err)
 	}
 	// The skip decoders sit behind the same guard as the columns they
 	// skip, with the same diagnosis.
 	for name, pair := range skipPairs("some arena") {
-		built, skipped := NewDec("t", payload), NewDec("t", payload)
+		built, skipped := newDec("t", payload), newDec("t", payload)
 		pair.build(built)
 		if n := pair.skip(skipped); n != 0 || skipped.Err() == nil {
 			t.Fatalf("%s: oversized count skipped as %d values, err %v", name, n, skipped.Err())
@@ -292,7 +337,7 @@ func TestSkipDecodersMatchBuilders(t *testing.T) {
 		pair := skipPairs(string(arena.Bytes()))[name]
 		for cut := len(e.Bytes()); cut >= 0; cut-- {
 			payload := e.Bytes()[:cut]
-			built, skipped := NewDec("t", payload), NewDec("t", payload)
+			built, skipped := newDec("t", payload), newDec("t", payload)
 			want, got := pair.build(built), pair.skip(skipped)
 			if got != want || skipped.off != built.off {
 				t.Fatalf("%s cut at %d: skipped %d values to offset %d, built %d to %d", name, cut, got, skipped.off, want, built.off)
@@ -304,7 +349,7 @@ func TestSkipDecodersMatchBuilders(t *testing.T) {
 		if raceEnabled {
 			continue
 		}
-		d := NewDec("t", e.Bytes())
+		d := newDec("t", e.Bytes())
 		if allocs := testing.AllocsPerRun(20, func() { d.off = 0; pair.skip(d) }); allocs != 0 {
 			t.Fatalf("%s: skip decoder allocated %.0f times", name, allocs)
 		}
@@ -317,40 +362,42 @@ func TestStringColBounds(t *testing.T) {
 	e.Uvarint(1) // one string
 	e.U32(0)     // base
 	e.U32(100)   // end beyond arena
-	d := NewDec("t", e.Bytes())
-	if got := d.StringCol("short"); got != nil || d.Err() == nil {
+	var got []string
+	err := decodeBlock("t", e.Bytes(), func(d *Dec) { got = d.StringCol("short") })
+	if got != nil || err == nil {
 		t.Fatalf("out-of-bounds string decoded: %v", got)
 	}
-	requireSkipRejects(t, e.Bytes(), "short", d.Err())
+	requireSkipRejects(t, e.Bytes(), "short", err)
 
 	var e2 Enc
 	e2.Uvarint(2)
 	e2.U32(3) // base
 	e2.U32(5)
 	e2.U32(2) // backwards
-	d = NewDec("t", e2.Bytes())
-	if got := d.StringCol("abcdefgh"); got != nil || d.Err() == nil {
+	err = decodeBlock("t", e2.Bytes(), func(d *Dec) { got = d.StringCol("abcdefgh") })
+	if got != nil || err == nil {
 		t.Fatalf("backwards string offsets decoded: %v", got)
 	}
-	requireSkipRejects(t, e2.Bytes(), "abcdefgh", d.Err())
+	requireSkipRejects(t, e2.Bytes(), "abcdefgh", err)
 
 	var e3 Enc
 	e3.Uvarint(0)
 	e3.U32(9) // base beyond the arena, on a column with no strings
-	d = NewDec("t", e3.Bytes())
-	if d.StringCol("abcdefgh"); d.Err() == nil {
+	err = decodeBlock("t", e3.Bytes(), func(d *Dec) { d.StringCol("abcdefgh") })
+	if err == nil {
 		t.Fatal("string column base beyond the arena decoded")
 	}
-	requireSkipRejects(t, e3.Bytes(), "abcdefgh", d.Err())
+	requireSkipRejects(t, e3.Bytes(), "abcdefgh", err)
 }
 
 // requireSkipRejects: SkipStringCol fails on payload with the diagnosis
 // StringCol gave.
 func requireSkipRejects(t *testing.T, payload []byte, arena string, want error) {
 	t.Helper()
-	d := NewDec("t", payload)
-	if n := d.SkipStringCol(arena); n != 0 || d.Err() == nil || d.Err().Error() != want.Error() {
-		t.Fatalf("SkipStringCol = %d, err %v; StringCol failed with %v", n, d.Err(), want)
+	n := -1
+	err := decodeBlock("t", payload, func(d *Dec) { n = d.SkipStringCol(arena) })
+	if n != 0 || err == nil || err.Error() != want.Error() {
+		t.Fatalf("SkipStringCol = %d, err %v; StringCol failed with %v", n, err, want)
 	}
 }
 
@@ -358,11 +405,12 @@ func TestDoneRejectsTrailingBytes(t *testing.T) {
 	var e Enc
 	e.Uvarint(7)
 	payload := append(e.Bytes(), 0xAA)
-	d := NewDec("t", payload)
-	if got := d.Uvarint(); got != 7 {
+	var got uint64
+	err := decodeBlock("t", payload, func(d *Dec) { got = d.Uvarint() })
+	if got != 7 {
 		t.Fatalf("Uvarint = %d", got)
 	}
-	if err := d.Done(); err == nil || !strings.Contains(err.Error(), "trailing") {
+	if err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("trailing bytes accepted: %v", err)
 	}
 }

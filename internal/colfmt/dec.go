@@ -8,8 +8,9 @@ import (
 
 // Dec decodes a block payload written by Enc. Errors are sticky: the
 // first failure is recorded with the block name and byte offset, every
-// subsequent getter returns a zero value, and the caller checks Err()
-// (or Done()) once at the end — the same discipline as bufio.Scanner.
+// subsequent getter returns a zero value, and Reader.Decode, which owns
+// the decoder, checks Done() once at the end — the same discipline as
+// bufio.Scanner. Err() lets a decode function stop early.
 //
 // Every count read from the wire is bounded by the bytes remaining
 // before anything is allocated, so a corrupt or adversarial length
@@ -20,13 +21,6 @@ type Dec struct {
 	b       []byte
 	off     int
 	err     *Error
-}
-
-// NewDec returns a decoder over payload reporting errors against block.
-// Reader.Dec is the usual constructor; this one serves tests and
-// callers that framed the payload themselves.
-func NewDec(block string, payload []byte) *Dec {
-	return &Dec{version: FormatVersion, block: block, b: payload}
 }
 
 // Err returns the first decode failure, or nil.

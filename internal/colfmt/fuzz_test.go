@@ -74,20 +74,28 @@ func FuzzColfmtDecode(f *testing.F) {
 			}
 			// Drive every column getter over the payload; sticky errors
 			// mean this can never panic regardless of content.
-			d := r.Dec(name, payload)
-			_ = d.Uvarint()
-			_ = d.Varint()
-			_ = d.Str()
-			_ = d.StringCol(arena)
-			_ = d.IntCol()
-			_ = d.IntsCol()
-			_ = d.F64Col()
-			_ = d.ByteCol()
-			_ = d.Err()
+			var inner error
+			err = r.Decode(name, payload, func(d *Dec) {
+				_ = d.Uvarint()
+				_ = d.Varint()
+				_ = d.Str()
+				_ = d.StringCol(arena)
+				_ = d.IntCol()
+				_ = d.IntsCol()
+				_ = d.F64Col()
+				_ = d.ByteCol()
+				inner = d.Err()
+			})
+			if err != nil {
+				requireDiagnosable(t, err)
+			}
+			if inner != nil && err != inner {
+				t.Fatalf("block %q: Decode returned %v, the decoder's first failure was %v", name, err, inner)
+			}
 			// Each skip decoder accepts, rejects and consumes what its
 			// builder does.
 			for col, pair := range skipPairs(arena) {
-				built, skipped := r.Dec(name, payload), r.Dec(name, payload)
+				built, skipped := newDec(name, payload), newDec(name, payload)
 				want, got := pair.build(built), pair.skip(skipped)
 				if got != want || skipped.off != built.off || (built.Err() == nil) != (skipped.Err() == nil) {
 					t.Fatalf("%s over block %q: skipped %d values to offset %d (err %v), built %d to %d (err %v)",

@@ -235,39 +235,43 @@ func readSnapshotColumnar(r io.Reader) (*DetectorSnapshot, error) {
 		if name != "meta" && !seen["meta"] {
 			return nil, fmt.Errorf("core: decode snapshot: block %q before meta", name)
 		}
-		d := cr.Dec(name, payload)
+		var decode func(d *colfmt.Dec)
 		switch name {
 		case "meta":
-			s.Version = int(d.Uvarint())
-			if kind := d.Str(); kind != metaModelKind {
-				d.Failf("classifier kind %q is not %q, the only model a snapshot can hold", kind, metaModelKind)
+			decode = func(d *colfmt.Dec) {
+				s.Version = int(d.Uvarint())
+				if kind := d.Str(); kind != metaModelKind {
+					d.Failf("classifier kind %q is not %q, the only model a snapshot can hold", kind, metaModelKind)
+				}
+				s.Config.MinSalesVolume = d.Int()
+				s.Config.DisableRuleFilter = d.Bool()
+				s.Config.Threshold = d.F64()
+				flags = d.Byte()
 			}
-			s.Config.MinSalesVolume = d.Int()
-			s.Config.DisableRuleFilter = d.Bool()
-			s.Config.Threshold = d.F64()
-			flags = d.Byte()
 		case "arena":
 			// One copy for the whole snapshot: every string column below
 			// returns slices of this arena.
 			arena = string(payload)
 			continue
 		case "vocab":
-			s.Analyzer.Vocabulary = d.StringCol(arena)
+			decode = func(d *colfmt.Dec) { s.Analyzer.Vocabulary = d.StringCol(arena) }
 		case "lexicon":
-			s.Analyzer.Positive = d.StringCol(arena)
-			s.Analyzer.Negative = d.StringCol(arena)
+			decode = func(d *colfmt.Dec) {
+				s.Analyzer.Positive = d.StringCol(arena)
+				s.Analyzer.Negative = d.StringCol(arena)
+			}
 		case "sentiment":
-			s.Analyzer.Sentiment = decodeSentiment(d, arena)
+			decode = func(d *colfmt.Dec) { s.Analyzer.Sentiment = decodeSentiment(d, arena) }
 		case "w2v":
-			s.Analyzer.Embedding = decodeEmbedding(d, arena)
+			decode = func(d *colfmt.Dec) { s.Analyzer.Embedding = decodeEmbedding(d, arena) }
 		case "gbt":
-			s.GBT = decodeGBT(d, arena)
+			decode = func(d *colfmt.Dec) { s.GBT = decodeGBT(d, arena) }
 		case "trainsample":
-			s.TrainingSample = decodeMatrix(d)
+			decode = func(d *colfmt.Dec) { s.TrainingSample = decodeMatrix(d) }
 		default:
 			continue // unknown block: skip for forward compatibility
 		}
-		if err := d.Done(); err != nil {
+		if err := cr.Decode(name, payload, decode); err != nil {
 			return nil, fmt.Errorf("core: decode snapshot: %w", err)
 		}
 	}

@@ -223,12 +223,12 @@ func (c *colReader) loadChunk() error {
 		case "arena":
 			partial = true
 		case "items":
-			if err := c.decodeItems(c.r.Dec(name, payload), arena); err != nil {
+			if err := c.decodeItems(payload, arena); err != nil {
 				return err
 			}
 			partial = true
 		case "comments":
-			if err := c.decodeComments(c.r.Dec(name, payload), arena); err != nil {
+			if err := c.decodeComments(payload, arena); err != nil {
 				return err
 			}
 			return nil // chunk complete
@@ -238,17 +238,25 @@ func (c *colReader) loadChunk() error {
 	}
 }
 
-func (c *colReader) decodeItems(d *colfmt.Dec, arena string) error {
-	n := int(d.Uvarint())
-	ids := d.StringCol(arena)
-	shops := d.StringCol(arena)
-	names := d.StringCol(arena)
-	cats := d.StringCol(arena)
-	prices := d.IntCol()
-	sales := d.IntCol()
-	labels := d.ByteCol()
-	ncomments := d.IntsCol()
-	if err := d.Done(); err != nil {
+func (c *colReader) decodeItems(payload []byte, arena string) error {
+	var (
+		n                       int
+		ids, shops, names, cats []string
+		prices, sales           []int64
+		labels                  []byte
+		ncomments               []int
+	)
+	if err := c.r.Decode("items", payload, func(d *colfmt.Dec) {
+		n = int(d.Uvarint())
+		ids = d.StringCol(arena)
+		shops = d.StringCol(arena)
+		names = d.StringCol(arena)
+		cats = d.StringCol(arena)
+		prices = d.IntCol()
+		sales = d.IntCol()
+		labels = d.ByteCol()
+		ncomments = d.IntsCol()
+	}); err != nil {
 		return fmt.Errorf("dataset: %w", err)
 	}
 	if len(ids) != n || len(shops) != n || len(names) != n || len(cats) != n ||
@@ -298,22 +306,29 @@ func col[T any](build bool, read func() []T, skip func() int) (c []T, n int) {
 // decodeComments decodes a chunk's comment block. The column order is
 // written here once; the projection only decides which columns besides
 // contents are built, so both reads accept and reject the same bytes.
-func (c *colReader) decodeComments(d *colfmt.Dec, arena string) error {
+func (c *colReader) decodeComments(payload []byte, arena string) error {
 	if c.items == nil {
 		return fmt.Errorf("dataset: comment block before item block")
 	}
-	str := func() []string { return d.StringCol(arena) }
-	skipStr := func() int { return d.SkipStringCol(arena) }
-	rows := !c.texts
-	m := int(d.Uvarint())
-	ids, n0 := col(rows, str, skipStr)
-	contents, n1 := col(true, str, skipStr)
-	users, n2 := col(rows, str, skipStr)
-	nicks, n3 := col(rows, str, skipStr)
-	expvals, n4 := col(rows, d.IntCol, d.SkipIntCol)
-	dates, n5 := col(rows, d.IntCol, d.SkipIntCol)
-	clients, n6 := col(rows, d.ByteCol, d.SkipByteCol)
-	if err := d.Done(); err != nil {
+	var (
+		m, n0, n1, n2, n3, n4, n5, n6 int
+		ids, contents, users, nicks   []string
+		expvals, dates                []int64
+		clients                       []byte
+	)
+	if err := c.r.Decode("comments", payload, func(d *colfmt.Dec) {
+		str := func() []string { return d.StringCol(arena) }
+		skipStr := func() int { return d.SkipStringCol(arena) }
+		rows := !c.texts
+		m = int(d.Uvarint())
+		ids, n0 = col(rows, str, skipStr)
+		contents, n1 = col(true, str, skipStr)
+		users, n2 = col(rows, str, skipStr)
+		nicks, n3 = col(rows, str, skipStr)
+		expvals, n4 = col(rows, d.IntCol, d.SkipIntCol)
+		dates, n5 = col(rows, d.IntCol, d.SkipIntCol)
+		clients, n6 = col(rows, d.ByteCol, d.SkipByteCol)
+	}); err != nil {
 		return fmt.Errorf("dataset: %w", err)
 	}
 	if n0 != m || n1 != m || n2 != m || n3 != m || n4 != m || n5 != m || n6 != m {

@@ -220,7 +220,8 @@ func chunk(t *testing.T, arena, items, comments []byte) []byte {
 // column the projected read skips — behind a valid CRC, so only the
 // column checks can see it — is rejected by both reads with the same
 // diagnosis. One case per check the full decode makes of a comment
-// block.
+// block, and the one check of the item block that no column length can
+// stand in for: bytes left over after its last column.
 func TestProjectedReadRejectsWhatRowsReject(t *testing.T) {
 	const m = 3
 	type cols struct {
@@ -229,7 +230,7 @@ func TestProjectedReadRejectsWhatRowsReject(t *testing.T) {
 		expvals, dates             []int64
 		clients                    []byte
 		ncomments                  []int
-		trailing                   []byte
+		trailing, itemsTrailing    []byte
 		mangle                     func(arenaLen int, comments []byte) []byte
 	}
 	build := func(c cols) []byte {
@@ -243,6 +244,7 @@ func TestProjectedReadRejectsWhatRowsReject(t *testing.T) {
 		items.IntCol([]int64{10, 20})
 		items.ByteCol([]byte{0, 1})
 		items.IntsCol(c.ncomments)
+		items.Raw(c.itemsTrailing)
 		comments.Uvarint(c.m)
 		comments.StringCol(&arena, c.ids)
 		comments.StringCol(&arena, c.contents)
@@ -278,6 +280,7 @@ func TestProjectedReadRejectsWhatRowsReject(t *testing.T) {
 		"comment counts do not sum":    func(c *cols) { c.ncomments = []int{1, 1} },
 		"negative comment count":       func(c *cols) { c.ncomments = []int{-1, 4} },
 		"trailing bytes":               func(c *cols) { c.trailing = []byte{0} },
+		"item block trailing bytes":    func(c *cols) { c.itemsTrailing = []byte{0} },
 		"truncated inside a skipped":   func(c *cols) { c.mangle = func(_ int, p []byte) []byte { return p[:len(p)-2] } },
 		"skipped end beyond the arena": func(c *cols) { c.mangle = func(n int, p []byte) []byte { p[idsEnd0+1] = 0x7f; return p } },
 		"skipped ends run backwards": func(c *cols) {

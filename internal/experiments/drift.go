@@ -126,13 +126,14 @@ func (l *Lab) Drift() (*DriftResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		h := reg.Tenant("drift").Acquire()
-		if h == nil {
+		var live eval.Metrics
+		var gen uint64
+		if !reg.Tenant("drift").Do(func(h *registry.Handle) {
+			live, err = scoreDrift(h.Detector, u, l.cfg.Workers)
+			gen = h.Generation
+		}) {
 			return nil, fmt.Errorf("drift tenant lost its model at round %d", r)
 		}
-		live, err := scoreDrift(h.Detector, u, l.cfg.Workers)
-		gen := h.Generation
-		h.Release()
 		if err != nil {
 			return nil, err
 		}

@@ -193,7 +193,7 @@ func (p *Package) taintedExpr(e ast.Expr, set map[types.Object]bool, withSources
 	if !withSources {
 		return false
 	}
-	for _, call := range callsIn(e, true) {
+	for _, call := range callsIn(e) {
 		if p.arenaSourceCall(call) {
 			return true
 		}

@@ -5,330 +5,62 @@ import (
 	"go/types"
 )
 
-// HandleLease is the refcounted analogue of pool-pairing: every
-// acquired registry handle (a call to a method named Acquire returning
-// a value with a Release method — registry.Tenant.Acquire in this
-// repository) must be released on every path, by a defer or by a plain
-// Release that dominates each exit. A leaked lease pins a retired model
-// snapshot in memory forever; a double Release drives the refcount
-// through zero and frees a snapshot that in-flight requests still hold;
-// any use after Release touches a snapshot the registry may already
-// have retired.
-//
-// The check is interprocedural through lease producers: a function that
-// returns an unreleased acquired handle (service's request-scoped
-// acquire helper) transfers the obligation to its callers, and the
-// analyzer tracks the corresponding result variable at every call site.
-// Returns on paths guarded by a condition over the acquire's own
-// results (`if !ok { return }`, `if h == nil { return }`) are the
-// sanctioned failure-check idiom and are exempt.
+// HandleLease keeps the lease protocol inside the package that declares
+// it. A registry handle is held through Tenant.Do, which acquires,
+// defers the release and so cannot leak a handle, release it twice or
+// use it after release; the bare Acquire/Release pair Do is built from
+// stays exported only for bench/'s timing probe. So a call from another
+// package to a method named Acquire that returns a lease, or to a
+// lease's Release, is a finding — however carefully the two are paired.
 var HandleLease = &Analyzer{
 	Name: "handle-lease",
-	Doc:  "every registry Acquire needs a dominating Release; no double- or use-after-Release",
+	Doc:  "no Acquire/Release of a registry handle outside the declaring package; hold it through Do",
 	Run:  runHandleLease,
 }
 
 func runHandleLease(p *Package, _ Config) []Diagnostic {
 	var diags []Diagnostic
-	for _, fn := range p.funcDecls() {
-		w := p.lintLeaseFunc(fn)
-		diags = append(diags, w.violations...)
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			_, obj := p.callee(call)
+			fn, ok := obj.(*types.Func)
+			if !ok || fn.Pkg() == p.Pkg || (fn.Name() != "Acquire" && fn.Name() != "Release") {
+				return true
+			}
+			sig := fn.Type().(*types.Signature)
+			lease := sig.Recv() // Release is called on the lease, Acquire returns it
+			if lease != nil && fn.Name() == "Acquire" && sig.Results().Len() == 1 {
+				lease = sig.Results().At(0)
+			}
+			if lease != nil && isLease(namedOf(lease.Type())) {
+				diags = append(diags, p.diag(call, "handle-lease",
+					"%s called outside package %s: hold the lease through Do, which releases on every path", fn.Name(), fn.Pkg().Name()))
+			}
+			return true
+		})
 	}
 	return diags
 }
 
-// leaseSummary is the interprocedural fact about one function: the
-// result index at which it returns a handle it acquired but did not
-// release (-1 if none). Callers of such a producer inherit the Release
-// obligation for that result.
-type leaseSummary struct {
-	produces int
-}
-
-// leaseSummaryOf computes (memoized) the lease summary of a statically
-// resolved function. Cycles and unknown callees summarize to "not a
-// producer", which never hides a leak inside the callee itself — the
-// callee's own walk still reports it.
-func (p *Package) leaseSummaryOf(obj types.Object) *leaseSummary {
-	pr := p.prog
-	if s, ok := pr.lease[obj]; ok {
-		return s
-	}
-	s := &leaseSummary{produces: -1}
-	pr.lease[obj] = s // in-progress: recursion sees the bottom
-	if fi := pr.funcs[obj]; fi != nil {
-		w := fi.Pkg.lintLeaseFunc(fi.Decl)
-		s.produces = w.produces
-	}
-	return s
-}
-
-// acquireCall reports whether call acquires a handle: a method named
-// Acquire whose single result is a (pointer to a) named type with a
-// Release method.
-func (p *Package) acquireCall(call *ast.CallExpr) bool {
-	if methodName(call) != "Acquire" {
+// isLease reports whether n is a lease type: one with a Release method
+// that a method named Acquire, declared in the same package, returns.
+func isLease(n *types.Named) bool {
+	if !hasMethod(n, "Release") {
 		return false
 	}
-	sig, ok := p.Info.TypeOf(call.Fun).(*types.Signature)
-	if !ok || sig.Results().Len() != 1 {
-		return false
-	}
-	return hasMethod(namedOf(sig.Results().At(0).Type()), "Release")
-}
-
-// leaseSite is one statement that starts a lease obligation in the
-// function under analysis.
-type leaseSite struct {
-	stmt   *ast.AssignStmt
-	handle types.Object          // the variable holding the handle
-	guards map[types.Object]bool // every result of the acquire/producer call
-}
-
-// leaseSites finds the lease starts in fn: direct Acquire assignments
-// and assignments from lease-producer calls.
-func (p *Package) leaseSites(fn *ast.FuncDecl) []*leaseSite {
-	var sites []*leaseSite
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // a closure is its own frame
-		}
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 {
-			return true
-		}
-		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		idx := -1
-		if p.acquireCall(call) {
-			idx = 0
-		} else if _, obj := p.callee(call); obj != nil {
-			if s := p.leaseSummaryOf(obj); s.produces >= 0 && s.produces < len(as.Lhs) {
-				idx = s.produces
-			}
-		}
-		if idx < 0 {
-			return true
-		}
-		objs := p.assignedObjs(as.Lhs)
-		if objs[idx] == nil {
-			return true // handle assigned to _ or a non-ident: nothing trackable
-		}
-		site := &leaseSite{stmt: as, handle: objs[idx], guards: map[types.Object]bool{}}
-		for _, o := range objs {
-			if o != nil {
-				site.guards[o] = true
-			}
-		}
-		sites = append(sites, site)
-		return true
-	})
-	return sites
-}
-
-// lintLeaseFunc runs one walker per lease site over fn and also
-// classifies fn as a producer when a return statement hands an
-// unreleased handle (or a fresh Acquire result) to the caller.
-func (p *Package) lintLeaseFunc(fn *ast.FuncDecl) *leaseWalker {
-	w := &leaseWalker{p: p, fn: fn, produces: -1}
-	for _, site := range p.leaseSites(fn) {
-		w.site = site
-		st := w.walkStmts(fn.Body.List, leaseState{}, false)
-		if st.leaks() {
-			w.violations = append(w.violations, p.diag(site.stmt, "handle-lease",
-				"%s acquired here is not released on every path through %s", w.handleName(), fn.Name.Name))
-		}
-	}
-	// A bare `return t.Acquire()` is also a producer.
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if ret, ok := n.(*ast.ReturnStmt); ok {
-			for i, res := range ret.Results {
-				if call, ok := ast.Unparen(res).(*ast.CallExpr); ok && p.acquireCall(call) {
-					w.produces = i
-				}
-			}
-		}
-		return true
-	})
-	return w
-}
-
-// leaseState tracks one handle's obligation along a statement path.
-type leaseState struct {
-	active   bool // the acquire has executed on this path
-	released bool // a plain Release has executed since
-	deferred bool // a deferred Release covers every subsequent exit
-	escaped  bool // the handle was stored or aliased; ownership moved
-}
-
-func (st leaseState) leaks() bool {
-	return st.active && !st.released && !st.deferred && !st.escaped
-}
-
-type leaseWalker struct {
-	p          *Package
-	fn         *ast.FuncDecl
-	site       *leaseSite
-	produces   int // result index of a returned unreleased handle, -1 if none
-	violations []Diagnostic
-}
-
-func (w *leaseWalker) handleName() string {
-	return w.site.handle.Name()
-}
-
-func (w *leaseWalker) walkStmts(stmts []ast.Stmt, st leaseState, guarded bool) leaseState {
-	for _, s := range stmts {
-		st = w.walkStmt(s, st, guarded)
-	}
-	return st
-}
-
-// branch walks conditionally-executed subtrees with a copy of the
-// state, merging only leaks back into the fall-through (the same
-// conservative direction as pool-pairing: a Release inside a branch is
-// not credited to code after it, a leak inside one poisons the end of
-// the function).
-func (w *leaseWalker) branch(st leaseState, guarded bool, stmts ...ast.Stmt) leaseState {
-	for _, s := range stmts {
-		if s == nil {
-			continue
-		}
-		if out := w.walkStmt(s, st, guarded); out.leaks() {
-			st.active, st.released = true, false
-		}
-	}
-	return st
-}
-
-// guardCond reports whether cond tests one of the lease's own results —
-// the failure-check idiom that exempts the returns under it.
-func (w *leaseWalker) guardCond(cond ast.Expr) bool {
-	return cond != nil && w.p.mentionsAny(cond, w.site.guards)
-}
-
-// releaseIn returns a Release call on the tracked handle inside the
-// subtree (not descending into closures), or nil.
-func (w *leaseWalker) releaseIn(n ast.Node) *ast.CallExpr {
-	for _, call := range callsIn(n, false) {
-		if methodName(call) != "Release" {
-			continue
-		}
-		if id := rootIdent(recvExpr(call)); id != nil && w.p.Info.Uses[id] == w.site.handle {
-			return call
-		}
-	}
-	return nil
-}
-
-// mentionsHandle reports whether the subtree references the handle.
-func (w *leaseWalker) mentionsHandle(n ast.Node) bool {
-	return n != nil && w.p.mentionsAny(n, map[types.Object]bool{w.site.handle: true})
-}
-
-func (w *leaseWalker) useAfterRelease(n ast.Node, st leaseState) leaseState {
-	if st.released && w.mentionsHandle(n) {
-		w.violations = append(w.violations, w.p.diag(n, "handle-lease",
-			"use of %s after Release", w.handleName()))
-	}
-	return st
-}
-
-func (w *leaseWalker) walkStmt(s ast.Stmt, st leaseState, guarded bool) leaseState {
-	if s == w.site.stmt {
-		return leaseState{active: true}
-	}
-	switch x := s.(type) {
-	case *ast.DeferStmt:
-		if rel := w.releaseIn(&ast.ExprStmt{X: x.Call}); rel != nil {
-			if st.deferred {
-				w.violations = append(w.violations, w.p.diag(x, "handle-lease",
-					"second deferred Release of %s double-releases the handle", w.handleName()))
-			}
-			st.deferred = true
-		}
-		// A deferred closure that releases also covers the exits.
-		if lit, ok := x.Call.Fun.(*ast.FuncLit); ok && w.releaseIn(lit.Body) != nil {
-			st.deferred = true
-		}
-	case *ast.ReturnStmt:
-		st = w.useAfterRelease(x, st)
-		if !st.leaks() {
-			return st
-		}
-		// The path ends here either way; mark it settled so the
-		// function-end check does not re-report it.
-		st.escaped = true
-		for i, res := range x.Results {
-			if id, ok := ast.Unparen(res).(*ast.Ident); ok && w.p.Info.Uses[id] == w.site.handle {
-				// Returning the live handle transfers the obligation:
-				// this function is a lease producer, not a leak.
-				w.produces = i
-				return st
-			}
-		}
-		if !guarded {
-			w.violations = append(w.violations, w.p.diag(x, "handle-lease",
-				"return leaks %s: no Release on this path", w.handleName()))
-		}
-	case *ast.BlockStmt:
-		st = w.walkStmts(x.List, st, guarded)
-	case *ast.IfStmt:
-		if x.Init != nil {
-			st = w.walkStmt(x.Init, st, guarded)
-		}
-		st = w.useAfterRelease(x.Cond, st)
-		g := guarded || w.guardCond(x.Cond)
-		st = w.branch(st, g, x.Body, x.Else)
-	case *ast.ForStmt:
-		if x.Init != nil {
-			st = w.walkStmt(x.Init, st, guarded)
-		}
-		st = w.branch(st, guarded, x.Body)
-	case *ast.RangeStmt:
-		st = w.branch(st, guarded, x.Body)
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		st = w.branch(st, guarded, clauseBodies(s)...)
-	case *ast.LabeledStmt:
-		st = w.walkStmt(x.Stmt, st, guarded)
-	default:
-		if rel := w.releaseIn(s); rel != nil {
-			switch {
-			case st.released:
-				w.violations = append(w.violations, w.p.diag(rel, "handle-lease",
-					"second Release of %s double-releases the handle", w.handleName()))
-			case st.deferred:
-				w.violations = append(w.violations, w.p.diag(rel, "handle-lease",
-					"Release of %s after a deferred Release double-releases the handle", w.handleName()))
-			default:
-				st.released = true
-			}
-			return st
-		}
-		st = w.useAfterRelease(s, st)
-		if as, ok := s.(*ast.AssignStmt); ok && st.active && !st.released {
-			// Aliasing the handle or storing it in a structure moves
-			// ownership out of this frame; tracking stops rather than
-			// guessing at the alias. Passing the handle to a call is a
-			// borrow and keeps the obligation here.
-			for _, r := range as.Rhs {
-				switch rv := ast.Unparen(r).(type) {
-				case *ast.Ident:
-					if w.p.Info.Uses[rv] == w.site.handle {
-						st.escaped = true
-					}
-				case *ast.UnaryExpr, *ast.CompositeLit:
-					if w.mentionsHandle(rv) {
-						st.escaped = true
-					}
-				}
+	scope := n.Obj().Pkg().Scope()
+	for _, name := range scope.Names() {
+		owner, _ := scope.Lookup(name).Type().(*types.Named)
+		for i := 0; owner != nil && i < owner.NumMethods(); i++ {
+			m := owner.Method(i)
+			if res := m.Type().(*types.Signature).Results(); m.Name() == "Acquire" && res.Len() == 1 && namedOf(res.At(0).Type()) == n {
+				return true
 			}
 		}
 	}
-	return st
+	return false
 }

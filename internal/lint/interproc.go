@@ -5,21 +5,19 @@ import (
 	"go/types"
 )
 
-// This file is the shared interprocedural core behind the lifecycle and
-// aliasing analyzers (handle-lease, arena-escape, metric-discipline,
-// sticky-error). PR 3's analyzers were strictly intra-procedural; the
-// contracts introduced since — refcounted registry handles threaded
-// through helper functions, colfmt arena strings passed into decode
-// helpers, sticky Dec errors checked by the caller rather than the
-// callee — cross function boundaries, so the analyzers need to as well.
+// This file is the shared interprocedural core behind arena-escape and
+// metric-discipline. PR 3's analyzers were strictly intra-procedural;
+// two contracts introduced since — colfmt arena strings passed into
+// decode helpers, Vec families registered in one package and resolved
+// in another — cross function and package boundaries, so the analyzers
+// need to as well.
 //
 // The design is per-function summaries over a statically resolved call
 // graph. A Program indexes every function declaration across every
 // package the Runner has loaded (the Runner type-checks dependencies
 // before dependents, so by the time a caller is linted its callees are
-// already in the index). Each analyzer derives a small summary per
-// function — "returns a leased handle", "result 0 aliases the arena",
-// "checks Dec.Err on every path" — computed lazily, memoized by
+// already in the index). arena-escape derives a small summary per
+// function — "result 0 aliases the arena" — computed lazily, memoized by
 // *types.Func, with recursion broken conservatively: a cycle (or a
 // callee outside the program, e.g. stdlib or an interface method)
 // summarizes to the bottom value that never hides a finding in the
@@ -27,12 +25,10 @@ import (
 type Program struct {
 	funcs map[types.Object]*FuncInfo
 
-	// Per-analyzer summary caches, memoized across packages. A nil
-	// entry marks a summary currently being computed (a call cycle);
+	// taint is arena-escape's summary cache, memoized across packages. A
+	// nil entry marks a summary currently being computed (a call cycle);
 	// readers treat it as the conservative bottom.
-	lease map[types.Object]*leaseSummary
 	taint map[types.Object]*taintSummary
-	dec   map[types.Object]*decSummary
 
 	vecs map[types.Object]*vecFamily // Vec registrations: var/field -> declared labels
 }
@@ -48,9 +44,7 @@ type FuncInfo struct {
 func newProgram() *Program {
 	return &Program{
 		funcs: map[types.Object]*FuncInfo{},
-		lease: map[types.Object]*leaseSummary{},
 		taint: map[types.Object]*taintSummary{},
-		dec:   map[types.Object]*decSummary{},
 		vecs:  map[types.Object]*vecFamily{},
 	}
 }
@@ -133,24 +127,6 @@ func hasMethod(n *types.Named, name string) bool {
 	return false
 }
 
-// assignedObjs maps each LHS identifier of an assignment or value-spec
-// statement to its types.Object (Defs for :=/var, Uses for =).
-func (p *Package) assignedObjs(lhs []ast.Expr) []types.Object {
-	objs := make([]types.Object, len(lhs))
-	for i, l := range lhs {
-		id, ok := ast.Unparen(l).(*ast.Ident)
-		if !ok {
-			continue
-		}
-		if o := p.Info.Defs[id]; o != nil {
-			objs[i] = o
-		} else if o := p.Info.Uses[id]; o != nil {
-			objs[i] = o
-		}
-	}
-	return objs
-}
-
 // isPkgLevel reports whether obj is a package-level variable.
 func isPkgLevel(obj types.Object) bool {
 	v, ok := obj.(*types.Var)
@@ -161,14 +137,11 @@ func isPkgLevel(obj types.Object) bool {
 	return scope != nil && v.Pkg() != nil && scope == v.Pkg().Scope()
 }
 
-// callsIn yields every call expression in the subtree, not descending
-// into nested function literals unless inclLits is set.
-func callsIn(n ast.Node, inclLits bool) []*ast.CallExpr {
+// callsIn yields every call expression in the subtree, nested function
+// literals included.
+func callsIn(n ast.Node) []*ast.CallExpr {
 	var out []*ast.CallExpr
 	ast.Inspect(n, func(m ast.Node) bool {
-		if _, ok := m.(*ast.FuncLit); ok && m != n && !inclLits {
-			return false
-		}
 		if call, ok := m.(*ast.CallExpr); ok {
 			out = append(out, call)
 		}

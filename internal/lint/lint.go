@@ -170,7 +170,6 @@ func Analyzers() []*Analyzer {
 		HandleLease,
 		ArenaEscape,
 		MetricDiscipline,
-		StickyError,
 	}
 }
 
@@ -293,8 +292,9 @@ func (r *Runner) LintDir(dir, path string, cfg Config) ([]Diagnostic, error) {
 
 // LintModule walks the module rooted at root (the directory holding
 // go.mod), lints every package, and returns all diagnostics sorted by
-// position. Directories named testdata or vendor and hidden directories
-// are skipped.
+// position. Directories named testdata or vendor, hidden directories and
+// nested modules (bench/ has a go.mod of its own; `go build ./...` and
+// `go vet ./...` stop there too) are skipped.
 func (r *Runner) LintModule(root string, cfg Config) ([]Diagnostic, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -312,8 +312,14 @@ func (r *Runner) LintModule(root string, cfg Config) ([]Diagnostic, error) {
 			return err
 		}
 		if d.IsDir() {
+			if path == root {
+				return nil
+			}
 			n := d.Name()
-			if path != root && (n == "testdata" || n == "vendor" || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_")) {
+			if n == "testdata" || n == "vendor" || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil

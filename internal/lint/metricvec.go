@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
+	"slices"
 )
 
 // MetricDiscipline enforces the obs Vec label contract at With call
@@ -183,7 +184,7 @@ func runMetricDiscipline(p *Package, cfg Config) []Diagnostic {
 		if !isHotpath(fn) {
 			continue
 		}
-		for _, call := range callsIn(fn.Body, true) {
+		for _, call := range callsIn(fn.Body) {
 			if p.withCall(call) {
 				diags = append(diags, p.diag(call, "metric-discipline",
 					"With inside //cats:hotpath %s takes the series lock; pre-resolve the handle outside the hot path", fn.Name.Name))
@@ -212,9 +213,9 @@ func (p *Package) lintWith(call *ast.CallExpr, cfg Config) []Diagnostic {
 		if p.Info.Types[arg].Value != nil {
 			continue // compile-time constant: bounded by definition
 		}
-		if bad := p.unboundedIdents(arg, cfg.MetricLabelAllowlist); len(bad) > 0 {
+		if bad := p.unboundedOperand(arg, cfg.MetricLabelAllowlist); bad != nil {
 			diags = append(diags, p.diag(arg, "metric-discipline",
-				"label value depends on %s, which is neither a constant nor an allowlisted bounded identifier", bad[0]))
+				"label value depends on %s, which is neither a constant nor an allowlisted bounded identifier", types.ExprString(bad)))
 			continue
 		}
 		// Order heuristic: an allowlisted identifier whose name matches a
@@ -236,27 +237,32 @@ func (p *Package) lintWith(call *ast.CallExpr, cfg Config) []Diagnostic {
 	return diags
 }
 
-// unboundedIdents returns the variable identifiers inside e that are
-// not on the allowlist — the potential unbounded-cardinality inputs.
-func (p *Package) unboundedIdents(e ast.Expr, allow []string) []string {
-	var bad []string
-	ast.Inspect(e, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
+// unboundedOperand returns the first operand of label value e that is
+// not bounded, or nil: a compile-time constant is, an allowlisted
+// identifier is, a field selected from one is, and so is what + builds
+// from those. Everything else — another variable, a call's result
+// whatever its arguments, an index expression — can take any value.
+func (p *Package) unboundedOperand(e ast.Expr, allow []string) ast.Expr {
+	e = ast.Unparen(e)
+	if p.Info.Types[e].Value != nil {
+		return nil
+	}
+	switch x := e.(type) {
+	case *ast.BinaryExpr:
+		if bad := p.unboundedOperand(x.X, allow); bad != nil {
+			return bad
 		}
-		if _, isVar := p.Info.Uses[id].(*types.Var); !isVar {
-			return true
+		return p.unboundedOperand(x.Y, allow)
+	case *ast.SelectorExpr:
+		if p.unboundedOperand(x.X, allow) == nil {
+			return nil
 		}
-		for _, a := range allow {
-			if id.Name == a {
-				return true
-			}
+	case *ast.Ident:
+		if slices.Contains(allow, x.Name) {
+			return nil
 		}
-		bad = append(bad, id.Name)
-		return true
-	})
-	return bad
+	}
+	return e
 }
 
 func quoteJoin(ss []string) string {

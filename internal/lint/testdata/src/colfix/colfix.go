@@ -1,37 +1,13 @@
 // Package colfix is a catslint fixture standing in for internal/colfmt:
-// a sticky-error decoder whose StringCol hands out arena-aliased
-// strings. The arena-escape and sticky-error fixtures import it so the
-// analyzers resolve the Dec type and its getters structurally, the same
-// way they see the real colfmt.
+// a decoder whose StringCol hands out arena-aliased strings. The
+// arena-escape fixture imports it so the analyzer resolves the Dec type
+// and StringCol structurally, the same way it sees the real colfmt.
 package colfix
 
-// Dec is a stand-in sticky decoder over a string arena.
+// Dec is a stand-in decoder over a string arena.
 type Dec struct {
 	arena string
 	off   int
-	err   error
-}
-
-// NewDec opens a decoder over arena.
-func NewDec(arena string) *Dec { return &Dec{arena: arena} }
-
-// Uvarint decodes one counter; zero after the first error.
-func (d *Dec) Uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	d.off++
-	return uint64(d.off)
-}
-
-// Str decodes one owned (copied) string.
-func (d *Dec) Str() string {
-	if d.err != nil || d.off >= len(d.arena) {
-		return ""
-	}
-	s := string(d.arena[d.off])
-	d.off++
-	return s
 }
 
 // StringCol decodes n strings that alias the arena — valid only while
@@ -44,9 +20,3 @@ func (d *Dec) StringCol(n int) []string {
 	}
 	return out
 }
-
-// Err reports the sticky error.
-func (d *Dec) Err() error { return d.err }
-
-// Done is Err for the end of a decode scope.
-func (d *Dec) Done() error { return d.err }

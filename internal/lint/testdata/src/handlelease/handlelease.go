@@ -1,48 +1,13 @@
-// Package handlelease is a catslint fixture: registry handle leases
-// leaked, double-released, and used after Release, next to the clean
-// guard-and-defer idiom and a cross-package lease producer.
+// Package handlelease is a catslint fixture: a registry lease taken by
+// hand outside the registry, next to the scoped form and a Release that
+// is no lease's.
 package handlelease
 
 import "fix/regfix"
 
-// leakReturn exits without releasing the lease.
-func leakReturn(t *regfix.Tenant) int {
-	h := t.Acquire()
-	h.Ping()
-	return 0
-}
-
-// leakEnd falls off the end still holding the lease; reported at the
-// acquire site.
-func leakEnd(t *regfix.Tenant) {
-	h := t.Acquire()
-	h.Ping()
-}
-
-// double releases the same lease twice.
-func double(t *regfix.Tenant) {
-	h := t.Acquire()
-	h.Release()
-	h.Release()
-}
-
-// deferredDouble pairs a deferred Release with a plain one.
-func deferredDouble(t *regfix.Tenant) {
-	h := t.Acquire()
-	defer h.Release()
-	h.Ping()
-	h.Release()
-}
-
-// stale touches the model after giving the lease back.
-func stale(t *regfix.Tenant) {
-	h := t.Acquire()
-	h.Release()
-	h.Ping()
-}
-
-// clean is the sanctioned shape: nil guard, then a deferred Release.
-func clean(t *regfix.Tenant) {
+// bare pairs the two halves itself; each call is a finding, however
+// carefully the guard and the defer are written.
+func bare(t *regfix.Tenant) {
 	h := t.Acquire()
 	if h == nil {
 		return
@@ -51,22 +16,12 @@ func clean(t *regfix.Tenant) {
 	h.Ping()
 }
 
-// consume calls the cross-package producer and forgets the obligation
-// it inherited; reported at the call that produced the lease.
-func consume(t *regfix.Tenant) {
-	h, ok := regfix.Lease(t)
-	if !ok {
-		return
-	}
-	h.Ping()
+// scoped holds the lease through Do: clean.
+func scoped(t *regfix.Tenant) bool {
+	return t.Do(func(h *regfix.Handle) { h.Ping() })
 }
 
-// consumeClean releases the produced lease: clean.
-func consumeClean(t *regfix.Tenant) {
-	h, ok := regfix.Lease(t)
-	if !ok {
-		return
-	}
-	defer h.Release()
-	h.Ping()
+// free releases something no Acquire hands out: clean.
+func free(s *regfix.Slot) {
+	s.Release()
 }

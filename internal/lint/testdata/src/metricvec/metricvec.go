@@ -58,3 +58,15 @@ func (h *httpStats) observe(route string) {
 	h.hits.With(route).Inc()
 	h.hits.With(route, "GET").Inc()
 }
+
+// computed builds label values out of call results: neither the
+// allowlisted operand beside the call nor the call's having no
+// arguments bounds what comes back.
+func computed(tenant string) {
+	requests.With("ok", tenant+suffix()).Inc()
+	requests.With("ok", key()).Inc()
+}
+
+func suffix() string { return "-eu" }
+
+func key() string { return "k" }

@@ -1,8 +1,7 @@
 // Package regfix is a catslint fixture standing in for
-// internal/registry: a refcounted handle acquired from a tenant, plus a
-// lease-producer helper so the handle-lease fixtures can exercise the
-// cross-package summary (a caller of Lease inherits the Release
-// obligation).
+// internal/registry: a refcounted handle leased from a tenant through
+// Do, whose own Acquire and Release calls are inside the declaring
+// package and therefore clean.
 package regfix
 
 // Handle is a stand-in refcounted model lease.
@@ -25,12 +24,19 @@ func (t *Tenant) Acquire() *Handle {
 	return t.cur
 }
 
-// Lease acquires and hands the live handle to the caller — a lease
-// producer: the obligation to Release travels with the first result.
-func Lease(t *Tenant) (*Handle, bool) {
+// Do runs fn under a lease.
+func (t *Tenant) Do(fn func(*Handle)) bool {
 	h := t.Acquire()
 	if h == nil {
-		return nil, false
+		return false
 	}
-	return h, true
+	defer h.Release()
+	fn(h)
+	return true
 }
+
+// Slot has a Release method and is no lease: nothing Acquires one.
+type Slot struct{ free bool }
+
+// Release frees the slot.
+func (s *Slot) Release() { s.free = true }

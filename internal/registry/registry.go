@@ -14,8 +14,8 @@
 //     plot — never goes live; the tenant keeps serving its old model
 //     and the caller gets a diagnosable error.
 //   - In-flight requests finish on the model they started with. A
-//     request Acquires the tenant's current handle (refcounted) and
-//     holds it end to end; a swap retires the old handle, whose
+//     request leases the tenant's current handle (Tenant.Do, refcounted)
+//     and holds it end to end; a swap retires the old handle, whose
 //     dispatcher drains and closes only after its last holder releases.
 //     No request ever observes half of one model and half of another,
 //     and none is dropped by a reload.
@@ -96,8 +96,8 @@ type Model struct {
 // Handle is an acquired lease on a tenant's current model. Every
 // request holds exactly one handle from admission to response, so the
 // whole request is served by one coherent (detector, analyzer) pair
-// even when a reload swaps the tenant mid-flight. Callers must Release
-// exactly once.
+// even when a reload swaps the tenant mid-flight. Tenant.Do is how one
+// is held.
 type Handle struct {
 	Model
 	disp    *dispatch.Dispatcher // nil when batching is off
@@ -176,11 +176,31 @@ type Tenant struct {
 // Name returns the tenant's name.
 func (t *Tenant) Name() string { return t.name }
 
+// Do runs fn with a lease on the tenant's current model, released when
+// fn returns or panics, and reports false without calling fn when none
+// has been loaded yet. It is the lease: a caller cannot leak a handle,
+// release it twice or use it after release, because it never holds one
+// outside fn.
+func (t *Tenant) Do(fn func(*Handle)) bool {
+	h := t.Acquire()
+	if h == nil {
+		return false
+	}
+	defer h.Release()
+	fn(h)
+	return true
+}
+
 // Acquire leases the tenant's current model, or nil when none has been
 // loaded yet. The lock-free load→ref→recheck loop closes the race with
 // a concurrent swap: if the pointer moved while we were acquiring, the
 // reference is handed back (possibly completing the old handle's
 // retirement) and the new pointer is taken instead.
+//
+// Acquire and Release are Do's two halves and are exported only for
+// bench/, which times the bare pair (registry.acquire_ns); everything
+// else in the module goes through Do, and catslint's handle-lease rule
+// fails the tree on a call to either outside this package.
 func (t *Tenant) Acquire() *Handle {
 	for {
 		h := t.cur.Load()

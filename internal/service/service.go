@@ -354,23 +354,20 @@ func (s *Server) tenantName(r *http.Request) string {
 	return s.opts.DefaultTenant
 }
 
-// acquire leases the request's tenant model for the duration of the
-// request. On failure it has already written the error response (404
-// unknown tenant, 503 no model) and returns ok=false. Callers must
-// Release the handle exactly once when ok.
-func (s *Server) acquire(w http.ResponseWriter, r *http.Request) (string, *registry.Handle, bool) {
+// withModel runs fn with a lease on the request's tenant model, held
+// until fn returns (registry.Tenant.Do). When there is no model to
+// lease it writes the error response itself — 404 unknown tenant, 503
+// none loaded — and fn is not called.
+func (s *Server) withModel(w http.ResponseWriter, r *http.Request, fn func(tenant string, h *registry.Handle)) {
 	name := s.tenantName(r)
 	t := s.reg.Tenant(name)
 	if t == nil {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown tenant %q", name))
-		return name, nil, false
+		return
 	}
-	h := t.Acquire()
-	if h == nil {
+	if !t.Do(func(h *registry.Handle) { fn(name, h) }) {
 		writeError(w, http.StatusServiceUnavailable, fmt.Sprintf("tenant %q has no model loaded", name))
-		return name, nil, false
 	}
-	return name, h, true
 }
 
 // allowMethod gates a handler to one method, answering anything else
@@ -440,52 +437,49 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("%d items exceeds the %d-item limit", len(req.Items), s.opts.MaxItems))
 		return
 	}
-	tenant, h, ok := s.acquire(w, r)
-	if !ok {
-		return
-	}
-	defer h.Release()
-	// One fused pass: the detector returns the feature matrix it
-	// computed while scoring, so drift recording costs no re-extraction.
-	// With batching on, the tenant's dispatcher may satisfy part of the
-	// request from batches shared with concurrent callers.
-	dets, X, err := s.detect(r, h, req.Items)
-	if err != nil {
-		if dispatch.IsShed(err) {
-			s.writeShed(w, h)
+	s.withModel(w, r, func(tenant string, h *registry.Handle) {
+		// One fused pass: the detector returns the feature matrix it
+		// computed while scoring, so drift recording costs no re-extraction.
+		// With batching on, the tenant's dispatcher may satisfy part of the
+		// request from batches shared with concurrent callers.
+		dets, X, err := s.detect(r, h, req.Items)
+		if err != nil {
+			if dispatch.IsShed(err) {
+				s.writeShed(w, h)
+				return
+			}
+			if r.Context().Err() != nil {
+				return // client went away; nobody is listening
+			}
+			writeError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		if r.Context().Err() != nil {
-			return // client went away; nobody is listening
+		if st := s.driftFor(tenant, h); st != nil {
+			// Rows are nil for items the sales cutoff dropped before
+			// extraction; drift tracks the distribution of analyzed traffic.
+			vectors := X[:0]
+			for _, v := range X {
+				if v != nil {
+					vectors = append(vectors, v)
+				}
+			}
+			s.recordDrift(st, vectors)
 		}
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	if st := s.driftFor(tenant, h); st != nil {
-		// Rows are nil for items the sales cutoff dropped before
-		// extraction; drift tracks the distribution of analyzed traffic.
-		vectors := X[:0]
-		for _, v := range X {
-			if v != nil {
-				vectors = append(vectors, v)
+		resp := DetectResponse{
+			Detections:      make([]DetectionDTO, len(dets)),
+			Tenant:          tenant,
+			ModelVersion:    h.Version,
+			ModelGeneration: h.Generation,
+		}
+		for i, d := range dets {
+			resp.Detections[i] = detectionDTO(d)
+			if d.IsFraud {
+				resp.Reported++
 			}
 		}
-		s.recordDrift(st, vectors)
-	}
-	resp := DetectResponse{
-		Detections:      make([]DetectionDTO, len(dets)),
-		Tenant:          tenant,
-		ModelVersion:    h.Version,
-		ModelGeneration: h.Generation,
-	}
-	for i, d := range dets {
-		resp.Detections[i] = detectionDTO(d)
-		if d.IsFraud {
-			resp.Reported++
-		}
-	}
-	s.served.Add(int64(len(dets)))
-	writeJSON(w, http.StatusOK, resp)
+		s.served.Add(int64(len(dets)))
+		writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 // detect scores a request's items through the handle's batching
@@ -535,55 +529,52 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, decodeStatus(err), fmt.Sprintf("decode request: %v", err))
 		return
 	}
-	tenant, h, ok := s.acquire(w, r)
-	if !ok {
-		return
-	}
-	defer h.Release()
-	var det core.Detection
-	var vec []float64
-	if h.Dispatcher() != nil {
-		// Single-item explains ride the same coalescing queue as detect
-		// traffic: an item being explained while it is being scored for
-		// someone else costs one analysis, and overload sheds here too.
-		dets, X, err := s.detect(r, h, []ecom.Item{req.Item})
+	s.withModel(w, r, func(tenant string, h *registry.Handle) {
+		var det core.Detection
+		var vec []float64
+		if h.Dispatcher() != nil {
+			// Single-item explains ride the same coalescing queue as detect
+			// traffic: an item being explained while it is being scored for
+			// someone else costs one analysis, and overload sheds here too.
+			dets, X, err := s.detect(r, h, []ecom.Item{req.Item})
+			if err != nil {
+				if dispatch.IsShed(err) {
+					s.writeShed(w, h)
+					return
+				}
+				if r.Context().Err() != nil {
+					return
+				}
+				writeError(w, http.StatusInternalServerError, err.Error())
+				return
+			}
+			det, vec = dets[0], X[0]
+		} else {
+			var err error
+			det, vec, err = h.Detector.DetectItemWithFeatures(&req.Item)
+			if err != nil {
+				writeError(w, http.StatusInternalServerError, err.Error())
+				return
+			}
+		}
+		if vec == nil {
+			// Sales-filtered items skip extraction in the fused pipeline,
+			// but /v1/explain promises the vector; compute it on demand.
+			vec = h.Detector.Extractor().Vector(&req.Item)
+		}
+		exp, err := h.Detector.ExplainVector(vec)
 		if err != nil {
-			if dispatch.IsShed(err) {
-				s.writeShed(w, h)
-				return
-			}
-			if r.Context().Err() != nil {
-				return
-			}
 			writeError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		det, vec = dets[0], X[0]
-	} else {
-		var err error
-		det, vec, err = h.Detector.DetectItemWithFeatures(&req.Item)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-	}
-	if vec == nil {
-		// Sales-filtered items skip extraction in the fused pipeline,
-		// but /v1/explain promises the vector; compute it on demand.
-		vec = h.Detector.Extractor().Vector(&req.Item)
-	}
-	exp, err := h.Detector.ExplainVector(vec)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, ExplainResponse{
-		Detection:    detectionDTO(det),
-		Features:     exp,
-		Vector:       vec,
-		Names:        features.Names,
-		Tenant:       tenant,
-		ModelVersion: h.Version,
+		writeJSON(w, http.StatusOK, ExplainResponse{
+			Detection:    detectionDTO(det),
+			Features:     exp,
+			Vector:       vec,
+			Names:        features.Names,
+			Tenant:       tenant,
+			ModelVersion: h.Version,
+		})
 	})
 }
 
@@ -593,17 +584,14 @@ type ImportanceResponse struct {
 }
 
 func (s *Server) handleImportance(w http.ResponseWriter, r *http.Request) {
-	_, h, ok := s.acquire(w, r)
-	if !ok {
-		return
-	}
-	defer h.Release()
-	imp, err := h.Detector.Model().FeatureImportance()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, ImportanceResponse{Features: imp})
+	s.withModel(w, r, func(_ string, h *registry.Handle) {
+		imp, err := h.Detector.Model().FeatureImportance()
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		writeJSON(w, http.StatusOK, ImportanceResponse{Features: imp})
+	})
 }
 
 // DriftFeature is one feature's training-vs-traffic comparison.
@@ -627,45 +615,42 @@ type DriftResponse struct {
 }
 
 func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
-	tenant, h, ok := s.acquire(w, r)
-	if !ok {
-		return
-	}
-	defer h.Release()
-	st := s.driftFor(tenant, h)
-	if st == nil {
-		writeError(w, http.StatusNotImplemented, "drift tracking disabled: no training sample configured")
-		return
-	}
-	st.mu.Lock()
-	sample := make([][]float64, len(st.res))
-	copy(sample, st.res)
-	seen := st.seen
-	baseline := st.baseline
-	st.mu.Unlock()
-	resp := DriftResponse{
-		ItemsObserved: seen, SampleSize: len(sample),
-		Tenant: tenant, ModelGeneration: h.Generation,
-	}
-	if len(sample) == 0 {
+	s.withModel(w, r, func(tenant string, h *registry.Handle) {
+		st := s.driftFor(tenant, h)
+		if st == nil {
+			writeError(w, http.StatusNotImplemented, "drift tracking disabled: no training sample configured")
+			return
+		}
+		st.mu.Lock()
+		sample := make([][]float64, len(st.res))
+		copy(sample, st.res)
+		seen := st.seen
+		baseline := st.baseline
+		st.mu.Unlock()
+		resp := DriftResponse{
+			ItemsObserved: seen, SampleSize: len(sample),
+			Tenant: tenant, ModelGeneration: h.Generation,
+		}
+		if len(sample) == 0 {
+			writeJSON(w, http.StatusOK, resp)
+			return
+		}
+		column := func(rows [][]float64, j int) []float64 {
+			out := make([]float64, len(rows))
+			for i := range rows {
+				out[i] = rows[i][j]
+			}
+			return out
+		}
+		for j, name := range features.Names {
+			ks := stats.KS(column(baseline, j), column(sample, j))
+			resp.Features = append(resp.Features, DriftFeature{Feature: name, KS: ks})
+			if ks > resp.MaxKS {
+				resp.MaxKS = ks
+			}
+		}
 		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	column := func(rows [][]float64, j int) []float64 {
-		out := make([]float64, len(rows))
-		for i := range rows {
-			out[i] = rows[i][j]
-		}
-		return out
-	}
-	for j, name := range features.Names {
-		ks := stats.KS(column(baseline, j), column(sample, j))
-		resp.Features = append(resp.Features, DriftFeature{Feature: name, KS: ks})
-		if ks > resp.MaxKS {
-			resp.MaxKS = ks
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 // LexiconResponse is the /v1/lexicon response body.
@@ -676,15 +661,12 @@ type LexiconResponse struct {
 }
 
 func (s *Server) handleLexicon(w http.ResponseWriter, r *http.Request) {
-	_, h, ok := s.acquire(w, r)
-	if !ok {
-		return
-	}
-	defer h.Release()
-	writeJSON(w, http.StatusOK, LexiconResponse{
-		Positive:     h.Analyzer.Positive.Words(),
-		Negative:     h.Analyzer.Negative.Words(),
-		FeatureNames: features.Names,
+	s.withModel(w, r, func(_ string, h *registry.Handle) {
+		writeJSON(w, http.StatusOK, LexiconResponse{
+			Positive:     h.Analyzer.Positive.Words(),
+			Negative:     h.Analyzer.Negative.Words(),
+			FeatureNames: features.Names,
+		})
 	})
 }
 

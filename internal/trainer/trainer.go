@@ -334,19 +334,23 @@ func (t *Trainer) RunCycle(ctx context.Context, tenant string) (Decision, error)
 		return t.finish(st, d), nil
 	}
 
-	h := ten.Acquire()
-	if h == nil {
+	if !ten.Do(func(h *registry.Handle) { t.challenge(ctx, st, &d, fbs, now, h) }) {
 		d.Outcome = OutcomeNoModel
 		d.Reason = "tenant has no live champion"
-		return t.finish(st, d), nil
 	}
-	defer h.Release()
+	return t.finish(st, d), nil
+}
+
+// challenge is the cycle past its guards, under a lease on the champion
+// h: train a challenger on the window's split, score both on the
+// holdout, publish on a gate win. It fills in d, Outcome included.
+func (t *Trainer) challenge(ctx context.Context, st *tenantState, d *Decision, fbs []Feedback, now time.Time, h *registry.Handle) {
 	d.ChampionVersion = h.Version
 	d.ChampionGen = h.Generation
 	if h.Analyzer == nil {
 		d.Outcome = OutcomeError
 		d.Reason = "champion has no analyzer to train a challenger with"
-		return t.finish(st, d), nil
+		return
 	}
 
 	hash := windowHash(fbs)
@@ -360,7 +364,7 @@ func (t *Trainer) RunCycle(ctx context.Context, tenant string) (Decision, error)
 	if err := challenger.Train(&ecom.Dataset{Name: "feedback-window", Items: trainItems}, t.cfg.Workers); err != nil {
 		d.Outcome = OutcomeError
 		d.Reason = "train challenger: " + err.Error()
-		return t.finish(st, d), nil
+		return
 	}
 	d.TrainSeconds = t.clock.Now().Sub(t0).Seconds()
 	st.m.trainSeconds.Observe(d.TrainSeconds)
@@ -369,13 +373,13 @@ func (t *Trainer) RunCycle(ctx context.Context, tenant string) (Decision, error)
 	if err != nil {
 		d.Outcome = OutcomeError
 		d.Reason = "score champion: " + err.Error()
-		return t.finish(st, d), nil
+		return
 	}
 	chalM, err := holdoutMetrics(ctx, challenger, holdItems, t.cfg.Workers)
 	if err != nil {
 		d.Outcome = OutcomeError
 		d.Reason = "score challenger: " + err.Error()
-		return t.finish(st, d), nil
+		return
 	}
 	d.ChampionP, d.ChampionR, d.ChampionF1 = champM.Precision, champM.Recall, champM.F1
 	d.ChallengerP, d.ChallengerR, d.ChallengerF1 = chalM.Precision, chalM.Recall, chalM.F1
@@ -385,10 +389,10 @@ func (t *Trainer) RunCycle(ctx context.Context, tenant string) (Decision, error)
 	if win, reason := gateVerdict(champM, chalM, t.cfg); !win {
 		d.Outcome = OutcomeLost
 		d.Reason = reason
-		return t.finish(st, d), nil
+		return
 	}
 
-	info, err := t.reg.Install(ctx, tenant, d.ChallengerVersion, challenger, h.Analyzer)
+	info, err := t.reg.Install(ctx, d.Tenant, d.ChallengerVersion, challenger, h.Analyzer)
 	if err != nil {
 		if errors.Is(err, registry.ErrProbeRejected) {
 			d.Outcome = OutcomeProbeRejected
@@ -396,7 +400,7 @@ func (t *Trainer) RunCycle(ctx context.Context, tenant string) (Decision, error)
 			d.Outcome = OutcomeError
 		}
 		d.Reason = err.Error()
-		return t.finish(st, d), nil
+		return
 	}
 	d.Outcome = OutcomePromoted
 	d.PromotedGen = info.Generation
@@ -407,7 +411,6 @@ func (t *Trainer) RunCycle(ctx context.Context, tenant string) (Decision, error)
 	st.promotedGen = info.Generation
 	st.mu.Unlock()
 	st.m.promotedGen.Set(int64(info.Generation))
-	return t.finish(st, d), nil
 }
 
 // finish records the decision (bounded history, metrics, observer).
