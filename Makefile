@@ -49,7 +49,10 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # One iteration of every benchmark, no unit tests: a fast compile-and-run
-# smoke so benchmarks can't rot between PRs (CI runs this).
+# smoke so benchmarks can't rot between PRs (CI runs this). Among them
+# the two numbers the retrain window is sized by:
+# service.BenchmarkDecodeFeedback/{stdlib,fast} (an 8-entry × 40-comment
+# body) and trainer.BenchmarkFeed (retained-B/entry).
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
@@ -69,7 +72,10 @@ bench-quick:
 # against the unicode-package definition, the service's request
 # decoder against arbitrary bodies (never a 5xx) and its single-pass
 # detect/explain decoder against encoding/json (accepts only what
-# encoding/json accepts, with the same items and answers), the
+# encoding/json accepts, with the same items and answers), the feedback
+# intake against arbitrary bodies (never a 5xx, a rejected body never
+# grows the retrain window) and its single-pass decoder against
+# encoding/json (same status, same accepted count, same window), the
 # columnar container decoder against corrupt/truncated/hostile inputs
 # (must always fail diagnosably, never panic or over-allocate; the skip
 # decoders and the string payload reader agree with the building ones),
@@ -83,7 +89,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzAnalyzeDifferential -fuzztime=10s ./internal/features
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDetectDifferential -fuzztime=10s ./internal/service
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeFeedback -fuzztime=10s ./internal/service
+	$(GO) test -run='^$$' -fuzz='FuzzDecodeFeedback$$' -fuzztime=10s ./internal/service
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeFeedbackDifferential -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzColfmtDecode -fuzztime=10s ./internal/colfmt
 	$(GO) test -run='^$$' -fuzz=FuzzReader -fuzztime=10s ./internal/dataset
 	$(GO) test -run='^$$' -fuzz=FuzzProjectedReadDifferential -fuzztime=10s ./internal/dataset

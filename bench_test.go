@@ -142,7 +142,7 @@ func BenchmarkFeatureExtractParallel(b *testing.B) {
 	ex, items := benchExtractor(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ex.ExtractDataset(items, 0)
+		_ = ex.ExtractDataset(items, nil, 0)
 	}
 }
 

@@ -209,7 +209,7 @@ func (s *System) Explain(item *Item) ([]gbt.Importance, error) {
 // set, for callers running their own evaluations (cross-validation,
 // baselines).
 func (s *System) MLDataset(items []Item) *ml.Dataset {
-	return s.detector.BuildMLDataset(items, s.workers)
+	return s.detector.BuildMLDataset(items, nil, s.workers)
 }
 
 // CollectOptions tunes Collect's crawl.

@@ -160,7 +160,8 @@ func main() {
 		retrainInterval = flag.Duration("retrain-interval", 0,
 			"champion/challenger retrain cadence; 0 disables the drift loop (and /v1/feedback)")
 		retrainWindow = flag.Int("retrain-window", 0,
-			"labeled-feedback sliding window per tenant (default 2048)")
+			"labeled-feedback sliding window per tenant, in entries (default 2048); an entry holds a copy of "+
+				"its item's comment text plus ~100 bytes, not its JSON: see cats_trainer_window_bytes")
 		retrainMinSamples = flag.Int("retrain-min-samples", 0,
 			"smallest feedback window that triggers a retrain (default 100)")
 		retrainCooldown = flag.Duration("retrain-cooldown", 0,

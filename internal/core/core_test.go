@@ -180,7 +180,7 @@ func TestDetectParallelConsistency(t *testing.T) {
 
 func TestBuildMLDatasetLabels(t *testing.T) {
 	d, train := trainedDetector(t, DetectorConfig{})
-	mlds := d.BuildMLDataset(train.Dataset.Items, 0)
+	mlds := d.BuildMLDataset(train.Dataset.Items, nil, 0)
 	if mlds.Len() != len(train.Dataset.Items) {
 		t.Fatal("row count mismatch")
 	}

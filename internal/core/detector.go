@@ -116,9 +116,10 @@ func (d *Detector) PassesFilter(item *ecom.Item) bool {
 }
 
 // BuildMLDataset extracts features for every item into an ml.Dataset
-// with binary labels (fraud = 1). workers <= 0 uses GOMAXPROCS.
-func (d *Detector) BuildMLDataset(items []ecom.Item, workers int) *ml.Dataset {
-	X := d.extractor.ExtractDataset(items, workers)
+// with binary labels (fraud = 1). texts is nil or stands in for the
+// items' Comments (see analyzeOne). workers <= 0 uses GOMAXPROCS.
+func (d *Detector) BuildMLDataset(items []ecom.Item, texts [][]string, workers int) *ml.Dataset {
+	X := d.extractor.ExtractDataset(items, texts, workers)
 	y := make([]int, len(items))
 	for i := range items {
 		if items[i].Label.IsFraud() {
@@ -154,7 +155,12 @@ func (d *Detector) ExplainVector(v []float64) ([]gbt.Importance, error) {
 // on D0). The rule filter is not applied to training data: D0 is
 // already curated.
 func (d *Detector) Train(ds *ecom.Dataset, workers int) error {
-	mlds := d.BuildMLDataset(ds.Items, workers)
+	return d.TrainTexts(ds.Items, nil, workers)
+}
+
+// TrainTexts is Train with the items' texts (nil, or see analyzeOne).
+func (d *Detector) TrainTexts(items []ecom.Item, texts [][]string, workers int) error {
+	mlds := d.BuildMLDataset(items, texts, workers)
 	if err := d.clf.Fit(mlds); err != nil {
 		return fmt.Errorf("core: train detector: %w", err)
 	}
@@ -365,7 +371,12 @@ func (d *Detector) Detect(items []ecom.Item, workers int) ([]Detection, error) {
 // DetectContext is Detect with cancellation: when ctx is canceled the
 // batch stops early and the context's error is returned.
 func (d *Detector) DetectContext(ctx context.Context, items []ecom.Item, workers int) ([]Detection, error) {
-	dets, _, err := d.scoreBatch(ctx, items, nil, workers)
+	return d.DetectTexts(ctx, items, nil, workers)
+}
+
+// DetectTexts is DetectContext with the items' texts (see analyzeOne).
+func (d *Detector) DetectTexts(ctx context.Context, items []ecom.Item, texts [][]string, workers int) ([]Detection, error) {
+	dets, _, err := d.scoreBatch(ctx, items, texts, workers)
 	return dets, err
 }
 

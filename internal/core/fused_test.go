@@ -15,7 +15,7 @@ import (
 // ExtractDataset over every item followed by an independent PassesFilter
 // scan — as the equivalence oracle for the fused pipeline.
 func referenceDetect(d *Detector, items []ecom.Item) []Detection {
-	X := d.extractor.ExtractDataset(items, 1)
+	X := d.extractor.ExtractDataset(items, nil, 1)
 	out := make([]Detection, len(items))
 	for i := range items {
 		out[i] = Detection{ItemID: items[i].ID}

@@ -102,8 +102,8 @@ func (l *Lab) FeatureGroupAblation() (*FeatureGroupAblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	train := det.BuildMLDataset(l.D0().Dataset.Items, l.cfg.Workers)
-	test := det.BuildMLDataset(l.D1().Dataset.Items, l.cfg.Workers)
+	train := det.BuildMLDataset(l.D0().Dataset.Items, nil, l.cfg.Workers)
+	test := det.BuildMLDataset(l.D1().Dataset.Items, nil, l.cfg.Workers)
 
 	res := &FeatureGroupAblationResult{}
 	for _, g := range featureGroups {
@@ -237,8 +237,8 @@ func (l *Lab) GBTAblation() (*GBTAblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	train := det.BuildMLDataset(l.D0().Dataset.Items, l.cfg.Workers)
-	test := det.BuildMLDataset(l.D1().Dataset.Items, l.cfg.Workers)
+	train := det.BuildMLDataset(l.D0().Dataset.Items, nil, l.cfg.Workers)
+	test := det.BuildMLDataset(l.D1().Dataset.Items, nil, l.cfg.Workers)
 	variants := []struct {
 		label string
 		cfg   gbt.Config

@@ -178,7 +178,7 @@ func (l *Lab) Table3() (*Table3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	mlds := det.BuildMLDataset(u.Dataset.Items, l.cfg.Workers)
+	mlds := det.BuildMLDataset(u.Dataset.Items, nil, l.cfg.Workers)
 	res := &Table3Result{SampleSize: 2 * n}
 	for _, cand := range table3Candidates {
 		rng := rand.New(rand.NewSource(77))

@@ -138,8 +138,9 @@ func (e *Extractor) HasPositiveSignal(item *ecom.Item) bool {
 }
 
 // ExtractDataset computes feature vectors for every item in parallel,
-// preserving item order. workers <= 0 uses GOMAXPROCS.
-func (e *Extractor) ExtractDataset(items []ecom.Item, workers int) [][]float64 {
+// preserving item order; texts[i], when texts is not nil, stands in for
+// the Comments of an item without any. workers <= 0 uses GOMAXPROCS.
+func (e *Extractor) ExtractDataset(items []ecom.Item, texts [][]string, workers int) [][]float64 {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -147,7 +148,11 @@ func (e *Extractor) ExtractDataset(items []ecom.Item, workers int) [][]float64 {
 	// The kept signature supplies no context; nothing can cancel this
 	// one, so For's error is always nil.
 	_ = par.For(context.TODO(), len(items), workers, func(i int) {
-		out[i] = e.Vector(&items[i])
+		if texts != nil && len(items[i].Comments) == 0 {
+			out[i], _ = e.VectorSignalTexts(texts[i])
+		} else {
+			out[i] = e.Vector(&items[i])
+		}
 	})
 	return out
 }

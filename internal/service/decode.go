@@ -13,25 +13,26 @@ import (
 	"repro/internal/obs"
 )
 
-// Request-body decoding for /v1/detect and /v1/explain (DESIGN.md §17).
+// Request-body decoding for /v1/detect, /v1/explain and /v1/feedback
+// (DESIGN.md §17).
 //
-// Both bodies are ecom.Item values wrapped in one object, and platform
-// clients send them in the canonical encoding — what json.Marshal of a
-// DetectRequest produces: the struct tags' exact keys, each at most
-// once, integers as plain digits, no nulls. itemDecoder reads exactly
-// that in one pass, handing out every string as a substring of one
-// garbage-collected copy of the body. It is an accelerator for that
-// encoding, not a second JSON dialect: on any byte it does not
-// recognise it declines, and the same bytes go through encoding/json,
-// which therefore stays the only source of 400 texts and of the
-// meaning of every unusual body (FuzzDecodeDetectDifferential holds the
-// two together).
+// All three bodies are ecom.Item values wrapped in one object (feedback
+// pairs each with a fraud bit), and platform clients send them in the
+// canonical encoding — what json.Marshal of the request type produces:
+// the struct tags' exact keys, each at most once, integers as plain
+// digits, no nulls. itemDecoder reads exactly that in one pass, handing
+// out every string as a substring of one garbage-collected copy of the
+// body. It is an accelerator for that encoding, not a second JSON
+// dialect: on any byte it does not recognise it declines, and the same
+// bytes go through encoding/json, which therefore stays the only source
+// of 400 texts and of the meaning of every unusual body (the
+// Fuzz*Differential targets hold the two together).
 //
 // Lifetime rule: nothing reachable from a decoded ecom.Item may be
 // pooled. A dispatch flight keeps its submitter's item while its batch
 // runs on its own context and serves other requests' waiters after the
 // submitter has returned, so only the read buffer — which the items
-// never alias — goes back to bodyPool.
+// never alias — goes back to bodyPool. (trainer.Feed keeps no item.)
 
 // maxPooledBody is the largest read buffer bodyPool keeps: one 32 MiB
 // request must not pin 32 MiB per pooled buffer for the process's life.
@@ -43,15 +44,16 @@ var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // request.
 type decodeMetrics struct{ fast, stdlib *obs.Counter }
 
-func newDecodeMetrics(reg *obs.Registry) (detect, explain decodeMetrics) {
+func newDecodeMetrics(reg *obs.Registry) (detect, explain, feedback decodeMetrics) {
 	v := reg.CounterVec("cats_http_decode_total",
 		"Request bodies decoded, by route (tenant-scoped variants count "+
 			"under the bare route) and by path: fast (the single-pass decoder "+
 			"for the canonical encoding) or stdlib (encoding/json, for every "+
 			"body the fast decoder declined).", "route", "path")
-	detect = decodeMetrics{fast: v.With("/v1/detect", "fast"), stdlib: v.With("/v1/detect", "stdlib")}
-	explain = decodeMetrics{fast: v.With("/v1/explain", "fast"), stdlib: v.With("/v1/explain", "stdlib")}
-	return detect, explain
+	of := func(route string) decodeMetrics {
+		return decodeMetrics{fast: v.With(route, "fast"), stdlib: v.With(route, "stdlib")}
+	}
+	return of("/v1/detect"), of("/v1/explain"), of("/v1/feedback")
 }
 
 // itemBody is a request type whose body itemDecoder can read.
@@ -77,6 +79,34 @@ func (r *ExplainRequest) decodeFast(body []byte) bool {
 		return false
 	}
 	r.Item = it
+	return true
+}
+
+// decodeFast reads {"feedback":[{"item":…,"fraud":true|false},…]} with
+// each entry's keys in that order, as json.Marshal writes them.
+func (r *FeedbackRequest) decodeFast(body []byte) bool {
+	d := newItemDecoder(body)
+	if !d.eat('{') || !d.key("feedback") || !d.eat('[') {
+		return false
+	}
+	out := make([]FeedbackEntry, 0, 8)
+	for more, ok := !d.eat(']'), true; more; {
+		out = append(out, FeedbackEntry{})
+		e := &out[len(out)-1]
+		if !d.eat('{') || !d.key("item") || !d.item(&e.Item) || !d.eat(',') || !d.key("fraud") {
+			return false
+		}
+		if e.Fraud = d.lit("true"); !(e.Fraud || d.lit("false")) || !d.eat('}') {
+			return false
+		}
+		if more, ok = d.more(']'); !ok {
+			return false
+		}
+	}
+	if !d.eat('}') || !d.atEnd() {
+		return false
+	}
+	r.Feedback = out
 	return true
 }
 
@@ -507,6 +537,16 @@ func (d *itemDecoder) integer() (int64, bool) {
 		return -int64(n), n <= 1<<63
 	}
 	return int64(n), n < 1<<63
+}
+
+// lit consumes the literal want, after optional whitespace.
+func (d *itemDecoder) lit(want string) bool {
+	d.ws()
+	ok := strings.HasPrefix(d.s[d.i:], want)
+	if ok {
+		d.i += len(want)
+	}
+	return ok
 }
 
 // enum consumes an integer that fits the one-byte enums (ecom.Client,

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/ecom"
 	"repro/internal/synth"
+	"repro/internal/trainer"
 )
 
 // coldBody is a serve_cold-shaped detect body: 16 generated items with
@@ -128,6 +130,142 @@ var decodeSeeds = []string{
 	`{}`,
 }
 
+// feedbackSeeds are the /v1/feedback bodies the differential tests start
+// from: FuzzDecodeFeedback's corpus, then every line the fast decoder
+// draws around an entry.
+var feedbackSeeds = []string{
+	`{"feedback":[]}`,
+	`{"feedback":null}`,
+	`{"feedback":[{}]}`,
+	`{"feedback":[{"fraud":true}]}`,
+	`{"feedback":[{"item":{"item_id":"a"},"fraud":true}]}`,
+	`{"feedback":[{"item":{"item_id":"a"},"fraud":"yes"}]}`,
+	`{"feedback":[{"item":{"item_id":"a","label":2},"fraud":false}]}`,
+	`{"feedback":[{"item":{"item_id":""},"fraud":true}]}`,
+	`{"feedback":"not-a-list"}`,
+	`{broken`,
+	``,
+	`null`,
+	"\xef\xbb\xbf{\"feedback\":[]}",
+	"{\"feedback\":[{\"item\":{\"item_id\":\"\xff\xfe\"}}]}",
+	`{"feedback":[` + strings.Repeat(`{"item":{"item_id":"x"}},`, 8) + `{}]}`,
+	`{"feedback":[{"item":{"item_id":"a"}}]}`,
+	`{"feedback":[{"fraud":true,"item":{"item_id":"a"}}]}`,
+	`{"feedback":[{"item":{"item_id":"a"},"fraud":null}]}`,
+	`{"feedback":[{"item":{"item_id":"a"},"fraud":truely}]}`,
+	`{"feedback":[{"item":{"item_id":"a"},"fraud":True}]}`,
+	`{"feedback":[{"item":{"item_id":"a"},"fraud":1}]}`,
+	`{"feedback":[{"item":{"item_id":"a"},"fraud":true,"note":"x"}]}`,
+	`{"feedback":[{"item":{"item_id":"a"},"fraud":true,"fraud":false}]}`,
+	`{"feedback":[{"item":{"item_id":"a"},"FRAUD":true}]}`,
+	`{"feedback":[{"item":null,"fraud":true}]}`,
+	`{"feedback":[{"item":{"item_id":"a"},"fraud":true},]}`,
+	`{"feedback":[{"item":{"item_id":"a"},"fraud":true}],"tenant":"t"}`,
+	`{"feedback":[{"item":{"item_id":"a"},"fraud":true}]} trailing`,
+	`{"feedback":[{"item":{"item_id":"a"},"fraud":true}]`,
+	" {\n \"feedback\" : [ { \"item\" : { \"item_id\" : \"a\" , \"sales_volume\" : 9 } , \"fraud\" : false } , {\"item\":{\"item_id\":\"b\",\"comments\":[{\"comment_content\":\"\\u597d\\u8bc4\"}]},\"fraud\":true} ] } ",
+}
+
+// feedbackBody is a canonical /v1/feedback body over generated items.
+func feedbackBody(t testing.TB, entries []FeedbackEntry) []byte {
+	t.Helper()
+	body, err := json.Marshal(FeedbackRequest{Feedback: entries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// checkFeedbackDifferential is the one-way contract for a feedback body:
+// fast accepts ⇒ encoding/json accepts the same entries.
+func checkFeedbackDifferential(t *testing.T, body []byte) {
+	t.Helper()
+	var fast, want FeedbackRequest
+	if !fast.decodeFast(body) {
+		return
+	}
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&want); err != nil {
+		t.Fatalf("fast decoder accepted a feedback body encoding/json rejects (%v): %q", err, body)
+	}
+	same := len(fast.Feedback) == len(want.Feedback) && (fast.Feedback == nil) == (want.Feedback == nil)
+	for i := 0; same && i < len(want.Feedback); i++ {
+		same = fast.Feedback[i].Fraud == want.Feedback[i].Fraud &&
+			sameItems([]ecom.Item{fast.Feedback[i].Item}, []ecom.Item{want.Feedback[i].Item})
+	}
+	if !same {
+		t.Fatalf("feedback body %q:\n fast   %+v\n stdlib %+v", body, fast.Feedback, want.Feedback)
+	}
+}
+
+// feedbackPair is two servers with a retrain loop each, alike except
+// that the oracle sends every body through encoding/json.
+type feedbackPair struct {
+	fast, oracle     http.Handler
+	fastTr, oracleTr *trainer.Trainer
+	// base is eight labels, four of each class, fed behind every accepted
+	// body: whatever the window (24) held, a forced cycle then gets as far
+	// as hashing it and scoring a challenger on it.
+	base []byte
+}
+
+func newFeedbackPair(t testing.TB) *feedbackPair {
+	t.Helper()
+	// A gain no challenger reaches: cycles evaluate and never promote.
+	tcfg := trainer.Config{Window: 24, MinSamples: 1, MinClassSamples: 2, MinF1Gain: 2}
+	opts := Options{MaxItems: 8, MaxBodyBytes: 1 << 16}
+	srv, _, tr, _ := newTrainerService(t, tcfg, opts)
+	oracle, _, oracleTr, _ := newTrainerService(t, tcfg, opts)
+	oracle.stdlibOnly = true
+	entries := shiftedEntries(501)
+	return &feedbackPair{
+		fast: srv.Handler(), oracle: oracle.Handler(), fastTr: tr, oracleTr: oracleTr,
+		base: feedbackBody(t, append(entries[:4:4], entries[len(entries)-4:]...)),
+	}
+}
+
+// post sends body to both servers and requires the same answer: status,
+// accepted count, and — whenever the window took it — the same Decision
+// from a forced cycle, which carries the window's hash and, through the
+// holdout scores, its texts.
+func (p *feedbackPair) post(t testing.TB, body []byte) {
+	t.Helper()
+	send := func(h http.Handler, body []byte) (int, FeedbackResponse) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/feedback", bytes.NewReader(body)))
+		var out FeedbackResponse
+		if rec.Code == http.StatusOK {
+			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rec.Code, out
+	}
+	got, gotOut := send(p.fast, body)
+	want, wantOut := send(p.oracle, body)
+	if got != want || gotOut != wantOut {
+		t.Fatalf("/v1/feedback answered %d %+v, encoding/json alone %d %+v, for body %q", got, gotOut, want, wantOut, body)
+	}
+	if got != http.StatusOK {
+		return
+	}
+	for _, h := range []http.Handler{p.fast, p.oracle} {
+		if code, _ := send(h, p.base); code != http.StatusOK {
+			t.Fatalf("base labels answered %d", code)
+		}
+	}
+	d, err := p.fastTr.RunCycle(context.Background(), DefaultTenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantD, err := p.oracleTr.RunCycle(context.Background(), DefaultTenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d != wantD || d.WindowHash == "" {
+		t.Fatalf("windows differ after body %q:\n fast   %+v\n stdlib %+v", body, d, wantD)
+	}
+}
+
 // TestFastDecoderAgreesWithStdlib states the decoder's contract on a
 // fixed corpus: whatever it accepts, encoding/json accepts with the same
 // items; the canonical encoding is accepted; and each construct it is
@@ -176,6 +314,50 @@ func TestFastDecoderAgreesWithStdlib(t *testing.T) {
 	} {
 		if accepts(body) {
 			t.Errorf("fast decoder accepted %q, which belongs to encoding/json", body)
+		}
+	}
+
+	// /v1/feedback: the same contract, and a declined body means what
+	// encoding/json says it means.
+	pair := newFeedbackPair(t)
+	canonical := string(feedbackBody(t, shiftedEntries(502)[:6]))
+	for _, body := range append([]string{canonical}, feedbackSeeds...) {
+		checkFeedbackDifferential(t, []byte(body))
+		pair.post(t, []byte(body))
+	}
+	acceptsFeedback := func(body string) bool {
+		var req FeedbackRequest
+		return req.decodeFast([]byte(body))
+	}
+	for _, body := range []string{
+		canonical,
+		`{"feedback":[]}`,
+		`{"feedback":[{"item":{"item_id":"a"},"fraud":true}]}`,
+		`{"feedback":[{"item":{},"fraud":false}]}`,
+		feedbackSeeds[len(feedbackSeeds)-1],
+	} {
+		if !acceptsFeedback(body) {
+			t.Errorf("fast decoder declined a canonical feedback body: %.80q", body)
+		}
+	}
+	for _, body := range []string{
+		`{"feedback":null}`,
+		`{"feedback":[{}]}`,
+		`{"feedback":[{"item":{"item_id":"a"}}]}`,
+		`{"feedback":[{"fraud":true,"item":{"item_id":"a"}}]}`,
+		`{"feedback":[{"item":{"item_id":"a"},"fraud":"yes"}]}`,
+		`{"feedback":[{"item":{"item_id":"a"},"fraud":null}]}`,
+		`{"feedback":[{"item":{"item_id":"a"},"fraud":truely}]}`,
+		`{"feedback":[{"item":{"item_id":"a"},"fraud":1}]}`,
+		`{"feedback":[{"item":{"item_id":"a"},"fraud":true,"note":"x"}]}`,
+		`{"feedback":[{"item":{"item_id":"a"},"fraud":true,"fraud":false}]}`,
+		`{"feedback":[{"item":null,"fraud":true}]}`,
+		`{"feedback":[{"item":{"item_id":"a"},"fraud":true}],"tenant":"t"}`,
+		`{"feedback":[{"item":{"item_id":"a"},"fraud":true}]} trailing`,
+		`{"FEEDBACK":[{"item":{"item_id":"a"},"fraud":true}]}`,
+	} {
+		if acceptsFeedback(body) {
+			t.Errorf("fast decoder accepted feedback %q, which belongs to encoding/json", body)
 		}
 	}
 }
@@ -257,6 +439,39 @@ func TestDecodedItemsShareNothingWithTheBuffer(t *testing.T) {
 	if !sameItems(req.Items, want.Items) {
 		t.Error("decoded items alias the caller's buffer")
 	}
+
+	// Feedback outlives its request by hours, in the retrain window: feed
+	// a decoded body, overwrite the bytes it was decoded from, and read
+	// the window back through a cycle. It must decide what a window fed
+	// the same entries by encoding/json decides — hash, challenger and
+	// holdout scores, which only the comments' texts explain.
+	tcfg := trainer.Config{MinSamples: 40}
+	_, _, tr, _ := newTrainerService(t, tcfg, Options{})
+	_, _, wantTr, _ := newTrainerService(t, tcfg, Options{})
+	cycle := func(tr *trainer.Trainer, decode func(*FeedbackRequest, []byte) bool) trainer.Decision {
+		t.Helper()
+		buf := feedbackBody(t, shiftedEntries(501))
+		var req FeedbackRequest
+		if !decode(&req, buf) {
+			t.Fatal("feedback body not decoded")
+		}
+		if _, err := tr.Feed(DefaultTenant, req.Feedback); err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 'x'
+		}
+		d, err := tr.RunCycle(context.Background(), DefaultTenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	gotD := cycle(tr, (*FeedbackRequest).decodeFast)
+	wantD := cycle(wantTr, func(req *FeedbackRequest, body []byte) bool { return json.Unmarshal(body, req) == nil })
+	if gotD != wantD || gotD.ChallengerVersion == "" {
+		t.Errorf("window read back after its request's buffer was overwritten:\n got  %+v\n want %+v", gotD, wantD)
+	}
 }
 
 // TestOversizedBodyIs413WhateverItHolds: the body is read to the cap
@@ -268,6 +483,17 @@ func TestOversizedBodyIs413WhateverItHolds(t *testing.T) {
 	resp, _ := postDetect(t, ts.URL, []byte(body))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("status = %d, want 413", resp.StatusCode)
+	}
+
+	_, ts, tr, _ := newTrainerService(t, trainer.Config{}, Options{MaxBodyBytes: 64})
+	body = `{"feedback":[{"item":{"item_id":"a"},"fraud":true}]}` + strings.Repeat(" ", 100)
+	fb, err := http.Post(ts.URL+"/v1/feedback", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb.Body.Close()
+	if fb.StatusCode != http.StatusRequestEntityTooLarge || len(tr.Status()) != 0 {
+		t.Errorf("/v1/feedback status = %d, trainer status %+v, want 413 and an untouched window", fb.StatusCode, tr.Status())
 	}
 }
 
@@ -294,4 +520,36 @@ func BenchmarkDecodeDetect(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkDecodeFeedback is the decode layer on a serve_hot-shaped
+// feedback body — 8 entries of 40 comments — by both decoders.
+func BenchmarkDecodeFeedback(b *testing.B) {
+	u := synth.Generate(synth.Config{
+		Name: "decode-feedback", Seed: 96, FraudEvidence: 3, Normal: 5,
+		FraudCommentsMin: 40, FraudCommentsMax: 40, NormalCommentsMin: 40, NormalCommentsMax: 40,
+	})
+	entries := make([]FeedbackEntry, len(u.Dataset.Items))
+	for i, it := range u.Dataset.Items {
+		entries[i] = FeedbackEntry{Item: it, Fraud: it.Label.IsFraud()}
+	}
+	body := feedbackBody(b, entries)
+	for _, c := range []struct {
+		name   string
+		decode func(*FeedbackRequest) bool
+	}{
+		{"stdlib", func(req *FeedbackRequest) bool { return json.NewDecoder(bytes.NewReader(body)).Decode(req) == nil }},
+		{"fast", func(req *FeedbackRequest) bool { return req.decodeFast(body) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				var req FeedbackRequest
+				if !c.decode(&req) || len(req.Feedback) != len(entries) {
+					b.Fatal("feedback body not decoded")
+				}
+			}
+		})
+	}
 }

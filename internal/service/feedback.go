@@ -6,17 +6,13 @@ import (
 	"fmt"
 	"net/http"
 
-	"repro/internal/ecom"
 	"repro/internal/trainer"
 )
 
 // FeedbackEntry is one delayed-label outcome in the /v1/feedback body:
 // an item the platform previously scored, now resolved to ground truth
 // by manual review or a confirmed fraud case.
-type FeedbackEntry struct {
-	Item  ecom.Item `json:"item"`
-	Fraud bool      `json:"fraud"`
-}
+type FeedbackEntry = trainer.Feedback
 
 // FeedbackRequest is the /v1/feedback request body.
 type FeedbackRequest struct {
@@ -33,6 +29,7 @@ type FeedbackResponse struct {
 // retrain window. The trainer normalizes labels from the fraud bit, so
 // a request body cannot poison the window with contradictory labels;
 // arbitrary bytes never produce a 5xx (FuzzDecodeFeedback pins this).
+// The window copies what it keeps, so the entries die with the request.
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	tr := s.opts.Trainer
 	if tr == nil {
@@ -40,8 +37,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req FeedbackRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	if err := s.decodeItems(w, r, s.feedbackDecodes, &req); err != nil {
 		writeError(w, decodeStatus(err), fmt.Sprintf("decode request: %v", err))
 		return
 	}
@@ -55,22 +51,16 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tenant := s.tenantName(r)
-	fbs := make([]trainer.Feedback, len(req.Feedback))
-	for i, e := range req.Feedback {
-		fbs[i] = trainer.Feedback{Item: e.Item, Fraud: e.Fraud}
-	}
-	n, err := tr.Feed(tenant, fbs)
+	n, err := tr.Feed(tenant, req.Feedback)
 	if err != nil {
+		code := http.StatusBadRequest // trainer.ErrInvalidFeedback
 		switch {
 		case errors.Is(err, trainer.ErrUnknownTenant):
-			writeError(w, http.StatusNotFound, err.Error())
-		case errors.Is(err, trainer.ErrInvalidFeedback):
-			writeError(w, http.StatusBadRequest, err.Error())
+			code = http.StatusNotFound
 		case errors.Is(err, trainer.ErrClosed):
-			writeError(w, http.StatusServiceUnavailable, err.Error())
-		default:
-			writeError(w, http.StatusBadRequest, err.Error())
+			code = http.StatusServiceUnavailable
 		}
+		writeError(w, code, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, FeedbackResponse{Accepted: n, Tenant: tenant})

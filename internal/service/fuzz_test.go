@@ -198,3 +198,21 @@ func FuzzDecodeFeedback(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeFeedbackDifferential holds /v1/feedback's single-pass
+// decoder to encoding/json the way FuzzDecodeDetectDifferential holds
+// detect's: whatever the fast decoder accepts encoding/json accepts with
+// the same entries, and a server answers with the same status and
+// accepted count — and ends up with the same retrain window, hash and
+// texts — as a server that sends every body through encoding/json.
+func FuzzDecodeFeedbackDifferential(f *testing.F) {
+	pair := newFeedbackPair(f)
+	f.Add(feedbackBody(f, shiftedEntries(501)[:2]))
+	for _, s := range feedbackSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkFeedbackDifferential(t, body)
+		pair.post(t, body)
+	})
+}

@@ -36,8 +36,8 @@
 // All payloads are JSON. Request bodies are size-capped (a body over
 // the cap yields 413 whatever it holds), malformed input yields 400
 // rather than 500, and a wrong method yields 405 with an Allow header.
-// Detect and explain bodies in the canonical encoding are read by a
-// single-pass decoder, everything else by encoding/json (decode.go).
+// Detect, explain and feedback bodies in the canonical encoding are read
+// by a single-pass decoder, everything else by encoding/json (decode.go).
 // Every route is wrapped in obs HTTP middleware: per-route request
 // counts by status code, per-route latency histograms, and an
 // in-flight gauge. Route labels use the registered pattern
@@ -169,8 +169,8 @@ type Server struct {
 	ready  atomic.Bool
 	obsReg *obs.Registry
 	httpm  *obs.HTTPMetrics
-	// Which decoder read each detect/explain body (decode.go).
-	detectDecodes, explainDecodes decodeMetrics
+	// Which decoder read each detect/explain/feedback body (decode.go).
+	detectDecodes, explainDecodes, feedbackDecodes decodeMetrics
 	// stdlibOnly sends every body through encoding/json. Only the
 	// differential tests set it: it makes a server the oracle.
 	stdlibOnly bool
@@ -200,7 +200,7 @@ func NewWithRegistry(reg *registry.Registry, opts Options) *Server {
 		httpm:  obs.NewHTTPMetrics(obsReg),
 		drift:  map[string]*driftState{},
 	}
-	s.detectDecodes, s.explainDecodes = newDecodeMetrics(obsReg)
+	s.detectDecodes, s.explainDecodes, s.feedbackDecodes = newDecodeMetrics(obsReg)
 	s.ready.Store(true)
 	return s
 }

@@ -367,7 +367,7 @@ func TestDriftEndpoint(t *testing.T) {
 	if err := det.Train(&train.Dataset, 0); err != nil {
 		t.Fatal(err)
 	}
-	trainX := det.Extractor().ExtractDataset(train.Dataset.Items, 0)
+	trainX := det.Extractor().ExtractDataset(train.Dataset.Items, nil, 0)
 	srv := serveDetector(t, det, analyzer, Options{TrainingSample: trainX}, nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -473,7 +473,7 @@ func TestDetectSegmentsOncePerComment(t *testing.T) {
 	if err := det.Train(&train.Dataset, 0); err != nil {
 		t.Fatal(err)
 	}
-	trainX := det.Extractor().ExtractDataset(train.Dataset.Items, 0)
+	trainX := det.Extractor().ExtractDataset(train.Dataset.Items, nil, 0)
 	srv := serveDetector(t, det, analyzer, Options{TrainingSample: trainX}, nil) // drift ON
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -125,6 +128,49 @@ func TestFeedbackEndpoint(t *testing.T) {
 	// Rejected requests must not have grown the window.
 	if st := tr.Status(); st[0].WindowSize != 10 {
 		t.Errorf("window grew to %d after rejected requests", st[0].WindowSize)
+	}
+}
+
+// TestWindowPinsNoRequestMemory: the fast decoder hands out substrings
+// of one copy of the body, so an item kept whole would pin its request —
+// here 1 MiB of item_name per two short comments. The window keeps a
+// copy of the comments' text and nothing else, so 64 such requests leave
+// next to nothing behind (64 MiB if a single substring were kept).
+func TestWindowPinsNoRequestMemory(t *testing.T) {
+	srv, _, tr, _ := newTrainerService(t, trainer.Config{}, Options{})
+	handler := srv.Handler()
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the first only moves a sync.Pool's buffers to its victim cache
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	name := strings.Repeat("n", 1<<20)
+	const requests = 64
+	fastBefore := srv.feedbackDecodes.fast.Value()
+	before := heap()
+	for i := 0; i < requests; i++ {
+		id := fmt.Sprintf("pin-%d", i)
+		body := feedbackBody(t, []FeedbackEntry{{Fraud: i%2 == 0, Item: ecom.Item{
+			ID: id, Name: name, SalesVolume: 9,
+			Comments: []ecom.Comment{{ItemID: id, Content: "好评 很好"}, {ItemID: id, Content: "不错"}},
+		}}})
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/feedback", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("feedback %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	if got := srv.feedbackDecodes.fast.Value() - fastBefore; got != requests {
+		t.Fatalf("%d of %d bodies took the fast decoder; this test would be checking encoding/json's copies", got, requests)
+	}
+	grew := int64(heap()) - int64(before)
+	if st := tr.Status(); len(st) != 1 || st[0].WindowSize != requests {
+		t.Fatalf("trainer status = %+v, want a window of %d", st, requests)
+	}
+	if grew >= 8<<20 {
+		t.Errorf("heap grew %d MiB over %d fed requests; the window pins request memory", grew>>20, requests)
 	}
 }
 

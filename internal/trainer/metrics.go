@@ -3,8 +3,8 @@ package trainer
 import "repro/internal/obs"
 
 // Trainer instrumentation (DESIGN.md §15): retrain cycles by outcome,
-// the live feedback-window size, the gate's F1 delta distribution, and
-// challenger training time — all per tenant. An operator watching the
+// the live feedback-window size and bytes, the gate's F1 delta
+// distribution, and challenger training time — all per tenant. An operator watching the
 // drift loop reads cats_trainer_cycles_total{outcome="promoted"} move
 // and cats_trainer_promoted_generation step; a loop that never fires
 // shows a growing window with cycles stuck on min_samples or cooldown.
@@ -22,6 +22,9 @@ var (
 	vWindowSize = obs.Default.GaugeVec("cats_trainer_window_size",
 		"Labeled feedback examples currently retained in the tenant's "+
 			"sliding retrain window.", "tenant")
+	vWindowBytes = obs.Default.GaugeVec("cats_trainer_window_bytes",
+		"Bytes the tenant's retrain window holds for its entries: each one's "+
+			"item id, its comments' text, and four bytes of offset per comment.", "tenant")
 	vPromotedGen = obs.Default.GaugeVec("cats_trainer_promoted_generation",
 		"Model generation of the tenant's most recent trainer promotion; "+
 			"0 until the loop first wins.", "tenant")
@@ -50,6 +53,7 @@ type tenantTrainerMetrics struct {
 	cycleNoModel       *obs.Counter
 	cycleError         *obs.Counter
 	windowSize         *obs.Gauge
+	windowBytes        *obs.Gauge
 	promotedGen        *obs.Gauge
 	gateDelta          *obs.Histogram
 	trainSeconds       *obs.Histogram
@@ -71,6 +75,7 @@ func resolveTrainerMetrics(tenant string) *tenantTrainerMetrics {
 		cycleNoModel:       vCycles.With("no_model", tenant),
 		cycleError:         vCycles.With("error", tenant),
 		windowSize:         vWindowSize.With(tenant),
+		windowBytes:        vWindowBytes.With(tenant),
 		promotedGen:        vPromotedGen.With(tenant),
 		gateDelta:          vGateDelta.With(tenant),
 		trainSeconds:       vTrainSeconds.With(tenant),

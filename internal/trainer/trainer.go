@@ -64,7 +64,7 @@ const (
 var (
 	ErrUnknownTenant   = errors.New("trainer: unknown tenant")
 	ErrClosed          = errors.New("trainer: closed")
-	ErrInvalidFeedback = errors.New("trainer: feedback item missing id")
+	ErrInvalidFeedback = errors.New("trainer: invalid feedback")
 )
 
 // Config parameterizes the champion/challenger loop.
@@ -158,6 +158,7 @@ type Decision struct {
 type TenantStatus struct {
 	Tenant      string     `json:"tenant"`
 	WindowSize  int        `json:"window_size"`
+	WindowBytes int64      `json:"window_bytes"`
 	WindowSeen  uint64     `json:"window_seen"`
 	Cycles      uint64     `json:"cycles"`
 	Promotions  uint64     `json:"promotions"`
@@ -236,11 +237,12 @@ func (t *Trainer) state(tenant string) *tenantState {
 
 // Feed appends labeled outcomes to the tenant's sliding window. The
 // tenant must already exist in the registry (feedback for a tenant that
-// was never loaded is a caller error, not a new slot). Labels are
-// normalized from the Fraud bit — whatever label the item carried on
-// the wire is overwritten, so a hostile feedback body cannot poison
-// the window with contradictory labels. Returns the number accepted;
-// on error nothing was appended.
+// was never loaded is a caller error, not a new slot). The window keeps
+// copies (record) and nothing of fbs, and the training label is the
+// Fraud bit alone — whatever label the item carried on the wire is
+// dropped, so a hostile feedback body cannot poison the window with
+// contradictory labels. Returns the number accepted; on error nothing
+// was appended.
 func (t *Trainer) Feed(tenant string, fbs []Feedback) (int, error) {
 	select {
 	case <-t.closed:
@@ -250,24 +252,23 @@ func (t *Trainer) Feed(tenant string, fbs []Feedback) (int, error) {
 	if t.reg.Tenant(tenant) == nil {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
 	}
+	// The copies are made before st.mu is taken: Status, /admin/trainer
+	// and a cycle's snapshot wait on it.
+	recs := make([]record, len(fbs))
 	for i := range fbs {
-		if fbs[i].Item.ID == "" {
-			return 0, fmt.Errorf("%w (entry %d)", ErrInvalidFeedback, i)
+		var err error
+		if recs[i], err = newRecord(&fbs[i]); err != nil {
+			return 0, fmt.Errorf("%w: entry %d: %v", ErrInvalidFeedback, i, err)
 		}
 	}
 	st := t.state(tenant)
 	st.mu.Lock()
-	for _, fb := range fbs {
-		if fb.Fraud {
-			fb.Item.Label = ecom.FraudEvidence
-		} else {
-			fb.Item.Label = ecom.Normal
-		}
-		st.win.add(fb)
+	for i := range recs {
+		st.win.add(recs[i])
 	}
-	size := st.win.len()
+	st.m.windowSize.Set(int64(st.win.len()))
+	st.m.windowBytes.Set(st.win.bytes)
 	st.mu.Unlock()
-	st.m.windowSize.Set(int64(size))
 	return len(fbs), nil
 }
 
@@ -304,37 +305,36 @@ func (t *Trainer) RunCycle(ctx context.Context, tenant string) (Decision, error)
 	st.mu.Lock()
 	st.cycles++
 	d := Decision{Tenant: tenant, Cycle: st.cycles}
-	fbs := st.win.snapshot()
+	recs := st.win.snapshot()
 	inCooldown := t.cfg.Cooldown > 0 && st.hasPromoted &&
 		now.Sub(st.promotedAt) < t.cfg.Cooldown
 	st.mu.Unlock()
-	d.WindowSize = len(fbs)
-	st.m.windowSize.Set(int64(len(fbs)))
+	d.WindowSize = len(recs)
 
 	switch {
 	case inCooldown:
 		d.Outcome = OutcomeCooldown
 		d.Reason = "inside post-promotion cooldown"
 		return t.finish(st, d), nil
-	case len(fbs) < t.cfg.MinSamples:
+	case len(recs) < t.cfg.MinSamples:
 		d.Outcome = OutcomeMinSamples
-		d.Reason = fmt.Sprintf("window %d below retrain floor %d", len(fbs), t.cfg.MinSamples)
+		d.Reason = fmt.Sprintf("window %d below retrain floor %d", len(recs), t.cfg.MinSamples)
 		return t.finish(st, d), nil
 	}
 	pos := 0
-	for i := range fbs {
-		if fbs[i].Fraud {
+	for i := range recs {
+		if recs[i].fraud {
 			pos++
 		}
 	}
-	if pos < t.cfg.MinClassSamples || len(fbs)-pos < t.cfg.MinClassSamples {
+	if pos < t.cfg.MinClassSamples || len(recs)-pos < t.cfg.MinClassSamples {
 		d.Outcome = OutcomeClassSkew
 		d.Reason = fmt.Sprintf("window has %d fraud / %d normal, need %d of each",
-			pos, len(fbs)-pos, t.cfg.MinClassSamples)
+			pos, len(recs)-pos, t.cfg.MinClassSamples)
 		return t.finish(st, d), nil
 	}
 
-	if !ten.Do(func(h *registry.Handle) { t.challenge(ctx, st, &d, fbs, now, h) }) {
+	if !ten.Do(func(h *registry.Handle) { t.challenge(ctx, st, &d, recs, now, h) }) {
 		d.Outcome = OutcomeNoModel
 		d.Reason = "tenant has no live champion"
 	}
@@ -344,7 +344,7 @@ func (t *Trainer) RunCycle(ctx context.Context, tenant string) (Decision, error)
 // challenge is the cycle past its guards, under a lease on the champion
 // h: train a challenger on the window's split, score both on the
 // holdout, publish on a gate win. It fills in d, Outcome included.
-func (t *Trainer) challenge(ctx context.Context, st *tenantState, d *Decision, fbs []Feedback, now time.Time, h *registry.Handle) {
+func (t *Trainer) challenge(ctx context.Context, st *tenantState, d *Decision, recs []record, now time.Time, h *registry.Handle) {
 	d.ChampionVersion = h.Version
 	d.ChampionGen = h.Generation
 	if h.Analyzer == nil {
@@ -353,15 +353,15 @@ func (t *Trainer) challenge(ctx context.Context, st *tenantState, d *Decision, f
 		return
 	}
 
-	hash := windowHash(fbs)
+	hash := windowHash(recs)
 	d.WindowHash = fmt.Sprintf("%016x", hash)
 	rng := rand.New(rand.NewSource(t.cfg.Seed ^ int64(hash)))
-	trainItems, holdItems := splitFeedback(fbs, t.cfg.Holdout, rng)
+	train, hold := splitFeedback(recs, t.cfg.Holdout, rng)
 
 	challenger := core.NewDetector(h.Analyzer, h.Detector.Config())
 	d.ChallengerVersion = fmt.Sprintf("retrain-c%d#%016x", d.Cycle, hash)
 	t0 := t.clock.Now()
-	if err := challenger.Train(&ecom.Dataset{Name: "feedback-window", Items: trainItems}, t.cfg.Workers); err != nil {
+	if err := challenger.TrainTexts(train.items, train.texts, t.cfg.Workers); err != nil {
 		d.Outcome = OutcomeError
 		d.Reason = "train challenger: " + err.Error()
 		return
@@ -369,13 +369,13 @@ func (t *Trainer) challenge(ctx context.Context, st *tenantState, d *Decision, f
 	d.TrainSeconds = t.clock.Now().Sub(t0).Seconds()
 	st.m.trainSeconds.Observe(d.TrainSeconds)
 
-	champM, err := holdoutMetrics(ctx, h.Detector, holdItems, t.cfg.Workers)
+	champM, err := holdoutMetrics(ctx, h.Detector, hold, t.cfg.Workers)
 	if err != nil {
 		d.Outcome = OutcomeError
 		d.Reason = "score champion: " + err.Error()
 		return
 	}
-	chalM, err := holdoutMetrics(ctx, challenger, holdItems, t.cfg.Workers)
+	chalM, err := holdoutMetrics(ctx, challenger, hold, t.cfg.Workers)
 	if err != nil {
 		d.Outcome = OutcomeError
 		d.Reason = "score challenger: " + err.Error()
@@ -446,6 +446,7 @@ func (t *Trainer) Status() []TenantStatus {
 		out = append(out, TenantStatus{
 			Tenant:      st.name,
 			WindowSize:  st.win.len(),
+			WindowBytes: st.win.bytes,
 			WindowSeen:  st.win.seen,
 			Cycles:      st.cycles,
 			Promotions:  st.promotions,
@@ -511,21 +512,36 @@ func gateVerdict(champ, chal eval.Metrics, cfg Config) (win bool, reason string)
 	return true, ""
 }
 
+// split is one side of a window split as the detector takes a projected
+// read: items without Comments and, beside each, its comments' contents
+// as views of its record's arena. A cycle copies no text.
+type split struct {
+	items []ecom.Item
+	texts [][]string
+}
+
+func (s *split) add(r *record) {
+	label := ecom.Normal
+	if r.fraud {
+		label = ecom.FraudEvidence
+	}
+	s.items = append(s.items, ecom.Item{ID: r.id, SalesVolume: r.sales, Label: label})
+	s.texts = append(s.texts, r.texts())
+}
+
 // splitFeedback partitions a window snapshot into stratified train and
-// holdout item sets: each class is shuffled with the seeded rng and cut
-// at the holdout fraction, so both sides see both classes and the same
+// holdout sets: each class is shuffled with the seeded rng and cut at
+// the holdout fraction, so both sides see both classes and the same
 // window always splits identically.
-func splitFeedback(fbs []Feedback, holdout float64, rng *rand.Rand) (train, hold []ecom.Item) {
+func splitFeedback(recs []record, holdout float64, rng *rand.Rand) (train, hold split) {
 	var posIdx, negIdx []int
-	for i := range fbs {
-		if fbs[i].Fraud {
+	for i := range recs {
+		if recs[i].fraud {
 			posIdx = append(posIdx, i)
 		} else {
 			negIdx = append(negIdx, i)
 		}
 	}
-	train = make([]ecom.Item, 0, len(fbs))
-	hold = make([]ecom.Item, 0, len(fbs))
 	for _, idx := range [][]int{posIdx, negIdx} {
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		nHold := int(math.Round(float64(len(idx)) * holdout))
@@ -537,27 +553,27 @@ func splitFeedback(fbs []Feedback, holdout float64, rng *rand.Rand) (train, hold
 		}
 		for k, i := range idx {
 			if k < nHold {
-				hold = append(hold, fbs[i].Item)
+				hold.add(&recs[i])
 			} else {
-				train = append(train, fbs[i].Item)
+				train.add(&recs[i])
 			}
 		}
 	}
 	return train, hold
 }
 
-// holdoutMetrics scores det over the holdout items and folds the
-// verdicts into P/R/F1. Filtered items count as negative predictions —
-// the same convention as the robustness experiments.
-func holdoutMetrics(ctx context.Context, det *core.Detector, items []ecom.Item, workers int) (eval.Metrics, error) {
-	dets, err := det.DetectContext(ctx, items, workers)
+// holdoutMetrics scores det over the holdout set and folds the verdicts
+// into P/R/F1. Filtered items count as negative predictions — the same
+// convention as the robustness experiments.
+func holdoutMetrics(ctx context.Context, det *core.Detector, hold split, workers int) (eval.Metrics, error) {
+	dets, err := det.DetectTexts(ctx, hold.items, hold.texts, workers)
 	if err != nil {
 		return eval.Metrics{}, err
 	}
 	var c eval.Confusion
 	for i := range dets {
 		truth := 0
-		if items[i].Label.IsFraud() {
+		if hold.items[i].Label.IsFraud() {
 			truth = 1
 		}
 		pred := 0

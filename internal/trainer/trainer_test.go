@@ -2,8 +2,11 @@ package trainer
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -287,6 +290,20 @@ func TestFeedValidation(t *testing.T) {
 	if _, err := tr.Feed(fixtureTenant, bad); err == nil {
 		t.Error("Feed accepted an item without an id")
 	}
+	// 4,096 comments of 1 MiB (one shared string) are 4 GiB of text, one
+	// byte more than the uint32 offsets address; refused before any copy.
+	huge := Feedback{Item: ecom.Item{ID: "huge", Comments: make([]ecom.Comment, 4096)}}
+	for i, mib := 0, strings.Repeat("x", 1<<20); i < len(huge.Item.Comments); i++ {
+		huge.Item.Comments[i].Content = mib
+	}
+	for _, batch := range [][]Feedback{bad, {shiftedFeedback(501)[0], huge}} {
+		if _, err := tr.Feed(fixtureTenant, batch); !errors.Is(err, ErrInvalidFeedback) {
+			t.Errorf("Feed = %v, want ErrInvalidFeedback", err)
+		}
+	}
+	if st := tr.Status(); len(st) != 0 && st[0].WindowSeen != 0 {
+		t.Errorf("a refused batch left %d entries in the window", st[0].WindowSeen)
+	}
 	n, err := tr.Feed(fixtureTenant, shiftedFeedback(501)[:5])
 	if err != nil || n != 5 {
 		t.Errorf("Feed = (%d, %v), want (5, nil)", n, err)
@@ -298,38 +315,130 @@ func TestFeedValidation(t *testing.T) {
 }
 
 // TestWindowEviction pins the sliding-window semantics: a full ring
-// evicts oldest-first and snapshots in chronological order.
+// evicts oldest-first and snapshots in chronological order — and the
+// ring is no larger than what was put in it.
 func TestWindowEviction(t *testing.T) {
 	w := newWindow(3)
 	for i := 0; i < 5; i++ {
-		w.add(Feedback{Item: ecom.Item{ID: fmt.Sprintf("i%d", i)}})
+		w.add(record{id: fmt.Sprintf("i%d", i)})
 	}
 	if w.len() != 3 || w.seen != 5 {
 		t.Fatalf("len=%d seen=%d, want 3/5", w.len(), w.seen)
 	}
 	snap := w.snapshot()
-	got := []string{snap[0].Item.ID, snap[1].Item.ID, snap[2].Item.ID}
+	got := []string{snap[0].id, snap[1].id, snap[2].id}
 	want := []string{"i2", "i3", "i4"}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("snapshot order = %v, want %v", got, want)
 		}
 	}
+
+	// A window far from full costs its entries, not its capacity
+	// (-retrain-window 1000000 used to be 168 MB per tenant looked at).
+	w = newWindow(1_000_000)
+	if cap(w.buf) != 0 {
+		t.Errorf("empty window holds %d slots", cap(w.buf))
+	}
+	for i := 0; i < 100; i++ {
+		w.add(record{id: fmt.Sprintf("i%d", i)})
+	}
+	if w.len() != 100 || cap(w.buf) > 256 {
+		t.Errorf("100 entries: len=%d cap=%d, want cap proportional to entries", w.len(), cap(w.buf))
+	}
+	if snap := w.snapshot(); snap[0].id != "i0" || snap[99].id != "i99" {
+		t.Errorf("partial window snapshot = %s..%s, want i0..i99", snap[0].id, snap[99].id)
+	}
 }
 
 func TestWindowHash(t *testing.T) {
-	fbs := shiftedFeedback(501)[:10]
-	if windowHash(fbs) != windowHash(append([]Feedback(nil), fbs...)) {
+	recs := make([]record, 10)
+	for i := range recs {
+		recs[i] = record{id: fmt.Sprintf("i%d", i), fraud: i%3 == 0}
+	}
+	if windowHash(recs) != windowHash(append([]record(nil), recs...)) {
 		t.Error("identical windows hash differently")
 	}
-	flipped := append([]Feedback(nil), fbs...)
-	flipped[3].Fraud = !flipped[3].Fraud
-	if windowHash(fbs) == windowHash(flipped) {
+	flipped := append([]record(nil), recs...)
+	flipped[3].fraud = !flipped[3].fraud
+	if windowHash(recs) == windowHash(flipped) {
 		t.Error("label flip did not change the window hash")
 	}
-	if windowHash(fbs) == windowHash(fbs[:9]) {
+	if windowHash(recs) == windowHash(recs[:9]) {
 		t.Error("shorter window hashed identically")
 	}
+}
+
+// TestWindowBytesExact holds cats_trainer_window_bytes (and Status's
+// window_bytes) to the definition: Σ over the entries the window holds
+// of len(id) + Σ len(content) + 4·comments — after feeds, after
+// wrap-around evictions and after a refused batch.
+func TestWindowBytesExact(t *testing.T) {
+	f := newFixture(t)
+	const capacity = 100
+	tr := New(f.reg, f.clock, Config{Window: capacity})
+	gauge := metricsByTenant.For(fixtureTenant).windowBytes
+	var fed []Feedback
+	check := func(when string) {
+		t.Helper()
+		var want int64
+		for _, fb := range fed[max(0, len(fed)-capacity):] {
+			want += int64(len(fb.Item.ID) + 4*len(fb.Item.Comments))
+			for _, c := range fb.Item.Comments {
+				want += int64(len(c.Content))
+			}
+		}
+		if st := tr.Status(); gauge.Value() != want || st[0].WindowBytes != want {
+			t.Errorf("%s: gauge %d, status %d, want %d", when, gauge.Value(), st[0].WindowBytes, want)
+		}
+	}
+	feed := func(fbs []Feedback) {
+		t.Helper()
+		if _, err := tr.Feed(fixtureTenant, fbs); err != nil {
+			t.Fatal(err)
+		}
+		fed = append(fed, fbs...)
+	}
+	all := shiftedFeedback(501)
+	feed(all[:60])
+	check("below capacity")
+	feed(all[60:130])
+	check("after 30 evictions")
+	if _, err := tr.Feed(fixtureTenant, append(all[130:140:140], Feedback{})); err == nil {
+		t.Fatal("a batch with an id-less entry was accepted")
+	}
+	check("after a refused batch")
+	feed(all[:180])
+	check("after a batch larger than the window")
+}
+
+// BenchmarkFeed reports what one window entry retains once the fed
+// items are garbage — the per-entry cost -retrain-window multiplies.
+func BenchmarkFeed(b *testing.B) {
+	f := newFixture(b)
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var retained, entries uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tr := New(f.reg, f.clock, Config{})
+		before := heap()
+		fbs := shiftedFeedback(501)
+		b.StartTimer()
+		if _, err := tr.Feed(fixtureTenant, fbs); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		entries += uint64(len(fbs))
+		fbs = nil
+		retained += heap() - before
+		runtime.KeepAlive(tr)
+	}
+	b.ReportMetric(float64(retained)/float64(entries), "retained-B/entry")
 }
 
 // TestFakeClockTicker pins the fake's tick semantics: deliveries only

@@ -8,8 +8,11 @@
 # cats_registry_reloads_total moved), picks up a third tenant via
 # SIGHUP re-scan (booted from a columnar .catc snapshot to exercise the
 # registry's format sniffing), closes the drift loop (labeled feedback
-# on /v1/feedback, a 1s retrain cycle, and a champion/challenger
-# promotion swapping the default tenant mid-traffic with zero non-2xx),
+# on /v1/feedback — the canonical batch through the single-pass decoder
+# into a window whose byte gauge moves, the same batch with its keys
+# reordered through encoding/json — a 1s retrain cycle, and a
+# champion/challenger promotion swapping the default tenant mid-traffic
+# with zero non-2xx),
 # probes /healthz, /readyz and /metrics (asserting the tenant-labeled
 # pipeline and trainer counters moved), then sends SIGTERM and requires
 # a clean exit. A second boot with -batch-max-wait 500ms then checks the
@@ -102,6 +105,12 @@ reload_ok_count() {
     | awk -v s="cats_registry_reloads_total{outcome=\"ok\",tenant=\"$1\"}" \
         'index($0, s) == 1 { print $2; found = 1 } END { if (!found) print 0 }'
 }
+# counter_value <series> — the sample value of one exact series, 0 if absent.
+counter_value() {
+  curl -fsS "${BASE}/metrics" \
+    | awk -v s="$1" 'index($0, s " ") == 1 { print $2; found = 1 } END { if (!found) print 0 }'
+}
+
 RELOADS_BEFORE="$(reload_ok_count eplatform)"
 
 echo "== serve-smoke: concurrent detects on both tenants across a hot reload"
@@ -171,16 +180,26 @@ echo "== serve-smoke: drift loop — feedback in, promotion out, zero dropped re
 # the challenger, which swaps the default tenant's model mid-traffic.
 # The batch is far too large for a command-line argument, so it goes
 # through a file.
-awk '
-  { fraud = (index($0, "\"label\":1") || index($0, "\"label\":2")) }
-  fraud && nf < 12  { nf++; out[n++] = "{\"item\":" $0 ",\"fraud\":true}" }
-  !fraud && nn < 20 { nn++; out[n++] = "{\"item\":" $0 ",\"fraud\":false}" }
-  END {
-    printf "{\"feedback\":["
-    for (i = 0; i < n; i++) printf "%s%s", (i ? "," : ""), out[i]
-    printf "]}"
-  }
-' "${WORK}/train.jsonl" > "${WORK}/feedback.json"
+# feedback_batch <0|1> prints it; with 1, each entry's "fraud" comes ahead
+# of its "item" — not the order json.Marshal writes, so the single-pass
+# decoder leaves that body to encoding/json.
+feedback_batch() {
+  awk -v swap="$1" '
+    function entry(item, fraud) {
+      return swap ? "{\"fraud\":" fraud ",\"item\":" item "}" : "{\"item\":" item ",\"fraud\":" fraud "}"
+    }
+    { fraud = (index($0, "\"label\":1") || index($0, "\"label\":2")) }
+    fraud && nf < 12  { nf++; out[n++] = entry($0, "true") }
+    !fraud && nn < 20 { nn++; out[n++] = entry($0, "false") }
+    END {
+      printf "{\"feedback\":["
+      for (i = 0; i < n; i++) printf "%s%s", (i ? "," : ""), out[i]
+      printf "]}"
+    }
+  ' "${WORK}/train.jsonl"
+}
+feedback_batch 0 > "${WORK}/feedback.json"
+feedback_batch 1 > "${WORK}/feedback_reordered.json"
 
 taobao_generation() {
   curl -fsS -H "Authorization: Bearer ${TOKEN}" "${BASE}/admin/tenants" \
@@ -200,6 +219,24 @@ if ! grep -qF '"accepted":32' <<<"${FB_RESP}"; then
   echo "serve-smoke: FAIL: /v1/feedback did not accept the batch: ${FB_RESP}" >&2
   exit 1
 fi
+if [[ "$(counter_value 'cats_http_decode_total{route="/v1/feedback",path="fast"}')" -lt 1 ]]; then
+  echo "serve-smoke: FAIL: the canonical feedback batch did not take the fast decoder" >&2
+  exit 1
+fi
+WINDOW_BYTES="$(counter_value 'cats_trainer_window_bytes{tenant="taobao"}')"
+if [[ "${WINDOW_BYTES}" -le 0 ]]; then
+  echo "serve-smoke: FAIL: cats_trainer_window_bytes{taobao} = ${WINDOW_BYTES} after 32 accepted entries" >&2
+  exit 1
+fi
+FB_STDLIB_BEFORE="$(counter_value 'cats_http_decode_total{route="/v1/feedback",path="stdlib"}')"
+FB_RESP="$(curl -fsS -X POST -H 'Content-Type: application/json' \
+  -d @"${WORK}/feedback_reordered.json" "${BASE}/v1/feedback")"
+FB_STDLIB_AFTER="$(counter_value 'cats_http_decode_total{route="/v1/feedback",path="stdlib"}')"
+if ! grep -qF '"accepted":32' <<<"${FB_RESP}" || [[ "${FB_STDLIB_AFTER}" -le "${FB_STDLIB_BEFORE}" ]]; then
+  echo "serve-smoke: FAIL: reordered feedback batch: ${FB_RESP}, stdlib decodes ${FB_STDLIB_BEFORE} -> ${FB_STDLIB_AFTER}" >&2
+  exit 1
+fi
+echo "== serve-smoke: feedback took the fast decoder (window ${WINDOW_BYTES} bytes); a reordered batch took encoding/json"
 
 # Keep detect traffic flowing while the 1s retrain loop trains, gates,
 # and promotes; every response across the swap must be 2xx.
@@ -255,7 +292,9 @@ for want in \
   'cats_registry_reloads_total{outcome="ok",tenant="taobao"}' \
   'cats_trainer_cycles_total{outcome="promoted",tenant="taobao"}' \
   'cats_trainer_promoted_generation{tenant="taobao"}' \
-  'cats_trainer_window_size{tenant="taobao"}'; do
+  'cats_trainer_window_size{tenant="taobao"}' \
+  'cats_trainer_window_bytes{tenant="taobao"}' \
+  'cats_http_decode_total{route="/v1/feedback",path="fast"}'; do
   if ! grep -qF "${want}" <<<"${METRICS}"; then
     echo "serve-smoke: FAIL: /metrics is missing ${want}" >&2
     exit 1
@@ -296,12 +335,6 @@ for i in $(seq 1 50); do
   fi
   sleep 0.2
 done
-
-# counter_value <series> — the sample value of one exact series, 0 if absent.
-counter_value() {
-  curl -fsS "${BASE}/metrics" \
-    | awk -v s="$1" 'index($0, s " ") == 1 { print $2; found = 1 } END { if (!found) print 0 }'
-}
 
 # One item in the canonical encoding, and the same item written the way
 # the single-pass decoder does not read: an upper-case key (encoding/json
