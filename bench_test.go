@@ -63,7 +63,7 @@ func BenchmarkExperiments(b *testing.B) {
 	for _, e := range experiments.Table {
 		b.Run(e.ID, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := e.Run(context.Background(), l); err != nil {
+				if _, err := e.Run(l, context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -126,7 +126,6 @@ func run(trainPath, detectPath string, threshold float64, corpusSize int, outPat
 	// present) feed the evaluation as they stream past; the item the
 	// callback sees has its item-level fields and no Comments.
 	var c eval.Confusion
-	labeledFraud := 0
 	var row []byte // one buffer for every row
 	start := time.Now()
 	stats, err := sys.DetectStream(context.Background(), toScore, 0, func(item *cats.Item, d cats.Detection) error {
@@ -134,16 +133,7 @@ func run(trainPath, detectPath string, threshold float64, corpusSize int, outPat
 		if _, err := bw.Write(row); err != nil {
 			return err
 		}
-		truth := 0
-		if item.Label.IsFraud() {
-			truth = 1
-			labeledFraud++
-		}
-		pred := 0
-		if d.IsFraud {
-			pred = 1
-		}
-		c.Add(truth, pred)
+		c.Add(item.Label.IsFraud(), d.IsFraud)
 		return nil
 	})
 	wall := time.Since(start)
@@ -168,9 +158,8 @@ func run(trainPath, detectPath string, threshold float64, corpusSize int, outPat
 
 	// When the detection set carries ground-truth labels (synthetic or
 	// curated data), report evaluation metrics too.
-	if labeledFraud > 0 {
-		m := eval.FromConfusion(c)
-		fmt.Fprintf(os.Stderr, "cats: labeled evaluation: %s\n", m)
+	if c.TP+c.FN > 0 {
+		fmt.Fprintf(os.Stderr, "cats: labeled evaluation: %s\n", eval.FromConfusion(c))
 	}
 	return nil
 }

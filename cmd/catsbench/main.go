@@ -36,8 +36,8 @@ import (
 func main() {
 	var (
 		exp     = flag.String("exp", "all", "'all' or one of: "+strings.Join(experiments.IDs(), " "))
-		d0scale = flag.Float64("d0scale", 0, "D0 scale factor (default 0.05)")
-		d1scale = flag.Float64("d1scale", 0, "D1 scale factor (default 0.004)")
+		d0scale = flag.Float64("d0scale", 0, "D0 scale factor (default 0.1)")
+		d1scale = flag.Float64("d1scale", 0, "D1 scale factor (default 0.008)")
 		epscale = flag.Float64("epscale", 0, "E-platform scale factor (default 0.002)")
 		sample  = flag.Int("sample", 0, "per-class item sample for distribution figures (default 400)")
 		corpus  = flag.Int("corpus", 0, "word2vec corpus comments (default 20000)")
@@ -90,7 +90,7 @@ func run(lab *experiments.Lab, exp string, asJSON bool) error {
 	runtime.ReadMemStats(&ms)
 	mallocs, bytes := ms.Mallocs, ms.TotalAlloc
 	start := time.Now()
-	out, err := e.Run(context.Background(), lab)
+	out, err := e.Run(lab, context.Background())
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,28 +22,15 @@ func main() {
 		EPlatScale: 0.002,
 	})
 
-	fig11 := lab.Fig11()
-	fmt.Print(fig11)
-	fmt.Println()
-
-	fig12 := lab.Fig12()
-	fmt.Print(fig12)
-	fmt.Println()
-
-	risky := lab.RiskyUsers()
-	fmt.Print(risky)
-	fmt.Println()
-
-	fig8, err := lab.Fig8()
-	if err != nil {
-		log.Fatal(err)
+	for i, id := range []string{"fig11", "fig12", "riskyusers", "fig8", "fig10"} {
+		e, _ := experiments.Lookup(id)
+		out, err := e.Run(lab, context.Background())
+		if err != nil {
+			log.Fatal(err)
+		}
+		if i > 0 {
+			fmt.Println()
+		}
+		fmt.Print(out)
 	}
-	fmt.Print(fig8)
-	fmt.Println()
-
-	fig10, err := lab.Fig10()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(fig10)
 }

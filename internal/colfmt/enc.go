@@ -121,13 +121,3 @@ func (e *Enc) StringCol(a *Arena, ss []string) {
 		e.U32(a.add(s))
 	}
 }
-
-// StringColFunc is StringCol for n strings produced by at(i), sparing
-// the caller a materialized []string.
-func (e *Enc) StringColFunc(a *Arena, n int, at func(int) string) {
-	e.Uvarint(uint64(n))
-	e.U32(uint32(a.Len()))
-	for i := 0; i < n; i++ {
-		e.U32(a.add(at(i)))
-	}
-}

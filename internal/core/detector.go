@@ -10,6 +10,7 @@ import (
 	"repro/internal/ecom"
 	"repro/internal/features"
 	"repro/internal/ml"
+	"repro/internal/ml/eval"
 	"repro/internal/ml/gbt"
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -189,6 +190,18 @@ type Detection struct {
 	Score    float64 // P(fraud)
 	IsFraud  bool    // Score >= Threshold
 	Filtered bool    // removed by the stage-one rule filter
+}
+
+// Evaluate folds the detections of labelled items into P/R/F: dets[i]
+// is items[i]'s, and an item the rule filter removed is a predicted
+// normal like any other IsFraud == false. The one statement of that
+// convention, for the experiments and the trainer's promotion gate alike.
+func Evaluate(items []ecom.Item, dets []Detection) eval.Metrics {
+	var c eval.Confusion
+	for i := range dets {
+		c.Add(items[i].Label.IsFraud(), dets[i].IsFraud)
+	}
+	return eval.FromConfusion(c)
 }
 
 // analyzeOne fuses filter and feature extraction for one item from a

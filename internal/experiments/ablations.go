@@ -1,8 +1,8 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/features"
@@ -12,75 +12,41 @@ import (
 	"repro/internal/ml/gbt"
 )
 
-// FilterAblationResult measures the effect of the detector's stage-one
-// rule filter (sales volume < 5, no positive signal) on D1 metrics.
-type FilterAblationResult struct {
-	WithFilter    eval.Metrics
-	WithoutFilter eval.Metrics
-	Filtered      int
-}
-
-// FilterAblation runs Table VI twice: with and without the rule filter.
-func (l *Lab) FilterAblation() (*FilterAblationResult, error) {
-	run := func(disable bool) (eval.Metrics, int, error) {
+// FilterAblation runs Table VI twice, with and without the detector's
+// stage-one rule filter (sales volume < 5, no positive signal), to
+// measure the filter's effect on D1 metrics. A row's X is the number of
+// items the filter removed.
+func (l *Lab) FilterAblation(ctx context.Context) (fmt.Stringer, error) {
+	items := l.D1().Dataset.Items
+	res := &Sweep{Title: "Ablation — stage-one rule filter"}
+	for _, disable := range []bool{false, true} {
 		det, err := l.trainOnD0(nil, core.DetectorConfig{DisableRuleFilter: disable})
 		if err != nil {
-			return eval.Metrics{}, 0, err
+			return nil, err
 		}
-		items := l.D1().Dataset.Items
-		dets, err := det.Detect(items, l.cfg.Workers)
+		dets, err := det.DetectContext(ctx, items, 0)
 		if err != nil {
-			return eval.Metrics{}, 0, err
+			return nil, err
 		}
-		var c eval.Confusion
-		filtered := 0
-		for i, d := range dets {
-			if d.Filtered {
-				filtered++
-			}
-			truth := 0
-			if items[i].Label.IsFraud() {
-				truth = 1
-			}
-			pred := 0
-			if d.IsFraud {
-				pred = 1
-			}
-			c.Add(truth, pred)
+		filtered := countFiltered(dets)
+		label := fmt.Sprintf("with filter (%d items removed):", filtered)
+		if disable {
+			label = fmt.Sprintf("%-32s", "without filter:")
 		}
-		return eval.FromConfusion(c), filtered, nil
+		res.Rows = append(res.Rows, SweepRow{label, float64(filtered), core.Evaluate(items, dets)})
 	}
-	with, filtered, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	without, _, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	return &FilterAblationResult{WithFilter: with, WithoutFilter: without, Filtered: filtered}, nil
+	return res, nil
 }
 
-// String prints the filter ablation.
-func (r *FilterAblationResult) String() string {
-	var b strings.Builder
-	b.WriteString("Ablation — stage-one rule filter\n")
-	fmt.Fprintf(&b, "  with filter (%d items removed): %s\n", r.Filtered, r.WithFilter)
-	fmt.Fprintf(&b, "  without filter:                  %s\n", r.WithoutFilter)
-	return b.String()
-}
-
-// FeatureGroupRow is one feature-subset result.
-type FeatureGroupRow struct {
-	Group   string
-	Columns []int
-	Metrics eval.Metrics
-}
-
-// FeatureGroupAblationResult compares detectors trained on feature
-// subsets: word-level only, +semantic, +structural, all 11.
-type FeatureGroupAblationResult struct {
-	Rows []FeatureGroupRow
+// countFiltered is how many items the stage-one rule filter removed.
+func countFiltered(dets []core.Detection) int {
+	n := 0
+	for _, d := range dets {
+		if d.Filtered {
+			n++
+		}
+	}
+	return n
 }
 
 // featureGroups defines the Table II feature levels.
@@ -95,17 +61,17 @@ var featureGroups = []struct {
 	{"all 11", nil}, // nil = every column
 }
 
-// FeatureGroupAblation trains on D0 and tests on D1 restricted to each
-// feature group.
-func (l *Lab) FeatureGroupAblation() (*FeatureGroupAblationResult, error) {
+// FeatureGroupAblation compares classifiers trained on D0 and tested
+// on D1 restricted to each feature group: word-level only, +semantic,
+// +structural, all 11. A row's X is the number of features kept.
+func (l *Lab) FeatureGroupAblation(context.Context) (fmt.Stringer, error) {
 	det, err := l.detectorForFeatures()
 	if err != nil {
 		return nil, err
 	}
-	train := det.BuildMLDataset(l.D0().Dataset.Items, nil, l.cfg.Workers)
-	test := det.BuildMLDataset(l.D1().Dataset.Items, nil, l.cfg.Workers)
-
-	res := &FeatureGroupAblationResult{}
+	train := det.BuildMLDataset(l.D0().Dataset.Items, nil, 0)
+	test := det.BuildMLDataset(l.D1().Dataset.Items, nil, 0)
+	res := &Sweep{Title: "Ablation — feature groups (train D0, test D1)"}
 	for _, g := range featureGroups {
 		cols := g.cols
 		if cols == nil {
@@ -118,8 +84,10 @@ func (l *Lab) FeatureGroupAblation() (*FeatureGroupAblationResult, error) {
 		if err := clf.Fit(project(train, cols)); err != nil {
 			return nil, fmt.Errorf("feature ablation %s: %w", g.name, err)
 		}
-		m := eval.Evaluate(clf, project(test, cols))
-		res.Rows = append(res.Rows, FeatureGroupRow{Group: g.name, Columns: cols, Metrics: m})
+		res.Rows = append(res.Rows, SweepRow{
+			Label: fmt.Sprintf("%-16s (%d features):", g.name, len(cols)), X: float64(len(cols)),
+			Metrics: eval.Evaluate(clf, project(test, cols)),
+		})
 	}
 	return res, nil
 }
@@ -141,104 +109,43 @@ func project(ds *ml.Dataset, cols []int) *ml.Dataset {
 	return out
 }
 
-// String prints the feature-group ablation.
-func (r *FeatureGroupAblationResult) String() string {
-	var b strings.Builder
-	b.WriteString("Ablation — feature groups (train D0, test D1)\n")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-16s (%d features): %s\n", row.Group, len(row.Columns), row.Metrics)
-	}
-	return b.String()
-}
-
-// LexiconSizeRow is one lexicon-cap result.
-type LexiconSizeRow struct {
-	Cap     int
-	Metrics eval.Metrics
-}
-
-// LexiconSizeAblationResult measures detection quality as the positive
-// and negative lexicons are truncated — probing the paper's "we limit
-// the sizes of both sets for computation efficiency" choice.
-type LexiconSizeAblationResult struct {
-	Rows []LexiconSizeRow
-}
-
-// LexiconSizeAblation caps the oracle lexicons at various sizes and
-// re-runs train-on-D0/test-on-D1.
-func (l *Lab) LexiconSizeAblation() (*LexiconSizeAblationResult, error) {
+// LexiconSizeAblation caps the oracle positive and negative lexicons at
+// various sizes (a row's X) and re-runs train-on-D0/test-on-D1 —
+// probing the paper's "we limit the sizes of both sets for computation
+// efficiency" choice.
+func (l *Lab) LexiconSizeAblation(ctx context.Context) (fmt.Stringer, error) {
 	bank := l.Bank()
 	a, err := l.Analyzer()
 	if err != nil {
 		return nil, err
 	}
-	res := &LexiconSizeAblationResult{}
+	res := &Sweep{Title: "Ablation — lexicon size cap"}
 	for _, cap := range []int{25, 50, 100, 200} {
-		pos := bank.Positive
-		if len(pos) > cap {
-			pos = pos[:cap]
-		}
-		neg := bank.Negative
-		if len(neg) > cap {
-			neg = neg[:cap]
-		}
+		pos, neg := head(bank.Positive, cap), head(bank.Negative, cap)
 		capped := core.NewAnalyzerFromParts(a.Segmenter, a.Embedding, lexicon.NewSet(pos), lexicon.NewSet(neg), a.Sentiment)
 		det, err := l.trainOnD0(capped, core.DetectorConfig{})
 		if err != nil {
 			return nil, err
 		}
-		items := l.D1().Dataset.Items
-		dets, err := det.Detect(items, l.cfg.Workers)
+		m, err := evaluate(ctx, det, l.D1().Dataset.Items)
 		if err != nil {
 			return nil, err
 		}
-		var c eval.Confusion
-		for i, d := range dets {
-			truth := 0
-			if items[i].Label.IsFraud() {
-				truth = 1
-			}
-			pred := 0
-			if d.IsFraud {
-				pred = 1
-			}
-			c.Add(truth, pred)
-		}
-		res.Rows = append(res.Rows, LexiconSizeRow{Cap: cap, Metrics: eval.FromConfusion(c)})
+		res.Rows = append(res.Rows, SweepRow{fmt.Sprintf("cap %-4d:", cap), float64(cap), m})
 	}
 	return res, nil
 }
 
-// String prints the lexicon-size ablation.
-func (r *LexiconSizeAblationResult) String() string {
-	var b strings.Builder
-	b.WriteString("Ablation — lexicon size cap\n")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  cap %-4d: %s\n", row.Cap, row.Metrics)
-	}
-	return b.String()
-}
-
-// GBTConfigRow is one hyperparameter setting's result.
-type GBTConfigRow struct {
-	Label   string
-	Metrics eval.Metrics
-}
-
-// GBTAblationResult sweeps the boosted-tree hyperparameters the design
-// fixes (depth, rounds, learning rate, subsampling).
-type GBTAblationResult struct {
-	Rows []GBTConfigRow
-}
-
-// GBTAblation trains variants on D0 and tests on D1.
-func (l *Lab) GBTAblation() (*GBTAblationResult, error) {
+// GBTAblation sweeps the boosted-tree hyperparameters the design fixes
+// (depth, rounds, learning rate, subsampling): each variant is trained
+// on D0 and tested on D1.
+func (l *Lab) GBTAblation(context.Context) (fmt.Stringer, error) {
 	det, err := l.detectorForFeatures()
 	if err != nil {
 		return nil, err
 	}
-	train := det.BuildMLDataset(l.D0().Dataset.Items, nil, l.cfg.Workers)
-	test := det.BuildMLDataset(l.D1().Dataset.Items, nil, l.cfg.Workers)
+	train := det.BuildMLDataset(l.D0().Dataset.Items, nil, 0)
+	test := det.BuildMLDataset(l.D1().Dataset.Items, nil, 0)
 	variants := []struct {
 		label string
 		cfg   gbt.Config
@@ -250,23 +157,13 @@ func (l *Lab) GBTAblation() (*GBTAblationResult, error) {
 		{"slow eta (0.05)", gbt.Config{Rounds: 120, MaxDepth: 4, LearningRate: 0.05, Seed: 11}},
 		{"subsampled (0.5/0.5)", gbt.Config{Rounds: 120, MaxDepth: 4, LearningRate: 0.2, Subsample: 0.5, ColSample: 0.5, Seed: 11}},
 	}
-	res := &GBTAblationResult{}
+	res := &Sweep{Title: "Ablation — boosted-tree hyperparameters (train D0, test D1)"}
 	for _, v := range variants {
 		clf := gbt.New(v.cfg)
 		if err := clf.Fit(train); err != nil {
 			return nil, fmt.Errorf("gbt ablation %s: %w", v.label, err)
 		}
-		res.Rows = append(res.Rows, GBTConfigRow{Label: v.label, Metrics: eval.Evaluate(clf, test)})
+		res.Rows = append(res.Rows, SweepRow{Label: fmt.Sprintf("%-30s", v.label), Metrics: eval.Evaluate(clf, test)})
 	}
 	return res, nil
-}
-
-// String prints the GBT hyperparameter ablation.
-func (r *GBTAblationResult) String() string {
-	var b strings.Builder
-	b.WriteString("Ablation — boosted-tree hyperparameters (train D0, test D1)\n")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-30s %s\n", row.Label, row.Metrics)
-	}
-	return b.String()
 }

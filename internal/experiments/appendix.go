@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -28,11 +29,8 @@ type AppendixWord struct {
 
 // Appendix computes the full Tables VIII/IX ranking from the same word
 // counts Fig8 uses.
-func (l *Lab) Appendix() (*AppendixResult, error) {
-	wc, err := l.Fig8()
-	if err != nil {
-		return nil, err
-	}
+func (l *Lab) Appendix(context.Context) (fmt.Stringer, error) {
+	wc := l.wordClouds()
 	bank := l.Bank()
 	classify := func(ws []stats.WordCount) []AppendixWord {
 		out := make([]AppendixWord, len(ws))

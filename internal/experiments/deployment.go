@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -24,53 +25,36 @@ type DeploymentResult struct {
 }
 
 // Deployment evaluates the trained detector on D1 per category.
-func (l *Lab) Deployment() (*DeploymentResult, error) {
+func (l *Lab) Deployment(ctx context.Context) (fmt.Stringer, error) {
 	det, err := l.System()
 	if err != nil {
 		return nil, err
 	}
 	items := l.D1().Dataset.Items
-	dets, err := det.Detect(items, l.cfg.Workers)
+	dets, err := det.DetectContext(ctx, items, 0)
 	if err != nil {
 		return nil, err
 	}
-	byCat := map[string]*struct {
-		items, fraud int
-		conf         eval.Confusion
-	}{}
+	byCat := map[string]*eval.Confusion{}
 	for i := range items {
-		cat := items[i].Category
-		e := byCat[cat]
-		if e == nil {
-			e = &struct {
-				items, fraud int
-				conf         eval.Confusion
-			}{}
-			byCat[cat] = e
+		c := byCat[items[i].Category]
+		if c == nil {
+			c = new(eval.Confusion)
+			byCat[items[i].Category] = c
 		}
-		e.items++
-		truth := 0
-		if items[i].Label.IsFraud() {
-			truth = 1
-			e.fraud++
-		}
-		pred := 0
-		if dets[i].IsFraud {
-			pred = 1
-		}
-		e.conf.Add(truth, pred)
+		c.Add(items[i].Label.IsFraud(), dets[i].IsFraud)
 	}
-	res := &DeploymentResult{}
 	cats := make([]string, 0, len(byCat))
-	for c := range byCat {
-		cats = append(cats, c)
+	for cat := range byCat {
+		cats = append(cats, cat)
 	}
 	sort.Strings(cats)
-	for _, c := range cats {
-		e := byCat[c]
+	res := &DeploymentResult{}
+	for _, cat := range cats {
+		c := *byCat[cat]
 		res.Rows = append(res.Rows, CategoryRow{
-			Category: c, Items: e.items, Fraud: e.fraud,
-			Metrics: eval.FromConfusion(e.conf),
+			Category: cat, Items: c.Total(), Fraud: c.TP + c.FN,
+			Metrics: eval.FromConfusion(c),
 		})
 	}
 	return res, nil
@@ -106,13 +90,13 @@ type ThresholdSweepResult struct {
 
 // ThresholdSweep scores the E-platform universe with the D0-pretrained
 // model and sweeps the reporting threshold.
-func (l *Lab) ThresholdSweep() (*ThresholdSweepResult, error) {
+func (l *Lab) ThresholdSweep(ctx context.Context) (fmt.Stringer, error) {
 	det, err := l.System()
 	if err != nil {
 		return nil, err
 	}
 	items := l.EPlat().Dataset.Items
-	dets, err := det.Detect(items, l.cfg.Workers)
+	dets, err := det.DetectContext(ctx, items, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -7,10 +7,7 @@ import (
 )
 
 func TestDeploymentCoversCategories(t *testing.T) {
-	r, err := testLab(t).Deployment()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*DeploymentResult](t, (*Lab).Deployment)
 	if len(r.Rows) != len(ecom.Categories) {
 		t.Fatalf("rows = %d, want %d categories", len(r.Rows), len(ecom.Categories))
 	}
@@ -38,10 +35,7 @@ func TestDeploymentCoversCategories(t *testing.T) {
 }
 
 func TestThresholdSweep(t *testing.T) {
-	r, err := testLab(t).ThresholdSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*ThresholdSweepResult](t, (*Lab).ThresholdSweep)
 	if len(r.Curve) == 0 {
 		t.Fatal("empty PR curve")
 	}
@@ -65,10 +59,7 @@ func TestThresholdSweep(t *testing.T) {
 }
 
 func TestRobustnessSweep(t *testing.T) {
-	r, err := testLab(t).RobustnessSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*Sweep](t, (*Lab).RobustnessSweep)
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(r.Rows))
 	}
@@ -76,7 +67,7 @@ func TestRobustnessSweep(t *testing.T) {
 		// The platform-independence claim: detection does not
 		// collapse even at 50% vocabulary divergence.
 		if row.Metrics.F1 < 0.5 {
-			t.Errorf("vocab shift %.2f: F1 %.2f collapsed", row.VocabShift, row.Metrics.F1)
+			t.Errorf("vocab shift %.2f: F1 %.2f collapsed", row.X, row.Metrics.F1)
 		}
 	}
 	if r.String() == "" {
@@ -85,10 +76,7 @@ func TestRobustnessSweep(t *testing.T) {
 }
 
 func TestAppendix(t *testing.T) {
-	r, err := testLab(t).Appendix()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*AppendixResult](t, (*Lab).Appendix)
 	if len(r.EPlat) == 0 || len(r.Taobao) == 0 {
 		t.Fatal("empty appendix tables")
 	}
@@ -111,7 +99,7 @@ func TestAppendix(t *testing.T) {
 }
 
 func TestTimeAspect(t *testing.T) {
-	r := testLab(t).TimeAspect()
+	r := run[*TimeAspectResult](t, (*Lab).TimeAspect)
 	if r.MedianFraudDays >= r.MedianNormalDays {
 		t.Fatalf("fraud comment span %.1f days not below normal %.1f", r.MedianFraudDays, r.MedianNormalDays)
 	}
@@ -124,10 +112,7 @@ func TestTimeAspect(t *testing.T) {
 }
 
 func TestLearningCurve(t *testing.T) {
-	r, err := testLab(t).LearningCurve()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*Sweep](t, (*Lab).LearningCurve)
 	if len(r.Rows) < 3 {
 		t.Fatalf("rows = %d, want >= 3", len(r.Rows))
 	}
@@ -140,7 +125,7 @@ func TestLearningCurve(t *testing.T) {
 	}
 	// Sizes strictly increase.
 	for i := 1; i < len(r.Rows); i++ {
-		if r.Rows[i].TrainItems <= r.Rows[i-1].TrainItems {
+		if r.Rows[i].X <= r.Rows[i-1].X {
 			t.Fatal("train sizes not increasing")
 		}
 	}
@@ -150,19 +135,13 @@ func TestLearningCurve(t *testing.T) {
 }
 
 func TestRoundsCurve(t *testing.T) {
-	r, err := testLab(t).RoundsCurve()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*Sweep](t, (*Lab).RoundsCurve)
 	if len(r.Rows) < 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
 	// The full ensemble must match the Table 6 run exactly (staged
 	// prediction with n = NumTrees is the plain prediction).
-	t6, err := testLab(t).Table6()
-	if err != nil {
-		t.Fatal(err)
-	}
+	t6 := run[*Table6Result](t, (*Lab).Table6)
 	full := r.Rows[len(r.Rows)-1].Metrics
 	if full.Precision != t6.Overall.Precision || full.Recall != t6.Overall.Recall {
 		t.Errorf("full-ensemble staged metrics %v != Table6 %v", full, t6.Overall)

@@ -59,7 +59,7 @@ type DriftResult struct {
 // misfire; rounds 4–5 hold the shifted regime so the promoted
 // challenger's recovery is measured on data it has not seen. Everything
 // is seeded and clocked by a FakeClock, so the run is reproducible.
-func (l *Lab) Drift() (*DriftResult, error) {
+func (l *Lab) Drift(ctx context.Context) (fmt.Stringer, error) {
 	a, err := l.Analyzer()
 	if err != nil {
 		return nil, err
@@ -72,8 +72,7 @@ func (l *Lab) Drift() (*DriftResult, error) {
 		return nil, err
 	}
 
-	ctx := context.Background()
-	reg := registry.New(registry.Options{Workers: l.cfg.Workers})
+	reg := registry.New(registry.Options{})
 	defer reg.Close()
 	if _, err := reg.Install(ctx, "drift", "champion-v1", champion, a); err != nil {
 		return nil, err
@@ -98,8 +97,7 @@ func (l *Lab) Drift() (*DriftResult, error) {
 	}
 	universes := make([]*synth.Universe, len(stages))
 	for r, st := range stages {
-		cfg := synth.D0Config().Scale(l.cfg.D0Scale * driftRoundScale)
-		cfg.Seed += 8700 + int64(137*r) + l.cfg.Seed
+		cfg := l.scaled(synth.D0Config(), l.cfg.D0Scale*driftRoundScale, 8700+int64(137*r))
 		cfg.VocabShift = st.shift
 		cfg.SubtleFraud = st.subtle
 		cfg.StyleJitter = st.jitter
@@ -115,21 +113,20 @@ func (l *Lab) Drift() (*DriftResult, error) {
 		Window:     2 * len(universes[0].Dataset.Items),
 		MinSamples: 20,
 		Seed:       77,
-		Workers:    l.cfg.Workers,
 	})
 	defer tr.Close()
 
 	res := &DriftResult{}
 	for r, st := range stages {
 		u := universes[r]
-		frozen, err := scoreDrift(champion, u, l.cfg.Workers)
+		frozen, err := evaluate(ctx, champion, u.Dataset.Items)
 		if err != nil {
 			return nil, err
 		}
 		var live eval.Metrics
 		var gen uint64
 		if !reg.Tenant("drift").Do(func(h *registry.Handle) {
-			live, err = scoreDrift(h.Detector, u, l.cfg.Workers)
+			live, err = evaluate(ctx, h.Detector, u.Dataset.Items)
 			gen = h.Generation
 		}) {
 			return nil, fmt.Errorf("drift tenant lost its model at round %d", r)
@@ -170,28 +167,6 @@ func (l *Lab) Drift() (*DriftResult, error) {
 	res.LiveFinalF1 = last.Live.F1
 	res.Recovery = res.LiveFinalF1 - res.FrozenFinalF1
 	return res, nil
-}
-
-// scoreDrift evaluates one detector over a round's full universe;
-// filtered items count as predicted-normal, as everywhere else.
-func scoreDrift(det *core.Detector, u *synth.Universe, workers int) (eval.Metrics, error) {
-	dets, err := det.Detect(u.Dataset.Items, workers)
-	if err != nil {
-		return eval.Metrics{}, err
-	}
-	var c eval.Confusion
-	for i, d := range dets {
-		truth := 0
-		if u.Dataset.Items[i].Label.IsFraud() {
-			truth = 1
-		}
-		pred := 0
-		if d.IsFraud {
-			pred = 1
-		}
-		c.Add(truth, pred)
-	}
-	return eval.FromConfusion(c), nil
 }
 
 // String prints the closed-loop report.

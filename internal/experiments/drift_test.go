@@ -8,10 +8,7 @@ import "testing"
 // live model ends the run ahead of the frozen one on data neither has
 // seen.
 func TestDriftLoopRecovers(t *testing.T) {
-	r, err := testLab(t).Drift()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*DriftResult](t, (*Lab).Drift)
 	if len(r.Rounds) != 6 {
 		t.Fatalf("rounds = %d, want 6", len(r.Rounds))
 	}

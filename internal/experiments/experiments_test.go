@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -26,15 +27,28 @@ func testLab(t *testing.T) *Lab {
 			SampleItems:    60,
 			CorpusComments: 6000,
 			PolarComments:  1200,
+			GraphUsers:     20000,
+			GraphEdges:     200000,
 			Seed:           1,
 		})
 	})
 	return lab
 }
 
+// run executes one experiment on the shared lab and returns its result
+// as the concrete type T the assertions read.
+func run[T fmt.Stringer](t *testing.T, exp func(*Lab, context.Context) (fmt.Stringer, error)) T {
+	t.Helper()
+	r, err := exp(testLab(t), context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.(T)
+}
+
 func TestLabCaching(t *testing.T) {
 	l := testLab(t)
-	if l.D0() != l.D0() || l.Bank() != l.Bank() {
+	if l.D0() != l.D0() || l.Bank() != l.Bank() || l.Segmenter() != l.Segmenter() {
 		t.Fatal("lab artifacts not cached")
 	}
 	a1, err := l.Analyzer()
@@ -48,10 +62,7 @@ func TestLabCaching(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	r, err := testLab(t).Table1()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*Table1Result](t, (*Lab).Table1)
 	if len(r.Positive) < 50 || len(r.Positive) > 200 {
 		t.Errorf("|P| = %d, want tens to 200", len(r.Positive))
 	}
@@ -67,10 +78,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestTable3RankingShape(t *testing.T) {
-	r, err := testLab(t).Table3()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*Table3Result](t, (*Lab).Table3)
 	if len(r.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(r.Rows))
 	}
@@ -99,12 +107,11 @@ func TestTable3RankingShape(t *testing.T) {
 }
 
 func TestTable4And5(t *testing.T) {
-	l := testLab(t)
-	t4 := l.Table4()
+	t4 := run[*DatasetStatsResult](t, (*Lab).Table4)
 	if t4.Stats.FraudItems == 0 || t4.Stats.NormalItems == 0 {
 		t.Fatalf("Table IV stats empty: %+v", t4.Stats)
 	}
-	t5 := l.Table5()
+	t5 := run[*DatasetStatsResult](t, (*Lab).Table5)
 	// D1 keeps its heavy imbalance.
 	if t5.Stats.FraudItems >= t5.Stats.NormalItems {
 		t.Fatalf("D1 should be imbalanced: %+v", t5.Stats)
@@ -115,10 +122,7 @@ func TestTable4And5(t *testing.T) {
 }
 
 func TestTable6(t *testing.T) {
-	r, err := testLab(t).Table6()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*Table6Result](t, (*Lab).Table6)
 	// Paper shape: both groupings detected with high precision and
 	// recall (0.91/0.90 overall at full scale).
 	if r.Overall.Precision < 0.6 || r.Overall.Recall < 0.7 {
@@ -133,24 +137,20 @@ func TestTable6(t *testing.T) {
 }
 
 func TestFigs1Through5Separate(t *testing.T) {
-	l := testLab(t)
 	cases := []struct {
 		name string
-		run  func() (*DistributionResult, error)
+		exp  func(*Lab, context.Context) (fmt.Stringer, error)
 		ks   float64
 	}{
-		{"fig1", l.Fig1, 0.5},
-		{"fig2", l.Fig2, 0.4},
-		{"fig3", l.Fig3, 0.4},
-		{"fig4", l.Fig4, 0.4},
-		{"fig5", l.Fig5, 0.3},
+		{"fig1", (*Lab).Fig1, 0.5},
+		{"fig2", (*Lab).Fig2, 0.4},
+		{"fig3", (*Lab).Fig3, 0.4},
+		{"fig4", (*Lab).Fig4, 0.4},
+		{"fig5", (*Lab).Fig5, 0.3},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			r, err := c.run()
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := run[*DistributionResult](t, c.exp)
 			if r.KS < c.ks {
 				t.Errorf("%s KS = %.3f, want >= %.2f (fraud/normal must separate)", c.name, r.KS, c.ks)
 			}
@@ -165,10 +165,7 @@ func TestFigs1Through5Separate(t *testing.T) {
 }
 
 func TestFig1Modes(t *testing.T) {
-	r, err := testLab(t).Fig1()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*DistributionResult](t, (*Lab).Fig1)
 	// Fig 1: fraud sentiment concentrates near 1, normal near 0.7.
 	if r.Fraud.Mode() < 0.85 {
 		t.Errorf("fraud sentiment mode %.2f, want near 1", r.Fraud.Mode())
@@ -179,10 +176,7 @@ func TestFig1Modes(t *testing.T) {
 }
 
 func TestFig7(t *testing.T) {
-	r, err := testLab(t).Fig7()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*Fig7Result](t, (*Lab).Fig7)
 	if len(r.Importance) != 11 {
 		t.Fatalf("importance entries = %d", len(r.Importance))
 	}
@@ -202,10 +196,7 @@ func TestFig7(t *testing.T) {
 }
 
 func TestFig8WordClouds(t *testing.T) {
-	r, err := testLab(t).Fig8()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*WordCloudResult](t, (*Lab).Fig8)
 	// Fraud top words dominated by positive words on both platforms.
 	if r.PositiveShareTaobao < 0.4 || r.PositiveShareEPlat < 0.4 {
 		t.Errorf("fraud positive shares %.2f/%.2f, want high", r.PositiveShareTaobao, r.PositiveShareEPlat)
@@ -221,10 +212,7 @@ func TestFig8WordClouds(t *testing.T) {
 }
 
 func TestFig10(t *testing.T) {
-	r, err := testLab(t).Fig10()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*Fig10Result](t, (*Lab).Fig10)
 	if r.FraudPositiveShare < 0.9 {
 		t.Errorf("detected-fraud positive share %.3f, want >= 0.9 (paper >99.8%%)", r.FraudPositiveShare)
 	}
@@ -237,7 +225,7 @@ func TestFig10(t *testing.T) {
 }
 
 func TestFig11(t *testing.T) {
-	r := testLab(t).Fig11()
+	r := run[*Fig11Result](t, (*Lab).Fig11)
 	if r.FraudBelow2000 <= r.NormalBelow2000 {
 		t.Errorf("fraud buyers below 2000 (%.2f) should exceed normal (%.2f)", r.FraudBelow2000, r.NormalBelow2000)
 	}
@@ -253,7 +241,7 @@ func TestFig11(t *testing.T) {
 }
 
 func TestFig12(t *testing.T) {
-	r := testLab(t).Fig12()
+	r := run[*Fig12Result](t, (*Lab).Fig12)
 	if r.TopFraudClient != ecom.ClientWeb {
 		t.Errorf("top fraud client = %s, want Web", r.TopFraudClient)
 	}
@@ -270,10 +258,7 @@ func TestFig12(t *testing.T) {
 }
 
 func TestFig13(t *testing.T) {
-	r, err := testLab(t).Fig13()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*Fig13Result](t, (*Lab).Fig13)
 	if len(r.Features) != 11 {
 		t.Fatalf("features = %d", len(r.Features))
 	}
@@ -299,10 +284,7 @@ func TestFig13(t *testing.T) {
 }
 
 func TestEPlatformPipeline(t *testing.T) {
-	r, err := testLab(t).EPlatform(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*EPlatformResult](t, (*Lab).EPlatform)
 	if r.ItemsCollected == 0 || r.CommentsCollected == 0 {
 		t.Fatal("crawl collected nothing")
 	}
@@ -318,7 +300,7 @@ func TestEPlatformPipeline(t *testing.T) {
 }
 
 func TestRiskyUsers(t *testing.T) {
-	r := testLab(t).RiskyUsers()
+	r := run[*RiskyUsersResult](t, (*Lab).RiskyUsers)
 	if r.RiskyUsers == 0 {
 		t.Fatal("no risky users found")
 	}
@@ -344,31 +326,26 @@ func TestRiskyUsers(t *testing.T) {
 }
 
 func TestFilterAblation(t *testing.T) {
-	r, err := testLab(t).FilterAblation()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*Sweep](t, (*Lab).FilterAblation)
 	// The filter removes low-volume, no-signal items — precision with
 	// the filter must be at least as good as without.
-	if r.WithFilter.Precision+0.02 < r.WithoutFilter.Precision {
-		t.Errorf("filter hurt precision: %.3f vs %.3f", r.WithFilter.Precision, r.WithoutFilter.Precision)
+	with, without := r.Rows[0], r.Rows[1]
+	if with.Metrics.Precision+0.02 < without.Metrics.Precision {
+		t.Errorf("filter hurt precision: %.3f vs %.3f", with.Metrics.Precision, without.Metrics.Precision)
 	}
-	if r.Filtered == 0 {
+	if with.X == 0 {
 		t.Error("filter removed nothing")
 	}
 }
 
 func TestFeatureGroupAblation(t *testing.T) {
-	r, err := testLab(t).FeatureGroupAblation()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*Sweep](t, (*Lab).FeatureGroupAblation)
 	if len(r.Rows) != 5 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
 	f1 := map[string]float64{}
-	for _, row := range r.Rows {
-		f1[row.Group] = row.Metrics.F1
+	for i, row := range r.Rows {
+		f1[featureGroups[i].name] = row.Metrics.F1
 	}
 	if f1["all 11"]+0.05 < f1["word level"] || f1["all 11"]+0.05 < f1["semantic"] {
 		t.Errorf("full feature set underperforms subsets: %v", f1)
@@ -376,25 +353,19 @@ func TestFeatureGroupAblation(t *testing.T) {
 }
 
 func TestLexiconSizeAblation(t *testing.T) {
-	r, err := testLab(t).LexiconSizeAblation()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*Sweep](t, (*Lab).LexiconSizeAblation)
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
 	for _, row := range r.Rows {
 		if row.Metrics.F1 == 0 {
-			t.Errorf("cap %d: zero F1", row.Cap)
+			t.Errorf("cap %.0f: zero F1", row.X)
 		}
 	}
 }
 
 func TestGBTAblation(t *testing.T) {
-	r, err := testLab(t).GBTAblation()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*Sweep](t, (*Lab).GBTAblation)
 	if len(r.Rows) != 6 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -8,7 +9,6 @@ import (
 	"repro/internal/features"
 	"repro/internal/ml/gbt"
 	"repro/internal/stats"
-	"repro/internal/synth"
 )
 
 // DistributionResult holds one Fig 1–5 style fraud-vs-normal comment
@@ -50,25 +50,29 @@ func indent(s, pad string) string {
 // commentMeasure extracts one scalar per comment over a set of items.
 type commentMeasure func(features.CommentStructure) float64
 
+// perComment applies f to the structure of every comment of items.
+func perComment(ex *features.Extractor, items []*ecom.Item, f commentMeasure) []float64 {
+	var out []float64
+	for _, it := range items {
+		for i := range it.Comments {
+			out = append(out, f(ex.CommentStructure(it.Comments[i].Content)))
+		}
+	}
+	return out
+}
+
+func sentimentOf(cs features.CommentStructure) float64 { return cs.Sentiment }
+
 // commentDistribution samples per-comment structure measurements for
-// fraud and normal items of a universe.
-func (l *Lab) commentDistribution(u *synth.Universe, figure, name string, lo, hi float64, bins int, f commentMeasure) (*DistributionResult, error) {
+// D1's fraud and normal items.
+func (l *Lab) commentDistribution(figure, name string, lo, hi float64, bins int, f commentMeasure) (fmt.Stringer, error) {
 	det, err := l.detectorForFeatures()
 	if err != nil {
 		return nil, err
 	}
 	ex := det.Extractor()
-	fraud, normal := sampleSplit(u, l.cfg.SampleItems)
-	collect := func(items []*ecom.Item) []float64 {
-		var out []float64
-		for _, it := range items {
-			for i := range it.Comments {
-				out = append(out, f(ex.CommentStructure(it.Comments[i].Content)))
-			}
-		}
-		return out
-	}
-	fv, nv := collect(fraud), collect(normal)
+	fraud, normal := sampleSplit(l.D1(), l.cfg.SampleItems)
+	fv, nv := perComment(ex, fraud, f), perComment(ex, normal, f)
 	return &DistributionResult{
 		Figure: figure, Measure: name, Lo: lo, Hi: hi, Bins: bins,
 		Fraud:  stats.NewHistogram(fv, lo, hi, bins),
@@ -78,32 +82,31 @@ func (l *Lab) commentDistribution(u *synth.Universe, figure, name string, lo, hi
 }
 
 // Fig1 reproduces the comment sentiment distribution (axis [0,1]).
-func (l *Lab) Fig1() (*DistributionResult, error) {
-	return l.commentDistribution(l.D1(), "1", "comment sentiment", 0, 1, 20,
-		func(cs features.CommentStructure) float64 { return cs.Sentiment })
+func (l *Lab) Fig1(context.Context) (fmt.Stringer, error) {
+	return l.commentDistribution("1", "comment sentiment", 0, 1, 20, sentimentOf)
 }
 
 // Fig2 reproduces the punctuation-count distribution (axis [0,50]).
-func (l *Lab) Fig2() (*DistributionResult, error) {
-	return l.commentDistribution(l.D1(), "2", "punctuation count", 0, 50, 25,
+func (l *Lab) Fig2(context.Context) (fmt.Stringer, error) {
+	return l.commentDistribution("2", "punctuation count", 0, 50, 25,
 		func(cs features.CommentStructure) float64 { return float64(cs.PunctCount) })
 }
 
 // Fig3 reproduces the comment entropy distribution (axis [0,8]).
-func (l *Lab) Fig3() (*DistributionResult, error) {
-	return l.commentDistribution(l.D1(), "3", "comment entropy", 0, 8, 16,
+func (l *Lab) Fig3(context.Context) (fmt.Stringer, error) {
+	return l.commentDistribution("3", "comment entropy", 0, 8, 16,
 		func(cs features.CommentStructure) float64 { return cs.Entropy })
 }
 
 // Fig4 reproduces the comment length distribution (axis [0,300]).
-func (l *Lab) Fig4() (*DistributionResult, error) {
-	return l.commentDistribution(l.D1(), "4", "comment length", 0, 300, 30,
+func (l *Lab) Fig4(context.Context) (fmt.Stringer, error) {
+	return l.commentDistribution("4", "comment length", 0, 300, 30,
 		func(cs features.CommentStructure) float64 { return float64(cs.RuneLength) })
 }
 
 // Fig5 reproduces the unique-word-ratio distribution (axis [0,1]).
-func (l *Lab) Fig5() (*DistributionResult, error) {
-	return l.commentDistribution(l.D1(), "5", "unique word ratio", 0, 1, 20,
+func (l *Lab) Fig5(context.Context) (fmt.Stringer, error) {
+	return l.commentDistribution("5", "unique word ratio", 0, 1, 20,
 		func(cs features.CommentStructure) float64 { return cs.UniqueWordRatio })
 }
 
@@ -114,7 +117,7 @@ type Fig7Result struct {
 
 // Fig7 trains the boosted-tree detector on D0 and reads its
 // split-count importance.
-func (l *Lab) Fig7() (*Fig7Result, error) {
+func (l *Lab) Fig7(context.Context) (fmt.Stringer, error) {
 	det, err := l.System()
 	if err != nil {
 		return nil, err
@@ -161,9 +164,12 @@ type WordCloudResult struct {
 	Jaccard float64
 }
 
-// Fig8 runs the word-cloud analysis over D1 (Taobao) and the
+// Fig8 prints the word-cloud analysis.
+func (l *Lab) Fig8(context.Context) (fmt.Stringer, error) { return l.wordClouds(), nil }
+
+// wordClouds runs the word-cloud analysis over D1 (Taobao) and the
 // E-platform universe.
-func (l *Lab) Fig8() (*WordCloudResult, error) {
+func (l *Lab) wordClouds() *WordCloudResult {
 	const topK = 50
 	seg := l.Segmenter()
 	bank := l.Bank()
@@ -235,7 +241,7 @@ func (l *Lab) Fig8() (*WordCloudResult, error) {
 	if union > 0 {
 		res.Jaccard = float64(inter) / float64(union)
 	}
-	return res, nil
+	return res
 }
 
 // String prints the Figs 8/9 + Appendix reproduction.
@@ -280,52 +286,29 @@ type Fig10Result struct {
 // Fig10 runs CATS on the E-platform universe (at the high-confidence
 // reporting threshold) and compares the comment sentiment distributions
 // of its *detected* fraud/normal items with Taobao's labeled ones.
-func (l *Lab) Fig10() (*Fig10Result, error) {
+func (l *Lab) Fig10(ctx context.Context) (fmt.Stringer, error) {
 	det, err := l.EPlatSystem()
 	if err != nil {
 		return nil, err
 	}
-	ex := det.Extractor()
-	ep := l.EPlat()
-	dets, err := det.Detect(ep.Dataset.Items, l.cfg.Workers)
+	items := l.EPlat().Dataset.Items
+	dets, err := det.DetectContext(ctx, items, 0)
 	if err != nil {
 		return nil, err
 	}
-	var fraudE, normalE []float64
-	fraudCap := l.cfg.SampleItems
-	normalCap := l.cfg.SampleItems
-	for i := range ep.Dataset.Items {
-		it := &ep.Dataset.Items[i]
-		isFraud := dets[i].IsFraud
-		if isFraud && fraudCap <= 0 || !isFraud && normalCap <= 0 {
-			continue
-		}
-		if isFraud {
-			fraudCap--
-		} else {
-			normalCap--
-		}
-		for j := range it.Comments {
-			s := ex.CommentStructure(it.Comments[j].Content).Sentiment
-			if isFraud {
-				fraudE = append(fraudE, s)
-			} else {
-				normalE = append(normalE, s)
-			}
+	// The first SampleItems items detected as fraud, and as normal.
+	var fe, ne []*ecom.Item
+	for i := range items {
+		if dets[i].IsFraud && len(fe) < l.cfg.SampleItems {
+			fe = append(fe, &items[i])
+		} else if !dets[i].IsFraud && len(ne) < l.cfg.SampleItems {
+			ne = append(ne, &items[i])
 		}
 	}
-	var fraudT, normalT []float64
 	ft, nt := sampleSplit(l.D1(), l.cfg.SampleItems)
-	for _, it := range ft {
-		for j := range it.Comments {
-			fraudT = append(fraudT, ex.CommentStructure(it.Comments[j].Content).Sentiment)
-		}
-	}
-	for _, it := range nt {
-		for j := range it.Comments {
-			normalT = append(normalT, ex.CommentStructure(it.Comments[j].Content).Sentiment)
-		}
-	}
+	ex := det.Extractor()
+	fraudE, normalE := perComment(ex, fe, sentimentOf), perComment(ex, ne, sentimentOf)
+	fraudT, normalT := perComment(ex, ft, sentimentOf), perComment(ex, nt, sentimentOf)
 	pos := 0
 	for _, s := range fraudE {
 		if s > 0.5 {
@@ -379,7 +362,7 @@ type Fig13Result struct {
 // Fig13 computes item-level feature distributions for fraud and normal
 // items on both platforms and reports the KS comparisons the paper
 // reads off its subplots.
-func (l *Lab) Fig13() (*Fig13Result, error) {
+func (l *Lab) Fig13(context.Context) (fmt.Stringer, error) {
 	det, err := l.detectorForFeatures()
 	if err != nil {
 		return nil, err

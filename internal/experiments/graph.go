@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -63,7 +64,7 @@ const (
 )
 
 // Graph runs the clustering benchmark.
-func (l *Lab) Graph() (*GraphResult, error) {
+func (l *Lab) Graph(context.Context) (fmt.Stringer, error) {
 	users := l.cfg.GraphUsers
 	edges := l.cfg.GraphEdges
 	rings := users / 10000

@@ -11,9 +11,10 @@
 // ablations.
 //
 // Experiments share expensive artifacts (universes, analyzers, trained
-// systems) through a Lab, which builds them lazily and caches them.
-// Every experiment returns a result struct that knows how to print
-// itself in the paper's format.
+// systems) through a Lab, which builds each on first use and caches it.
+// Every experiment is a Lab method of one shape, listed once in Table,
+// and returns a result that prints itself in the paper's format; the
+// seven that report one P/R/F row per setting all return a Sweep.
 package experiments
 
 import (
@@ -56,8 +57,6 @@ type Config struct {
 	// 2,000,000 edges. The headline run uses 10M / 100M.
 	GraphUsers int
 	GraphEdges int
-	// Workers bounds extraction parallelism; <= 0 means GOMAXPROCS.
-	Workers int
 	// Seed offsets every dataset seed, so labs with different seeds
 	// draw disjoint universes.
 	Seed int64
@@ -91,85 +90,69 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Lab lazily builds and caches the artifacts experiments share.
+// Lab holds the artifacts experiments share. Each is a field to call:
+// the first call builds the artifact, every later one returns the same
+// value (sync.OnceValue), so experiments must not mutate what they get.
 type Lab struct {
 	cfg Config
 
-	once struct {
-		bank, d0, d1, eplat, analyzer, system, epsystem sync.Once
-	}
-	bank        *textgen.Bank
-	d0          *synth.Universe
-	d1          *synth.Universe
-	eplat       *synth.Universe
-	analyzer    *core.Analyzer
-	analyzErr   error
-	system      *core.Detector
-	systemErr   error
-	epsystem    *core.Detector
-	epsystemErr error
+	// Bank is the shared word bank and Segmenter a segmenter over its
+	// vocabulary.
+	Bank      func() *textgen.Bank
+	Segmenter func() *tokenize.Segmenter
+	// D0, D1 and EPlat are the scaled Table IV training universe, the
+	// Table V evaluation universe and the E-platform crawl.
+	D0, D1, EPlat func() *synth.Universe
+	// Analyzer is the shared semantic analyzer. It uses the oracle
+	// lexicons (the bank's ground truth) plus a sentiment model trained
+	// on a generated polar corpus: the lexicon-recovery step has its own
+	// dedicated experiment (Table 1), so the downstream experiments are
+	// not confounded by it.
+	Analyzer func() (*core.Analyzer, error)
+	// System is the CATS detector pre-trained on D0 with the default
+	// boosted-tree classifier — the configuration Sections III and IV
+	// evaluate — and EPlatSystem the same at the high-confidence
+	// E-platform reporting threshold.
+	System, EPlatSystem func() (*core.Detector, error)
 }
+
+// EPlatThreshold is the fraud-score cutoff used for third-party
+// reporting on E-platform. Reporting another platform's items to the
+// public is a high-confidence regime — the paper reports 10,720 items
+// out of ~4.5M (0.24%) and its expert audit confirms 96% of them, which
+// is only reachable with a conservative cutoff.
+const EPlatThreshold = 0.95
 
 // NewLab returns a Lab with the given configuration.
-func NewLab(cfg Config) *Lab { return &Lab{cfg: cfg.withDefaults()} }
-
-// Bank returns the shared word bank.
-func (l *Lab) Bank() *textgen.Bank {
-	l.once.bank.Do(func() { l.bank = textgen.NewBank() })
-	return l.bank
-}
-
-// D0 returns the scaled Table IV training universe.
-func (l *Lab) D0() *synth.Universe {
-	l.once.d0.Do(func() {
-		cfg := synth.D0Config().Scale(l.cfg.D0Scale)
-		cfg.Seed += l.cfg.Seed
-		l.d0 = synth.Generate(cfg)
-	})
-	return l.d0
-}
-
-// D1 returns the scaled Table V evaluation universe.
-func (l *Lab) D1() *synth.Universe {
-	l.once.d1.Do(func() {
-		cfg := synth.D1Config().Scale(l.cfg.D1Scale)
-		cfg.Seed += l.cfg.Seed
-		l.d1 = synth.Generate(cfg)
-	})
-	return l.d1
-}
-
-// EPlat returns the scaled E-platform universe.
-func (l *Lab) EPlat() *synth.Universe {
-	l.once.eplat.Do(func() {
-		cfg := synth.EPlatformConfig().Scale(l.cfg.EPlatScale)
-		cfg.Seed += l.cfg.Seed
-		l.eplat = synth.Generate(cfg)
-	})
-	return l.eplat
-}
-
-// Analyzer returns the shared semantic analyzer. It uses the oracle
-// lexicons (the bank's ground truth) plus a sentiment model trained on
-// a generated polar corpus: the lexicon-recovery step has its own
-// dedicated experiment (Table 1), so the downstream experiments are not
-// confounded by it.
-func (l *Lab) Analyzer() (*core.Analyzer, error) {
-	l.once.analyzer.Do(func() {
+func NewLab(cfg Config) *Lab {
+	l := &Lab{cfg: cfg.withDefaults()}
+	universe := func(base synth.Config, scale float64) func() *synth.Universe {
+		return sync.OnceValue(func() *synth.Universe { return synth.Generate(l.scaled(base, scale, 0)) })
+	}
+	trained := func(dc core.DetectorConfig) func() (*core.Detector, error) {
+		return sync.OnceValues(func() (*core.Detector, error) { return l.trainOnD0(nil, dc) })
+	}
+	l.Bank = sync.OnceValue(textgen.NewBank)
+	l.Segmenter = sync.OnceValue(func() *tokenize.Segmenter { return tokenize.NewSegmenter(l.Bank().Vocabulary()) })
+	l.D0 = universe(synth.D0Config(), l.cfg.D0Scale)
+	l.D1 = universe(synth.D1Config(), l.cfg.D1Scale)
+	l.EPlat = universe(synth.EPlatformConfig(), l.cfg.EPlatScale)
+	l.Analyzer = sync.OnceValues(func() (*core.Analyzer, error) {
 		texts, labels := synth.PolarCorpus(l.cfg.PolarComments, 9101+l.cfg.Seed)
-		l.analyzer, l.analyzErr = core.OracleAnalyzer(l.Bank(), texts, labels)
+		return core.OracleAnalyzer(l.Bank(), texts, labels)
 	})
-	return l.analyzer, l.analyzErr
+	l.System = trained(core.DetectorConfig{})
+	l.EPlatSystem = trained(core.DetectorConfig{Threshold: EPlatThreshold})
+	return l
 }
 
-// System returns the shared CATS detector pre-trained on D0 with the
-// default boosted-tree classifier — the configuration Sections III and
-// IV evaluate.
-func (l *Lab) System() (*core.Detector, error) {
-	l.once.system.Do(func() {
-		l.system, l.systemErr = l.trainOnD0(nil, core.DetectorConfig{})
-	})
-	return l.system, l.systemErr
+// scaled is a paper dataset's shape at the given scale, its seed offset
+// by seed and by the lab's own, so labs with different seeds draw
+// disjoint universes.
+func (l *Lab) scaled(base synth.Config, scale float64, seed int64) synth.Config {
+	cfg := base.Scale(scale)
+	cfg.Seed += seed + l.cfg.Seed
+	return cfg
 }
 
 // trainOnD0 builds a detector over analyzer a (nil means the shared
@@ -183,31 +166,10 @@ func (l *Lab) trainOnD0(a *core.Analyzer, cfg core.DetectorConfig) (*core.Detect
 		}
 	}
 	det := core.NewDetector(a, cfg)
-	if err := det.Train(&l.D0().Dataset, l.cfg.Workers); err != nil {
+	if err := det.Train(&l.D0().Dataset, 0); err != nil {
 		return nil, err
 	}
 	return det, nil
-}
-
-// EPlatThreshold is the fraud-score cutoff used for third-party
-// reporting on E-platform. Reporting another platform's items to the
-// public is a high-confidence regime — the paper reports 10,720 items
-// out of ~4.5M (0.24%) and its expert audit confirms 96% of them, which
-// is only reachable with a conservative cutoff.
-const EPlatThreshold = 0.95
-
-// EPlatSystem returns a CATS detector trained on D0 with the
-// high-confidence E-platform reporting threshold.
-func (l *Lab) EPlatSystem() (*core.Detector, error) {
-	l.once.epsystem.Do(func() {
-		l.epsystem, l.epsystemErr = l.trainOnD0(nil, core.DetectorConfig{Threshold: EPlatThreshold})
-	})
-	return l.epsystem, l.epsystemErr
-}
-
-// Segmenter returns a segmenter over the bank vocabulary.
-func (l *Lab) Segmenter() *tokenize.Segmenter {
-	return tokenize.NewSegmenter(l.Bank().Vocabulary())
 }
 
 // sampleSplit returns up to n fraud and n normal items from a universe,

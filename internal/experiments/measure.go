@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -29,7 +30,7 @@ type Fig11Result struct {
 // Fig11 measures buyer reliability on the E-platform universe. Unique
 // buyers are identified per class (a user who bought three fraud items
 // counts once), mirroring the paper's user-identification step.
-func (l *Lab) Fig11() *Fig11Result {
+func (l *Lab) Fig11(context.Context) (fmt.Stringer, error) {
 	ep := l.EPlat()
 	fraudUsers := map[string]float64{}
 	normalUsers := map[string]float64{}
@@ -86,7 +87,7 @@ func (l *Lab) Fig11() *Fig11Result {
 	if len(perItem) > 0 {
 		res.AvgBelowMean = float64(below) / float64(len(perItem))
 	}
-	return res
+	return res, nil
 }
 
 func logs(xs []float64) []float64 {
@@ -126,7 +127,7 @@ type Fig12Result struct {
 }
 
 // Fig12 measures order-client shares on the E-platform universe.
-func (l *Lab) Fig12() *Fig12Result {
+func (l *Lab) Fig12(context.Context) (fmt.Stringer, error) {
 	ep := l.EPlat()
 	count := func(fraud bool) map[ecom.Client]float64 {
 		counts := map[ecom.Client]int{}
@@ -150,7 +151,7 @@ func (l *Lab) Fig12() *Fig12Result {
 	res := &Fig12Result{Fraud: count(true), Normal: count(false)}
 	res.TopFraudClient = topClient(res.Fraud)
 	res.TopNormalClient = topClient(res.Normal)
-	return res
+	return res, nil
 }
 
 func topClient(shares map[ecom.Client]float64) ecom.Client {
@@ -198,7 +199,7 @@ type RiskyUsersResult struct {
 // RiskyUsers analyzes fraud-item purchase behavior on the E-platform
 // universe. "Risky users" are, per the paper, the users who purchased
 // reported fraud items.
-func (l *Lab) RiskyUsers() *RiskyUsersResult {
+func (l *Lab) RiskyUsers(context.Context) (fmt.Stringer, error) {
 	ep := l.EPlat()
 	// The funnel comes from the co-purchase graph at its defaults: the
 	// paper's threshold (pairs sharing 2+ fraud items), and a degree cap
@@ -238,7 +239,7 @@ func (l *Lab) RiskyUsers() *RiskyUsersResult {
 	if len(purchases) > 0 {
 		res.MultiBuyerShare = float64(multi) / float64(len(purchases))
 	}
-	return res
+	return res, nil
 }
 
 // String prints the risky-user measurement reproduction.

@@ -32,7 +32,7 @@ type EPlatformResult struct {
 // EPlatform runs the full pipeline: simulated site → crawler →
 // detector → audit, at the high-confidence reporting threshold
 // (EPlatThreshold).
-func (l *Lab) EPlatform(ctx context.Context) (*EPlatformResult, error) {
+func (l *Lab) EPlatform(ctx context.Context) (fmt.Stringer, error) {
 	det, err := l.EPlatSystem()
 	if err != nil {
 		return nil, err
@@ -55,7 +55,7 @@ func (l *Lab) EPlatform(ctx context.Context) (*EPlatformResult, error) {
 		res.CommentsCollected += len(crawlRes.Dataset.Items[i].Comments)
 	}
 
-	dets, err := det.Detect(crawlRes.Dataset.Items, l.cfg.Workers)
+	dets, err := det.DetectContext(ctx, crawlRes.Dataset.Items, 0)
 	if err != nil {
 		return nil, err
 	}

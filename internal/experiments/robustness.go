@@ -1,71 +1,34 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
-	"strings"
 
-	"repro/internal/ml/eval"
 	"repro/internal/synth"
 )
 
-// RobustnessRow is one vocabulary-shift level's result.
-type RobustnessRow struct {
-	VocabShift float64
-	Metrics    eval.Metrics
-}
-
-// RobustnessResult probes the paper's platform-independence claim
-// directly: a detector trained on platform A is evaluated on target
-// platforms whose neutral product vocabulary increasingly diverges
-// from A's. Word-level features degrade with unknown vocabulary, while
-// the structural features (length, punctuation, entropy, duplication)
-// are vocabulary-free — so detection should decay gracefully, not
-// collapse.
-type RobustnessResult struct {
-	Rows []RobustnessRow
-}
-
-// RobustnessSweep evaluates the D0-pretrained detector (at the
-// E-platform reporting threshold) on E-platform universes with growing
-// vocabulary shift.
-func (l *Lab) RobustnessSweep() (*RobustnessResult, error) {
+// RobustnessSweep probes the paper's platform-independence claim
+// directly: the D0-pretrained detector (at the E-platform reporting
+// threshold) is evaluated on E-platform universes whose neutral product
+// vocabulary increasingly diverges from the training platform's (a
+// row's X is the shift). Word-level features degrade with unknown
+// vocabulary, while the structural features (length, punctuation,
+// entropy, duplication) are vocabulary-free — so detection should decay
+// gracefully, not collapse.
+func (l *Lab) RobustnessSweep(ctx context.Context) (fmt.Stringer, error) {
 	det, err := l.EPlatSystem()
 	if err != nil {
 		return nil, err
 	}
-	res := &RobustnessResult{}
+	res := &Sweep{Title: "Robustness — detection vs target-platform vocabulary shift"}
 	for _, shift := range []float64{0, 0.1, 0.25, 0.5} {
-		cfg := synth.EPlatformConfig().Scale(l.cfg.EPlatScale)
-		cfg.Seed += 500 + l.cfg.Seed
+		cfg := l.scaled(synth.EPlatformConfig(), l.cfg.EPlatScale, 500)
 		cfg.VocabShift = shift
-		u := synth.Generate(cfg)
-		dets, err := det.Detect(u.Dataset.Items, l.cfg.Workers)
+		m, err := evaluate(ctx, det, synth.Generate(cfg).Dataset.Items)
 		if err != nil {
 			return nil, err
 		}
-		var c eval.Confusion
-		for i, d := range dets {
-			truth := 0
-			if u.Dataset.Items[i].Label.IsFraud() {
-				truth = 1
-			}
-			pred := 0
-			if d.IsFraud {
-				pred = 1
-			}
-			c.Add(truth, pred)
-		}
-		res.Rows = append(res.Rows, RobustnessRow{VocabShift: shift, Metrics: eval.FromConfusion(c)})
+		res.Rows = append(res.Rows, SweepRow{fmt.Sprintf("vocab shift %.2f:", shift), shift, m})
 	}
 	return res, nil
-}
-
-// String prints the robustness sweep.
-func (r *RobustnessResult) String() string {
-	var b strings.Builder
-	b.WriteString("Robustness — detection vs target-platform vocabulary shift\n")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  vocab shift %.2f: %s\n", row.VocabShift, row.Metrics)
-	}
-	return b.String()
 }

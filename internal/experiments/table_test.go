@@ -1,7 +1,11 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -34,5 +38,50 @@ func TestExperimentTable(t *testing.T) {
 		if _, ok := Lookup(gone); ok {
 			t.Errorf("Lookup(%q) resolved", gone)
 		}
+	}
+}
+
+// TestReportsGolden holds every table entry's printed report on the
+// shared test lab to testdata/reports.golden, so a refactoring of the
+// runner cannot change a byte of what `catsbench` prints. Graph's
+// phases and memory lines are wall times and peak RSS, the only text
+// that differs between two runs; they are dropped. Regenerate with
+//
+//	CATS_UPDATE_GOLDEN=1 go test -run TestReportsGolden ./internal/experiments
+func TestReportsGolden(t *testing.T) {
+	l := testLab(t)
+	var b strings.Builder
+	for _, e := range Table {
+		out, err := e.Run(l, context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		fmt.Fprintf(&b, "== %s ==\n", e.ID)
+		for _, line := range strings.SplitAfter(out.String(), "\n") {
+			if e.ID == "graph" && (strings.HasPrefix(line, "  phases ") || strings.HasPrefix(line, "  memory ")) {
+				continue
+			}
+			b.WriteString(line)
+		}
+	}
+	const path = "testdata/reports.golden"
+	if os.Getenv("CATS_UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing fixture %s (run with CATS_UPDATE_GOLDEN=1 to create): %v", path, err)
+	}
+	if got := b.String(); got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("report text differs from %s at line %d:\n got %q\nwant %q", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("report text differs from %s: %d lines, want %d", path, len(gl), len(wl))
 	}
 }

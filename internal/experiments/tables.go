@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -36,7 +37,7 @@ type Table1Result struct {
 }
 
 // Table1 runs the lexicon construction experiment.
-func (l *Lab) Table1() (*Table1Result, error) {
+func (l *Lab) Table1(context.Context) (fmt.Stringer, error) {
 	corpus := synth.TrainingCorpus(l.cfg.CorpusComments, 4201+l.cfg.Seed)
 	seg := l.Segmenter()
 	sentences := make([][]string, len(corpus))
@@ -59,39 +60,28 @@ func (l *Lab) Table1() (*Table1Result, error) {
 
 	bank := l.Bank()
 	res := &Table1Result{Positive: pos, Negative: neg, VocabSize: model.VocabSize()}
-	var posHits int
-	for _, w := range pos {
-		if bank.IsPositive(w) {
-			posHits++
+	// Precision against the generator's ground truth; recall against the
+	// portion of it present in the model vocabulary (rare bank words
+	// never reach MinCount).
+	recovery := func(found, truth []string, isTruth func(string) bool) (precision, recall float64) {
+		hits, inVocab := 0, 0
+		for _, w := range found {
+			if isTruth(w) {
+				hits++
+			}
 		}
-	}
-	var negHits int
-	for _, w := range neg {
-		if bank.IsNegative(w) {
-			negHits++
+		for _, w := range truth {
+			if model.Contains(w) {
+				inVocab++
+			}
 		}
-	}
-	res.PositivePrecision = float64(posHits) / float64(len(pos))
-	res.NegativePrecision = float64(negHits) / float64(len(neg))
-	// Recall against the portion of ground truth present in the model
-	// vocabulary (rare bank words never reach MinCount).
-	var posInVocab, negInVocab int
-	for _, w := range bank.Positive {
-		if model.Contains(w) {
-			posInVocab++
+		if inVocab > 0 {
+			recall = float64(hits) / float64(inVocab)
 		}
+		return float64(hits) / float64(len(found)), recall
 	}
-	for _, w := range bank.Negative {
-		if model.Contains(w) {
-			negInVocab++
-		}
-	}
-	if posInVocab > 0 {
-		res.PositiveRecall = float64(posHits) / float64(posInVocab)
-	}
-	if negInVocab > 0 {
-		res.NegativeRecall = float64(negHits) / float64(negInVocab)
-	}
+	res.PositivePrecision, res.PositiveRecall = recovery(pos, bank.Positive, bank.IsPositive)
+	res.NegativePrecision, res.NegativeRecall = recovery(neg, bank.Negative, bank.IsNegative)
 	variants := map[string]bool{}
 	for _, vars := range bank.Homographs {
 		for _, v := range vars {
@@ -168,7 +158,7 @@ type Table3Result struct {
 // Table3 runs the classifier comparison. The paper uses a 5,000+5,000
 // ground-truth set from Taobao; the lab draws a balanced sample of the
 // same shape from a dedicated universe.
-func (l *Lab) Table3() (*Table3Result, error) {
+func (l *Lab) Table3(context.Context) (fmt.Stringer, error) {
 	n := l.cfg.SampleItems
 	u := synth.Generate(synth.Config{
 		Name: "table3", Platform: "taobao", Seed: 4301 + l.cfg.Seed,
@@ -178,7 +168,7 @@ func (l *Lab) Table3() (*Table3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	mlds := det.BuildMLDataset(u.Dataset.Items, nil, l.cfg.Workers)
+	mlds := det.BuildMLDataset(u.Dataset.Items, nil, 0)
 	res := &Table3Result{SampleSize: 2 * n}
 	for _, cand := range table3Candidates {
 		rng := rand.New(rand.NewSource(77))
@@ -222,13 +212,13 @@ type DatasetStatsResult struct {
 }
 
 // Table4 summarizes the scaled D0 (Table IV).
-func (l *Lab) Table4() *DatasetStatsResult {
-	return &DatasetStatsResult{Table: "IV", Name: "D0", Stats: l.D0().Dataset.Stats(), Scale: l.cfg.D0Scale}
+func (l *Lab) Table4(context.Context) (fmt.Stringer, error) {
+	return &DatasetStatsResult{Table: "IV", Name: "D0", Stats: l.D0().Dataset.Stats(), Scale: l.cfg.D0Scale}, nil
 }
 
 // Table5 summarizes the scaled D1 (Table V).
-func (l *Lab) Table5() *DatasetStatsResult {
-	return &DatasetStatsResult{Table: "V", Name: "D1", Stats: l.D1().Dataset.Stats(), Scale: l.cfg.D1Scale}
+func (l *Lab) Table5(context.Context) (fmt.Stringer, error) {
+	return &DatasetStatsResult{Table: "V", Name: "D1", Stats: l.D1().Dataset.Stats(), Scale: l.cfg.D1Scale}, nil
 }
 
 // String prints the dataset statistics row.
@@ -251,45 +241,28 @@ type Table6Result struct {
 
 // Table6 trains on D0 and evaluates on D1, grouping results the way
 // Table VI does.
-func (l *Lab) Table6() (*Table6Result, error) {
+func (l *Lab) Table6(ctx context.Context) (fmt.Stringer, error) {
 	det, err := l.System()
 	if err != nil {
 		return nil, err
 	}
 	items := l.D1().Dataset.Items
-	dets, err := det.Detect(items, l.cfg.Workers)
+	dets, err := det.DetectContext(ctx, items, 0)
 	if err != nil {
 		return nil, err
 	}
-	res := &Table6Result{Total: len(items)}
-	var evid, overall eval.Confusion
+	// Evidence-grouped view: manual-labeled fraud items are excluded
+	// entirely, matching the paper's separate row.
+	var evid eval.Confusion
 	for i, d := range dets {
-		if d.Filtered {
-			res.Filtered++
-		}
-		pred := 0
-		if d.IsFraud {
-			pred = 1
-		}
-		label := items[i].Label
-		truthOverall := 0
-		if label.IsFraud() {
-			truthOverall = 1
-		}
-		overall.Add(truthOverall, pred)
-		// Evidence-grouped view: manual-labeled fraud items are
-		// excluded entirely, matching the paper's separate row.
-		if label != ecom.FraudManual {
-			truthEvid := 0
-			if label == ecom.FraudEvidence {
-				truthEvid = 1
-			}
-			evid.Add(truthEvid, pred)
+		if items[i].Label != ecom.FraudManual {
+			evid.Add(items[i].Label == ecom.FraudEvidence, d.IsFraud)
 		}
 	}
-	res.Evidence = eval.FromConfusion(evid)
-	res.Overall = eval.FromConfusion(overall)
-	return res, nil
+	return &Table6Result{
+		Evidence: eval.FromConfusion(evid), Overall: core.Evaluate(items, dets),
+		Filtered: countFiltered(dets), Total: len(items),
+	}, nil
 }
 
 // String prints the Table VI reproduction.

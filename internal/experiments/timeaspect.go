@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -26,7 +27,7 @@ type TimeAspectResult struct {
 }
 
 // TimeAspect measures comment time spans on the E-platform universe.
-func (l *Lab) TimeAspect() *TimeAspectResult {
+func (l *Lab) TimeAspect(context.Context) (fmt.Stringer, error) {
 	ep := l.EPlat()
 	spanDays := func(it *ecom.Item) (float64, bool) {
 		if len(it.Comments) < 2 {
@@ -64,7 +65,7 @@ func (l *Lab) TimeAspect() *TimeAspectResult {
 	}
 	res.MedianFraudDays = stats.Summarize(fraud).Median
 	res.MedianNormalDays = stats.Summarize(normal).Median
-	return res
+	return res, nil
 }
 
 // String prints the time-aspect measurement.

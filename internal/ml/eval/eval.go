@@ -16,17 +16,17 @@ type Confusion struct {
 	TP, FP, TN, FN int
 }
 
-// Add records one (truth, predicted) pair.
-func (c *Confusion) Add(truth, pred int) {
+// Add records one (truth, predicted) pair; true is fraud.
+func (c *Confusion) Add(truth, pred bool) {
 	switch {
-	case truth == 1 && pred == 1:
+	case truth && pred:
 		c.TP++
-	case truth == 0 && pred == 1:
+	case pred:
 		c.FP++
-	case truth == 0 && pred == 0:
-		c.TN++
-	default:
+	case truth:
 		c.FN++
+	default:
+		c.TN++
 	}
 }
 
@@ -93,7 +93,7 @@ func FromConfusion(c Confusion) Metrics {
 func Evaluate(clf ml.Classifier, test *ml.Dataset) Metrics {
 	var c Confusion
 	for i, x := range test.X {
-		c.Add(test.Y[i], clf.Predict(x))
+		c.Add(test.Y[i] == 1, clf.Predict(x) == 1)
 	}
 	return FromConfusion(c)
 }
@@ -151,7 +151,7 @@ func CrossValidate(factory func() ml.Classifier, ds *ml.Dataset, k int, rng *ran
 		}
 		var c Confusion
 		for _, i := range folds[f] {
-			c.Add(ds.Y[i], clf.Predict(ds.X[i]))
+			c.Add(ds.Y[i] == 1, clf.Predict(ds.X[i]) == 1)
 		}
 		perFold = append(perFold, FromConfusion(c))
 		pooled.TP += c.TP

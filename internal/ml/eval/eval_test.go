@@ -15,14 +15,14 @@ func TestConfusionMetrics(t *testing.T) {
 	var c Confusion
 	// 3 TP, 1 FP, 4 TN, 2 FN
 	for i := 0; i < 3; i++ {
-		c.Add(1, 1)
+		c.Add(true, true)
 	}
-	c.Add(0, 1)
+	c.Add(false, true)
 	for i := 0; i < 4; i++ {
-		c.Add(0, 0)
+		c.Add(false, false)
 	}
-	c.Add(1, 0)
-	c.Add(1, 0)
+	c.Add(true, false)
+	c.Add(true, false)
 	if c.Total() != 10 {
 		t.Fatalf("Total = %d", c.Total())
 	}
@@ -38,6 +38,38 @@ func TestConfusionMetrics(t *testing.T) {
 	}
 	if got := c.Accuracy(); got != 0.7 {
 		t.Errorf("Accuracy = %v, want 0.7", got)
+	}
+}
+
+// constant predicts the same class for every row.
+type constant int
+
+func (constant) Fit(*ml.Dataset) error          { return nil }
+func (constant) PredictProba([]float64) float64 { return 0 }
+func (c constant) Predict([]float64) int        { return int(c) }
+
+// TestEvaluateCells: a label or prediction is fraud iff it is 1, so
+// every (y, p) pair lands in the cell its two booleans name. The int
+// count this replaces filed everything outside {0,1}² under FN.
+func TestEvaluateCells(t *testing.T) {
+	cases := []struct {
+		y, p int
+		want Confusion
+	}{
+		{1, 1, Confusion{TP: 1}},
+		{0, 1, Confusion{FP: 1}},
+		{1, 0, Confusion{FN: 1}},
+		{0, 0, Confusion{TN: 1}},
+		{2, 1, Confusion{FP: 1}},
+		{0, 2, Confusion{TN: 1}},
+		{-1, -1, Confusion{TN: 1}},
+		{1, 2, Confusion{FN: 1}},
+	}
+	for _, c := range cases {
+		ds := &ml.Dataset{X: [][]float64{{0}}, Y: []int{c.y}}
+		if got := Evaluate(constant(c.p), ds).Confusion; got != c.want {
+			t.Errorf("truth %d pred %d: %+v, want %+v", c.y, c.p, got, c.want)
+		}
 	}
 }
 

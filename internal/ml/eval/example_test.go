@@ -18,10 +18,10 @@ func ExamplePRCurve() {
 
 func ExampleConfusion() {
 	var c eval.Confusion
-	c.Add(1, 1) // true positive
-	c.Add(0, 1) // false positive
-	c.Add(1, 0) // false negative
-	c.Add(0, 0) // true negative
+	c.Add(true, true)   // true positive
+	c.Add(false, true)  // false positive
+	c.Add(true, false)  // false negative
+	c.Add(false, false) // true negative
 	fmt.Printf("P=%.2f R=%.2f\n", c.Precision(), c.Recall())
 	// Output: P=0.50 R=0.50
 }

@@ -563,24 +563,11 @@ func splitFeedback(recs []record, holdout float64, rng *rand.Rand) (train, hold 
 }
 
 // holdoutMetrics scores det over the holdout set and folds the verdicts
-// into P/R/F1. Filtered items count as negative predictions — the same
-// convention as the robustness experiments.
+// into P/R/F1 under the experiments' convention (core.Evaluate).
 func holdoutMetrics(ctx context.Context, det *core.Detector, hold split, workers int) (eval.Metrics, error) {
 	dets, err := det.DetectTexts(ctx, hold.items, hold.texts, workers)
 	if err != nil {
 		return eval.Metrics{}, err
 	}
-	var c eval.Confusion
-	for i := range dets {
-		truth := 0
-		if hold.items[i].Label.IsFraud() {
-			truth = 1
-		}
-		pred := 0
-		if dets[i].IsFraud {
-			pred = 1
-		}
-		c.Add(truth, pred)
-	}
-	return eval.FromConfusion(c), nil
+	return core.Evaluate(hold.items, dets), nil
 }
