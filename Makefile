@@ -52,7 +52,10 @@ bench:
 # smoke so benchmarks can't rot between PRs (CI runs this). Among them
 # the two numbers the retrain window is sized by:
 # service.BenchmarkDecodeFeedback/{stdlib,fast} (an 8-entry × 40-comment
-# body) and trainer.BenchmarkFeed (retained-B/entry).
+# body) and trainer.BenchmarkFeed (retained-B/entry); and the one item
+# decoder on both its inputs: service.BenchmarkDecodeDetect/{stdlib,fast}
+# beside dataset.BenchmarkJSONLRead/{rows,texts} (ns/comment,
+# allocs/item).
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
@@ -79,10 +82,13 @@ bench-quick:
 # columnar container decoder against corrupt/truncated/hostile inputs
 # (must always fail diagnosably, never panic or over-allocate; the skip
 # decoders and the string payload reader agree with the building ones),
-# and the dataset reader over arbitrary bytes, alone and with its
-# projected read held to the full one (both fail or both succeed with
-# the same items and texts). -fuzz takes a single target per
-# invocation, hence the separate runs.
+# the dataset reader over arbitrary bytes, alone and with its projected
+# read held to the full one (both fail or both succeed with the same
+# items and texts, with and without a predicate refusing texts), and
+# the JSONL line decoder against encoding/json (accepts only what
+# encoding/json accepts, as the same item, and everything json.Marshal
+# writes). -fuzz takes a single target per invocation, hence the
+# separate runs.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentDifferential -fuzztime=10s ./internal/tokenize
 	$(GO) test -run='^$$' -fuzz=FuzzIsPunct -fuzztime=10s ./internal/tokenize
@@ -94,6 +100,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzColfmtDecode -fuzztime=10s ./internal/colfmt
 	$(GO) test -run='^$$' -fuzz=FuzzReader -fuzztime=10s ./internal/dataset
 	$(GO) test -run='^$$' -fuzz=FuzzProjectedReadDifferential -fuzztime=10s ./internal/dataset
+	$(GO) test -run='^$$' -fuzz=FuzzJSONLLineDifferential -fuzztime=10s ./internal/dataset
 
 # End-to-end lifecycle smoke of the serving binary (CI runs this):
 # train a tiny model, boot catsserve, probe /healthz + /readyz, POST a

@@ -175,7 +175,10 @@ func (s *System) DetectContext(ctx context.Context, items []Item) ([]Detection, 
 // its call. The stream reads what the detector uses — item-level fields
 // and comment texts — so on both formats emit's item carries its ID,
 // ShopID, Name, Category, PriceCents, SalesVolume and Label with
-// Comments == nil. A non-nil error from emit aborts the stream; a panic
+// Comments == nil; an item under the rule filter's sales cutoff is
+// filtered inside the decode, its text never materialized. StreamStats
+// counts a JSONL input's lines by decoder (canonical lines take the fast
+// one). A non-nil error from emit aborts the stream; a panic
 // in the read or score stage is returned as an error naming the stage.
 func (s *System) DetectStream(ctx context.Context, r io.Reader, batchSize int, emit func(*Item, Detection) error) (StreamStats, error) {
 	return s.detector.DetectStream(ctx, dataset.NewReader(r),

@@ -150,11 +150,7 @@ func run(trainPath, detectPath string, threshold float64, corpusSize int, outPat
 			return fmt.Errorf("write detections: %w", err)
 		}
 	}
-	// Busy time per DetectStream stage beside the wall: the largest is
-	// the bottleneck, and the three sum to more than the wall by what
-	// they overlapped.
-	fmt.Fprintf(os.Stderr, "cats: scored %d items, reported %d fraud (%d batches: read %.3fs score %.3fs emit %.3fs wall %.3fs)\n",
-		stats.Items, stats.Reported, stats.Batches, stats.ReadSeconds, stats.ScoreSeconds, stats.EmitSeconds, wall.Seconds())
+	fmt.Fprintln(os.Stderr, summary(stats, wall))
 
 	// When the detection set carries ground-truth labels (synthetic or
 	// curated data), report evaluation metrics too.
@@ -162,6 +158,20 @@ func run(trainPath, detectPath string, threshold float64, corpusSize int, outPat
 		fmt.Fprintf(os.Stderr, "cats: labeled evaluation: %s\n", eval.FromConfusion(c))
 	}
 	return nil
+}
+
+// summary is the run's stderr line: busy time per DetectStream stage
+// beside the wall — the largest is the bottleneck, and the three sum to
+// more than the wall by what they overlapped — and, for a JSONL input,
+// its lines by decode path: any under stdlib took encoding/json, at
+// several times the fast decoder's cost.
+func summary(stats cats.StreamStats, wall time.Duration) string {
+	jsonl := ""
+	if stats.JSONLFast+stats.JSONLStdlib > 0 {
+		jsonl = fmt.Sprintf("; jsonl lines fast %d stdlib %d", stats.JSONLFast, stats.JSONLStdlib)
+	}
+	return fmt.Sprintf("cats: scored %d items, reported %d fraud (%d batches: read %.3fs score %.3fs emit %.3fs wall %.3fs%s)",
+		stats.Items, stats.Reported, stats.Batches, stats.ReadSeconds, stats.ScoreSeconds, stats.EmitSeconds, wall.Seconds(), jsonl)
 }
 
 // appendRow appends d's TSV row — item_id, score to four decimals,

@@ -6,7 +6,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/core"
@@ -85,6 +87,22 @@ func TestRunReportsTruncatedOutput(t *testing.T) {
 	}
 	if err := run("", detect, 0.5, 0, "/dev/full", "", "json", model); err == nil {
 		t.Fatal("run to /dev/full returned nil: a failed flush was reported as success")
+	}
+}
+
+// TestSummaryNamesJSONLDecodePaths: the stage line keeps its fields
+// where they were and, after a JSONL input only, ends with the lines
+// each decoder read.
+func TestSummaryNamesJSONLDecodePaths(t *testing.T) {
+	stats := cats.StreamStats{Items: 9433, Reported: 12, Batches: 10, ReadSeconds: 0.0774, ScoreSeconds: 0.057, EmitSeconds: 0.001}
+	const columnar = "cats: scored 9433 items, reported 12 fraud (10 batches: read 0.077s score 0.057s emit 0.001s wall 0.082s)"
+	if got := summary(stats, 82*time.Millisecond); got != columnar {
+		t.Errorf("columnar input:\n got  %s\n want %s", got, columnar)
+	}
+	stats.JSONLFast, stats.JSONLStdlib = 9430, 3
+	want := strings.TrimSuffix(columnar, ")") + "; jsonl lines fast 9430 stdlib 3)"
+	if got := summary(stats, 82*time.Millisecond); got != want {
+		t.Errorf("JSONL input:\n got  %s\n want %s", got, want)
 	}
 }
 

@@ -107,13 +107,7 @@ func (d *Detector) Classifier() ml.Classifier { return d.clf }
 // volume at least MinSalesVolume and at least one positive word or
 // positive 2-gram in its comments.
 func (d *Detector) PassesFilter(item *ecom.Item) bool {
-	if d.cfg.DisableRuleFilter {
-		return true
-	}
-	if item.SalesVolume < d.cfg.MinSalesVolume {
-		return false
-	}
-	return d.extractor.HasPositiveSignal(item)
+	return d.readsText(item) && (d.cfg.DisableRuleFilter || d.extractor.HasPositiveSignal(item))
 }
 
 // BuildMLDataset extracts features for every item into an ml.Dataset
@@ -204,13 +198,20 @@ func Evaluate(items []ecom.Item, dets []Detection) eval.Metrics {
 	return eval.FromConfusion(c)
 }
 
+// readsText is the sales-cutoff half of the stage-one rule filter, the
+// half that needs no text: an item under the cutoff is filtered whatever
+// its comments say. analyzeOne asks it before any text is touched, and
+// DetectStream's projected read, which then never materializes it.
+func (d *Detector) readsText(item *ecom.Item) bool {
+	return d.cfg.DisableRuleFilter || item.SalesVolume >= d.cfg.MinSalesVolume
+}
+
 // analyzeOne fuses filter and feature extraction for one item from a
-// single pooled analysis pass per comment. The sales cutoff is checked
-// before any text is touched, so items below it cost no segmentation at
-// all; surviving items are analyzed once and the same artifact answers
-// both the positive-signal rule and the 11-feature vector. needScore
-// reports whether the item survived stage one and awaits a classifier
-// score.
+// single pooled analysis pass per comment. Items readsText refuses cost
+// no segmentation at all; the others are analyzed once and the same
+// artifact answers both the positive-signal rule and the 11-feature
+// vector. needScore reports whether the item survived stage one and
+// awaits a classifier score.
 //
 // The returned vector is nil when features were never computed (the
 // item fell to the sales cutoff); filtered-by-signal items still return
@@ -218,10 +219,11 @@ func Evaluate(items []ecom.Item, dets []Detection) eval.Metrics {
 // positive signal.
 //
 // texts stands in for the Comments of an item from a projected read
-// (dataset.Reader.NextTexts), which has none; it is nil otherwise.
+// (dataset.Reader.NextTexts), which has none; it is nil otherwise, and
+// may be for an item readsText refuses.
 func (d *Detector) analyzeOne(item *ecom.Item, texts []string) (det Detection, v []float64, needScore bool) {
 	det = Detection{ItemID: item.ID}
-	if !d.cfg.DisableRuleFilter && item.SalesVolume < d.cfg.MinSalesVolume {
+	if !d.readsText(item) {
 		d.m.itemsFilteredSales.Inc()
 		det.Filtered = true
 		return det, nil, false

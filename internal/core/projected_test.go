@@ -117,6 +117,9 @@ func TestDetectStreamProjectedMatchesRows(t *testing.T) {
 			if err != nil || n != len(rows) || stats.Items != n {
 				t.Fatalf("%s: %d emits of %d, stats %+v, err %v", name, n, len(rows), stats, err)
 			}
+			if lines := stats.JSONLFast + stats.JSONLStdlib; lines != map[string]int{"jsonl": n, "columnar": 0}[formatName] || stats.JSONLStdlib != 0 {
+				t.Fatalf("%s: stats count %d fast and %d stdlib JSONL lines over %d items", name, stats.JSONLFast, stats.JSONLStdlib, n)
+			}
 			if got := d.m.commentsAnalyzed.Value() - counted; got != wantCounted {
 				t.Fatalf("%s: cats_pipeline_comments_total moved by %d over the stream, %d over the rows", name, got, wantCounted)
 			}
@@ -126,7 +129,7 @@ func TestDetectStreamProjectedMatchesRows(t *testing.T) {
 			var texts [][]string
 			r = dataset.NewReader(bytes.NewReader(data))
 			for {
-				item, tx, err := r.NextTexts()
+				item, tx, err := r.NextTexts(nil)
 				if errors.Is(err, io.EOF) {
 					break
 				}
@@ -148,6 +151,70 @@ func TestDetectStreamProjectedMatchesRows(t *testing.T) {
 						t.Fatalf("%s: item %d feature %d: projected %v, rows %v", name, i, j, gotX[i][j], wantX[i][j])
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestScoreBatchReadsNoTextUnderTheCutoff: the predicate DetectStream
+// hands the projected read is the one analyzeOne returns on, so what an
+// item under the sales cutoff has for texts — nothing, as the read then
+// leaves it, or its comments, or anything else — is never looked at:
+// same detections, no feature row, and the comments counter moves by the
+// other items' comments alone.
+func TestScoreBatchReadsNoTextUnderTheCutoff(t *testing.T) {
+	d := sharedDetector(t)
+	ctx := context.Background()
+	for formatName, format := range map[string]dataset.Format{"jsonl": dataset.FormatJSONL, "columnar": dataset.FormatColumnar} {
+		data := encodeItems(t, streamCorpora(t)["thin"], format)
+		read := func(keep func(*ecom.Item) bool) (items []ecom.Item, texts [][]string) {
+			r := dataset.NewReader(bytes.NewReader(data))
+			for {
+				item, tx, err := r.NextTexts(keep)
+				if errors.Is(err, io.EOF) {
+					return items, texts
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", formatName, err)
+				}
+				items, texts = append(items, *item), append(texts, tx)
+			}
+		}
+		items, full := read(nil)
+		_, pushed := read(d.readsText)
+		poisoned := make([][]string, len(full))
+		under, wantCounted := 0, uint64(0)
+		for i := range items {
+			if poisoned[i] = full[i]; d.readsText(&items[i]) {
+				wantCounted += uint64(len(full[i]))
+				continue
+			}
+			under++
+			poisoned[i] = []string{"好评 很好 满意", "\xff"}
+			if pushed[i] != nil {
+				t.Fatalf("%s: item %d is under the cutoff and the pushed-down read returned %d texts", formatName, i, len(pushed[i]))
+			}
+		}
+		if under == 0 || under == len(items) {
+			t.Fatalf("%s: %d of %d items under the cutoff; the corpus must have both kinds", formatName, under, len(items))
+		}
+		want, wantX, err := d.scoreBatch(ctx, items, full, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, texts := range map[string][][]string{"pushed down": pushed, "poisoned": poisoned} {
+			counted := d.m.commentsAnalyzed.Value()
+			got, gotX, err := d.scoreBatch(ctx, items, texts, 2)
+			if err != nil || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotX, wantX) {
+				t.Errorf("%s, %s: detections or feature rows differ from the full texts' (err %v)", formatName, name, err)
+			}
+			if moved := d.m.commentsAnalyzed.Value() - counted; moved != wantCounted {
+				t.Errorf("%s, %s: cats_pipeline_comments_total moved by %d, want %d", formatName, name, moved, wantCounted)
+			}
+		}
+		for i := range items {
+			if !d.readsText(&items[i]) && (wantX[i] != nil || !want[i].Filtered) {
+				t.Fatalf("%s: item %d under the cutoff got a feature row or passed the filter", formatName, i)
 			}
 		}
 	}

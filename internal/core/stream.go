@@ -28,6 +28,10 @@ type StreamStats struct {
 	ReadSeconds  float64
 	ScoreSeconds float64
 	EmitSeconds  float64
+
+	// JSONLFast and JSONLStdlib count a JSONL input's lines by decode
+	// path (dataset.Reader.JSONLLines); both are zero on a columnar one.
+	JSONLFast, JSONLStdlib int
 }
 
 // StreamOptions tunes DetectStream.
@@ -101,7 +105,9 @@ type streamRun struct {
 // have been read through Next): the detector uses nothing of a comment
 // but its text, and on both formats emit receives the item's ID,
 // ShopID, Name, Category, PriceCents, SalesVolume and Label with
-// Comments == nil.
+// Comments == nil. The read is told whose text will be read at all
+// (readsText): the sales cutoff, the paper's stage one, is applied inside
+// the decode, and a JSONL item under it never has its text materialized.
 //
 // Cancellation of ctx aborts between (and within) batches with the
 // context's error. emit must not retain the item pointer or anything
@@ -116,6 +122,7 @@ func (d *Detector) DetectStream(ctx context.Context, r *dataset.Reader, opts Str
 	}
 	s := &streamRun{d: d, r: r, opts: opts.withDefaults(), emit: emit}
 	err := s.run(ctx)
+	s.stats.JSONLFast, s.stats.JSONLStdlib = r.JSONLLines()
 	return s.stats, err
 }
 
@@ -195,7 +202,7 @@ func (s *streamRun) overlap(ctx context.Context, first *streamBatch) error {
 		}
 		// Drop what was emitted before the batch waits for its next
 		// read: every item and detection keeps its columnar chunk (or
-		// its JSONL line's strings) reachable, and a waiting batch
+		// its JSONL arena blocks) reachable, and a waiting batch
 		// would hold them for as long as the slowest stage takes to
 		// come round.
 		clear(b.items)
@@ -246,8 +253,9 @@ func (s *streamRun) fill(b *streamBatch) {
 	defer contain("read", b)
 	start := time.Now()
 	b.items, b.texts = b.items[:0], b.texts[:0]
+	keep := s.d.readsText // bound once: a method value allocates
 	for len(b.items) < s.opts.BatchSize {
-		item, texts, err := s.r.NextTexts()
+		item, texts, err := s.r.NextTexts(keep)
 		if errors.Is(err, io.EOF) {
 			b.end = io.EOF
 			break

@@ -176,7 +176,7 @@ func newColReader(r io.Reader, texts bool) (*colReader, error) {
 // corpus loop lives here.
 //
 //cats:hotpath
-func (c *colReader) next() (*ecom.Item, []string, error) {
+func (c *colReader) next(keep func(*ecom.Item) bool) (*ecom.Item, []string, error) {
 	for c.idx >= len(c.items) {
 		if err := c.loadChunk(); err != nil {
 			return nil, nil, err
@@ -186,7 +186,9 @@ func (c *colReader) next() (*ecom.Item, []string, error) {
 	var texts []string
 	if c.texts {
 		end := c.off + c.ncomments[c.idx]
-		texts = c.contents[c.off:end:end]
+		if keep == nil || keep(item) {
+			texts = c.contents[c.off:end:end]
+		}
 		c.off = end
 	}
 	c.idx++
@@ -203,7 +205,7 @@ func (c *colReader) next() (*ecom.Item, []string, error) {
 // already handed out therefore stay intact while a later chunk loads,
 // which is what lets core.DetectStream read ahead on one goroutine
 // while another still scores items of the chunk before (the JSONL
-// reader allocates per line and has the same property).
+// reader copies what it keeps of a line and has the same property).
 func (c *colReader) loadChunk() error {
 	c.items, c.idx = nil, 0
 	var arena string

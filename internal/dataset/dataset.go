@@ -2,10 +2,12 @@
 // formats: streaming JSONL (one item per line — the import/export
 // format CATS' data collector writes) and the columnar binary
 // container (internal/colfmt — the native format for corpus-scale
-// runs, where JSON decode cost dominates). Readers sniff the format
-// from the leading magic bytes; writers pick one explicitly. Both
-// stream, so datasets larger than memory are processed item by item
-// with bounded peak RSS.
+// runs: no text to scan, one arena per chunk). Readers sniff the format
+// from the leading magic bytes; writers pick one explicitly. JSONL lines
+// in the canonical encoding are read by ecom.Decoder, any other by
+// encoding/json (Reader.JSONLLines counts both). Both formats stream,
+// and both can be read projected (Reader.NextTexts), so datasets larger
+// than memory are processed item by item with bounded peak RSS.
 package dataset
 
 import (
@@ -146,10 +148,10 @@ func WriteAllFormat(path string, ds *ecom.Dataset, f Format) error {
 	return w.Close()
 }
 
-// itemDecoder is one input format behind Reader. A decoder that reads
-// projected returns the item's comment contents beside it, as texts.
+// itemDecoder is one input format behind Reader. One that reads projected
+// returns, for an item keep accepts (nil: all), its contents as texts.
 type itemDecoder interface {
-	next() (item *ecom.Item, texts []string, err error)
+	next(keep func(*ecom.Item) bool) (item *ecom.Item, texts []string, err error)
 }
 
 // Reader streams items from JSONL or the columnar container,
@@ -177,37 +179,38 @@ func Open(path string) (*Reader, error) {
 	return rd, nil
 }
 
-// Next returns the next item, or io.EOF when exhausted. Items decoded
-// from the columnar format carry strings that alias the current
-// chunk's arena; they stay valid for as long as the item is
-// referenced, at the cost of keeping that chunk's arena alive.
+// Next returns the next item, or io.EOF when exhausted. An item's
+// strings keep alive the arena they were decoded into: the whole chunk's
+// on the columnar format, a 64 KiB block shared with its neighbours on
+// JSONL.
 func (r *Reader) Next() (*ecom.Item, error) {
-	item, _, err := r.next(false)
+	item, _, err := r.next(false, nil)
 	return item, err
 }
 
 // NextTexts is Next for a caller that reads nothing of a comment but
 // its text, as the detector does: the item has its item-level fields
-// and Comments nil, texts holds its comments' contents. A columnar
-// chunk is decoded projected — of the comment block only the contents
-// column is built, the other six are validated and skipped — and
-// accepts and rejects exactly the bytes Next does; a JSONL line is
-// decoded in full and its contents lifted out. A Reader is read through
-// Next or NextTexts: the first call decides, the other then fails.
-func (r *Reader) NextTexts() (item *ecom.Item, texts []string, err error) {
-	if item, texts, err = r.next(true); err == nil && item.Comments != nil {
-		texts = make([]string, len(item.Comments))
-		for i := range item.Comments {
-			texts[i] = item.Comments[i].Content
-		}
-		item.Comments = nil
-	}
-	return item, texts, err
+// and Comments nil, texts holds its comments' contents. Both formats
+// are decoded projected, accepting and rejecting exactly the bytes Next
+// does: of a columnar chunk's comment block only the contents column is
+// built, the other six are validated and skipped; a JSONL line is
+// scanned in place, every comment validated and none built, and only
+// the item's four strings and the contents are copied out of it.
+//
+// keep, unless nil, says whether the caller will read this item's text
+// at all. An item it refuses comes back with texts nil, and on JSONL its
+// contents are never materialized: a detector's rule filter does not pay
+// for the text of items it drops on their sales volume alone.
+//
+// A Reader is read through Next or NextTexts: the first call decides,
+// the other then fails.
+func (r *Reader) NextTexts(keep func(*ecom.Item) bool) (item *ecom.Item, texts []string, err error) {
+	return r.next(true, keep)
 }
 
 // next reads an item from the format's decoder, opened on the first
 // call for the kind of read that call makes.
-func (r *Reader) next(texts bool) (*ecom.Item, []string, error) {
+func (r *Reader) next(texts bool, keep func(*ecom.Item) bool) (*ecom.Item, []string, error) {
 	if r.dec == nil {
 		// Sniff once. A short or empty stream cannot be columnar (the
 		// container header alone is longer), so it goes down the JSONL
@@ -221,13 +224,23 @@ func (r *Reader) next(texts bool) (*ecom.Item, []string, error) {
 			}
 			r.dec = cr
 		} else {
-			r.dec = newJSONLReader(r.br)
+			r.dec = newJSONLReader(r.br, texts)
 		}
 	}
 	if r.texts != texts {
 		return nil, nil, errors.New("dataset: Next and NextTexts mixed on one Reader")
 	}
-	return r.dec.next()
+	return r.dec.next(keep)
+}
+
+// JSONLLines counts the JSONL lines read so far by decode path: fast,
+// ecom.Decoder, or stdlib, encoding/json, some four times slower (the
+// file-side twin of cats_http_decode_total). Zero on a columnar input.
+func (r *Reader) JSONLLines() (fast, stdlib int) {
+	if j, ok := r.dec.(*jsonlReader); ok {
+		return j.fast, j.stdlib
+	}
+	return 0, 0
 }
 
 // Close closes the underlying file when the Reader owns one.
@@ -238,33 +251,59 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-// jsonlReader is the row-oriented decoder.
+// jsonlReader decodes a line at a time with ecom.Decoder, and one that
+// declines with encoding/json, so the source of every error text.
 type jsonlReader struct {
-	s    *bufio.Scanner
-	line int
+	s            *bufio.Scanner
+	line         int
+	texts        bool
+	dec          ecom.Decoder
+	fast, stdlib int
 }
 
-func newJSONLReader(r io.Reader) *jsonlReader {
+func newJSONLReader(r io.Reader, texts bool) *jsonlReader {
 	s := bufio.NewScanner(r)
 	s.Buffer(make([]byte, 0, 1<<16), 1<<24) // comments can make long lines
-	return &jsonlReader{s: s}
+	return &jsonlReader{s: s, texts: texts}
 }
 
-func (r *jsonlReader) next() (*ecom.Item, []string, error) {
+func (r *jsonlReader) next(keep func(*ecom.Item) bool) (*ecom.Item, []string, error) {
 	for r.s.Scan() {
 		r.line++
 		b := r.s.Bytes()
 		if len(b) == 0 {
 			continue
 		}
-		var item ecom.Item
-		if err := json.Unmarshal(b, &item); err != nil {
-			return nil, nil, fmt.Errorf("dataset: line %d: %w", r.line, err)
+		item := new(ecom.Item)
+		fast := r.dec.Line(b, r.texts, item)
+		if fast {
+			r.fast++
+		} else {
+			r.stdlib++
+			*item = ecom.Item{}
+			if err := json.Unmarshal(b, item); err != nil {
+				return nil, nil, fmt.Errorf("dataset: line %d: %w", r.line, err)
+			}
 		}
-		return &item, nil, nil
+		if !r.texts {
+			return item, nil, nil
+		}
+		var texts []string
+		switch {
+		case keep != nil && !keep(item):
+		case fast:
+			texts = r.dec.Texts()
+		case len(item.Comments) > 0:
+			texts = make([]string, len(item.Comments))
+			for i := range item.Comments {
+				texts[i] = item.Comments[i].Content
+			}
+		}
+		item.Comments = nil
+		return item, texts, nil
 	}
-	if err := r.s.Err(); err != nil {
-		return nil, nil, err
+	if err := r.s.Err(); err != nil { // inside the line after the last one returned
+		return nil, nil, fmt.Errorf("dataset: line %d: %w", r.line+1, err)
 	}
 	return nil, nil, io.EOF
 }

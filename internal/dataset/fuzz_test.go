@@ -36,3 +36,20 @@ func FuzzReader(f *testing.F) {
 		t.Fatal("reader did not terminate")
 	})
 }
+
+// FuzzJSONLLineDifferential holds the JSONL reader's line decoder to
+// encoding/json (checkLine): for arbitrary bytes, whatever it accepts
+// encoding/json accepts as the same item, by the rows read and by the
+// texts read alike, and it accepts every line that is exactly what
+// json.Marshal writes for its item. Nothing else is asserted of a line
+// it declines — declining is always allowed, the reader then asks
+// encoding/json.
+func FuzzJSONLLineDifferential(f *testing.F) {
+	for _, line := range canonicalLines(f)[:4] {
+		f.Add(line)
+	}
+	for _, s := range append(append(lineAccepts, lineSeeds...), lineDeclines...) {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) { checkLine(t, line) })
+}

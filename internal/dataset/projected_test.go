@@ -7,6 +7,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/colfmt"
@@ -31,11 +32,11 @@ func readRows(data []byte) (items []ecom.Item, err error) {
 	}
 }
 
-// readTexts drains data through NextTexts.
-func readTexts(data []byte) (items []ecom.Item, texts [][]string, err error) {
+// readTexts drains data through NextTexts, with its predicate.
+func readTexts(data []byte, keep func(*ecom.Item) bool) (items []ecom.Item, texts [][]string, err error) {
 	r := NewReader(bytes.NewReader(data))
 	for {
-		item, t, err := r.NextTexts()
+		item, t, err := r.NextTexts(keep)
 		if errors.Is(err, io.EOF) {
 			return items, texts, nil
 		}
@@ -46,38 +47,53 @@ func readTexts(data []byte) (items []ecom.Item, texts [][]string, err error) {
 	}
 }
 
-// compareReads reads data both ways and reports the first disagreement:
-// one read failing where the other succeeds, or — up to where the first
-// failure stopped them — a different number of items, an item-level
-// field, a comment count or a comment's content. rows is what Next
-// decoded and failed whether the reads (both) ended in an error.
+// compareReads reads data through Next, through NextTexts, and through
+// NextTexts refusing every other item's text, and reports the first
+// disagreement: one read failing where another succeeds, or — up to
+// where the first failure stopped them — a different number of items,
+// an item-level field (refused items carry theirs too), a comment count
+// or a comment's content, or texts on a refused item. rows is what Next
+// decoded and failed whether the reads (all) ended in an error.
 func compareReads(data []byte) (rows []ecom.Item, failed bool, diff error) {
 	rows, rowsErr := readRows(data)
-	items, texts, textsErr := readTexts(data)
-	if (rowsErr == nil) != (textsErr == nil) {
-		return rows, true, fmt.Errorf("Next ended with %v, NextTexts with %v", rowsErr, textsErr)
-	}
-	if rowsErr != nil && rowsErr.Error() != textsErr.Error() {
-		return rows, true, fmt.Errorf("Next diagnosed %q, NextTexts %q", rowsErr, textsErr)
-	}
-	if len(items) != len(rows) {
-		return rows, rowsErr != nil, fmt.Errorf("NextTexts read %d items, Next %d", len(items), len(rows))
-	}
-	for i := range rows {
-		if items[i].Comments != nil {
-			return rows, rowsErr != nil, fmt.Errorf("item %d: NextTexts left %d Comments on the item", i, len(items[i].Comments))
+	for _, skipOdd := range []bool{false, true} {
+		n := 0
+		keep := func(*ecom.Item) bool { n++; return n%2 == 1 }
+		if !skipOdd {
+			keep = nil
 		}
-		want := rows[i]
-		want.Comments = nil
-		if !reflect.DeepEqual(items[i], want) {
-			return rows, rowsErr != nil, fmt.Errorf("item %d: NextTexts %+v, Next %+v", i, items[i], want)
+		items, texts, textsErr := readTexts(data, keep)
+		if (rowsErr == nil) != (textsErr == nil) {
+			return rows, true, fmt.Errorf("Next ended with %v, NextTexts (skip odd %v) with %v", rowsErr, skipOdd, textsErr)
 		}
-		if len(texts[i]) != len(rows[i].Comments) {
-			return rows, rowsErr != nil, fmt.Errorf("item %d: %d texts for %d comments", i, len(texts[i]), len(rows[i].Comments))
+		if rowsErr != nil && rowsErr.Error() != textsErr.Error() {
+			return rows, true, fmt.Errorf("Next diagnosed %q, NextTexts (skip odd %v) %q", rowsErr, skipOdd, textsErr)
 		}
-		for j, c := range rows[i].Comments {
-			if texts[i][j] != c.Content {
-				return rows, rowsErr != nil, fmt.Errorf("item %d comment %d: text %q, content %q", i, j, texts[i][j], c.Content)
+		if len(items) != len(rows) {
+			return rows, rowsErr != nil, fmt.Errorf("NextTexts (skip odd %v) read %d items, Next %d", skipOdd, len(items), len(rows))
+		}
+		for i := range rows {
+			if items[i].Comments != nil {
+				return rows, rowsErr != nil, fmt.Errorf("item %d: NextTexts left %d Comments on the item", i, len(items[i].Comments))
+			}
+			want := rows[i]
+			want.Comments = nil
+			if !reflect.DeepEqual(items[i], want) {
+				return rows, rowsErr != nil, fmt.Errorf("item %d: NextTexts (skip odd %v) %+v, Next %+v", i, skipOdd, items[i], want)
+			}
+			if skipOdd && i%2 == 1 {
+				if texts[i] != nil {
+					return rows, rowsErr != nil, fmt.Errorf("item %d: %d texts for an item the predicate refused", i, len(texts[i]))
+				}
+				continue
+			}
+			if len(texts[i]) != len(rows[i].Comments) {
+				return rows, rowsErr != nil, fmt.Errorf("item %d: %d texts for %d comments", i, len(texts[i]), len(rows[i].Comments))
+			}
+			for j, c := range rows[i].Comments {
+				if texts[i][j] != c.Content {
+					return rows, rowsErr != nil, fmt.Errorf("item %d comment %d: text %q, content %q", i, j, texts[i][j], c.Content)
+				}
 			}
 		}
 	}
@@ -160,7 +176,7 @@ func TestProjectedReadAllocatesNoComments(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, _, err := readTexts(data); err != nil {
+	if _, _, err := readTexts(data, nil); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -181,14 +197,14 @@ func TestReaderRefusesMixedReads(t *testing.T) {
 		if _, err := r.Next(); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := r.NextTexts(); err == nil || errors.Is(err, io.EOF) {
+		if _, _, err := r.NextTexts(nil); err == nil || errors.Is(err, io.EOF) {
 			t.Fatalf("format %d: NextTexts after Next: %v", f, err)
 		}
 		if _, err := r.Next(); err != nil {
 			t.Fatalf("format %d: the refused call broke the reader: %v", f, err)
 		}
 		r = NewReader(bytes.NewReader(data))
-		if _, _, err := r.NextTexts(); err != nil {
+		if _, _, err := r.NextTexts(nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := r.Next(); err == nil || errors.Is(err, io.EOF) {
@@ -300,6 +316,37 @@ func TestProjectedReadRejectsWhatRowsReject(t *testing.T) {
 			t.Errorf("%s: both reads accepted the chunk", name)
 		}
 	}
+
+	// The JSONL twin: damage inside what a projected line read validates
+	// and does not keep, on the second line — the one whose text the
+	// skip-odd read refuses as well — is every read's error, in
+	// encoding/json's words; what encoding/json reads leniently, every
+	// read reads as it does.
+	const goodLine = `{"item_id":"a","sales_volume":9,"comments":[{"comment_id":"c","comment_content":"好","nickname":"n","date":"2018-06-01T08:00:00Z"}]}`
+	for name, c := range map[string]struct {
+		line   string
+		failed bool
+	}{
+		"canonical":                        {goodLine, false},
+		"skipped string of the wrong type": {strings.Replace(goodLine, `"comment_id":"c"`, `"comment_id":12`, 1), true},
+		"skipped date malformed":           {strings.Replace(goodLine, `2018-06-01T`, `2018-06-01 `, 1), true},
+		"control byte in a skipped string": {strings.Replace(goodLine, `"nickname":"n"`, "\"nickname\":\"n\x01\"", 1), true},
+		"skipped enum out of range":        {strings.Replace(goodLine, `"nickname":"n"`, `"client_information":256`, 1), true},
+		"cut inside a skipped string":      {goodLine[:strings.Index(goodLine, `n","date`)], true},
+		"bytes after the item":             {goodLine + "]", true},
+		"lone surrogate, skipped string":   {strings.Replace(goodLine, `"nickname":"n"`, `"nickname":"\ud83d"`, 1), false},
+		"invalid UTF-8 in a content":       {strings.Replace(goodLine, `好`, "\xff", 1), false},
+		"unknown key among the skipped":    {strings.Replace(goodLine, `"nickname":"n"`, `"nick":{"a":[1]}`, 1), false},
+		"comments null":                    {`{"item_id":"a","comments":null}`, false},
+	} {
+		rows, failed, diff := compareReads([]byte(goodLine + "\n" + c.line + "\n\n" + goodLine + "\n"))
+		if diff != nil {
+			t.Errorf("JSONL, %s: the reads disagree: %v", name, diff)
+		}
+		if failed != c.failed || (!failed && len(rows) != 3) {
+			t.Errorf("JSONL, %s: failed %v with %d items, want failed %v", name, failed, len(rows), c.failed)
+		}
+	}
 }
 
 // FuzzProjectedReadDifferential: for arbitrary bytes the projected and
@@ -328,12 +375,12 @@ func FuzzProjectedReadDifferential(f *testing.F) {
 		if diff != nil {
 			t.Fatal(diff)
 		}
-		// Two reads, each of which may hold every decoded byte a few
+		// Three reads, each of which may hold every decoded byte a few
 		// times over (arena, columns, rows, the comparison's prints),
 		// on top of the readers' fixed buffers and the room a frame
 		// gets before it has delivered anything (colfmt's payloadStep,
 		// 4 MiB, for the arena string and for the scratch).
-		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(10<<20+400*len(data)); grew > limit {
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(15<<20+600*len(data)); grew > limit {
 			t.Fatalf("reading %d bytes allocated %d, limit %d", len(data), grew, limit)
 		}
 	})

@@ -7,6 +7,37 @@
 // id/name/price/sales volume, and comment records carrying content, an
 // anonymized nickname, the platform's userExpValue reliability score,
 // the purchase client and a date.
+//
+// # The canonical encoding and its decoder
+//
+// Items travel as JSON — request bodies into internal/service, JSONL
+// lines into internal/dataset — and almost always in the canonical
+// encoding, what json.Marshal of an Item writes: the struct tags' exact
+// keys, each at most once per object, in any order and with any JSON
+// whitespace; strings with or without escapes; integers as -?digits;
+// dates as RFC 3339 strings; null only for an item's comments. Decoder
+// reads exactly that in one pass. It is an accelerator for that
+// encoding, not a second JSON dialect:
+//
+//   - Decline changes nothing. On the first byte it does not recognise —
+//     an unknown, case-folded or escaped key, a duplicate, any other
+//     null, a fraction or exponent, a value out of its field's range, a
+//     control byte, invalid UTF-8 or a lone surrogate in a string,
+//     anything but whitespace after the value — it reports false, and
+//     its caller discards the attempt and hands the same bytes to
+//     encoding/json. That stays the only source of error texts and of
+//     what an unusual input means (key folding, last duplicate wins,
+//     U+FFFD), and the oracle: both callers' Fuzz*Differential targets
+//     check that whatever Decoder accepts, encoding/json accepts as the
+//     same items. Dates go to time.Time.UnmarshalJSON, as it sends them.
+//   - Nothing handed out aliases the input, which belongs to the caller
+//     — a pooled request buffer, a scanner's line — and is overwritten
+//     once the decode returns. Alias (service) cuts every string from
+//     one garbage-collected copy of the body, so a retained item pins
+//     its request; Decoder.Line (dataset) copies what it keeps into
+//     64 KiB arena blocks shared by consecutive items, and on a projected
+//     read keeps of a comment only its content, and that only when the
+//     caller asks for the item's Texts.
 package ecom
 
 import (
