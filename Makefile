@@ -7,13 +7,12 @@ GO ?= go
 
 all: build vet test
 
-# Run catslint, the project's invariant linter, eight rules: zero-alloc
-# hot path (//cats:hotpath), sync.Pool Get/Put pairing, map-iteration
-# determinism, ctx propagation, wall-clock/rand hygiene, registry leases
-# taken outside the registry, colfmt arena aliasing, and obs label
-# discipline. The analyzers' own regression gate — one that goes blind or
-# starts overreporting on the fixture corpus fails it — is tier-1:
-# `go test ./internal/lint ./cmd/catslint`.
+# Run catslint, the project's invariant linter, six rules: zero-alloc
+# hot path (//cats:hotpath), map-iteration determinism, ctx propagation,
+# wall-clock/rand hygiene, registry leases taken outside the registry,
+# and obs label discipline. The analyzers' own regression gate — one that
+# goes blind or starts overreporting on the fixture corpus fails it — is
+# tier-1: `go test ./internal/lint ./cmd/catslint`.
 lint:
 	$(GO) run ./cmd/catslint
 
@@ -21,13 +20,17 @@ lint:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
-# Keep the serving binaries lean: what exists only for the offline
-# experiments — the five Table III comparison classifiers, the
-# co-purchase graph, the experiments themselves — and the linter must
-# not be in the dependency closure of what ships a model or serves one.
+# Keep the shipped closure the paper's pipeline: what exists only for the
+# offline experiments — the five Table III comparison classifiers, the
+# co-purchase graph, the experiments themselves — the linter, and the
+# crawl side (crawler, collector, the simulated platform) must not be in
+# the dependency closure of what ships a model or serves one; nor the
+# synthetic comment generator in the server's (cmd/cats keeps textgen:
+# it generates its word2vec corpus).
 deps-check:
-	@out=$$($(GO) list -deps ./cmd/catsserve ./cmd/cats | grep -E '^repro/internal/(ml/(svm|adaboost|mlp|tree|naivebayes)|graph|experiments|lint)$$'); \
-	if [ -n "$$out" ]; then echo "catsserve/cats link offline-only packages (comparison classifiers, graph, experiments, lint):"; echo "$$out"; exit 1; fi
+	@out=$$($(GO) list -deps ./cmd/catsserve ./cmd/cats | grep -E '^repro/internal/(ml/(svm|adaboost|mlp|tree|naivebayes)|graph|experiments|lint|crawler|collector|platform)$$'); \
+	if [ -n "$$out" ]; then echo "catsserve/cats link offline-only packages (comparison classifiers, graph, experiments, lint, crawler, collector, platform):"; echo "$$out"; exit 1; fi
+	@if $(GO) list -deps ./cmd/catsserve | grep -qx 'repro/internal/textgen'; then echo "catsserve links repro/internal/textgen (the synthetic comment generator)"; exit 1; fi
 
 # The full pre-merge gate: compile, format, vet, invariant lint,
 # dependency closure, and tests.

@@ -120,7 +120,7 @@ func benchExtractor(b *testing.B) (*features.Extractor, []ecom.Item) {
 	b.Helper()
 	bank := textgen.NewBank()
 	texts, labels := synth.PolarCorpus(1000, 6)
-	analyzer, err := core.OracleAnalyzer(bank, texts, labels)
+	analyzer, err := core.OracleAnalyzer(bank.Vocabulary(), bank.PositiveForms(), bank.Negative, texts, labels)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func benchFilterHeavyDetector(b *testing.B) (*core.Detector, []ecom.Item) {
 	b.Helper()
 	bank := textgen.NewBank()
 	texts, labels := synth.PolarCorpus(1000, 6)
-	analyzer, err := core.OracleAnalyzer(bank, texts, labels)
+	analyzer, err := core.OracleAnalyzer(bank.Vocabulary(), bank.PositiveForms(), bank.Negative, texts, labels)
 	if err != nil {
 		b.Fatal(err)
 	}

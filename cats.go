@@ -6,8 +6,8 @@
 //
 // The pipeline mirrors the paper's four components:
 //
-//   - a data collector (internal/collector over internal/crawler)
-//     that scrapes shop → item → comment pages;
+//   - a data collector (package repro/collect, over internal/collector
+//     and internal/crawler) that scrapes shop → item → comment pages;
 //   - a semantic analyzer that trains a word2vec model on a large
 //     comment corpus, expands seed words into positive/negative
 //     lexicons, and scores comment sentiment with a Naive Bayes model;
@@ -37,11 +37,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
-	"repro/internal/collector"
 	"repro/internal/core"
-	"repro/internal/crawler"
 	"repro/internal/dataset"
 	"repro/internal/ecom"
 	"repro/internal/features"
@@ -213,35 +210,4 @@ func (s *System) Explain(item *Item) ([]gbt.Importance, error) {
 // baselines).
 func (s *System) MLDataset(items []Item) *ml.Dataset {
 	return s.detector.BuildMLDataset(items, nil, s.workers)
-}
-
-// CollectOptions tunes Collect's crawl.
-type CollectOptions struct {
-	// Workers is the concurrent fetcher count; <= 0 means 8.
-	Workers int
-	// RatePerSecond politely caps the request rate; <= 0 disables.
-	RatePerSecond float64
-	// Timeout bounds the whole crawl; <= 0 means no limit.
-	Timeout time.Duration
-}
-
-// Collect crawls an e-commerce site's public pages (shop directory →
-// items → comments) into a Dataset, deduplicating comment records. The
-// site must speak the JSON page protocol of repro/internal/platform —
-// the simulated stand-in for a real platform's public web pages.
-func Collect(ctx context.Context, baseURL, name string, opts CollectOptions) (*Dataset, error) {
-	if opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
-		defer cancel()
-	}
-	col := collector.New(baseURL, crawler.Config{
-		Workers:       opts.Workers,
-		RatePerSecond: opts.RatePerSecond,
-	})
-	res, err := col.Collect(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	return &res.Dataset, nil
 }

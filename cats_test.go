@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/collect"
 	"repro/internal/dataset"
 	"repro/internal/platform"
 	"repro/internal/synth"
@@ -113,7 +114,7 @@ func TestCollectIntegration(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	ds, err := Collect(context.Background(), ts.URL, "e-platform", CollectOptions{Workers: 4})
+	ds, err := collect.Collect(context.Background(), ts.URL, "e-platform", collect.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestCrossPlatformDetection(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	collected, err := Collect(context.Background(), ts.URL, "B", CollectOptions{Workers: 6})
+	collected, err := collect.Collect(context.Background(), ts.URL, "B", collect.Options{Workers: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestCollectTimeout(t *testing.T) {
 	defer ts.Close()
 	defer close(blocked)
 	start := time.Now()
-	_, err := Collect(context.Background(), ts.URL, "slow", CollectOptions{
+	_, err := collect.Collect(context.Background(), ts.URL, "slow", collect.Options{
 		Workers: 1, Timeout: 100 * time.Millisecond,
 	})
 	if err == nil {
@@ -232,7 +233,7 @@ func TestCollectTimeout(t *testing.T) {
 func TestCollectBadURL(t *testing.T) {
 	// Connection refused: the crawl completes with zero fetched pages
 	// and an empty dataset rather than hanging.
-	ds, err := Collect(context.Background(), "http://127.0.0.1:1", "down", CollectOptions{Workers: 1})
+	ds, err := collect.Collect(context.Background(), "http://127.0.0.1:1", "down", collect.Options{Workers: 1})
 	if err != nil {
 		return // an error is acceptable too
 	}

@@ -9,6 +9,10 @@
 //	     [-save-model model.json] [-model-format json|columnar]
 //	cats -load-model model.json -detect items.jsonl
 //
+// A flag the run would not read is a usage error, not a silent default:
+// -threshold or -corpus beside -load-model, -model-format without
+// -save-model.
+//
 // The semantic analyzer (word2vec lexicons + sentiment model) is
 // trained on a generated comment corpus; at full deployment it would be
 // trained on the target platform's own public comments. A trained
@@ -45,10 +49,31 @@ func main() {
 		loadPath   = flag.String("load-model", "", "load a previously saved system instead of training")
 	)
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := ignoredFlag(set); err != nil {
+		fmt.Fprintln(os.Stderr, "cats:", err)
+		os.Exit(2)
+	}
 	if err := run(*trainPath, *detectPath, *threshold, *corpusSize, *outPath, *savePath, *saveFmt, *loadPath); err != nil {
 		fmt.Fprintln(os.Stderr, "cats:", err)
 		os.Exit(1)
 	}
+}
+
+// ignoredFlag refuses a flag the user set that this run would not read,
+// given the names of the flags that were set: a loaded model scores at
+// the threshold, and with the lexicons, it was saved with.
+func ignoredFlag(set map[string]bool) error {
+	for _, name := range []string{"threshold", "corpus"} {
+		if set[name] && set["load-model"] {
+			return fmt.Errorf("-%s applies to -train only; -load-model keeps what the model was saved with", name)
+		}
+	}
+	if set["model-format"] && !set["save-model"] {
+		return fmt.Errorf("-model-format applies to -save-model only")
+	}
+	return nil
 }
 
 func run(trainPath, detectPath string, threshold float64, corpusSize int, outPath, savePath, saveFmt, loadPath string) error {

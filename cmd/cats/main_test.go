@@ -23,7 +23,7 @@ func writeFixture(t *testing.T, dir string) (model, detect string, items int) {
 	t.Helper()
 	bank := textgen.NewBank()
 	texts, labels := synth.PolarCorpus(400, 6)
-	a, err := core.OracleAnalyzer(bank, texts, labels)
+	a, err := core.OracleAnalyzer(bank.Vocabulary(), bank.PositiveForms(), bank.Negative, texts, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +87,34 @@ func TestRunReportsTruncatedOutput(t *testing.T) {
 	}
 	if err := run("", detect, 0.5, 0, "/dev/full", "", "json", model); err == nil {
 		t.Fatal("run to /dev/full returned nil: a failed flush was reported as success")
+	}
+}
+
+// TestIgnoredFlagIsAUsageError: `cats -load-model m -threshold 0.9` used
+// to score at the snapshot's threshold without a word. A flag set beside
+// the mode that does not read it is refused by name; what bench/ and the
+// smoke script run is not.
+func TestIgnoredFlagIsAUsageError(t *testing.T) {
+	for _, c := range []struct {
+		set  string // the flags set, space-separated
+		want string // the flag the error names, "" for none
+	}{
+		{"load-model detect threshold", "-threshold"},
+		{"load-model detect corpus", "-corpus"},
+		{"load-model detect model-format", "-model-format"},
+		{"train detect model-format", "-model-format"},
+		{"load-model detect out", ""},
+		{"load-model detect save-model model-format out", ""},
+		{"train detect threshold corpus save-model model-format", ""},
+	} {
+		set := map[string]bool{}
+		for _, name := range strings.Fields(c.set) {
+			set[name] = true
+		}
+		err := ignoredFlag(set)
+		if (err == nil) != (c.want == "") || (err != nil && !strings.HasPrefix(err.Error(), c.want+" ")) {
+			t.Errorf("flags %q: error %v, want one naming %q", c.set, err, c.want)
+		}
 	}
 }
 

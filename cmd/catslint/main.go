@@ -1,10 +1,10 @@
 // Command catslint runs the project's invariant linter over the module
-// tree: the zero-allocation hot path (//cats:hotpath), sync.Pool
-// Get/Put pairing, map-iteration determinism, context propagation,
-// wall-clock/randomness hygiene, registry leases taken outside the
-// registry (handle-lease), colfmt arena aliasing (arena-escape), and obs
-// label discipline (metric-discipline). It exits 0 when the tree is
-// clean, 1 when there are findings, and 2 on a load or usage error.
+// tree, six rules: the zero-allocation hot path (//cats:hotpath),
+// map-iteration determinism, context propagation, wall-clock/randomness
+// hygiene, registry leases taken outside the registry (handle-lease),
+// and obs label discipline (metric-discipline). It exits 0 when the
+// tree is clean, 1 when there are findings, and 2 on a load or usage
+// error.
 //
 // Usage:
 //

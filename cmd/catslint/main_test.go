@@ -41,7 +41,7 @@ func runCatslint(t *testing.T, args ...string) (string, string, int) {
 // corpusRoot is the fixture corpus, its own module (module fix). Under
 // the repository's scoping none of its packages is deterministic or
 // pinned, so what the CLI finds there are the rules that need no
-// scoping (hotpath, pool, handlelease, arenaescape, ctxflow, metricvec);
+// scoping (hotpath, handlelease, ctxflow, registryctx, metricvec);
 // internal/lint's TestFixtureCorpus pins every finding of every rule.
 func corpusRoot(t *testing.T) string {
 	t.Helper()
@@ -67,7 +67,7 @@ func TestExitCodeFindings(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\nstderr: %s", code, stderr)
 	}
-	if !strings.Contains(stdout, "handle-lease") || !strings.Contains(stdout, "arena-escape") {
+	if !strings.Contains(stdout, "handle-lease") || !strings.Contains(stdout, "metric-discipline") {
 		t.Fatalf("corpus findings missing expected rules:\n%s", stdout)
 	}
 	if !strings.Contains(stderr, "finding(s)") {
@@ -94,26 +94,25 @@ func TestListNamesEveryRule(t *testing.T) {
 		t.Fatalf("exit = %d, want 0", code)
 	}
 	for _, rule := range []string{
-		"hotpath-alloc", "pool-pairing", "map-range-determinism",
-		"ctx-propagation", "no-wallclock-rand", "handle-lease",
-		"arena-escape", "metric-discipline",
+		"hotpath-alloc", "map-range-determinism", "ctx-propagation",
+		"no-wallclock-rand", "handle-lease", "metric-discipline",
 	} {
 		if !strings.Contains(stdout, rule) {
 			t.Errorf("-list output missing %s", rule)
 		}
 	}
-	if n := strings.Count(stdout, "\n"); n != 8 {
-		t.Errorf("-list printed %d rules, want 8:\n%s", n, stdout)
+	if n := strings.Count(stdout, "\n"); n != 6 {
+		t.Errorf("-list printed %d rules, want 6:\n%s", n, stdout)
 	}
 }
 
 // TestJSONGolden pins the -json output schema byte for byte on a small
-// stable slice of the corpus (pool-pairing plus the always-shown
+// stable slice of the corpus (handle-lease plus the always-shown
 // lint-ignore finding). File paths are normalized to SRC so the golden
 // is location-independent.
 func TestJSONGolden(t *testing.T) {
 	root := corpusRoot(t)
-	stdout, stderr, code := runCatslint(t, "-root", root, "-json", "-rules", "pool-pairing")
+	stdout, stderr, code := runCatslint(t, "-root", root, "-json", "-rules", "handle-lease")
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\nstderr: %s", code, stderr)
 	}

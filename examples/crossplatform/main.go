@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/collect"
 	"repro/internal/platform"
 	"repro/internal/synth"
 	"repro/internal/textgen"
@@ -59,7 +60,7 @@ func main() {
 
 	// --- Crawl B's shop → item → comment pages politely. ---
 	start := time.Now()
-	collected, err := cats.Collect(ctx, ts.URL, "platform-B", cats.CollectOptions{
+	collected, err := collect.Collect(ctx, ts.URL, "platform-B", collect.Options{
 		Workers:       8,
 		RatePerSecond: 500,
 	})

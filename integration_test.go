@@ -81,6 +81,11 @@ func TestCLIEndToEnd(t *testing.T) {
 	if !bytes.Equal(tsv, tsv2) {
 		t.Fatal("detections differ between trained and reloaded model")
 	}
+	// A flag the loaded-model run would not read is refused by name.
+	ignored := exec.Command(catsBin, "-load-model", modelPath, "-detect", detectPath, "-out", out2, "-threshold", "0.9")
+	if out, err := ignored.CombinedOutput(); ignored.ProcessState.ExitCode() != 2 || !strings.Contains(string(out), "-threshold") {
+		t.Fatalf("cats -load-model -threshold: %v, exit %d, want a usage error naming the flag:\n%s", err, ignored.ProcessState.ExitCode(), out)
+	}
 
 	// 4. One quick experiment through catsbench.
 	benchOut := run(catsbench, "-exp", "table4", "-d0scale", "0.002")

@@ -12,7 +12,6 @@ import (
 	"repro/internal/features"
 	"repro/internal/lexicon"
 	"repro/internal/sentiment"
-	"repro/internal/textgen"
 	"repro/internal/tokenize"
 	"repro/internal/word2vec"
 )
@@ -142,11 +141,12 @@ func (a *Analyzer) Extractor() *features.Extractor {
 }
 
 // OracleAnalyzer builds an analyzer that skips word2vec training and
-// uses a word bank's ground-truth lexicons directly, with a sentiment
-// model trained on the given polar corpus. Experiments use it when the
-// lexicon-recovery step itself is not under test.
-func OracleAnalyzer(bank *textgen.Bank, polarTexts []string, polarLabels []int) (*Analyzer, error) {
-	seg := tokenize.NewSegmenter(bank.Vocabulary())
+// uses known lexicons directly — a synthetic word bank's ground truth:
+// textgen.Bank's Vocabulary, PositiveForms and Negative — with a
+// sentiment model trained on the given polar corpus. Experiments and
+// tests use it when the lexicon-recovery step itself is not under test.
+func OracleAnalyzer(vocab, positive, negative, polarTexts []string, polarLabels []int) (*Analyzer, error) {
+	seg := tokenize.NewSegmenter(vocab)
 	polarDocs := make([][]string, len(polarTexts))
 	for i, t := range polarTexts {
 		polarDocs[i] = seg.Words(t)
@@ -155,17 +155,5 @@ func OracleAnalyzer(bank *textgen.Bank, polarTexts []string, polarLabels []int) 
 	if err != nil {
 		return nil, fmt.Errorf("core: train sentiment model: %w", err)
 	}
-	var posWords []string
-	posWords = append(posWords, bank.Positive...)
-	for base, vars := range bank.Homographs {
-		if bank.IsPositive(base) {
-			posWords = append(posWords, vars...)
-		}
-	}
-	return &Analyzer{
-		Segmenter: seg,
-		Positive:  lexicon.NewSet(posWords),
-		Negative:  lexicon.NewSet(bank.Negative),
-		Sentiment: sm,
-	}, nil
+	return NewAnalyzerFromParts(seg, nil, lexicon.NewSet(positive), lexicon.NewSet(negative), sm), nil
 }

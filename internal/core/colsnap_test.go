@@ -17,7 +17,7 @@ func trainedSnapshot(t *testing.T, seed int64) (*DetectorSnapshot, *Detector) {
 	t.Helper()
 	bank := textgen.NewBank()
 	texts, labels := synth.PolarCorpus(600, seed)
-	a, err := OracleAnalyzer(bank, texts, labels)
+	a, err := OracleAnalyzer(bank.Vocabulary(), bank.PositiveForms(), bank.Negative, texts, labels)
 	if err != nil {
 		t.Fatal(err)
 	}

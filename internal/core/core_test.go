@@ -15,7 +15,7 @@ func trainedDetector(t *testing.T, cfg DetectorConfig) (*Detector, *synth.Univer
 	t.Helper()
 	bank := textgen.NewBank()
 	texts, labels := synth.PolarCorpus(1200, 21)
-	a, err := OracleAnalyzer(bank, texts, labels)
+	a, err := OracleAnalyzer(bank.Vocabulary(), bank.PositiveForms(), bank.Negative, texts, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestDetectorEndToEnd(t *testing.T) {
 func TestDetectBeforeTrain(t *testing.T) {
 	bank := textgen.NewBank()
 	texts, labels := synth.PolarCorpus(200, 24)
-	a, err := OracleAnalyzer(bank, texts, labels)
+	a, err := OracleAnalyzer(bank.Vocabulary(), bank.PositiveForms(), bank.Negative, texts, labels)
 	if err != nil {
 		t.Fatal(err)
 	}

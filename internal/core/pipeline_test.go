@@ -26,7 +26,8 @@ import (
 
 var pipelineDetector = sync.OnceValues(func() (*Detector, error) {
 	texts, labels := synth.PolarCorpus(600, 21)
-	a, err := OracleAnalyzer(textgen.NewBank(), texts, labels)
+	bank := textgen.NewBank()
+	a, err := OracleAnalyzer(bank.Vocabulary(), bank.PositiveForms(), bank.Negative, texts, labels)
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +291,8 @@ func TestDetectStreamLeavesNothingRunning(t *testing.T) {
 	items := tinyItems(120)
 	data := encodeItems(t, items, dataset.FormatJSONL)
 	texts, labels := synth.PolarCorpus(200, 102)
-	a, err := OracleAnalyzer(textgen.NewBank(), texts, labels)
+	bank := textgen.NewBank()
+	a, err := OracleAnalyzer(bank.Vocabulary(), bank.PositiveForms(), bank.Negative, texts, labels)
 	if err != nil {
 		t.Fatal(err)
 	}

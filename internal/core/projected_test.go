@@ -306,8 +306,9 @@ func TestDetectStreamContainsStagePanics(t *testing.T) {
 	}
 }
 
-// arenaBytes sums the arena blocks of a columnar dataset.
-func arenaBytes(t *testing.T, data []byte) (n int) {
+// arenaBytes sums the arena blocks of a columnar dataset and reports the
+// largest.
+func arenaBytes(t *testing.T, data []byte) (n, largest int) {
 	t.Helper()
 	r, err := colfmt.NewReader(bytes.NewReader(data))
 	if err != nil {
@@ -316,13 +317,14 @@ func arenaBytes(t *testing.T, data []byte) (n int) {
 	for {
 		name, payload, err := r.Next()
 		if errors.Is(err, io.EOF) {
-			return n
+			return n, largest
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		if name == "arena" {
 			n += len(payload)
+			largest = max(largest, len(payload))
 		}
 	}
 }
@@ -360,7 +362,8 @@ func TestDetectStreamColumnarAllocationBudget(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		run()
 		runtime.ReadMemStats(&after)
-		return int(after.TotalAlloc - before.TotalAlloc), arenaBytes(t, data), comments
+		arenas, _ = arenaBytes(t, data)
+		return int(after.TotalAlloc - before.TotalAlloc), arenas, comments
 	}
 	total1, arenas1, comments1 := allocated(once)
 	total2, arenas2, comments2 := allocated(append(once, once...))
@@ -370,4 +373,55 @@ func TestDetectStreamColumnarAllocationBudget(t *testing.T) {
 	if perComment > 64 {
 		t.Fatalf("columnar stream allocated %.1f bytes per comment beyond its arenas, budget 64", perComment)
 	}
+}
+
+// TestDetectStreamRetainsNoChunk: when a columnar stream has returned,
+// nothing of its chunks is still reachable. Every string a chunk hands
+// out — item ids and names, comment texts — aliases that chunk's arena,
+// so one of them kept anywhere (a package-level map key, a channel, a
+// closure, an ecom.Item field copied in another package) keeps the
+// whole arena alive, and a stream that does it per item keeps the
+// corpus. Seven chunks go through; the live heap may grow by two arenas
+// (DESIGN §13 leaves a single pinned string, one chunk at most,
+// unguarded).
+func TestDetectStreamRetainsNoChunk(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under -race")
+	}
+	d := sharedDetector(t)
+	thin := streamCorpora(t)["thin"]
+	var items []ecom.Item
+	for rep := 0; rep < 6; rep++ { // distinct ids: a map keyed by them grows
+		for _, it := range thin {
+			it.ID = fmt.Sprintf("%d-%s", rep, it.ID)
+			items = append(items, it)
+		}
+	}
+	data := encodeItems(t, items, dataset.FormatColumnar)
+	_, arena := arenaBytes(t, data)
+	run := func(data []byte) {
+		_, err := d.DetectStream(context.Background(), dataset.NewReader(bytes.NewReader(data)), StreamOptions{Workers: 2},
+			func(*ecom.Item, Detection) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the second empties the pools' victim caches
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	run(encodeItems(t, thin[:64], dataset.FormatColumnar)) // whatever a first stream builds once
+	items = nil
+	before := live()
+	run(data)
+	after := live()
+	t.Logf("%d bytes of corpus, largest arena %d: live heap %d -> %d", len(data), arena, before, after)
+	if after > before+2*uint64(arena) {
+		t.Fatalf("live heap grew %d bytes across a returned stream, more than two arenas (%d each): a chunk string is still referenced",
+			after-before, arena)
+	}
+	runtime.KeepAlive(data) // the corpus itself is in both readings
 }

@@ -13,7 +13,7 @@ import (
 func TestDetectorSnapshotRoundTrip(t *testing.T) {
 	bank := textgen.NewBank()
 	texts, labels := synth.PolarCorpus(800, 71)
-	a, err := OracleAnalyzer(bank, texts, labels)
+	a, err := OracleAnalyzer(bank.Vocabulary(), bank.PositiveForms(), bank.Negative, texts, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestDetectorSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotRequiresTraining(t *testing.T) {
 	bank := textgen.NewBank()
 	texts, labels := synth.PolarCorpus(200, 74)
-	a, err := OracleAnalyzer(bank, texts, labels)
+	a, err := OracleAnalyzer(bank.Vocabulary(), bank.PositiveForms(), bank.Negative, texts, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestReadSnapshotBadJSON(t *testing.T) {
 func TestSnapshotCarriesDriftBaseline(t *testing.T) {
 	bank := textgen.NewBank()
 	texts, labels := synth.PolarCorpus(600, 77)
-	a, err := OracleAnalyzer(bank, texts, labels)
+	a, err := OracleAnalyzer(bank.Vocabulary(), bank.PositiveForms(), bank.Negative, texts, labels)
 	if err != nil {
 		t.Fatal(err)
 	}

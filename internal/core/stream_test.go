@@ -85,7 +85,8 @@ func TestDetectStreamEmitError(t *testing.T) {
 
 func TestDetectStreamUntrained(t *testing.T) {
 	texts, labels := synth.PolarCorpus(200, 102)
-	a, err := OracleAnalyzer(textgen.NewBank(), texts, labels)
+	bank := textgen.NewBank()
+	a, err := OracleAnalyzer(bank.Vocabulary(), bank.PositiveForms(), bank.Negative, texts, labels)
 	if err != nil {
 		t.Fatal(err)
 	}

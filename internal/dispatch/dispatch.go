@@ -71,9 +71,6 @@ type Options struct {
 	// whose new (non-coalesced) items do not fit is shed with
 	// ErrQueueFull; <= 0 means 4096.
 	MaxQueue int
-	// Workers is the worker budget handed to each fused Scorer call;
-	// <= 0 means GOMAXPROCS.
-	Workers int
 	// RetryAfter is the back-pressure hint shed requests should relay
 	// to clients (the service turns it into a Retry-After header);
 	// <= 0 means 1s.
@@ -346,7 +343,7 @@ func (d *Dispatcher) bypass(ctx context.Context, items []ecom.Item) (Result, err
 	d.m.bypass.Inc()
 	d.m.batches.Inc()
 	d.m.batchSize.Observe(float64(len(items)))
-	dets, X, err := d.scorer.DetectWithFeatures(ctx, items, d.opts.Workers)
+	dets, X, err := d.scorer.DetectWithFeatures(ctx, items, 0)
 	if err != nil {
 		return Result{}, err
 	}
@@ -418,7 +415,7 @@ func (d *Dispatcher) runBatch(batch []*flight) {
 	}
 	d.m.batches.Inc()
 	d.m.batchSize.Observe(float64(len(items)))
-	dets, X, err := d.scorer.DetectWithFeatures(context.Background(), items, d.opts.Workers)
+	dets, X, err := d.scorer.DetectWithFeatures(context.Background(), items, 0)
 
 	// Retire the IDs first so new submissions start fresh flights, then
 	// publish results; the close is the happens-before edge waiters read

@@ -139,7 +139,8 @@ func NewLab(cfg Config) *Lab {
 	l.EPlat = universe(synth.EPlatformConfig(), l.cfg.EPlatScale)
 	l.Analyzer = sync.OnceValues(func() (*core.Analyzer, error) {
 		texts, labels := synth.PolarCorpus(l.cfg.PolarComments, 9101+l.cfg.Seed)
-		return core.OracleAnalyzer(l.Bank(), texts, labels)
+		bank := l.Bank()
+		return core.OracleAnalyzer(bank.Vocabulary(), bank.PositiveForms(), bank.Negative, texts, labels)
 	})
 	l.System = trained(core.DetectorConfig{})
 	l.EPlatSystem = trained(core.DetectorConfig{Threshold: EPlatThreshold})

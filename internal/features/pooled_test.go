@@ -60,29 +60,37 @@ func TestVectorSignalSegmentsOncePerComment(t *testing.T) {
 	}
 }
 
-// TestVectorSignalAllocations: once the scratch pool is warm, the fused
-// path's only allocation is the returned 11-float vector (one alloc).
-// The bound is loose enough to tolerate a pool miss under parallel test
-// runs but tight enough to catch a reintroduced per-comment allocation.
+// TestVectorSignalAllocations: once the scratch pool is warm, every
+// entry that takes a scratch from it allocates only what it returns —
+// the fused paths their 11-float vector, the retaining paths their
+// analysis and each comment's Words. A Get whose scratch never goes
+// back shows here as a fresh scratch (struct, tokens, cells, counts:
+// five allocations and more) on every call. The bounds tolerate a pool
+// miss under parallel test runs but not a per-call or per-comment
+// allocation.
 func TestVectorSignalAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	e := synthExtractor(t)
 	it := item("很好，满意！五星好评。", "质量不错物流很快", "好评好评好评")
-	_, _ = e.VectorSignal(it) // warm the pool
-	allocs := testing.AllocsPerRun(200, func() {
-		_, _ = e.VectorSignal(it)
-	})
-	if allocs > 2 {
-		t.Fatalf("VectorSignal allocated %.1f times per item, want <= 2", allocs)
-	}
 	texts := []string{it.Comments[0].Content, it.Comments[1].Content, it.Comments[2].Content}
-	allocs = testing.AllocsPerRun(200, func() {
-		_, _ = e.VectorSignalTexts(texts)
-	})
-	if allocs > 2 {
-		t.Fatalf("VectorSignalTexts allocated %.1f times per item, want <= 2", allocs)
+	for _, c := range []struct {
+		name string
+		max  float64
+		run  func()
+	}{
+		{"VectorSignal", 2, func() { _, _ = e.VectorSignal(it) }},
+		{"VectorSignalTexts", 2, func() { _, _ = e.VectorSignalTexts(texts) }},
+		// The analysis, its Comments slice and one Words per comment;
+		// like the rows above, one to spare.
+		{"AnalyzeItem", float64(2 + len(it.Comments) + 1), func() { _ = e.AnalyzeItem(it) }},
+		{"AnalyzeComment", 2, func() { _ = e.AnalyzeComment(texts[0]) }},
+	} {
+		c.run() // warm the pool
+		if allocs := testing.AllocsPerRun(200, c.run); allocs > c.max {
+			t.Errorf("%s allocated %.1f times per call, want <= %.0f", c.name, allocs, c.max)
+		}
 	}
 }
 

@@ -26,8 +26,7 @@ func runHandleLease(p *Package, _ Config) []Diagnostic {
 			if !ok {
 				return true
 			}
-			_, obj := p.callee(call)
-			fn, ok := obj.(*types.Func)
+			fn, ok := p.callee(call).(*types.Func)
 			if !ok || fn.Pkg() == p.Pkg || (fn.Name() != "Acquire" && fn.Name() != "Release") {
 				return true
 			}

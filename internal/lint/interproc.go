@@ -5,83 +5,22 @@ import (
 	"go/types"
 )
 
-// This file is the shared interprocedural core behind arena-escape and
-// metric-discipline. PR 3's analyzers were strictly intra-procedural;
-// two contracts introduced since — colfmt arena strings passed into
-// decode helpers, Vec families registered in one package and resolved
-// in another — cross function and package boundaries, so the analyzers
-// need to as well.
-//
-// The design is per-function summaries over a statically resolved call
-// graph. A Program indexes every function declaration across every
-// package the Runner has loaded (the Runner type-checks dependencies
-// before dependents, so by the time a caller is linted its callees are
-// already in the index). arena-escape derives a small summary per
-// function — "result 0 aliases the arena" — computed lazily, memoized by
-// *types.Func, with recursion broken conservatively: a cycle (or a
-// callee outside the program, e.g. stdlib or an interface method)
-// summarizes to the bottom value that never hides a finding in the
-// caller but also never invents one.
-type Program struct {
-	funcs map[types.Object]*FuncInfo
+// What crosses package boundaries here is small: metric-discipline
+// resolves a Vec registered in one package at its With calls in another
+// (the vecs index, filled by scanVecs as the Runner loads each package,
+// dependencies before dependents), and handle-lease asks which function
+// a call names. No rule computes function summaries or walks paths.
 
-	// taint is arena-escape's summary cache, memoized across packages. A
-	// nil entry marks a summary currently being computed (a call cycle);
-	// readers treat it as the conservative bottom.
-	taint map[types.Object]*taintSummary
-
-	vecs map[types.Object]*vecFamily // Vec registrations: var/field -> declared labels
-}
-
-// FuncInfo is one function declaration with the package that owns it,
-// so walkers use the right *types.Info regardless of which package the
-// call site lives in.
-type FuncInfo struct {
-	Pkg  *Package
-	Decl *ast.FuncDecl
-}
-
-func newProgram() *Program {
-	return &Program{
-		funcs: map[types.Object]*FuncInfo{},
-		taint: map[types.Object]*taintSummary{},
-		vecs:  map[types.Object]*vecFamily{},
-	}
-}
-
-// register indexes every function declaration of a freshly loaded
-// package. Called from Runner.load, so the index grows bottom-up in
-// dependency order.
-func (pr *Program) register(p *Package) {
-	for _, fn := range p.funcDecls() {
-		if obj := p.Info.Defs[fn.Name]; obj != nil {
-			pr.funcs[obj] = &FuncInfo{Pkg: p, Decl: fn}
-		}
-	}
-	p.scanVecs()
-}
-
-// callee statically resolves a call to its declaration. Calls through
-// interfaces, function values, and packages outside the program (the
-// standard library) resolve to nil — the conservative unknown.
-func (p *Package) callee(call *ast.CallExpr) (*FuncInfo, types.Object) {
-	var id *ast.Ident
+// callee statically resolves a call to the object it names. Calls
+// through function values resolve to nil — the conservative unknown.
+func (p *Package) callee(call *ast.CallExpr) types.Object {
 	switch f := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		id = f
+		return p.Info.Uses[f]
 	case *ast.SelectorExpr:
-		id = f.Sel
-	default:
-		return nil, nil
+		return p.Info.Uses[f.Sel]
 	}
-	obj := p.Info.Uses[id]
-	if obj == nil {
-		return nil, nil
-	}
-	if fi := p.prog.funcs[obj]; fi != nil {
-		return fi, obj
-	}
-	return nil, obj
+	return nil
 }
 
 // methodName returns the bare name of a method call's selector, or ""
@@ -125,16 +64,6 @@ func hasMethod(n *types.Named, name string) bool {
 		}
 	}
 	return false
-}
-
-// isPkgLevel reports whether obj is a package-level variable.
-func isPkgLevel(obj types.Object) bool {
-	v, ok := obj.(*types.Var)
-	if !ok {
-		return false
-	}
-	scope := v.Parent()
-	return scope != nil && v.Pkg() != nil && scope == v.Pkg().Scope()
 }
 
 // callsIn yields every call expression in the subtree, nested function

@@ -1,13 +1,13 @@
 // Package lint implements catslint, the project's invariant linter.
 //
 // The detection pipeline's load-bearing properties — the zero-allocation
-// hot path, pooled-scratch discipline, bit-deterministic summation
-// order, context propagation, and reproducible randomness — are easy to
-// regress with a single careless line (one string([]byte) conversion,
-// one `range` over a map in a summation loop) and expensive to catch
-// after the fact. This package turns each property into a named
-// analyzer with file:line diagnostics, so the machine proves the
-// invariants on every change instead of a reviewer re-deriving them.
+// hot path, bit-deterministic summation order, context propagation, and
+// reproducible randomness — are easy to regress with a single careless
+// line (one string([]byte) conversion, one `range` over a map in a
+// summation loop) and expensive to catch after the fact. This package
+// turns each property into a named analyzer with file:line diagnostics,
+// so the machine proves the invariants on every change instead of a
+// reviewer re-deriving them.
 //
 // The linter is stdlib-only: packages are discovered by walking the
 // module tree, parsed with go/parser, and type-checked with go/types
@@ -66,7 +66,7 @@ type Package struct {
 	Pkg   *types.Package
 	Info  *types.Info
 
-	prog *Program // the cross-package function index and summary caches
+	vecs map[types.Object]*vecFamily // Vec registrations across every loaded package: var/field -> declared labels
 }
 
 // Analyzer is one named invariant check.
@@ -163,12 +163,10 @@ func appliesTo(suffixes []string, pkgPath string) bool {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		HotpathAlloc,
-		PoolPairing,
 		MapRangeDeterminism,
 		CtxPropagation,
 		NoWallclockRand,
 		HandleLease,
-		ArenaEscape,
 		MetricDiscipline,
 	}
 }
@@ -180,8 +178,8 @@ type Runner struct {
 	fset   *token.FileSet
 	std    types.ImporterFrom
 	pkgs   map[string]*types.Package
-	loaded map[string]*Package // repo packages, keyed by import path
-	prog   *Program            // function index shared by every package
+	loaded map[string]*Package         // repo packages, keyed by import path
+	vecs   map[types.Object]*vecFamily // shared by every package (metric-discipline)
 
 	root    string // module root directory ("" until LintModule)
 	modpath string // module path from go.mod
@@ -195,7 +193,7 @@ func NewRunner() *Runner {
 		std:    importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 		pkgs:   map[string]*types.Package{},
 		loaded: map[string]*Package{},
-		prog:   newProgram(),
+		vecs:   map[types.Object]*vecFamily{},
 	}
 }
 
@@ -273,8 +271,8 @@ func (r *Runner) load(dir, path string) (*Package, error) {
 		return nil, fmt.Errorf("lint: type-check %s: %v", path, typeErrs[0])
 	}
 	r.pkgs[path] = pkg
-	p := &Package{Path: path, Dir: dir, Fset: r.fset, Files: files, Pkg: pkg, Info: info, prog: r.prog}
-	r.prog.register(p)
+	p := &Package{Path: path, Dir: dir, Fset: r.fset, Files: files, Pkg: pkg, Info: info, vecs: r.vecs}
+	p.scanVecs()
 	r.loaded[path] = p
 	return p, nil
 }

@@ -30,7 +30,7 @@ func TestFixtureCorpus(t *testing.T) {
 	r := NewRunner()
 	// Pre-load the stand-in dependency packages so fixtures importing
 	// them type-check regardless of subtest filtering order.
-	for _, dep := range []string{"obsfix", "regfix", "colfix", "obsvec"} {
+	for _, dep := range []string{"obsfix", "regfix", "obsvec"} {
 		if _, err := r.load(filepath.Join("testdata", "src", dep), "fix/"+dep); err != nil {
 			t.Fatalf("load %s fixture: %v", dep, err)
 		}
@@ -49,13 +49,6 @@ func TestFixtureCorpus(t *testing.T) {
 				{"hotpath-alloc", 22, "map literal allocates"},
 				{"hotpath-alloc", 25, `append to "fresh"`},
 				{"hotpath-alloc", 27, `closure captures "total"`},
-			},
-		},
-		{
-			pkg: "pool",
-			want: []want{
-				{"pool-pairing", 13, "return after bufs.Get without bufs.Put"},
-				{"pool-pairing", 21, "bufs.Get is not followed by bufs.Put before the end of drop"},
 			},
 		},
 		{
@@ -118,15 +111,6 @@ func TestFixtureCorpus(t *testing.T) {
 			// is built from them — are what the rule leaves alone.
 			pkg:  "regfix",
 			want: nil,
-		},
-		{
-			pkg: "arenaescape",
-			want: []want{
-				{"arena-escape", 23, "package-level cache"},
-				{"arena-escape", 31, "package-level index"},
-				{"arena-escape", 37, "package-level channel events"},
-				{"arena-escape", 47, "passed to retain"},
-			},
 		},
 		{
 			pkg: "metricvec",
@@ -241,14 +225,12 @@ func TestAnalyzerNamesStable(t *testing.T) {
 	}
 	sort.Strings(names)
 	want := []string{
-		"arena-escape",
 		"ctx-propagation",
 		"handle-lease",
 		"hotpath-alloc",
 		"map-range-determinism",
 		"metric-discipline",
 		"no-wallclock-rand",
-		"pool-pairing",
 	}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Errorf("analyzer names = %v, want %v", names, want)

@@ -85,21 +85,22 @@ func (p *Package) vecRef(e ast.Expr) types.Object {
 }
 
 // scanVecs indexes every Vec registration in the package — assignments
-// to variables, var specs, and struct-literal fields — into the
-// program-wide family table. Called at load time so registrations in
-// dependency packages are indexed before their users are linted.
+// to variables, var specs, and struct-literal fields — into vecs, the
+// family table every package of the run shares. Called at load time so
+// registrations in dependency packages are indexed before their users
+// are linted.
 func (p *Package) scanVecs() {
 	record := func(obj types.Object, fam *vecFamily) {
 		if obj == nil {
 			return
 		}
-		if prev, ok := p.prog.vecs[obj]; ok && prev.keys != nil && fam.keys != nil {
+		if prev, ok := p.vecs[obj]; ok && prev.keys != nil && fam.keys != nil {
 			if !equalStrings(prev.keys, fam.keys) {
-				p.prog.vecs[obj] = &vecFamily{} // conflicting registrations: unknown
+				p.vecs[obj] = &vecFamily{} // conflicting registrations: unknown
 			}
 			return
 		}
-		p.prog.vecs[obj] = fam
+		p.vecs[obj] = fam
 	}
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -200,7 +201,7 @@ func (p *Package) lintWith(call *ast.CallExpr, cfg Config) []Diagnostic {
 	var diags []Diagnostic
 	var fam *vecFamily
 	if obj := p.vecRef(recvExpr(call)); obj != nil {
-		fam = p.prog.vecs[obj]
+		fam = p.vecs[obj]
 	}
 	if fam != nil && fam.keys != nil && !call.Ellipsis.IsValid() {
 		if len(call.Args) != len(fam.keys) {

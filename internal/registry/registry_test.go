@@ -25,7 +25,7 @@ func trainSnapshot(t testing.TB, trainSeed int64, cfg core.DetectorConfig) (*cor
 	t.Helper()
 	bank := textgen.NewBank()
 	texts, labels := synth.PolarCorpus(600, 91)
-	analyzer, err := core.OracleAnalyzer(bank, texts, labels)
+	analyzer, err := core.OracleAnalyzer(bank.Vocabulary(), bank.PositiveForms(), bank.Negative, texts, labels)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -474,6 +474,46 @@ func TestDecodedItemsShareNothingWithTheBuffer(t *testing.T) {
 	}
 }
 
+// resetBody is a request body a test rewinds instead of rebuilding.
+type resetBody struct{ bytes.Reader }
+
+func (*resetBody) Close() error { return nil }
+
+// TestDecodeItemsSteadyStateAllocations: with bodyPool warm, reading a
+// request allocates what decoding its bytes allocates plus two, the
+// MaxBytesReader and the request value behind its interface — the read
+// buffer comes out of the pool and goes back into it. A buffer that
+// does not go back shows as two more again (the bytes.Buffer and its
+// array) on every request.
+func TestDecodeItemsSteadyStateAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	srv, _, _ := newTestService(t, Options{})
+	body := coldBody(t)
+	decodeOnly := testing.AllocsPerRun(100, func() {
+		var req DetectRequest
+		if !req.decodeFast(body) {
+			t.Fatal("fast decoder declined the canonical body")
+		}
+	})
+	rd := new(resetBody)
+	r := httptest.NewRequest(http.MethodPost, "/v1/detect", rd)
+	r.ContentLength = int64(len(body))
+	w := httptest.NewRecorder()
+	read := func() {
+		rd.Reset(body)
+		var req DetectRequest
+		if err := srv.decodeItems(w, r, srv.detectDecodes, &req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read() // warm the pool
+	if allocs := testing.AllocsPerRun(100, read); allocs > decodeOnly+2 {
+		t.Fatalf("decodeItems allocated %.0f times per request, decoding alone %.0f: want at most two more", allocs, decodeOnly)
+	}
+}
+
 // TestOversizedBodyIs413WhateverItHolds: the body is read to the cap
 // before it is decoded, so a complete JSON value followed by padding
 // past the cap is too large, not valid.

@@ -105,17 +105,6 @@ type Options struct {
 	// Bearer <token>). Empty disables the admin endpoints entirely:
 	// they answer 403, and no unauthenticated reload path exists.
 	AdminToken string
-	// TrainingSample is the feature matrix of the detector's training
-	// set, used as the default tenant's drift baseline. When set, the
-	// service tracks the feature distributions of scored traffic and
-	// /v1/drift reports per-feature KS distances against training —
-	// the drift signal that tells operators the model needs retraining
-	// (fraud campaigns adapt). Without it, and for every other tenant,
-	// the baseline is each model's own snapshot-carried training sample.
-	TrainingSample [][]float64
-	// DriftReservoir caps the retained scored-traffic sample per
-	// feature per tenant; <= 0 means 4096.
-	DriftReservoir int
 	// Registry receives the service's HTTP metrics and backs /metrics;
 	// nil means obs.Default (which also carries the pipeline's own
 	// counters and stage histograms).
@@ -137,14 +126,14 @@ func (o Options) withDefaults() Options {
 	if o.MaxItems <= 0 {
 		o.MaxItems = 10000
 	}
-	if o.DriftReservoir <= 0 {
-		o.DriftReservoir = 4096
-	}
 	if o.DefaultTenant == "" {
 		o.DefaultTenant = DefaultTenant
 	}
 	return o
 }
+
+// driftReservoir caps the retained scored-traffic sample per tenant.
+const driftReservoir = 4096
 
 // driftState is one tenant's scored-traffic reservoir plus the
 // training baseline it is compared against. The state resets when the
@@ -185,8 +174,7 @@ type Server struct {
 // SetReady(false) flips /readyz to 503 (catsserve does this before
 // draining on shutdown, so load balancers stop routing to it).
 // Per-tenant drift baselines come from each model's snapshot-carried
-// training sample, with Options.TrainingSample overriding the default
-// tenant's first generation.
+// training sample.
 func NewWithRegistry(reg *registry.Registry, opts Options) *Server {
 	opts = opts.withDefaults()
 	obsReg := opts.Registry
@@ -245,7 +233,11 @@ func (s *Server) driftFor(tenant string, h *registry.Handle) *driftState {
 	switch {
 	case h.Generation > st.gen:
 		st.gen = h.Generation
-		st.baseline = s.baselineFor(tenant, h)
+		// The model's own training sample, so that a promoted or
+		// reloaded model is measured against what it was fitted on,
+		// never its predecessor's training set. A model that carries
+		// none has drift disabled.
+		st.baseline = h.Detector.TrainingSample()
 		st.seen = 0
 		st.res = nil
 		st.rng = rand.New(rand.NewSource(int64(h.Generation)))
@@ -255,29 +247,12 @@ func (s *Server) driftFor(tenant string, h *registry.Handle) *driftState {
 		st.mu.Unlock()
 		return nil
 	}
-	if st.baseline == nil {
+	if len(st.baseline) == 0 {
 		st.mu.Unlock()
 		return nil
 	}
 	st.mu.Unlock()
 	return st
-}
-
-// baselineFor resolves a tenant's drift baseline. Generation 1 of the
-// default tenant honors the explicit Options.TrainingSample (the
-// operator-provided startup baseline); everything else — other
-// tenants, trainer promotions, hot reloads — uses the model's own
-// training sample, so a promoted model is measured against the window
-// it was fitted on, never its predecessor's training set. A model that
-// carries none has drift disabled.
-func (s *Server) baselineFor(tenant string, h *registry.Handle) [][]float64 {
-	if h.Generation <= 1 && tenant == s.opts.DefaultTenant && s.opts.TrainingSample != nil {
-		return s.opts.TrainingSample
-	}
-	if b := h.Detector.TrainingSample(); len(b) > 0 {
-		return b
-	}
-	return nil
 }
 
 // recordDrift reservoir-samples scored feature vectors into the
@@ -287,7 +262,7 @@ func (s *Server) recordDrift(st *driftState, vectors [][]float64) {
 	defer st.mu.Unlock()
 	for _, v := range vectors {
 		st.seen++
-		if len(st.res) < s.opts.DriftReservoir {
+		if len(st.res) < driftReservoir {
 			st.res = append(st.res, v)
 			continue
 		}

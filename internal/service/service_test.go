@@ -54,7 +54,7 @@ func trainTestDetector(t testing.TB) (*core.Detector, *core.Analyzer, *textgen.B
 	t.Helper()
 	bank := textgen.NewBank()
 	texts, labels := synth.PolarCorpus(800, 91)
-	analyzer, err := core.OracleAnalyzer(bank, texts, labels)
+	analyzer, err := core.OracleAnalyzer(bank.Vocabulary(), bank.PositiveForms(), bank.Negative, texts, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestDriftEndpoint(t *testing.T) {
 	// profiles, and confirm the KS signal distinguishes them.
 	bank := textgen.NewBank()
 	texts, labels := synth.PolarCorpus(800, 94)
-	analyzer, err := core.OracleAnalyzer(bank, texts, labels)
+	analyzer, err := core.OracleAnalyzer(bank.Vocabulary(), bank.PositiveForms(), bank.Negative, texts, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,8 +367,7 @@ func TestDriftEndpoint(t *testing.T) {
 	if err := det.Train(&train.Dataset, 0); err != nil {
 		t.Fatal(err)
 	}
-	trainX := det.Extractor().ExtractDataset(train.Dataset.Items, nil, 0)
-	srv := serveDetector(t, det, analyzer, Options{TrainingSample: trainX}, nil)
+	srv := serveDetector(t, det, analyzer, Options{}, nil) // drift on: Train kept a sample
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -430,8 +429,8 @@ func TestDriftEndpoint(t *testing.T) {
 }
 
 // TestDriftDisabled: a model that carries no training sample (here a
-// snapshot with it cleared) on a server given no operator baseline has
-// nothing to measure drift against, so /v1/drift answers 501.
+// snapshot with it cleared) has nothing to measure drift against, so
+// /v1/drift answers 501.
 func TestDriftDisabled(t *testing.T) {
 	trained, analyzer, bank := trainTestDetector(t)
 	snap, err := trained.Snapshot(bank.Vocabulary(), analyzer)
@@ -462,7 +461,7 @@ func TestDriftDisabled(t *testing.T) {
 func TestDetectSegmentsOncePerComment(t *testing.T) {
 	bank := textgen.NewBank()
 	texts, labels := synth.PolarCorpus(800, 96)
-	analyzer, err := core.OracleAnalyzer(bank, texts, labels)
+	analyzer, err := core.OracleAnalyzer(bank.Vocabulary(), bank.PositiveForms(), bank.Negative, texts, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,8 +472,7 @@ func TestDetectSegmentsOncePerComment(t *testing.T) {
 	if err := det.Train(&train.Dataset, 0); err != nil {
 		t.Fatal(err)
 	}
-	trainX := det.Extractor().ExtractDataset(train.Dataset.Items, nil, 0)
-	srv := serveDetector(t, det, analyzer, Options{TrainingSample: trainX}, nil) // drift ON
+	srv := serveDetector(t, det, analyzer, Options{}, nil) // drift on: Train kept a sample
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

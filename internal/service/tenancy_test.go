@@ -26,7 +26,7 @@ func newTenantFixture(t *testing.T) (*Server, *httptest.Server, string, []byte) 
 	t.Helper()
 	bank := textgen.NewBank()
 	texts, labels := synth.PolarCorpus(600, 91)
-	analyzer, err := core.OracleAnalyzer(bank, texts, labels)
+	analyzer, err := core.OracleAnalyzer(bank.Vocabulary(), bank.PositiveForms(), bank.Negative, texts, labels)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func newTrainerService(t testing.TB, tcfg trainer.Config, opts Options) (*Server
 	t.Helper()
 	bank := textgen.NewBank()
 	texts, labels := synth.PolarCorpus(800, 91)
-	analyzer, err := core.OracleAnalyzer(bank, texts, labels)
+	analyzer, err := core.OracleAnalyzer(bank.Vocabulary(), bank.PositiveForms(), bank.Negative, texts, labels)
 	if err != nil {
 		t.Fatal(err)
 	}

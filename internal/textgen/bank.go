@@ -169,6 +169,18 @@ func (b *Bank) IsPositive(w string) bool {
 	return false
 }
 
+// PositiveForms lists the ground-truth positive lexicon: the positive
+// words and the homograph variants of each (what IsPositive accepts).
+func (b *Bank) PositiveForms() []string {
+	out := append([]string(nil), b.Positive...)
+	for base, vars := range b.Homographs {
+		if _, ok := b.positiveSet[base]; ok {
+			out = append(out, vars...)
+		}
+	}
+	return out
+}
+
 // IsNegative reports whether w belongs to the ground-truth negative
 // lexicon.
 func (b *Bank) IsNegative(w string) bool {

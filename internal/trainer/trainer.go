@@ -79,9 +79,6 @@ type Config struct {
 	// MinClassSamples is the per-class floor for a stratified split;
 	// <= 0 means 4 (so both split sides see both classes).
 	MinClassSamples int
-	// Holdout is the fraction of the window held out for the gate;
-	// outside (0,1) means 0.3.
-	Holdout float64
 	// MinF1Gain is the gate margin: promote iff challenger F1 exceeds
 	// champion F1 by strictly more than this. The zero default means an
 	// exact tie never promotes; negative values force promotion (used
@@ -96,9 +93,6 @@ type Config struct {
 	Cooldown time.Duration
 	// Seed offsets the split RNG (combined with the window hash).
 	Seed int64
-	// Workers bounds training/scoring parallelism; <= 0 means
-	// GOMAXPROCS.
-	Workers int
 	// History bounds the retained per-tenant decision log; <= 0 means 16.
 	History int
 	// OnCycle, when non-nil, observes every completed cycle decision
@@ -119,9 +113,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinClassSamples <= 0 {
 		c.MinClassSamples = 4
-	}
-	if c.Holdout <= 0 || c.Holdout >= 1 {
-		c.Holdout = 0.3
 	}
 	if c.History <= 0 {
 		c.History = 16
@@ -356,12 +347,12 @@ func (t *Trainer) challenge(ctx context.Context, st *tenantState, d *Decision, r
 	hash := windowHash(recs)
 	d.WindowHash = fmt.Sprintf("%016x", hash)
 	rng := rand.New(rand.NewSource(t.cfg.Seed ^ int64(hash)))
-	train, hold := splitFeedback(recs, t.cfg.Holdout, rng)
+	train, hold := splitFeedback(recs, rng)
 
 	challenger := core.NewDetector(h.Analyzer, h.Detector.Config())
 	d.ChallengerVersion = fmt.Sprintf("retrain-c%d#%016x", d.Cycle, hash)
 	t0 := t.clock.Now()
-	if err := challenger.TrainTexts(train.items, train.texts, t.cfg.Workers); err != nil {
+	if err := challenger.TrainTexts(train.items, train.texts, 0); err != nil {
 		d.Outcome = OutcomeError
 		d.Reason = "train challenger: " + err.Error()
 		return
@@ -369,13 +360,13 @@ func (t *Trainer) challenge(ctx context.Context, st *tenantState, d *Decision, r
 	d.TrainSeconds = t.clock.Now().Sub(t0).Seconds()
 	st.m.trainSeconds.Observe(d.TrainSeconds)
 
-	champM, err := holdoutMetrics(ctx, h.Detector, hold, t.cfg.Workers)
+	champM, err := holdoutMetrics(ctx, h.Detector, hold)
 	if err != nil {
 		d.Outcome = OutcomeError
 		d.Reason = "score champion: " + err.Error()
 		return
 	}
-	chalM, err := holdoutMetrics(ctx, challenger, hold, t.cfg.Workers)
+	chalM, err := holdoutMetrics(ctx, challenger, hold)
 	if err != nil {
 		d.Outcome = OutcomeError
 		d.Reason = "score challenger: " + err.Error()
@@ -529,11 +520,14 @@ func (s *split) add(r *record) {
 	s.texts = append(s.texts, r.texts())
 }
 
+// holdout is the fraction of the window held out for the gate.
+const holdout = 0.3
+
 // splitFeedback partitions a window snapshot into stratified train and
 // holdout sets: each class is shuffled with the seeded rng and cut at
 // the holdout fraction, so both sides see both classes and the same
 // window always splits identically.
-func splitFeedback(recs []record, holdout float64, rng *rand.Rand) (train, hold split) {
+func splitFeedback(recs []record, rng *rand.Rand) (train, hold split) {
 	var posIdx, negIdx []int
 	for i := range recs {
 		if recs[i].fraud {
@@ -564,8 +558,8 @@ func splitFeedback(recs []record, holdout float64, rng *rand.Rand) (train, hold 
 
 // holdoutMetrics scores det over the holdout set and folds the verdicts
 // into P/R/F1 under the experiments' convention (core.Evaluate).
-func holdoutMetrics(ctx context.Context, det *core.Detector, hold split, workers int) (eval.Metrics, error) {
-	dets, err := det.DetectTexts(ctx, hold.items, hold.texts, workers)
+func holdoutMetrics(ctx context.Context, det *core.Detector, hold split) (eval.Metrics, error) {
+	dets, err := det.DetectTexts(ctx, hold.items, hold.texts, 0)
 	if err != nil {
 		return eval.Metrics{}, err
 	}

@@ -50,8 +50,10 @@ func (s *System) SaveFile(path string, vocabulary []string) error {
 // write is atomic: the snapshot lands in a temporary file in path's
 // directory, is fsynced, and only then renamed over path — so a crash
 // mid-save can never leave a truncated model where a serving reload (or
-// the next boot) would pick it up. On any failure the temporary file is
-// removed and path is untouched.
+// the next boot) would pick it up — and the directory is fsynced after
+// the rename, so a save that returned nil survives a crash. On a failure
+// before the rename the temporary file is removed and path is untouched;
+// one after it leaves the new snapshot in place, not yet known durable.
 func (s *System) SaveFileFormat(path string, vocabulary []string, format SnapshotFormat) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -82,6 +84,16 @@ func (s *System) SaveFileFormat(path string, vocabulary []string, format Snapsho
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("cats: save: %w", err)
+	}
+	// The rename is an edit of the directory: it is durable once the
+	// directory is.
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return fmt.Errorf("cats: save: sync directory: %w", err)
+	}
+	defer dir.Close()
+	if err := dir.Sync(); err != nil {
+		return fmt.Errorf("cats: save: sync directory: %w", err)
 	}
 	return nil
 }

@@ -52,13 +52,32 @@ func TestSystemSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// onlyEntries fails the test unless dir holds exactly the named entries:
+// a save, finished or failed, leaves no *.tmp-* sibling behind.
+func onlyEntries(t *testing.T, dir string, want ...string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range ents {
+		got = append(got, e.Name())
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("%s holds %q, want %q", dir, got, want)
+	}
+}
+
 func TestSystemSaveLoadFile(t *testing.T) {
 	sys := trainSystem(t)
 	bank := textgen.NewBank()
-	path := filepath.Join(t.TempDir(), "model.json")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.json")
 	if err := sys.SaveFile(path, bank.Vocabulary()); err != nil {
 		t.Fatal(err)
 	}
+	onlyEntries(t, dir, "model.json")
 	restored, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -167,9 +186,36 @@ func TestLoadValidJSONWrongShape(t *testing.T) {
 func TestSaveFileUnwritable(t *testing.T) {
 	sys := trainSystem(t)
 	bank := textgen.NewBank()
-	path := filepath.Join(t.TempDir(), "missing-dir", "model.json")
-	if err := sys.SaveFile(path, bank.Vocabulary()); err == nil {
+	dir := t.TempDir()
+	if err := sys.SaveFile(filepath.Join(dir, "missing-dir", "model.json"), bank.Vocabulary()); err == nil {
 		t.Fatal("SaveFile into a missing directory should error")
+	}
+	// A save that fails at its last step before publishing, the rename
+	// (over a directory that is not empty), removes its temporary file.
+	taken := filepath.Join(dir, "model.json")
+	if err := os.MkdirAll(filepath.Join(taken, "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SaveFile(taken, bank.Vocabulary()); err == nil {
+		t.Fatal("SaveFile over a non-empty directory should error")
+	}
+	onlyEntries(t, dir, "model.json")
+
+	// A directory that takes the file but cannot be opened to be synced:
+	// the rename may not be durable, and the save says so.
+	locked := filepath.Join(dir, "locked")
+	if err := os.Mkdir(locked, 0o300); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chmod(locked, 0o700) // for TempDir's cleanup
+	if d, err := os.Open(locked); err == nil {
+		d.Close()
+		t.Log("this user opens a write-only directory (root): the directory sync cannot be made to fail")
+		return
+	}
+	err := sys.SaveFile(filepath.Join(locked, "model.json"), bank.Vocabulary())
+	if err == nil || !strings.Contains(err.Error(), "sync directory") {
+		t.Fatalf("SaveFile into a directory that cannot be opened: %v, want the directory sync's error", err)
 	}
 }
 
