@@ -170,10 +170,10 @@ func (s *System) DetectContext(ctx context.Context, items []Item) ([]Detection, 
 // ever called from the calling goroutine, one call at a time, with each
 // item and its detection in input order; it must not keep the item past
 // its call. The stream reads what the detector uses — item-level fields
-// and comment texts — so on both formats emit's item carries its ID,
-// ShopID, Name, Category, PriceCents, SalesVolume and Label with
-// Comments == nil; an item under the rule filter's sales cutoff is
-// filtered inside the decode, its text never materialized. StreamStats
+// and comment texts — so on both formats emit's item is projected: its
+// ID, ShopID, Name, Category, PriceCents, SalesVolume, Label and Texts
+// with Comments == nil; an item under the rule filter's sales cutoff is
+// filtered inside the decode, its Texts nil. StreamStats
 // counts a JSONL input's lines by decoder (canonical lines take the fast
 // one). A non-nil error from emit aborts the stream; a panic
 // in the read or score stage is returned as an error naming the stage.
@@ -209,5 +209,5 @@ func (s *System) Explain(item *Item) ([]gbt.Importance, error) {
 // set, for callers running their own evaluations (cross-validation,
 // baselines).
 func (s *System) MLDataset(items []Item) *ml.Dataset {
-	return s.detector.BuildMLDataset(items, nil, s.workers)
+	return s.detector.BuildMLDataset(items, s.workers)
 }

@@ -13,6 +13,11 @@
 // -threshold or -corpus beside -load-model, -model-format without
 // -save-model.
 //
+// The output is a TSV: a header, then item_id, score, fraud, filtered
+// per item. An item_id holding a tab, CR or LF, or beginning with a
+// double quote, is written Go-quoted (strconv.Quote), so every row has
+// four fields; every other id is written as it is.
+//
 // The semantic analyzer (word2vec lexicons + sentiment model) is
 // trained on a generated comment corpus; at full deployment it would be
 // trained on the target platform's own public comments. A trained
@@ -27,6 +32,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -201,9 +207,14 @@ func summary(stats cats.StreamStats, wall time.Duration) string {
 
 // appendRow appends d's TSV row — item_id, score to four decimals,
 // fraud, filtered — to dst: the bytes fmt's "%s\t%.4f\t%v\t%v\n" would
-// print, without its interface boxing and verb parsing per row.
+// print, without its interface boxing and verb parsing per row. An id
+// that would break the row, or that begins with the quote, is quoted.
 func appendRow(dst []byte, d *cats.Detection) []byte {
-	dst = append(dst, d.ItemID...)
+	if strings.ContainsAny(d.ItemID, "\t\r\n") || strings.HasPrefix(d.ItemID, `"`) {
+		dst = strconv.AppendQuote(dst, d.ItemID)
+	} else {
+		dst = append(dst, d.ItemID...)
+	}
 	dst = append(dst, '\t')
 	dst = strconv.AppendFloat(dst, d.Score, 'f', 4, 64)
 	dst = append(dst, '\t')

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -158,6 +159,35 @@ func TestAppendRowMatchesFprintf(t *testing.T) {
 		row = appendRow(row[:0], &d)
 		if string(row) != want {
 			t.Errorf("appendRow(%+v) = %q, Fprintf wrote %q", d, row, want)
+		}
+	}
+}
+
+// TestAppendRowQuotesIDsThatBreakTheRow: an id holding a tab, CR or LF
+// would give a row of more than four fields, so it is written
+// strconv.Quote'd — and so is one beginning with a quote, so that a
+// leading quote always means a quoted id. Every other id, a quote inside
+// it included, is written as it is.
+func TestAppendRowQuotesIDsThatBreakTheRow(t *testing.T) {
+	for _, c := range []struct{ id, field string }{
+		{"a\tb", `"a\tb"`},
+		{"a\nb", `"a\nb"`},
+		{"a\rb", `"a\rb"`},
+		{"\t", `"\t"`},
+		{`"quoted"`, `"\"quoted\""`},
+		{`"`, `"\""`},
+		{`mid"quote`, `mid"quote`},
+		{"商品 7", "商品 7"},
+		{"", ""},
+	} {
+		row := string(appendRow(nil, &cats.Detection{ItemID: c.id, Score: 0.5, IsFraud: true}))
+		fields := strings.Split(strings.TrimSuffix(row, "\n"), "\t")
+		if len(fields) != 4 || fields[0] != c.field || strings.Count(row, "\n") != 1 {
+			t.Errorf("id %q: row %q, want four fields, the first %q", c.id, row, c.field)
+			continue
+		}
+		if id, err := strconv.Unquote(fields[0]); strings.HasPrefix(fields[0], `"`) && (err != nil || id != c.id) {
+			t.Errorf("id %q: field %s unquotes to %q (%v)", c.id, fields[0], id, err)
 		}
 	}
 }

@@ -58,6 +58,17 @@ func TestCLIEndToEnd(t *testing.T) {
 	// 1. Generate datasets.
 	run(catsgen, "-dataset", "d0", "-scale", "0.004", "-out", trainPath)
 	run(catsgen, "-dataset", "d1", "-scale", "0.0003", "-out", detectPath)
+	// One more item, whose id holds a tab: its row must still have four
+	// fields, the id quoted.
+	d1, err := os.ReadFile(detectPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _, _ := bytes.Cut(d1, []byte("\n"))
+	tabbed := bytes.Replace(first, []byte(`"item_id":"`), []byte(`"item_id":"tab\tid-`), 1)
+	if err := os.WriteFile(detectPath, append(append(d1, tabbed...), '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	// 2. Train, detect, save.
 	run(catsBin, "-train", trainPath, "-detect", detectPath,
@@ -69,6 +80,14 @@ func TestCLIEndToEnd(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(string(tsv)), "\n")
 	if len(lines) < 2 || !strings.HasPrefix(lines[0], "item_id\t") {
 		t.Fatalf("unexpected TSV output:\n%s", string(tsv)[:min(200, len(tsv))])
+	}
+	for _, line := range lines {
+		if strings.Count(line, "\t") != 3 {
+			t.Fatalf("TSV row with other than four fields: %q", line)
+		}
+	}
+	if last := lines[len(lines)-1]; !strings.HasPrefix(last, `"tab\tid-`) {
+		t.Fatalf("the tabbed id's row is %q, want it quoted", last)
 	}
 
 	// 3. Reload the model and detect again — output must match.

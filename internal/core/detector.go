@@ -111,10 +111,9 @@ func (d *Detector) PassesFilter(item *ecom.Item) bool {
 }
 
 // BuildMLDataset extracts features for every item into an ml.Dataset
-// with binary labels (fraud = 1). texts is nil or stands in for the
-// items' Comments (see analyzeOne). workers <= 0 uses GOMAXPROCS.
-func (d *Detector) BuildMLDataset(items []ecom.Item, texts [][]string, workers int) *ml.Dataset {
-	X := d.extractor.ExtractDataset(items, texts, workers)
+// with binary labels (fraud = 1). workers <= 0 uses GOMAXPROCS.
+func (d *Detector) BuildMLDataset(items []ecom.Item, workers int) *ml.Dataset {
+	X := d.extractor.ExtractDataset(items, workers)
 	y := make([]int, len(items))
 	for i := range items {
 		if items[i].Label.IsFraud() {
@@ -138,7 +137,7 @@ func (d *Detector) Explain(item *ecom.Item) ([]gbt.Importance, error) {
 }
 
 // ExplainVector is Explain for a feature vector the caller already has
-// (e.g. from DetectItemWithFeatures), avoiding a second extraction.
+// (e.g. from DetectWithFeatures), avoiding a second extraction.
 func (d *Detector) ExplainVector(v []float64) ([]gbt.Importance, error) {
 	if !d.trained {
 		return nil, ErrNotTrained
@@ -148,14 +147,9 @@ func (d *Detector) ExplainVector(v []float64) ([]gbt.Importance, error) {
 
 // Train fits the classifier on a labeled dataset (the paper pre-trains
 // on D0). The rule filter is not applied to training data: D0 is
-// already curated.
+// already curated. Its items may be rows or projected.
 func (d *Detector) Train(ds *ecom.Dataset, workers int) error {
-	return d.TrainTexts(ds.Items, nil, workers)
-}
-
-// TrainTexts is Train with the items' texts (nil, or see analyzeOne).
-func (d *Detector) TrainTexts(items []ecom.Item, texts [][]string, workers int) error {
-	mlds := d.BuildMLDataset(items, texts, workers)
+	mlds := d.BuildMLDataset(ds.Items, workers)
 	if err := d.clf.Fit(mlds); err != nil {
 		return fmt.Errorf("core: train detector: %w", err)
 	}
@@ -216,29 +210,19 @@ func (d *Detector) readsText(item *ecom.Item) bool {
 // The returned vector is nil when features were never computed (the
 // item fell to the sales cutoff); filtered-by-signal items still return
 // their vector since the analysis had to run to prove the absence of a
-// positive signal.
-//
-// texts stands in for the Comments of an item from a projected read
-// (dataset.Reader.NextTexts), which has none; it is nil otherwise, and
-// may be for an item readsText refuses.
-func (d *Detector) analyzeOne(item *ecom.Item, texts []string) (det Detection, v []float64, needScore bool) {
+// positive signal. The item may be a row or projected (its Texts, which
+// a projected read leaves nil for an item readsText refuses).
+func (d *Detector) analyzeOne(item *ecom.Item) (det Detection, v []float64, needScore bool) {
 	det = Detection{ItemID: item.ID}
 	if !d.readsText(item) {
 		d.m.itemsFilteredSales.Inc()
 		det.Filtered = true
 		return det, nil, false
 	}
-	var hasPositive bool
-	comments := len(item.Comments)
 	sp := obs.StartSpan(d.m.stageAnalyze)
-	if comments > 0 {
-		v, hasPositive = d.extractor.VectorSignal(item)
-	} else {
-		comments = len(texts)
-		v, hasPositive = d.extractor.VectorSignalTexts(texts)
-	}
+	v, hasPositive := d.extractor.VectorSignal(item)
 	sp.End()
-	d.m.commentsAnalyzed.Add(uint64(comments))
+	d.m.commentsAnalyzed.Add(uint64(len(item.Texts) + len(item.Comments)))
 	if !d.cfg.DisableRuleFilter && !hasPositive {
 		d.m.itemsFilteredSignal.Inc()
 		det.Filtered = true
@@ -248,30 +232,16 @@ func (d *Detector) analyzeOne(item *ecom.Item, texts []string) (det Detection, v
 	return det, v, true
 }
 
-// scoreOne is analyzeOne plus the classifier score — the single-item
-// detection path.
-func (d *Detector) scoreOne(item *ecom.Item) (Detection, []float64) {
-	det, v, need := d.analyzeOne(item, nil)
-	if need {
-		sp := obs.StartSpan(d.m.stageScore)
-		score := d.clf.PredictProba(v)
-		sp.End()
-		d.applyScore(&det, score)
-	}
-	return det, v
-}
-
 // scoreBatch analyzes items in parallel, preserving item order, then
 // scores the survivors. Analysis workers claim items from a shared
 // cursor (par.For), each writing only its own slots of the output
 // slices; the scoring phase (scorePending) then runs
 // gbt.PredictProbaBatch over the survivors, split across the same
-// worker budget. Scores are bit-identical to scoreOne.
+// worker budget. It is every detection path's one scoring call.
 //
-// texts is nil or, for items of a projected read, their comments'
-// contents (see analyzeOne). workers <= 0 uses GOMAXPROCS. Cancellation
-// of ctx stops workers from claiming new items and returns its error.
-func (d *Detector) scoreBatch(ctx context.Context, items []ecom.Item, texts [][]string, workers int) ([]Detection, [][]float64, error) {
+// workers <= 0 uses GOMAXPROCS. Cancellation of ctx stops workers from
+// claiming new items and returns its error.
+func (d *Detector) scoreBatch(ctx context.Context, items []ecom.Item, workers int) ([]Detection, [][]float64, error) {
 	if !d.trained {
 		return nil, nil, ErrNotTrained
 	}
@@ -284,22 +254,12 @@ func (d *Detector) scoreBatch(ctx context.Context, items []ecom.Item, texts [][]
 	X := make([][]float64, len(items))
 	needScore := make([]bool, len(items))
 	err := par.For(ctx, len(items), workers, func(i int) {
-		var t []string
-		if texts != nil {
-			t = texts[i]
-		}
-		dets[i], X[i], needScore[i] = d.analyzeOne(&items[i], t)
+		dets[i], X[i], needScore[i] = d.analyzeOne(&items[i])
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	n := 0
-	for _, need := range needScore {
-		if need {
-			n++
-		}
-	}
-	pending := make([]int, 0, n) // indices awaiting a batch score, in item order
+	pending := make([]int, 0, len(items)) // indices awaiting a batch score, in item order
 	for i, need := range needScore {
 		if need {
 			pending = append(pending, i)
@@ -307,13 +267,6 @@ func (d *Detector) scoreBatch(ctx context.Context, items []ecom.Item, texts [][]
 	}
 	d.scorePending(dets, X, pending, workers)
 	return dets, X, nil
-}
-
-// applyScore finalizes one detection from its fraud probability. Both
-// scoring paths (single-item and batch) converge here.
-func (d *Detector) applyScore(det *Detection, score float64) {
-	det.Score = score
-	det.IsFraud = score >= d.cfg.Threshold
 }
 
 // scorePending batch-scores the pending rows through the boosted-tree
@@ -351,7 +304,7 @@ func (d *Detector) scorePending(dets []Detection, X [][]float64, pending []int, 
 	wg.Wait()
 	sp.End()
 	for k, i := range pending {
-		d.applyScore(&dets[i], scores[k])
+		dets[i].Score, dets[i].IsFraud = scores[k], scores[k] >= d.cfg.Threshold
 	}
 }
 
@@ -359,22 +312,13 @@ func (d *Detector) scorePending(dets []Detection, X [][]float64, pending []int, 
 // spawn cost never dominates a small batch.
 const minScoreChunk = 64
 
-// DetectItem scores a single item. Filtered items get Score 0.
+// DetectItem scores one item as a batch of one. Filtered items get Score 0.
 func (d *Detector) DetectItem(item *ecom.Item) (Detection, error) {
-	det, _, err := d.DetectItemWithFeatures(item)
-	return det, err
-}
-
-// DetectItemWithFeatures scores a single item and also returns the
-// feature vector computed along the way, so callers needing both (e.g.
-// the service's /v1/explain) pay for one analysis pass. The vector is
-// nil when the item fell to the sales cutoff before extraction.
-func (d *Detector) DetectItemWithFeatures(item *ecom.Item) (Detection, []float64, error) {
-	if !d.trained {
-		return Detection{}, nil, ErrNotTrained
+	dets, _, err := d.scoreBatch(context.Background(), []ecom.Item{*item}, 1)
+	if err != nil {
+		return Detection{}, err
 	}
-	det, v := d.scoreOne(item)
-	return det, v, nil
+	return dets[0], nil
 }
 
 // Detect scores every item, applying the rule filter before paying for
@@ -386,12 +330,7 @@ func (d *Detector) Detect(items []ecom.Item, workers int) ([]Detection, error) {
 // DetectContext is Detect with cancellation: when ctx is canceled the
 // batch stops early and the context's error is returned.
 func (d *Detector) DetectContext(ctx context.Context, items []ecom.Item, workers int) ([]Detection, error) {
-	return d.DetectTexts(ctx, items, nil, workers)
-}
-
-// DetectTexts is DetectContext with the items' texts (see analyzeOne).
-func (d *Detector) DetectTexts(ctx context.Context, items []ecom.Item, texts [][]string, workers int) ([]Detection, error) {
-	dets, _, err := d.scoreBatch(ctx, items, texts, workers)
+	dets, _, err := d.scoreBatch(ctx, items, workers)
 	return dets, err
 }
 
@@ -401,5 +340,5 @@ func (d *Detector) DetectTexts(ctx context.Context, items []ecom.Item, texts [][
 // 11-feature vector, so monitoring (e.g. the service's drift recorder)
 // can consume the vectors without a second extraction pass.
 func (d *Detector) DetectWithFeatures(ctx context.Context, items []ecom.Item, workers int) ([]Detection, [][]float64, error) {
-	return d.scoreBatch(ctx, items, nil, workers)
+	return d.scoreBatch(ctx, items, workers)
 }

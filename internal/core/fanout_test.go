@@ -32,18 +32,17 @@ func TestScoreBatchWorkersMatchSerial(t *testing.T) {
 	d, _ := trainedDetector(t, DetectorConfig{})
 	items := fusedTestItems(t)
 	ctx := context.Background()
-	wantDets, wantX, err := d.scoreBatch(ctx, items, nil, 1)
+	wantDets, wantX, err := d.scoreBatch(ctx, items, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range items {
-		det, v := d.scoreOne(&items[i])
-		if det != wantDets[i] || len(v) != len(wantX[i]) {
-			t.Fatalf("item %d: serial batch %+v, single-item path %+v", i, wantDets[i], det)
+		if det, err := d.DetectItem(&items[i]); err != nil || det != wantDets[i] {
+			t.Fatalf("item %d: serial batch %+v, batch of one %+v (%v)", i, wantDets[i], det, err)
 		}
 	}
 	for _, workers := range []int{1, 2, 3, 8, len(items) + 5} {
-		dets, X, err := d.scoreBatch(ctx, items, nil, workers)
+		dets, X, err := d.scoreBatch(ctx, items, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -62,7 +61,7 @@ func TestScoreBatchWorkersMatchSerial(t *testing.T) {
 		}
 
 		mid := &cancelAfter{Context: ctx, n: int64(len(items) / 2)}
-		dets, X, err = d.scoreBatch(mid, items, nil, workers)
+		dets, X, err = d.scoreBatch(mid, items, workers)
 		if !errors.Is(err, context.Canceled) || dets != nil || X != nil {
 			t.Fatalf("workers=%d canceled mid-batch: err %v, %d detections, %d rows; want context.Canceled and none", workers, err, len(dets), len(X))
 		}

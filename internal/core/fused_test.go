@@ -15,7 +15,7 @@ import (
 // ExtractDataset over every item followed by an independent PassesFilter
 // scan — as the equivalence oracle for the fused pipeline.
 func referenceDetect(d *Detector, items []ecom.Item) []Detection {
-	X := d.extractor.ExtractDataset(items, nil, 1)
+	X := d.extractor.ExtractDataset(items, 1)
 	out := make([]Detection, len(items))
 	for i := range items {
 		out[i] = Detection{ItemID: items[i].ID}
@@ -243,35 +243,5 @@ func TestDetectStreamWorkerCount(t *testing.T) {
 		if one[i] != eight[i] {
 			t.Fatalf("detection %d differs between 1 and 8 workers", i)
 		}
-	}
-}
-
-// TestDetectItemWithFeaturesVector: the vector accompanying a detection
-// matches a direct extraction, and is nil only below the sales cutoff.
-func TestDetectItemWithFeaturesVector(t *testing.T) {
-	d, _ := trainedDetector(t, DetectorConfig{})
-	scored := ecom.Item{ID: "s", SalesVolume: 50,
-		Comments: []ecom.Comment{{Content: "很好，满意！"}}}
-	det, v, err := d.DetectItemWithFeatures(&scored)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if det.Filtered || v == nil {
-		t.Fatalf("scored item: det %+v, vector nil=%v", det, v == nil)
-	}
-	want := d.extractor.Vector(&scored)
-	for j := range want {
-		if v[j] != want[j] {
-			t.Fatalf("feature %d: %v != %v", j, v[j], want[j])
-		}
-	}
-	cut := ecom.Item{ID: "c", SalesVolume: 1,
-		Comments: []ecom.Comment{{Content: "很好"}}}
-	det, v, err = d.DetectItemWithFeatures(&cut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !det.Filtered || v != nil {
-		t.Fatalf("sales-cut item: det %+v, vector nil=%v", det, v == nil)
 	}
 }

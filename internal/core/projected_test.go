@@ -9,6 +9,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -103,10 +104,18 @@ func TestDetectStreamProjectedMatchesRows(t *testing.T) {
 					if item.Comments != nil {
 						t.Fatalf("%s: emit %d: item carries %d Comments", name, n, len(item.Comments))
 					}
-					want := rows[n]
-					want.Comments = nil
-					if !reflect.DeepEqual(*item, want) {
-						t.Fatalf("%s: emit %d: item %+v, row %+v", name, n, *item, want)
+					// The row, projected: its contents as Texts, unless the
+					// sales cutoff told the read not to materialize them.
+					got, want := *item, rows[n]
+					want.Texts, want.Comments = nil, nil
+					if d.readsText(&want) {
+						want.Texts = rows[n].AppendTexts(nil)
+					}
+					if len(got.Texts) == 0 {
+						got.Texts = nil // a columnar read cuts an empty one
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: emit %d: item %+v, row %+v", name, n, got, want)
 					}
 					if det != wantDets[n] {
 						t.Fatalf("%s: emit %d: stream %+v, rows %+v", name, n, det, wantDets[n])
@@ -126,19 +135,18 @@ func TestDetectStreamProjectedMatchesRows(t *testing.T) {
 
 			// The feature rows, from the scoring call the stream makes.
 			var projected []ecom.Item
-			var texts [][]string
 			r = dataset.NewReader(bytes.NewReader(data))
 			for {
-				item, tx, err := r.NextTexts(nil)
+				item, err := r.NextTexts(nil)
 				if errors.Is(err, io.EOF) {
 					break
 				}
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				projected, texts = append(projected, *item), append(texts, tx)
+				projected = append(projected, *item)
 			}
-			gotDets, gotX, err := d.scoreBatch(ctx, projected, texts, 2)
+			gotDets, gotX, err := d.scoreBatch(ctx, projected, 2)
 			if err != nil || len(gotX) != len(wantX) {
 				t.Fatalf("%s: %d feature rows of %d, err %v", name, len(gotX), len(wantX), err)
 			}
@@ -167,44 +175,43 @@ func TestScoreBatchReadsNoTextUnderTheCutoff(t *testing.T) {
 	ctx := context.Background()
 	for formatName, format := range map[string]dataset.Format{"jsonl": dataset.FormatJSONL, "columnar": dataset.FormatColumnar} {
 		data := encodeItems(t, streamCorpora(t)["thin"], format)
-		read := func(keep func(*ecom.Item) bool) (items []ecom.Item, texts [][]string) {
+		read := func(keep func(*ecom.Item) bool) (items []ecom.Item) {
 			r := dataset.NewReader(bytes.NewReader(data))
 			for {
-				item, tx, err := r.NextTexts(keep)
+				item, err := r.NextTexts(keep)
 				if errors.Is(err, io.EOF) {
-					return items, texts
+					return items
 				}
 				if err != nil {
 					t.Fatalf("%s: %v", formatName, err)
 				}
-				items, texts = append(items, *item), append(texts, tx)
+				items = append(items, *item)
 			}
 		}
-		items, full := read(nil)
-		_, pushed := read(d.readsText)
-		poisoned := make([][]string, len(full))
+		items, pushed := read(nil), read(d.readsText)
+		poisoned := slices.Clone(items)
 		under, wantCounted := 0, uint64(0)
 		for i := range items {
-			if poisoned[i] = full[i]; d.readsText(&items[i]) {
-				wantCounted += uint64(len(full[i]))
+			if d.readsText(&items[i]) {
+				wantCounted += uint64(len(items[i].Texts))
 				continue
 			}
 			under++
-			poisoned[i] = []string{"好评 很好 满意", "\xff"}
-			if pushed[i] != nil {
-				t.Fatalf("%s: item %d is under the cutoff and the pushed-down read returned %d texts", formatName, i, len(pushed[i]))
+			poisoned[i].Texts = []string{"好评 很好 满意", "\xff"}
+			if pushed[i].Texts != nil {
+				t.Fatalf("%s: item %d is under the cutoff and the pushed-down read returned %d texts", formatName, i, len(pushed[i].Texts))
 			}
 		}
 		if under == 0 || under == len(items) {
 			t.Fatalf("%s: %d of %d items under the cutoff; the corpus must have both kinds", formatName, under, len(items))
 		}
-		want, wantX, err := d.scoreBatch(ctx, items, full, 2)
+		want, wantX, err := d.scoreBatch(ctx, items, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, texts := range map[string][][]string{"pushed down": pushed, "poisoned": poisoned} {
+		for name, items := range map[string][]ecom.Item{"pushed down": pushed, "poisoned": poisoned} {
 			counted := d.m.commentsAnalyzed.Value()
-			got, gotX, err := d.scoreBatch(ctx, items, texts, 2)
+			got, gotX, err := d.scoreBatch(ctx, items, 2)
 			if err != nil || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotX, wantX) {
 				t.Errorf("%s, %s: detections or feature rows differ from the full texts' (err %v)", formatName, name, err)
 			}

@@ -61,10 +61,7 @@ const streamDepth = 3
 // streamDepth batches are allocated once and recycled, so a batch's
 // items are overwritten by a later read.
 type streamBatch struct {
-	// The projected read: items hold item-level fields only (Comments
-	// nil), texts[i] the contents of items[i]'s comments.
-	items []ecom.Item
-	texts [][]string
+	items []ecom.Item // projected (dataset.Reader.NextTexts)
 	dets  []Detection // dets[i] scores items[i]; set by the score stage
 	// end is non-nil on the stream's last batch: io.EOF when the input
 	// ended cleanly after items, else the error that stopped the stage
@@ -104,10 +101,11 @@ type streamRun struct {
 // The input is read projected (dataset.Reader.NextTexts, so r must not
 // have been read through Next): the detector uses nothing of a comment
 // but its text, and on both formats emit receives the item's ID,
-// ShopID, Name, Category, PriceCents, SalesVolume and Label with
+// ShopID, Name, Category, PriceCents, SalesVolume, Label and Texts, with
 // Comments == nil. The read is told whose text will be read at all
 // (readsText): the sales cutoff, the paper's stage one, is applied inside
-// the decode, and a JSONL item under it never has its text materialized.
+// the decode, and an item under it comes with Texts nil (on JSONL never
+// materialized).
 //
 // Cancellation of ctx aborts between (and within) batches with the
 // context's error. emit must not retain the item pointer or anything
@@ -206,7 +204,6 @@ func (s *streamRun) overlap(ctx context.Context, first *streamBatch) error {
 		// would hold them for as long as the slowest stage takes to
 		// come round.
 		clear(b.items)
-		clear(b.texts)
 		b.dets = nil
 		free <- b
 	}
@@ -232,10 +229,7 @@ func finish(ctx context.Context, end error) error {
 }
 
 func (s *streamRun) newBatch() *streamBatch {
-	return &streamBatch{
-		items: make([]ecom.Item, 0, s.opts.BatchSize),
-		texts: make([][]string, 0, s.opts.BatchSize),
-	}
+	return &streamBatch{items: make([]ecom.Item, 0, s.opts.BatchSize)}
 }
 
 // contain, deferred by a stage's step over b, turns a panic in it into
@@ -252,10 +246,10 @@ func contain(stage string, b *streamBatch) {
 func (s *streamRun) fill(b *streamBatch) {
 	defer contain("read", b)
 	start := time.Now()
-	b.items, b.texts = b.items[:0], b.texts[:0]
+	b.items = b.items[:0]
 	keep := s.d.readsText // bound once: a method value allocates
 	for len(b.items) < s.opts.BatchSize {
-		item, texts, err := s.r.NextTexts(keep)
+		item, err := s.r.NextTexts(keep)
 		if errors.Is(err, io.EOF) {
 			b.end = io.EOF
 			break
@@ -264,7 +258,7 @@ func (s *streamRun) fill(b *streamBatch) {
 			b.items, b.end = b.items[:0], fmt.Errorf("core: stream read: %w", err)
 			break
 		}
-		b.items, b.texts = append(b.items, *item), append(b.texts, texts)
+		b.items = append(b.items, *item)
 	}
 	s.stats.ReadSeconds += time.Since(start).Seconds()
 }
@@ -278,7 +272,7 @@ func (s *streamRun) score(ctx context.Context, b *streamBatch) {
 	defer contain("score", b)
 	start := time.Now()
 	var err error
-	if b.dets, _, err = s.d.scoreBatch(ctx, b.items, b.texts, s.opts.Workers); err != nil {
+	if b.dets, _, err = s.d.scoreBatch(ctx, b.items, s.opts.Workers); err != nil {
 		b.items, b.end = b.items[:0], err
 	}
 	s.stats.ScoreSeconds += time.Since(start).Seconds()

@@ -171,28 +171,27 @@ func newColReader(r io.Reader, texts bool) (*colReader, error) {
 }
 
 // next hands out the following item of the current chunk — on a
-// projected read with its comments' texts — loading the next chunk
-// when the slice runs dry. One pointer move per call: the streaming
-// corpus loop lives here.
+// projected read with its Texts — loading the next chunk when the slice
+// runs dry. One pointer move per call: the streaming corpus loop lives
+// here.
 //
 //cats:hotpath
-func (c *colReader) next(keep func(*ecom.Item) bool) (*ecom.Item, []string, error) {
+func (c *colReader) next(keep func(*ecom.Item) bool) (*ecom.Item, error) {
 	for c.idx >= len(c.items) {
 		if err := c.loadChunk(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	item := &c.items[c.idx]
-	var texts []string
 	if c.texts {
 		end := c.off + c.ncomments[c.idx]
 		if keep == nil || keep(item) {
-			texts = c.contents[c.off:end:end]
+			item.Texts = c.contents[c.off:end:end]
 		}
 		c.off = end
 	}
 	c.idx++
-	return item, texts, nil
+	return item, nil
 }
 
 // loadChunk reads the next arena/items/comments block triple. Unknown

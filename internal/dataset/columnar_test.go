@@ -190,7 +190,7 @@ func TestColumnarCorruption(t *testing.T) {
 
 	reads := map[string]func(*Reader) error{
 		"Next":      func(r *Reader) error { _, err := r.Next(); return err },
-		"NextTexts": func(r *Reader) error { _, _, err := r.NextTexts(nil); return err },
+		"NextTexts": func(r *Reader) error { _, err := r.NextTexts(nil); return err },
 	}
 	for name, next := range reads {
 		r := NewReader(bytes.NewReader(b))

@@ -149,9 +149,9 @@ func WriteAllFormat(path string, ds *ecom.Dataset, f Format) error {
 }
 
 // itemDecoder is one input format behind Reader. One that reads projected
-// returns, for an item keep accepts (nil: all), its contents as texts.
+// sets Texts on an item keep accepts (nil: all).
 type itemDecoder interface {
-	next(keep func(*ecom.Item) bool) (item *ecom.Item, texts []string, err error)
+	next(keep func(*ecom.Item) bool) (*ecom.Item, error)
 }
 
 // Reader streams items from JSONL or the columnar container,
@@ -184,13 +184,12 @@ func Open(path string) (*Reader, error) {
 // on the columnar format, a 64 KiB block shared with its neighbours on
 // JSONL.
 func (r *Reader) Next() (*ecom.Item, error) {
-	item, _, err := r.next(false, nil)
-	return item, err
+	return r.next(false, nil)
 }
 
 // NextTexts is Next for a caller that reads nothing of a comment but
-// its text, as the detector does: the item has its item-level fields
-// and Comments nil, texts holds its comments' contents. Both formats
+// its text, as the detector does: the item is projected, its item-level
+// fields and its comments' contents as Texts, Comments nil. Both formats
 // are decoded projected, accepting and rejecting exactly the bytes Next
 // does: of a columnar chunk's comment block only the contents column is
 // built, the other six are validated and skipped; a JSONL line is
@@ -198,19 +197,19 @@ func (r *Reader) Next() (*ecom.Item, error) {
 // the item's four strings and the contents are copied out of it.
 //
 // keep, unless nil, says whether the caller will read this item's text
-// at all. An item it refuses comes back with texts nil, and on JSONL its
+// at all. An item it refuses comes back with Texts nil, and on JSONL its
 // contents are never materialized: a detector's rule filter does not pay
 // for the text of items it drops on their sales volume alone.
 //
 // A Reader is read through Next or NextTexts: the first call decides,
 // the other then fails.
-func (r *Reader) NextTexts(keep func(*ecom.Item) bool) (item *ecom.Item, texts []string, err error) {
+func (r *Reader) NextTexts(keep func(*ecom.Item) bool) (*ecom.Item, error) {
 	return r.next(true, keep)
 }
 
 // next reads an item from the format's decoder, opened on the first
 // call for the kind of read that call makes.
-func (r *Reader) next(texts bool, keep func(*ecom.Item) bool) (*ecom.Item, []string, error) {
+func (r *Reader) next(texts bool, keep func(*ecom.Item) bool) (*ecom.Item, error) {
 	if r.dec == nil {
 		// Sniff once. A short or empty stream cannot be columnar (the
 		// container header alone is longer), so it goes down the JSONL
@@ -220,7 +219,7 @@ func (r *Reader) next(texts bool, keep func(*ecom.Item) bool) (*ecom.Item, []str
 		if colfmt.Sniff(prefix) {
 			cr, err := newColReader(r.br, texts)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			r.dec = cr
 		} else {
@@ -228,7 +227,7 @@ func (r *Reader) next(texts bool, keep func(*ecom.Item) bool) (*ecom.Item, []str
 		}
 	}
 	if r.texts != texts {
-		return nil, nil, errors.New("dataset: Next and NextTexts mixed on one Reader")
+		return nil, errors.New("dataset: Next and NextTexts mixed on one Reader")
 	}
 	return r.dec.next(keep)
 }
@@ -267,7 +266,7 @@ func newJSONLReader(r io.Reader, texts bool) *jsonlReader {
 	return &jsonlReader{s: s, texts: texts}
 }
 
-func (r *jsonlReader) next(keep func(*ecom.Item) bool) (*ecom.Item, []string, error) {
+func (r *jsonlReader) next(keep func(*ecom.Item) bool) (*ecom.Item, error) {
 	for r.s.Scan() {
 		r.line++
 		b := r.s.Bytes()
@@ -282,30 +281,26 @@ func (r *jsonlReader) next(keep func(*ecom.Item) bool) (*ecom.Item, []string, er
 			r.stdlib++
 			*item = ecom.Item{}
 			if err := json.Unmarshal(b, item); err != nil {
-				return nil, nil, fmt.Errorf("dataset: line %d: %w", r.line, err)
+				return nil, fmt.Errorf("dataset: line %d: %w", r.line, err)
 			}
 		}
 		if !r.texts {
-			return item, nil, nil
+			return item, nil
 		}
-		var texts []string
 		switch {
 		case keep != nil && !keep(item):
 		case fast:
-			texts = r.dec.Texts()
-		case len(item.Comments) > 0:
-			texts = make([]string, len(item.Comments))
-			for i := range item.Comments {
-				texts[i] = item.Comments[i].Content
-			}
+			item.Texts = r.dec.Texts()
+		default:
+			item.Texts = item.AppendTexts(nil)
 		}
 		item.Comments = nil
-		return item, texts, nil
+		return item, nil
 	}
 	if err := r.s.Err(); err != nil { // inside the line after the last one returned
-		return nil, nil, fmt.Errorf("dataset: line %d: %w", r.line+1, err)
+		return nil, fmt.Errorf("dataset: line %d: %w", r.line+1, err)
 	}
-	return nil, nil, io.EOF
+	return nil, io.EOF
 }
 
 // ReadAll loads a whole dataset from path.

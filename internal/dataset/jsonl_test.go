@@ -149,22 +149,22 @@ func TestJSONLLinesCountsDecodePaths(t *testing.T) {
 		`{"item_id":"c","item_id":"d","comments":null}` + "\n"
 	r := NewReader(strings.NewReader(data))
 	var ids []string
-	var texts [][]string
+	var contents [][]string
 	for {
-		item, tx, err := r.NextTexts(nil)
+		item, err := r.NextTexts(nil)
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids, texts = append(ids, item.ID), append(texts, tx)
+		ids, contents = append(ids, item.ID), append(contents, item.Texts)
 	}
 	if fast, stdlib := r.JSONLLines(); fast != 1 || stdlib != 2 {
 		t.Errorf("JSONLLines() = %d fast, %d stdlib, want 1 and 2", fast, stdlib)
 	}
-	if want := [][]string{{"x"}, {"y", "z"}, nil}; !reflect.DeepEqual(ids, []string{"a", "b", "d"}) || !reflect.DeepEqual(texts, want) {
-		t.Errorf("read ids %q texts %q", ids, texts)
+	if want := [][]string{{"x"}, {"y", "z"}, nil}; !reflect.DeepEqual(ids, []string{"a", "b", "d"}) || !reflect.DeepEqual(contents, want) {
+		t.Errorf("read ids %q texts %q", ids, contents)
 	}
 	if fast, stdlib := NewReader(bytes.NewReader(encode(t, sample().Items, FormatColumnar))).JSONLLines(); fast+stdlib != 0 {
 		t.Errorf("JSONLLines() on an unread reader = %d, %d", fast, stdlib)
@@ -178,7 +178,7 @@ func TestJSONLLineOverTheCapNamesItsLine(t *testing.T) {
 	data := `{"item_id":"a"}` + "\n" + `{"item_id":"b","item_name":"` + strings.Repeat("x", 17<<20) + `"}` + "\n"
 	for name, read := range map[string]func(*Reader) error{
 		"Next":      func(r *Reader) error { _, err := r.Next(); return err },
-		"NextTexts": func(r *Reader) error { _, _, err := r.NextTexts(nil); return err },
+		"NextTexts": func(r *Reader) error { _, err := r.NextTexts(nil); return err },
 	} {
 		r := NewReader(strings.NewReader(data))
 		if err := read(r); err != nil {
@@ -221,7 +221,7 @@ func TestJSONLProjectedReadBudget(t *testing.T) {
 		r := NewReader(bytes.NewReader(data))
 		runtime.ReadMemStats(&before)
 		for {
-			if _, _, err := r.NextTexts(keep); errors.Is(err, io.EOF) {
+			if _, err := r.NextTexts(keep); errors.Is(err, io.EOF) {
 				break
 			} else if err != nil {
 				t.Fatal(err)
@@ -265,7 +265,7 @@ func BenchmarkJSONLRead(b *testing.B) {
 		read func(*Reader) error
 	}{
 		{"rows", func(r *Reader) error { _, err := r.Next(); return err }},
-		{"texts", func(r *Reader) error { _, _, err := r.NextTexts(nil); return err }},
+		{"texts", func(r *Reader) error { _, err := r.NextTexts(nil); return err }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.SetBytes(int64(len(data)))

@@ -32,18 +32,21 @@ func readRows(data []byte) (items []ecom.Item, err error) {
 	}
 }
 
-// readTexts drains data through NextTexts, with its predicate.
-func readTexts(data []byte, keep func(*ecom.Item) bool) (items []ecom.Item, texts [][]string, err error) {
+// readTexts drains data through NextTexts, with its predicate, and
+// returns the items with their Texts beside them.
+func readTexts(data []byte, keep func(*ecom.Item) bool) (items []ecom.Item, contents [][]string, err error) {
 	r := NewReader(bytes.NewReader(data))
 	for {
-		item, t, err := r.NextTexts(keep)
+		item, err := r.NextTexts(keep)
 		if errors.Is(err, io.EOF) {
-			return items, texts, nil
+			return items, contents, nil
 		}
 		if err != nil {
-			return items, texts, err
+			return items, contents, err
 		}
-		items, texts = append(items, *item), append(texts, t)
+		it := *item
+		contents, it.Texts = append(contents, it.Texts), nil
+		items = append(items, it)
 	}
 }
 
@@ -197,14 +200,14 @@ func TestReaderRefusesMixedReads(t *testing.T) {
 		if _, err := r.Next(); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := r.NextTexts(nil); err == nil || errors.Is(err, io.EOF) {
+		if _, err := r.NextTexts(nil); err == nil || errors.Is(err, io.EOF) {
 			t.Fatalf("format %d: NextTexts after Next: %v", f, err)
 		}
 		if _, err := r.Next(); err != nil {
 			t.Fatalf("format %d: the refused call broke the reader: %v", f, err)
 		}
 		r = NewReader(bytes.NewReader(data))
-		if _, _, err := r.NextTexts(nil); err != nil {
+		if _, err := r.NextTexts(nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := r.Next(); err == nil || errors.Is(err, io.EOF) {

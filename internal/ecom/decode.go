@@ -9,25 +9,23 @@ import (
 
 // Decoder is the single-pass reader of the canonical encoding; the
 // package comment has its contract. It scans the caller's bytes in place,
-// from Alias or by Line (for which the zero value is ready), which differ
-// in how a validated string is materialized. Not safe for concurrent use.
+// a line (Line, for which the zero value is ready) or a request body
+// (Body) at a time. Not safe for concurrent use.
 type Decoder struct {
 	raw []byte
 	i   int
+	out strings.Builder // the arena every string handed out is cut from
 
-	alias bool            // strings are cut from s
-	s     string          // Alias: the copy of raw
-	out   strings.Builder // every string handed out that is not cut from s
+	texts bool     // projected: no Comment is built; contents are gathered
+	text  []byte   //   here, back to back (an escaped value is decoded here too),
+	ends  []int    //   each ending at one of these,
+	one   Comment  //   and every comment is decoded into this one
+	cut   []string // backing store shared by the Texts of consecutive items
 
-	texts bool    // Line: no Comment is built; contents are gathered
-	text  []byte  //   here, back to back,
-	ends  []int   //   each ending at one of these,
-	one   Comment //   and every comment is decoded into this one
-
-	comments []Comment // backing store shared by every item's Comments
+	comments []Comment // a row read's Comments, one backing store per line
 }
 
-// Where a string value sits, which decides whether a Line decode keeps it.
+// Where a string value sits, which decides whether a projected read keeps it.
 const inItem, inComment, inContent = 0, 1, 2
 
 // itemField and commentField number the keys the decoder reads: each is
@@ -81,31 +79,29 @@ func commentField(k []byte) int {
 // into: a retained item pins one, a stream allocates one at a time.
 const arenaBlock = 1 << 16
 
-// room starts a new block of out unless n more bytes fit the current
-// one. A Line decode asks before every write, so out never grows by
-// copying; an Alias decode lets it grow, its escaped strings being few.
-func (d *Decoder) room(n int) {
-	if !d.alias && d.out.Cap()-d.out.Len() < n {
-		d.out.Reset()
-		d.out.Grow(max(arenaBlock, n))
-	}
-}
-
-// copyOut returns v as a string of its own, in out.
+// copyOut returns v as a string of its own, cut from the arena. A Line
+// decode starts a new block when v does not fit the current one, so the
+// arena never grows by copying; a Body's one block always has room.
 func (d *Decoder) copyOut(v []byte) string {
-	d.room(len(v))
+	if d.out.Cap()-d.out.Len() < len(v) {
+		d.out.Reset()
+		d.out.Grow(max(arenaBlock, len(v)))
+	}
 	mark := d.out.Len()
 	d.out.Write(v)
 	return d.out.String()[mark:]
 }
 
-// Alias returns a Decoder at the start of body, every string it hands
-// out a substring of one copy of body made here.
-func Alias(body []byte) Decoder {
-	// A canonical comment is at least ~140 bytes of keys and punctuation,
-	// so len/256 rarely undershoots real traffic and never asks for more
-	// than half the body's size in Comment structs.
-	return Decoder{raw: body, alias: true, s: string(body), comments: make([]Comment, 0, len(body)/256)}
+// Body readies d to read body, a request of one or more items, projected
+// (Item sets each item's Texts), into one arena of len(body) bytes — no
+// kept string is longer than its encoding, none is copied twice — with
+// the Texts cut from one backing array. Body(nil) lets go of the last body.
+func (d *Decoder) Body(body []byte) {
+	d.raw, d.i, d.texts = body, 0, true
+	d.out.Reset()
+	d.out.Grow(len(body))
+	// A canonical comment is at least ~140 bytes of keys and punctuation.
+	d.cut = make([]string, 0, len(body)/128)
 }
 
 // Line decodes line — one item object and nothing else — into it,
@@ -113,26 +109,28 @@ func Alias(body []byte) Decoder {
 // only and Texts returns its comments' contents. On false the line is not
 // canonical: it may be half filled; decode into a zero one instead.
 func (d *Decoder) Line(line []byte, texts bool, it *Item) bool {
-	d.raw, d.i, d.alias, d.texts = line, 0, false, texts
-	d.text, d.ends, d.comments = d.text[:0], d.ends[:0], nil
+	d.raw, d.i, d.texts, d.comments = line, 0, texts, nil
 	if !texts {
-		d.comments = make([]Comment, 0, len(line)/256) // as Alias sizes it; the item keeps it
+		d.comments = make([]Comment, 0, len(line)/256) // the item keeps it
 	}
-	return d.Item(it) && d.AtEnd()
+	return d.item(it) && d.AtEnd()
 }
 
-// Texts returns, copied out, the contents of the comments of the item
-// Line just decoded with texts set; nil if it has none. Not calling it
-// leaves the text of an item nobody will read unmaterialized.
+// Texts returns, copied into the arena, the contents of the comments of
+// the item just decoded projected; nil if it has none. A Line caller that
+// does not call it leaves the text of an item nobody will read uncopied.
 func (d *Decoder) Texts() []string {
 	if len(d.ends) == 0 {
 		return nil
 	}
-	all, texts, start := d.copyOut(d.text), make([]string, len(d.ends)), 0
-	for i, end := range d.ends {
-		texts[i], start = all[start:end], end
+	if cap(d.cut)-len(d.cut) < len(d.ends) {
+		d.cut = make([]string, 0, len(d.ends))
 	}
-	return texts
+	all, start, first := d.copyOut(d.text), 0, len(d.cut)
+	for _, end := range d.ends {
+		d.cut, start = append(d.cut, all[start:end]), end
+	}
+	return d.cut[first:len(d.cut):len(d.cut)]
 }
 
 // ws skips JSON whitespace.
@@ -224,12 +222,23 @@ func (d *Decoder) Items(dst *[]Item) bool {
 	return true
 }
 
-// Item consumes one item object. Unknown, repeated or differently-cased
-// keys decline: encoding/json gives each of them a meaning (skip, last
-// wins, fold) that is not worth a second implementation.
+// Item consumes one item object; read projected, with its Texts.
+func (d *Decoder) Item(it *Item) bool {
+	if !d.item(it) {
+		return false
+	}
+	it.Texts = d.Texts()
+	return true
+}
+
+// item consumes one item object, leaving a projected read's contents in
+// text. Unknown, repeated or differently-cased keys decline: encoding/json
+// gives each of them a meaning (skip, last wins, fold) that is not worth a
+// second implementation.
 //
 //cats:hotpath
-func (d *Decoder) Item(it *Item) bool {
+func (d *Decoder) item(it *Item) bool {
+	d.text, d.ends = d.text[:0], d.ends[:0]
 	if !d.Eat('{') {
 		return false
 	}
@@ -279,12 +288,11 @@ func (d *Decoder) Item(it *Item) bool {
 	}
 }
 
-// commentList consumes an array of comment objects, or null. The
-// comments of a whole request share one backing array: each item's slice
-// is cut from it with its capacity clipped, so an append by a later
-// reader cannot reach a neighbour's comments, and an array outgrown
-// mid-request stays valid for the items already cut from it. With texts
-// set every comment is decoded into the same one and the list is nil.
+// commentList consumes an array of comment objects, or null. A row read
+// cuts the list from the backing array Line sized for the line, its
+// capacity clipped so an append by a later reader cannot write past it;
+// a projected read decodes every comment into the same one, records where
+// its content ends in text, and returns a nil list.
 //
 //cats:hotpath
 func (d *Decoder) commentList() ([]Comment, bool) {
@@ -361,9 +369,9 @@ func (d *Decoder) comment(c *Comment) bool {
 	}
 }
 
-// str consumes a string value and materializes it as the mode and p say.
-// Control bytes and invalid UTF-8 decline (encoding/json rejects the
-// first and rewrites the second).
+// str consumes a string value and keeps it as p says. Control bytes and
+// invalid UTF-8 decline (encoding/json rejects the first and rewrites the
+// second).
 //
 //cats:hotpath
 func (d *Decoder) str(p int) (string, bool) {
@@ -380,15 +388,7 @@ func (d *Decoder) str(p int) (string, bool) {
 			if high >= utf8.RuneSelf && !utf8.Valid(v) {
 				return "", false
 			}
-			switch {
-			case d.alias:
-				return d.s[start:i], true
-			case !d.texts || p == inItem:
-				return d.copyOut(v), true
-			case p == inContent:
-				d.text = append(d.text, v...)
-			}
-			return "", true
+			return d.keep(p, v), true
 		case c == '\\':
 			return d.unescape(p, start, i)
 		case c < ' ':
@@ -400,30 +400,41 @@ func (d *Decoder) str(p int) (string, bool) {
 	return "", false
 }
 
-// unescape finishes a string value whose first escape is at esc: the
-// text goes into out and the value is a substring of that. A lone
+// keep materializes a valid string value v found at p: copied into the
+// arena, or on a projected read, which hands out an item's own strings
+// alone, a content appended to text and anything else dropped.
+//
+//cats:hotpath
+func (d *Decoder) keep(p int, v []byte) string {
+	switch {
+	case !d.texts || p == inItem:
+		return d.copyOut(v)
+	case p == inContent:
+		d.text = append(d.text, v...)
+	}
+	return ""
+}
+
+// unescape finishes a string value whose first escape is at esc,
+// decoding it onto the end of text, and keeps it as str would. A lone
 // surrogate declines (encoding/json substitutes U+FFFD).
 func (d *Decoder) unescape(p, start, esc int) (string, bool) {
-	s := d.raw
-	d.room(len(s) - start) // unescaped, the value is no longer than it is raw
-	mark := d.out.Len()
-	d.out.Write(s[start:esc])
+	s, mark := d.raw, len(d.text)
+	d.text = append(d.text, s[start:esc]...)
 	for i := esc; i < len(s); {
 		switch c := s[i]; {
 		case c == '"':
 			d.i = i + 1
-			v := d.out.String()[mark:]
-			if d.texts && p != inItem { // of these only a content is kept, in text
-				if p == inContent {
-					d.text = append(d.text, v...)
-				}
-				return "", utf8.ValidString(v)
+			v := d.text[mark:]
+			if !utf8.Valid(v) {
+				return "", false
 			}
-			return v, utf8.ValidString(v)
+			d.text = d.text[:mark] // keep puts a content back where it was
+			return d.keep(p, v), true
 		case c < ' ':
 			return "", false
 		case c != '\\':
-			d.out.WriteByte(c)
+			d.text = append(d.text, c)
 			i++
 			continue
 		}
@@ -433,17 +444,17 @@ func (d *Decoder) unescape(p, start, esc int) (string, bool) {
 		i += 2
 		switch s[i-1] {
 		case '"', '\\', '/':
-			d.out.WriteByte(s[i-1])
+			d.text = append(d.text, s[i-1])
 		case 'b':
-			d.out.WriteByte('\b')
+			d.text = append(d.text, '\b')
 		case 'f':
-			d.out.WriteByte('\f')
+			d.text = append(d.text, '\f')
 		case 'n':
-			d.out.WriteByte('\n')
+			d.text = append(d.text, '\n')
 		case 'r':
-			d.out.WriteByte('\r')
+			d.text = append(d.text, '\r')
 		case 't':
-			d.out.WriteByte('\t')
+			d.text = append(d.text, '\t')
 		case 'u':
 			r, ok := hex4(s, i)
 			if !ok {
@@ -460,7 +471,7 @@ func (d *Decoder) unescape(p, start, esc int) (string, bool) {
 				}
 				i += 6
 			}
-			d.out.WriteRune(r)
+			d.text = utf8.AppendRune(d.text, r)
 		default:
 			return "", false
 		}

@@ -10,11 +10,12 @@ import (
 
 // TestDecoderKeysAreTheTags: the keys the decoder reads are the json
 // tags of Item and Comment — each numbered with its field's index, the
-// number Item and comment switch on, and no field's Go name, upper-cased
+// number item and comment switch on, and no field's Go name, upper-cased
 // tag or padded tag among them — and each has an arm: an item with every
-// field set decodes, all three ways, to what encoding/json makes of it.
-// A field added to either struct fails here instead of silently sending
-// every request and every line to the slower fallback.
+// wire field set decodes, all three ways, to what encoding/json makes of
+// it (projected: its Texts for its Comments). A field added to either
+// struct fails here instead of silently sending every request and every
+// line to the slower fallback.
 func TestDecoderKeysAreTheTags(t *testing.T) {
 	for _, c := range []struct {
 		typ   reflect.Type
@@ -25,6 +26,9 @@ func TestDecoderKeysAreTheTags(t *testing.T) {
 	} {
 		for i := 0; i < c.typ.NumField(); i++ {
 			tag, _, _ := strings.Cut(c.typ.Field(i).Tag.Get("json"), ",")
+			if tag == "-" {
+				continue // not on the wire: Item.Texts
+			}
 			if got := c.field([]byte(tag)); got != i {
 				t.Errorf("%v.%s: the decoder numbers key %q %d, the field's index is %d", c.typ, c.typ.Field(i).Name, tag, got, i)
 			}
@@ -45,7 +49,7 @@ func TestDecoderKeysAreTheTags(t *testing.T) {
 	}
 	for name, v := range map[string]reflect.Value{"Item": reflect.ValueOf(full), "Comment": reflect.ValueOf(full.Comments[0])} {
 		for i := 0; i < v.NumField(); i++ {
-			if v.Field(i).IsZero() {
+			if v.Field(i).IsZero() && v.Type().Field(i).Tag.Get("json") != "-" {
 				t.Fatalf("the test's %s leaves %s unset; set it so its arm is exercised", name, v.Type().Field(i).Name)
 			}
 		}
@@ -60,7 +64,7 @@ func TestDecoderKeysAreTheTags(t *testing.T) {
 	}
 
 	var d Decoder
-	var rows, projected, aliased Item
+	var rows, projected, body Item
 	if !d.Line(line, false, &rows) || !reflect.DeepEqual(rows, want) {
 		t.Errorf("Line, rows: %+v, want %+v", rows, want)
 	}
@@ -72,56 +76,84 @@ func TestDecoderKeysAreTheTags(t *testing.T) {
 	if texts := d.Texts(); len(texts) != 1 || texts[0] != want.Comments[0].Content {
 		t.Errorf("Texts() = %q, want the one content %q", texts, want.Comments[0].Content)
 	}
-	d = Alias(line)
-	if !d.Item(&aliased) || !d.AtEnd() || !reflect.DeepEqual(aliased, want) {
-		t.Errorf("Alias: %+v, want %+v", aliased, want)
+	wantProjected.Texts = want.AppendTexts(nil)
+	d.Body(line)
+	if !d.Item(&body) || !d.AtEnd() || !reflect.DeepEqual(body, wantProjected) {
+		t.Errorf("Body: %+v, want %+v", body, wantProjected)
 	}
 }
 
-// TestDecoderKeepsNothingOfItsInput pins the lifetime rule for both
-// materializations: once a decode has returned, overwriting the bytes it
-// was given — the service's pooled buffer, the scanner's line — changes
-// nothing it handed out, escaped strings included.
+// TestDecoderKeepsNothingOfItsInput pins the lifetime rule for every
+// read: once a decode has returned, overwriting the bytes it was given —
+// the service's pooled buffer, the scanner's line — or decoding the next
+// input changes nothing it handed out, escaped strings included.
 func TestDecoderKeepsNothingOfItsInput(t *testing.T) {
 	const line = `{"item_id":"a\/b","item_name":"plain","sales_volume":9,"comments":[{"comment_id":"c","comment_content":"x\n好"},{"comment_content":"second"}]}`
-	var want Item
-	if err := json.Unmarshal([]byte(line), &want); err != nil {
+	const next = `{"item_id":"other","comments":[{"comment_content":"thi\rd"}]}`
+	var rows Item
+	if err := json.Unmarshal([]byte(line), &rows); err != nil {
 		t.Fatal(err)
 	}
-	decode := map[string]func(d *Decoder, b []byte, it *Item) bool{
-		"Alias": func(d *Decoder, b []byte, it *Item) bool { *d = Alias(b); return d.Item(it) && d.AtEnd() },
-		"Line":  func(d *Decoder, b []byte, it *Item) bool { return d.Line(b, false, it) },
+	projected := rows
+	projected.Texts, projected.Comments = []string{"x\n好", "second"}, nil
+	decode := map[string]struct {
+		read func(d *Decoder, b []byte, it *Item) bool
+		want Item
+	}{
+		"Line, rows": {func(d *Decoder, b []byte, it *Item) bool { return d.Line(b, false, it) }, rows},
+		"Line, texts": {func(d *Decoder, b []byte, it *Item) bool {
+			ok := d.Line(b, true, it)
+			it.Texts = d.Texts()
+			return ok
+		}, projected},
+		"Body": {func(d *Decoder, b []byte, it *Item) bool { d.Body(b); return d.Item(it) && d.AtEnd() }, projected},
 	}
-	for name, f := range decode {
+	for name, c := range decode {
 		var d Decoder
-		var got Item
+		var got, other Item
 		buf := []byte(line)
-		if !f(&d, buf, &got) {
+		if !c.read(&d, buf, &got) {
 			t.Fatalf("%s declined a canonical item", name)
 		}
 		for i := range buf {
 			buf[i] = 'x'
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: item changed with its input's bytes: %+v", name, got)
+		if !c.read(&d, []byte(next), &other) {
+			t.Fatalf("%s declined the next item", name)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: item changed with its input's bytes or the next decode: %+v", name, got)
 		}
 	}
+}
 
+// TestBodyArenaIsOneBlock: a Body decode keeps everything in the one
+// block it sized to the body — escaped strings, which it decodes aside
+// first, included — so a small request never costs a 64 KiB block.
+func TestBodyArenaIsOneBlock(t *testing.T) {
+	const body = `[{"item_id":"\u597d","item_name":"n\/a","comments":[{"comment_id":"\u0063","comment_content":"\"q\"\\"},{"comment_content":"plain"}]},{"item_id":"b","comments":[{"comment_content":"x\ty"}]}]`
 	var d Decoder
-	var got Item
-	buf := []byte(line)
-	if !d.Line(buf, true, &got) {
-		t.Fatal("Line, texts, declined a canonical item")
+	var items []Item
+	d.Body([]byte(body + strings.Repeat(" ", 3*128))) // room for canonical comments' Texts
+	if !d.Items(&items) || !d.AtEnd() {
+		t.Fatal("Body declined a canonical array")
 	}
-	texts := d.Texts()
-	for i := range buf {
-		buf[i] = 'x'
+	kept := 0
+	for _, it := range items {
+		kept += len(it.ID) + len(it.Name)
+		for _, s := range it.Texts {
+			kept += len(s)
+		}
 	}
-	var next Item
-	if !d.Line([]byte(`{"item_id":"other","comments":[{"comment_content":"third"}]}`), true, &next) {
-		t.Fatal("Line, texts, declined the next item")
+	if d.out.Len() != kept || d.out.Cap() >= arenaBlock {
+		t.Errorf("arena holds %d bytes in a block of %d for %d kept", d.out.Len(), d.out.Cap(), kept)
 	}
-	if got.ID != "a/b" || got.Name != "plain" || got.Comments != nil || !reflect.DeepEqual(texts, []string{"x\n好", "second"}) {
-		t.Errorf("projected item changed with its line or the next decode: %+v %q", got, texts)
+	if len(items) != 2 || items[0].ID != "好" || items[0].Name != "n/a" || items[0].Comments != nil ||
+		!reflect.DeepEqual(items[0].Texts, []string{`"q"\`, "plain"}) || !reflect.DeepEqual(items[1].Texts, []string{"x\ty"}) {
+		t.Errorf("items = %+v", items)
+	}
+	first, second := reflect.ValueOf(items[0].Texts).Pointer(), reflect.ValueOf(items[1].Texts).Pointer()
+	if second-first != 2*reflect.TypeOf("").Size() || cap(items[0].Texts) != 2 {
+		t.Errorf("Texts not cut, capacity clipped, from one backing array: %#x then %#x, cap %d", first, second, cap(items[0].Texts))
 	}
 }

@@ -32,12 +32,14 @@
 //     same items. Dates go to time.Time.UnmarshalJSON, as it sends them.
 //   - Nothing handed out aliases the input, which belongs to the caller
 //     — a pooled request buffer, a scanner's line — and is overwritten
-//     once the decode returns. Alias (service) cuts every string from
-//     one garbage-collected copy of the body, so a retained item pins
-//     its request; Decoder.Line (dataset) copies what it keeps into
-//     64 KiB arena blocks shared by consecutive items, and on a projected
-//     read keeps of a comment only its content, and that only when the
-//     caller asks for the item's Texts.
+//     once the decode returns. Every string kept is copied into the
+//     decoder's arena, which only grows: 64 KiB blocks shared by
+//     consecutive lines (Line, for internal/dataset), or one block the
+//     size of the request (Body, for internal/service). A retained item
+//     pins its block and never its input. A projected read — Line with
+//     texts set, and every Body — builds no Comment: each is validated,
+//     and of it only its content is kept, as one of the item's Texts
+//     (which Line copies out only when the caller asks for them).
 package ecom
 
 import (
@@ -157,6 +159,24 @@ type Item struct {
 	// Label is ground truth where known (labeled datasets and the
 	// synthetic generator); it is never consulted by the detector.
 	Label Label `json:"label"`
+
+	// Texts is what a projected read (dataset.Reader.NextTexts, the
+	// service's request decoder) keeps of the comments: their contents,
+	// in order, with Comments nil. It is not on the wire, so a projected
+	// item does not round-trip through JSON: it encodes with no comments.
+	// Read contents through AppendTexts, which both shapes answer.
+	Texts []string `json:"-"`
+}
+
+// AppendTexts appends the item's comment contents, in order, to dst:
+// Texts on a projected item, each comment's Content on a row. (An item
+// holds one or the other; one holding both answers Texts first.)
+func (it *Item) AppendTexts(dst []string) []string {
+	dst = append(dst, it.Texts...)
+	for i := range it.Comments {
+		dst = append(dst, it.Comments[i].Content)
+	}
+	return dst
 }
 
 // Dataset is a labeled collection of items as used throughout the
@@ -238,9 +258,7 @@ func (d *Dataset) Split() (fraud, normal []*Item) {
 func (d *Dataset) CommentTexts() []string {
 	var out []string
 	for i := range d.Items {
-		for j := range d.Items[i].Comments {
-			out = append(out, d.Items[i].Comments[j].Content)
-		}
+		out = d.Items[i].AppendTexts(out)
 	}
 	return out
 }

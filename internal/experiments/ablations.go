@@ -69,8 +69,8 @@ func (l *Lab) FeatureGroupAblation(context.Context) (fmt.Stringer, error) {
 	if err != nil {
 		return nil, err
 	}
-	train := det.BuildMLDataset(l.D0().Dataset.Items, nil, 0)
-	test := det.BuildMLDataset(l.D1().Dataset.Items, nil, 0)
+	train := det.BuildMLDataset(l.D0().Dataset.Items, 0)
+	test := det.BuildMLDataset(l.D1().Dataset.Items, 0)
 	res := &Sweep{Title: "Ablation — feature groups (train D0, test D1)"}
 	for _, g := range featureGroups {
 		cols := g.cols
@@ -144,8 +144,8 @@ func (l *Lab) GBTAblation(context.Context) (fmt.Stringer, error) {
 	if err != nil {
 		return nil, err
 	}
-	train := det.BuildMLDataset(l.D0().Dataset.Items, nil, 0)
-	test := det.BuildMLDataset(l.D1().Dataset.Items, nil, 0)
+	train := det.BuildMLDataset(l.D0().Dataset.Items, 0)
+	test := det.BuildMLDataset(l.D1().Dataset.Items, 0)
 	variants := []struct {
 		label string
 		cfg   gbt.Config

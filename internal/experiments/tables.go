@@ -168,7 +168,7 @@ func (l *Lab) Table3(context.Context) (fmt.Stringer, error) {
 	if err != nil {
 		return nil, err
 	}
-	mlds := det.BuildMLDataset(u.Dataset.Items, nil, 0)
+	mlds := det.BuildMLDataset(u.Dataset.Items, 0)
 	res := &Table3Result{SampleSize: 2 * n}
 	for _, cand := range table3Candidates {
 		rng := rand.New(rand.NewSource(77))

@@ -215,10 +215,11 @@ type ItemAnalysis struct {
 func (e *Extractor) AnalyzeItem(item *ecom.Item) *ItemAnalysis {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	a := &ItemAnalysis{Comments: make([]CommentAnalysis, 0, len(item.Comments))}
-	sc.beginItem(len(e.words), len(item.Comments))
-	for i := range item.Comments {
-		ca := e.analyzeCommentWords(sc, item.Comments[i].Content)
+	texts := sc.gather(item)
+	a := &ItemAnalysis{Comments: make([]CommentAnalysis, 0, len(texts))}
+	sc.beginItem(len(e.words), len(texts))
+	for _, text := range texts {
+		ca := e.analyzeCommentWords(sc, text)
 		a.accumulate(&ca, len(ca.Words))
 		a.Comments = append(a.Comments, ca)
 	}
@@ -231,25 +232,14 @@ func (e *Extractor) AnalyzeItem(item *ecom.Item) *ItemAnalysis {
 // VectorSignal computes the item's 11-feature vector together with the
 // stage-one positive-signal decision from one pooled analysis pass per
 // comment, retaining nothing: the only allocation is the returned
-// vector. It is the detector's fused scoring entry point; the vector is
-// bit-identical to AnalyzeItem(item).Vector(). The item's contents are
-// gathered in the scratch (endItem drops them again) and go through
-// the entry VectorSignalTexts does.
+// vector. It is the detector's fused scoring entry point, for a row and
+// a projected item alike (their contents are gathered in the scratch,
+// and endItem drops them again); the vector is bit-identical to
+// AnalyzeItem(item).Vector().
 func (e *Extractor) VectorSignal(item *ecom.Item) ([]float64, bool) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	return e.vectorSignalTexts(sc, sc.gather(item))
-}
-
-// VectorSignalTexts is VectorSignal for a caller that holds an item's
-// comments as a column of their contents and nothing else — what a
-// projected dataset read (dataset.Reader.NextTexts) yields.
-//
-//cats:hotpath
-func (e *Extractor) VectorSignalTexts(texts []string) ([]float64, bool) {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	return e.vectorSignalTexts(sc, texts)
 }
 
 // vectorSignalTexts is the kernel's one item-level entry: an item's

@@ -84,15 +84,9 @@ func NewExtractor(seg *tokenize.Segmenter, pos, neg *lexicon.Set, sent *sentimen
 	return e
 }
 
-// PositiveSet returns the extractor's positive lexicon.
-func (e *Extractor) PositiveSet() *lexicon.Set { return e.pos }
-
 // Segmenter returns the extractor's word segmenter. Its call counter
 // lets callers verify how many segmentation passes a pipeline ran.
 func (e *Extractor) Segmenter() *tokenize.Segmenter { return e.seg }
-
-// NegativeSet returns the extractor's negative lexicon.
-func (e *Extractor) NegativeSet() *lexicon.Set { return e.neg }
 
 // Vector computes the 11-feature vector for one item. Items with no
 // comments get a zero vector (they are normally removed earlier by the
@@ -118,8 +112,9 @@ func (e *Extractor) Vector(item *ecom.Item) []float64 {
 func (e *Extractor) HasPositiveSignal(item *ecom.Item) bool {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	for i := range item.Comments {
-		content := item.Comments[i].Content
+	defer sc.endItem()
+	texts := sc.gather(item)
+	for i, content := range texts {
 		sc.toks, _, _ = e.seg.AppendWordTokensUncounted(sc.toks[:0], content)
 		for _, t := range sc.toks {
 			id := t.ID
@@ -133,27 +128,20 @@ func (e *Extractor) HasPositiveSignal(item *ecom.Item) bool {
 			}
 		}
 	}
-	e.seg.CountPasses(len(item.Comments))
+	e.seg.CountPasses(len(texts))
 	return false
 }
 
 // ExtractDataset computes feature vectors for every item in parallel,
-// preserving item order; texts[i], when texts is not nil, stands in for
-// the Comments of an item without any. workers <= 0 uses GOMAXPROCS.
-func (e *Extractor) ExtractDataset(items []ecom.Item, texts [][]string, workers int) [][]float64 {
+// preserving item order. workers <= 0 uses GOMAXPROCS.
+func (e *Extractor) ExtractDataset(items []ecom.Item, workers int) [][]float64 {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	out := make([][]float64, len(items))
 	// The kept signature supplies no context; nothing can cancel this
 	// one, so For's error is always nil.
-	_ = par.For(context.TODO(), len(items), workers, func(i int) {
-		if texts != nil && len(items[i].Comments) == 0 {
-			out[i], _ = e.VectorSignalTexts(texts[i])
-		} else {
-			out[i] = e.Vector(&items[i])
-		}
-	})
+	_ = par.For(context.TODO(), len(items), workers, func(i int) { out[i] = e.Vector(&items[i]) })
 	return out
 }
 

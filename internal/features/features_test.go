@@ -183,8 +183,8 @@ func TestExtractDatasetParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewExtractor(seg, lexicon.NewSet(bank.Positive), lexicon.NewSet(bank.Negative), sent)
-	par := e.ExtractDataset(u.Dataset.Items, nil, 8)
-	ser := e.ExtractDataset(u.Dataset.Items, nil, 1)
+	par := e.ExtractDataset(u.Dataset.Items, 8)
+	ser := e.ExtractDataset(u.Dataset.Items, 1)
 	if len(par) != len(ser) {
 		t.Fatal("length mismatch")
 	}

@@ -4,12 +4,22 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/ecom"
 	"repro/internal/synth"
 )
 
+// projected is the item as a projected read hands it out: its comments'
+// contents as Texts, no Comments.
+func projected(it *ecom.Item) *ecom.Item {
+	twin := *it
+	twin.Texts, twin.Comments = it.AppendTexts(nil), nil
+	return &twin
+}
+
 // TestVectorSignalMatchesAnalyzeItem: the pooled no-retention path must
 // produce the same vector (bit-for-bit) and the same stage-one decision
-// as the retaining AnalyzeItem path on every item.
+// as the retaining AnalyzeItem path on every item — and every entry
+// answers an item's projected twin as it answers the row.
 func TestVectorSignalMatchesAnalyzeItem(t *testing.T) {
 	e := synthExtractor(t)
 	u := synth.Generate(synth.Config{
@@ -26,23 +36,18 @@ func TestVectorSignalMatchesAnalyzeItem(t *testing.T) {
 	for i := range items {
 		a := e.AnalyzeItem(&items[i])
 		wantV, wantSig := a.Vector(), a.HasPositiveSignal()
-		gotV, gotSig := e.VectorSignal(&items[i])
-		if gotSig != wantSig {
-			t.Fatalf("item %d: VectorSignal signal %v, AnalyzeItem %v", i, gotSig, wantSig)
-		}
-		// The same item as a column of its comments' contents.
-		var texts []string
-		for _, c := range items[i].Comments {
-			texts = append(texts, c.Content)
-		}
-		textsV, textsSig := e.VectorSignalTexts(texts)
-		if textsSig != wantSig {
-			t.Fatalf("item %d: VectorSignalTexts signal %v, AnalyzeItem %v", i, textsSig, wantSig)
-		}
-		for j := range wantV {
-			if gotV[j] != wantV[j] || math.Float64bits(textsV[j]) != math.Float64bits(wantV[j]) {
-				t.Fatalf("item %d feature %s: VectorSignal %v, VectorSignalTexts %v != AnalyzeItem %v",
-					i, Names[j], gotV[j], textsV[j], wantV[j])
+		for shape, it := range map[string]*ecom.Item{"row": &items[i], "projected": projected(&items[i])} {
+			gotV, gotSig := e.VectorSignal(it)
+			if gotSig != wantSig || e.HasPositiveSignal(it) != wantSig {
+				t.Fatalf("item %d, %s: VectorSignal signal %v, HasPositiveSignal %v, AnalyzeItem %v",
+					i, shape, gotSig, e.HasPositiveSignal(it), wantSig)
+			}
+			for name, v := range map[string][]float64{"VectorSignal": gotV, "Vector": e.Vector(it), "AnalyzeItem": e.AnalyzeItem(it).Vector()} {
+				for j := range wantV {
+					if math.Float64bits(v[j]) != math.Float64bits(wantV[j]) {
+						t.Fatalf("item %d, %s, feature %s: %s %v != AnalyzeItem of the row %v", i, shape, Names[j], name, v[j], wantV[j])
+					}
+				}
 			}
 		}
 	}
@@ -74,18 +79,18 @@ func TestVectorSignalAllocations(t *testing.T) {
 	}
 	e := synthExtractor(t)
 	it := item("很好，满意！五星好评。", "质量不错物流很快", "好评好评好评")
-	texts := []string{it.Comments[0].Content, it.Comments[1].Content, it.Comments[2].Content}
+	twin := projected(it)
 	for _, c := range []struct {
 		name string
 		max  float64
 		run  func()
 	}{
 		{"VectorSignal", 2, func() { _, _ = e.VectorSignal(it) }},
-		{"VectorSignalTexts", 2, func() { _, _ = e.VectorSignalTexts(texts) }},
+		{"VectorSignal, projected", 2, func() { _, _ = e.VectorSignal(twin) }},
 		// The analysis, its Comments slice and one Words per comment;
 		// like the rows above, one to spare.
 		{"AnalyzeItem", float64(2 + len(it.Comments) + 1), func() { _ = e.AnalyzeItem(it) }},
-		{"AnalyzeComment", 2, func() { _ = e.AnalyzeComment(texts[0]) }},
+		{"AnalyzeComment", 2, func() { _ = e.AnalyzeComment(twin.Texts[0]) }},
 	} {
 		c.run() // warm the pool
 		if allocs := testing.AllocsPerRun(200, c.run); allocs > c.max {

@@ -177,7 +177,7 @@ type scratch struct {
 	touched   []int32    // IDs first met in the current comment, in order
 	counts    []int32    // their occurrence counts, for the entropy sum
 	transient wordIndex  // current item's words outside the table
-	texts     []string   // current item's comment contents, when VectorSignal gathered them
+	texts     []string   // current item's comment contents, gathered from either shape
 
 	epoch     uint32 // current comment
 	itemStart uint32 // first comment epoch of the current item
@@ -201,9 +201,7 @@ func (sc *scratch) beginItem(tableSize, comments int) {
 
 // gather lists the item's comment contents in the scratch, until endItem.
 func (sc *scratch) gather(item *ecom.Item) []string {
-	for i := range item.Comments {
-		sc.texts = append(sc.texts, item.Comments[i].Content)
-	}
+	sc.texts = item.AppendTexts(sc.texts)
 	return sc.texts
 }
 

@@ -281,8 +281,9 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// ensureTenant returns the named tenant, creating the slot on first
-// load.
+// ensureTenant returns the named tenant, creating the slot if needed: on
+// a first publish, or a SetProbes that asked for it. A load that fails
+// makes none, so a typo'd name never becomes a routable tenant.
 func (r *Registry) ensureTenant(name string) *Tenant {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -339,7 +340,7 @@ func (r *Registry) Infos() []Info {
 func (r *Registry) Load(ctx context.Context, tenant, version string, snap *core.DetectorSnapshot) (Info, error) {
 	det, analyzer, err := core.DetectorFromSnapshot(snap)
 	if err != nil {
-		r.ensureTenant(tenant).m.reloadError.Inc()
+		metricsByTenant.For(tenant).reloadError.Inc()
 		return Info{}, fmt.Errorf("registry: load %s: %w", tenant, err)
 	}
 	return r.Install(ctx, tenant, version, det, analyzer)
@@ -350,23 +351,25 @@ func (r *Registry) Load(ctx context.Context, tenant, version string, snap *core.
 // Load and LoadFile end here, and in-process construction (a freshly
 // trained detector, a trainer promotion) starts here.
 func (r *Registry) Install(ctx context.Context, tenant, version string, det *core.Detector, analyzer *core.Analyzer) (Info, error) {
-	t := r.ensureTenant(tenant)
 	det.SetMetricsTenant(tenant)
-	if err := r.validate(ctx, t, det); err != nil {
-		t.m.reloadRejected.Inc()
+	probes := r.opts.Probes
+	if t := r.Tenant(tenant); t != nil {
+		probes = t.probeSet()
+	}
+	if err := r.validate(ctx, probes, det); err != nil {
+		metricsByTenant.For(tenant).reloadRejected.Inc()
 		return Info{}, fmt.Errorf("registry: install %s (version %s): %w", tenant, version, err)
 	}
-	return t.publish(det, analyzer, version), nil
+	return r.ensureTenant(tenant).publish(det, analyzer, version), nil
 }
 
 // LoadFile is Load from a snapshot file; once the model is live the
 // tenant remembers path as its Reload source. The version is derived
 // from the file's base name plus a content hash.
 func (r *Registry) LoadFile(ctx context.Context, tenant, path string) (Info, error) {
-	t := r.ensureTenant(tenant)
 	f, err := os.Open(path)
 	if err != nil {
-		t.m.reloadError.Inc()
+		metricsByTenant.For(tenant).reloadError.Inc()
 		return Info{}, fmt.Errorf("registry: load %s: %w", tenant, err)
 	}
 	hash := fnv.New32a()
@@ -380,14 +383,14 @@ func (r *Registry) LoadFile(ctx context.Context, tenant, path string) (Info, err
 	}
 	f.Close()
 	if err != nil {
-		t.m.reloadError.Inc()
+		metricsByTenant.For(tenant).reloadError.Inc()
 		return Info{}, fmt.Errorf("registry: load %s from %s: %w", tenant, path, err)
 	}
 	info, err := r.Load(ctx, tenant, fmt.Sprintf("%s#%08x", filepath.Base(path), hash.Sum32()), snap)
 	if err != nil {
 		return Info{}, err
 	}
-	t.setSource(path)
+	r.Tenant(tenant).setSource(path) // published, so the slot exists
 	info.Source = path
 	return info, nil
 }
@@ -423,11 +426,10 @@ func (r *Registry) ReloadAll(ctx context.Context) error {
 	return firstErr
 }
 
-// validate scores the tenant's golden probe set on the candidate
-// detector: any scoring error or more than MaxMismatches missed
-// WantFraud expectations rejects the candidate.
-func (r *Registry) validate(ctx context.Context, t *Tenant, det *core.Detector) error {
-	ps := t.probeSet()
+// validate scores a golden probe set on the candidate detector: any
+// scoring error or more than MaxMismatches missed WantFraud expectations
+// rejects the candidate.
+func (r *Registry) validate(ctx context.Context, ps ProbeSet, det *core.Detector) error {
 	if len(ps.Probes) == 0 {
 		return nil
 	}

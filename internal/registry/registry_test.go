@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -187,6 +188,50 @@ func TestLoadFileErrorsAreDiagnosable(t *testing.T) {
 	}
 	if info.Generation != 2 {
 		t.Fatalf("generation after reload = %d, want 2", info.Generation)
+	}
+}
+
+// TestFailedFirstLoadMakesNoTenant: a load that fails for a name the
+// registry does not know — a missing file, a snapshot that does not
+// decode, a candidate the probes veto — counts the failure under that
+// name and leaves no slot behind, so the name stays unroutable (404, not
+// 503) and out of every Names() walk. A slot SetProbes asked for stays.
+func TestFailedFirstLoadMakesNoTenant(t *testing.T) {
+	det, analyzer, snap := trainSnapshot(t, 106, core.DetectorConfig{})
+	r := New(Options{})
+	if _, err := r.Load(context.Background(), "taobao", "m1", snap); err != nil {
+		t.Fatal(err)
+	}
+	names := r.Names()
+	errBefore := metricsByTenant.For("typo").reloadError.Value()
+	rejBefore := metricsByTenant.For("typo").reloadRejected.Value()
+
+	if _, err := r.LoadFile(context.Background(), "typo", filepath.Join(t.TempDir(), "missing.catc")); err == nil {
+		t.Fatal("a missing file loaded")
+	}
+	if _, err := r.Load(context.Background(), "typo", "bad", &core.DetectorSnapshot{}); err == nil {
+		t.Fatal("an empty snapshot loaded")
+	}
+	strict := New(Options{Probes: ProbeSet{Probes: []Probe{{Item: testItems(t, 13)[0], WantFraud: boolPtr(true)}, {Item: testItems(t, 13)[0], WantFraud: boolPtr(false)}}}})
+	if _, err := strict.Install(context.Background(), "typo", "vetoed", det, analyzer); !errors.Is(err, ErrProbeRejected) {
+		t.Fatalf("contradictory probes admitted the model: %v", err)
+	}
+	if r.Tenant("typo") != nil || strict.Tenant("typo") != nil || !slices.Equal(r.Names(), names) || len(strict.Names()) != 0 {
+		t.Fatalf("failed loads left slots: %v, %v", r.Names(), strict.Names())
+	}
+	if got := metricsByTenant.For("typo").reloadError.Value() - errBefore; got != 2 {
+		t.Errorf("reloadError{typo} moved by %d, want 2", got)
+	}
+	if got := metricsByTenant.For("typo").reloadRejected.Value() - rejBefore; got != 1 {
+		t.Errorf("reloadRejected{typo} moved by %d, want 1", got)
+	}
+
+	r.SetProbes("later", ProbeSet{})
+	if r.Tenant("later") == nil {
+		t.Fatal("SetProbes made no slot")
+	}
+	if _, err := r.LoadFile(context.Background(), "later", filepath.Join(t.TempDir(), "missing.catc")); err == nil || r.Tenant("later") == nil {
+		t.Fatalf("a failed load removed the slot SetProbes made (err %v)", err)
 	}
 }
 

@@ -11,26 +11,28 @@ import (
 )
 
 // Request-body decoding for /v1/detect, /v1/explain and /v1/feedback
-// (DESIGN.md §17). All three bodies are ecom.Item values wrapped in one
-// object (feedback pairs each with a fraud bit), almost always in the
-// canonical encoding, which ecom.Decoder reads in one pass (package
-// ecom's comment has its contract); here is each route's envelope. When
-// the decoder declines, the same bytes go through encoding/json, which
-// stays the only source of 400 texts and of what an unusual body means
-// (the Fuzz*Differential targets hold the two together).
+// (DESIGN.md §17). Each body wraps ecom.Item values in one object
+// (feedback pairs each with a fraud bit), almost always in the canonical
+// encoding, which ecom.Decoder reads in one pass (its package comment
+// has the contract); here is each route's envelope. A body it declines
+// goes through encoding/json, the only source of 400 texts and of what
+// an unusual body means (the Fuzz*Differential targets hold the two
+// together). Either way the items come out projected — Texts, no
+// Comments — the one shape dispatch, drift and the trainer see.
 //
-// Lifetime rule: nothing reachable from a decoded ecom.Item may be
-// pooled. A dispatch flight keeps its submitter's item while its batch
-// runs on its own context and serves other requests' waiters after the
-// submitter has returned, so only the read buffer — which no item
-// aliases: ecom.Alias cuts every string from its own copy — goes back to
-// bodyPool. (trainer.Feed keeps no item.)
+// Lifetime rule: nothing reachable from a decoded item may be pooled, as
+// a dispatch flight can hold its submitter's item past the request. Only
+// the read buffer and the decoder go back to their pools: every string
+// an item has is cut from the arena Decoder.Body allocates per request.
 
 // maxPooledBody is the largest read buffer bodyPool keeps: one 32 MiB
 // request must not pin 32 MiB per pooled buffer for the process's life.
 const maxPooledBody = 1 << 20
 
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+var (
+	bodyPool    = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+	decoderPool = sync.Pool{New: func() any { return new(ecom.Decoder) }}
+)
 
 // decodeMetrics counts, for one route, which decoder produced the
 // request.
@@ -50,13 +52,15 @@ func newDecodeMetrics(reg *obs.Registry) (detect, explain, feedback decodeMetric
 
 // itemBody is a request type whose body ecom.Decoder can read.
 type itemBody interface {
-	// decodeFast fills the request from a canonical body, or reports
-	// false having changed nothing.
-	decodeFast(body []byte) bool
+	// read fills the request from a canonical body, or reports false
+	// having changed nothing.
+	read(d *ecom.Decoder) bool
+	// project turns the rows encoding/json filled the request with into
+	// the projected items read would have.
+	project()
 }
 
-func (r *DetectRequest) decodeFast(body []byte) bool {
-	d := ecom.Alias(body)
+func (r *DetectRequest) read(d *ecom.Decoder) bool {
 	var items []ecom.Item
 	if !d.Eat('{') || !d.Key("items") || !d.Items(&items) || !d.Eat('}') || !d.AtEnd() {
 		return false
@@ -65,8 +69,13 @@ func (r *DetectRequest) decodeFast(body []byte) bool {
 	return true
 }
 
-func (r *ExplainRequest) decodeFast(body []byte) bool {
-	d := ecom.Alias(body)
+func (r *DetectRequest) project() {
+	for i := range r.Items {
+		project(&r.Items[i])
+	}
+}
+
+func (r *ExplainRequest) read(d *ecom.Decoder) bool {
 	var it ecom.Item
 	if !d.Eat('{') || !d.Key("item") || !d.Item(&it) || !d.Eat('}') || !d.AtEnd() {
 		return false
@@ -75,10 +84,11 @@ func (r *ExplainRequest) decodeFast(body []byte) bool {
 	return true
 }
 
-// decodeFast reads {"feedback":[{"item":…,"fraud":true|false},…]} with
-// each entry's keys in that order, as json.Marshal writes them.
-func (r *FeedbackRequest) decodeFast(body []byte) bool {
-	d := ecom.Alias(body)
+func (r *ExplainRequest) project() { project(&r.Item) }
+
+// read takes {"feedback":[{"item":…,"fraud":true|false},…]} with each
+// entry's keys in that order, as json.Marshal writes them.
+func (r *FeedbackRequest) read(d *ecom.Decoder) bool {
 	if !d.Eat('{') || !d.Key("feedback") || !d.Eat('[') {
 		return false
 	}
@@ -103,10 +113,35 @@ func (r *FeedbackRequest) decodeFast(body []byte) bool {
 	return true
 }
 
+func (r *FeedbackRequest) project() {
+	for i := range r.Feedback {
+		project(&r.Feedback[i].Item)
+	}
+}
+
+// project gives a row item the projected shape: its contents as Texts,
+// no Comments.
+func project(it *ecom.Item) { it.Texts, it.Comments = it.AppendTexts(nil), nil }
+
+// decodeFast reads a canonical body into req with a pooled decoder, or
+// reports false having changed nothing. A decoder that read a body over
+// maxPooledBody is dropped: its scratch grew with the body.
+func decodeFast(req itemBody, body []byte) bool {
+	d := decoderPool.Get().(*ecom.Decoder)
+	d.Body(body)
+	ok := req.read(d)
+	d.Body(nil)
+	if len(body) <= maxPooledBody {
+		decoderPool.Put(d)
+	}
+	return ok
+}
+
 // decodeItems reads the request body, capped at MaxBodyBytes, into a
 // pooled buffer and decodes it into req: the single-pass decoder first,
-// encoding/json over the same bytes when that declines. A body over the
-// cap is an *http.MaxBytesError whatever it holds.
+// encoding/json over the same bytes when that declines, its rows then
+// projected. A body over the cap is an *http.MaxBytesError whatever it
+// holds.
 func (s *Server) decodeItems(w http.ResponseWriter, r *http.Request, m decodeMetrics, req itemBody) error {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	defer func() {
@@ -124,10 +159,14 @@ func (s *Server) decodeItems(w http.ResponseWriter, r *http.Request, m decodeMet
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)); err != nil {
 		return err
 	}
-	if !s.stdlibOnly && req.decodeFast(buf.Bytes()) {
+	if !s.stdlibOnly && decodeFast(req, buf.Bytes()) {
 		m.fast.Inc()
 		return nil
 	}
 	m.stdlib.Inc()
-	return json.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(req)
+	if err := json.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(req); err != nil {
+		return err
+	}
+	req.project()
+	return nil
 }

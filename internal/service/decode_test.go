@@ -31,41 +31,13 @@ func coldBody(t testing.TB) []byte {
 	return body
 }
 
+// stdlibDetect is the stdlib path of decodeItems: encoding/json, then
+// its rows projected.
 func stdlibDetect(body []byte) (DetectRequest, error) {
 	var req DetectRequest
 	err := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+	req.project()
 	return req, err
-}
-
-// sameItems is reflect.DeepEqual over items with each date compared the
-// way time.Time asks to be: the same instant, at the same zone offset.
-func sameItems(a, b []ecom.Item) bool {
-	if len(a) != len(b) || (a == nil) != (b == nil) {
-		return false
-	}
-	for i := range a {
-		x, y := a[i], b[i]
-		if len(x.Comments) != len(y.Comments) || (x.Comments == nil) != (y.Comments == nil) {
-			return false
-		}
-		for j := range x.Comments {
-			cx, cy := x.Comments[j], y.Comments[j]
-			_, ox := cx.Date.Zone()
-			_, oy := cy.Date.Zone()
-			if !cx.Date.Equal(cy.Date) || ox != oy {
-				return false
-			}
-			cx.Date = cy.Date
-			if !reflect.DeepEqual(cx, cy) {
-				return false
-			}
-		}
-		x.Comments, y.Comments = nil, nil
-		if !reflect.DeepEqual(x, y) {
-			return false
-		}
-	}
-	return true
 }
 
 // decodeSeeds are the bodies the differential tests start from: the
@@ -177,22 +149,18 @@ func feedbackBody(t testing.TB, entries []FeedbackEntry) []byte {
 }
 
 // checkFeedbackDifferential is the one-way contract for a feedback body:
-// fast accepts ⇒ encoding/json accepts the same entries.
+// fast accepts ⇒ encoding/json accepts the same entries, their items
+// projected.
 func checkFeedbackDifferential(t *testing.T, body []byte) {
 	t.Helper()
 	var fast, want FeedbackRequest
-	if !fast.decodeFast(body) {
+	if !decodeFast(&fast, body) {
 		return
 	}
 	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&want); err != nil {
 		t.Fatalf("fast decoder accepted a feedback body encoding/json rejects (%v): %q", err, body)
 	}
-	same := len(fast.Feedback) == len(want.Feedback) && (fast.Feedback == nil) == (want.Feedback == nil)
-	for i := 0; same && i < len(want.Feedback); i++ {
-		same = fast.Feedback[i].Fraud == want.Feedback[i].Fraud &&
-			sameItems([]ecom.Item{fast.Feedback[i].Item}, []ecom.Item{want.Feedback[i].Item})
-	}
-	if !same {
+	if want.project(); !reflect.DeepEqual(fast, want) {
 		t.Fatalf("feedback body %q:\n fast   %+v\n stdlib %+v", body, fast.Feedback, want.Feedback)
 	}
 }
@@ -277,7 +245,7 @@ func TestFastDecoderAgreesWithStdlib(t *testing.T) {
 
 	accepts := func(body string) bool {
 		var req DetectRequest
-		return req.decodeFast([]byte(body))
+		return decodeFast(&req, []byte(body))
 	}
 	for _, body := range []string{
 		string(coldBody(t)),
@@ -327,7 +295,7 @@ func TestFastDecoderAgreesWithStdlib(t *testing.T) {
 	}
 	acceptsFeedback := func(body string) bool {
 		var req FeedbackRequest
-		return req.decodeFast([]byte(body))
+		return decodeFast(&req, []byte(body))
 	}
 	for _, body := range []string{
 		canonical,
@@ -363,26 +331,27 @@ func TestFastDecoderAgreesWithStdlib(t *testing.T) {
 }
 
 // checkDetectDifferential asserts the one-way contract on one body, for
-// both request types: fast accepts ⇒ encoding/json accepts the same.
+// both request types: fast accepts ⇒ encoding/json accepts the same
+// items, projected.
 func checkDetectDifferential(t *testing.T, body []byte) {
 	t.Helper()
 	var fast DetectRequest
-	if fast.decodeFast(body) {
+	if decodeFast(&fast, body) {
 		want, err := stdlibDetect(body)
 		if err != nil {
 			t.Fatalf("fast decoder accepted a detect body encoding/json rejects (%v): %q", err, body)
 		}
-		if !sameItems(fast.Items, want.Items) {
+		if !reflect.DeepEqual(fast.Items, want.Items) {
 			t.Fatalf("detect body %q:\n fast   %+v\n stdlib %+v", body, fast.Items, want.Items)
 		}
 	}
 	var fastEx ExplainRequest
-	if fastEx.decodeFast(body) {
+	if decodeFast(&fastEx, body) {
 		var want ExplainRequest
 		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&want); err != nil {
 			t.Fatalf("fast decoder accepted an explain body encoding/json rejects (%v): %q", err, body)
 		}
-		if !sameItems([]ecom.Item{fastEx.Item}, []ecom.Item{want.Item}) {
+		if want.project(); !reflect.DeepEqual(fastEx.Item, want.Item) {
 			t.Fatalf("explain body %q:\n fast   %+v\n stdlib %+v", body, fastEx.Item, want.Item)
 		}
 	}
@@ -422,7 +391,7 @@ func TestDecodedItemsShareNothingWithTheBuffer(t *testing.T) {
 	if srv.detectDecodes.fast.Value() != fastBefore+2 {
 		t.Fatal("the fast decoder declined a canonical body; this test would be checking encoding/json")
 	}
-	if !sameItems(got.Items, want.Items) {
+	if !reflect.DeepEqual(got.Items, want.Items) {
 		t.Error("items changed after their read buffer was reused for another request")
 	}
 
@@ -430,13 +399,13 @@ func TestDecodedItemsShareNothingWithTheBuffer(t *testing.T) {
 	// the decoder was given.
 	buf := bytes.Clone(first)
 	var req DetectRequest
-	if !req.decodeFast(buf) {
+	if !decodeFast(&req, buf) {
 		t.Fatal("fast decoder declined the body")
 	}
 	for i := range buf {
 		buf[i] = 'x'
 	}
-	if !sameItems(req.Items, want.Items) {
+	if !reflect.DeepEqual(req.Items, want.Items) {
 		t.Error("decoded items alias the caller's buffer")
 	}
 
@@ -467,7 +436,7 @@ func TestDecodedItemsShareNothingWithTheBuffer(t *testing.T) {
 		}
 		return d
 	}
-	gotD := cycle(tr, (*FeedbackRequest).decodeFast)
+	gotD := cycle(tr, func(req *FeedbackRequest, body []byte) bool { return decodeFast(req, body) })
 	wantD := cycle(wantTr, func(req *FeedbackRequest, body []byte) bool { return json.Unmarshal(body, req) == nil })
 	if gotD != wantD || gotD.ChallengerVersion == "" {
 		t.Errorf("window read back after its request's buffer was overwritten:\n got  %+v\n want %+v", gotD, wantD)
@@ -484,7 +453,10 @@ func (*resetBody) Close() error { return nil }
 // MaxBytesReader and the request value behind its interface — the read
 // buffer comes out of the pool and goes back into it. A buffer that
 // does not go back shows as two more again (the bytes.Buffer and its
-// array) on every request.
+// array) on every request. Decoding allocates what it hands out — the
+// arena, the Texts' backing array, the items — from a warm decoderPool:
+// a decoder that does not go back regrows its scratch on every request,
+// a dozen allocations and more.
 func TestDecodeItemsSteadyStateAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -493,10 +465,13 @@ func TestDecodeItemsSteadyStateAllocations(t *testing.T) {
 	body := coldBody(t)
 	decodeOnly := testing.AllocsPerRun(100, func() {
 		var req DetectRequest
-		if !req.decodeFast(body) {
+		if !decodeFast(&req, body) {
 			t.Fatal("fast decoder declined the canonical body")
 		}
 	})
+	if decodeOnly > 4 {
+		t.Fatalf("decoding a canonical body allocated %.0f times, want at most 4 (arena, Texts, items, the request behind its interface)", decodeOnly)
+	}
 	rd := new(resetBody)
 	r := httptest.NewRequest(http.MethodPost, "/v1/detect", rd)
 	r.ContentLength = int64(len(body))
@@ -555,7 +530,7 @@ func BenchmarkDecodeDetect(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		for i := 0; i < b.N; i++ {
 			var req DetectRequest
-			if !req.decodeFast(body) {
+			if !decodeFast(&req, body) {
 				b.Fatal("fast decoder declined the canonical body")
 			}
 		}
@@ -579,7 +554,7 @@ func BenchmarkDecodeFeedback(b *testing.B) {
 		decode func(*FeedbackRequest) bool
 	}{
 		{"stdlib", func(req *FeedbackRequest) bool { return json.NewDecoder(bytes.NewReader(body)).Decode(req) == nil }},
-		{"fast", func(req *FeedbackRequest) bool { return req.decodeFast(body) }},
+		{"fast", func(req *FeedbackRequest) bool { return decodeFast(req, body) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -91,6 +91,11 @@ func FuzzDecodeDetectDifferential(f *testing.F) {
 	if valid, err := json.Marshal(ExplainRequest{Item: test.Dataset.Items[0]}); err == nil {
 		f.Add(valid)
 	}
+	cut := test.Dataset.Items[1] // under the sales cutoff: explain computes its vector from Texts
+	cut.SalesVolume = 1
+	if valid, err := json.Marshal(ExplainRequest{Item: cut}); err == nil {
+		f.Add(valid)
+	}
 	for _, s := range decodeSeeds {
 		f.Add([]byte(s))
 		f.Add([]byte(strings.Replace(s, `{"items":[`, `{"item":`, 1)))

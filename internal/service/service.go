@@ -256,11 +256,15 @@ func (s *Server) driftFor(tenant string, h *registry.Handle) *driftState {
 }
 
 // recordDrift reservoir-samples scored feature vectors into the
-// tenant's drift state.
+// tenant's drift state. Rows are nil for items the sales cutoff dropped
+// before extraction: drift tracks the distribution of analyzed traffic.
 func (s *Server) recordDrift(st *driftState, vectors [][]float64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for _, v := range vectors {
+		if v == nil {
+			continue
+		}
 		st.seen++
 		if len(st.res) < driftReservoir {
 			st.res = append(st.res, v)
@@ -417,28 +421,12 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		// computed while scoring, so drift recording costs no re-extraction.
 		// With batching on, the tenant's dispatcher may satisfy part of the
 		// request from batches shared with concurrent callers.
-		dets, X, err := s.detect(r, h, req.Items)
-		if err != nil {
-			if dispatch.IsShed(err) {
-				s.writeShed(w, h)
-				return
-			}
-			if r.Context().Err() != nil {
-				return // client went away; nobody is listening
-			}
-			writeError(w, http.StatusInternalServerError, err.Error())
+		dets, X, ok := s.detect(w, r, h, req.Items)
+		if !ok {
 			return
 		}
 		if st := s.driftFor(tenant, h); st != nil {
-			// Rows are nil for items the sales cutoff dropped before
-			// extraction; drift tracks the distribution of analyzed traffic.
-			vectors := X[:0]
-			for _, v := range X {
-				if v != nil {
-					vectors = append(vectors, v)
-				}
-			}
-			s.recordDrift(st, vectors)
+			s.recordDrift(st, X)
 		}
 		resp := DetectResponse{
 			Detections:      make([]DetectionDTO, len(dets)),
@@ -459,13 +447,26 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 
 // detect scores a request's items through the handle's batching
 // dispatcher when configured, or the model's own fused batch path
-// otherwise.
-func (s *Server) detect(r *http.Request, h *registry.Handle, items []ecom.Item) ([]core.Detection, [][]float64, error) {
+// otherwise: the one scoring call of detect and explain. On failure it
+// answers the request itself — 503 with Retry-After for a shed, nothing
+// to a client that went away, else 500 — and reports false.
+func (s *Server) detect(w http.ResponseWriter, r *http.Request, h *registry.Handle, items []ecom.Item) ([]core.Detection, [][]float64, bool) {
+	var res dispatch.Result
+	var err error
 	if disp := h.Dispatcher(); disp != nil {
-		res, err := disp.Submit(r.Context(), items)
-		return res.Detections, res.Features, err
+		res, err = disp.Submit(r.Context(), items)
+	} else {
+		res.Detections, res.Features, err = h.Detector.DetectWithFeatures(r.Context(), items, s.opts.Workers)
 	}
-	return h.Detector.DetectWithFeatures(r.Context(), items, s.opts.Workers)
+	switch {
+	case err == nil:
+		return res.Detections, res.Features, true
+	case dispatch.IsShed(err):
+		s.writeShed(w, h)
+	case r.Context().Err() == nil: // else nobody is listening
+		writeError(w, http.StatusInternalServerError, err.Error())
+	}
+	return nil, nil, false
 }
 
 // writeShed answers an admission-control rejection: 503 with the
@@ -488,14 +489,16 @@ type ExplainRequest struct {
 	Item ecom.Item `json:"item"`
 }
 
-// ExplainResponse is the /v1/explain response body.
+// ExplainResponse is the /v1/explain response body. Tenant, ModelVersion
+// and ModelGeneration are its provenance, as on DetectResponse.
 type ExplainResponse struct {
-	Detection    DetectionDTO     `json:"detection"`
-	Features     []gbt.Importance `json:"decision_path_features"`
-	Vector       []float64        `json:"feature_vector"`
-	Names        []string         `json:"feature_names"`
-	Tenant       string           `json:"tenant,omitempty"`
-	ModelVersion string           `json:"model_version,omitempty"`
+	Detection       DetectionDTO     `json:"detection"`
+	Features        []gbt.Importance `json:"decision_path_features"`
+	Vector          []float64        `json:"feature_vector"`
+	Names           []string         `json:"feature_names"`
+	Tenant          string           `json:"tenant,omitempty"`
+	ModelVersion    string           `json:"model_version,omitempty"`
+	ModelGeneration uint64           `json:"model_generation,omitempty"`
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -505,33 +508,15 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.withModel(w, r, func(tenant string, h *registry.Handle) {
-		var det core.Detection
-		var vec []float64
-		if h.Dispatcher() != nil {
-			// Single-item explains ride the same coalescing queue as detect
-			// traffic: an item being explained while it is being scored for
-			// someone else costs one analysis, and overload sheds here too.
-			dets, X, err := s.detect(r, h, []ecom.Item{req.Item})
-			if err != nil {
-				if dispatch.IsShed(err) {
-					s.writeShed(w, h)
-					return
-				}
-				if r.Context().Err() != nil {
-					return
-				}
-				writeError(w, http.StatusInternalServerError, err.Error())
-				return
-			}
-			det, vec = dets[0], X[0]
-		} else {
-			var err error
-			det, vec, err = h.Detector.DetectItemWithFeatures(&req.Item)
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, err.Error())
-				return
-			}
+		// An explain is scored as detect traffic is: with batching on, on
+		// the same coalescing queue, so an item being explained while it
+		// is being scored for someone else costs one analysis, and
+		// overload sheds here too.
+		dets, X, ok := s.detect(w, r, h, []ecom.Item{req.Item})
+		if !ok {
+			return
 		}
+		vec := X[0]
 		if vec == nil {
 			// Sales-filtered items skip extraction in the fused pipeline,
 			// but /v1/explain promises the vector; compute it on demand.
@@ -543,12 +528,13 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		writeJSON(w, http.StatusOK, ExplainResponse{
-			Detection:    detectionDTO(det),
-			Features:     exp,
-			Vector:       vec,
-			Names:        features.Names,
-			Tenant:       tenant,
-			ModelVersion: h.Version,
+			Detection:       detectionDTO(dets[0]),
+			Features:        exp,
+			Vector:          vec,
+			Names:           features.Names,
+			Tenant:          tenant,
+			ModelVersion:    h.Version,
+			ModelGeneration: h.Generation,
 		})
 	})
 }
@@ -726,10 +712,7 @@ func (s *Server) handleAdminTenants(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Connection-level failure; nothing else to do.
-		_ = err
-	}
+	_ = json.NewEncoder(w).Encode(v) // a connection-level failure; nothing else to do
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {

@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dispatch"
@@ -330,6 +332,37 @@ func TestExplainEndpoint(t *testing.T) {
 	if len(out.Features) != 11 || len(out.Vector) != 11 || len(out.Names) != 11 {
 		t.Fatalf("explanation shapes: %d features, %d vector, %d names",
 			len(out.Features), len(out.Vector), len(out.Names))
+	}
+
+	// An item under the sales cutoff is never analyzed while it is
+	// scored; its vector is computed on demand from the Texts the request
+	// decoded to, and is the row's — batched or not, by either decoder.
+	cut := test.Dataset.Items[1]
+	cut.SalesVolume = 1
+	body, err = json.Marshal(ExplainRequest{Item: cut})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batched, bts, _ := newBatchedTestService(t, Options{}, &dispatch.Options{MaxBatch: 8, MaxWait: time.Millisecond})
+	defer batched.Close()
+	for _, url := range []string{ts.URL, bts.URL} {
+		for _, contentKey := range []string{`"comment_content"`, `"COMMENT_CONTENT"`} { // the second falls back to encoding/json
+			resp, err := http.Post(url+"/v1/explain", "application/json", bytes.NewReader(bytes.ReplaceAll(body, []byte(`"comment_content"`), []byte(contentKey))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out ExplainResponse
+			err = json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || !out.Detection.Filtered || out.ModelGeneration == 0 {
+				t.Fatalf("%s, %s: sales-cut explain: status %d, %+v (%v)", url, contentKey, resp.StatusCode, out, err)
+			}
+			batched.ModelRegistry().Tenant(DefaultTenant).Do(func(h *registry.Handle) {
+				if want := h.Detector.Extractor().Vector(&cut); !reflect.DeepEqual(out.Vector, want) {
+					t.Fatalf("%s, %s: sales-cut explain vector %v, the row's %v", url, contentKey, out.Vector, want)
+				}
+			})
+		}
 	}
 
 	// Method and body validation.

@@ -15,6 +15,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/synth"
 	"repro/internal/textgen"
+	"repro/internal/trainer"
 )
 
 const testAdminToken = "sesame-open"
@@ -205,6 +206,27 @@ func TestAdminReload(t *testing.T) {
 	if after.ModelGeneration != info.Generation {
 		t.Fatalf("post-reload generation = %d, want %d", after.ModelGeneration, info.Generation)
 	}
+	// Explain names the generation too: the version, a content hash, is
+	// the same for both generations of one file.
+	var items DetectRequest
+	if err := json.Unmarshal(body, &items); err != nil {
+		t.Fatal(err)
+	}
+	explainBody, err := json.Marshal(ExplainRequest{Item: items.Items[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(ts.URL+"/t/eplatform/v1/explain", "application/json", bytes.NewReader(explainBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var explained ExplainResponse
+	err = json.NewDecoder(resp.Body).Decode(&explained)
+	resp.Body.Close()
+	if err != nil || explained.ModelGeneration != info.Generation || explained.ModelVersion != info.Version {
+		t.Fatalf("post-reload explain: generation %d version %q, want %d %q (%v)",
+			explained.ModelGeneration, explained.ModelVersion, info.Generation, info.Version, err)
+	}
 	// Same snapshot bytes → same verdicts either side of the swap.
 	if len(after.Detections) != len(before.Detections) {
 		t.Fatalf("detections %d vs %d across reload", len(after.Detections), len(before.Detections))
@@ -270,5 +292,43 @@ func TestModelDriftBaseline(t *testing.T) {
 	}
 	if out.Tenant != "eplatform" || out.SampleSize == 0 {
 		t.Fatalf("drift = %+v", out)
+	}
+}
+
+// TestFailedReloadMakesNoTenant: an /admin/reload that names a new tenant
+// and a file that is not there answers 422 and creates nothing: the name
+// stays a 404 for detect and feedback, no retrain cycle runs for it, and
+// /admin/tenants does not list it.
+func TestFailedReloadMakesNoTenant(t *testing.T) {
+	_, ts, tr, _ := newTrainerService(t, trainer.Config{}, Options{AdminToken: testAdminToken})
+	resp := adminReq(t, http.MethodPost, ts.URL+"/admin/reload", testAdminToken, []byte(`{"tenant":"typo","path":"/missing.catc"}`))
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("reload from a missing file: status %d, want 422", resp.StatusCode)
+	}
+	feedback, err := json.Marshal(FeedbackRequest{Feedback: shiftedEntries(503)[:1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, body := range map[string][]byte{"/t/typo/v1/detect": []byte(`{"items":[{"item_id":"a"}]}`), "/t/typo/v1/feedback": feedback} {
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s after the failed reload: status %d, want 404", path, resp.StatusCode)
+		}
+	}
+	for _, d := range tr.RunAll(context.Background()) {
+		if d.Tenant == "typo" {
+			t.Errorf("a retrain cycle ran for the tenant that never loaded: %+v", d)
+		}
+	}
+	resp = adminReq(t, http.MethodGet, ts.URL+"/admin/tenants", testAdminToken, nil)
+	var listing struct {
+		Tenants []registry.Info `json:"tenants"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&listing); err != nil || len(listing.Tenants) != 1 {
+		t.Errorf("/admin/tenants after the failed reload: %+v (%v)", listing, err)
 	}
 }

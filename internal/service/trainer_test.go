@@ -131,11 +131,12 @@ func TestFeedbackEndpoint(t *testing.T) {
 	}
 }
 
-// TestWindowPinsNoRequestMemory: the fast decoder hands out substrings
-// of one copy of the body, so an item kept whole would pin its request —
-// here 1 MiB of item_name per two short comments. The window keeps a
-// copy of the comments' text and nothing else, so 64 such requests leave
-// next to nothing behind (64 MiB if a single substring were kept).
+// TestWindowPinsNoRequestMemory: the fast decoder cuts every string of a
+// body's items from one arena the size of the body, so an item kept
+// whole would pin its request — here 1 MiB of item_name per two short
+// comments. The window keeps a copy of the comments' text and nothing
+// else, so 64 such requests leave next to nothing behind (64 MiB if a
+// single arena string were kept).
 func TestWindowPinsNoRequestMemory(t *testing.T) {
 	srv, _, tr, _ := newTrainerService(t, trainer.Config{}, Options{})
 	handler := srv.Handler()

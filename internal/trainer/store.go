@@ -33,16 +33,18 @@ type record struct {
 	ends  []uint32 // comment j's content is text[ends[j-1]:ends[j]]
 }
 
-// newRecord copies fb. It refuses an item without an id and one whose
-// comment text would overflow the uint32 offsets.
+// newRecord copies fb, whose item may be a row or projected. It refuses
+// an item without an id and one whose comment text would overflow the
+// uint32 offsets.
 func newRecord(fb *Feedback) (record, error) {
 	it := &fb.Item
 	if it.ID == "" {
 		return record{}, errors.New("item has no id")
 	}
+	texts := it.AppendTexts(nil)
 	var n uint64
-	for i := range it.Comments {
-		n += uint64(len(it.Comments[i].Content))
+	for _, text := range texts {
+		n += uint64(len(text))
 	}
 	if n > math.MaxUint32 {
 		return record{}, errors.New("comment text exceeds 4 GiB")
@@ -50,9 +52,9 @@ func newRecord(fb *Feedback) (record, error) {
 	var arena strings.Builder
 	arena.Grow(len(it.ID) + int(n))
 	arena.WriteString(it.ID)
-	ends := make([]uint32, len(it.Comments))
-	for i := range it.Comments {
-		arena.WriteString(it.Comments[i].Content)
+	ends := make([]uint32, len(texts))
+	for i, text := range texts {
+		arena.WriteString(text)
 		ends[i] = uint32(arena.Len() - len(it.ID))
 	}
 	s := arena.String()
@@ -62,14 +64,20 @@ func newRecord(fb *Feedback) (record, error) {
 // bytes is the record's share of cats_trainer_window_bytes.
 func (r *record) bytes() int64 { return int64(len(r.id) + len(r.text) + 4*len(r.ends)) }
 
-// texts returns the comments' contents as views of the arena.
-func (r *record) texts() []string {
-	out := make([]string, len(r.ends))
+// item is the record as the detector takes it: projected, its Texts
+// views of the record's arena, so a cycle copies no text. The label is
+// the fraud bit's.
+func (r *record) item() ecom.Item {
+	label := ecom.Normal
+	if r.fraud {
+		label = ecom.FraudEvidence
+	}
+	texts := make([]string, len(r.ends))
 	var start uint32
 	for j, end := range r.ends {
-		out[j], start = r.text[start:end], end
+		texts[j], start = r.text[start:end], end
 	}
-	return out
+	return ecom.Item{ID: r.id, SalesVolume: r.sales, Label: label, Texts: texts}
 }
 
 // window is a bounded ring of the most recent feedback for one tenant.

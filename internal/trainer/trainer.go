@@ -352,7 +352,7 @@ func (t *Trainer) challenge(ctx context.Context, st *tenantState, d *Decision, r
 	challenger := core.NewDetector(h.Analyzer, h.Detector.Config())
 	d.ChallengerVersion = fmt.Sprintf("retrain-c%d#%016x", d.Cycle, hash)
 	t0 := t.clock.Now()
-	if err := challenger.TrainTexts(train.items, train.texts, 0); err != nil {
+	if err := challenger.Train(&ecom.Dataset{Items: train}, 0); err != nil {
 		d.Outcome = OutcomeError
 		d.Reason = "train challenger: " + err.Error()
 		return
@@ -503,23 +503,6 @@ func gateVerdict(champ, chal eval.Metrics, cfg Config) (win bool, reason string)
 	return true, ""
 }
 
-// split is one side of a window split as the detector takes a projected
-// read: items without Comments and, beside each, its comments' contents
-// as views of its record's arena. A cycle copies no text.
-type split struct {
-	items []ecom.Item
-	texts [][]string
-}
-
-func (s *split) add(r *record) {
-	label := ecom.Normal
-	if r.fraud {
-		label = ecom.FraudEvidence
-	}
-	s.items = append(s.items, ecom.Item{ID: r.id, SalesVolume: r.sales, Label: label})
-	s.texts = append(s.texts, r.texts())
-}
-
 // holdout is the fraction of the window held out for the gate.
 const holdout = 0.3
 
@@ -527,7 +510,7 @@ const holdout = 0.3
 // holdout sets: each class is shuffled with the seeded rng and cut at
 // the holdout fraction, so both sides see both classes and the same
 // window always splits identically.
-func splitFeedback(recs []record, rng *rand.Rand) (train, hold split) {
+func splitFeedback(recs []record, rng *rand.Rand) (train, hold []ecom.Item) {
 	var posIdx, negIdx []int
 	for i := range recs {
 		if recs[i].fraud {
@@ -547,9 +530,9 @@ func splitFeedback(recs []record, rng *rand.Rand) (train, hold split) {
 		}
 		for k, i := range idx {
 			if k < nHold {
-				hold.add(&recs[i])
+				hold = append(hold, recs[i].item())
 			} else {
-				train.add(&recs[i])
+				train = append(train, recs[i].item())
 			}
 		}
 	}
@@ -558,10 +541,10 @@ func splitFeedback(recs []record, rng *rand.Rand) (train, hold split) {
 
 // holdoutMetrics scores det over the holdout set and folds the verdicts
 // into P/R/F1 under the experiments' convention (core.Evaluate).
-func holdoutMetrics(ctx context.Context, det *core.Detector, hold split) (eval.Metrics, error) {
-	dets, err := det.DetectTexts(ctx, hold.items, hold.texts, 0)
+func holdoutMetrics(ctx context.Context, det *core.Detector, hold []ecom.Item) (eval.Metrics, error) {
+	dets, err := det.DetectContext(ctx, hold, 0)
 	if err != nil {
 		return eval.Metrics{}, err
 	}
-	return core.Evaluate(hold.items, dets), nil
+	return core.Evaluate(hold, dets), nil
 }

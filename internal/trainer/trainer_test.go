@@ -1,7 +1,9 @@
 package trainer
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -157,18 +159,29 @@ func TestPromotionGateDecisions(t *testing.T) {
 	}
 }
 
-// TestDeterminismWitness runs two independent fixtures through the
+// TestDeterminismWitness runs independent fixtures through the
 // identical feed-and-cycle script and requires byte-identical verdicts:
 // same window hash, same challenger version, same metrics, same
 // outcome. This is the property the whole package is built around —
-// promotion decisions are a pure function of the feedback window.
+// promotion decisions are a pure function of the feedback window, and
+// so of the comments' contents alone: the run fed the same items
+// projected (Texts, no Comments), as the service's decoder hands them
+// over, decides byte for byte as the runs fed rows.
 func TestDeterminismWitness(t *testing.T) {
-	runOnce := func() []Decision {
+	feedback := func(seed int64, projected bool) []Feedback {
+		fbs := shiftedFeedback(seed)
+		for i := 0; projected && i < len(fbs); i++ {
+			it := &fbs[i].Item
+			it.Texts, it.Comments = it.AppendTexts(nil), nil
+		}
+		return fbs
+	}
+	runOnce := func(projected bool) []Decision {
 		f := newFixture(t)
 		tr := New(f.reg, f.clock, Config{MinSamples: 40, Seed: 7})
 		ctx := context.Background()
 		var out []Decision
-		if _, err := tr.Feed(fixtureTenant, shiftedFeedback(501)); err != nil {
+		if _, err := tr.Feed(fixtureTenant, feedback(501, projected)); err != nil {
 			t.Fatal(err)
 		}
 		d, err := tr.RunCycle(ctx, fixtureTenant)
@@ -176,7 +189,7 @@ func TestDeterminismWitness(t *testing.T) {
 			t.Fatal(err)
 		}
 		out = append(out, d)
-		if _, err := tr.Feed(fixtureTenant, shiftedFeedback(502)); err != nil {
+		if _, err := tr.Feed(fixtureTenant, feedback(502, projected)); err != nil {
 			t.Fatal(err)
 		}
 		d, err = tr.RunCycle(ctx, fixtureTenant)
@@ -185,10 +198,13 @@ func TestDeterminismWitness(t *testing.T) {
 		}
 		return append(out, d)
 	}
-	a, b := runOnce(), runOnce()
+	a, b, c := runOnce(false), runOnce(false), runOnce(true)
 	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("cycle %d diverged between identical runs:\n  run A: %+v\n  run B: %+v", i+1, a[i], b[i])
+		ja, _ := json.Marshal(a[i])
+		jb, _ := json.Marshal(b[i])
+		jc, _ := json.Marshal(c[i])
+		if !bytes.Equal(ja, jb) || !bytes.Equal(ja, jc) {
+			t.Errorf("cycle %d diverged between identical runs:\n  rows A:    %s\n  rows B:    %s\n  projected: %s", i+1, ja, jb, jc)
 		}
 	}
 	if a[0].WindowHash == "" || a[0].ChallengerVersion == "" {
