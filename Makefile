@@ -54,11 +54,11 @@ bench:
 # One iteration of every benchmark, no unit tests: a fast compile-and-run
 # smoke so benchmarks can't rot between PRs (CI runs this). Among them
 # the two numbers the retrain window is sized by:
-# service.BenchmarkDecodeFeedback/{stdlib,fast} (an 8-entry × 40-comment
-# body) and trainer.BenchmarkFeed (retained-B/entry); and the one item
-# decoder on both its inputs: service.BenchmarkDecodeDetect/{stdlib,fast}
-# beside dataset.BenchmarkJSONLRead/{rows,texts} (ns/comment,
-# allocs/item).
+# service.BenchmarkDecodeFeedback/fast (an 8-entry × 40-comment body;
+# stdlib is json.Unmarshal for reference) and trainer.BenchmarkFeed
+# (retained-B/entry); and the one item decoder on both its inputs:
+# service.BenchmarkDecodeDetect/fast beside
+# dataset.BenchmarkJSONLRead/{rows,texts} (ns/comment, allocs/item).
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
@@ -76,21 +76,23 @@ bench-quick:
 # segmenter against the map-based reference, the word-ID analysis
 # kernel against the string/map oracle, the table-driven IsPunct
 # against the unicode-package definition, the service's request
-# decoder against arbitrary bodies (never a 5xx) and its single-pass
-# detect/explain decoder against encoding/json (accepts only what
-# encoding/json accepts, with the same items and answers), the feedback
+# decoder against arbitrary bodies (never a 5xx), its detect/explain
+# decoding against json.Unmarshal (accepts iff it accepts, with the same
+# items, and answers a body as its canonical re-encoding), the feedback
 # intake against arbitrary bodies (never a 5xx, a rejected body never
-# grows the retrain window) and its single-pass decoder against
-# encoding/json (same status, same accepted count, same window), the
-# columnar container decoder against corrupt/truncated/hostile inputs
-# (must always fail diagnosably, never panic or over-allocate; the skip
-# decoders and the string payload reader agree with the building ones),
-# the dataset reader over arbitrary bytes, alone and with its projected
-# read held to the full one (both fail or both succeed with the same
-# items and texts, with and without a predicate refusing texts), and
-# the JSONL line decoder against encoding/json (accepts only what
-# encoding/json accepts, as the same item, and everything json.Marshal
-# writes). -fuzz takes a single target per invocation, hence the
+# grows the retrain window) and against json.Unmarshal (same status,
+# same accepted count, same window as the canonical re-encoding), the
+# pooled request decoder behind faulting readers (short reads decode
+# the same, a failed read is a 4xx that grows no window, the next
+# request through the pools decodes right), the columnar container
+# decoder against corrupt/truncated/hostile inputs (must always fail
+# diagnosably, never panic or over-allocate; the skip decoders and the
+# string payload reader agree with the building ones), the dataset
+# reader over arbitrary bytes, alone and with its projected read held
+# to the full one (both fail or both succeed with the same items and
+# texts, with and without a predicate refusing texts), and the JSONL
+# line decoder against json.Unmarshal (accepts iff it accepts, as the
+# same item). -fuzz takes a single target per invocation, hence the
 # separate runs.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentDifferential -fuzztime=10s ./internal/tokenize
@@ -100,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDetectDifferential -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz='FuzzDecodeFeedback$$' -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFeedbackDifferential -fuzztime=10s ./internal/service
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeFaultingReader -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzColfmtDecode -fuzztime=10s ./internal/colfmt
 	$(GO) test -run='^$$' -fuzz=FuzzReader -fuzztime=10s ./internal/dataset
 	$(GO) test -run='^$$' -fuzz=FuzzProjectedReadDifferential -fuzztime=10s ./internal/dataset
@@ -109,8 +112,8 @@ fuzz-smoke:
 # train a tiny model, boot catsserve, probe /healthz + /readyz, POST a
 # detect batch, assert the pipeline counters surface on /metrics, and
 # require a clean SIGTERM drain; then a second boot checks that a lone
-# request is not held for -batch-max-wait and that a non-canonical body
-# is answered through encoding/json.
+# request is not held for -batch-max-wait, that a non-canonical body
+# gets the canonical one's verdicts and that trailing bytes are a 400.
 serve-smoke:
 	bash scripts/serve_smoke.sh
 

@@ -193,16 +193,10 @@ func run(trainPath, detectPath string, threshold float64, corpusSize int, outPat
 
 // summary is the run's stderr line: busy time per DetectStream stage
 // beside the wall — the largest is the bottleneck, and the three sum to
-// more than the wall by what they overlapped — and, for a JSONL input,
-// its lines by decode path: any under stdlib took encoding/json, at
-// several times the fast decoder's cost.
+// more than the wall by what they overlapped.
 func summary(stats cats.StreamStats, wall time.Duration) string {
-	jsonl := ""
-	if stats.JSONLFast+stats.JSONLStdlib > 0 {
-		jsonl = fmt.Sprintf("; jsonl lines fast %d stdlib %d", stats.JSONLFast, stats.JSONLStdlib)
-	}
-	return fmt.Sprintf("cats: scored %d items, reported %d fraud (%d batches: read %.3fs score %.3fs emit %.3fs wall %.3fs%s)",
-		stats.Items, stats.Reported, stats.Batches, stats.ReadSeconds, stats.ScoreSeconds, stats.EmitSeconds, wall.Seconds(), jsonl)
+	return fmt.Sprintf("cats: scored %d items, reported %d fraud (%d batches: read %.3fs score %.3fs emit %.3fs wall %.3fs)",
+		stats.Items, stats.Reported, stats.Batches, stats.ReadSeconds, stats.ScoreSeconds, stats.EmitSeconds, wall.Seconds())
 }
 
 // appendRow appends d's TSV row — item_id, score to four decimals,

@@ -126,9 +126,6 @@ func TestDetectStreamProjectedMatchesRows(t *testing.T) {
 			if err != nil || n != len(rows) || stats.Items != n {
 				t.Fatalf("%s: %d emits of %d, stats %+v, err %v", name, n, len(rows), stats, err)
 			}
-			if lines := stats.JSONLFast + stats.JSONLStdlib; lines != map[string]int{"jsonl": n, "columnar": 0}[formatName] || stats.JSONLStdlib != 0 {
-				t.Fatalf("%s: stats count %d fast and %d stdlib JSONL lines over %d items", name, stats.JSONLFast, stats.JSONLStdlib, n)
-			}
 			if got := d.m.commentsAnalyzed.Value() - counted; got != wantCounted {
 				t.Fatalf("%s: cats_pipeline_comments_total moved by %d over the stream, %d over the rows", name, got, wantCounted)
 			}

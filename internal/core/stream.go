@@ -28,10 +28,6 @@ type StreamStats struct {
 	ReadSeconds  float64
 	ScoreSeconds float64
 	EmitSeconds  float64
-
-	// JSONLFast and JSONLStdlib count a JSONL input's lines by decode
-	// path (dataset.Reader.JSONLLines); both are zero on a columnar one.
-	JSONLFast, JSONLStdlib int
 }
 
 // StreamOptions tunes DetectStream.
@@ -120,7 +116,6 @@ func (d *Detector) DetectStream(ctx context.Context, r *dataset.Reader, opts Str
 	}
 	s := &streamRun{d: d, r: r, opts: opts.withDefaults(), emit: emit}
 	err := s.run(ctx)
-	s.stats.JSONLFast, s.stats.JSONLStdlib = r.JSONLLines()
 	return s.stats, err
 }
 

@@ -4,10 +4,10 @@
 // container (internal/colfmt — the native format for corpus-scale
 // runs: no text to scan, one arena per chunk). Readers sniff the format
 // from the leading magic bytes; writers pick one explicitly. JSONL lines
-// in the canonical encoding are read by ecom.Decoder, any other by
-// encoding/json (Reader.JSONLLines counts both). Both formats stream,
-// and both can be read projected (Reader.NextTexts), so datasets larger
-// than memory are processed item by item with bounded peak RSS.
+// are read in place by ecom.Decoder, as encoding/json reads them (Next
+// has the errors). Both formats stream, and both can be read projected
+// (Reader.NextTexts), so datasets larger than memory are processed item
+// by item with bounded peak RSS.
 package dataset
 
 import (
@@ -182,7 +182,8 @@ func Open(path string) (*Reader, error) {
 // Next returns the next item, or io.EOF when exhausted. An item's
 // strings keep alive the arena they were decoded into: the whole chunk's
 // on the columnar format, a 64 KiB block shared with its neighbours on
-// JSONL.
+// JSONL. A JSONL line is read as encoding/json reads it (see ecom's
+// Decoder); one it cannot read fails as "dataset: line N: ecom: …".
 func (r *Reader) Next() (*ecom.Item, error) {
 	return r.next(false, nil)
 }
@@ -232,16 +233,6 @@ func (r *Reader) next(texts bool, keep func(*ecom.Item) bool) (*ecom.Item, error
 	return r.dec.next(keep)
 }
 
-// JSONLLines counts the JSONL lines read so far by decode path: fast,
-// ecom.Decoder, or stdlib, encoding/json, some four times slower (the
-// file-side twin of cats_http_decode_total). Zero on a columnar input.
-func (r *Reader) JSONLLines() (fast, stdlib int) {
-	if j, ok := r.dec.(*jsonlReader); ok {
-		return j.fast, j.stdlib
-	}
-	return 0, 0
-}
-
 // Close closes the underlying file when the Reader owns one.
 func (r *Reader) Close() error {
 	if r.c != nil {
@@ -250,14 +241,13 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-// jsonlReader decodes a line at a time with ecom.Decoder, and one that
-// declines with encoding/json, so the source of every error text.
+// jsonlReader decodes a line at a time with ecom.Decoder, the source of
+// every error text after the "dataset: line N: " prefix.
 type jsonlReader struct {
-	s            *bufio.Scanner
-	line         int
-	texts        bool
-	dec          ecom.Decoder
-	fast, stdlib int
+	s     *bufio.Scanner
+	line  int
+	texts bool
+	dec   ecom.Decoder
 }
 
 func newJSONLReader(r io.Reader, texts bool) *jsonlReader {
@@ -274,27 +264,12 @@ func (r *jsonlReader) next(keep func(*ecom.Item) bool) (*ecom.Item, error) {
 			continue
 		}
 		item := new(ecom.Item)
-		fast := r.dec.Line(b, r.texts, item)
-		if fast {
-			r.fast++
-		} else {
-			r.stdlib++
-			*item = ecom.Item{}
-			if err := json.Unmarshal(b, item); err != nil {
-				return nil, fmt.Errorf("dataset: line %d: %w", r.line, err)
-			}
+		if err := r.dec.Line(b, r.texts, item); err != nil {
+			return nil, fmt.Errorf("dataset: line %d: %w", r.line, err)
 		}
-		if !r.texts {
-			return item, nil
-		}
-		switch {
-		case keep != nil && !keep(item):
-		case fast:
+		if r.texts && (keep == nil || keep(item)) {
 			item.Texts = r.dec.Texts()
-		default:
-			item.Texts = item.AppendTexts(nil)
 		}
-		item.Comments = nil
 		return item, nil
 	}
 	if err := r.s.Err(); err != nil { // inside the line after the last one returned

@@ -9,34 +9,46 @@ import (
 )
 
 // TestDecoderKeysAreTheTags: the keys the decoder reads are the json
-// tags of Item and Comment — each numbered with its field's index, the
-// number item and comment switch on, and no field's Go name, upper-cased
-// tag or padded tag among them — and each has an arm: an item with every
-// wire field set decodes, all three ways, to what encoding/json makes of
-// it (projected: its Texts for its Comments). A field added to either
-// struct fails here instead of silently sending every request and every
-// line to the slower fallback.
+// tags of Item and Comment — each at its field's index, the number item
+// and comment switch on — matched as encoding/json matches them (exactly,
+// else folded), and each has an arm: an item with every wire field set
+// decodes, all three ways, to what encoding/json makes of it (projected:
+// its Texts for its Comments). A field added to either struct fails here
+// instead of being silently skipped as an unknown key.
 func TestDecoderKeysAreTheTags(t *testing.T) {
+	member := func(key string, keys []string) int {
+		var d Decoder
+		d.reset([]byte(`{"`+key+`":0}`), true)
+		d.Object()
+		return d.Member(keys)
+	}
 	for _, c := range []struct {
-		typ   reflect.Type
-		field func([]byte) int
+		typ  reflect.Type
+		keys []string
 	}{
-		{reflect.TypeOf(Item{}), itemField},
-		{reflect.TypeOf(Comment{}), commentField},
+		{reflect.TypeOf(Item{}), itemKeys},
+		{reflect.TypeOf(Comment{}), commentKeys},
 	} {
+		wire := 0
 		for i := 0; i < c.typ.NumField(); i++ {
 			tag, _, _ := strings.Cut(c.typ.Field(i).Tag.Get("json"), ",")
 			if tag == "-" {
 				continue // not on the wire: Item.Texts
 			}
-			if got := c.field([]byte(tag)); got != i {
-				t.Errorf("%v.%s: the decoder numbers key %q %d, the field's index is %d", c.typ, c.typ.Field(i).Name, tag, got, i)
+			wire++
+			for _, k := range []string{tag, strings.ToUpper(tag)} {
+				if got := member(k, c.keys); got != i {
+					t.Errorf("%v.%s: the decoder numbers key %q %d, the field's index is %d", c.typ, c.typ.Field(i).Name, k, got, i)
+				}
 			}
-			for _, other := range []string{c.typ.Field(i).Name, strings.ToUpper(tag), tag + " ", ""} {
-				if got := c.field([]byte(other)); got != -1 {
+			for _, other := range []string{tag + " ", tag[1:]} {
+				if got := member(other, c.keys); got != -1 {
 					t.Errorf("%v: the decoder reads key %q as field %d; it is no json tag", c.typ, other, got)
 				}
 			}
+		}
+		if wire != len(c.keys) {
+			t.Errorf("%v has %d wire fields, the decoder %d keys", c.typ, wire, len(c.keys))
 		}
 	}
 
@@ -65,21 +77,21 @@ func TestDecoderKeysAreTheTags(t *testing.T) {
 
 	var d Decoder
 	var rows, projected, body Item
-	if !d.Line(line, false, &rows) || !reflect.DeepEqual(rows, want) {
-		t.Errorf("Line, rows: %+v, want %+v", rows, want)
+	if err := d.Line(line, false, &rows); err != nil || !reflect.DeepEqual(rows, want) {
+		t.Errorf("Line, rows: %+v (%v), want %+v", rows, err, want)
 	}
 	wantProjected := want
 	wantProjected.Comments = nil
-	if !d.Line(line, true, &projected) || !reflect.DeepEqual(projected, wantProjected) {
-		t.Errorf("Line, texts: %+v, want %+v", projected, wantProjected)
+	if err := d.Line(line, true, &projected); err != nil || !reflect.DeepEqual(projected, wantProjected) {
+		t.Errorf("Line, texts: %+v (%v), want %+v", projected, err, wantProjected)
 	}
 	if texts := d.Texts(); len(texts) != 1 || texts[0] != want.Comments[0].Content {
 		t.Errorf("Texts() = %q, want the one content %q", texts, want.Comments[0].Content)
 	}
 	wantProjected.Texts = want.AppendTexts(nil)
 	d.Body(line)
-	if !d.Item(&body) || !d.AtEnd() || !reflect.DeepEqual(body, wantProjected) {
-		t.Errorf("Body: %+v, want %+v", body, wantProjected)
+	if d.Item(&body); d.End() != nil || !reflect.DeepEqual(body, wantProjected) {
+		t.Errorf("Body: %+v (%v), want %+v", body, d.End(), wantProjected)
 	}
 }
 
@@ -97,29 +109,29 @@ func TestDecoderKeepsNothingOfItsInput(t *testing.T) {
 	projected := rows
 	projected.Texts, projected.Comments = []string{"x\n好", "second"}, nil
 	decode := map[string]struct {
-		read func(d *Decoder, b []byte, it *Item) bool
+		read func(d *Decoder, b []byte, it *Item) error
 		want Item
 	}{
-		"Line, rows": {func(d *Decoder, b []byte, it *Item) bool { return d.Line(b, false, it) }, rows},
-		"Line, texts": {func(d *Decoder, b []byte, it *Item) bool {
-			ok := d.Line(b, true, it)
+		"Line, rows": {func(d *Decoder, b []byte, it *Item) error { return d.Line(b, false, it) }, rows},
+		"Line, texts": {func(d *Decoder, b []byte, it *Item) error {
+			err := d.Line(b, true, it)
 			it.Texts = d.Texts()
-			return ok
+			return err
 		}, projected},
-		"Body": {func(d *Decoder, b []byte, it *Item) bool { d.Body(b); return d.Item(it) && d.AtEnd() }, projected},
+		"Body": {func(d *Decoder, b []byte, it *Item) error { d.Body(b); d.Item(it); return d.End() }, projected},
 	}
 	for name, c := range decode {
 		var d Decoder
 		var got, other Item
 		buf := []byte(line)
-		if !c.read(&d, buf, &got) {
-			t.Fatalf("%s declined a canonical item", name)
+		if err := c.read(&d, buf, &got); err != nil {
+			t.Fatalf("%s refused a canonical item: %v", name, err)
 		}
 		for i := range buf {
 			buf[i] = 'x'
 		}
-		if !c.read(&d, []byte(next), &other) {
-			t.Fatalf("%s declined the next item", name)
+		if err := c.read(&d, []byte(next), &other); err != nil {
+			t.Fatalf("%s refused the next item: %v", name, err)
 		}
 		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: item changed with its input's bytes or the next decode: %+v", name, got)
@@ -135,8 +147,8 @@ func TestBodyArenaIsOneBlock(t *testing.T) {
 	var d Decoder
 	var items []Item
 	d.Body([]byte(body + strings.Repeat(" ", 3*128))) // room for canonical comments' Texts
-	if !d.Items(&items) || !d.AtEnd() {
-		t.Fatal("Body declined a canonical array")
+	if List(&d, "items", &items, 16, d.Item); d.End() != nil {
+		t.Fatalf("Body refused a canonical array: %v", d.End())
 	}
 	kept := 0
 	for _, it := range items {

@@ -8,28 +8,30 @@
 // anonymized nickname, the platform's userExpValue reliability score,
 // the purchase client and a date.
 //
-// # The canonical encoding and its decoder
+// # The decoder
 //
 // Items travel as JSON — request bodies into internal/service, JSONL
-// lines into internal/dataset — and almost always in the canonical
-// encoding, what json.Marshal of an Item writes: the struct tags' exact
-// keys, each at most once per object, in any order and with any JSON
-// whitespace; strings with or without escapes; integers as -?digits;
-// dates as RFC 3339 strings; null only for an item's comments. Decoder
-// reads exactly that in one pass. It is an accelerator for that
-// encoding, not a second JSON dialect:
+// lines into internal/dataset — mostly as json.Marshal writes them, but
+// from producers CATS does not control (a collector's crawl, another
+// platform's export). Decoder reads them in one pass, and means what
+// encoding/json means:
 //
-//   - Decline changes nothing. On the first byte it does not recognise —
-//     an unknown, case-folded or escaped key, a duplicate, any other
-//     null, a fraction or exponent, a value out of its field's range, a
-//     control byte, invalid UTF-8 or a lone surrogate in a string,
-//     anything but whitespace after the value — it reports false, and
-//     its caller discards the attempt and hands the same bytes to
-//     encoding/json. That stays the only source of error texts and of
-//     what an unusual input means (key folding, last duplicate wins,
-//     U+FFFD), and the oracle: both callers' Fuzz*Differential targets
-//     check that whatever Decoder accepts, encoding/json accepts as the
-//     same items. Dates go to time.Time.UnmarshalJSON, as it sends them.
+//   - It accepts what encoding/json's Unmarshal accepts into the same
+//     types, as the same values: an unknown key's value skipped but
+//     validated, nesting limited to 10,000 levels; a key matched to a tag
+//     exactly or folded (ASCII case, ſ and the Kelvin sign), escapes
+//     decoded; of a repeated key the last value, a repeated object merged
+//     into the first; null leaving a field as it is and a list nil;
+//     invalid UTF-8 and a lone surrogate as U+FFFD; a date as
+//     time.Time.UnmarshalJSON reads it. Both callers' Fuzz*Differential
+//     targets hold it to Unmarshal both ways.
+//   - It refuses one input Unmarshal accepts: a list key (items,
+//     feedback, comments) repeated after a non-empty list, which
+//     encoding/json merges into the first element by element. The error
+//     names the key.
+//   - Every rejection is its own error, "ecom: offset N: …", N the byte
+//     where it stopped: the service's 400 text and, after "dataset: line
+//     N: ", the JSONL reader's.
 //   - Nothing handed out aliases the input, which belongs to the caller
 //     — a pooled request buffer, a scanner's line — and is overwritten
 //     once the decode returns. Every string kept is copied into the

@@ -31,16 +31,17 @@ func NewHTTPMetrics(r *Registry) *HTTPMetrics {
 // Wrap instruments next under the given route label. The latency
 // histogram handle is resolved once per route at wrap time; only the
 // (route, code) counter is resolved per request, after the status code
-// is known.
+// is known. A handler that panics still leaves the in-flight gauge and
+// ends its span (net/http recovers the panic); it counts no request.
 func (m *HTTPMetrics) Wrap(route string, next http.Handler) http.Handler {
 	lat := m.latency.With(route)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		m.inflight.Inc()
+		defer m.inflight.Dec()
 		sw := &statusWriter{ResponseWriter: w}
 		sp := StartSpan(lat)
+		defer sp.End()
 		next.ServeHTTP(sw, r)
-		sp.End()
-		m.inflight.Dec()
 		code := sw.code
 		if code == 0 {
 			code = http.StatusOK

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -135,6 +136,33 @@ func TestHTTPMetricsWrap(t *testing.T) {
 	}
 	if got := m.requests.With("/v1/x", "400").Value(); got != 1 {
 		t.Errorf("400 count = %d, want 1", got)
+	}
+	if got := m.latency.With("/v1/x").Count(); got != 3 {
+		t.Errorf("latency observations = %d, want 3", got)
+	}
+}
+
+// TestHTTPMetricsWrapSurvivesAPanic: a handler that panics — net/http
+// recovers it and drops the connection — leaves the in-flight gauge
+// where it was and still times the request.
+func TestHTTPMetricsWrapSurvivesAPanic(t *testing.T) {
+	r := NewRegistry()
+	m := NewHTTPMetrics(r)
+	ts := httptest.NewUnstartedServer(m.Wrap("/v1/x", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		panic("handler bug")
+	})))
+	ts.Config.ErrorLog = log.New(io.Discard, "", 0) // the recovered panic's stack
+	ts.Start()
+	defer ts.Close()
+
+	for i := 0; i < 3; i++ {
+		if resp, err := http.Get(ts.URL); err == nil {
+			resp.Body.Close()
+			t.Fatalf("a panicking handler answered %d", resp.StatusCode)
+		}
+	}
+	if got := m.InFlight().Value(); got != 0 {
+		t.Errorf("in-flight after three panicking requests = %d, want 0", got)
 	}
 	if got := m.latency.With("/v1/x").Count(); got != 3 {
 		t.Errorf("latency observations = %d, want 3", got)

@@ -2,23 +2,19 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"sync"
 
 	"repro/internal/ecom"
-	"repro/internal/obs"
 )
 
 // Request-body decoding for /v1/detect, /v1/explain and /v1/feedback
-// (DESIGN.md §17). Each body wraps ecom.Item values in one object
-// (feedback pairs each with a fraud bit), almost always in the canonical
-// encoding, which ecom.Decoder reads in one pass (its package comment
-// has the contract); here is each route's envelope. A body it declines
-// goes through encoding/json, the only source of 400 texts and of what
-// an unusual body means (the Fuzz*Differential targets hold the two
-// together). Either way the items come out projected — Texts, no
-// Comments — the one shape dispatch, drift and the trainer see.
+// (DESIGN.md §17): each route's envelope around ecom.Item values, walked
+// by ecom.Decoder's member loop as an item is, with encoding/json's
+// meaning (the ecom package comment has the contract). The decoder's
+// error — "ecom: offset N: …" — is the 400 text. The items come out
+// projected — Texts, no Comments — the one shape dispatch, drift and the
+// trainer see.
 //
 // Lifetime rule: nothing reachable from a decoded item may be pooled, as
 // a dispatch flight can hold its submitter's item past the request. Only
@@ -34,115 +30,64 @@ var (
 	decoderPool = sync.Pool{New: func() any { return new(ecom.Decoder) }}
 )
 
-// decodeMetrics counts, for one route, which decoder produced the
-// request.
-type decodeMetrics struct{ fast, stdlib *obs.Counter }
+// itemBody is a request type ecom.Decoder reads.
+type itemBody interface{ read(d *ecom.Decoder) }
 
-func newDecodeMetrics(reg *obs.Registry) (detect, explain, feedback decodeMetrics) {
-	v := reg.CounterVec("cats_http_decode_total",
-		"Request bodies decoded, by route (tenant-scoped variants count "+
-			"under the bare route) and by path: fast (the single-pass decoder "+
-			"for the canonical encoding) or stdlib (encoding/json, for every "+
-			"body the fast decoder declined).", "route", "path")
-	of := func(route string) decodeMetrics {
-		return decodeMetrics{fast: v.With(route, "fast"), stdlib: v.With(route, "stdlib")}
-	}
-	return of("/v1/detect"), of("/v1/explain"), of("/v1/feedback")
-}
-
-// itemBody is a request type whose body ecom.Decoder can read.
-type itemBody interface {
-	// read fills the request from a canonical body, or reports false
-	// having changed nothing.
-	read(d *ecom.Decoder) bool
-	// project turns the rows encoding/json filled the request with into
-	// the projected items read would have.
-	project()
-}
-
-func (r *DetectRequest) read(d *ecom.Decoder) bool {
-	var items []ecom.Item
-	if !d.Eat('{') || !d.Key("items") || !d.Items(&items) || !d.Eat('}') || !d.AtEnd() {
-		return false
-	}
-	r.Items = items
-	return true
-}
-
-func (r *DetectRequest) project() {
-	for i := range r.Items {
-		project(&r.Items[i])
-	}
-}
-
-func (r *ExplainRequest) read(d *ecom.Decoder) bool {
-	var it ecom.Item
-	if !d.Eat('{') || !d.Key("item") || !d.Item(&it) || !d.Eat('}') || !d.AtEnd() {
-		return false
-	}
-	r.Item = it
-	return true
-}
-
-func (r *ExplainRequest) project() { project(&r.Item) }
-
-// read takes {"feedback":[{"item":…,"fraud":true|false},…]} with each
-// entry's keys in that order, as json.Marshal writes them.
-func (r *FeedbackRequest) read(d *ecom.Decoder) bool {
-	if !d.Eat('{') || !d.Key("feedback") || !d.Eat('[') {
-		return false
-	}
-	out := make([]FeedbackEntry, 0, 8)
-	for more, ok := !d.Eat(']'), true; more; {
-		out = append(out, FeedbackEntry{})
-		e := &out[len(out)-1]
-		if !d.Eat('{') || !d.Key("item") || !d.Item(&e.Item) || !d.Eat(',') || !d.Key("fraud") {
-			return false
-		}
-		if e.Fraud = d.Lit("true"); !(e.Fraud || d.Lit("false")) || !d.Eat('}') {
-			return false
-		}
-		if more, ok = d.More(']'); !ok {
-			return false
+func (r *DetectRequest) read(d *ecom.Decoder) {
+	if d.Object() {
+		for d.Member([]string{"items"}) == 0 {
+			ecom.List(d, "items", &r.Items, 16, d.Item)
 		}
 	}
-	if !d.Eat('}') || !d.AtEnd() {
-		return false
-	}
-	r.Feedback = out
-	return true
 }
 
-func (r *FeedbackRequest) project() {
-	for i := range r.Feedback {
-		project(&r.Feedback[i].Item)
+func (r *ExplainRequest) read(d *ecom.Decoder) {
+	if d.Object() {
+		for d.Member([]string{"item"}) == 0 {
+			d.Item(&r.Item)
+		}
 	}
 }
 
-// project gives a row item the projected shape: its contents as Texts,
-// no Comments.
-func project(it *ecom.Item) { it.Texts, it.Comments = it.AppendTexts(nil), nil }
+func (r *FeedbackRequest) read(d *ecom.Decoder) {
+	if d.Object() {
+		for d.Member([]string{"feedback"}) == 0 {
+			ecom.List(d, "feedback", &r.Feedback, 8, func(e *FeedbackEntry) {
+				if d.Object() {
+					// FeedbackEntry's json tags, in field order.
+					keys := []string{"item", "fraud"}
+					for f := d.Member(keys); f >= 0; f = d.Member(keys) {
+						if f == 0 {
+							d.Item(&e.Item)
+						} else {
+							d.Bool(&e.Fraud)
+						}
+					}
+				}
+			})
+		}
+	}
+}
 
-// decodeFast reads a canonical body into req with a pooled decoder, or
-// reports false having changed nothing. A decoder that read a body over
-// maxPooledBody is dropped: its scratch grew with the body.
-func decodeFast(req itemBody, body []byte) bool {
+// decodeBody reads body into req with a pooled decoder. A decoder that
+// read a body over maxPooledBody is dropped: its scratch grew with the
+// body.
+func decodeBody(req itemBody, body []byte) error {
 	d := decoderPool.Get().(*ecom.Decoder)
 	d.Body(body)
-	ok := req.read(d)
+	req.read(d)
+	err := d.End()
 	d.Body(nil)
 	if len(body) <= maxPooledBody {
 		decoderPool.Put(d)
 	}
-	return ok
+	return err
 }
 
 // decodeItems reads the request body, capped at MaxBodyBytes, into a
-// pooled buffer and decodes it into req: the single-pass decoder first,
-// encoding/json over the same bytes when that declines, its rows then
-// projected. A body over the cap is an *http.MaxBytesError whatever it
-// holds.
-func (s *Server) decodeItems(w http.ResponseWriter, r *http.Request, m decodeMetrics, req itemBody) error {
+// pooled buffer and decodes it into req. A body over the cap is an
+// *http.MaxBytesError whatever it holds.
+func (s *Server) decodeItems(w http.ResponseWriter, r *http.Request, req itemBody) error {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	defer func() {
 		if buf.Cap() <= maxPooledBody {
@@ -159,14 +104,5 @@ func (s *Server) decodeItems(w http.ResponseWriter, r *http.Request, m decodeMet
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)); err != nil {
 		return err
 	}
-	if !s.stdlibOnly && decodeFast(req, buf.Bytes()) {
-		m.fast.Inc()
-		return nil
-	}
-	m.stdlib.Inc()
-	if err := json.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(req); err != nil {
-		return err
-	}
-	req.project()
-	return nil
+	return decodeBody(req, buf.Bytes())
 }

@@ -37,7 +37,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req FeedbackRequest
-	if err := s.decodeItems(w, r, s.feedbackDecodes, &req); err != nil {
+	if err := s.decodeItems(w, r, &req); err != nil {
 		writeError(w, decodeStatus(err), fmt.Sprintf("decode request: %v", err))
 		return
 	}

@@ -3,11 +3,15 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/synth"
 	"repro/internal/trainer"
@@ -69,20 +73,18 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
-// FuzzDecodeDetectDifferential holds the single-pass request decoder to
-// encoding/json. For arbitrary bytes: when the fast decoder accepts a
-// body, encoding/json accepts it too and yields the same items (nothing
-// is asserted when it declines — declining is always allowed); and a
-// server answers /v1/detect and /v1/explain with the same status and
-// the same verdicts as a server that sends every body through
-// encoding/json.
+// FuzzDecodeDetectDifferential holds the request decoder to
+// json.Unmarshal. For arbitrary bytes: it accepts a body iff
+// encoding/json does, with the same items (checkDetectDifferential); and
+// /v1/detect and /v1/explain answer a body encoding/json accepts as they
+// answer its canonical re-encoding (reencode) — same status, same
+// verdicts — and one it rejects with a 4xx.
 func FuzzDecodeDetectDifferential(f *testing.F) {
 	det, analyzer, _ := trainTestDetector(f)
 	opts := Options{MaxItems: 4, MaxBodyBytes: 1 << 16}
-	srv := serveDetector(f, det, analyzer, opts, nil)
-	oracle := serveDetector(f, det, analyzer, opts, nil)
-	oracle.stdlibOnly = true
-	handler, oracleHandler := srv.Handler(), oracle.Handler()
+	handler := serveDetector(f, det, analyzer, opts, nil).Handler()
+	// A re-encoding can outgrow its body: the oracle takes any size.
+	oracle := serveDetector(f, det, analyzer, Options{MaxItems: opts.MaxItems}, nil).Handler()
 
 	test := synth.Generate(synth.Config{Name: "svc-fuzz", Seed: 95, FraudEvidence: 1, Normal: 2, Shops: 1})
 	if valid, err := json.Marshal(DetectRequest{Items: test.Dataset.Items}); err == nil {
@@ -100,6 +102,11 @@ func FuzzDecodeDetectDifferential(f *testing.F) {
 		f.Add([]byte(s))
 		f.Add([]byte(strings.Replace(s, `{"items":[`, `{"item":`, 1)))
 	}
+	for _, list := range [][]string{detectAccepts, detectRejects, explainAccepts, explainRejects} {
+		for _, s := range list {
+			f.Add([]byte(s))
+		}
+	}
 
 	post := func(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
@@ -109,37 +116,38 @@ func FuzzDecodeDetectDifferential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkDetectDifferential(t, body)
 
-		got, want := post(handler, "/v1/detect", body), post(oracleHandler, "/v1/detect", body)
-		if got.Code != want.Code {
-			t.Fatalf("/v1/detect status %d, encoding/json alone %d, for body %q", got.Code, want.Code, body)
-		}
-		if got.Code == http.StatusOK {
-			var g, w DetectResponse
-			if err := json.Unmarshal(got.Body.Bytes(), &g); err != nil {
-				t.Fatal(err)
+		for _, c := range []struct {
+			path string
+			req  any
+		}{{"/v1/detect", new(DetectRequest)}, {"/v1/explain", new(ExplainRequest)}} {
+			got := post(handler, c.path, body)
+			canonical, ok := reencode(t, body, c.req)
+			switch {
+			case got.Code >= 500 || (!ok && got.Code == http.StatusOK):
+				t.Fatalf("%s answered %d to body %q, which encoding/json accepts: %v", c.path, got.Code, body, ok)
+			case !ok, got.Code == http.StatusRequestEntityTooLarge && len(body) > int(opts.MaxBodyBytes),
+				got.Code != http.StatusOK && refusesMerge(got.Body.String()):
+				continue
 			}
-			if err := json.Unmarshal(want.Body.Bytes(), &w); err != nil {
-				t.Fatal(err)
+			want := post(oracle, c.path, canonical)
+			if got.Code != want.Code {
+				t.Fatalf("%s status %d, its canonical re-encoding %d, for body %q", c.path, got.Code, want.Code, body)
 			}
-			if !reflect.DeepEqual(g.Detections, w.Detections) {
-				t.Fatalf("/v1/detect detections differ for body %q:\n got  %+v\n want %+v", body, g.Detections, w.Detections)
+			if got.Code != http.StatusOK {
+				continue
 			}
-		}
-
-		got, want = post(handler, "/v1/explain", body), post(oracleHandler, "/v1/explain", body)
-		if got.Code != want.Code {
-			t.Fatalf("/v1/explain status %d, encoding/json alone %d, for body %q", got.Code, want.Code, body)
-		}
-		if got.Code == http.StatusOK {
 			var g, w ExplainResponse
-			if err := json.Unmarshal(got.Body.Bytes(), &g); err != nil {
-				t.Fatal(err)
+			var gd, wd DetectResponse
+			for _, r := range []struct {
+				rec *httptest.ResponseRecorder
+				out any
+			}{{got, &gd}, {want, &wd}, {got, &g}, {want, &w}} {
+				if err := json.Unmarshal(r.rec.Body.Bytes(), r.out); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if err := json.Unmarshal(want.Body.Bytes(), &w); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(g.Detection, w.Detection) || !reflect.DeepEqual(g.Vector, w.Vector) {
-				t.Fatalf("/v1/explain differs for body %q:\n got  %+v %v\n want %+v %v", body, g.Detection, g.Vector, w.Detection, w.Vector)
+			if !reflect.DeepEqual(gd.Detections, wd.Detections) || !reflect.DeepEqual(g.Detection, w.Detection) || !reflect.DeepEqual(g.Vector, w.Vector) {
+				t.Fatalf("%s answers differ for body %q:\n got  %s\n want %s", c.path, body, got.Body, want.Body)
 			}
 		}
 	})
@@ -204,20 +212,91 @@ func FuzzDecodeFeedback(f *testing.F) {
 	})
 }
 
-// FuzzDecodeFeedbackDifferential holds /v1/feedback's single-pass
-// decoder to encoding/json the way FuzzDecodeDetectDifferential holds
-// detect's: whatever the fast decoder accepts encoding/json accepts with
-// the same entries, and a server answers with the same status and
-// accepted count — and ends up with the same retrain window, hash and
-// texts — as a server that sends every body through encoding/json.
+// FuzzDecodeFeedbackDifferential holds /v1/feedback's decoder to
+// json.Unmarshal the way FuzzDecodeDetectDifferential holds detect's: it
+// accepts a body iff encoding/json does, with the same entries, and a
+// server answers it as one sent its canonical re-encoding answers — same
+// status and accepted count, the same retrain window, hash and texts.
 func FuzzDecodeFeedbackDifferential(f *testing.F) {
 	pair := newFeedbackPair(f)
 	f.Add(feedbackBody(f, shiftedEntries(501)[:2]))
-	for _, s := range feedbackSeeds {
+	for _, s := range append(append(feedbackSeeds, feedbackAccepts...), feedbackRejects...) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkFeedbackDifferential(t, body)
 		pair.post(t, body)
+	})
+}
+
+// FuzzDecodeFaultingReader drives decodeItems — the pooled read buffer
+// and the pooled decoder — with the body behind readers that fault: one
+// byte a Read (iotest.OneByteReader), half of each (iotest.HalfReader),
+// or an error after cut bytes. Short reads decode to exactly what the
+// whole body decodes to, error text included; a failed read is a 4xx
+// that leaves the request empty and, through the handler, grows no
+// retrain window; and a canonical body decoded next, through the same
+// pools, decodes as it always does — Body resets the decoder's error and
+// its arena.
+func FuzzDecodeFaultingReader(f *testing.F) {
+	srv, _, tr, _ := newTrainerService(f, trainer.Config{}, Options{MaxItems: 8, MaxBodyBytes: 1 << 16})
+	handler := srv.Handler()
+	canonical := feedbackBody(f, shiftedEntries(501)[:2])
+	var want FeedbackRequest
+	if err := unmarshal(canonical, &want); err != nil {
+		f.Fatal(err)
+	}
+
+	f.Add(canonical, 0)
+	f.Add(canonical, len(canonical)/2)
+	f.Add(coldBody(f)[:4096], 100)
+	for i, s := range append(append([]string{}, decodeSeeds[:12]...), feedbackSeeds[:12]...) {
+		f.Add([]byte(s), 7*i)
+	}
+
+	errFault := errors.New("connection reset by fault injection")
+	read := func(body io.Reader, req itemBody) error {
+		return srv.decodeItems(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/detect", body), req)
+	}
+	windowSeen := func() uint64 {
+		for _, st := range tr.Status() {
+			return st.WindowSeen
+		}
+		return 0
+	}
+	f.Fuzz(func(t *testing.T, body []byte, cut int) {
+		cut = min(max(cut, 0), len(body))
+		for _, newReq := range []func() itemBody{
+			func() itemBody { return new(DetectRequest) },
+			func() itemBody { return new(ExplainRequest) },
+			func() itemBody { return new(FeedbackRequest) },
+		} {
+			whole := newReq()
+			wholeErr := decodeBody(whole, body)
+			for _, r := range []io.Reader{iotest.OneByteReader(bytes.NewReader(body)), iotest.HalfReader(bytes.NewReader(body))} {
+				got := newReq()
+				err := read(r, got)
+				if fmt.Sprint(err) != fmt.Sprint(wholeErr) || (err == nil && !reflect.DeepEqual(got, whole)) {
+					t.Fatalf("%T by short reads: %v %+v, whole body: %v %+v", got, err, got, wholeErr, whole)
+				}
+			}
+			got := newReq()
+			err := read(io.MultiReader(bytes.NewReader(body[:cut]), iotest.ErrReader(errFault)), got)
+			if !errors.Is(err, errFault) || decodeStatus(err)/100 != 4 || !reflect.ValueOf(got).Elem().IsZero() {
+				t.Fatalf("%T read failing after %d bytes: %v (status %d), request %+v", got, cut, err, decodeStatus(err), got)
+			}
+		}
+		for _, path := range []string{"/v1/detect", "/v1/feedback"} {
+			before := windowSeen()
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, io.MultiReader(bytes.NewReader(body[:cut]), iotest.ErrReader(errFault))))
+			if rec.Code/100 != 4 || windowSeen() != before {
+				t.Fatalf("%s read failing after %d bytes: %d, window %d -> %d", path, cut, rec.Code, before, windowSeen())
+			}
+		}
+		var next FeedbackRequest
+		if err := read(bytes.NewReader(canonical), &next); err != nil || !reflect.DeepEqual(next, want) {
+			t.Fatalf("the canonical body after %q: %v %+v", body, err, next)
+		}
 	})
 }

@@ -36,8 +36,8 @@
 // All payloads are JSON. Request bodies are size-capped (a body over
 // the cap yields 413 whatever it holds), malformed input yields 400
 // rather than 500, and a wrong method yields 405 with an Allow header.
-// Detect, explain and feedback bodies in the canonical encoding are read
-// by a single-pass decoder, everything else by encoding/json (decode.go).
+// Detect, explain and feedback bodies are read by a single-pass decoder
+// with encoding/json's meaning (decode.go).
 // Every route is wrapped in obs HTTP middleware: per-route request
 // counts by status code, per-route latency histograms, and an
 // in-flight gauge. Route labels use the registered pattern
@@ -158,11 +158,6 @@ type Server struct {
 	ready  atomic.Bool
 	obsReg *obs.Registry
 	httpm  *obs.HTTPMetrics
-	// Which decoder read each detect/explain/feedback body (decode.go).
-	detectDecodes, explainDecodes, feedbackDecodes decodeMetrics
-	// stdlibOnly sends every body through encoding/json. Only the
-	// differential tests set it: it makes a server the oracle.
-	stdlibOnly bool
 
 	driftMu sync.Mutex
 	drift   map[string]*driftState
@@ -188,7 +183,6 @@ func NewWithRegistry(reg *registry.Registry, opts Options) *Server {
 		httpm:  obs.NewHTTPMetrics(obsReg),
 		drift:  map[string]*driftState{},
 	}
-	s.detectDecodes, s.explainDecodes, s.feedbackDecodes = newDecodeMetrics(obsReg)
 	s.ready.Store(true)
 	return s
 }
@@ -403,7 +397,7 @@ type DetectResponse struct {
 
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	var req DetectRequest
-	if err := s.decodeItems(w, r, s.detectDecodes, &req); err != nil {
+	if err := s.decodeItems(w, r, &req); err != nil {
 		writeError(w, decodeStatus(err), fmt.Sprintf("decode request: %v", err))
 		return
 	}
@@ -503,7 +497,7 @@ type ExplainResponse struct {
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req ExplainRequest
-	if err := s.decodeItems(w, r, s.explainDecodes, &req); err != nil {
+	if err := s.decodeItems(w, r, &req); err != nil {
 		writeError(w, decodeStatus(err), fmt.Sprintf("decode request: %v", err))
 		return
 	}

@@ -20,6 +20,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/synth"
 	"repro/internal/textgen"
+	"repro/internal/trainer"
 )
 
 // serveDetector serves one in-process detector as the default tenant
@@ -152,6 +153,64 @@ func TestDetectValidation(t *testing.T) {
 	r4, _ := postDetect(t, ts.URL, body)
 	if r4.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("overflow status = %d", r4.StatusCode)
+	}
+}
+
+// TestTrailingBytesAre400: a body is one JSON value. Bytes after it —
+// a second request glued on, or any other text — are a 400 that names
+// their offset, on every route, and feed nothing to the retrain window.
+func TestTrailingBytesAre400(t *testing.T) {
+	_, ts, tr, _ := newTrainerService(t, trainer.Config{}, Options{})
+	entries := shiftedEntries(501)[:2]
+	marshal := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	detect := marshal(DetectRequest{Items: []ecom.Item{entries[0].Item}})
+	explain := marshal(ExplainRequest{Item: entries[0].Item})
+	feedback := marshal(FeedbackRequest{Feedback: entries})
+	for _, c := range []struct {
+		path, body, after string
+	}{
+		{"/v1/detect", detect, marshal(DetectRequest{Items: []ecom.Item{entries[1].Item}})},
+		{"/v1/explain", explain, " trailing"},
+		{"/v1/feedback", feedback, " trailing"},
+		{"/v1/feedback", feedback, feedback},
+	} {
+		t.Run(strings.TrimPrefix(c.path, "/v1/"), func(t *testing.T) {
+			seen := tr.Status()
+			resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body+c.after))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var out struct{ Error string }
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+			offset := len(c.body) + len(c.after) - len(strings.TrimLeft(c.after, " "))
+			want := fmt.Sprintf("decode request: ecom: offset %d: invalid character %q after the value", offset, strings.TrimLeft(c.after, " ")[0])
+			if resp.StatusCode != http.StatusBadRequest || out.Error != want {
+				t.Errorf("%d %q, want 400 %q", resp.StatusCode, out.Error, want)
+			}
+			if !reflect.DeepEqual(tr.Status(), seen) {
+				t.Errorf("the retrain window moved: %+v -> %+v", seen, tr.Status())
+			}
+		})
+	}
+	// The same bodies alone are taken.
+	for path, body := range map[string]string{"/v1/detect": detect, "/v1/explain": explain, "/v1/feedback": feedback} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: %d for the body alone", path, resp.StatusCode)
+		}
 	}
 }
 

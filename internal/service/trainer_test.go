@@ -131,7 +131,7 @@ func TestFeedbackEndpoint(t *testing.T) {
 	}
 }
 
-// TestWindowPinsNoRequestMemory: the fast decoder cuts every string of a
+// TestWindowPinsNoRequestMemory: the decoder cuts every string of a
 // body's items from one arena the size of the body, so an item kept
 // whole would pin its request — here 1 MiB of item_name per two short
 // comments. The window keeps a copy of the comments' text and nothing
@@ -149,7 +149,6 @@ func TestWindowPinsNoRequestMemory(t *testing.T) {
 	}
 	name := strings.Repeat("n", 1<<20)
 	const requests = 64
-	fastBefore := srv.feedbackDecodes.fast.Value()
 	before := heap()
 	for i := 0; i < requests; i++ {
 		id := fmt.Sprintf("pin-%d", i)
@@ -162,9 +161,6 @@ func TestWindowPinsNoRequestMemory(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("feedback %d: status %d: %s", i, rec.Code, rec.Body)
 		}
-	}
-	if got := srv.feedbackDecodes.fast.Value() - fastBefore; got != requests {
-		t.Fatalf("%d of %d bodies took the fast decoder; this test would be checking encoding/json's copies", got, requests)
 	}
 	grew := int64(heap()) - int64(before)
 	if st := tr.Status(); len(st) != 1 || st[0].WindowSize != requests {

@@ -8,24 +8,23 @@
 # cats_registry_reloads_total moved), picks up a third tenant via
 # SIGHUP re-scan (booted from a columnar .catc snapshot to exercise the
 # registry's format sniffing), closes the drift loop (labeled feedback
-# on /v1/feedback — the canonical batch through the single-pass decoder
-# into a window whose byte gauge moves, the same batch with its keys
-# reordered through encoding/json — a 1s retrain cycle, and a
-# champion/challenger promotion swapping the default tenant mid-traffic
-# with zero non-2xx),
+# on /v1/feedback — the canonical batch into a window whose byte gauge
+# moves, and the same batch with each entry's keys reordered, accepted
+# alike — a 1s retrain cycle, and a champion/challenger promotion
+# swapping the default tenant mid-traffic with zero non-2xx),
 # probes /healthz, /readyz and /metrics (asserting the tenant-labeled
-# pipeline and trainer counters moved), then sends SIGTERM and requires
-# a clean exit. A second boot with -batch-max-wait 500ms then checks the
-# request path's two rules from the outside: a lone detect is dispatched
-# at once (answered far inside the max wait, cats_serve_flushes_total
-# shows an idle flush and no timer flush), and a body the single-pass
-# decoder declines (upper-case key, \u-escaped text) gets the same
-# verdicts through encoding/json (cats_http_decode_total{path="stdlib"}
-# moves). That second detect follows the first inside the max wait, so
-# it is traffic and collects for it (the flush counters are printed;
-# which rule fired depends on how fast the script ran, so it is not
-# asserted). CI runs this via `make serve-smoke`; it needs only the go
-# toolchain and curl.
+# pipeline and trainer counters moved, and that no decode-path metric
+# is left), then sends SIGTERM and requires a clean exit. A second boot
+# with -batch-max-wait 500ms then checks the request path from the
+# outside: a lone detect is dispatched at once (answered far inside the
+# max wait, cats_serve_flushes_total shows an idle flush and no timer
+# flush); the same item re-encoded (an upper-case key, \u-escaped text,
+# one unknown field) gets the same verdicts; and a body with bytes after
+# its JSON value is a 400. The re-encoded detect follows the first
+# inside the max wait, so it is traffic and collects for it (the flush
+# counters are printed; which rule fired depends on how fast the script
+# ran, so it is not asserted). CI runs this via `make serve-smoke`; it
+# needs only the go toolchain and curl.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -181,8 +180,7 @@ echo "== serve-smoke: drift loop — feedback in, promotion out, zero dropped re
 # The batch is far too large for a command-line argument, so it goes
 # through a file.
 # feedback_batch <0|1> prints it; with 1, each entry's "fraud" comes ahead
-# of its "item" — not the order json.Marshal writes, so the single-pass
-# decoder leaves that body to encoding/json.
+# of its "item" — not the order json.Marshal writes, and as good.
 feedback_batch() {
   awk -v swap="$1" '
     function entry(item, fraud) {
@@ -219,24 +217,18 @@ if ! grep -qF '"accepted":32' <<<"${FB_RESP}"; then
   echo "serve-smoke: FAIL: /v1/feedback did not accept the batch: ${FB_RESP}" >&2
   exit 1
 fi
-if [[ "$(counter_value 'cats_http_decode_total{route="/v1/feedback",path="fast"}')" -lt 1 ]]; then
-  echo "serve-smoke: FAIL: the canonical feedback batch did not take the fast decoder" >&2
-  exit 1
-fi
 WINDOW_BYTES="$(counter_value 'cats_trainer_window_bytes{tenant="taobao"}')"
 if [[ "${WINDOW_BYTES}" -le 0 ]]; then
   echo "serve-smoke: FAIL: cats_trainer_window_bytes{taobao} = ${WINDOW_BYTES} after 32 accepted entries" >&2
   exit 1
 fi
-FB_STDLIB_BEFORE="$(counter_value 'cats_http_decode_total{route="/v1/feedback",path="stdlib"}')"
 FB_RESP="$(curl -fsS -X POST -H 'Content-Type: application/json' \
   -d @"${WORK}/feedback_reordered.json" "${BASE}/v1/feedback")"
-FB_STDLIB_AFTER="$(counter_value 'cats_http_decode_total{route="/v1/feedback",path="stdlib"}')"
-if ! grep -qF '"accepted":32' <<<"${FB_RESP}" || [[ "${FB_STDLIB_AFTER}" -le "${FB_STDLIB_BEFORE}" ]]; then
-  echo "serve-smoke: FAIL: reordered feedback batch: ${FB_RESP}, stdlib decodes ${FB_STDLIB_BEFORE} -> ${FB_STDLIB_AFTER}" >&2
+if ! grep -qF '"accepted":32' <<<"${FB_RESP}"; then
+  echo "serve-smoke: FAIL: reordered feedback batch: ${FB_RESP}" >&2
   exit 1
 fi
-echo "== serve-smoke: feedback took the fast decoder (window ${WINDOW_BYTES} bytes); a reordered batch took encoding/json"
+echo "== serve-smoke: feedback accepted (window ${WINDOW_BYTES} bytes), and the batch with its entries' keys reordered"
 
 # Keep detect traffic flowing while the 1s retrain loop trains, gates,
 # and promotes; every response across the swap must be 2xx.
@@ -287,19 +279,22 @@ for want in \
   'cats_serve_coalesced_total{tenant="taobao"}' \
   'cats_serve_shed_total{reason="queue_full",tenant="taobao"}' \
   'cats_serve_flushes_total{reason="idle",tenant="taobao"}' \
-  'cats_http_decode_total{route="/v1/detect",path="fast"}' \
   'cats_registry_model_version{tenant="mobile"}' \
   'cats_registry_reloads_total{outcome="ok",tenant="taobao"}' \
   'cats_trainer_cycles_total{outcome="promoted",tenant="taobao"}' \
   'cats_trainer_promoted_generation{tenant="taobao"}' \
   'cats_trainer_window_size{tenant="taobao"}' \
-  'cats_trainer_window_bytes{tenant="taobao"}' \
-  'cats_http_decode_total{route="/v1/feedback",path="fast"}'; do
+  'cats_trainer_window_bytes{tenant="taobao"}'; do
   if ! grep -qF "${want}" <<<"${METRICS}"; then
     echo "serve-smoke: FAIL: /metrics is missing ${want}" >&2
     exit 1
   fi
 done
+# One decoder reads every body: there is no decode path to count.
+if grep -F 'cats_http_decode' <<<"${METRICS}" >&2; then
+  echo "serve-smoke: FAIL: /metrics still counts request bodies by decode path" >&2
+  exit 1
+fi
 if ! grep -E '^cats_serve_batches_total\{tenant="taobao"\} [1-9]' <<<"${METRICS}" >/dev/null; then
   echo "serve-smoke: FAIL: cats_serve_batches_total{taobao} did not move; batcher not in the path" >&2
   exit 1
@@ -336,11 +331,11 @@ for i in $(seq 1 50); do
   sleep 0.2
 done
 
-# One item in the canonical encoding, and the same item written the way
-# the single-pass decoder does not read: an upper-case key (encoding/json
-# folds case) and the comment text as \u escapes.
+# One item in the canonical encoding, and the same item written
+# otherwise: an upper-case key (matched case-folded), the comment text as
+# \u escapes, and a field the item does not have (skipped).
 CANONICAL='{"items":[{"item_id":"smoke-lone","shop_id":"s1","item_name":"n","price_cents":100,"sales_volume":50,"comments":[{"comment_id":"c1","item_id":"smoke-lone","comment_content":"好评很好","user_id":"u1","nickname":"n1","userExpValue":100,"client_information":1,"date":"2018-06-01T08:00:00Z"}],"label":0}]}'
-REENCODED='{"ITEMS":[{"item_id":"smoke-lone","shop_id":"s1","item_name":"n","price_cents":100,"sales_volume":50,"comments":[{"comment_id":"c1","item_id":"smoke-lone","comment_content":"\u597d\u8bc4\u5f88\u597d","user_id":"u1","nickname":"n1","userExpValue":100,"client_information":1,"date":"2018-06-01T08:00:00Z"}],"label":0}]}'
+REENCODED='{"ITEMS":[{"item_id":"smoke-lone","shop_id":"s1","item_name":"n","price_cents":100,"sales_volume":50,"comments":[{"comment_id":"c1","item_id":"smoke-lone","comment_content":"\u597d\u8bc4\u5f88\u597d","user_id":"u1","nickname":"n1","userExpValue":100,"client_information":1,"date":"2018-06-01T08:00:00Z"}],"label":0,"source":{"crawler":"smoke","page":[1,2]}}]}'
 
 LONE="$(curl -fsS -o "${WORK}/canonical.out" -w '%{time_total}' -X POST \
   -H 'Content-Type: application/json' -d "${CANONICAL}" "${BASE}/v1/detect")"
@@ -356,27 +351,25 @@ if [[ "${IDLE}" -lt 1 || "${TIMER}" -ne 0 ]]; then
 fi
 echo "== serve-smoke: lone detect answered in ${LONE}s (idle flushes ${IDLE}, timer flushes ${TIMER})"
 
-STDLIB_BEFORE="$(counter_value 'cats_http_decode_total{route="/v1/detect",path="stdlib"}')"
 curl -fsS -o "${WORK}/reencoded.out" -X POST -H 'Content-Type: application/json' \
   -d "${REENCODED}" "${BASE}/v1/detect"
-STDLIB_AFTER="$(counter_value 'cats_http_decode_total{route="/v1/detect",path="stdlib"}')"
 detections() { grep -o '"detections":\[[^]]*\]' "$1"; }
 if [[ -z "$(detections "${WORK}/canonical.out")" || "$(detections "${WORK}/canonical.out")" != "$(detections "${WORK}/reencoded.out")" ]]; then
   echo "serve-smoke: FAIL: re-encoded body scored differently:" >&2
   cat "${WORK}/canonical.out" "${WORK}/reencoded.out" >&2
   exit 1
 fi
-if [[ "${STDLIB_AFTER}" -le "${STDLIB_BEFORE}" ]]; then
-  echo "serve-smoke: FAIL: cats_http_decode_total{path=\"stdlib\"} did not move (${STDLIB_BEFORE} -> ${STDLIB_AFTER})" >&2
-  exit 1
-fi
-if [[ "$(counter_value 'cats_http_decode_total{route="/v1/detect",path="fast"}')" -lt 1 ]]; then
-  echo "serve-smoke: FAIL: the canonical body did not take the fast decoder" >&2
-  exit 1
-fi
-echo "== serve-smoke: re-encoded body took encoding/json and got the same verdicts" \
+echo "== serve-smoke: re-encoded body got the same verdicts" \
   "(idle flushes $(counter_value 'cats_serve_flushes_total{reason="idle",tenant="taobao"}')," \
   "timer flushes $(counter_value 'cats_serve_flushes_total{reason="timer",tenant="taobao"}'))"
+
+TRAILING="$(curl -sS -o "${WORK}/trailing.out" -w '%{http_code}' -X POST \
+  -H 'Content-Type: application/json' -d "${CANONICAL} ${CANONICAL}" "${BASE}/v1/detect")"
+if [[ "${TRAILING}" != 400 ]] || ! grep -qF 'after the value' "${WORK}/trailing.out"; then
+  echo "serve-smoke: FAIL: a body with bytes after its value answered ${TRAILING}: $(cat "${WORK}/trailing.out")" >&2
+  exit 1
+fi
+echo "== serve-smoke: trailing bytes answered 400: $(cat "${WORK}/trailing.out")"
 
 kill -TERM "${SERVER_PID}"
 STATUS=0
