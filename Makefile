@@ -7,10 +7,9 @@ GO ?= go
 
 all: build vet test
 
-# Run catslint, the project's invariant linter, six rules: zero-alloc
+# Run catslint, the project's invariant linter, five rules: zero-alloc
 # hot path (//cats:hotpath), map-iteration determinism, ctx propagation,
-# wall-clock/rand hygiene, registry leases taken outside the registry,
-# and obs label discipline. The analyzers' own regression gate — one that
+# wall-clock/rand hygiene, and obs label discipline. The analyzers' own regression gate — one that
 # goes blind or starts overreporting on the fixture corpus fails it — is
 # tier-1: `go test ./internal/lint ./cmd/catslint`.
 lint:

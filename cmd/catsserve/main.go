@@ -346,11 +346,11 @@ func main() {
 	if err := <-shutdownErr; err != nil {
 		log.Printf("catsserve: drain incomplete: %v", err)
 	}
-	// In-flight HTTP requests are drained. Stop the retrain loop first —
-	// a promotion mid-teardown would publish into a registry being
-	// retired — then retire every tenant's model so the batchers flush
-	// whatever they still hold and every admitted waiter gets its
-	// verdict.
+	// In-flight HTTP requests are drained, and with them every request
+	// holding a model: what they queued was answered before they
+	// returned. Stop the retrain loop first — a promotion mid-teardown
+	// would publish into a registry being closed — then unpublish every
+	// tenant's model, so anything arriving late answers 503.
 	if tr != nil {
 		tr.Close()
 	}

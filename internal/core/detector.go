@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/ecom"
 	"repro/internal/features"
@@ -288,20 +287,13 @@ func (d *Detector) scorePending(dets []Detection, X [][]float64, pending []int, 
 	if chunk < minScoreChunk {
 		chunk = minScoreChunk
 	}
+	chunks := (len(pending) + chunk - 1) / chunk
 	sp := obs.StartSpan(d.m.stageScore)
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(pending); lo += chunk {
-		hi := lo + chunk
-		if hi > len(pending) {
-			hi = len(pending)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			d.clf.PredictProbaBatch(vecs[lo:hi], scores[lo:hi])
-		}(lo, hi)
-	}
-	wg.Wait()
+	_ = par.For(context.Background(), chunks, chunks, func(c int) { // nothing cancels it
+		lo := c * chunk
+		hi := min(lo+chunk, len(pending))
+		d.clf.PredictProbaBatch(vecs[lo:hi], scores[lo:hi])
+	})
 	sp.End()
 	for k, i := range pending {
 		dets[i].Score, dets[i].IsFraud = scores[k], scores[k] >= d.cfg.Threshold

@@ -37,12 +37,14 @@
 // its own context error. Batches never touch waiter-owned memory; they
 // write into the shared flight records and close the flight's done
 // channel, so a waiter that gives up early (context canceled) simply
-// stops listening while the flight completes for everyone else.
+// stops listening while the flight completes for everyone else. A panic
+// in scoring fails that batch's waiters, not the process.
 package dispatch
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -238,26 +240,15 @@ func (d *Dispatcher) Submit(ctx context.Context, items []ecom.Item) (Result, err
 		d.m.shedClosed.Inc()
 		return Result{}, ErrClosed
 	}
-	// Admission first, atomically with the enqueue: count the items
-	// that would occupy new queue slots (coalesced items ride along for
-	// free) and shed the whole request before touching any state if
-	// they do not fit.
-	newItems := 0
-	for i := range items {
-		if d.inflightFor(items[i].ID) == nil {
-			newItems++
-		}
-	}
-	if len(d.queue)+newItems > d.opts.MaxQueue {
-		d.mu.Unlock()
-		d.m.shedQueueFull.Inc()
-		return Result{}, ErrQueueFull
-	}
+	// Enqueue, then admit: each distinct new ID and each ID-less item
+	// takes one queue slot, while a repeat (of an in-flight ID or of one
+	// earlier in this request) rides along for free. A request whose new
+	// items do not fit takes back all it queued before anyone sees it.
 	now := time.Now()
 	flights := make([]*flight, len(items))
+	queued := len(d.queue)
 	for i := range items {
 		if f := d.inflightFor(items[i].ID); f != nil {
-			d.m.coalesced.Inc()
 			flights[i] = f
 			continue
 		}
@@ -268,6 +259,17 @@ func (d *Dispatcher) Submit(ctx context.Context, items []ecom.Item) (Result, err
 		d.queue = append(d.queue, f)
 		flights[i] = f
 	}
+	if len(d.queue) > d.opts.MaxQueue {
+		for _, f := range d.queue[queued:] {
+			delete(d.inflight, f.item.ID)
+		}
+		clear(d.queue[queued:])
+		d.queue = d.queue[:queued]
+		d.mu.Unlock()
+		d.m.shedQueueFull.Inc()
+		return Result{}, ErrQueueFull
+	}
+	d.m.coalesced.Add(uint64(len(items) - (len(d.queue) - queued)))
 	d.m.queueDepth.Set(int64(len(d.queue)))
 	switch {
 	case len(d.queue) >= d.opts.MaxBatch:
@@ -415,7 +417,7 @@ func (d *Dispatcher) runBatch(batch []*flight) {
 	}
 	d.m.batches.Inc()
 	d.m.batchSize.Observe(float64(len(items)))
-	dets, X, err := d.scorer.DetectWithFeatures(context.Background(), items, 0)
+	dets, X, err := d.score(items)
 
 	// Retire the IDs first so new submissions start fresh flights, then
 	// publish results; the close is the happens-before edge waiters read
@@ -443,9 +445,23 @@ func (d *Dispatcher) runBatch(batch []*flight) {
 	}
 }
 
+// score runs runBatch's scorer call. A panic in scoring becomes the
+// batch's error: its waiters each get a failure naming the panic, and
+// the dispatcher goes on serving.
+func (d *Dispatcher) score(items []ecom.Item) (dets []core.Detection, X [][]float64, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("dispatch: scoring panicked: %v", p)
+		}
+	}()
+	return d.scorer.DetectWithFeatures(context.Background(), items, 0)
+}
+
 // Close flushes the queue, rejects further submissions with ErrClosed,
 // and blocks until every dispatched batch has fanned out. Safe to call
-// more than once.
+// more than once. A dispatcher need not be closed: with nothing queued
+// it owns no goroutine, so the model registry leaves a swapped-out
+// handle's dispatcher to the garbage collector.
 func (d *Dispatcher) Close() {
 	d.mu.Lock()
 	if !d.closed {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -36,6 +37,7 @@ type stubScorer struct {
 	once    sync.Once
 	delay   time.Duration
 	err     error
+	panics  int // the first this-many calls panic
 }
 
 func (s *stubScorer) DetectWithFeatures(ctx context.Context, items []ecom.Item, workers int) ([]core.Detection, [][]float64, error) {
@@ -50,7 +52,7 @@ func (s *stubScorer) DetectWithFeatures(ctx context.Context, items []ecom.Item, 
 		ids[i] = items[i].ID
 	}
 	s.batches = append(s.batches, ids)
-	err := s.err
+	err, panics := s.err, s.calls <= s.panics
 	s.mu.Unlock()
 	if s.started != nil {
 		blocked := false
@@ -64,6 +66,9 @@ func (s *stubScorer) DetectWithFeatures(ctx context.Context, items []ecom.Item, 
 	}
 	if s.delay > 0 {
 		time.Sleep(s.delay)
+	}
+	if panics {
+		panic("scorer blew up")
 	}
 	if err != nil {
 		return nil, nil, err
@@ -541,6 +546,40 @@ func TestShedQueueFull(t *testing.T) {
 	}
 }
 
+// TestShedChargesEachNewIDOnce: a request's copies of one new ID
+// coalesce onto one flight, so they take one queue slot between them,
+// and ID-less items one each. A busy dispatcher with room for one item
+// admits ["a","a"] and still sheds two ID-less items, enqueueing
+// nothing for them.
+func TestShedChargesEachNewIDOnce(t *testing.T) {
+	d := New(&stubScorer{}, Options{MaxBatch: 100, MaxWait: time.Hour, MaxQueue: 1, Tenant: t.Name()})
+	defer d.Close()
+	_, release := holdScorer(t, d)
+	if _, err := d.Submit(context.Background(), items("", "")); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("two ID-less items: err = %v, want ErrQueueFull", err)
+	}
+	if depth := d.QueueDepth(); depth != 0 {
+		t.Fatalf("queue depth after the shed = %d, want 0", depth)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := d.Submit(context.Background(), items("a", "a"))
+		done <- err
+	}()
+	for d.QueueDepth() == 0 {
+		select {
+		case err := <-done:
+			release()
+			t.Fatalf(`["a","a"] with one free slot: err = %v, want it queued`, err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestShedHopelessDeadline(t *testing.T) {
 	stub := &stubScorer{}
 	d := New(stub, Options{MaxBatch: 100, MaxWait: 250 * time.Millisecond})
@@ -618,6 +657,48 @@ func TestBatchErrorFansOut(t *testing.T) {
 	if d.InFlight() != 0 {
 		t.Errorf("inflight = %d after errored batch, want 0", d.InFlight())
 	}
+}
+
+// TestScorerPanicFailsOnlyItsBatch: a panic inside the scorer reaches
+// each waiter of that batch as an error naming it. The batch's IDs
+// retire, the work queued behind it is dispatched when it ends, the next
+// Submit is served, and the process lives on.
+func TestScorerPanicFailsOnlyItsBatch(t *testing.T) {
+	stub := &stubScorer{panics: 1, started: make(chan struct{}), release: make(chan struct{})}
+	d := New(stub, Options{MaxBatch: 100, MaxWait: time.Hour})
+	defer d.Close()
+	idleProcess()
+	errs := make(chan error, 2)
+	submit := func() {
+		_, err := d.Submit(context.Background(), items("p"))
+		errs <- err
+	}
+	go submit() // an idle scorer: dispatched at once, held open, then panics
+	<-stub.started
+	coalescedBefore := d.m.coalesced.Value()
+	go submit() // a second waiter on the same flight
+	for d.m.coalesced.Value() == coalescedBefore {
+		time.Sleep(time.Millisecond)
+	}
+	waitBehind := submitAsync(t, d, "q")
+	awaitQueued(d, 1)
+
+	close(stub.release)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err == nil || !strings.Contains(err.Error(), "scorer blew up") {
+			t.Errorf("waiter on the panicked batch: err = %v, want the panic named", err)
+		}
+	}
+	waitBehind() // dispatched by the drain flush when the panicked batch ended
+	if got := d.InFlight(); got != 0 {
+		t.Errorf("inflight = %d after a panicked batch, want 0", got)
+	}
+	idleProcess()
+	res, err := d.Submit(context.Background(), items("p"))
+	if err != nil {
+		t.Fatalf("submit after the panic: %v", err)
+	}
+	checkResult(t, res, "p")
 }
 
 func TestWaiterCancellationReleasesOnlyTheWaiter(t *testing.T) {

@@ -8,20 +8,8 @@ import (
 // What crosses package boundaries here is small: metric-discipline
 // resolves a Vec registered in one package at its With calls in another
 // (the vecs index, filled by scanVecs as the Runner loads each package,
-// dependencies before dependents), and handle-lease asks which function
-// a call names. No rule computes function summaries or walks paths.
-
-// callee statically resolves a call to the object it names. Calls
-// through function values resolve to nil — the conservative unknown.
-func (p *Package) callee(call *ast.CallExpr) types.Object {
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return p.Info.Uses[f]
-	case *ast.SelectorExpr:
-		return p.Info.Uses[f.Sel]
-	}
-	return nil
-}
+// dependencies before dependents). No rule computes function summaries
+// or walks paths.
 
 // methodName returns the bare name of a method call's selector, or ""
 // for non-selector calls.

@@ -166,7 +166,6 @@ func Analyzers() []*Analyzer {
 		MapRangeDeterminism,
 		CtxPropagation,
 		NoWallclockRand,
-		HandleLease,
 		MetricDiscipline,
 	}
 }

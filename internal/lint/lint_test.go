@@ -30,7 +30,7 @@ func TestFixtureCorpus(t *testing.T) {
 	r := NewRunner()
 	// Pre-load the stand-in dependency packages so fixtures importing
 	// them type-check regardless of subtest filtering order.
-	for _, dep := range []string{"obsfix", "regfix", "obsvec"} {
+	for _, dep := range []string{"obsfix", "obsvec"} {
 		if _, err := r.load(filepath.Join("testdata", "src", dep), "fix/"+dep); err != nil {
 			t.Fatalf("load %s fixture: %v", dep, err)
 		}
@@ -98,19 +98,6 @@ func TestFixtureCorpus(t *testing.T) {
 			want: []want{
 				{"no-wallclock-rand", 13, "reads the wall clock through fix/obsfix"},
 			},
-		},
-		{
-			pkg: "handlelease",
-			want: []want{
-				{"handle-lease", 11, "Acquire called outside package regfix"},
-				{"handle-lease", 15, "Release called outside package regfix"},
-			},
-		},
-		{
-			// The declaring package's own Acquire and Release calls — Do
-			// is built from them — are what the rule leaves alone.
-			pkg:  "regfix",
-			want: nil,
 		},
 		{
 			pkg: "metricvec",
@@ -226,7 +213,6 @@ func TestAnalyzerNamesStable(t *testing.T) {
 	sort.Strings(names)
 	want := []string{
 		"ctx-propagation",
-		"handle-lease",
 		"hotpath-alloc",
 		"map-range-determinism",
 		"metric-discipline",

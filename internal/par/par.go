@@ -1,10 +1,12 @@
 // Package par holds the one parallel loop the pipeline's batch stages
-// share: the detector's analysis fan-out and the feature extractor's
-// dataset pass.
+// share: the detector's analysis and scoring fan-outs and the feature
+// extractor's dataset pass.
 package par
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -20,13 +22,25 @@ import (
 // Once ctx is canceled no further index is claimed and For returns
 // ctx's error after the calls in flight have returned; it returns nil
 // otherwise.
+//
+// A panic in fn, on any goroutine, likewise stops the claiming; once
+// every worker has returned, For re-raises the first one on the caller,
+// carrying the stack of the goroutine it happened on, so the caller's
+// recover sees it as it would a panic of its own.
 func For(ctx context.Context, n, workers int, fn func(i int)) error {
 	if workers > n {
 		workers = n
 	}
 	var cursor atomic.Int64
+	var caught atomic.Pointer[error] // the first panic in fn, with its stack
 	claim := func() {
-		for ctx.Err() == nil {
+		defer func() {
+			if p := recover(); p != nil {
+				err := fmt.Errorf("%v\n\npanicking goroutine's stack:\n%s", p, debug.Stack())
+				caught.CompareAndSwap(nil, &err)
+			}
+		}()
+		for ctx.Err() == nil && caught.Load() == nil {
 			i := int(cursor.Add(1)) - 1
 			if i >= n {
 				return
@@ -44,6 +58,9 @@ func For(ctx context.Context, n, workers int, fn func(i int)) error {
 	}
 	claim()
 	wg.Wait()
+	if err := caught.Load(); err != nil {
+		panic(*err)
+	}
 	if int(cursor.Load()) < n {
 		return ctx.Err()
 	}

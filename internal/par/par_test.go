@@ -3,6 +3,9 @@ package par
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -88,4 +91,40 @@ func TestForPreCanceled(t *testing.T) {
 	if err := For(ctx, 0, 4, func(int) {}); err != nil {
 		t.Fatalf("empty range under a canceled context: %v", err)
 	}
+}
+
+// TestForPanicReachesTheCaller: the caller and a worker both panic,
+// held at a barrier until each has taken its index. For re-raises one of
+// the two on the caller only after both have returned, carrying the
+// panicking goroutine's stack, and claims nothing after them.
+func TestForPanicReachesTheCaller(t *testing.T) {
+	var barrier sync.WaitGroup
+	barrier.Add(2)
+	var calls, exited atomic.Int32
+	var rethrown atomic.Bool
+	defer func() {
+		rethrown.Store(true)
+		p := recover()
+		err, ok := p.(error)
+		if !ok || !strings.Contains(err.Error(), "boom at ") || !strings.Contains(err.Error(), "par_test.go") {
+			t.Fatalf("recovered %v, want an error naming the panic with its stack", p)
+		}
+		if n := exited.Load(); n != 2 {
+			t.Errorf("For re-raised with %d of 2 panicking calls returned", n)
+		}
+		if n := calls.Load(); n != 2 {
+			t.Errorf("%d calls ran, want the 2 that panicked", n)
+		}
+	}()
+	For(context.Background(), 100, 2, func(i int) {
+		defer exited.Add(1)
+		calls.Add(1)
+		if rethrown.Load() {
+			t.Error("fn ran after For re-raised")
+		}
+		barrier.Done()
+		barrier.Wait() // each goroutine holds one index here: the caller and the worker
+		panic(fmt.Sprintf("boom at %d", i))
+	})
+	t.Fatal("For returned after fn panicked")
 }

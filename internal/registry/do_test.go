@@ -2,69 +2,17 @@ package registry
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dispatch"
 )
-
-// TestDoReleasesOnReturnAndPanic: the lease Do takes is back when Do is,
-// whether fn returned or panicked — the holder count is 0 again, and a
-// handle retired while fn held it closes its dispatcher on the way out.
-func TestDoReleasesOnReturnAndPanic(t *testing.T) {
-	_, _, snapA := trainSnapshot(t, 111, core.DetectorConfig{})
-	_, _, snapB := trainSnapshot(t, 112, core.DetectorConfig{})
-	items := testItems(t, 16)
-	r := New(Options{Batching: &dispatch.Options{MaxBatch: 4, MaxWait: time.Millisecond}})
-	defer r.Close()
-	if _, err := r.Load(context.Background(), "taobao", "A", snapA); err != nil {
-		t.Fatal(err)
-	}
-	tn := r.Tenant("taobao")
-
-	var a *Handle
-	if !tn.Do(func(h *Handle) {
-		a = h
-		if n := h.refs.Load(); n != 1 {
-			t.Errorf("holders inside fn = %d, want 1", n)
-		}
-	}) {
-		t.Fatal("Do = false on a loaded tenant")
-	}
-	if n := a.refs.Load(); n != 0 {
-		t.Fatalf("holders after Do returned = %d, want 0", n)
-	}
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("fn's panic did not reach Do's caller")
-			}
-		}()
-		tn.Do(func(h *Handle) {
-			// Retire the held handle, so the release Do owes is also
-			// the one that has to close it.
-			if _, err := r.Load(context.Background(), "taobao", "B", snapB); err != nil {
-				t.Error(err)
-			}
-			if _, err := h.Dispatcher().Submit(context.Background(), items); err != nil {
-				t.Errorf("retired-but-held handle refused work: %v", err)
-			}
-			panic("scorer blew up")
-		})
-	}()
-	if n := a.refs.Load(); n != 0 {
-		t.Fatalf("holders after fn panicked = %d, want 0", n)
-	}
-	if _, err := a.Dispatcher().Submit(context.Background(), items); !dispatch.IsShed(err) {
-		t.Fatalf("retired handle's dispatcher still open after the panic: %v", err)
-	}
-	if v, _, _ := tn.Version(); v != "B" {
-		t.Fatalf("live version = %s, want B", v)
-	}
-}
 
 // TestDoUnloadedTenant: no model, no call.
 func TestDoUnloadedTenant(t *testing.T) {
@@ -78,7 +26,7 @@ func TestDoUnloadedTenant(t *testing.T) {
 // TestDoCoherentUnderInstall (for -race): while a swapper alternates two
 // models, every fn holds one generation from its first line to its last
 // — the same version, generation and detector, a dispatcher that still
-// takes work — and when everyone is done no handle has a holder left.
+// takes work.
 func TestDoCoherentUnderInstall(t *testing.T) {
 	_, _, snapA := trainSnapshot(t, 113, core.DetectorConfig{})
 	_, _, snapB := trainSnapshot(t, 114, core.DetectorConfig{})
@@ -109,8 +57,6 @@ func TestDoCoherentUnderInstall(t *testing.T) {
 		}
 	}()
 
-	var mu sync.Mutex
-	seen := map[*Handle]bool{}
 	var wg sync.WaitGroup
 	for c := 0; c < 8; c++ {
 		wg.Add(1)
@@ -129,9 +75,6 @@ func TestDoCoherentUnderInstall(t *testing.T) {
 					if h.Version != version || h.Generation != gen || h.Detector != det {
 						t.Errorf("handle changed under fn: %s/%d, then %s/%d", version, gen, h.Version, h.Generation)
 					}
-					mu.Lock()
-					seen[h] = true
-					mu.Unlock()
 				})
 				if !ok {
 					t.Error("Do = false mid-run")
@@ -144,9 +87,47 @@ func TestDoCoherentUnderInstall(t *testing.T) {
 	close(stop)
 	<-swapDone
 	r.Close()
-	for h := range seen {
-		if n := h.refs.Load(); n != 0 {
-			t.Errorf("generation %d still has %d holders", h.Generation, n)
+}
+
+// TestRetiredHandlesAreCollected: nothing but the requests holding it
+// keeps a swapped-out generation alive. Twenty swaps under batching,
+// each generation given one abandoned waiter and one served Submit;
+// afterwards the garbage collector finalizes every retired handle, the
+// live one stays, and no goroutine is left behind.
+func TestRetiredHandlesAreCollected(t *testing.T) {
+	_, _, snap := trainSnapshot(t, 115, core.DetectorConfig{})
+	items := testItems(t, 18)[:4]
+	r := New(Options{Batching: &dispatch.Options{MaxBatch: 8, MaxWait: time.Millisecond}})
+	base := runtime.NumGoroutine()
+	const swaps = 20
+	var finalized atomic.Int64
+	for i := 0; i < swaps; i++ {
+		if _, err := r.Load(context.Background(), "taobao", fmt.Sprint(i), snap); err != nil {
+			t.Fatal(err)
 		}
+		r.Tenant("taobao").Do(func(h *Handle) {
+			abandoned, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := h.Dispatcher().Submit(abandoned, items); err != nil && !errors.Is(err, context.Canceled) {
+				t.Errorf("generation %d: abandoned waiter got %v", h.Generation, err)
+			}
+			if _, err := h.Dispatcher().Submit(context.Background(), items); err != nil {
+				t.Errorf("generation %d refused work: %v", h.Generation, err)
+			}
+			runtime.SetFinalizer(h, func(*Handle) { finalized.Add(1) })
+		})
 	}
+	deadline := time.Now().Add(10 * time.Second)
+	for finalized.Load() < swaps-1 || runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d retired handles finalized, %d goroutines against %d before",
+				finalized.Load(), swaps-1, runtime.NumGoroutine(), base)
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := finalized.Load(); n != swaps-1 {
+		t.Fatalf("%d handles finalized, want the %d retired ones", n, swaps-1)
+	}
+	runtime.KeepAlive(r) // the live handle stays reachable through r
 }

@@ -7,18 +7,21 @@
 // one process serving several platforms' models at once, each retrained
 // and rolled out on its own schedule. The registry is that substrate:
 //
-//   - Load → validate → CAS. A candidate snapshot is materialized into
+//   - Load → validate → swap. A candidate snapshot is materialized into
 //     a detector, scored against the tenant's golden probe set, and
-//     only on a clean verdict does a compare-and-swap publish it. A bad
-//     snapshot — truncated file, wrong version, a retrain that lost the
-//     plot — never goes live; the tenant keeps serving its old model
+//     only on a clean verdict does an atomic pointer swap publish it. A
+//     bad snapshot — truncated file, wrong version, a retrain that lost
+//     the plot — never goes live; the tenant keeps serving its old model
 //     and the caller gets a diagnosable error.
 //   - In-flight requests finish on the model they started with. A
-//     request leases the tenant's current handle (Tenant.Do, refcounted)
-//     and holds it end to end; a swap retires the old handle, whose
-//     dispatcher drains and closes only after its last holder releases.
-//     No request ever observes half of one model and half of another,
-//     and none is dropped by a reload.
+//     handle is a value fixed at publish: a request loads the tenant's
+//     current one (Tenant.Do) and keeps it end to end; a swap only
+//     stops handing the old one out, and the garbage collector ends it
+//     once no request holds it. No request ever observes half of one
+//     model and half of another, and none is dropped by a reload.
+//   - Per-generation drift. Each handle carries its own scored-traffic
+//     reservoir against its own model's training sample, so a reload
+//     starts a fresh sample with nothing to reset.
 //   - Per-tenant serving isolation. Each handle owns its own batching
 //     dispatcher (internal/dispatch) with its own admission queue and
 //     optional batch-concurrency quota, and every cats_pipeline_* /
@@ -36,6 +39,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -93,62 +97,80 @@ type Model struct {
 	Generation uint64
 }
 
-// Handle is an acquired lease on a tenant's current model. Every
-// request holds exactly one handle from admission to response, so the
-// whole request is served by one coherent (detector, analyzer) pair
-// even when a reload swaps the tenant mid-flight. Tenant.Do is how one
-// is held.
+// Handle is one published generation of a tenant's model, fixed at
+// publish bar its drift sample. A request loads it once and is served
+// by that one coherent (detector, analyzer) pair end to end, even when
+// a reload swaps the tenant mid-flight; a swap only stops handing it
+// out, and the garbage collector ends it once the last request holding
+// it is done. Tenant.Do is how one is held.
 type Handle struct {
 	Model
-	disp    *dispatch.Dispatcher // nil when batching is off
-	refs    atomic.Int64
-	retired atomic.Bool
+	disp  *dispatch.Dispatcher // nil when batching is off
+	drift *drift               // nil when the detector carries no training sample
 }
 
 // Dispatcher returns the handle's batching dispatcher, or nil when the
 // registry was built without batching.
 func (h *Handle) Dispatcher() *dispatch.Dispatcher { return h.disp }
 
-// Release returns the lease. refs counts holders only — publication
-// itself keeps the handle alive — so when the handle has been retired
-// by a swap and this was its last holder, the dispatcher drains and
-// closes: the deferred half of zero-downtime reload. A Release beyond
-// the holder count is refused: the CAS loop never takes the count
-// below zero, so a buggy double-Release cannot underflow the refcount
-// or close a handle that is still published or still held.
-func (h *Handle) Release() {
-	for {
-		n := h.refs.Load()
-		if n <= 0 {
-			return // already fully released: refuse the underflow
+// Release does nothing: a handle needs no returning. It stays, with
+// Acquire, only because bench/ times the pair (registry.acquire_ns).
+func (h *Handle) Release() {}
+
+// driftReservoir caps the scored-traffic sample a generation retains.
+const driftReservoir = 4096
+
+// drift is one generation's scored-traffic reservoir and the training
+// baseline it is compared against. Each generation has its own, so a
+// reload starts a fresh sample measured against the new model's own
+// training set.
+type drift struct {
+	baseline [][]float64
+
+	mu   sync.Mutex
+	seen int64
+	res  [][]float64
+	rng  *rand.Rand // seeded from the generation: a reproducible stream per model
+}
+
+// RecordDrift reservoir-samples scored feature vectors into the
+// generation's drift sample; a no-op when drift tracking is off. Rows
+// are nil for items the sales cutoff dropped before extraction: drift
+// tracks the distribution of analyzed traffic.
+func (h *Handle) RecordDrift(vectors [][]float64) {
+	st := h.drift
+	if st == nil {
+		return
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, v := range vectors {
+		if v == nil {
+			continue
 		}
-		if h.refs.CompareAndSwap(n, n-1) {
-			if n == 1 && h.retired.Load() {
-				h.close()
-			}
-			return
+		st.seen++
+		if len(st.res) < driftReservoir {
+			st.res = append(st.res, v)
+			continue
+		}
+		if j := st.rng.Int63n(st.seen); int(j) < len(st.res) {
+			st.res[j] = v
 		}
 	}
 }
 
-// close shuts the handle's dispatcher down. Idempotent: dispatch.Close
-// is safe to call more than once, and the acquire/release protocol can
-// reach here twice only through already-idempotent paths.
-func (h *Handle) close() {
-	if h.disp != nil {
-		h.disp.Close()
+// DriftSample returns a copy of the generation's drift reservoir, the
+// number of vectors it has observed, and the training baseline they are
+// measured against; ok is false when the detector carries no training
+// sample, so drift tracking is off.
+func (h *Handle) DriftSample() (sample, baseline [][]float64, seen int64, ok bool) {
+	st := h.drift
+	if st == nil {
+		return nil, nil, 0, false
 	}
-}
-
-// retire marks the handle replaced. Holders still finish on it; the
-// last Release closes it, or retire does when none remain. The two
-// sides can race to observe (retired, refs==0) — close is idempotent,
-// so the overlap is harmless.
-func (h *Handle) retire() {
-	h.retired.Store(true)
-	if h.refs.Load() == 0 {
-		h.close()
-	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return append([][]float64(nil), st.res...), st.baseline, st.seen, true
 }
 
 // Tenant is one named model slot.
@@ -157,14 +179,13 @@ type Tenant struct {
 	reg  *Registry
 	m    *tenantMetrics
 
-	// cur is the published handle; Acquire spins on load-ref-recheck,
-	// Load swaps it with CAS under reloadMu.
+	// cur is the published handle, swapped under reloadMu.
 	cur atomic.Pointer[Handle]
 
 	// reloadMu serializes swaps (validation runs outside it), making
 	// generation order identical to publication order.
 	reloadMu sync.Mutex
-	gen      atomic.Uint64
+	gen      uint64
 
 	probeMu sync.Mutex
 	probes  ProbeSet
@@ -176,46 +197,21 @@ type Tenant struct {
 // Name returns the tenant's name.
 func (t *Tenant) Name() string { return t.name }
 
-// Do runs fn with a lease on the tenant's current model, released when
-// fn returns or panics, and reports false without calling fn when none
-// has been loaded yet. It is the lease: a caller cannot leak a handle,
-// release it twice or use it after release, because it never holds one
-// outside fn.
+// Do runs fn with the tenant's current model, and reports false without
+// calling fn when none has been loaded yet. fn keeps the handle it was
+// given to the end, whatever is published meanwhile.
 func (t *Tenant) Do(fn func(*Handle)) bool {
-	h := t.Acquire()
+	h := t.cur.Load()
 	if h == nil {
 		return false
 	}
-	defer h.Release()
 	fn(h)
 	return true
 }
 
-// Acquire leases the tenant's current model, or nil when none has been
-// loaded yet. The lock-free load→ref→recheck loop closes the race with
-// a concurrent swap: if the pointer moved while we were acquiring, the
-// reference is handed back (possibly completing the old handle's
-// retirement) and the new pointer is taken instead.
-//
-// Acquire and Release are Do's two halves and are exported only for
-// bench/, which times the bare pair (registry.acquire_ns); everything
-// else in the module goes through Do, and catslint's handle-lease rule
-// fails the tree on a call to either outside this package.
-func (t *Tenant) Acquire() *Handle {
-	for {
-		h := t.cur.Load()
-		if h == nil {
-			return nil
-		}
-		h.refs.Add(1)
-		if t.cur.Load() == h {
-			// Still published, so not yet retired: retire() happens
-			// only after a swap removes h from cur.
-			return h
-		}
-		h.Release()
-	}
-}
+// Acquire returns the tenant's current model, or nil when none has been
+// loaded yet. It is Do without the callback, exported for bench/.
+func (t *Tenant) Acquire() *Handle { return t.cur.Load() }
 
 // Version reports the tenant's live model version and generation;
 // ok is false when nothing is loaded.
@@ -462,50 +458,38 @@ func (r *Registry) validate(ctx context.Context, ps ProbeSet, det *core.Detector
 }
 
 // publish swaps the validated candidate in as the tenant's live model:
-// generation assignment and the pointer CAS happen under reloadMu, so
-// publication order equals generation order; the old handle is retired
-// after the swap and closes once its last in-flight holder releases.
+// generation assignment and the pointer store happen under reloadMu, so
+// publication order equals generation order. The old handle is simply
+// no longer handed out; requests still holding it finish on it.
 func (t *Tenant) publish(det *core.Detector, analyzer *core.Analyzer, version string) Info {
 	t.reloadMu.Lock()
-	gen := t.gen.Add(1)
-	h := &Handle{Model: Model{Detector: det, Analyzer: analyzer, Version: version, Generation: gen}}
+	defer t.reloadMu.Unlock()
+	t.gen++
+	h := &Handle{Model: Model{Detector: det, Analyzer: analyzer, Version: version, Generation: t.gen}}
 	if bt := t.reg.opts.Batching; bt != nil {
 		o := *bt
 		o.Tenant = t.name
 		h.disp = dispatch.New(det, o)
 	}
-	// refs counts in-flight holders; being published is what keeps the
-	// fresh handle alive until retire().
-	old := t.cur.Load()
-	if !t.cur.CompareAndSwap(old, h) {
-		// Unreachable: swaps are serialized by reloadMu, so cur cannot
-		// move between the load and the CAS.
-		panic("registry: concurrent publish raced the CAS")
+	// The model's own training sample, so that a promoted or reloaded
+	// model is measured against what it was fitted on, never its
+	// predecessor's training set. A model that carries none has drift
+	// disabled.
+	if baseline := det.TrainingSample(); len(baseline) > 0 {
+		h.drift = &drift{baseline: baseline, rng: rand.New(rand.NewSource(int64(t.gen)))}
 	}
-	t.m.modelVersion.Set(int64(gen))
+	t.cur.Store(h)
+	t.m.modelVersion.Set(int64(t.gen))
 	t.m.reloadOK.Inc()
-	t.reloadMu.Unlock()
-	if old != nil {
-		old.retire()
-	}
-	return Info{Tenant: t.name, Version: version, Generation: gen, Source: t.Source()}
+	return Info{Tenant: t.name, Version: version, Generation: t.gen, Source: t.Source()}
 }
 
-// Close retires every tenant's live handle: their dispatchers drain
-// once in-flight holders release, and subsequent Acquires return nil.
+// Close unpublishes every tenant's model: subsequent Acquires return
+// nil, while requests already holding a handle finish on it.
 func (r *Registry) Close() {
 	r.mu.RLock()
-	tenants := make([]*Tenant, 0, len(r.tenants))
+	defer r.mu.RUnlock()
 	for _, t := range r.tenants {
-		tenants = append(tenants, t)
-	}
-	r.mu.RUnlock()
-	for _, t := range tenants {
-		t.reloadMu.Lock()
-		old := t.cur.Swap(nil)
-		t.reloadMu.Unlock()
-		if old != nil {
-			old.retire()
-		}
+		t.cur.Store(nil)
 	}
 }

@@ -52,12 +52,14 @@
 // Retry-After instead of queuing doomed work — per tenant, so one hot
 // tenant cannot starve its neighbors' admission queues.
 //
-// Model coherence: a request Acquires its tenant's current model
-// handle once, up front, and holds it until the response is written.
-// A concurrent /admin/reload swaps the tenant's handle atomically; the
+// Model coherence: a request loads its tenant's current model handle
+// once, up front, and keeps it until the response is written. A
+// concurrent /admin/reload swaps the tenant's handle atomically; the
 // in-flight request finishes on the model it started with, and the old
-// model's dispatcher drains and closes only after its last holder
-// releases (internal/registry).
+// handle, with its dispatcher, is left to the garbage collector
+// (internal/registry). Drift is per generation too: /v1/detect records
+// into the serving handle's own reservoir and /v1/drift reads the live
+// one's.
 package service
 
 import (
@@ -66,11 +68,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -132,22 +132,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// driftReservoir caps the retained scored-traffic sample per tenant.
-const driftReservoir = 4096
-
-// driftState is one tenant's scored-traffic reservoir plus the
-// training baseline it is compared against. The state resets when the
-// tenant's model generation changes: drift relative to a retired
-// model's training set is meaningless after a reload.
-type driftState struct {
-	mu       sync.Mutex
-	gen      uint64
-	baseline [][]float64
-	seen     int64
-	res      [][]float64
-	rng      *rand.Rand
-}
-
 // Server serves detection requests from a registry of trained models.
 // It is safe for concurrent use.
 type Server struct {
@@ -158,9 +142,6 @@ type Server struct {
 	ready  atomic.Bool
 	obsReg *obs.Registry
 	httpm  *obs.HTTPMetrics
-
-	driftMu sync.Mutex
-	drift   map[string]*driftState
 }
 
 // NewWithRegistry builds a Server over a model registry. Tenants the
@@ -168,8 +149,8 @@ type Server struct {
 // immediately; /admin/reload swaps them live. The server starts ready;
 // SetReady(false) flips /readyz to 503 (catsserve does this before
 // draining on shutdown, so load balancers stop routing to it).
-// Per-tenant drift baselines come from each model's snapshot-carried
-// training sample.
+// Drift baselines come from each model's snapshot-carried training
+// sample.
 func NewWithRegistry(reg *registry.Registry, opts Options) *Server {
 	opts = opts.withDefaults()
 	obsReg := opts.Registry
@@ -181,15 +162,14 @@ func NewWithRegistry(reg *registry.Registry, opts Options) *Server {
 		reg:    reg,
 		obsReg: obsReg,
 		httpm:  obs.NewHTTPMetrics(obsReg),
-		drift:  map[string]*driftState{},
 	}
 	s.ready.Store(true)
 	return s
 }
 
-// Close retires every tenant's model: queued work flushes, in-flight
-// batches complete, and further detect requests answer 503. catsserve
-// calls this after the HTTP server finishes its shutdown.
+// Close unpublishes every tenant's model: requests already holding one
+// finish on it, and further requests answer 503. catsserve calls this
+// after the HTTP server finishes its shutdown.
 func (s *Server) Close() { s.reg.Close() }
 
 // SetReady flips the /readyz verdict. It does not affect request
@@ -205,70 +185,6 @@ func (s *Server) Registry() *obs.Registry { return s.obsReg }
 
 // ModelRegistry exposes the tenant model registry the server routes to.
 func (s *Server) ModelRegistry() *registry.Registry { return s.reg }
-
-// driftFor returns the tenant's drift state for the model generation
-// the request is being served by, resetting the reservoir when a
-// reload or trainer promotion has swapped generations since last
-// observed. The reset is monotonic: a request still finishing on a
-// retired handle gets nil rather than wiping the new generation's
-// reservoir back to its own, and the sampling RNG is reseeded from the
-// generation so each model's reservoir draws an independent,
-// reproducible stream. Returns nil when the tenant has no drift
-// baseline (tracking disabled).
-func (s *Server) driftFor(tenant string, h *registry.Handle) *driftState {
-	s.driftMu.Lock()
-	st, ok := s.drift[tenant]
-	if !ok {
-		st = &driftState{rng: rand.New(rand.NewSource(1))}
-		s.drift[tenant] = st
-	}
-	s.driftMu.Unlock()
-	st.mu.Lock()
-	switch {
-	case h.Generation > st.gen:
-		st.gen = h.Generation
-		// The model's own training sample, so that a promoted or
-		// reloaded model is measured against what it was fitted on,
-		// never its predecessor's training set. A model that carries
-		// none has drift disabled.
-		st.baseline = h.Detector.TrainingSample()
-		st.seen = 0
-		st.res = nil
-		st.rng = rand.New(rand.NewSource(int64(h.Generation)))
-	case h.Generation < st.gen:
-		// Stale handle: its model was already replaced, so its traffic
-		// must neither pollute the live reservoir nor reset it.
-		st.mu.Unlock()
-		return nil
-	}
-	if len(st.baseline) == 0 {
-		st.mu.Unlock()
-		return nil
-	}
-	st.mu.Unlock()
-	return st
-}
-
-// recordDrift reservoir-samples scored feature vectors into the
-// tenant's drift state. Rows are nil for items the sales cutoff dropped
-// before extraction: drift tracks the distribution of analyzed traffic.
-func (s *Server) recordDrift(st *driftState, vectors [][]float64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, v := range vectors {
-		if v == nil {
-			continue
-		}
-		st.seen++
-		if len(st.res) < driftReservoir {
-			st.res = append(st.res, v)
-			continue
-		}
-		if j := st.rng.Int63n(st.seen); int(j) < len(st.res) {
-			st.res[j] = v
-		}
-	}
-}
 
 // ItemsServed reports the number of items scored since start, across
 // all tenants.
@@ -327,9 +243,9 @@ func (s *Server) tenantName(r *http.Request) string {
 	return s.opts.DefaultTenant
 }
 
-// withModel runs fn with a lease on the request's tenant model, held
-// until fn returns (registry.Tenant.Do). When there is no model to
-// lease it writes the error response itself — 404 unknown tenant, 503
+// withModel runs fn with the request's tenant model, the one handle fn
+// serves the whole request from (registry.Tenant.Do). When there is no
+// model it writes the error response itself — 404 unknown tenant, 503
 // none loaded — and fn is not called.
 func (s *Server) withModel(w http.ResponseWriter, r *http.Request, fn func(tenant string, h *registry.Handle)) {
 	name := s.tenantName(r)
@@ -419,9 +335,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			return
 		}
-		if st := s.driftFor(tenant, h); st != nil {
-			s.recordDrift(st, X)
-		}
+		h.RecordDrift(X)
 		resp := DetectResponse{
 			Detections:      make([]DetectionDTO, len(dets)),
 			Tenant:          tenant,
@@ -565,23 +479,17 @@ type DriftResponse struct {
 	MaxKS  float64 `json:"max_ks"`
 	Tenant string  `json:"tenant,omitempty"`
 	// ModelGeneration is the generation the reservoir was collected
-	// under; a reload resets the sample.
+	// under; each generation keeps its own sample.
 	ModelGeneration uint64 `json:"model_generation,omitempty"`
 }
 
 func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 	s.withModel(w, r, func(tenant string, h *registry.Handle) {
-		st := s.driftFor(tenant, h)
-		if st == nil {
+		sample, baseline, seen, ok := h.DriftSample()
+		if !ok {
 			writeError(w, http.StatusNotImplemented, "drift tracking disabled: no training sample configured")
 			return
 		}
-		st.mu.Lock()
-		sample := make([][]float64, len(st.res))
-		copy(sample, st.res)
-		seen := st.seen
-		baseline := st.baseline
-		st.mu.Unlock()
 		resp := DriftResponse{
 			ItemsObserved: seen, SampleSize: len(sample),
 			Tenant: tenant, ModelGeneration: h.Generation,

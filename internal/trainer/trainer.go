@@ -332,10 +332,16 @@ func (t *Trainer) RunCycle(ctx context.Context, tenant string) (Decision, error)
 	return t.finish(st, d), nil
 }
 
-// challenge is the cycle past its guards, under a lease on the champion
-// h: train a challenger on the window's split, score both on the
-// holdout, publish on a gate win. It fills in d, Outcome included.
+// challenge is the cycle past its guards, on the champion h: train a
+// challenger on the window's split, score both on the holdout, publish
+// on a gate win. It fills in d, Outcome included; a panic on the way is
+// an error outcome, so the loop goes on ticking.
 func (t *Trainer) challenge(ctx context.Context, st *tenantState, d *Decision, recs []record, now time.Time, h *registry.Handle) {
+	defer func() {
+		if p := recover(); p != nil {
+			d.Outcome, d.Reason = OutcomeError, fmt.Sprintf("cycle panicked: %v", p)
+		}
+	}()
 	d.ChampionVersion = h.Version
 	d.ChampionGen = h.Generation
 	if h.Analyzer == nil {

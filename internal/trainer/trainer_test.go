@@ -18,6 +18,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/synth"
 	"repro/internal/textgen"
+	"repro/internal/tokenize"
 )
 
 // fixture is one self-contained champion/challenger world: a registry
@@ -598,5 +599,45 @@ func TestStatusHistoryBounded(t *testing.T) {
 	}
 	if st[0].Recent[1].Cycle != 5 || st[0].Recent[0].Cycle != 4 {
 		t.Errorf("retained cycles %d,%d, want 4,5", st[0].Recent[0].Cycle, st[0].Recent[1].Cycle)
+	}
+}
+
+// TestPanickingChallengerIsAnErrorCycle: a champion whose analyzer
+// panics when a challenger is trained on it ends each cycle as an error
+// decision, counted under outcome="error", and the background loop goes
+// on ticking. The analyzer has no segmenter: the first cycle panics
+// building the challenger's extractor, the second (the extractor's
+// once already spent) inside the analysis workers.
+func TestPanickingChallengerIsAnErrorCycle(t *testing.T) {
+	f := newFixture(t)
+	champion := f.reg.Tenant(fixtureTenant).Acquire().Detector
+	if _, err := f.reg.Install(context.Background(), "broken", "v1", champion, &core.Analyzer{Segmenter: &tokenize.Segmenter{}}); err != nil {
+		t.Fatal(err)
+	}
+	cycles := make(chan Decision, 16)
+	tr := New(f.reg, f.clock, Config{
+		Interval: time.Minute, MinSamples: 40,
+		OnCycle: func(d Decision) { cycles <- d },
+	})
+	defer tr.Close()
+	if _, err := tr.Feed("broken", shiftedFeedback(501)); err != nil {
+		t.Fatal(err)
+	}
+	errorsBefore := metricsByTenant.For("broken").cycleError.Value()
+	tr.Start()
+	for tick := 1; tick <= 2; tick++ {
+		f.clock.Advance(time.Minute)
+		for i := 0; i < 2; i++ { // RunAll: "broken", then the fixture tenant
+			d := <-cycles
+			if d.Tenant != "broken" {
+				continue
+			}
+			if d.Outcome != OutcomeError || d.Cycle != uint64(tick) || !strings.Contains(d.Reason, "panicked") {
+				t.Fatalf("tick %d: %+v, want an error outcome naming the panic", tick, d)
+			}
+		}
+	}
+	if got := metricsByTenant.For("broken").cycleError.Value() - errorsBefore; got != 2 {
+		t.Errorf(`cats_trainer_cycles_total{outcome="error"} moved by %d, want 2`, got)
 	}
 }
