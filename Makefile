@@ -25,11 +25,18 @@ fmt-check:
 # crawl side (crawler, collector, the simulated platform) must not be in
 # the dependency closure of what ships a model or serves one; nor the
 # synthetic comment generator in the server's (cmd/cats keeps textgen:
-# it generates its word2vec corpus).
+# it generates its word2vec corpus); nor net/http or crypto/tls in the
+# CLI's: cats serves nothing, and every linked package's init runs
+# before main, so an HTTP stack there is start-up paid by every scoring
+# job. The usual way back in is internal/obs — every pipeline package
+# imports it for its counters — which is why obs is HTTP-free and the
+# middleware and /metrics handler live in internal/service.
 deps-check:
 	@out=$$($(GO) list -deps ./cmd/catsserve ./cmd/cats | grep -E '^repro/internal/(ml/(svm|adaboost|mlp|tree|naivebayes)|graph|experiments|lint|crawler|collector|platform)$$'); \
 	if [ -n "$$out" ]; then echo "catsserve/cats link offline-only packages (comparison classifiers, graph, experiments, lint, crawler, collector, platform):"; echo "$$out"; exit 1; fi
 	@if $(GO) list -deps ./cmd/catsserve | grep -qx 'repro/internal/textgen'; then echo "catsserve links repro/internal/textgen (the synthetic comment generator)"; exit 1; fi
+	@out=$$($(GO) list -deps ./cmd/cats | grep -xE 'net/http|crypto/tls' | tr '\n' ' '); \
+	if [ -n "$$out" ]; then echo "cats links $${out% }: the CLI serves no HTTP; check internal/obs (imported by every pipeline package) for an HTTP import — HTTP code belongs in internal/service"; exit 1; fi
 
 # The full pre-merge gate: compile, format, vet, invariant lint,
 # dependency closure, and tests.
@@ -86,7 +93,11 @@ bench-quick:
 # request through the pools decodes right), the columnar container
 # decoder against corrupt/truncated/hostile inputs (must always fail
 # diagnosably, never panic or over-allocate; the skip decoders and the
-# string payload reader agree with the building ones), the dataset
+# string payload reader agree with the building ones), the model
+# loader — ReadSnapshot then DetectorFromSnapshot, JSON or columnar —
+# over arbitrary bytes (never a panic, a rejection is a colfmt.Error or
+# a core: error, an accepted model scores, allocation within a fixed
+# multiple of the input), the dataset
 # reader over arbitrary bytes, alone and with its projected read held
 # to the full one (both fail or both succeed with the same items and
 # texts, with and without a predicate refusing texts), and the JSONL
@@ -103,6 +114,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFeedbackDifferential -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFaultingReader -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzColfmtDecode -fuzztime=10s ./internal/colfmt
+	$(GO) test -run='^$$' -fuzz=FuzzReadSnapshot -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzReader -fuzztime=10s ./internal/dataset
 	$(GO) test -run='^$$' -fuzz=FuzzProjectedReadDifferential -fuzztime=10s ./internal/dataset
 	$(GO) test -run='^$$' -fuzz=FuzzJSONLLineDifferential -fuzztime=10s ./internal/dataset

@@ -113,6 +113,9 @@ type System struct {
 	analyzer *core.Analyzer
 	detector *core.Detector
 	workers  int
+	// vocabulary is the segmenter dictionary the analyzer was built
+	// with: Train's input, or what a loaded snapshot carried.
+	vocabulary []string
 }
 
 // Train builds the full system: semantic analyzer, feature extractor
@@ -129,7 +132,12 @@ func Train(ctx context.Context, in TrainingInput, cfg Config) (*System, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return NewFromAnalyzer(analyzer, in.Labeled, cfg)
+	sys, err := NewFromAnalyzer(analyzer, in.Labeled, cfg)
+	if err != nil {
+		return nil, err
+	}
+	sys.vocabulary = in.Vocabulary
+	return sys, nil
 }
 
 // NewFromAnalyzer builds and trains a System from an existing analyzer
@@ -141,6 +149,12 @@ func NewFromAnalyzer(analyzer *core.Analyzer, labeled *Dataset, cfg Config) (*Sy
 	}
 	return &System{analyzer: analyzer, detector: det, workers: cfg.Workers}, nil
 }
+
+// Vocabulary returns the segmenter dictionary the system was trained
+// with (TrainingInput.Vocabulary) or loaded with (the snapshot's) — the
+// vocabulary to save it with. It is nil for a system built by
+// NewFromAnalyzer, whose caller holds the dictionary.
+func (s *System) Vocabulary() []string { return s.vocabulary }
 
 // Analyzer exposes the trained semantic analyzer.
 func (s *System) Analyzer() *core.Analyzer { return s.analyzer }

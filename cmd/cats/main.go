@@ -33,7 +33,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro"
@@ -101,10 +100,6 @@ func run(trainPath, detectPath string, threshold float64, corpusSize int, outPat
 	}
 	defer toScore.Close()
 
-	// The word bank's vocabulary seeds the segmenter of a model trained
-	// here and is stored beside a saved one; a run that only loads a
-	// model never builds it.
-	vocabulary := sync.OnceValue(func() []string { return textgen.NewBank().Vocabulary() })
 	var sys *cats.System
 	switch {
 	case loadPath != "":
@@ -124,7 +119,7 @@ func run(trainPath, detectPath string, threshold float64, corpusSize int, outPat
 			Corpus:      synth.TrainingCorpus(corpusSize, 18),
 			PolarTexts:  polarTexts,
 			PolarLabels: polarLabels,
-			Vocabulary:  vocabulary(),
+			Vocabulary:  textgen.NewBank().Vocabulary(),
 			Labeled:     labeled,
 		}, cfg)
 		if err != nil {
@@ -134,7 +129,10 @@ func run(trainPath, detectPath string, threshold float64, corpusSize int, outPat
 		return fmt.Errorf("either -train or -load-model is required")
 	}
 	if savePath != "" {
-		if err := sys.SaveFileFormat(savePath, vocabulary(), format); err != nil {
+		// A model is saved with the segmenter dictionary it was trained or
+		// loaded with: the word bank's for one trained here, the
+		// snapshot's own for a loaded one (which never builds the bank).
+		if err := sys.SaveFileFormat(savePath, sys.Vocabulary(), format); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "cats: saved model to %s (%s)\n", savePath, saveFmt)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -89,6 +90,88 @@ func TestRunReportsTruncatedOutput(t *testing.T) {
 	if err := run("", detect, 0.5, 0, "/dev/full", "", "json", model); err == nil {
 		t.Fatal("run to /dev/full returned nil: a failed flush was reported as success")
 	}
+}
+
+// TestLoadSaveKeepsTheModelsVocabulary: `cats -load-model X -save-model
+// Y` writes X's segmenter dictionary, not the word bank's. X here is a
+// snapshot edited to one extra word, which a comment of the detection
+// set holds, so a model re-saved with the bank's dictionary would
+// segment that comment, and score its item, differently.
+func TestLoadSaveKeepsTheModelsVocabulary(t *testing.T) {
+	dir := t.TempDir()
+	model, detect, _ := writeFixture(t, dir)
+	snap := readSnapshot(t, model)
+	const extra = "好评如潮"
+	snap.Analyzer.Vocabulary = append(snap.Analyzer.Vocabulary, extra)
+	var buf bytes.Buffer
+	if err := core.WriteSnapshot(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	edited := filepath.Join(dir, "edited.json")
+	if err := os.WriteFile(edited, buf.Bytes(), 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	set, err := dataset.ReadAll(detect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first item with comments: under the edited dictionary the extra
+	// word is one token, under the bank's it holds the positive 好评.
+	item := &set.Items[slices.IndexFunc(set.Items, func(it cats.Item) bool { return len(it.Comments) > 0 })]
+	item.SalesVolume = 1000 // over the rule filter's cutoff
+	for i := range item.Comments {
+		item.Comments[i].Content += "，" + extra
+	}
+	w, err := dataset.Create(detect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range set.Items {
+		if err := w.Write(&set.Items[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	resaved := filepath.Join(dir, "resaved.json")
+	loadedTSV, resavedTSV := filepath.Join(dir, "loaded.tsv"), filepath.Join(dir, "resaved.tsv")
+	if err := run("", detect, 0.5, 0, loadedTSV, resaved, "json", edited); err != nil {
+		t.Fatal(err)
+	}
+	if err := run("", detect, 0.5, 0, resavedTSV, "", "json", resaved); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := readSnapshot(t, resaved).Analyzer.Vocabulary, snap.Analyzer.Vocabulary; !slices.Equal(got, want) {
+		t.Errorf("re-saved vocabulary has %d words, the loaded model %d", len(got), len(want))
+	}
+	a, err := os.ReadFile(loadedTSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(resavedTSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("the re-saved model scores differently:\n--- loaded ---\n%s--- re-saved ---\n%s", a, b)
+	}
+}
+
+func readSnapshot(t *testing.T, path string) *core.DetectorSnapshot {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	snap, err := core.ReadSnapshot(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 // TestIgnoredFlagIsAUsageError: `cats -load-model m -threshold 0.9` used

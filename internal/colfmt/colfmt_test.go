@@ -302,6 +302,27 @@ func TestDecCountGuard(t *testing.T) {
 	}
 }
 
+// TestF64sGuard: F64s reads exactly the floats F64 wrote, and a count
+// the payload cannot hold fails before allocating.
+func TestF64sGuard(t *testing.T) {
+	var e Enc
+	for _, v := range []float64{1.5, -2, 0} {
+		e.F64(v)
+	}
+	d := newDec("t", e.Bytes())
+	if got := d.F64s(3); len(got) != 3 || got[0] != 1.5 || got[1] != -2 || got[2] != 0 || d.Done() != nil {
+		t.Fatalf("F64s(3) = %v, err %v", got, d.Done())
+	}
+	for _, n := range []int{4, 1 << 40, -1} {
+		d := newDec("t", e.Bytes())
+		got := d.F64s(n)
+		var ce *Error
+		if got != nil || !errors.As(d.Err(), &ce) || ce.Offset != 0 {
+			t.Fatalf("F64s(%d) over 24 bytes = %d floats, err %v; want a failure at offset 0", n, len(got), d.Err())
+		}
+	}
+}
+
 // skipPairs is every column decoder that has a skip form, beside it.
 // build returns the built column's length.
 func skipPairs(arena string) map[string]struct {

@@ -136,6 +136,29 @@ func (d *Dec) F64() float64 {
 	return v
 }
 
+// F64s reads n floats written back to back with F64 — no count prefix;
+// n is what the caller's own columns promised — into one allocation.
+// Fewer than 8n remaining payload bytes fail before anything is
+// allocated, so a promise the payload cannot keep costs nothing.
+func (d *Dec) F64s(n int) []float64 {
+	if d.err != nil {
+		return nil
+	}
+	if n < 0 || n > d.remaining()/8 {
+		d.Failf("%d floats exceed %d remaining payload bytes", n, d.remaining())
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
+		d.off += 8
+	}
+	return out
+}
+
 // Byte reads one byte.
 //
 //cats:hotpath

@@ -330,16 +330,14 @@ func decodeEmbedding(d *colfmt.Dec, arena string) *word2vec.Snapshot {
 		d.Failf("embedding shape mismatch: %d promised, %d words, %d counts", n, len(s.Words), len(s.Counts))
 		return s
 	}
+	// One backing array, made only once the payload is known to hold it.
+	flat := d.F64s(len(s.Words) * s.Dim)
+	if d.Err() != nil {
+		return s
+	}
 	s.Vectors = make([][]float64, len(s.Words))
 	for i := range s.Vectors {
-		v := make([]float64, s.Dim)
-		for j := range v {
-			v[j] = d.F64()
-		}
-		if d.Err() != nil {
-			return s
-		}
-		s.Vectors[i] = v
+		s.Vectors[i], flat = flat[:s.Dim:s.Dim], flat[s.Dim:]
 	}
 	return s
 }
@@ -424,20 +422,23 @@ func decodeMatrix(d *colfmt.Dec) [][]float64 {
 		d.Failf("matrix promises %d rows but has %d row lengths", n, len(lens))
 		return nil
 	}
-	rows := make([][]float64, len(lens))
+	total := 0
 	for i, ln := range lens {
 		if ln < 0 || ln > 1<<20 {
 			d.Failf("matrix row %d length %d out of range", i, ln)
 			return nil
 		}
-		row := make([]float64, ln)
-		for j := range row {
-			row[j] = d.F64()
-		}
-		if d.Err() != nil {
-			return nil
-		}
-		rows[i] = row
+		total += ln
+	}
+	// A row length is a promise; the floats behind it are checked before
+	// the one backing array every row slices is made.
+	flat := d.F64s(total)
+	if d.Err() != nil {
+		return nil
+	}
+	rows := make([][]float64, len(lens))
+	for i, ln := range lens {
+		rows[i], flat = flat[:ln:ln], flat[ln:]
 	}
 	return rows
 }

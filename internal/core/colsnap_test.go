@@ -2,13 +2,17 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/colfmt"
 	"repro/internal/synth"
 	"repro/internal/textgen"
+	"repro/internal/word2vec"
 )
 
 // trainedSnapshot builds a small trained detector and returns its
@@ -191,7 +195,7 @@ func TestColumnarSnapshotTruncation(t *testing.T) {
 
 // reframeSnapshot re-encodes snap's columnar container block by block:
 // edit returns the payload to write for a block, or false to drop it.
-func reframeSnapshot(t *testing.T, snap *DetectorSnapshot, edit func(name string, payload []byte) ([]byte, bool)) []byte {
+func reframeSnapshot(t testing.TB, snap *DetectorSnapshot, edit func(name string, payload []byte) ([]byte, bool)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteSnapshotColumnar(&buf, snap); err != nil {
@@ -257,6 +261,74 @@ func TestColumnarSnapshotForeignModelKind(t *testing.T) {
 	if !errors.As(err, &ce) || ce.Block != "meta" || !strings.Contains(ce.Msg, `"svm"`) {
 		t.Fatalf("foreign classifier kind: err = %v, want a colfmt.Error in block meta naming it", err)
 	}
+}
+
+// TestColumnarSnapshotAllocationFollowsInput: a trainsample or w2v
+// block whose shape promises more floats than its payload holds fails
+// in that block before the floats are allocated — the hostile load costs
+// no more than a valid load of the same snapshot, not the size it
+// promised (a 6-byte trainsample block promising one 2^20-float row, a
+// w2v block promising 65,536-dim vectors).
+func TestColumnarSnapshotAllocationFollowsInput(t *testing.T) {
+	snap, _ := trainedSnapshot(t, 311)
+	snap.Analyzer.Embedding = &word2vec.Snapshot{
+		Dim: 4, Words: []string{"好评", "差评"}, Counts: []int{3, 2},
+		Vectors: [][]float64{{1, 0, 0.5, 0}, {0, 1, 0, -0.5}},
+	}
+	keep := func(_ string, payload []byte) ([]byte, bool) { return payload, true }
+	valid := reframeSnapshot(t, snap, keep)
+	validBytes, err := loadAllocBytes(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	hostile := map[string]func(payload []byte) []byte{
+		"trainsample": func([]byte) []byte {
+			var e colfmt.Enc
+			e.Uvarint(1)
+			e.IntsCol([]int{1 << 20})
+			return e.Bytes()
+		},
+		"w2v": func(payload []byte) []byte {
+			// The valid block with its dim raised to the cap and its
+			// floats dropped: words and counts still check out.
+			_, k := binary.Varint(payload)
+			var e colfmt.Enc
+			e.Varint(1 << 16)
+			return append(e.Bytes(), payload[k:len(payload)-8*4*2]...)
+		},
+	}
+	for block, edit := range hostile {
+		raw := reframeSnapshot(t, snap, func(name string, payload []byte) ([]byte, bool) {
+			if name == block {
+				return edit(payload), true
+			}
+			return payload, true
+		})
+		got, err := loadAllocBytes(raw)
+		var ce *colfmt.Error
+		if !errors.As(err, &ce) || ce.Block != block {
+			t.Fatalf("hostile %s block: err = %v, want a colfmt.Error in that block", block, err)
+		}
+		if got > validBytes {
+			t.Errorf("hostile %s block (%d-byte snapshot): load allocated %d bytes, a valid load %d", block, len(raw), got, validBytes)
+		}
+	}
+}
+
+// loadAllocBytes reads raw as a snapshot and reports the fewest bytes
+// three reads allocated, with the read's error.
+func loadAllocBytes(raw []byte) (uint64, error) {
+	least := uint64(math.MaxUint64)
+	var err error
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = ReadSnapshot(bytes.NewReader(raw))
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least, err
 }
 
 // TestColumnarSnapshotWrongKind: a dataset container is not a model.

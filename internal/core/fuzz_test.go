@@ -1,0 +1,115 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/colfmt"
+	"repro/internal/ecom"
+	"repro/internal/features"
+	"repro/internal/ml/gbt"
+	"repro/internal/sentiment"
+	"repro/internal/word2vec"
+)
+
+// tinySnapshot is a complete model small enough to mutate fast: every
+// block a columnar snapshot can hold (embedding and drift sample
+// included), a four-word dictionary and a one-split ensemble.
+func tinySnapshot() *DetectorSnapshot {
+	split := make([]int, features.NumFeatures)
+	split[0] = 1
+	row := make([]float64, features.NumFeatures)
+	return &DetectorSnapshot{
+		Version: snapshotVersion,
+		Analyzer: &AnalyzerSnapshot{
+			Vocabulary: []string{"好评", "很好", "差评", "物流"},
+			Positive:   []string{"好评", "很好"},
+			Negative:   []string{"差评"},
+			Sentiment: &sentiment.Snapshot{
+				LogPrior: [2]float64{-0.7, -0.7},
+				LogLik:   [2]map[string]float64{{"差评": -1, "物流": -2}, {"好评": -1, "很好": -1.5, "物流": -2}},
+				LogOOV:   [2]float64{-5, -5},
+			},
+			Embedding: &word2vec.Snapshot{
+				Dim: 2, Words: []string{"好评", "差评"}, Counts: []int{3, 1},
+				Vectors: [][]float64{{1, 0}, {0, 1}},
+			},
+		},
+		Config: DetectorConfig{Threshold: 0.5},
+		GBT: &gbt.Snapshot{
+			BaseScore: 0.1, SplitCount: split, Names: features.Names,
+			Trees: [][]gbt.NodeDTO{{
+				{Feature: 0, Threshold: 0.5, Left: 1, Right: 2},
+				{Leaf: true, Weight: -1, Left: -1, Right: -1},
+				{Leaf: true, Weight: 1, Left: -1, Right: -1},
+			}},
+		},
+		TrainingSample: [][]float64{row, row},
+	}
+}
+
+// FuzzReadSnapshot feeds arbitrary bytes to the model loader as every
+// load path does — ReadSnapshot, then DetectorFromSnapshot — and scores
+// a fixed item with whatever it accepts. Nothing may panic; a rejection
+// is a colfmt.Error or a core: error, never another package's bare
+// one; and a load allocates within a fixed multiple of its input, so a
+// count, dimension or row length the bytes cannot back is refused
+// before it is allocated.
+func FuzzReadSnapshot(f *testing.F) {
+	for _, format := range []SnapshotFormat{FormatColumnar, FormatJSON} {
+		var buf bytes.Buffer
+		if err := WriteSnapshotFormat(&buf, tinySnapshot(), format); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()*2/3])
+	}
+	// A drift sample promising one 2^20-float row in six bytes.
+	f.Add(reframeSnapshot(f, tinySnapshot(), func(name string, payload []byte) ([]byte, bool) {
+		if name == "trainsample" {
+			var e colfmt.Enc
+			e.Uvarint(1)
+			e.IntsCol([]int{1 << 20})
+			payload = e.Bytes()
+		}
+		return payload, true
+	}))
+	f.Add([]byte(`{"version":1,"analyzer":{"vocabulary":[""],"sentiment":{}},"gbt":{"trees":[[{"leaf":true}]]}}`))
+	f.Add([]byte("CATC\x01\x01\x05arena\x80\x80\x80\x80\x04\x00\x00\x00\x00")) // 1 GiB declared, nothing delivered
+
+	item := ecom.Item{ID: "fuzz", SalesVolume: 100, Comments: []ecom.Comment{
+		{Content: "好评很好，物流差评"}, {Content: "物流"}, {Content: ""},
+	}}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		snap, err := ReadSnapshot(bytes.NewReader(data))
+		var det *Detector
+		if err == nil {
+			det, _, err = DetectorFromSnapshot(snap)
+		}
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			var ce *colfmt.Error
+			if !errors.As(err, &ce) && !strings.HasPrefix(err.Error(), "core: ") {
+				t.Fatalf("rejection is neither a colfmt.Error nor a core: error: %v", err)
+			}
+		} else if _, err := det.DetectItem(&item); err != nil {
+			t.Fatalf("an accepted model cannot score: %v", err)
+		}
+		// What does not follow the input is fixed: the read buffer, the
+		// room a frame gets before its bytes arrive (colfmt's payloadStep,
+		// 4 MiB) and the extractor's tables. The rest — decoded columns,
+		// the segmenter's trie, the extractor's word table — follows the
+		// bytes that describe it: a valid load allocates ≈ 10 bytes per
+		// input byte at full size, ≈ 170 at this fuzzer's seed sizes, where
+		// the fixed part dominates. Race instrumentation allocates beside
+		// the code it instruments, so the bound holds only without it.
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(5<<20+200*len(data)); !raceEnabled && grew > limit {
+			t.Fatalf("loading %d bytes allocated %d, limit %d", len(data), grew, limit)
+		}
+	})
+}

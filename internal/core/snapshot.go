@@ -129,12 +129,19 @@ func DetectorFromSnapshot(s *DetectorSnapshot) (*Detector, *Analyzer, error) {
 	}
 	clf, err := gbt.FromSnapshot(s.GBT)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("core: restore classifier: %w", err)
 	}
 	// The trees index the extractor's vectors: a model over any other
 	// feature count would read past them at detection time.
 	if n := len(s.GBT.SplitCount); n != features.NumFeatures {
 		return nil, nil, fmt.Errorf("core: snapshot model has %d features, the extractor produces %d", n, features.NumFeatures)
+	}
+	// So do the drift comparisons: each baseline row is read column by
+	// column against scored vectors.
+	for i, row := range s.TrainingSample {
+		if len(row) != features.NumFeatures {
+			return nil, nil, fmt.Errorf("core: snapshot training sample row %d has %d features, the extractor produces %d", i, len(row), features.NumFeatures)
+		}
 	}
 	d := &Detector{
 		cfg:         s.Config.withDefaults(),

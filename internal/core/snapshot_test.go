@@ -91,6 +91,12 @@ func TestDetectorFromSnapshotValidation(t *testing.T) {
 	if _, _, err := DetectorFromSnapshot(snap); err == nil || !strings.Contains(err.Error(), "12 features") {
 		t.Errorf("12-feature model: err = %v, want a feature-count error", err)
 	}
+	// So would a drift baseline row of another width, at /v1/drift.
+	snap, _ = trainedSnapshot(t, 79)
+	snap.TrainingSample = append(snap.TrainingSample, []float64{1, 2, 3})
+	if _, _, err := DetectorFromSnapshot(snap); err == nil || !strings.Contains(err.Error(), "has 3 features") {
+		t.Errorf("3-wide training sample row: err = %v, want a feature-count error", err)
+	}
 }
 
 func TestReadSnapshotBadJSON(t *testing.T) {

@@ -23,6 +23,12 @@
 //     wall clock, and catslint's no-wallclock-rand rule flags it there
 //     (see Config.WallclockBridges in internal/lint).
 //
+// The package imports the standard library only, and no net/http:
+// every pipeline package imports obs for its counters, so whatever obs
+// links, the cats CLI links and initializes at start-up. Serving the
+// registry is internal/service's job — its HTTP middleware and its
+// /metrics handler, which calls WritePrometheus (DESIGN.md §10).
+//
 // The package-level Default registry is what the pipeline instruments
 // and what service.Server exposes on /metrics; tests that need
 // isolation construct their own Registry.

@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"io"
-	"net/http"
 	"strconv"
 	"strings"
 )
@@ -51,24 +50,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// Handler returns an http.Handler serving the registry in Prometheus
-// text format — mount it on /metrics.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if req.Method == http.MethodHead {
-			return
-		}
-		// Write errors mean the scraper went away; nothing to do.
-		_ = r.WritePrometheus(w)
-	})
 }
 
 // writeSample emits one sample line: name+suffix, the series labels (in

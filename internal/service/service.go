@@ -38,11 +38,11 @@
 // rather than 500, and a wrong method yields 405 with an Allow header.
 // Detect, explain and feedback bodies are read by a single-pass decoder
 // with encoding/json's meaning (decode.go).
-// Every route is wrapped in obs HTTP middleware: per-route request
-// counts by status code, per-route latency histograms, and an
-// in-flight gauge. Route labels use the registered pattern
-// ("/t/{tenant}/v1/detect"), so metric cardinality stays bounded no
-// matter how many tenants exist.
+// Every route is wrapped in HTTP metrics middleware (httpmetrics.go,
+// over internal/obs instruments): per-route request counts by status
+// code, per-route latency histograms, and an in-flight gauge. Route
+// labels use the registered pattern ("/t/{tenant}/v1/detect"), so
+// metric cardinality stays bounded no matter how many tenants exist.
 //
 // With batching configured (registry.Options.Batching), each tenant's
 // detection requests flow through that tenant's own internal/dispatch
@@ -141,7 +141,7 @@ type Server struct {
 	served atomic.Int64
 	ready  atomic.Bool
 	obsReg *obs.Registry
-	httpm  *obs.HTTPMetrics
+	httpm  *httpMetrics
 }
 
 // NewWithRegistry builds a Server over a model registry. Tenants the
@@ -161,7 +161,7 @@ func NewWithRegistry(reg *registry.Registry, opts Options) *Server {
 		opts:   opts,
 		reg:    reg,
 		obsReg: obsReg,
-		httpm:  obs.NewHTTPMetrics(obsReg),
+		httpm:  newHTTPMetrics(obsReg),
 	}
 	s.ready.Store(true)
 	return s
@@ -191,17 +191,17 @@ func (s *Server) ModelRegistry() *registry.Registry { return s.reg }
 func (s *Server) ItemsServed() int64 { return s.served.Load() }
 
 // Handler returns the service's HTTP handler. Every route is wrapped
-// in the obs HTTP middleware and enforces its method, answering 405
+// in the HTTP metrics middleware and enforces its method, answering 405
 // with an Allow header otherwise. Each /v1/* route is registered twice:
 // bare (header/default tenant resolution) and under /t/{tenant}/
-// (explicit path routing); the obs route label is the pattern, so
+// (explicit path routing); the metrics' route label is the pattern, so
 // cardinality does not grow with tenants.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	route := func(pattern, method string, h http.HandlerFunc) {
-		wrapped := s.httpm.Wrap(pattern, allowMethod(method, h))
+		wrapped := s.httpm.wrap(pattern, allowMethod(method, h))
 		mux.Handle(pattern, wrapped)
-		mux.Handle("/t/{tenant}"+pattern, s.httpm.Wrap("/t/{tenant}"+pattern, allowMethod(method, h)))
+		mux.Handle("/t/{tenant}"+pattern, s.httpm.wrap("/t/{tenant}"+pattern, allowMethod(method, h)))
 	}
 	route("/v1/detect", http.MethodPost, s.handleDetect)
 	route("/v1/explain", http.MethodPost, s.handleExplain)
@@ -210,7 +210,7 @@ func (s *Server) Handler() http.Handler {
 	route("/v1/lexicon", http.MethodGet, s.handleLexicon)
 	route("/v1/feedback", http.MethodPost, s.handleFeedback)
 	single := func(pattern, method string, h http.HandlerFunc) {
-		mux.Handle(pattern, s.httpm.Wrap(pattern, allowMethod(method, h)))
+		mux.Handle(pattern, s.httpm.wrap(pattern, allowMethod(method, h)))
 	}
 	single("/admin/reload", http.MethodPost, s.handleAdminReload)
 	single("/admin/tenants", http.MethodGet, s.handleAdminTenants)
@@ -226,7 +226,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"ready": true})
 	})
-	mux.Handle("/metrics", s.httpm.Wrap("/metrics", s.obsReg.Handler()))
+	mux.Handle("/metrics", s.httpm.wrap("/metrics", metricsHandler(s.obsReg)))
 	return mux
 }
 

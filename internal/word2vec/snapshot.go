@@ -30,7 +30,9 @@ func (m *Model) Snapshot() *Snapshot {
 	return s
 }
 
-// FromSnapshot reconstructs an inference-only model.
+// FromSnapshot reconstructs an inference-only model. The model keeps
+// s's vectors rather than copying them (a restored model never writes
+// to them); s must not be modified afterwards.
 func FromSnapshot(s *Snapshot) (*Model, error) {
 	if s == nil {
 		return nil, errors.New("word2vec: nil snapshot")
@@ -45,13 +47,12 @@ func FromSnapshot(s *Snapshot) (*Model, error) {
 		words:  append([]string(nil), s.Words...),
 		counts: append([]int(nil), s.Counts...),
 	}
-	m.in = make([][]float64, len(s.Vectors))
 	for i, v := range s.Vectors {
 		if len(v) != s.Dim {
 			return nil, fmt.Errorf("word2vec: vector %d has dim %d, want %d", i, len(v), s.Dim)
 		}
-		m.in[i] = append([]float64(nil), v...)
 		m.vocab[s.Words[i]] = i
 	}
+	m.in = s.Vectors
 	return m, nil
 }

@@ -24,7 +24,8 @@ const (
 
 // Save serializes the trained system (semantic analyzer, rule-filter
 // settings, and the fitted boosted-tree classifier) as JSON.
-// vocabulary must be the segmenter dictionary used at Train time.
+// vocabulary must be the segmenter dictionary used at Train time
+// (s.Vocabulary() for a trained or loaded system).
 func (s *System) Save(w io.Writer, vocabulary []string) error {
 	return s.SaveFormat(w, vocabulary, FormatJSON)
 }
@@ -101,7 +102,9 @@ func (s *System) SaveFileFormat(path string, vocabulary []string, format Snapsho
 // Load reconstructs a trained system saved with Save or SaveFormat:
 // the snapshot format (JSON or columnar) is sniffed from the leading
 // magic bytes and reads are buffered internally. The restored system
-// detects immediately; no retraining is needed.
+// detects immediately; no retraining is needed. It keeps the snapshot's
+// vocabulary (Vocabulary), so saving it again writes the dictionary it
+// was loaded with.
 func Load(r io.Reader) (*System, error) {
 	snap, err := core.ReadSnapshot(r)
 	if err != nil {
@@ -111,7 +114,7 @@ func Load(r io.Reader) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cats: load: %w", err)
 	}
-	return &System{analyzer: analyzer, detector: det}, nil
+	return &System{analyzer: analyzer, detector: det, vocabulary: snap.Analyzer.Vocabulary}, nil
 }
 
 // LoadFile loads a system from path (see Load).
