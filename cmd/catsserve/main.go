@@ -149,8 +149,8 @@ func main() {
 		batchMaxSize = flag.Int("batch-max-size", 256,
 			"flush a batch once this many items are queued")
 		batchMaxWait = flag.Duration("batch-max-wait", 2*time.Millisecond,
-			"how long requests arriving under load collect before they are flushed anyway; "+
-				"a request that finds the scorer idle for this long is dispatched at once and never waits")
+			"how long a request queued behind a running batch of its tenant waits before it is flushed anyway; "+
+				"a request that finds nothing of its tenant scoring is dispatched at once and never waits")
 		queueDepth = flag.Int("queue-depth", 4096,
 			"bound on queued items per tenant; requests beyond it are shed with 503")
 		retryAfter = flag.Duration("retry-after", time.Second,

@@ -11,23 +11,23 @@
 // dispatcher fixes both:
 //
 //   - Submitted items enqueue onto a bounded queue. A Submit that finds
-//     the scorer idle — none of its own batches running, and no
-//     dispatcher in the process having dispatched or retired one within
-//     the last MaxWait — flushes at once: traffic that sparse has
-//     nothing to coalesce with, so waiting would only add latency.
-//     Otherwise the queue collects, and flushes when the last running
-//     batch finishes (what queued during one batch is the next), when
-//     MaxBatch items are waiting, or when MaxWait has elapsed since the
-//     queue went non-empty, whichever comes first. Each flush scores
-//     the whole queue through one fused Scorer call per MaxBatch chunk.
+//     none of this dispatcher's batches running flushes at once: there
+//     is nothing to coalesce with, so waiting would only leave the CPU
+//     idle. Otherwise the queue collects behind the running batch, and
+//     flushes when the last running batch finishes (what queued during
+//     one batch is the next), when MaxBatch items are waiting, or when
+//     MaxWait has elapsed since the queue went non-empty, whichever
+//     comes first. Each flush scores the whole queue through one fused
+//     Scorer call per MaxBatch chunk.
 //   - A singleflight map keyed by item ID deduplicates identical
 //     in-flight items: later submissions attach to the existing flight
 //     and share its verdict instead of re-running analysis.
 //   - Admission control sheds doomed work up front: a request whose new
-//     items do not fit the queue, or whose context deadline cannot
-//     survive even the flush wait, fails immediately with ErrQueueFull
-//     or ErrDeadline (the service maps both to 503 + Retry-After)
-//     rather than queuing work nobody will wait for.
+//     items do not fit the queue, or that would queue behind a running
+//     batch with a context deadline closer than MaxWait, fails
+//     immediately with ErrQueueFull or ErrDeadline (the service maps
+//     both to 503 + Retry-After) rather than queuing work nobody will
+//     wait for.
 //
 // Requests already at or above MaxBatch bypass the queue entirely —
 // they are a full batch by construction, and coalescing could only
@@ -46,7 +46,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -65,9 +64,9 @@ type Options struct {
 	// MaxBatch flushes the queue once this many items are waiting, and
 	// is the chunk size of dispatched batches; <= 0 means 256.
 	MaxBatch int
-	// MaxWait caps how long a queued item waits before the queue is
-	// flushed anyway, and is how long the scorer must have been idle
-	// for an item to skip the queue wait altogether. <= 0 means 2ms.
+	// MaxWait caps how long an item queued behind a running batch waits
+	// before the queue is flushed anyway. An item submitted while none of
+	// this dispatcher's batches is running never waits. <= 0 means 2ms.
 	MaxWait time.Duration
 	// MaxQueue bounds items enqueued and not yet dispatched. A request
 	// whose new (non-coalesced) items do not fit is shed with
@@ -117,8 +116,9 @@ var (
 	// ErrQueueFull sheds a request whose new items exceed the queue's
 	// free depth.
 	ErrQueueFull = errors.New("dispatch: queue full")
-	// ErrDeadline sheds a request whose context deadline is closer than
-	// the flush wait — it would expire before any batch could answer.
+	// ErrDeadline sheds a request that would queue behind a running
+	// batch with a context deadline closer than MaxWait — it could
+	// expire before its batch even started.
 	ErrDeadline = errors.New("dispatch: deadline too close to survive batching")
 	// ErrClosed rejects submissions after Close.
 	ErrClosed = errors.New("dispatch: dispatcher closed")
@@ -152,13 +152,6 @@ type flight struct {
 	vec      []float64
 	err      error
 }
-
-// lastBusy is when a dispatcher in this process last dispatched or
-// retired a batch, in Unix nanoseconds. It is shared by every
-// dispatcher because the cores are: each tenant's batches fan out over
-// the same GOMAXPROCS workers, so whether the scorer is idle is a fact
-// about the process, not about one tenant's queue.
-var lastBusy atomic.Int64
 
 // Dispatcher coalesces concurrent Submit calls into fused Scorer
 // batches. It is safe for concurrent use.
@@ -229,10 +222,6 @@ func (d *Dispatcher) Submit(ctx context.Context, items []ecom.Item) (Result, err
 	if len(items) >= d.opts.MaxBatch {
 		return d.bypass(ctx, items)
 	}
-	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < d.opts.MaxWait {
-		d.m.shedDeadline.Inc()
-		return Result{}, ErrDeadline
-	}
 
 	d.mu.Lock()
 	if d.closed {
@@ -240,11 +229,18 @@ func (d *Dispatcher) Submit(ctx context.Context, items []ecom.Item) (Result, err
 		d.m.shedClosed.Inc()
 		return Result{}, ErrClosed
 	}
+	// Only a request that queues behind a running batch can wait
+	// MaxWait; one that dispatches at once is answered in scoring time.
+	now := time.Now()
+	if dl, ok := ctx.Deadline(); ok && d.running > 0 && dl.Sub(now) < d.opts.MaxWait {
+		d.mu.Unlock()
+		d.m.shedDeadline.Inc()
+		return Result{}, ErrDeadline
+	}
 	// Enqueue, then admit: each distinct new ID and each ID-less item
 	// takes one queue slot, while a repeat (of an in-flight ID or of one
 	// earlier in this request) rides along for free. A request whose new
 	// items do not fit takes back all it queued before anyone sees it.
-	now := time.Now()
 	flights := make([]*flight, len(items))
 	queued := len(d.queue)
 	for i := range items {
@@ -274,10 +270,9 @@ func (d *Dispatcher) Submit(ctx context.Context, items []ecom.Item) (Result, err
 	switch {
 	case len(d.queue) >= d.opts.MaxBatch:
 		d.flushLocked(d.m.flushSize)
-	case d.running == 0 && now.UnixNano()-lastBusy.Load() >= int64(d.opts.MaxWait):
-		// Nothing is scoring and nothing has been for MaxWait, so
-		// nothing more will coalesce onto this queue by waiting:
-		// dispatch now.
+	case d.running == 0:
+		// Nothing of this dispatcher's is scoring, so nothing is about
+		// to retire and take this queue with it: dispatch now.
 		d.flushLocked(d.m.flushIdle)
 	case len(d.queue) > 0 && d.timer == nil:
 		d.armTimerLocked()
@@ -380,7 +375,6 @@ func (d *Dispatcher) flushLocked(reason *obs.Counter) {
 		return
 	}
 	reason.Inc()
-	lastBusy.Store(time.Now().UnixNano())
 	for len(d.queue) > 0 {
 		n := d.opts.MaxBatch
 		if n > len(d.queue) {
@@ -429,7 +423,6 @@ func (d *Dispatcher) runBatch(batch []*flight) {
 			delete(d.inflight, f.item.ID)
 		}
 	}
-	lastBusy.Store(time.Now().UnixNano())
 	if d.running--; d.running == 0 {
 		d.flushLocked(d.m.flushDrain)
 	}

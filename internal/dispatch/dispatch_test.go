@@ -131,18 +131,12 @@ func checkResult(t *testing.T, res Result, ids ...string) {
 	}
 }
 
-// idleProcess forgets every batch the process has scored so far, the
-// dispatchers of earlier tests included: the next Submit finds the
-// scorer idle however short a while ago that was.
-func idleProcess() { lastBusy.Store(0) }
-
 // holdScorer makes the dispatcher busy: it submits one item ("gate")
-// to an idle process, whose batch blocks inside the scorer, so every
+// to the idle dispatcher, whose batch blocks inside the scorer, so every
 // later Submit finds a batch running and queues behind it. The returned
 // release opens the gate and waits for the gate's own Submit to return.
 func holdScorer(t *testing.T, d *Dispatcher) (stub *stubScorer, release func()) {
 	t.Helper()
-	idleProcess()
 	stub = d.scorer.(*stubScorer)
 	stub.started, stub.release = make(chan struct{}), make(chan struct{})
 	done := make(chan error, 1)
@@ -150,7 +144,12 @@ func holdScorer(t *testing.T, d *Dispatcher) (stub *stubScorer, release func()) 
 		_, err := d.Submit(context.Background(), items("gate"))
 		done <- err
 	}()
-	<-stub.started
+	select {
+	case <-stub.started:
+	case <-time.After(10 * time.Second):
+		close(stub.release) // let Close's flush of the gate through
+		t.Fatal("the gate was not dispatched within 10s: it waited for the MaxWait timer")
+	}
 	return stub, func() {
 		t.Helper()
 		close(stub.release)
@@ -210,13 +209,45 @@ func awaitQueued(d *Dispatcher, n int) {
 	}
 }
 
+// submitWithin submits each request in turn on its own goroutine and
+// checks every result, failing the test unless all are answered within
+// a generous bound: a Submit that waits for a timer of an hour fails the
+// test instead of hanging the package. The goroutine reports only
+// through the channel, so a Submit the test has given up on may end
+// later.
+func submitWithin(t *testing.T, d *Dispatcher, requests ...[]string) {
+	t.Helper()
+	results := make([]Result, len(requests))
+	done := make(chan error, 1)
+	go func() {
+		for i, ids := range requests {
+			var err error
+			if results[i], err = d.Submit(context.Background(), items(ids...)); err != nil {
+				done <- fmt.Errorf("submit %v: %w", ids, err)
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a Submit was not answered within 10s: it waited for the MaxWait timer")
+	}
+	for i, ids := range requests {
+		checkResult(t, results[i], ids...)
+	}
+}
+
 func TestIdleSubmitDoesNotWait(t *testing.T) {
 	stub := &stubScorer{}
 	// MaxWait is an hour: the test completing at all proves a Submit to
 	// an idle dispatcher does not wait for it.
 	d := New(stub, Options{MaxBatch: 100, MaxWait: time.Hour, Tenant: t.Name()})
 	defer d.Close()
-	idleProcess()
 	before := countsOf(d)
 	res, err := d.Submit(context.Background(), items("a", "b"))
 	if err != nil {
@@ -231,56 +262,38 @@ func TestIdleSubmitDoesNotWait(t *testing.T) {
 	}
 }
 
-// TestRecentlyBusyProcessCollects is the other half of the idle rule:
-// a Submit that follows a batch by less than MaxWait is traffic, not a
-// lone request, and is left to collect — on the dispatcher that scored
-// the batch and on any other in the process, since they share the
-// cores. MaxWait is an hour, so only Close can flush what collected.
-func TestRecentlyBusyProcessCollects(t *testing.T) {
-	stub, other := &stubScorer{}, &stubScorer{}
-	d := New(stub, Options{MaxBatch: 100, MaxWait: time.Hour, Tenant: t.Name()})
-	d2 := New(other, Options{MaxBatch: 100, MaxWait: time.Hour, Tenant: t.Name() + "/other"})
+// TestBackToBackSubmitsDoNotWait: a client that sends its next request
+// the moment the last is answered finds nothing scoring — the batch that
+// answered it retired before its waiters were woken — so every request
+// dispatches at once. MaxWait is an hour: a single timer flush would
+// stall the loop.
+func TestBackToBackSubmitsDoNotWait(t *testing.T) {
+	d := New(&stubScorer{}, Options{MaxBatch: 100, MaxWait: time.Hour, Tenant: t.Name()})
 	defer d.Close()
-	defer d2.Close()
-	idleProcess()
-	before, before2 := countsOf(d), countsOf(d2)
-	if _, err := d.Submit(context.Background(), items("a")); err != nil {
-		t.Fatal(err)
+	requests := make([][]string, 50)
+	for i := range requests {
+		requests[i] = []string{fmt.Sprintf("b2b-%d", i)}
 	}
-
-	waitB := submitAsync(t, d, "b")
-	waitC := submitAsync(t, d2, "c")
-	awaitQueued(d, 1)
-	awaitQueued(d2, 1)
-	if got := stub.callCount() + other.callCount(); got != 1 {
-		t.Fatalf("scorer calls = %d with b and c queued, want 1 (a's)", got)
-	}
-	d.Close()
-	d2.Close()
-	waitB()
-	waitC()
-	if got, want := countsOf(d).since(before), (serveCounts{idle: 1, close: 1}); got != want {
+	before := countsOf(d)
+	submitWithin(t, d, requests...)
+	if got, want := countsOf(d).since(before), (serveCounts{idle: 50}); got != want {
 		t.Errorf("counters moved %+v, want %+v", got, want)
-	}
-	if got, want := countsOf(d2).since(before2), (serveCounts{close: 1}); got != want {
-		t.Errorf("other dispatcher's counters moved %+v, want %+v", got, want)
 	}
 }
 
-// TestIdleAgainAfterMaxWait: the scorer counts as idle again once
-// MaxWait has passed since the last batch.
-func TestIdleAgainAfterMaxWait(t *testing.T) {
-	d := New(&stubScorer{}, Options{MaxBatch: 100, MaxWait: 5 * time.Millisecond, Tenant: t.Name()})
+// TestOtherDispatcherDoesNotDelay: idle is a fact about one tenant's
+// dispatcher. Another dispatcher's batch held inside its scorer does not
+// make this one collect.
+func TestOtherDispatcherDoesNotDelay(t *testing.T) {
+	d := New(&stubScorer{}, Options{MaxBatch: 100, MaxWait: time.Hour, Tenant: t.Name()})
+	d2 := New(&stubScorer{}, Options{MaxBatch: 100, MaxWait: time.Hour, Tenant: t.Name() + "/other"})
 	defer d.Close()
-	idleProcess()
+	defer d2.Close()
+	_, release := holdScorer(t, d2)
+	defer release()
 	before := countsOf(d)
-	for _, id := range []string{"a", "b"} {
-		if _, err := d.Submit(context.Background(), items(id)); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if got, want := countsOf(d).since(before), (serveCounts{idle: 2}); got != want {
+	submitWithin(t, d, []string{"a"})
+	if got, want := countsOf(d).since(before), (serveCounts{idle: 1}); got != want {
 		t.Errorf("counters moved %+v, want %+v", got, want)
 	}
 }
@@ -580,10 +593,13 @@ func TestShedChargesEachNewIDOnce(t *testing.T) {
 	}
 }
 
+// TestShedHopelessDeadline: a request that would queue behind a running
+// batch with a deadline shorter than MaxWait is shed at once, unscored.
 func TestShedHopelessDeadline(t *testing.T) {
-	stub := &stubScorer{}
-	d := New(stub, Options{MaxBatch: 100, MaxWait: 250 * time.Millisecond})
+	d := New(&stubScorer{}, Options{MaxBatch: 100, MaxWait: 250 * time.Millisecond, Tenant: t.Name()})
 	defer d.Close()
+	stub, release := holdScorer(t, d)
+	defer release()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -594,11 +610,37 @@ func TestShedHopelessDeadline(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
 		t.Errorf("shed took %v; must reject immediately, not wait out the deadline", elapsed)
 	}
-	if got := stub.callCount(); got != 0 {
-		t.Errorf("scorer called %d times for a shed request", got)
+	if got := stub.callCount(); got != 1 {
+		t.Errorf("scorer called %d times, want 1 (the gate's own): a shed request is not scored", got)
+	}
+	if depth := d.QueueDepth(); depth != 0 {
+		t.Errorf("queue depth = %d after the shed, want 0", depth)
 	}
 	if !IsShed(err) {
 		t.Error("IsShed(ErrDeadline) = false")
+	}
+}
+
+// TestShortDeadlineServedWhenIdle: a deadline shorter than MaxWait is
+// no reason to shed a request that dispatches at once — nothing is
+// running, so it never waits MaxWait.
+func TestShortDeadlineServedWhenIdle(t *testing.T) {
+	stub := &stubScorer{}
+	d := New(stub, Options{MaxBatch: 100, MaxWait: time.Hour, Tenant: t.Name()})
+	defer d.Close()
+	before, shedBefore := countsOf(d), d.m.shedDeadline.Value()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, err := d.Submit(ctx, items("a"))
+	if err != nil {
+		t.Fatalf("err = %v, want a verdict: an idle dispatcher answers in scoring time", err)
+	}
+	checkResult(t, res, "a")
+	if got, want := countsOf(d).since(before), (serveCounts{idle: 1}); got != want {
+		t.Errorf("counters moved %+v, want %+v", got, want)
+	}
+	if n := d.m.shedDeadline.Value() - shedBefore; n != 0 {
+		t.Errorf("deadline sheds = %d, want 0", n)
 	}
 }
 
@@ -667,13 +709,12 @@ func TestScorerPanicFailsOnlyItsBatch(t *testing.T) {
 	stub := &stubScorer{panics: 1, started: make(chan struct{}), release: make(chan struct{})}
 	d := New(stub, Options{MaxBatch: 100, MaxWait: time.Hour})
 	defer d.Close()
-	idleProcess()
 	errs := make(chan error, 2)
 	submit := func() {
 		_, err := d.Submit(context.Background(), items("p"))
 		errs <- err
 	}
-	go submit() // an idle scorer: dispatched at once, held open, then panics
+	go submit() // an idle dispatcher: dispatched at once, held open, then panics
 	<-stub.started
 	coalescedBefore := d.m.coalesced.Value()
 	go submit() // a second waiter on the same flight
@@ -693,7 +734,6 @@ func TestScorerPanicFailsOnlyItsBatch(t *testing.T) {
 	if got := d.InFlight(); got != 0 {
 		t.Errorf("inflight = %d after a panicked batch, want 0", got)
 	}
-	idleProcess()
 	res, err := d.Submit(context.Background(), items("p"))
 	if err != nil {
 		t.Fatalf("submit after the panic: %v", err)
@@ -773,11 +813,10 @@ func TestEmptySubmit(t *testing.T) {
 	}
 }
 
-// BenchmarkSubmitLone is the unloaded floor: one caller, one item, an
-// idle dispatcher with default options and a scorer that costs nothing,
-// so ns/op is what the dispatcher itself adds to a lone request. The
-// process is declared idle before every Submit: back to back they would
-// be traffic, and collect for MaxWait each.
+// BenchmarkSubmitLone is the unloaded floor: one caller, one item at a
+// time, back to back, on a dispatcher with default options and a scorer
+// that costs nothing, so ns/op is what the dispatcher itself adds to a
+// request that finds nothing scoring.
 func BenchmarkSubmitLone(b *testing.B) {
 	d := New(volumeScorer{}, Options{})
 	defer d.Close()
@@ -785,7 +824,6 @@ func BenchmarkSubmitLone(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idleProcess()
 		if _, err := d.Submit(context.Background(), one); err != nil {
 			b.Fatal(err)
 		}

@@ -26,8 +26,9 @@ var (
 	vShed = obs.Default.CounterVec("cats_serve_shed_total",
 		"Requests shed by admission control instead of being queued, by "+
 			"reason: queue_full (no queue headroom for the request's new "+
-			"items), deadline (the request's context deadline cannot survive "+
-			"a full flush wait), closed (dispatcher shutting down).", "reason", "tenant")
+			"items), deadline (the request would queue behind a running batch "+
+			"with a context deadline closer than max wait), closed (dispatcher "+
+			"shutting down).", "reason", "tenant")
 
 	vCoalesced = obs.Default.CounterVec("cats_serve_coalesced_total",
 		"Submitted items that attached to an identical in-flight item via "+
@@ -38,14 +39,15 @@ var (
 
 	vFlushes = obs.Default.CounterVec("cats_serve_flushes_total",
 		"Queue flushes by the rule that fired: size (max batch size "+
-			"reached), idle (submitted to a scorer idle for max wait), drain "+
+			"reached), idle (submitted while no batch of the tenant was scoring), drain "+
 			"(the last running batch finished), timer (max wait elapsed "+
 			"since the queue went non-empty), close (dispatcher shutting down).", "reason", "tenant")
 
 	vWait = obs.Default.HistogramVec("cats_serve_wait_seconds",
 		"Time items spend queued before their batch starts scoring: near "+
-			"zero when submitted to an idle scorer, otherwise until the "+
-			"running batch finishes or max wait has passed.", obs.LatencyBuckets, "tenant")
+			"zero when submitted while no batch of the tenant was scoring, "+
+			"otherwise until the running batch finishes or max wait has "+
+			"passed.", obs.LatencyBuckets, "tenant")
 )
 
 // serveMetrics is one tenant's pre-resolved cats_serve_* handle set.

@@ -18,13 +18,12 @@
 # with -batch-max-wait 500ms then checks the request path from the
 # outside: a lone detect is dispatched at once (answered far inside the
 # max wait, cats_serve_flushes_total shows an idle flush and no timer
-# flush); the same item re-encoded (an upper-case key, \u-escaped text,
-# one unknown field) gets the same verdicts; and a body with bytes after
-# its JSON value is a 400. The re-encoded detect follows the first
-# inside the max wait, so it is traffic and collects for it (the flush
-# counters are printed; which rule fired depends on how fast the script
-# ran, so it is not asserted). CI runs this via `make serve-smoke`; it
-# needs only the go toolchain and curl.
+# flush), and so are five more sent back to back, each the moment the
+# last is answered (a sequential client is not paced by the timer); the
+# same item re-encoded (an upper-case key, \u-escaped text, one unknown
+# field) gets the same verdicts; and a body with bytes after its JSON
+# value is a 400. CI runs this via `make serve-smoke`; it needs only the
+# go toolchain and curl.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -315,7 +314,7 @@ if [[ "${STATUS}" -ne 0 ]]; then
   exit 1
 fi
 
-echo "== serve-smoke: second boot, -batch-max-wait 500ms: a lone request does not pay it"
+echo "== serve-smoke: second boot, -batch-max-wait 500ms: neither a lone nor a back-to-back request pays it"
 "${WORK}/catsserve" -models "${WORK}/models" -default-tenant taobao \
   -addr "127.0.0.1:${PORT}" -shutdown-timeout 10s \
   -batch -batch-max-wait 500ms &
@@ -350,6 +349,24 @@ if [[ "${IDLE}" -lt 1 || "${TIMER}" -ne 0 ]]; then
   exit 1
 fi
 echo "== serve-smoke: lone detect answered in ${LONE}s (idle flushes ${IDLE}, timer flushes ${TIMER})"
+
+# A sequential client sends each request the moment the last is
+# answered. Nothing of its tenant is scoring then, so none may wait for
+# the 500ms timer.
+for i in 1 2 3 4 5; do
+  NEXT="$(curl -fsS -o /dev/null -w '%{time_total}' -X POST \
+    -H 'Content-Type: application/json' -d "${CANONICAL}" "${BASE}/v1/detect")"
+  if ! awk -v t="${NEXT}" 'BEGIN { exit !(t < 0.25) }'; then
+    echo "serve-smoke: FAIL: back-to-back detect ${i} took ${NEXT}s under -batch-max-wait 500ms; it waited for the timer" >&2
+    exit 1
+  fi
+done
+TIMER="$(counter_value 'cats_serve_flushes_total{reason="timer",tenant="taobao"}')"
+if [[ "${TIMER}" -ne 0 ]]; then
+  echo "serve-smoke: FAIL: ${TIMER} timer flushes after five back-to-back detects, want 0" >&2
+  exit 1
+fi
+echo "== serve-smoke: five back-to-back detects each under 0.25s (timer flushes ${TIMER})"
 
 curl -fsS -o "${WORK}/reencoded.out" -X POST -H 'Content-Type: application/json' \
   -d "${REENCODED}" "${BASE}/v1/detect"
