@@ -121,7 +121,8 @@ fuzz-smoke:
 
 # End-to-end lifecycle smoke of the serving binary (CI runs this):
 # train a tiny model, boot catsserve, probe /healthz + /readyz, POST a
-# detect batch, assert the pipeline counters surface on /metrics, and
+# detect batch and one of -batch-max-size items (scored through the
+# dispatcher's bypass), assert the pipeline counters surface on /metrics, and
 # require a clean SIGTERM drain; then a second boot checks that a lone
 # request is not held for -batch-max-wait, that a non-canonical body
 # gets the canonical one's verdicts and that trailing bytes are a 400.

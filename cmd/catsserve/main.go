@@ -25,18 +25,18 @@
 // HTTP via POST /admin/reload when -admin-token is set.
 //
 // Detection traffic is served through each tenant's own adaptive
-// batching dispatcher by default (DESIGN.md §11): concurrent requests
-// coalesce into fused scoring batches, identical in-flight items score
+// batching dispatcher (DESIGN.md §11): concurrent requests coalesce
+// into fused scoring batches, identical in-flight items score once, a
+// request that finds nothing of its tenant scoring is dispatched at
 // once, and when a tenant's admission queue saturates its excess
 // requests are shed with 503 + Retry-After — that tenant's, nobody
 // else's. The -batch-* and -queue-depth flags tune it;
-// -tenant-max-concurrency caps concurrent scoring batches per tenant;
-// -batch=false restores one-scoring-call-per-request.
+// -tenant-max-concurrency caps concurrent scoring batches per tenant.
 //
 // Usage:
 //
 //	catsserve -model model.json [-addr :8080] [-pprof-addr 127.0.0.1:6060]
-//	          [-shutdown-timeout 15s] [-batch] [-batch-max-size 256]
+//	          [-shutdown-timeout 15s] [-batch-max-size 256]
 //	          [-batch-max-wait 2ms] [-queue-depth 4096] [-retry-after 1s]
 //	catsserve -models snapshots/ -admin-token $TOKEN [-probes probes.json]
 //	          [-tenant-max-concurrency 4] [-default-tenant taobao]
@@ -144,8 +144,6 @@ func main() {
 			"optional side listener for net/http/pprof (e.g. 127.0.0.1:6060); empty disables")
 		shutdownTimeout = flag.Duration("shutdown-timeout", 15*time.Second,
 			"how long to drain in-flight requests on SIGINT/SIGTERM before giving up")
-		batch = flag.Bool("batch", true,
-			"coalesce concurrent detect requests into fused scoring batches (per tenant)")
 		batchMaxSize = flag.Int("batch-max-size", 256,
 			"flush a batch once this many items are queued")
 		batchMaxWait = flag.Duration("batch-max-wait", 2*time.Millisecond,
@@ -180,16 +178,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	regOpts := registry.Options{}
-	if *batch {
-		regOpts.Batching = &dispatch.Options{
-			MaxBatch:             *batchMaxSize,
-			MaxWait:              *batchMaxWait,
-			MaxQueue:             *queueDepth,
-			RetryAfter:           *retryAfter,
-			MaxConcurrentBatches: *tenantMaxConcurrency,
-		}
-	}
+	regOpts := registry.Options{Batching: dispatch.Options{
+		MaxBatch:             *batchMaxSize,
+		MaxWait:              *batchMaxWait,
+		MaxQueue:             *queueDepth,
+		RetryAfter:           *retryAfter,
+		MaxConcurrentBatches: *tenantMaxConcurrency,
+	}}
 	if *probesPath != "" {
 		ps, err := readProbes(*probesPath)
 		if err != nil {
@@ -332,12 +327,9 @@ func main() {
 		shutdownErr <- httpSrv.Shutdown(drainCtx)
 	}()
 
-	if bt := regOpts.Batching; bt != nil {
-		log.Printf("catsserve: batching on (max-size %d, max-wait %s, queue-depth %d, retry-after %s, tenant-max-concurrency %d)",
-			bt.MaxBatch, bt.MaxWait, bt.MaxQueue, bt.RetryAfter, bt.MaxConcurrentBatches)
-	} else {
-		log.Printf("catsserve: batching off; each request scores its own batch")
-	}
+	bt := regOpts.Batching
+	log.Printf("catsserve: batching on (max-size %d, max-wait %s, queue-depth %d, retry-after %s, tenant-max-concurrency %d)",
+		bt.MaxBatch, bt.MaxWait, bt.MaxQueue, bt.RetryAfter, bt.MaxConcurrentBatches)
 	log.Printf("catsserve: listening on %s (tenants %v, default %q, admin API %v, pprof %q)",
 		*addr, reg.Names(), defTenant, token != "", *pprofAddr)
 	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {

@@ -75,9 +75,10 @@ func main() {
 		log.Fatal(err)
 	}
 	reg := registry.New(registry.Options{
-		// Production shape (DESIGN.md §11): concurrent detect requests
-		// coalesce into fused scoring batches behind a bounded queue.
-		Batching: &dispatch.Options{MaxBatch: 64, MaxWait: 2 * time.Millisecond},
+		// Every request is scored through the tenant's dispatcher
+		// (DESIGN.md §11): concurrent detect requests coalesce into fused
+		// scoring batches behind a bounded queue. These settings tune it.
+		Batching: dispatch.Options{MaxBatch: 64, MaxWait: 2 * time.Millisecond},
 	})
 	if _, err := reg.Install(context.Background(), service.DefaultTenant, "model.json", det, analyzer); err != nil {
 		log.Fatal(err)
@@ -88,7 +89,7 @@ func main() {
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	fmt.Printf("detection service live at %s (batching on)\n", ts.URL)
+	fmt.Printf("detection service live at %s\n", ts.URL)
 
 	// 3. The platform pipeline POSTs item batches.
 	batch := synth.Generate(synth.Config{

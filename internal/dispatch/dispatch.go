@@ -38,7 +38,8 @@
 // write into the shared flight records and close the flight's done
 // channel, so a waiter that gives up early (context canceled) simply
 // stops listening while the flight completes for everyone else. A panic
-// in scoring fails that batch's waiters, not the process.
+// in scoring, queued or bypassed, fails that batch's waiters, not the
+// process.
 package dispatch
 
 import (
@@ -340,7 +341,7 @@ func (d *Dispatcher) bypass(ctx context.Context, items []ecom.Item) (Result, err
 	d.m.bypass.Inc()
 	d.m.batches.Inc()
 	d.m.batchSize.Observe(float64(len(items)))
-	dets, X, err := d.scorer.DetectWithFeatures(ctx, items, 0)
+	dets, X, err := d.score(ctx, items)
 	if err != nil {
 		return Result{}, err
 	}
@@ -411,7 +412,7 @@ func (d *Dispatcher) runBatch(batch []*flight) {
 	}
 	d.m.batches.Inc()
 	d.m.batchSize.Observe(float64(len(items)))
-	dets, X, err := d.score(items)
+	dets, X, err := d.score(context.Background(), items)
 
 	// Retire the IDs first so new submissions start fresh flights, then
 	// publish results; the close is the happens-before edge waiters read
@@ -438,16 +439,17 @@ func (d *Dispatcher) runBatch(batch []*flight) {
 	}
 }
 
-// score runs runBatch's scorer call. A panic in scoring becomes the
-// batch's error: its waiters each get a failure naming the panic, and
-// the dispatcher goes on serving.
-func (d *Dispatcher) score(items []ecom.Item) (dets []core.Detection, X [][]float64, err error) {
+// score is the dispatcher's one scorer call, for a queued batch and a
+// bypass alike. A panic in scoring becomes the batch's error: its
+// waiters each get a failure naming the panic, and the dispatcher goes
+// on serving.
+func (d *Dispatcher) score(ctx context.Context, items []ecom.Item) (dets []core.Detection, X [][]float64, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("dispatch: scoring panicked: %v", p)
 		}
 	}()
-	return d.scorer.DetectWithFeatures(context.Background(), items, 0)
+	return d.scorer.DetectWithFeatures(ctx, items, 0)
 }
 
 // Close flushes the queue, rejects further submissions with ErrClosed,

@@ -741,6 +741,33 @@ func TestScorerPanicFailsOnlyItsBatch(t *testing.T) {
 	checkResult(t, res, "p")
 }
 
+// TestBypassScorerPanicIsAnError: a request of MaxBatch items or more
+// is scored on the caller's goroutine, and a panic there is that
+// request's error naming it, as in a queued batch — not a panic out of
+// Submit. The next Submit is served.
+func TestBypassScorerPanicIsAnError(t *testing.T) {
+	stub := &stubScorer{panics: 1}
+	d := New(stub, Options{MaxBatch: 4, MaxWait: time.Hour})
+	defer d.Close()
+	var err error
+	func() {
+		defer func() {
+			if p := recover(); p != nil {
+				t.Fatalf("Submit panicked on the caller: %v", p)
+			}
+		}()
+		_, err = d.Submit(context.Background(), items("a", "b", "c", "d"))
+	}()
+	if err == nil || !strings.Contains(err.Error(), "scorer blew up") {
+		t.Errorf("bypassed request on a panicking scorer: err = %v, want the panic named", err)
+	}
+	res, err := d.Submit(context.Background(), items("a", "b", "c", "d"))
+	if err != nil {
+		t.Fatalf("submit after the panic: %v", err)
+	}
+	checkResult(t, res, "a", "b", "c", "d")
+}
+
 func TestWaiterCancellationReleasesOnlyTheWaiter(t *testing.T) {
 	stub := &stubScorer{started: make(chan struct{}), release: make(chan struct{})}
 	d := New(stub, Options{MaxBatch: 100, MaxWait: time.Millisecond})

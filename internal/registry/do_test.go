@@ -31,7 +31,7 @@ func TestDoCoherentUnderInstall(t *testing.T) {
 	_, _, snapA := trainSnapshot(t, 113, core.DetectorConfig{})
 	_, _, snapB := trainSnapshot(t, 114, core.DetectorConfig{})
 	items := testItems(t, 17)[:4]
-	r := New(Options{Batching: &dispatch.Options{MaxBatch: 8, MaxWait: 100 * time.Microsecond, MaxQueue: 1 << 12}})
+	r := New(Options{Batching: dispatch.Options{MaxBatch: 8, MaxWait: 100 * time.Microsecond, MaxQueue: 1 << 12}})
 	if _, err := r.Load(context.Background(), "taobao", "A", snapA); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestDoCoherentUnderInstall(t *testing.T) {
 func TestRetiredHandlesAreCollected(t *testing.T) {
 	_, _, snap := trainSnapshot(t, 115, core.DetectorConfig{})
 	items := testItems(t, 18)[:4]
-	r := New(Options{Batching: &dispatch.Options{MaxBatch: 8, MaxWait: time.Millisecond}})
+	r := New(Options{Batching: dispatch.Options{MaxBatch: 8, MaxWait: time.Millisecond}})
 	base := runtime.NumGoroutine()
 	const swaps = 20
 	var finalized atomic.Int64

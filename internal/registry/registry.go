@@ -53,12 +53,11 @@ import (
 
 // Options tunes the registry.
 type Options struct {
-	// Batching, when non-nil, is the dispatcher template every tenant's
-	// handle is served through: each loaded model gets its own
-	// dispatcher built from these settings with Tenant set to the
-	// tenant's name. Nil serves each request with its own scoring
-	// batch.
-	Batching *dispatch.Options
+	// Batching is the dispatcher template every tenant's handle is
+	// served through: each loaded model gets its own dispatcher built
+	// from these settings with Tenant set to the tenant's name. The zero
+	// value means the dispatcher's defaults.
+	Batching dispatch.Options
 	// Workers bounds probe-validation parallelism; <= 0 means
 	// GOMAXPROCS.
 	Workers int
@@ -105,12 +104,12 @@ type Model struct {
 // it is done. Tenant.Do is how one is held.
 type Handle struct {
 	Model
-	disp  *dispatch.Dispatcher // nil when batching is off
-	drift *drift               // nil when the detector carries no training sample
+	disp  *dispatch.Dispatcher
+	drift *drift // nil when the detector carries no training sample
 }
 
-// Dispatcher returns the handle's batching dispatcher, or nil when the
-// registry was built without batching.
+// Dispatcher returns the handle's batching dispatcher, the one way a
+// served request is scored.
 func (h *Handle) Dispatcher() *dispatch.Dispatcher { return h.disp }
 
 // Release does nothing: a handle needs no returning. It stays, with
@@ -465,11 +464,11 @@ func (t *Tenant) publish(det *core.Detector, analyzer *core.Analyzer, version st
 	t.reloadMu.Lock()
 	defer t.reloadMu.Unlock()
 	t.gen++
-	h := &Handle{Model: Model{Detector: det, Analyzer: analyzer, Version: version, Generation: t.gen}}
-	if bt := t.reg.opts.Batching; bt != nil {
-		o := *bt
-		o.Tenant = t.name
-		h.disp = dispatch.New(det, o)
+	o := t.reg.opts.Batching
+	o.Tenant = t.name
+	h := &Handle{
+		Model: Model{Detector: det, Analyzer: analyzer, Version: version, Generation: t.gen},
+		disp:  dispatch.New(det, o),
 	}
 	// The model's own training sample, so that a promoted or reloaded
 	// model is measured against what it was fitted on, never its

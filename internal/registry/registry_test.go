@@ -375,7 +375,7 @@ func TestSwapStressMidFlight(t *testing.T) {
 		t.Fatal("models A and B produce identical verdicts; stress proves nothing")
 	}
 
-	r := New(Options{Batching: &dispatch.Options{
+	r := New(Options{Batching: dispatch.Options{
 		MaxBatch: 8, MaxWait: 100 * time.Microsecond, MaxQueue: 1 << 16,
 	}})
 	if _, err := r.Load(context.Background(), "taobao", "A", snapA); err != nil {
@@ -462,7 +462,7 @@ func TestHandleOutlivesSwap(t *testing.T) {
 	_, _, snapB := trainSnapshot(t, 108, core.DetectorConfig{})
 	items := testItems(t, 14)
 
-	r := New(Options{Batching: &dispatch.Options{MaxBatch: 4, MaxWait: time.Millisecond}})
+	r := New(Options{Batching: dispatch.Options{MaxBatch: 4, MaxWait: time.Millisecond}})
 	if _, err := r.Load(context.Background(), "taobao", "A", snapA); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -13,18 +14,42 @@ import (
 	"repro/internal/ecom"
 )
 
-// TestBatchedMatchesUnbatched pins the dispatcher's transparency: the
-// same request through a batching service and a plain one must yield
-// byte-identical verdicts. newTestService builds from fixed seeds, so
-// two instances share the exact same trained model. The request is
+// checkServedMatchReference asserts a /v1/detect answer carries, in
+// item order, the verdicts the served model's own DetectWithFeatures
+// gives the same items in-process, and the count that reports.
+func checkServedMatchReference(t *testing.T, srv *Server, items []ecom.Item, got DetectResponse) {
+	t.Helper()
+	h := srv.ModelRegistry().Tenant(DefaultTenant).Acquire()
+	want, _, err := h.Detector.DetectWithFeatures(context.Background(), items, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Detections) != len(want) {
+		t.Fatalf("detections: served %d, reference %d", len(got.Detections), len(want))
+	}
+	reported := 0
+	for i, d := range want {
+		if got.Detections[i] != detectionDTO(d) {
+			t.Errorf("detection %d: served %+v, reference %+v", i, got.Detections[i], d)
+		}
+		if d.IsFraud {
+			reported++
+		}
+	}
+	if got.Reported != reported {
+		t.Errorf("reported: served %d, reference %d", got.Reported, reported)
+	}
+}
+
+// TestServedMatchesDetector pins the dispatcher's transparency: a
+// request served over HTTP gets the verdicts the model's own
+// DetectWithFeatures gives the same items in-process. The request is
 // smaller than MaxBatch, so it goes through the queue and the
 // singleflight map rather than the bypass, and it ends with two items
 // that carry no ID: they are different items and must get different
 // verdicts, not share the first one's flight.
-func TestBatchedMatchesUnbatched(t *testing.T) {
-	_, plainTS, test := newTestService(t, Options{})
-	srv, batchTS, _ := newBatchedTestService(t, Options{},
-		&dispatch.Options{MaxBatch: 256, MaxWait: time.Millisecond})
+func TestServedMatchesDetector(t *testing.T) {
+	srv, ts, test := newTestService(t, Options{}, dispatch.Options{MaxBatch: 256, MaxWait: time.Millisecond})
 	defer srv.Close()
 
 	items := test.Dataset.Items
@@ -38,29 +63,43 @@ func TestBatchedMatchesUnbatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchesBefore := scrapeMetric(t, batchTS.URL, "cats_serve_batches_total")
+	batchesBefore := scrapeMetric(t, ts.URL, "cats_serve_batches_total")
 
-	plainResp, plainOut := postDetect(t, plainTS.URL, body)
-	batchResp, batchOut := postDetect(t, batchTS.URL, body)
-	if plainResp.StatusCode != http.StatusOK || batchResp.StatusCode != http.StatusOK {
-		t.Fatalf("status: plain %d, batched %d", plainResp.StatusCode, batchResp.StatusCode)
+	resp, out := postDetect(t, ts.URL, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	if len(batchOut.Detections) != len(plainOut.Detections) {
-		t.Fatalf("detections: plain %d, batched %d", len(plainOut.Detections), len(batchOut.Detections))
+	checkServedMatchReference(t, srv, items, out)
+	if n := len(out.Detections); out.Detections[n-2].Score == out.Detections[n-1].Score {
+		t.Errorf("the two ID-less items share one verdict: %+v", out.Detections[n-2:])
 	}
-	for i := range plainOut.Detections {
-		if plainOut.Detections[i] != batchOut.Detections[i] {
-			t.Errorf("detection %d: plain %+v, batched %+v", i, plainOut.Detections[i], batchOut.Detections[i])
-		}
-	}
-	if n := len(batchOut.Detections); batchOut.Detections[n-2].Score == batchOut.Detections[n-1].Score {
-		t.Errorf("the two ID-less items share one verdict: %+v", batchOut.Detections[n-2:])
-	}
-	if plainOut.Reported != batchOut.Reported {
-		t.Errorf("reported: plain %d, batched %d", plainOut.Reported, batchOut.Reported)
-	}
-	if after := scrapeMetric(t, batchTS.URL, "cats_serve_batches_total"); after <= batchesBefore {
+	if after := scrapeMetric(t, ts.URL, "cats_serve_batches_total"); after <= batchesBefore {
 		t.Errorf("cats_serve_batches_total did not move (%g → %g); request bypassed the dispatcher", batchesBefore, after)
+	}
+}
+
+// TestOversizeRequestBypassesAdmission: a request of MaxBatch items or
+// more is a batch by itself and skips the admission queue, so a detect
+// larger than MaxQueue is answered, not shed. MaxItems (10,000 by
+// default) above the default MaxQueue (4,096) relies on this.
+func TestOversizeRequestBypassesAdmission(t *testing.T) {
+	srv, ts, test := newTestService(t, Options{}, dispatch.Options{MaxBatch: 8, MaxQueue: 4})
+	defer srv.Close()
+
+	items := test.Dataset.Items[:10]
+	body, err := json.Marshal(DetectRequest{Items: items})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bypass = `cats_serve_bypass_total{tenant="default"}`
+	before := scrapeMetric(t, ts.URL, bypass)
+	resp, out := postDetect(t, ts.URL, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("a %d-item detect against MaxQueue 4 answered %d, want 200", len(items), resp.StatusCode)
+	}
+	checkServedMatchReference(t, srv, items, out)
+	if after := scrapeMetric(t, ts.URL, bypass); after <= before {
+		t.Errorf("%s did not move (%g → %g); the request was not bypassed", bypass, before, after)
 	}
 }
 
@@ -74,7 +113,7 @@ func TestBatchedMatchesUnbatched(t *testing.T) {
 // (What a busy scorer does to the queue is dispatch.TestShedQueueFull's,
 // where the scorer can be held.)
 func TestSaturationShedsWith503(t *testing.T) {
-	srv, ts, test := newBatchedTestService(t, Options{}, &dispatch.Options{
+	srv, ts, test := newTestService(t, Options{}, dispatch.Options{
 		MaxBatch:   64,
 		MaxWait:    500 * time.Millisecond,
 		MaxQueue:   1,
@@ -159,8 +198,7 @@ func TestSaturationShedsWith503(t *testing.T) {
 // TestExplainThroughBatcher routes /v1/explain through the dispatcher
 // and checks the single-item path still returns a full explanation.
 func TestExplainThroughBatcher(t *testing.T) {
-	srv, ts, test := newBatchedTestService(t, Options{},
-		&dispatch.Options{MaxBatch: 8, MaxWait: time.Millisecond})
+	srv, ts, test := newTestService(t, Options{}, dispatch.Options{MaxBatch: 8, MaxWait: time.Millisecond})
 	defer srv.Close()
 
 	body, err := json.Marshal(ExplainRequest{Item: test.Dataset.Items[0]})

@@ -12,13 +12,14 @@ import (
 )
 
 // benchmarkDetect drives concurrent single-item detect requests through
-// the handler, with or without the batching dispatcher in the path.
-// bench/'s serve_* workloads measure the batched server over a socket;
-// these two keep the batched-vs-unbatched comparison alive in `go test
-// -bench` form so bench-smoke catches a path that stops compiling or
-// collapses.
-func benchmarkDetect(b *testing.B, batching *dispatch.Options) {
-	srv, _, test := newBatchedTestService(b, Options{}, batching)
+// the handler and the tenant's dispatcher. bench/'s serve_* workloads
+// measure the server over a socket; this keeps the handler path alive
+// in `go test -bench` form so bench-smoke catches a path that stops
+// compiling or collapses.
+func benchmarkDetect(b *testing.B) {
+	srv, _, test := newTestService(b, Options{}, dispatch.Options{
+		MaxBatch: 64, MaxWait: 200 * time.Microsecond, MaxQueue: 4096,
+	})
 	defer srv.Close()
 	handler := srv.Handler()
 	body, err := json.Marshal(DetectRequest{Items: test.Dataset.Items[:1]})
@@ -41,12 +42,6 @@ func benchmarkDetect(b *testing.B, batching *dispatch.Options) {
 	})
 }
 
-func BenchmarkServeDetectUnbatched(b *testing.B) {
-	benchmarkDetect(b, nil)
-}
-
 func BenchmarkServeDetectBatched(b *testing.B) {
-	benchmarkDetect(b, &dispatch.Options{
-		MaxBatch: 64, MaxWait: 200 * time.Microsecond, MaxQueue: 4096,
-	})
+	benchmarkDetect(b)
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dispatch"
 	"repro/internal/ecom"
 	"repro/internal/synth"
 	"repro/internal/trainer"
@@ -502,7 +503,7 @@ func TestDecodedItemsShareNothingWithTheBuffer(t *testing.T) {
 
 	// Through the handler's own read path: decode, return the buffer,
 	// decode a different body.
-	srv, _, _ := newTestService(t, Options{})
+	srv, _, _ := newTestService(t, Options{}, dispatch.Options{})
 	decode := func(body []byte) DetectRequest {
 		t.Helper()
 		var req DetectRequest
@@ -584,7 +585,7 @@ func TestDecodeItemsSteadyStateAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	srv, _, _ := newTestService(t, Options{})
+	srv, _, _ := newTestService(t, Options{}, dispatch.Options{})
 	body := coldBody(t)
 	decodeOnly := testing.AllocsPerRun(100, func() {
 		var req DetectRequest
@@ -616,7 +617,7 @@ func TestDecodeItemsSteadyStateAllocations(t *testing.T) {
 // before it is decoded, so a complete JSON value followed by padding
 // past the cap is too large, not valid.
 func TestOversizedBodyIs413WhateverItHolds(t *testing.T) {
-	_, ts, _ := newTestService(t, Options{MaxBodyBytes: 64})
+	_, ts, _ := newTestService(t, Options{MaxBodyBytes: 64}, dispatch.Options{})
 	body := `{"items":[{"item_id":"a","sales_volume":9}]}` + strings.Repeat(" ", 100)
 	resp, _ := postDetect(t, ts.URL, []byte(body))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"testing/iotest"
 
+	"repro/internal/dispatch"
 	"repro/internal/synth"
 	"repro/internal/trainer"
 )
@@ -26,7 +27,7 @@ import (
 // explores further.
 func FuzzDecodeRequest(f *testing.F) {
 	// Small caps so the fuzzer can reach the limit branches cheaply.
-	_, ts, test := newTestService(f, Options{MaxItems: 4, MaxBodyBytes: 1 << 16})
+	_, ts, test := newTestService(f, Options{MaxItems: 4, MaxBodyBytes: 1 << 16}, dispatch.Options{})
 
 	// Seeds: one valid request, then the classic decoder traps —
 	// truncation, type confusion, nulls, duplicate keys, deep nesting,
@@ -82,9 +83,9 @@ func FuzzDecodeRequest(f *testing.F) {
 func FuzzDecodeDetectDifferential(f *testing.F) {
 	det, analyzer, _ := trainTestDetector(f)
 	opts := Options{MaxItems: 4, MaxBodyBytes: 1 << 16}
-	handler := serveDetector(f, det, analyzer, opts, nil).Handler()
+	handler := serveDetector(f, det, analyzer, opts, dispatch.Options{}).Handler()
 	// A re-encoding can outgrow its body: the oracle takes any size.
-	oracle := serveDetector(f, det, analyzer, Options{MaxItems: opts.MaxItems}, nil).Handler()
+	oracle := serveDetector(f, det, analyzer, Options{MaxItems: opts.MaxItems}, dispatch.Options{}).Handler()
 
 	test := synth.Generate(synth.Config{Name: "svc-fuzz", Seed: 95, FraudEvidence: 1, Normal: 2, Shops: 1})
 	if valid, err := json.Marshal(DetectRequest{Items: test.Dataset.Items}); err == nil {

@@ -44,13 +44,13 @@
 // labels use the registered pattern ("/t/{tenant}/v1/detect"), so
 // metric cardinality stays bounded no matter how many tenants exist.
 //
-// With batching configured (registry.Options.Batching), each tenant's
-// detection requests flow through that tenant's own internal/dispatch
-// coalescing dispatcher (DESIGN.md §11) instead of each paying its own
-// scoring batch: concurrent requests fuse into shared batches,
-// identical in-flight items score once, and overload sheds with 503 +
-// Retry-After instead of queuing doomed work — per tenant, so one hot
-// tenant cannot starve its neighbors' admission queues.
+// Every detect and explain request is scored through its tenant's own
+// internal/dispatch coalescing dispatcher (DESIGN.md §11), the one
+// scoring path: concurrent requests fuse into shared batches,
+// identical in-flight items score once, a request that finds nothing
+// of its tenant scoring is dispatched at once, and overload sheds with
+// 503 + Retry-After instead of queuing doomed work — per tenant, so one
+// hot tenant cannot starve its neighbors' admission queues.
 //
 // Model coherence: a request loads its tenant's current model handle
 // once, up front, and keeps it until the response is written. A
@@ -94,8 +94,9 @@ type Options struct {
 	MaxBodyBytes int64
 	// MaxItems caps items per detect call; <= 0 means 10,000.
 	MaxItems int
-	// Workers bounds per-request feature-extraction parallelism;
-	// <= 0 means GOMAXPROCS.
+	// Workers is read by nothing: requests are scored through the
+	// tenant's dispatcher (registry.Options.Batching). It is kept only
+	// because bench/ sets it.
 	Workers int
 	// DefaultTenant is where bare /v1/* requests without an
 	// X-Cats-Tenant header route; empty means DefaultTenant
@@ -329,8 +330,8 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	s.withModel(w, r, func(tenant string, h *registry.Handle) {
 		// One fused pass: the detector returns the feature matrix it
 		// computed while scoring, so drift recording costs no re-extraction.
-		// With batching on, the tenant's dispatcher may satisfy part of the
-		// request from batches shared with concurrent callers.
+		// The tenant's dispatcher may satisfy part of the request from
+		// batches shared with concurrent callers.
 		dets, X, ok := s.detect(w, r, h, req.Items)
 		if !ok {
 			return
@@ -353,19 +354,12 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// detect scores a request's items through the handle's batching
-// dispatcher when configured, or the model's own fused batch path
-// otherwise: the one scoring call of detect and explain. On failure it
-// answers the request itself — 503 with Retry-After for a shed, nothing
-// to a client that went away, else 500 — and reports false.
+// detect scores a request's items through the handle's dispatcher: the
+// one scoring call of detect and explain. On failure it answers the
+// request itself — 503 with Retry-After for a shed, nothing to a client
+// that went away, else 500 — and reports false.
 func (s *Server) detect(w http.ResponseWriter, r *http.Request, h *registry.Handle, items []ecom.Item) ([]core.Detection, [][]float64, bool) {
-	var res dispatch.Result
-	var err error
-	if disp := h.Dispatcher(); disp != nil {
-		res, err = disp.Submit(r.Context(), items)
-	} else {
-		res.Detections, res.Features, err = h.Detector.DetectWithFeatures(r.Context(), items, s.opts.Workers)
-	}
+	res, err := h.Dispatcher().Submit(r.Context(), items)
 	switch {
 	case err == nil:
 		return res.Detections, res.Features, true
@@ -381,12 +375,7 @@ func (s *Server) detect(w http.ResponseWriter, r *http.Request, h *registry.Hand
 // dispatcher's Retry-After hint, telling well-behaved clients when to
 // come back instead of hammering a saturated queue.
 func (s *Server) writeShed(w http.ResponseWriter, h *registry.Handle) {
-	secs := 1
-	if disp := h.Dispatcher(); disp != nil {
-		if v := int(math.Ceil(disp.Options().RetryAfter.Seconds())); v > secs {
-			secs = v
-		}
-	}
+	secs := int(math.Ceil(h.Dispatcher().Options().RetryAfter.Seconds())) // >= 1: RetryAfter > 0 once resolved
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	writeError(w, http.StatusServiceUnavailable,
 		"overloaded: request shed by admission control; retry after the indicated delay")
@@ -416,10 +405,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.withModel(w, r, func(tenant string, h *registry.Handle) {
-		// An explain is scored as detect traffic is: with batching on, on
-		// the same coalescing queue, so an item being explained while it
-		// is being scored for someone else costs one analysis, and
-		// overload sheds here too.
+		// An explain is scored as detect traffic is, on the same
+		// coalescing queue, so an item being explained while it is being
+		// scored for someone else costs one analysis, and overload sheds
+		// here too.
 		dets, X, ok := s.detect(w, r, h, []ecom.Item{req.Item})
 		if !ok {
 			return

@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dispatch"
@@ -24,22 +23,18 @@ import (
 )
 
 // serveDetector serves one in-process detector as the default tenant
-// of a fresh one-tenant registry, with or without a batching
-// dispatcher in front of it.
-func serveDetector(t testing.TB, det *core.Detector, analyzer *core.Analyzer, opts Options, batching *dispatch.Options) *Server {
+// of a fresh one-tenant registry, through a dispatcher built from
+// batching.
+func serveDetector(t testing.TB, det *core.Detector, analyzer *core.Analyzer, opts Options, batching dispatch.Options) *Server {
 	t.Helper()
-	reg := registry.New(registry.Options{Batching: batching, Workers: opts.Workers})
+	reg := registry.New(registry.Options{Batching: batching})
 	if _, err := reg.Install(context.Background(), DefaultTenant, "in-process", det, analyzer); err != nil {
 		t.Fatal(err)
 	}
 	return NewWithRegistry(reg, opts)
 }
 
-func newTestService(t testing.TB, opts Options) (*Server, *httptest.Server, *synth.Universe) {
-	return newBatchedTestService(t, opts, nil)
-}
-
-func newBatchedTestService(t testing.TB, opts Options, batching *dispatch.Options) (*Server, *httptest.Server, *synth.Universe) {
+func newTestService(t testing.TB, opts Options, batching dispatch.Options) (*Server, *httptest.Server, *synth.Universe) {
 	t.Helper()
 	det, analyzer, _ := trainTestDetector(t)
 	srv := serveDetector(t, det, analyzer, opts, batching)
@@ -88,7 +83,7 @@ func postDetect(t *testing.T, url string, body []byte) (*http.Response, DetectRe
 }
 
 func TestDetectEndpoint(t *testing.T) {
-	srv, ts, test := newTestService(t, Options{})
+	srv, ts, test := newTestService(t, Options{}, dispatch.Options{})
 	body, err := json.Marshal(DetectRequest{Items: test.Dataset.Items})
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +122,7 @@ func TestDetectEndpoint(t *testing.T) {
 }
 
 func TestDetectValidation(t *testing.T) {
-	_, ts, _ := newTestService(t, Options{MaxItems: 2})
+	_, ts, _ := newTestService(t, Options{MaxItems: 2}, dispatch.Options{})
 	// Wrong method.
 	resp, err := http.Get(ts.URL + "/v1/detect")
 	if err != nil {
@@ -215,7 +210,7 @@ func TestTrailingBytesAre400(t *testing.T) {
 }
 
 func TestBodySizeCap(t *testing.T) {
-	_, ts, _ := newTestService(t, Options{MaxBodyBytes: 64})
+	_, ts, _ := newTestService(t, Options{MaxBodyBytes: 64}, dispatch.Options{})
 	big := `{"items":[{"item_id":"` + strings.Repeat("x", 500) + `"}]}`
 	resp, _ := postDetect(t, ts.URL, []byte(big))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
@@ -224,7 +219,7 @@ func TestBodySizeCap(t *testing.T) {
 }
 
 func TestMethodNotAllowed(t *testing.T) {
-	_, ts, _ := newTestService(t, Options{})
+	_, ts, _ := newTestService(t, Options{}, dispatch.Options{})
 	cases := []struct {
 		method, path, allow string
 	}{
@@ -256,7 +251,7 @@ func TestMethodNotAllowed(t *testing.T) {
 }
 
 func TestReadyz(t *testing.T) {
-	srv, ts, _ := newTestService(t, Options{})
+	srv, ts, _ := newTestService(t, Options{}, dispatch.Options{})
 	resp, err := http.Get(ts.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +275,7 @@ func TestReadyz(t *testing.T) {
 }
 
 func TestImportanceEndpoint(t *testing.T) {
-	_, ts, _ := newTestService(t, Options{})
+	_, ts, _ := newTestService(t, Options{}, dispatch.Options{})
 	resp, err := http.Get(ts.URL + "/v1/importance")
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +294,7 @@ func TestImportanceEndpoint(t *testing.T) {
 }
 
 func TestLexiconEndpoint(t *testing.T) {
-	_, ts, _ := newTestService(t, Options{})
+	_, ts, _ := newTestService(t, Options{}, dispatch.Options{})
 	resp, err := http.Get(ts.URL + "/v1/lexicon")
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +313,7 @@ func TestLexiconEndpoint(t *testing.T) {
 }
 
 func TestHealthz(t *testing.T) {
-	_, ts, _ := newTestService(t, Options{})
+	_, ts, _ := newTestService(t, Options{}, dispatch.Options{})
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +325,7 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestConcurrentDetectRequests(t *testing.T) {
-	srv, ts, test := newTestService(t, Options{})
+	srv, ts, test := newTestService(t, Options{}, dispatch.Options{})
 	body, err := json.Marshal(DetectRequest{Items: test.Dataset.Items[:20]})
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +363,7 @@ func TestConcurrentDetectRequests(t *testing.T) {
 }
 
 func TestExplainEndpoint(t *testing.T) {
-	_, ts, test := newTestService(t, Options{})
+	srv, ts, test := newTestService(t, Options{}, dispatch.Options{})
 	body, err := json.Marshal(ExplainRequest{Item: test.Dataset.Items[0]})
 	if err != nil {
 		t.Fatal(err)
@@ -395,33 +390,30 @@ func TestExplainEndpoint(t *testing.T) {
 
 	// An item under the sales cutoff is never analyzed while it is
 	// scored; its vector is computed on demand from the Texts the request
-	// decoded to, and is the row's — batched or not, by either decoder.
+	// decoded to, and is the row's, whatever the
+	// spelling of its keys.
 	cut := test.Dataset.Items[1]
 	cut.SalesVolume = 1
 	body, err = json.Marshal(ExplainRequest{Item: cut})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, bts, _ := newBatchedTestService(t, Options{}, &dispatch.Options{MaxBatch: 8, MaxWait: time.Millisecond})
-	defer batched.Close()
-	for _, url := range []string{ts.URL, bts.URL} {
-		for _, contentKey := range []string{`"comment_content"`, `"COMMENT_CONTENT"`} { // the second falls back to encoding/json
-			resp, err := http.Post(url+"/v1/explain", "application/json", bytes.NewReader(bytes.ReplaceAll(body, []byte(`"comment_content"`), []byte(contentKey))))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var out ExplainResponse
-			err = json.NewDecoder(resp.Body).Decode(&out)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK || !out.Detection.Filtered || out.ModelGeneration == 0 {
-				t.Fatalf("%s, %s: sales-cut explain: status %d, %+v (%v)", url, contentKey, resp.StatusCode, out, err)
-			}
-			batched.ModelRegistry().Tenant(DefaultTenant).Do(func(h *registry.Handle) {
-				if want := h.Detector.Extractor().Vector(&cut); !reflect.DeepEqual(out.Vector, want) {
-					t.Fatalf("%s, %s: sales-cut explain vector %v, the row's %v", url, contentKey, out.Vector, want)
-				}
-			})
+	for _, contentKey := range []string{`"comment_content"`, `"COMMENT_CONTENT"`} { // the second matched case-folded
+		resp, err := http.Post(ts.URL+"/v1/explain", "application/json", bytes.NewReader(bytes.ReplaceAll(body, []byte(`"comment_content"`), []byte(contentKey))))
+		if err != nil {
+			t.Fatal(err)
 		}
+		var out ExplainResponse
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || !out.Detection.Filtered || out.ModelGeneration == 0 {
+			t.Fatalf("%s: sales-cut explain: status %d, %+v (%v)", contentKey, resp.StatusCode, out, err)
+		}
+		srv.ModelRegistry().Tenant(DefaultTenant).Do(func(h *registry.Handle) {
+			if want := h.Detector.Extractor().Vector(&cut); !reflect.DeepEqual(out.Vector, want) {
+				t.Fatalf("%s: sales-cut explain vector %v, the row's %v", contentKey, out.Vector, want)
+			}
+		})
 	}
 
 	// Method and body validation.
@@ -459,7 +451,7 @@ func TestDriftEndpoint(t *testing.T) {
 	if err := det.Train(&train.Dataset, 0); err != nil {
 		t.Fatal(err)
 	}
-	srv := serveDetector(t, det, analyzer, Options{}, nil) // drift on: Train kept a sample
+	srv := serveDetector(t, det, analyzer, Options{}, dispatch.Options{}) // drift on: Train kept a sample
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -534,7 +526,7 @@ func TestDriftDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(serveDetector(t, det, restored, Options{}, nil).Handler())
+	ts := httptest.NewServer(serveDetector(t, det, restored, Options{}, dispatch.Options{}).Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/v1/drift")
 	if err != nil {
@@ -564,7 +556,7 @@ func TestDetectSegmentsOncePerComment(t *testing.T) {
 	if err := det.Train(&train.Dataset, 0); err != nil {
 		t.Fatal(err)
 	}
-	srv := serveDetector(t, det, analyzer, Options{}, nil) // drift on: Train kept a sample
+	srv := serveDetector(t, det, analyzer, Options{}, dispatch.Options{}) // drift on: Train kept a sample
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -640,7 +632,7 @@ func scrapeMetric(t *testing.T, baseURL, prefix string) float64 {
 // Counters live on the shared default registry, so only deltas are
 // asserted.
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts, test := newTestService(t, Options{})
+	_, ts, test := newTestService(t, Options{}, dispatch.Options{})
 	items := append([]ecom.Item(nil), test.Dataset.Items...)
 	for i := range items {
 		if i%2 == 0 {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dispatch"
 	"repro/internal/registry"
 	"repro/internal/synth"
 	"repro/internal/textgen"
@@ -173,7 +174,7 @@ func TestAdminAuth(t *testing.T) {
 	}
 
 	// A server built without a token has the admin surface disabled.
-	_, ts2, _ := newTestService(t, Options{})
+	_, ts2, _ := newTestService(t, Options{}, dispatch.Options{})
 	if resp := adminReq(t, http.MethodGet, ts2.URL+"/admin/tenants", "anything", nil); resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("tokenless server status = %d, want 403", resp.StatusCode)
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dispatch"
 	"repro/internal/ecom"
 	"repro/internal/registry"
 	"repro/internal/synth"
@@ -39,7 +40,7 @@ func newTrainerService(t testing.TB, tcfg trainer.Config, opts Options) (*Server
 	if err := det.Train(&train.Dataset, 0); err != nil {
 		t.Fatal(err)
 	}
-	reg := registry.New(registry.Options{Workers: opts.Workers})
+	reg := registry.New(registry.Options{})
 	if opts.DefaultTenant == "" {
 		opts.DefaultTenant = DefaultTenant
 	}
@@ -172,7 +173,7 @@ func TestWindowPinsNoRequestMemory(t *testing.T) {
 }
 
 func TestFeedbackDisabled(t *testing.T) {
-	_, ts, _ := newTestService(t, Options{})
+	_, ts, _ := newTestService(t, Options{}, dispatch.Options{})
 	resp := postJSON(t, ts.URL+"/v1/feedback", FeedbackRequest{Feedback: shiftedEntries(501)[:1]})
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Errorf("no-trainer feedback status = %d, want 501", resp.StatusCode)
@@ -277,7 +278,7 @@ func TestAdminTrainerEndpoints(t *testing.T) {
 
 func TestAdminTrainerWithoutTrainer(t *testing.T) {
 	const token = "sesame-open"
-	_, ts, _ := newTestService(t, Options{AdminToken: token})
+	_, ts, _ := newTestService(t, Options{AdminToken: token}, dispatch.Options{})
 	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/admin/trainer", nil)
 	req.Header.Set("Authorization", "Bearer "+token)
 	resp, err := http.DefaultClient.Do(req)

@@ -5,7 +5,9 @@
 # directory, drives concurrent detect traffic at both, hot-reloads one
 # tenant via the authenticated /admin/reload mid-traffic (asserting
 # zero non-2xx responses across the swap and that
-# cats_registry_reloads_total moved), picks up a third tenant via
+# cats_registry_reloads_total moved), sends one detect of
+# -batch-max-size items (answered 200 through the dispatcher's bypass:
+# cats_serve_bypass_total moves), picks up a third tenant via
 # SIGHUP re-scan (booted from a columnar .catc snapshot to exercise the
 # registry's format sniffing), closes the drift loop (labeled feedback
 # on /v1/feedback — the canonical batch into a window whose byte gauge
@@ -64,7 +66,7 @@ go build -o "${WORK}/catsserve" ./cmd/catsserve
 "${WORK}/catsserve" -models "${WORK}/models" -default-tenant taobao \
   -admin-token "${TOKEN}" -addr "127.0.0.1:${PORT}" \
   -shutdown-timeout 10s \
-  -batch -batch-max-size 64 -batch-max-wait 2ms -queue-depth 512 -retry-after 1s \
+  -batch-max-size 64 -batch-max-wait 2ms -queue-depth 512 -retry-after 1s \
   -tenant-max-concurrency 4 \
   -retrain-interval 1s -retrain-min-samples 8 -retrain-min-f1-gain=-2 &
 SERVER_PID=$!
@@ -158,6 +160,31 @@ if curl -fsS -X POST -H "Authorization: Bearer ${TOKEN}" \
 fi
 curl -fsS -X POST -H 'Content-Type: application/json' \
   -d "{\"items\":[${ITEM_JSON}]}" "${BASE}/t/eplatform/v1/detect" >/dev/null
+
+echo "== serve-smoke: a detect of -batch-max-size items is a batch by itself"
+# 64 items, the -batch-max-size above: the dispatcher scores the request
+# as its own batch, past the admission queue. The body goes through a
+# file, as it is too large for a command-line argument.
+ITEM_JSON="${ITEM_JSON}" awk 'BEGIN {
+  item = ENVIRON["ITEM_JSON"]
+  printf "{\"items\":["
+  for (i = 0; i < 64; i++) printf "%s%s", (i ? "," : ""), item
+  printf "]}"
+}' > "${WORK}/oversize.json"
+BYPASS_BEFORE="$(counter_value 'cats_serve_bypass_total{tenant="taobao"}')"
+curl -fsS -o "${WORK}/oversize.out" -X POST -H 'Content-Type: application/json' \
+  -d @"${WORK}/oversize.json" "${BASE}/t/taobao/v1/detect"
+OVERSIZE_N="$(grep -o '"item_id"' "${WORK}/oversize.out" | wc -l)"
+BYPASS_AFTER="$(counter_value 'cats_serve_bypass_total{tenant="taobao"}')"
+if [[ "${OVERSIZE_N}" -ne 64 ]]; then
+  echo "serve-smoke: FAIL: a 64-item detect answered ${OVERSIZE_N} detections" >&2
+  exit 1
+fi
+if ! awk -v a="${BYPASS_AFTER}" -v b="${BYPASS_BEFORE}" 'BEGIN { exit !(a > b) }'; then
+  echo "serve-smoke: FAIL: cats_serve_bypass_total{taobao} did not move (${BYPASS_BEFORE} -> ${BYPASS_AFTER})" >&2
+  exit 1
+fi
+echo "== serve-smoke: 64-item detect answered 64 verdicts (bypasses ${BYPASS_BEFORE} -> ${BYPASS_AFTER})"
 
 echo "== serve-smoke: SIGHUP re-scan picks up a new tenant (columnar snapshot)"
 cp "${WORK}/mobile.catc" "${WORK}/models/mobile.catc"
@@ -317,7 +344,7 @@ fi
 echo "== serve-smoke: second boot, -batch-max-wait 500ms: neither a lone nor a back-to-back request pays it"
 "${WORK}/catsserve" -models "${WORK}/models" -default-tenant taobao \
   -addr "127.0.0.1:${PORT}" -shutdown-timeout 10s \
-  -batch -batch-max-wait 500ms &
+  -batch-max-wait 500ms &
 SERVER_PID=$!
 for i in $(seq 1 50); do
   if curl -fsS "${BASE}/healthz" >/dev/null 2>&1; then
