@@ -64,7 +64,8 @@ bench:
 # stdlib is json.Unmarshal for reference) and trainer.BenchmarkFeed
 # (retained-B/entry); and the one item decoder on both its inputs:
 # service.BenchmarkDecodeDetect/fast beside
-# dataset.BenchmarkJSONLRead/{rows,texts} (ns/comment, allocs/item).
+# dataset.BenchmarkJSONLRead/{rows,texts} (ns/comment, allocs/item);
+# and word2vec.BenchmarkTrain, the benchmark's model set-up's training.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
@@ -80,8 +81,10 @@ bench-quick:
 
 # Run each fuzz target briefly (CI does this per PR): the trie
 # segmenter against the map-based reference, the word-ID analysis
-# kernel against the string/map oracle, the table-driven IsPunct
-# against the unicode-package definition, the service's request
+# kernel against the string/map oracle, word2vec training against its
+# sequential reference step (every trained vector bit for bit), the
+# table-driven IsPunct against the unicode-package definition, the
+# service's request
 # decoder against arbitrary bodies (never a 5xx), its detect/explain
 # decoding against json.Unmarshal (accepts iff it accepts, with the same
 # items, and answers a body as its canonical re-encoding), the feedback
@@ -108,6 +111,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentDifferential -fuzztime=10s ./internal/tokenize
 	$(GO) test -run='^$$' -fuzz=FuzzIsPunct -fuzztime=10s ./internal/tokenize
 	$(GO) test -run='^$$' -fuzz=FuzzAnalyzeDifferential -fuzztime=10s ./internal/features
+	$(GO) test -run='^$$' -fuzz=FuzzTrainDifferential -fuzztime=10s ./internal/word2vec
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDetectDifferential -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz='FuzzDecodeFeedback$$' -fuzztime=10s ./internal/service

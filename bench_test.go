@@ -258,22 +258,6 @@ func BenchmarkGBTPredictBatch(b *testing.B) {
 	}
 }
 
-func BenchmarkWord2VecTrain(b *testing.B) {
-	bank := textgen.NewBank()
-	seg := tokenize.NewSegmenter(bank.Vocabulary())
-	corpus := synth.TrainingCorpus(2000, 10)
-	sentences := make([][]string, len(corpus))
-	for i, c := range corpus {
-		sentences[i] = seg.Words(c)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := word2vec.Train(sentences, word2vec.Config{Dim: 16, Epochs: 1, MinCount: 3, Seed: 2}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkLexiconExpand(b *testing.B) {
 	bank := textgen.NewBank()
 	seg := tokenize.NewSegmenter(bank.Vocabulary())

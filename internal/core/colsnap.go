@@ -322,7 +322,7 @@ func decodeEmbedding(d *colfmt.Dec, arena string) *word2vec.Snapshot {
 	if d.Err() != nil {
 		return s
 	}
-	if s.Dim < 0 || s.Dim > 1<<16 {
+	if s.Dim < 1 || s.Dim > 1<<16 {
 		d.Failf("embedding dim %d out of range", s.Dim)
 		return s
 	}

@@ -316,6 +316,26 @@ func TestColumnarSnapshotAllocationFollowsInput(t *testing.T) {
 	}
 }
 
+// TestColumnarSnapshotRejectsDimZero: a w2v block of dim 0 is refused
+// in that block. Accepted, it restored a model that saved itself at the
+// default dim with empty vectors, a file no load accepts.
+func TestColumnarSnapshotRejectsDimZero(t *testing.T) {
+	snap, _ := trainedSnapshot(t, 312)
+	snap.Analyzer.Embedding = &word2vec.Snapshot{
+		Dim: 0, Words: []string{"好评", "差评"}, Counts: []int{3, 2},
+		Vectors: [][]float64{{}, {}},
+	}
+	var buf bytes.Buffer
+	if err := WriteSnapshotFormat(&buf, snap, FormatColumnar); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	var ce *colfmt.Error
+	if !errors.As(err, &ce) || ce.Block != "w2v" {
+		t.Fatalf("dim-0 embedding: err = %v, want a colfmt.Error in block w2v", err)
+	}
+}
+
 // loadAllocBytes reads raw as a snapshot and reports the fewest bytes
 // three reads allocated, with the read's error.
 func loadAllocBytes(raw []byte) (uint64, error) {

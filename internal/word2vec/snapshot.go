@@ -19,7 +19,7 @@ type Snapshot struct {
 // Snapshot captures the model's embeddings.
 func (m *Model) Snapshot() *Snapshot {
 	s := &Snapshot{
-		Dim:    m.cfg.Dim,
+		Dim:    m.dim,
 		Words:  append([]string(nil), m.words...),
 		Counts: append([]int(nil), m.counts...),
 	}
@@ -37,12 +37,15 @@ func FromSnapshot(s *Snapshot) (*Model, error) {
 	if s == nil {
 		return nil, errors.New("word2vec: nil snapshot")
 	}
+	if s.Dim < 1 {
+		return nil, fmt.Errorf("word2vec: snapshot dim %d, want at least 1", s.Dim)
+	}
 	if len(s.Words) != len(s.Vectors) || len(s.Words) != len(s.Counts) {
 		return nil, fmt.Errorf("word2vec: snapshot shape mismatch: %d words, %d counts, %d vectors",
 			len(s.Words), len(s.Counts), len(s.Vectors))
 	}
 	m := &Model{
-		cfg:    Config{Dim: s.Dim}.withDefaults(),
+		dim:    s.Dim,
 		vocab:  make(map[string]int, len(s.Words)),
 		words:  append([]string(nil), s.Words...),
 		counts: append([]int(nil), s.Counts...),

@@ -58,4 +58,12 @@ func TestFromSnapshotValidation(t *testing.T) {
 	if _, err := FromSnapshot(bad); err == nil {
 		t.Error("wrong vector dim should error")
 	}
+	// A model restored from dim 0 would snapshot itself at another
+	// dim, and that snapshot would not load.
+	for _, dim := range []int{0, -1} {
+		zero := &Snapshot{Dim: dim, Words: []string{"a"}, Counts: []int{1}, Vectors: [][]float64{{}}}
+		if _, err := FromSnapshot(zero); err == nil {
+			t.Errorf("dim %d should error", dim)
+		}
+	}
 }

@@ -8,6 +8,30 @@
 // minimum count, a unigram^0.75 negative-sampling table, SGD with
 // linear learning-rate decay, and cosine-similarity nearest-neighbor
 // queries over the learned input vectors.
+//
+// Training is a single-threaded SGD loop, and a seed fixes its result
+// to the bit. Each (center, context) step updates one positive target
+// (the context) and up to Negative sampled negatives. The step is
+// arranged for instruction-level parallelism without changing a bit of
+// the trained vectors (Go on amd64 fuses no multiply-add):
+//
+//   - A step draws all its negatives before it updates anything. That
+//     makes the same rng.Intn calls in the same order as drawing each
+//     just before its update, because no update reads the generator.
+//   - When the step's targets are pairwise distinct, no target's update
+//     changes another's output vector, so their dot products with the
+//     center vector run as independent accumulators, four or two to a
+//     pass. Each accumulator still sums in index order. Each target's
+//     update is then applied in ascending target order: the same
+//     operations on each element, in the same order, as the sequential
+//     loop.
+//   - A step that draws a target twice runs the sequential
+//     per-target loop, because the repeat must see its own earlier
+//     update.
+//
+// FuzzTrainDifferential holds Train to that sequential loop, bit for
+// bit; TestTrainVectorsPinned pins the vectors of three fixed
+// trainings.
 package word2vec
 
 import (
@@ -15,7 +39,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // Config holds the training hyperparameters. The zero value is usable.
@@ -67,15 +93,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Model is a trained skip-gram embedding model.
+// Model is a trained skip-gram embedding model. It holds only what
+// inference reads: the output vectors and the sampling table are the
+// trainer's and go when Train returns.
 type Model struct {
-	cfg    Config
+	dim    int
 	vocab  map[string]int
 	words  []string
 	counts []int
 	in     [][]float64 // input vectors (the embeddings)
-	out    [][]float64 // output vectors
-	table  []int       // negative-sampling table
+
+	normsOnce sync.Once
+	norms     []float64 // squared norm of each input vector, for Nearest
 }
 
 // ErrEmptyCorpus is returned by Train when no sentence survives the
@@ -84,8 +113,34 @@ var ErrEmptyCorpus = errors.New("word2vec: empty corpus after vocabulary cut")
 
 // Train fits a model on a corpus of pre-segmented sentences.
 func Train(corpus [][]string, cfg Config) (*Model, error) {
+	t, err := newTrainer(corpus, cfg)
+	if err != nil {
+		return nil, err
+	}
+	t.run(t.step)
+	return t.m, nil
+}
+
+// trainer is the state of one training run. Only m outlives it.
+type trainer struct {
+	m       *Model
+	cfg     Config
+	encoded [][]int // the corpus as word IDs, subsampled
+	total   int     // tokens in encoded
+	rng     *rand.Rand
+	out     [][]float64 // output vectors, row views into one slab
+	table   []int32     // negative-sampling table
+
+	grad    []float64 // step scratch: the center vector's update
+	targets []int     // step scratch: the context, then the negatives
+	gs      []float64 // step scratch: each target's dot product, then gradient
+}
+
+// newTrainer builds the vocabulary, encodes the corpus and initializes
+// the vectors: everything before the first SGD step.
+func newTrainer(corpus [][]string, cfg Config) (*trainer, error) {
 	cfg = cfg.withDefaults()
-	m := &Model{cfg: cfg, vocab: map[string]int{}}
+	m := &Model{dim: cfg.Dim, vocab: map[string]int{}}
 
 	// Vocabulary pass.
 	raw := map[string]int{}
@@ -137,8 +192,7 @@ func Train(corpus [][]string, cfg Config) (*Model, error) {
 			keepProb[i] = p
 		}
 	}
-	var encoded [][]int
-	total := 0
+	t := &trainer{m: m, cfg: cfg}
 	for _, sent := range corpus {
 		var ids []int
 		for _, w := range sent {
@@ -152,85 +206,212 @@ func Train(corpus [][]string, cfg Config) (*Model, error) {
 			ids = append(ids, id)
 		}
 		if len(ids) >= 2 {
-			encoded = append(encoded, ids)
-			total += len(ids)
+			t.encoded = append(t.encoded, ids)
+			t.total += len(ids)
 		}
 	}
-	if total == 0 {
+	if t.total == 0 {
 		return nil, ErrEmptyCorpus
 	}
 
-	m.buildTable()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	t.table = buildTable(m.counts)
+	t.rng = rand.New(rand.NewSource(cfg.Seed))
 	v := len(m.words)
-	m.in = make([][]float64, v)
-	m.out = make([][]float64, v)
-	for i := 0; i < v; i++ {
-		m.in[i] = make([]float64, cfg.Dim)
-		m.out[i] = make([]float64, cfg.Dim)
-		for d := 0; d < cfg.Dim; d++ {
-			m.in[i][d] = (rng.Float64() - 0.5) / float64(cfg.Dim)
+	m.in = rows(make([]float64, v*cfg.Dim), cfg.Dim)
+	t.out = rows(make([]float64, v*cfg.Dim), cfg.Dim)
+	for _, vec := range m.in {
+		for d := range vec {
+			vec[d] = (t.rng.Float64() - 0.5) / float64(cfg.Dim)
 		}
 	}
+	t.grad = make([]float64, cfg.Dim)
+	t.targets = make([]int, 0, 1+cfg.Negative)
+	t.gs = make([]float64, 1+cfg.Negative)
+	return t, nil
+}
 
+// rows cuts slab into rows of n, each capped at its own end.
+func rows(slab []float64, n int) [][]float64 {
+	r := make([][]float64, len(slab)/n)
+	for i := range r {
+		r[i] = slab[i*n : (i+1)*n : (i+1)*n]
+	}
+	return r
+}
+
+// run makes cfg.Epochs passes over the corpus, calling step for every
+// (center, context) pair at its decayed learning rate.
+func (t *trainer) run(step func(center, context int, lr float64)) {
 	steps := 0
-	totalSteps := cfg.Epochs * total
-	grad := make([]float64, cfg.Dim)
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		for _, sent := range encoded {
+	totalSteps := t.cfg.Epochs * t.total
+	for epoch := 0; epoch < t.cfg.Epochs; epoch++ {
+		for _, sent := range t.encoded {
 			for pos, center := range sent {
-				lr := cfg.LearningRate * (1 - float64(steps)/float64(totalSteps+1))
+				lr := t.cfg.LearningRate * (1 - float64(steps)/float64(totalSteps+1))
 				if lr < 1e-4 {
 					lr = 1e-4
 				}
 				steps++
-				win := 1 + rng.Intn(cfg.Window)
+				win := 1 + t.rng.Intn(t.cfg.Window)
 				for off := -win; off <= win; off++ {
 					ctxPos := pos + off
 					if off == 0 || ctxPos < 0 || ctxPos >= len(sent) {
 						continue
 					}
-					m.step(center, sent[ctxPos], lr, rng, grad)
+					step(center, sent[ctxPos], lr)
 				}
 			}
 		}
 	}
-	return m, nil
 }
 
 // step performs one (center, context) SGD update with negative samples.
-func (m *Model) step(center, context int, lr float64, rng *rand.Rand, grad []float64) {
-	vin := m.in[center]
-	for d := range grad {
-		grad[d] = 0
+// Its targets are the context (label 1) and each drawn negative that is
+// not the context (label 0); see the package comment for why it may
+// compute their dot products up front.
+func (t *trainer) step(center, context int, lr float64) {
+	targets := append(t.targets[:0], context)
+	distinct := true
+	for k := 0; k < t.cfg.Negative; k++ {
+		target := int(t.table[t.rng.Intn(len(t.table))])
+		if target == context {
+			continue
+		}
+		if slices.Contains(targets[1:], target) {
+			distinct = false
+		}
+		targets = append(targets, target)
 	}
-	// One positive plus Negative sampled negatives.
-	for k := 0; k <= m.cfg.Negative; k++ {
-		var target int
-		var label float64
-		if k == 0 {
-			target, label = context, 1
-		} else {
-			target = m.table[rng.Intn(len(m.table))]
-			if target == context {
-				continue
-			}
-			label = 0
-		}
-		vout := m.out[target]
-		var dot float64
-		for d := range vin {
-			dot += vin[d] * vout[d]
-		}
-		g := (sigmoid(dot) - label) * lr
-		for d := range vin {
-			grad[d] += g * vout[d]
-			vout[d] -= g * vin[d]
+	t.targets = targets
+
+	vin := t.m.in[center]
+	grad := t.grad
+	clear(grad)
+	if distinct {
+		t.chains(vin, targets, lr)
+	} else {
+		for k, target := range targets {
+			vout := t.out[target]
+			update(vin, vout, grad, gradient(dot(vin, vout), k, lr))
 		}
 	}
 	for d := range vin {
 		vin[d] -= grad[d]
 	}
+}
+
+// chains is step's update for pairwise distinct targets: every dot
+// product first, four or two targets to a pass, then every update,
+// in target order, four or two to a pass.
+func (t *trainer) chains(vin []float64, targets []int, lr float64) {
+	out, grad, gs := t.out, t.grad, t.gs[:len(targets)]
+	k := 0
+	for ; k+4 <= len(targets); k += 4 {
+		gs[k], gs[k+1], gs[k+2], gs[k+3] = dot4(vin,
+			out[targets[k]], out[targets[k+1]], out[targets[k+2]], out[targets[k+3]])
+	}
+	for ; k+2 <= len(targets); k += 2 {
+		gs[k], gs[k+1] = dot2(vin, out[targets[k]], out[targets[k+1]])
+	}
+	if k < len(targets) {
+		gs[k] = dot(vin, out[targets[k]])
+	}
+	for k := range gs {
+		gs[k] = gradient(gs[k], k, lr)
+	}
+	k = 0
+	for ; k+4 <= len(targets); k += 4 {
+		update4(vin, grad, out[targets[k]], out[targets[k+1]], out[targets[k+2]], out[targets[k+3]],
+			gs[k], gs[k+1], gs[k+2], gs[k+3])
+	}
+	for ; k+2 <= len(targets); k += 2 {
+		update2(vin, grad, out[targets[k]], out[targets[k+1]], gs[k], gs[k+1])
+	}
+	if k < len(targets) {
+		update(vin, out[targets[k]], grad, gs[k])
+	}
+}
+
+// gradient is the scaled error of a target's prediction: label 1 for
+// the context (k == 0), 0 for a negative.
+func gradient(dot float64, k int, lr float64) float64 {
+	var label float64
+	if k == 0 {
+		label = 1
+	}
+	return (sigmoid(dot) - label) * lr
+}
+
+// update accumulates a target's share of the center vector's update
+// into grad and moves the target's output vector, both by g.
+func update(vin, vout, grad []float64, g float64) {
+	vout, grad = vout[:len(vin)], grad[:len(vin)]
+	for d, x := range vin {
+		grad[d] += g * vout[d]
+		vout[d] -= g * x
+	}
+}
+
+// update2 is update for two targets in one pass, a's before b's.
+func update2(vin, grad, a, b []float64, ga, gb float64) {
+	grad, a, b = grad[:len(vin)], a[:len(vin)], b[:len(vin)]
+	for d, x := range vin {
+		s := grad[d]
+		s += ga * a[d]
+		a[d] -= ga * x
+		s += gb * b[d]
+		b[d] -= gb * x
+		grad[d] = s
+	}
+}
+
+// update4 is update for four targets in one pass, in argument order.
+func update4(vin, grad, a, b, c, e []float64, ga, gb, gc, ge float64) {
+	grad, a, b, c, e = grad[:len(vin)], a[:len(vin)], b[:len(vin)], c[:len(vin)], e[:len(vin)]
+	for d, x := range vin {
+		s := grad[d]
+		s += ga * a[d]
+		a[d] -= ga * x
+		s += gb * b[d]
+		b[d] -= gb * x
+		s += gc * c[d]
+		c[d] -= gc * x
+		s += ge * e[d]
+		e[d] -= ge * x
+		grad[d] = s
+	}
+}
+
+// dot is v·a summed in index order.
+func dot(v, a []float64) float64 {
+	a = a[:len(v)]
+	var s float64
+	for d, x := range v {
+		s += x * a[d]
+	}
+	return s
+}
+
+// dot2 is dot for two vectors at once: two independent chains.
+func dot2(v, a, b []float64) (sa, sb float64) {
+	a, b = a[:len(v)], b[:len(v)]
+	for d, x := range v {
+		sa += x * a[d]
+		sb += x * b[d]
+	}
+	return sa, sb
+}
+
+// dot4 is dot for four vectors at once: four independent chains.
+func dot4(v, a, b, c, e []float64) (sa, sb, sc, se float64) {
+	a, b, c, e = a[:len(v)], b[:len(v)], c[:len(v)], e[:len(v)]
+	for d, x := range v {
+		sa += x * a[d]
+		sb += x * b[d]
+		sc += x * c[d]
+		se += x * e[d]
+	}
+	return sa, sb, sc, se
 }
 
 func sigmoid(z float64) float64 {
@@ -244,12 +425,12 @@ func sigmoid(z float64) float64 {
 }
 
 // buildTable constructs the unigram^0.75 negative-sampling table.
-func (m *Model) buildTable() {
+func buildTable(counts []int) []int32 {
 	const tableSize = 1 << 17
-	m.table = make([]int, 0, tableSize)
+	table := make([]int32, 0, tableSize)
 	var z float64
-	pows := make([]float64, len(m.counts))
-	for i, c := range m.counts {
+	pows := make([]float64, len(counts))
+	for i, c := range counts {
 		pows[i] = math.Pow(float64(c), 0.75)
 		z += pows[i]
 	}
@@ -259,9 +440,10 @@ func (m *Model) buildTable() {
 			n = 1
 		}
 		for j := 0; j < n; j++ {
-			m.table = append(m.table, i)
+			table = append(table, int32(i))
 		}
 	}
+	return table
 }
 
 // VocabSize returns the number of words in the model.
@@ -298,12 +480,12 @@ func (m *Model) Similarity(a, b string) (float64, error) {
 }
 
 func cosine(a, b []float64) float64 {
-	var dot, na, nb float64
-	for d := range a {
-		dot += a[d] * b[d]
-		na += a[d] * a[d]
-		nb += b[d] * b[d]
-	}
+	return cosineNorms(dot(a, b), dot(a, a), dot(b, b))
+}
+
+// cosineNorms is the cosine of two vectors from their dot product and
+// squared norms, 0 if either is the zero vector.
+func cosineNorms(dot, na, nb float64) float64 {
 	if na == 0 || nb == 0 {
 		return 0
 	}
@@ -327,24 +509,66 @@ func (m *Model) Nearest(w string, k int) []Neighbor {
 	return m.nearestVec(vw, k, m.vocab[w])
 }
 
+// before is Nearest's order: similarity descending, then word.
+func before(a, b Neighbor) bool {
+	if a.Sim != b.Sim {
+		return a.Sim > b.Sim
+	}
+	return a.Word < b.Word
+}
+
+// nearestVec selects the k words before all others in before's order,
+// keeping the best k seen so far in a heap whose root is the last of
+// them, and returns them sorted.
 func (m *Model) nearestVec(v []float64, k, exclude int) []Neighbor {
-	sims := make([]Neighbor, 0, len(m.words))
+	m.normsOnce.Do(func() {
+		m.norms = make([]float64, len(m.in))
+		for i, u := range m.in {
+			m.norms[i] = dot(u, u)
+		}
+	})
+	k = min(k, len(m.words))
+	if k <= 0 {
+		return []Neighbor{}
+	}
+	nv := dot(v, v)
+	top := make([]Neighbor, 0, k)
 	for i, word := range m.words {
 		if i == exclude {
 			continue
 		}
-		sims = append(sims, Neighbor{word, cosine(v, m.in[i])})
-	}
-	sort.Slice(sims, func(a, b int) bool {
-		if sims[a].Sim != sims[b].Sim {
-			return sims[a].Sim > sims[b].Sim
+		nb := Neighbor{word, cosineNorms(dot(v, m.in[i]), nv, m.norms[i])}
+		switch {
+		case len(top) < k:
+			top = append(top, nb)
+			for j := len(top) - 1; j > 0; {
+				p := (j - 1) / 2
+				if !before(top[p], top[j]) {
+					break
+				}
+				top[p], top[j] = top[j], top[p]
+				j = p
+			}
+		case before(nb, top[0]):
+			top[0] = nb
+			for j := 0; ; {
+				c := 2*j + 1
+				if c >= k {
+					break
+				}
+				if c+1 < k && before(top[c], top[c+1]) {
+					c++
+				}
+				if !before(top[j], top[c]) {
+					break
+				}
+				top[j], top[c] = top[c], top[j]
+				j = c
+			}
 		}
-		return sims[a].Word < sims[b].Word
-	})
-	if k < len(sims) {
-		sims = sims[:k]
 	}
-	return sims
+	sort.Slice(top, func(a, b int) bool { return before(top[a], top[b]) })
+	return top
 }
 
 // Words returns the vocabulary ordered by descending frequency.

@@ -4,7 +4,12 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
+
+	"repro/internal/synth"
+	"repro/internal/textgen"
+	"repro/internal/tokenize"
 )
 
 // clusterCorpus builds sentences where words within a cluster co-occur
@@ -221,4 +226,51 @@ func TestSubsamplingCanEmptyCorpus(t *testing.T) {
 	if !errors.Is(err, ErrEmptyCorpus) {
 		t.Fatalf("err = %v, want ErrEmptyCorpus or success", err)
 	}
+}
+
+var benchModel *Model
+
+// BenchmarkTrain trains at the shape of the benchmark's model set-up:
+// 4,000 synthetic comments segmented over the word bank (a vocabulary
+// of about 1,000 words), default Config.
+func BenchmarkTrain(b *testing.B) {
+	seg := tokenize.NewSegmenter(textgen.NewBank().Vocabulary())
+	var corpus [][]string
+	for _, c := range synth.TrainingCorpus(4000, 19) {
+		corpus = append(corpus, seg.Words(c))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := Train(corpus, Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchModel = m
+	}
+}
+
+// TestNearestConcurrent: the first Nearest calls on a model, made from
+// several goroutines at once, share one norm cache and agree.
+func TestNearestConcurrent(t *testing.T) {
+	trained := trainTestModel(t)
+	want := trained.Nearest("好评", 5)
+	m, err := FromSnapshot(trained.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := m.Nearest("好评", 5)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("neighbor %d = %+v, want %+v", i, got[i], want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
