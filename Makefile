@@ -65,7 +65,9 @@ bench:
 # (retained-B/entry); and the one item decoder on both its inputs:
 # service.BenchmarkDecodeDetect/fast beside
 # dataset.BenchmarkJSONLRead/{rows,texts} (ns/comment, allocs/item);
-# and word2vec.BenchmarkTrain, the benchmark's model set-up's training.
+# word2vec.BenchmarkTrain, the benchmark's model set-up's training; and
+# synth.BenchmarkStream, the generator every corpus comes from
+# (comments/s, allocs/comment).
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 

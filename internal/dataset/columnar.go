@@ -33,13 +33,17 @@ const (
 )
 
 // colWriter accumulates one chunk's columns and flushes it as three
-// blocks. Strings are copied into the arena at Write time, so the
-// caller may reuse the item immediately.
+// blocks. Write stages each string's header, not its bytes; flush packs
+// the staged strings into the arena. That is safe only because Go
+// strings are immutable: the caller may reuse or overwrite the item
+// struct at once, and the strings it pointed to keep their bytes. The
+// arena and both block encoders are reused from chunk to chunk.
 type colWriter struct {
 	bw *bufio.Writer
 	cw *colfmt.Writer
 
-	arena colfmt.Arena
+	arena           colfmt.Arena
+	items, comments colfmt.Enc
 	// Item columns. String columns are accumulated as arena end
 	// offsets (the writer half of colfmt's StringCol layout needs the
 	// strings contiguous per column, so they are staged as slices and
@@ -96,7 +100,9 @@ func (c *colWriter) flush() error {
 		return nil
 	}
 	c.arena.Reset()
-	var items, comments colfmt.Enc
+	c.items.Reset()
+	c.comments.Reset()
+	items, comments := &c.items, &c.comments
 
 	items.Uvarint(uint64(len(c.ids)))
 	items.StringCol(&c.arena, c.ids)

@@ -141,16 +141,17 @@ func RingAttack(cfg RingConfig) *RingUniverse {
 	}
 
 	base := time.Date(2017, 9, 1, 0, 0, 0, 0, time.UTC)
+	// An item's comments are appended into a slice allocated at its
+	// final length; text.finish then gives them IDs and contents.
+	var text commentText
 	addComment := func(item *ecom.Item, user ecom.User, style textgen.Style, client ecom.Client) {
+		text.content(gen, style)
 		item.Comments = append(item.Comments, ecom.Comment{
-			ID:      fmt.Sprintf("%s-c%04d", item.ID, len(item.Comments)),
-			ItemID:  item.ID,
-			Content: gen.Comment(style),
-			UserID:  user.ID,
-			Nick:    user.Nickname,
-			ExpVal:  user.ExpValue,
-			Client:  client,
-			Date:    base.Add(time.Duration(rng.Intn(14*24)) * time.Hour),
+			UserID: user.ID,
+			Nick:   user.Nickname,
+			ExpVal: user.ExpValue,
+			Client: client,
+			Date:   base.Add(time.Duration(rng.Intn(14*24)) * time.Hour),
 		})
 	}
 
@@ -176,12 +177,14 @@ func RingAttack(cfg RingConfig) *RingUniverse {
 		for m := 0; m < cfg.ItemsPerRing; m++ {
 			item := newItem(ecom.FraudEvidence)
 			u.ItemRing[item.ID] = r
+			item.Comments = newComments(len(members[r]) + cfg.DilutionPerItem)[:0]
 			for k := range members[r] {
 				addComment(&item, members[r][k], fraudStyle, fraudClient(rng))
 			}
 			for d := 0; d < cfg.DilutionPerItem; d++ {
 				addComment(&item, nextDilution(), normalStyle, organicClient(rng))
 			}
+			text.finish(item.ID, item.Comments)
 			item.SalesVolume = len(item.Comments) + rng.Intn(2*len(item.Comments)+1)
 			u.Dataset.Items = append(u.Dataset.Items, item)
 		}
@@ -191,9 +194,11 @@ func RingAttack(cfg RingConfig) *RingUniverse {
 	for i := 0; i < cfg.NormalItems; i++ {
 		item := newItem(ecom.Normal)
 		n := 3 + rng.Intn(6)
+		item.Comments = newComments(n)[:0]
 		for j := 0; j < n; j++ {
 			addComment(&item, organic[rng.Intn(len(organic))], normalStyle, organicClient(rng))
 		}
+		text.finish(item.ID, item.Comments)
 		item.SalesVolume = n + rng.Intn(10*n+1)
 		u.Dataset.Items = append(u.Dataset.Items, item)
 	}

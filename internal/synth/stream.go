@@ -1,11 +1,6 @@
 package synth
 
-import (
-	"math/rand"
-
-	"repro/internal/ecom"
-	"repro/internal/textgen"
-)
+import "repro/internal/ecom"
 
 // StreamStats summarizes a streamed corpus.
 type StreamStats struct {
@@ -30,19 +25,18 @@ type StreamStats struct {
 // same population in a different order. Items are emitted already
 // shuffled; label order carries no information.
 //
-// The item passed to emit is reused storage only in the sense that its
-// strings are freshly allocated per item; emit may retain it. A
-// non-nil error from emit aborts the stream and is returned as is,
-// alongside stats for the items emitted so far.
+// Generation allocates per item, not per comment or word: an item's
+// comment contents and IDs are built in a buffer reused across items
+// and converted to one string, which every Content and ID slices, and
+// its Comments slice is allocated once at its final length (nil when
+// the item has none). So emit may retain the item and any of its
+// comments — nothing handed to emit is reused — but a retained comment
+// string pins its whole item's comment text. A non-nil error from emit
+// aborts the stream and is returned as is, alongside stats for the
+// items emitted so far.
 func Stream(cfg Config, emit func(*ecom.Item) error) (StreamStats, error) {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	bank := textgen.NewBank()
-	gen := textgen.NewGenerator(bank, rng)
-	if cfg.VocabShift > 0 {
-		gen.SetExtraNeutral(textgen.PlatformNeutralPool(cfg.Seed, 300), cfg.VocabShift)
-	}
-	p := buildPools(cfg, rng, gen)
+	g := newItemGen(cfg)
 
 	remaining := [3]int{cfg.FraudEvidence, cfg.FraudManual, cfg.Normal}
 	classes := [3]ecom.Label{ecom.FraudEvidence, ecom.FraudManual, ecom.Normal}
@@ -53,7 +47,7 @@ func Stream(cfg Config, emit func(*ecom.Item) error) (StreamStats, error) {
 		// Draw the class proportional to what remains: a uniform random
 		// interleaving, equivalent in distribution to shuffling the full
 		// corpus, without ever holding it.
-		r := rng.Intn(left)
+		r := g.rng.Intn(left)
 		k := 0
 		for r >= remaining[k] {
 			r -= remaining[k]
@@ -62,7 +56,7 @@ func Stream(cfg Config, emit func(*ecom.Item) error) (StreamStats, error) {
 		remaining[k]--
 		left--
 
-		item := makeItem(cfg, seq, classes[k], gen, rng, p)
+		item := g.item(seq, classes[k])
 		stats.Items++
 		stats.Comments += len(item.Comments)
 		if item.Label.IsFraud() {

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"repro/internal/ecom"
@@ -263,13 +264,13 @@ func buildPools(cfg Config, rng *rand.Rand, gen *textgen.Generator) *pools {
 	p.users = make([]ecom.User, 0, cfg.OrganicUsers+cfg.RiskyUsers)
 	for i := 0; i < cfg.OrganicUsers; i++ {
 		p.users = append(p.users, ecom.User{
-			ID:       fmt.Sprintf("%s-u%07d", cfg.Platform, i),
+			ID:       paddedID(cfg.Platform+"-u", i, 7),
 			Nickname: gen.Nickname(),
 			ExpValue: organicExpValue(rng),
 		})
 	}
 	for i := 0; i < cfg.RiskyUsers; i++ {
-		id := fmt.Sprintf("%s-r%07d", cfg.Platform, i)
+		id := paddedID(cfg.Platform+"-r", i, 7)
 		p.users = append(p.users, ecom.User{
 			ID:       id,
 			Nickname: gen.Nickname(),
@@ -288,7 +289,7 @@ func buildPools(cfg Config, rng *rand.Rand, gen *textgen.Generator) *pools {
 	p.shops = make([]ecom.Shop, cfg.Shops)
 	for i := range p.shops {
 		p.shops[i] = ecom.Shop{
-			ID:   fmt.Sprintf("%s-s%05d", cfg.Platform, i),
+			ID:   paddedID(cfg.Platform+"-s", i, 5),
 			Name: gen.ShopName(),
 			URL:  fmt.Sprintf("https://%s.example.com/shop/%d", cfg.Platform, i),
 		}
@@ -296,20 +297,42 @@ func buildPools(cfg Config, rng *rand.Rand, gen *textgen.Generator) *pools {
 	return p
 }
 
-// makeItem draws one labeled item with its comments.
-func makeItem(cfg Config, seq int, label ecom.Label, gen *textgen.Generator, rng *rand.Rand, p *pools) ecom.Item {
+// itemGen is the generation state Generate and Stream share: the
+// seeded RNG, the comment generator drawing from it, the populations
+// built from its prefix, and the per-item comment text builder.
+type itemGen struct {
+	cfg  Config
+	rng  *rand.Rand
+	gen  *textgen.Generator
+	p    *pools
+	text commentText
+}
+
+// newItemGen seeds the RNG and builds the populations; cfg has its
+// defaults applied.
+func newItemGen(cfg Config) *itemGen {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	gen := textgen.NewGenerator(textgen.NewBank(), rng)
+	if cfg.VocabShift > 0 {
+		gen.SetExtraNeutral(textgen.PlatformNeutralPool(cfg.Seed, 300), cfg.VocabShift)
+	}
+	return &itemGen{cfg: cfg, rng: rng, gen: gen, p: buildPools(cfg, rng, gen)}
+}
+
+// item draws one labeled item with its comments.
+func (g *itemGen) item(seq int, label ecom.Label) ecom.Item {
 	item := ecom.Item{
-		ID:         fmt.Sprintf("%s-i%09d", cfg.Platform, seq),
-		ShopID:     p.shops[rng.Intn(len(p.shops))].ID,
-		Name:       gen.ItemName(),
-		Category:   ecom.Categories[rng.Intn(len(ecom.Categories))],
-		PriceCents: 500 + int64(rng.Intn(200000)),
+		ID:         paddedID(g.cfg.Platform+"-i", seq, 9),
+		ShopID:     g.p.shops[g.rng.Intn(len(g.p.shops))].ID,
+		Name:       g.gen.ItemName(),
+		Category:   ecom.Categories[g.rng.Intn(len(ecom.Categories))],
+		PriceCents: 500 + int64(g.rng.Intn(200000)),
 		Label:      label,
 	}
 	if label.IsFraud() {
-		fillFraudItem(cfg, &item, gen, rng, p.organic, p.risky, p.rings)
+		g.fillFraudItem(&item)
 	} else {
-		fillNormalItem(cfg, &item, gen, rng, p.organic)
+		g.fillNormalItem(&item)
 	}
 	return item
 }
@@ -318,17 +341,11 @@ func makeItem(cfg Config, seq int, label ecom.Label, gen *textgen.Generator, rng
 // universe.
 func Generate(cfg Config) *Universe {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	bank := textgen.NewBank()
-	gen := textgen.NewGenerator(bank, rng)
-	if cfg.VocabShift > 0 {
-		gen.SetExtraNeutral(textgen.PlatformNeutralPool(cfg.Seed, 300), cfg.VocabShift)
-	}
+	g := newItemGen(cfg)
+	p := g.p
 
-	u := &Universe{Config: cfg, Bank: bank}
+	u := &Universe{Config: cfg, Bank: g.gen.Bank()}
 	u.Dataset.Name = cfg.Name
-
-	p := buildPools(cfg, rng, gen)
 	u.Users = p.users
 	u.RiskyUserIDs = p.riskyIDs
 	// Ground-truth ring ids, derived from the pools without touching
@@ -345,7 +362,7 @@ func Generate(cfg Config) *Universe {
 	u.Dataset.Items = make([]ecom.Item, 0, total)
 	itemSeq := 0
 	addItem := func(label ecom.Label) {
-		u.Dataset.Items = append(u.Dataset.Items, makeItem(cfg, itemSeq, label, gen, rng, p))
+		u.Dataset.Items = append(u.Dataset.Items, g.item(itemSeq, label))
 		itemSeq++
 	}
 	for i := 0; i < cfg.FraudEvidence; i++ {
@@ -358,7 +375,7 @@ func Generate(cfg Config) *Universe {
 		addItem(ecom.Normal)
 	}
 	// Shuffle so label order carries no information.
-	rng.Shuffle(len(u.Dataset.Items), func(i, j int) {
+	g.rng.Shuffle(len(u.Dataset.Items), func(i, j int) {
 		u.Dataset.Items[i], u.Dataset.Items[j] = u.Dataset.Items[j], u.Dataset.Items[i]
 	})
 	return u
@@ -379,7 +396,8 @@ func buildRings(n int, rng *rand.Rand) [][]int {
 	return rings
 }
 
-func fillFraudItem(cfg Config, item *ecom.Item, gen *textgen.Generator, rng *rand.Rand, organic, risky []ecom.User, rings [][]int) {
+func (g *itemGen) fillFraudItem(item *ecom.Item) {
+	cfg, rng, p := &g.cfg, g.rng, g.p
 	n := between(rng, cfg.FraudCommentsMin, cfg.FraudCommentsMax)
 	item.SalesVolume = n + rng.Intn(3*n+1)
 	campaign := textgen.FraudStyle()
@@ -402,38 +420,32 @@ func fillFraudItem(cfg Config, item *ecom.Item, gen *textgen.Generator, rng *ran
 	fraudStyle := jitterStyle(campaign, cfg.StyleJitter, rng)
 	normalStyle := jitterStyle(textgen.NormalStyle(), cfg.StyleJitter, rng)
 	var ring []int
-	if len(rings) > 0 {
-		ring = rings[rng.Intn(len(rings))]
+	if len(p.rings) > 0 {
+		ring = p.rings[rng.Intn(len(p.rings))]
 	}
 	base := time.Date(2017, 9, 1, 0, 0, 0, 0, time.UTC)
-	for j := 0; j < n; j++ {
+	item.Comments = newComments(n)
+	for j := range item.Comments {
+		cm := &item.Comments[j]
 		var user ecom.User
-		var content string
-		var client ecom.Client
 		if rng.Float64() < organicShare || len(ring) == 0 {
-			user = organic[rng.Intn(len(organic))]
-			content = gen.Comment(normalStyle)
-			client = organicClient(rng)
+			user = p.organic[rng.Intn(len(p.organic))]
+			g.text.content(g.gen, normalStyle)
+			cm.Client = organicClient(rng)
 		} else {
-			user = risky[ring[rng.Intn(len(ring))]]
-			content = gen.Comment(fraudStyle)
-			client = fraudClient(rng)
+			user = p.risky[ring[rng.Intn(len(ring))]]
+			g.text.content(g.gen, fraudStyle)
+			cm.Client = fraudClient(rng)
 		}
-		item.Comments = append(item.Comments, ecom.Comment{
-			ID:      fmt.Sprintf("%s-c%04d", item.ID, j),
-			ItemID:  item.ID,
-			Content: content,
-			UserID:  user.ID,
-			Nick:    user.Nickname,
-			ExpVal:  user.ExpValue,
-			Client:  client,
-			// Campaign comments bunch together in time.
-			Date: base.Add(time.Duration(rng.Intn(14*24)) * time.Hour),
-		})
+		cm.UserID, cm.Nick, cm.ExpVal = user.ID, user.Nickname, user.ExpValue
+		// Campaign comments bunch together in time.
+		cm.Date = base.Add(time.Duration(rng.Intn(14*24)) * time.Hour)
 	}
+	g.text.finish(item.ID, item.Comments)
 }
 
-func fillNormalItem(cfg Config, item *ecom.Item, gen *textgen.Generator, rng *rand.Rand, organic []ecom.User) {
+func (g *itemGen) fillNormalItem(item *ecom.Item) {
+	cfg, rng, organic := &g.cfg, g.rng, g.p.organic
 	n := between(rng, cfg.NormalCommentsMin, cfg.NormalCommentsMax)
 	if rng.Float64() < cfg.LowVolumeShare {
 		item.SalesVolume = rng.Intn(5) // below the rule-filter cutoff
@@ -452,24 +464,94 @@ func fillNormalItem(cfg Config, item *ecom.Item, gen *textgen.Generator, rng *ra
 	posStyle := jitterStyle(base, cfg.StyleJitter, rng)
 	negStyle := jitterStyle(textgen.MixedStyle(), cfg.StyleJitter, rng)
 	baseDate := time.Date(2017, 6, 1, 0, 0, 0, 0, time.UTC)
-	for j := 0; j < n; j++ {
+	item.Comments = newComments(n)
+	for j := range item.Comments {
+		cm := &item.Comments[j]
 		user := organic[rng.Intn(len(organic))]
 		st := posStyle
 		if rng.Float64() < cfg.NegativeNormalShare {
 			st = negStyle
 		}
-		item.Comments = append(item.Comments, ecom.Comment{
-			ID:      fmt.Sprintf("%s-c%04d", item.ID, j),
-			ItemID:  item.ID,
-			Content: gen.Comment(st),
-			UserID:  user.ID,
-			Nick:    user.Nickname,
-			ExpVal:  user.ExpValue,
-			Client:  organicClient(rng),
-			// Organic comments spread over months.
-			Date: baseDate.Add(time.Duration(rng.Intn(180*24)) * time.Hour),
-		})
+		g.text.content(g.gen, st)
+		cm.UserID, cm.Nick, cm.ExpVal = user.ID, user.Nickname, user.ExpValue
+		cm.Client = organicClient(rng)
+		// Organic comments spread over months.
+		cm.Date = baseDate.Add(time.Duration(rng.Intn(180*24)) * time.Hour)
 	}
+	g.text.finish(item.ID, item.Comments)
+}
+
+// newComments allocates an item's comments at their final length. An
+// item with none keeps a nil slice, which JSONL writes as
+// "comments":null.
+func newComments(n int) []ecom.Comment {
+	if n <= 0 {
+		return nil
+	}
+	return make([]ecom.Comment, n)
+}
+
+// commentText builds the strings of one item's comments without a
+// string per comment: content appends each comment's text, in order,
+// to one byte buffer reused across items; finish appends the comment
+// IDs after them, converts the buffer to a string once and slices
+// every Content and ID out of it. All of an item's comment strings
+// therefore share one backing string — a retained comment pins its
+// whole item's text, nothing more.
+type commentText struct {
+	buf  []byte
+	ends []int // where each comment's content, then each ID, ends in buf
+}
+
+// content draws the next comment's text in style st. It draws from
+// gen's RNG, so it must run at the point of the item's draw sequence
+// the comment's text belongs at.
+func (t *commentText) content(gen *textgen.Generator, st textgen.Style) {
+	t.buf = gen.AppendComment(t.buf, st)
+	t.ends = append(t.ends, len(t.buf))
+}
+
+// finish names the item's comments — "<itemID>-c0000", "-c0001", … —
+// and gives each its ItemID and the Content drawn for it, in the
+// order content was called, then resets t for the next item.
+func (t *commentText) finish(itemID string, comments []ecom.Comment) {
+	for j := range comments {
+		t.buf = append(t.buf, itemID...)
+		t.buf = append(t.buf, "-c"...)
+		t.buf = appendZeroPadded(t.buf, j, 4)
+		t.ends = append(t.ends, len(t.buf))
+	}
+	s := string(t.buf)
+	start := 0
+	for j := range comments {
+		comments[j].Content = s[start:t.ends[j]]
+		start = t.ends[j]
+	}
+	for j := range comments {
+		end := t.ends[len(comments)+j]
+		comments[j].ID = s[start:end]
+		comments[j].ItemID = itemID
+		start = end
+	}
+	t.buf, t.ends = t.buf[:0], t.ends[:0]
+}
+
+// paddedID returns prefix followed by v zero-padded to width digits:
+// fmt's "<prefix>%0<width>d" in one allocation.
+func paddedID(prefix string, v, width int) string {
+	var b [48]byte
+	return string(appendZeroPadded(append(b[:0], prefix...), v, width))
+}
+
+// appendZeroPadded appends v >= 0 in decimal, zero-padded to width
+// digits — fmt's %0<width>d — to dst.
+func appendZeroPadded(dst []byte, v, width int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(v), 10)
+	for i := len(d); i < width; i++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, d...)
 }
 
 // organicExpValue draws a log-normal account score: median ≈ 8,000,

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -264,5 +265,18 @@ func TestD0CommentVolume(t *testing.T) {
 	perItem := float64(s.Comments) / float64(s.FraudItems+s.NormalItems)
 	if perItem < 10 || perItem > 18 {
 		t.Errorf("comments/item = %.1f, want ≈14 (Table IV shape)", perItem)
+	}
+}
+
+// TestPaddedIDMatchesSprintf: the generator's IDs are fmt's
+// "%s-c%04d"-style text, widths overflowing as fmt's do.
+func TestPaddedIDMatchesSprintf(t *testing.T) {
+	for _, v := range []int{0, 7, 42, 999, 9999, 10000, 123456, 999999999, 1000000000, 1<<62 + 5} {
+		for _, width := range []int{4, 5, 7, 9} {
+			want := fmt.Sprintf("taobao-c%0*d", width, v)
+			if got := paddedID("taobao-c", v, width); got != want {
+				t.Errorf("paddedID(%d, %d) = %q, want %q", v, width, got, want)
+			}
+		}
 	}
 }

@@ -9,6 +9,14 @@
 // measures — fraud comments are long, positive-word saturated,
 // punctuation heavy and duplicate rich; normal comments are short and
 // sentiment mixed (Figs 1–5).
+//
+// Generator.AppendComment is the one comment kernel: it appends a
+// comment's bytes to a caller's buffer, so a caller generating many
+// comments (synth builds all of an item's into one buffer) pays for
+// the text, not for a string per comment. The word list a comment
+// repeats from is scratch the Generator owns and resets per comment —
+// one more reason a Generator is for one goroutine. Comment is a thin
+// wrapper that returns one comment as a string.
 package textgen
 
 import "sort"

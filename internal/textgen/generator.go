@@ -1,9 +1,8 @@
 package textgen
 
 import (
-	"fmt"
 	"math/rand"
-	"strings"
+	"unicode/utf8"
 )
 
 // Style parameterizes the comment generator. The two canonical styles,
@@ -173,6 +172,12 @@ type Generator struct {
 	// Platform-specific neutral vocabulary (see SetExtraNeutral).
 	extraNeutral []string
 	extraRate    float64
+
+	// Scratch reused across comments: used holds the words of the
+	// comment being built (the pool DuplicateRate repeats from), buf
+	// the bytes Comment converts to its string.
+	used []string
+	buf  []byte
 }
 
 // NewGenerator returns a Generator drawing randomness from rng.
@@ -191,15 +196,18 @@ func (g *Generator) SetExtraNeutral(words []string, rate float64) {
 	g.extraRate = clamp01(rate)
 }
 
-// PlatformNeutralPool deterministically synthesizes n two-character
-// neutral words unique to the given platform seed — disjoint from the
-// bank's vocabulary by construction (a dedicated charset).
+// PlatformNeutralPool deterministically synthesizes min(n, 576)
+// distinct two-character neutral words unique to the given platform
+// seed — disjoint from the bank's vocabulary by construction (a
+// dedicated charset). The charset has 24 runes, so there are only
+// 24² = 576 such words: a larger n returns all 576.
 func PlatformNeutralPool(seed int64, n int) []string {
 	chars := []rune("轴锚舵帆桨缆锭梭辊杠钳锉凿铆焊阀泵罐斗筛辘轳碾磨")
 	rng := rand.New(rand.NewSource(seed))
 	seen := map[string]struct{}{}
-	out := make([]string, 0, n)
-	for len(out) < n && len(seen) < len(chars)*len(chars) {
+	words := len(chars) * len(chars)
+	out := make([]string, 0, min(n, words))
+	for len(out) < n && len(seen) < words {
 		w := string([]rune{chars[rng.Intn(len(chars))], chars[rng.Intn(len(chars))]})
 		if _, ok := seen[w]; ok {
 			continue
@@ -227,8 +235,16 @@ const (
 
 // Comment generates one comment in the given style.
 func (g *Generator) Comment(st Style) string {
-	var b strings.Builder
-	var used []string
+	g.buf = g.AppendComment(g.buf[:0], st)
+	return string(g.buf)
+}
+
+// AppendComment generates one comment in the given style, appends it
+// to dst and returns the extended slice. It is the one comment kernel:
+// Comment wraps it, and a caller building many comments appends them
+// into one buffer of its own. Its only allocation is dst's growth.
+func (g *Generator) AppendComment(dst []byte, st Style) []byte {
+	used := g.used[:0]
 	// Clause polarity probabilities chosen so word-level rates match
 	// the style's PositiveRate/NegativeRate.
 	pPos := clamp01(st.PositiveRate / polarDensity)
@@ -256,18 +272,19 @@ func (g *Generator) Comment(st Style) string {
 		for w := 0; w < words; w++ {
 			word := g.pickWord(st, pol, used)
 			used = append(used, word)
-			b.WriteString(word)
+			dst = append(dst, word...)
 			if g.rng.Float64() < st.ExtraPunctRate {
-				b.WriteString(innerPunct[g.rng.Intn(len(innerPunct))])
+				dst = append(dst, innerPunct[g.rng.Intn(len(innerPunct))]...)
 			}
 		}
 		if g.rng.Float64() < st.ExclamationRate {
-			b.WriteString(exclaimEnders[g.rng.Intn(len(exclaimEnders))])
+			dst = append(dst, exclaimEnders[g.rng.Intn(len(exclaimEnders))]...)
 		} else {
-			b.WriteString(clauseEnders[g.rng.Intn(len(clauseEnders))])
+			dst = append(dst, clauseEnders[g.rng.Intn(len(clauseEnders))]...)
 		}
 	}
-	return b.String()
+	g.used = used
+	return dst
 }
 
 func (g *Generator) pickWord(st Style, pol clausePolarity, used []string) string {
@@ -371,5 +388,6 @@ func (g *Generator) Nickname() string {
 		lead = nickRunes[g.rng.Intn(len(nickRunes))]
 	}
 	tail := nickRunes[g.rng.Intn(len(nickRunes))]
-	return fmt.Sprintf("%c***%c", lead, tail)
+	var nick [3 + 2*utf8.UTFMax]byte
+	return string(utf8.AppendRune(append(utf8.AppendRune(nick[:0], lead), "***"...), tail))
 }

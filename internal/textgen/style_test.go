@@ -204,6 +204,22 @@ func TestPlatformNeutralPool(t *testing.T) {
 	}
 }
 
+// TestPlatformNeutralPoolCapsAtCharset: the charset's 24 runes make
+// only 24² two-character words, so asking for more returns every one.
+func TestPlatformNeutralPoolCapsAtCharset(t *testing.T) {
+	pool := PlatformNeutralPool(7, 1000)
+	if len(pool) != 576 {
+		t.Fatalf("pool size = %d, want 576", len(pool))
+	}
+	seen := map[string]bool{}
+	for _, w := range pool {
+		if seen[w] {
+			t.Fatalf("duplicate pool word %q", w)
+		}
+		seen[w] = true
+	}
+}
+
 func TestSetExtraNeutralInjectsWords(t *testing.T) {
 	g := newGen(37)
 	pool := PlatformNeutralPool(9, 50)

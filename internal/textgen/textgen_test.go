@@ -97,6 +97,30 @@ func TestCommentNonEmpty(t *testing.T) {
 	}
 }
 
+// TestAppendCommentMatchesComment: appending comments into one buffer
+// draws the same text as Comment from the same seed, leaves the bytes
+// already in dst alone, and draws each comment's repeats from its own
+// words only (the scratch word list is reset per comment).
+func TestAppendCommentMatchesComment(t *testing.T) {
+	a, b := newGen(4), newGen(4)
+	buf := []byte("prefix")
+	var want string
+	for i := 0; i < 200; i++ {
+		st := FraudStyle()
+		if i%3 == 0 {
+			st = NormalStyle()
+		}
+		buf = a.AppendComment(buf, st)
+		want += b.Comment(st)
+	}
+	if got := string(buf); got != "prefix"+want {
+		t.Fatalf("AppendComment wrote %d bytes, Comment %d: texts differ", len(got)-len("prefix"), len(want))
+	}
+	if len(a.used) > FraudStyle().ClausesMax*FraudStyle().WordsMax {
+		t.Fatalf("scratch holds %d words: not reset per comment", len(a.used))
+	}
+}
+
 func TestFraudCommentsLongerOnAverage(t *testing.T) {
 	g := newGen(2)
 	const n = 300
