@@ -28,16 +28,17 @@
 // batching dispatcher (DESIGN.md §11): concurrent requests coalesce
 // into fused scoring batches, identical in-flight items score once, a
 // request that finds nothing of its tenant scoring is dispatched at
-// once, and when a tenant's admission queue saturates its excess
-// requests are shed with 503 + Retry-After — that tenant's, nobody
-// else's. The -batch-* and -queue-depth flags tune it;
+// once, and when a tenant holds -queue-depth items, queued or scoring,
+// its excess requests are shed with 503 + Retry-After — that tenant's,
+// nobody else's. A detect whose new items alone exceed -queue-depth is
+// a 413. The -batch-* and -queue-depth flags tune it;
 // -tenant-max-concurrency caps concurrent scoring batches per tenant.
 //
 // Usage:
 //
 //	catsserve -model model.json [-addr :8080] [-pprof-addr 127.0.0.1:6060]
 //	          [-shutdown-timeout 15s] [-batch-max-size 256]
-//	          [-batch-max-wait 2ms] [-queue-depth 4096] [-retry-after 1s]
+//	          [-batch-max-wait 2ms] [-queue-depth 10000] [-retry-after 1s]
 //	catsserve -models snapshots/ -admin-token $TOKEN [-probes probes.json]
 //	          [-tenant-max-concurrency 4] [-default-tenant taobao]
 //	catsserve -model model.json -retrain-interval 10m [-retrain-window 2048]
@@ -149,8 +150,9 @@ func main() {
 		batchMaxWait = flag.Duration("batch-max-wait", 2*time.Millisecond,
 			"how long a request queued behind a running batch of its tenant waits before it is flushed anyway; "+
 				"a request that finds nothing of its tenant scoring is dispatched at once and never waits")
-		queueDepth = flag.Int("queue-depth", 4096,
-			"bound on queued items per tenant; requests beyond it are shed with 503")
+		queueDepth = flag.Int("queue-depth", 10000,
+			"bound on the items a tenant holds, queued or scoring; a request that does not fit beside them is shed with 503, "+
+				"one larger than the whole bound is a 413")
 		retryAfter = flag.Duration("retry-after", time.Second,
 			"Retry-After hint sent with shed (503) responses")
 		tenantMaxConcurrency = flag.Int("tenant-max-concurrency", 0,

@@ -10,36 +10,35 @@
 // and identical in-flight items are re-analyzed for every waiter. The
 // dispatcher fixes both:
 //
-//   - Submitted items enqueue onto a bounded queue. A Submit that finds
-//     none of this dispatcher's batches running flushes at once: there
-//     is nothing to coalesce with, so waiting would only leave the CPU
-//     idle. Otherwise the queue collects behind the running batch, and
-//     flushes when the last running batch finishes (what queued during
-//     one batch is the next), when MaxBatch items are waiting, or when
-//     MaxWait has elapsed since the queue went non-empty, whichever
-//     comes first. Each flush scores the whole queue through one fused
-//     Scorer call per MaxBatch chunk.
+//   - Every request, whatever its size, enqueues its items onto one
+//     queue. A Submit that finds none of this dispatcher's batches
+//     running flushes at once: there is nothing to coalesce with, so
+//     waiting would only leave the CPU idle. Otherwise the queue
+//     collects behind the running batch, and flushes when the last
+//     running batch finishes (what queued during one batch is the next),
+//     when MaxBatch items are waiting, or when MaxWait has elapsed since
+//     the queue went non-empty, whichever comes first. Each flush scores
+//     the whole queue through one fused Scorer call per MaxBatch chunk,
+//     so a request of MaxBatch items or more is dispatched at once too.
 //   - A singleflight map keyed by item ID deduplicates identical
 //     in-flight items: later submissions attach to the existing flight
 //     and share its verdict instead of re-running analysis.
-//   - Admission control sheds doomed work up front: a request whose new
-//     items do not fit the queue, or that would queue behind a running
+//   - Admission control bounds what a tenant holds: MaxQueue caps the
+//     items admitted and not yet answered, queued or scoring. A request
+//     whose new items do not fit, or that would queue behind a running
 //     batch with a context deadline closer than MaxWait, fails
 //     immediately with ErrQueueFull or ErrDeadline (the service maps
 //     both to 503 + Retry-After) rather than queuing work nobody will
-//     wait for.
+//     wait for. A request whose new items alone exceed MaxQueue could
+//     never be admitted, so it fails with ErrTooLarge, which no retry
+//     cures (the service answers 413).
 //
-// Requests already at or above MaxBatch bypass the queue entirely —
-// they are a full batch by construction, and coalescing could only
-// delay them.
-//
-// Every waiter gets exactly one outcome: its results, a shed error, or
-// its own context error. Batches never touch waiter-owned memory; they
+// Every waiter gets exactly one outcome: its results, a shed error,
+// ErrTooLarge, or its own context error. Batches never touch waiter-owned memory; they
 // write into the shared flight records and close the flight's done
 // channel, so a waiter that gives up early (context canceled) simply
 // stops listening while the flight completes for everyone else. A panic
-// in scoring, queued or bypassed, fails that batch's waiters, not the
-// process.
+// in scoring fails that batch's waiters, not the process.
 package dispatch
 
 import (
@@ -69,9 +68,10 @@ type Options struct {
 	// before the queue is flushed anyway. An item submitted while none of
 	// this dispatcher's batches is running never waits. <= 0 means 2ms.
 	MaxWait time.Duration
-	// MaxQueue bounds items enqueued and not yet dispatched. A request
-	// whose new (non-coalesced) items do not fit is shed with
-	// ErrQueueFull; <= 0 means 4096.
+	// MaxQueue bounds the items admitted and not yet answered, queued or
+	// scoring. A request whose new (non-coalesced) items do not fit is
+	// shed with ErrQueueFull, and one whose new items alone exceed it
+	// fails with ErrTooLarge; <= 0 means 10,000.
 	MaxQueue int
 	// RetryAfter is the back-pressure hint shed requests should relay
 	// to clients (the service turns it into a Retry-After header);
@@ -104,7 +104,7 @@ func (o Options) withDefaults() Options {
 		o.MaxWait = 2 * time.Millisecond
 	}
 	if o.MaxQueue <= 0 {
-		o.MaxQueue = 4096
+		o.MaxQueue = 10000
 	}
 	if o.RetryAfter <= 0 {
 		o.RetryAfter = time.Second
@@ -114,9 +114,12 @@ func (o Options) withDefaults() Options {
 
 // Shed and lifecycle errors.
 var (
-	// ErrQueueFull sheds a request whose new items exceed the queue's
-	// free depth.
+	// ErrQueueFull sheds a request whose new items exceed what is left
+	// of MaxQueue while the tenant holds other requests' items.
 	ErrQueueFull = errors.New("dispatch: queue full")
+	// ErrTooLarge rejects a request whose new items alone exceed
+	// MaxQueue: no retry can admit it, so it is not a shed.
+	ErrTooLarge = errors.New("dispatch: request larger than the queue")
 	// ErrDeadline sheds a request that would queue behind a running
 	// batch with a context deadline closer than MaxWait — it could
 	// expire before its batch even started.
@@ -166,6 +169,7 @@ type Dispatcher struct {
 	closed   bool
 	queue    []*flight          // awaiting dispatch, FIFO
 	inflight map[string]*flight // non-empty item ID → queued-or-scoring flight
+	held     int                // flights admitted and not yet retired, queued or scoring
 	running  int                // batches dispatched and not yet finished
 	timer    *time.Timer        // armed while the queue collects
 	wg       sync.WaitGroup     // outstanding batch goroutines
@@ -189,7 +193,8 @@ func New(s Scorer, opts Options) *Dispatcher {
 // Options returns the dispatcher's resolved options.
 func (d *Dispatcher) Options() Options { return d.opts }
 
-// QueueDepth reports items enqueued and not yet dispatched.
+// QueueDepth reports items enqueued and not yet dispatched: the part
+// of what the tenant holds that no batch has taken yet.
 func (d *Dispatcher) QueueDepth() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -204,10 +209,10 @@ func (d *Dispatcher) InFlight() int {
 }
 
 // Submit enqueues the request's items for batched scoring and blocks
-// until every one has a verdict, the request is shed, or ctx ends.
+// until every one has a verdict, the request is refused, or ctx ends.
 // Exactly one outcome is returned: the Result (detections in item
 // order), a shed error (ErrQueueFull, ErrDeadline, ErrClosed — see
-// IsShed), ctx's error, or a scoring error.
+// IsShed), ErrTooLarge, ctx's error, or a scoring error.
 //
 // Identical item IDs — within the request or across concurrent
 // requests — are scored once and fan the shared verdict out to every
@@ -218,30 +223,17 @@ func (d *Dispatcher) Submit(ctx context.Context, items []ecom.Item) (Result, err
 	if len(items) == 0 {
 		return Result{}, nil
 	}
-	// Oversize requests are already a full batch: score directly, no
-	// queue wait, no coalescing delay.
-	if len(items) >= d.opts.MaxBatch {
-		return d.bypass(ctx, items)
-	}
-
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
 		d.m.shedClosed.Inc()
 		return Result{}, ErrClosed
 	}
-	// Only a request that queues behind a running batch can wait
-	// MaxWait; one that dispatches at once is answered in scoring time.
-	now := time.Now()
-	if dl, ok := ctx.Deadline(); ok && d.running > 0 && dl.Sub(now) < d.opts.MaxWait {
-		d.mu.Unlock()
-		d.m.shedDeadline.Inc()
-		return Result{}, ErrDeadline
-	}
 	// Enqueue, then admit: each distinct new ID and each ID-less item
-	// takes one queue slot, while a repeat (of an in-flight ID or of one
-	// earlier in this request) rides along for free. A request whose new
-	// items do not fit takes back all it queued before anyone sees it.
+	// takes one slot of MaxQueue, while a repeat (of an in-flight ID or
+	// of one earlier in this request) rides along for free. A request
+	// that is not admitted takes back all it queued before anyone sees it.
+	now := time.Now()
 	flights := make([]*flight, len(items))
 	queued := len(d.queue)
 	for i := range items {
@@ -256,18 +248,19 @@ func (d *Dispatcher) Submit(ctx context.Context, items []ecom.Item) (Result, err
 		d.queue = append(d.queue, f)
 		flights[i] = f
 	}
-	if len(d.queue) > d.opts.MaxQueue {
+	added := len(d.queue) - queued
+	if err := d.admitLocked(ctx, now, added); err != nil {
 		for _, f := range d.queue[queued:] {
 			delete(d.inflight, f.item.ID)
 		}
 		clear(d.queue[queued:])
 		d.queue = d.queue[:queued]
 		d.mu.Unlock()
-		d.m.shedQueueFull.Inc()
-		return Result{}, ErrQueueFull
+		return Result{}, err
 	}
-	d.m.coalesced.Add(uint64(len(items) - (len(d.queue) - queued)))
-	d.m.queueDepth.Set(int64(len(d.queue)))
+	d.held += added
+	d.m.coalesced.Add(uint64(len(items) - added))
+	d.m.queueDepth.Set(int64(d.held))
 	switch {
 	case len(d.queue) >= d.opts.MaxBatch:
 		d.flushLocked(d.m.flushSize)
@@ -281,6 +274,27 @@ func (d *Dispatcher) Submit(ctx context.Context, items []ecom.Item) (Result, err
 	d.mu.Unlock()
 
 	return wait(ctx, items, flights)
+}
+
+// admitLocked decides whether a request that enqueued added new
+// flights is admitted, and counts a shed. Only a request left to wait
+// behind a running batch — neither the size flush nor the idle flush
+// fires for it — can wait MaxWait, so only that one is shed for its
+// deadline; one that dispatches at once is answered in scoring time.
+// Callers hold d.mu.
+func (d *Dispatcher) admitLocked(ctx context.Context, now time.Time, added int) error {
+	switch {
+	case added > d.opts.MaxQueue:
+		return ErrTooLarge
+	case d.held+added > d.opts.MaxQueue:
+		d.m.shedQueueFull.Inc()
+		return ErrQueueFull
+	}
+	if dl, ok := ctx.Deadline(); ok && d.running > 0 && len(d.queue) < d.opts.MaxBatch && dl.Sub(now) < d.opts.MaxWait {
+		d.m.shedDeadline.Inc()
+		return ErrDeadline
+	}
+	return nil
 }
 
 // inflightFor returns the queued-or-scoring flight an item ID may
@@ -315,37 +329,6 @@ func wait(ctx context.Context, items []ecom.Item, flights []*flight) (Result, er
 		res.Features[i] = f.vec
 	}
 	return res, nil
-}
-
-// bypass scores an already-batch-sized request directly on the caller's
-// goroutine and context.
-func (d *Dispatcher) bypass(ctx context.Context, items []ecom.Item) (Result, error) {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		d.m.shedClosed.Inc()
-		return Result{}, ErrClosed
-	}
-	d.mu.Unlock()
-	// Bypassed requests are scoring batches too: they wait on the same
-	// per-tenant quota, but on the caller's context, so an abandoned
-	// request stops waiting for a slot.
-	if d.sem != nil {
-		select {
-		case d.sem <- struct{}{}:
-			defer func() { <-d.sem }()
-		case <-ctx.Done():
-			return Result{}, ctx.Err()
-		}
-	}
-	d.m.bypass.Inc()
-	d.m.batches.Inc()
-	d.m.batchSize.Observe(float64(len(items)))
-	dets, X, err := d.score(ctx, items)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Detections: dets, Features: X}, nil
 }
 
 // armTimerLocked starts the MaxWait cap on a queue that went non-empty
@@ -389,7 +372,6 @@ func (d *Dispatcher) flushLocked(reason *obs.Counter) {
 		go d.runBatch(batch)
 	}
 	d.queue = nil
-	d.m.queueDepth.Set(0)
 }
 
 // runBatch scores one dispatched chunk and fans results out to the
@@ -414,16 +396,19 @@ func (d *Dispatcher) runBatch(batch []*flight) {
 	d.m.batchSize.Observe(float64(len(items)))
 	dets, X, err := d.score(context.Background(), items)
 
-	// Retire the IDs first so new submissions start fresh flights, then
-	// publish results; the close is the happens-before edge waiters read
-	// det/vec/err across. The last running batch to retire hands the
-	// scorer straight to whatever queued behind it.
+	// Retire the IDs and their MaxQueue slots first so new submissions
+	// start fresh flights, then publish results; the close is the
+	// happens-before edge waiters read det/vec/err across. The last
+	// running batch to retire hands the scorer straight to whatever
+	// queued behind it.
 	d.mu.Lock()
 	for _, f := range batch {
 		if f.item.ID != "" {
 			delete(d.inflight, f.item.ID)
 		}
 	}
+	d.held -= len(batch)
+	d.m.queueDepth.Set(int64(d.held))
 	if d.running--; d.running == 0 {
 		d.flushLocked(d.m.flushDrain)
 	}
@@ -439,10 +424,9 @@ func (d *Dispatcher) runBatch(batch []*flight) {
 	}
 }
 
-// score is the dispatcher's one scorer call, for a queued batch and a
-// bypass alike. A panic in scoring becomes the batch's error: its
-// waiters each get a failure naming the panic, and the dispatcher goes
-// on serving.
+// score is the dispatcher's one scorer call. A panic in scoring becomes
+// the batch's error: its waiters each get a failure naming the panic,
+// and the dispatcher goes on serving.
 func (d *Dispatcher) score(ctx context.Context, items []ecom.Item) (dets []core.Detection, X [][]float64, err error) {
 	defer func() {
 		if p := recover(); p != nil {

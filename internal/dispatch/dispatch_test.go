@@ -103,6 +103,15 @@ func (s *stubScorer) timesScored(id string) int {
 
 func item(id string) ecom.Item { return ecom.Item{ID: id, SalesVolume: 10} }
 
+// seq returns n distinct IDs: prefix-0, prefix-1, ….
+func seq(prefix string, n int) []string {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("%s-%d", prefix, i)
+	}
+	return ids
+}
+
 func items(ids ...string) []ecom.Item {
 	out := make([]ecom.Item, len(ids))
 	for i, id := range ids {
@@ -133,12 +142,21 @@ func checkResult(t *testing.T, res Result, ids ...string) {
 
 // holdScorer makes the dispatcher busy: it submits one item ("gate")
 // to the idle dispatcher, whose batch blocks inside the scorer, so every
-// later Submit finds a batch running and queues behind it. The returned
-// release opens the gate and waits for the gate's own Submit to return.
+// later Submit finds a batch running and queues behind it. The gate
+// holds one MaxQueue slot until it is released. The returned release
+// opens the gate and waits for the gate's own Submit to return.
+//
+// The gate is also opened by a t.Cleanup, so a test that fails with it
+// shut does not hang in Close: such tests close the dispatcher with
+// t.Cleanup(d.Close) registered before this call, never with defer,
+// as cleanups run last-registered first and after every defer.
 func holdScorer(t *testing.T, d *Dispatcher) (stub *stubScorer, release func()) {
 	t.Helper()
 	stub = d.scorer.(*stubScorer)
 	stub.started, stub.release = make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	open := func() { once.Do(func() { close(stub.release) }) }
+	t.Cleanup(open)
 	done := make(chan error, 1)
 	go func() {
 		_, err := d.Submit(context.Background(), items("gate"))
@@ -147,12 +165,11 @@ func holdScorer(t *testing.T, d *Dispatcher) (stub *stubScorer, release func()) 
 	select {
 	case <-stub.started:
 	case <-time.After(10 * time.Second):
-		close(stub.release) // let Close's flush of the gate through
 		t.Fatal("the gate was not dispatched within 10s: it waited for the MaxWait timer")
 	}
 	return stub, func() {
 		t.Helper()
-		close(stub.release)
+		open()
 		if err := <-done; err != nil {
 			t.Errorf("gate submit: %v", err)
 		}
@@ -202,10 +219,35 @@ func (c serveCounts) since(before serveCounts) serveCounts {
 		c.timer - before.timer, c.close - before.close, c.coalesced - before.coalesced}
 }
 
-// awaitQueued blocks until n items are queued and not yet dispatched.
-func awaitQueued(d *Dispatcher, n int) {
+// awaitQueued blocks until n items are queued and not yet dispatched,
+// failing the test if that takes over 10s.
+func awaitQueued(t *testing.T, d *Dispatcher, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
 	for d.QueueDepth() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth = %d after 10s, want %d", d.QueueDepth(), n)
+		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// rejected submits ids on a dispatcher that is expected to refuse them
+// at once, and returns the error. A Submit still waiting after 10s was
+// admitted instead: the test fails rather than hang on a held scorer.
+func rejected(t *testing.T, d *Dispatcher, ids ...string) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		_, err := d.Submit(context.Background(), items(ids...))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatalf("submit %v was admitted, want it refused", ids)
+		return nil
 	}
 }
 
@@ -287,8 +329,8 @@ func TestBackToBackSubmitsDoNotWait(t *testing.T) {
 func TestOtherDispatcherDoesNotDelay(t *testing.T) {
 	d := New(&stubScorer{}, Options{MaxBatch: 100, MaxWait: time.Hour, Tenant: t.Name()})
 	d2 := New(&stubScorer{}, Options{MaxBatch: 100, MaxWait: time.Hour, Tenant: t.Name() + "/other"})
-	defer d.Close()
-	defer d2.Close()
+	t.Cleanup(d.Close)
+	t.Cleanup(d2.Close)
 	_, release := holdScorer(t, d2)
 	defer release()
 	before := countsOf(d)
@@ -302,7 +344,7 @@ func TestBusyQueueFlushesOnCompletion(t *testing.T) {
 	// The scorer is busy and neither the size nor the time trigger is
 	// reachable: only the running batch finishing can flush the queue.
 	d := New(&stubScorer{}, Options{MaxBatch: 100, MaxWait: time.Hour, Tenant: t.Name()})
-	defer d.Close()
+	t.Cleanup(d.Close)
 	before := countsOf(d)
 	stub, release := holdScorer(t, d)
 
@@ -312,7 +354,7 @@ func TestBusyQueueFlushesOnCompletion(t *testing.T) {
 	for _, ids := range [][]string{{"a"}, {"b", "c"}, {"d"}} {
 		waits = append(waits, submitAsync(t, d, ids...))
 	}
-	awaitQueued(d, 4)
+	awaitQueued(t, d, 4)
 	for _, ids := range [][]string{{"a"}, {"c", "d"}, {"b"}} {
 		waits = append(waits, submitAsync(t, d, ids...))
 	}
@@ -345,27 +387,41 @@ func TestFlushOnMaxBatch(t *testing.T) {
 	// The scorer is busy and MaxWait is an hour: only the size trigger
 	// can flush, and it must not wait for the running batch.
 	d := New(&stubScorer{}, Options{MaxBatch: 4, MaxWait: time.Hour, MaxQueue: 100, Tenant: t.Name()})
-	defer d.Close()
+	t.Cleanup(d.Close)
 	before := countsOf(d)
 	stub, release := holdScorer(t, d)
 	defer release()
 
 	wait1 := submitAsync(t, d, "a", "b", "c")
-	awaitQueued(d, 3)
+	awaitQueued(t, d, 3)
 	wait2 := submitAsync(t, d, "d")
 	wait1()
 	wait2()
 	if got := stub.callCount(); got != 2 {
 		t.Errorf("scorer calls = %d, want 2: the held batch and 1 fused batch", got)
 	}
-	if got, want := countsOf(d).since(before), (serveCounts{idle: 1, size: 1}); got != want {
+
+	// A request of more than MaxBatch items is queued like any other and
+	// flushed at once, cut into MaxBatch chunks: 10 items score as 4, 4, 2.
+	submitWithin(t, d, seq("big", 10))
+	if got := stub.callCount(); got != 5 {
+		t.Fatalf("scorer calls = %d, want 5: 3 more for the 10-item request", got)
+	}
+	sizes := map[int]int{}
+	for i := 2; i < 5; i++ {
+		sizes[len(stub.batch(i))]++
+	}
+	if sizes[4] != 2 || sizes[2] != 1 {
+		t.Errorf("the 10-item request scored as batches %v, want 4, 4 and 2", [][]string{stub.batch(2), stub.batch(3), stub.batch(4)})
+	}
+	if got, want := countsOf(d).since(before), (serveCounts{idle: 1, size: 2}); got != want {
 		t.Errorf("counters moved %+v, want %+v", got, want)
 	}
 }
 
 func TestMaxWaitCapsQueueWhileBusy(t *testing.T) {
 	d := New(&stubScorer{}, Options{MaxBatch: 100, MaxWait: 10 * time.Millisecond, Tenant: t.Name()})
-	defer d.Close()
+	t.Cleanup(d.Close)
 	before := countsOf(d)
 	stub, release := holdScorer(t, d)
 	defer release()
@@ -395,18 +451,18 @@ func TestMaxWaitCapsQueueWhileBusy(t *testing.T) {
 // the last of them finishing drains the queue.
 func TestFlushUnderBatchQuota(t *testing.T) {
 	d := New(&stubScorer{}, Options{MaxBatch: 2, MaxWait: time.Hour, MaxConcurrentBatches: 1, Tenant: t.Name()})
-	defer d.Close()
+	t.Cleanup(d.Close)
 	before := countsOf(d)
 	stub, release := holdScorer(t, d)
 
 	waitA := submitAsync(t, d, "a")
-	awaitQueued(d, 1)
+	awaitQueued(t, d, 1)
 	waitB := submitAsync(t, d, "b") // completes the batch: size flush
 	for countsOf(d).since(before).size < 1 {
 		time.Sleep(time.Millisecond)
 	}
 	waitC := submitAsync(t, d, "c")
-	awaitQueued(d, 1)
+	awaitQueued(t, d, 1)
 	if got := stub.callCount(); got != 1 {
 		t.Fatalf("scorer calls = %d while the quota is held, want 1", got)
 	}
@@ -506,7 +562,7 @@ func TestCoalesceIdenticalInFlight(t *testing.T) {
 
 func TestDuplicateIDsWithinRequest(t *testing.T) {
 	stub := &stubScorer{}
-	d := New(stub, Options{MaxBatch: 100, MaxWait: time.Millisecond})
+	d := New(stub, Options{MaxBatch: 4, MaxWait: time.Millisecond})
 	defer d.Close()
 	res, err := d.Submit(context.Background(), items("x", "y", "x"))
 	if err != nil {
@@ -516,25 +572,38 @@ func TestDuplicateIDsWithinRequest(t *testing.T) {
 	if got := stub.timesScored("x"); got != 1 {
 		t.Errorf("duplicate-in-request item scored %d times, want 1", got)
 	}
+	// A request of more than MaxBatch copies of one ID is one new item.
+	ten := make([]string, 10)
+	for i := range ten {
+		ten[i] = "z"
+	}
+	if res, err = d.Submit(context.Background(), items(ten...)); err != nil {
+		t.Fatal(err)
+	}
+	checkResult(t, res, ten...)
+	if got := stub.timesScored("z"); got != 1 {
+		t.Errorf("ten copies of one ID analysed %d times, want 1", got)
+	}
 }
 
 func TestShedQueueFull(t *testing.T) {
 	// The scorer is busy and neither the size nor the time trigger is
-	// reachable, so the queue stays exactly as filled.
-	d := New(&stubScorer{}, Options{MaxBatch: 100, MaxWait: time.Hour, MaxQueue: 2, Tenant: t.Name()})
-	defer d.Close()
+	// reachable, so the queue stays exactly as filled. The gate holds
+	// one of the three slots, a and b the other two.
+	d := New(&stubScorer{}, Options{MaxBatch: 100, MaxWait: time.Hour, MaxQueue: 3, Tenant: t.Name()})
+	t.Cleanup(d.Close)
 	before := countsOf(d)
 	_, release := holdScorer(t, d)
 	waitQueued := submitAsync(t, d, "a", "b")
-	awaitQueued(d, 2)
+	awaitQueued(t, d, 2)
 
 	// A new item does not fit.
-	if _, err := d.Submit(context.Background(), items("c")); !errors.Is(err, ErrQueueFull) {
+	if err := rejected(t, d, "c"); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 	// Mixed requests shed atomically: nothing is enqueued, even though
 	// "a" would have coalesced.
-	if _, err := d.Submit(context.Background(), items("a", "c")); !errors.Is(err, ErrQueueFull) {
+	if err := rejected(t, d, "a", "c"); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("mixed err = %v, want ErrQueueFull", err)
 	}
 	if depth := d.QueueDepth(); depth != 2 {
@@ -562,13 +631,13 @@ func TestShedQueueFull(t *testing.T) {
 // TestShedChargesEachNewIDOnce: a request's copies of one new ID
 // coalesce onto one flight, so they take one queue slot between them,
 // and ID-less items one each. A busy dispatcher with room for one item
-// admits ["a","a"] and still sheds two ID-less items, enqueueing
-// nothing for them.
+// (the gate holds the other) admits ["a","a"] and still sheds two
+// ID-less items, enqueueing nothing for them.
 func TestShedChargesEachNewIDOnce(t *testing.T) {
-	d := New(&stubScorer{}, Options{MaxBatch: 100, MaxWait: time.Hour, MaxQueue: 1, Tenant: t.Name()})
-	defer d.Close()
+	d := New(&stubScorer{}, Options{MaxBatch: 100, MaxWait: time.Hour, MaxQueue: 2, Tenant: t.Name()})
+	t.Cleanup(d.Close)
 	_, release := holdScorer(t, d)
-	if _, err := d.Submit(context.Background(), items("", "")); !errors.Is(err, ErrQueueFull) {
+	if err := rejected(t, d, "", ""); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("two ID-less items: err = %v, want ErrQueueFull", err)
 	}
 	if depth := d.QueueDepth(); depth != 0 {
@@ -582,7 +651,6 @@ func TestShedChargesEachNewIDOnce(t *testing.T) {
 	for d.QueueDepth() == 0 {
 		select {
 		case err := <-done:
-			release()
 			t.Fatalf(`["a","a"] with one free slot: err = %v, want it queued`, err)
 		case <-time.After(time.Millisecond):
 		}
@@ -593,11 +661,57 @@ func TestShedChargesEachNewIDOnce(t *testing.T) {
 	}
 }
 
+// TestMaxQueueBoundsHeldItems: MaxQueue counts every item the tenant
+// holds, queued or scoring. With one batch allowed to score at a time
+// and the gate held, a size-flushed batch parked on the quota still
+// holds its slots, so MaxQueue−1 new items fill the budget beside the
+// gate, the next new item is shed, and a repeat of an admitted ID rides
+// free. Once everything is answered the budget is whole again; a request
+// larger than all of it is ErrTooLarge, which is no shed.
+func TestMaxQueueBoundsHeldItems(t *testing.T) {
+	const maxQueue = 4
+	d := New(&stubScorer{}, Options{MaxBatch: 2, MaxWait: time.Hour, MaxQueue: maxQueue, MaxConcurrentBatches: 1, Tenant: t.Name()})
+	t.Cleanup(d.Close)
+	before := countsOf(d)
+	_, release := holdScorer(t, d)
+	waitAB := submitAsync(t, d, "a", "b") // a full batch: size-flushed, parked on the quota
+	for countsOf(d).since(before).size < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	waitC := submitAsync(t, d, "c")
+	awaitQueued(t, d, 1)
+	if got := d.m.queueDepth.Value(); got != maxQueue {
+		t.Fatalf("cats_serve_queue_depth = %d, want %d: the gate, a, b and c", got, maxQueue)
+	}
+	if err := rejected(t, d, "d"); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("a new item beside %d held: err = %v, want ErrQueueFull", maxQueue, err)
+	}
+	waitDup := submitAsync(t, d, "a")
+	for countsOf(d).since(before).coalesced == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if got := d.m.queueDepth.Value(); got != maxQueue {
+		t.Errorf("cats_serve_queue_depth = %d after the coalesced admit, want %d", got, maxQueue)
+	}
+	release()
+	waitAB()
+	waitC()
+	waitDup()
+
+	submitWithin(t, d, seq("fits", maxQueue))
+	if err := rejected(t, d, seq("never", maxQueue+1)...); !errors.Is(err, ErrTooLarge) || IsShed(err) {
+		t.Fatalf("%d new items against MaxQueue %d: err = %v (shed %v), want ErrTooLarge, not a shed", maxQueue+1, maxQueue, err, IsShed(err))
+	}
+	if got := d.m.queueDepth.Value(); got != 0 {
+		t.Errorf("cats_serve_queue_depth = %d with nothing held, want 0", got)
+	}
+}
+
 // TestShedHopelessDeadline: a request that would queue behind a running
 // batch with a deadline shorter than MaxWait is shed at once, unscored.
 func TestShedHopelessDeadline(t *testing.T) {
 	d := New(&stubScorer{}, Options{MaxBatch: 100, MaxWait: 250 * time.Millisecond, Tenant: t.Name()})
-	defer d.Close()
+	t.Cleanup(d.Close)
 	stub, release := holdScorer(t, d)
 	defer release()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -644,6 +758,38 @@ func TestShortDeadlineServedWhenIdle(t *testing.T) {
 	}
 }
 
+// TestShortDeadlineServedBySizeFlush: a request that brings the queue
+// to MaxBatch is dispatched at once by the size flush, so on a busy
+// tenant too a deadline shorter than MaxWait is no reason to shed it —
+// whether it completes a batch others started or is MaxBatch items or
+// more by itself. The deadline is far under MaxWait (an hour) and far
+// over what scoring takes.
+func TestShortDeadlineServedBySizeFlush(t *testing.T) {
+	d := New(&stubScorer{}, Options{MaxBatch: 4, MaxWait: time.Hour, Tenant: t.Name()})
+	t.Cleanup(d.Close)
+	before, shedBefore := countsOf(d), d.m.shedDeadline.Value()
+	_, release := holdScorer(t, d)
+	defer release()
+	waitAB := submitAsync(t, d, "a", "b")
+	awaitQueued(t, d, 2)
+	for _, ids := range [][]string{{"c", "d"}, seq("big", 6)} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		res, err := d.Submit(ctx, items(ids...))
+		cancel()
+		if err != nil {
+			t.Fatalf("%d items with a deadline under MaxWait on a busy tenant: err = %v, want the size flush to serve them", len(ids), err)
+		}
+		checkResult(t, res, ids...)
+	}
+	waitAB()
+	if got, want := countsOf(d).since(before), (serveCounts{idle: 1, size: 2}); got != want {
+		t.Errorf("counters moved %+v, want %+v", got, want)
+	}
+	if n := d.m.shedDeadline.Value() - shedBefore; n != 0 {
+		t.Errorf("deadline sheds = %d, want 0", n)
+	}
+}
+
 func TestGenerousDeadlineAdmitted(t *testing.T) {
 	stub := &stubScorer{}
 	d := New(stub, Options{MaxBatch: 100, MaxWait: 5 * time.Millisecond})
@@ -655,25 +801,6 @@ func TestGenerousDeadlineAdmitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkResult(t, res, "a")
-}
-
-func TestBypassLargeRequest(t *testing.T) {
-	stub := &stubScorer{}
-	d := New(stub, Options{MaxBatch: 4, MaxWait: time.Hour})
-	defer d.Close()
-	// At MaxBatch the request is its own batch: scored synchronously,
-	// no queue involvement, despite the unreachable wait timer.
-	res, err := d.Submit(context.Background(), items("a", "b", "c", "d"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkResult(t, res, "a", "b", "c", "d")
-	if got := stub.callCount(); got != 1 {
-		t.Errorf("scorer calls = %d, want 1", got)
-	}
-	if depth := d.QueueDepth(); depth != 0 {
-		t.Errorf("queue depth = %d after bypass, want 0", depth)
-	}
 }
 
 func TestBatchErrorFansOut(t *testing.T) {
@@ -704,10 +831,11 @@ func TestBatchErrorFansOut(t *testing.T) {
 // TestScorerPanicFailsOnlyItsBatch: a panic inside the scorer reaches
 // each waiter of that batch as an error naming it. The batch's IDs
 // retire, the work queued behind it is dispatched when it ends, the next
-// Submit is served, and the process lives on.
+// Submit is served, and the process lives on. A request of more than
+// MaxBatch items, one of whose chunks panics, fails the same way.
 func TestScorerPanicFailsOnlyItsBatch(t *testing.T) {
 	stub := &stubScorer{panics: 1, started: make(chan struct{}), release: make(chan struct{})}
-	d := New(stub, Options{MaxBatch: 100, MaxWait: time.Hour})
+	d := New(stub, Options{MaxBatch: 4, MaxWait: time.Hour})
 	defer d.Close()
 	errs := make(chan error, 2)
 	submit := func() {
@@ -722,7 +850,7 @@ func TestScorerPanicFailsOnlyItsBatch(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	waitBehind := submitAsync(t, d, "q")
-	awaitQueued(d, 1)
+	awaitQueued(t, d, 1)
 
 	close(stub.release)
 	for i := 0; i < 2; i++ {
@@ -739,33 +867,15 @@ func TestScorerPanicFailsOnlyItsBatch(t *testing.T) {
 		t.Fatalf("submit after the panic: %v", err)
 	}
 	checkResult(t, res, "p")
-}
 
-// TestBypassScorerPanicIsAnError: a request of MaxBatch items or more
-// is scored on the caller's goroutine, and a panic there is that
-// request's error naming it, as in a queued batch — not a panic out of
-// Submit. The next Submit is served.
-func TestBypassScorerPanicIsAnError(t *testing.T) {
-	stub := &stubScorer{panics: 1}
-	d := New(stub, Options{MaxBatch: 4, MaxWait: time.Hour})
-	defer d.Close()
-	var err error
-	func() {
-		defer func() {
-			if p := recover(); p != nil {
-				t.Fatalf("Submit panicked on the caller: %v", p)
-			}
-		}()
-		_, err = d.Submit(context.Background(), items("a", "b", "c", "d"))
-	}()
-	if err == nil || !strings.Contains(err.Error(), "scorer blew up") {
-		t.Errorf("bypassed request on a panicking scorer: err = %v, want the panic named", err)
+	stub.mu.Lock()
+	stub.panics = stub.calls + 1 // the next scorer call panics
+	stub.mu.Unlock()
+	big := seq("big", 10)
+	if _, err := d.Submit(context.Background(), items(big...)); err == nil || !strings.Contains(err.Error(), "scorer blew up") {
+		t.Errorf("10-item request with a panicking chunk: err = %v, want the panic named", err)
 	}
-	res, err := d.Submit(context.Background(), items("a", "b", "c", "d"))
-	if err != nil {
-		t.Fatalf("submit after the panic: %v", err)
-	}
-	checkResult(t, res, "a", "b", "c", "d")
+	submitWithin(t, d, big)
 }
 
 func TestWaiterCancellationReleasesOnlyTheWaiter(t *testing.T) {

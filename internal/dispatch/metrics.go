@@ -15,27 +15,25 @@ import "repro/internal/obs"
 // coalesce hits (how much work the singleflight map is saving).
 var (
 	vQueueDepth = obs.Default.GaugeVec("cats_serve_queue_depth",
-		"Items currently enqueued and awaiting batch dispatch.", "tenant")
+		"Items the tenant holds: admitted and not yet answered, queued or "+
+			"scoring; MaxQueue (catsserve -queue-depth) bounds it.", "tenant")
 
 	vBatches = obs.Default.CounterVec("cats_serve_batches_total",
 		"Fused scoring batches dispatched by the serving batcher.", "tenant")
 	vBatchSize = obs.Default.HistogramVec("cats_serve_batch_size",
-		"Items per dispatched serving batch (bypassed oversize requests included).",
+		"Items per dispatched serving batch.",
 		obs.SizeBuckets, "tenant")
 
 	vShed = obs.Default.CounterVec("cats_serve_shed_total",
 		"Requests shed by admission control instead of being queued, by "+
-			"reason: queue_full (no queue headroom for the request's new "+
-			"items), deadline (the request would queue behind a running batch "+
+			"reason: queue_full (the request's new items do not fit beside "+
+			"the items the tenant already holds), deadline (the request would queue behind a running batch "+
 			"with a context deadline closer than max wait), closed (dispatcher "+
 			"shutting down).", "reason", "tenant")
 
 	vCoalesced = obs.Default.CounterVec("cats_serve_coalesced_total",
 		"Submitted items that attached to an identical in-flight item via "+
 			"the singleflight map instead of being analyzed again.", "tenant")
-	vBypass = obs.Default.CounterVec("cats_serve_bypass_total",
-		"Requests at or above the max batch size dispatched directly, "+
-			"skipping the queue (they are already a full batch).", "tenant")
 
 	vFlushes = obs.Default.CounterVec("cats_serve_flushes_total",
 		"Queue flushes by the rule that fired: size (max batch size "+
@@ -59,7 +57,6 @@ type serveMetrics struct {
 	shedDeadline  *obs.Counter
 	shedClosed    *obs.Counter
 	coalesced     *obs.Counter
-	bypass        *obs.Counter
 	flushSize     *obs.Counter
 	flushIdle     *obs.Counter
 	flushDrain    *obs.Counter
@@ -85,7 +82,6 @@ func resolveServeMetrics(tenant string) *serveMetrics {
 		shedDeadline:  vShed.With("deadline", tenant),
 		shedClosed:    vShed.With("closed", tenant),
 		coalesced:     vCoalesced.With(tenant),
-		bypass:        vBypass.With(tenant),
 		flushSize:     vFlushes.With("size", tenant),
 		flushIdle:     vFlushes.With("idle", tenant),
 		flushDrain:    vFlushes.With("drain", tenant),

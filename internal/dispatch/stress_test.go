@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,13 +14,15 @@ import (
 // TestStressExactlyOneOutcome hammers the dispatcher with concurrent
 // clients under mixed deadlines and a deliberately small queue, and
 // asserts the dispatcher's exactly-once contract: every Submit returns
-// exactly one classified outcome (result, shed, or context error),
-// every successful result is correct and ordered, and the dispatcher
-// drains clean. Run under -race (CI's race job does) this also proves
+// exactly one classified outcome (result, shed, context error, or the
+// error of the one batch whose scorer panics), every successful result
+// is correct and ordered, and the dispatcher drains clean: once every
+// flight has retired, whether its waiters stayed, left or saw a panic,
+// the whole MaxQueue budget is free again. Run under -race (CI's race job does) this also proves
 // no batch ever touches a released waiter's memory: batches write only
 // flight records, never request state.
 func TestStressExactlyOneOutcome(t *testing.T) {
-	stub := &stubScorer{delay: 200 * time.Microsecond}
+	stub := &stubScorer{delay: 200 * time.Microsecond, panics: 1}
 	d := New(stub, Options{
 		MaxBatch: 16,
 		MaxWait:  500 * time.Microsecond,
@@ -31,7 +34,7 @@ func TestStressExactlyOneOutcome(t *testing.T) {
 		iterations = 30
 		hotIDs     = 48
 	)
-	var ok, shedFull, shedDeadline, ctxExpired, unexpected atomic.Int64
+	var ok, shedFull, shedDeadline, ctxExpired, panicked, unexpected atomic.Int64
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -75,6 +78,8 @@ func TestStressExactlyOneOutcome(t *testing.T) {
 					shedDeadline.Add(1)
 				case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 					ctxExpired.Add(1)
+				case strings.Contains(err.Error(), "scorer blew up"):
+					panicked.Add(1)
 				default:
 					unexpected.Add(1)
 					t.Errorf("client %d iter %d: unexpected outcome %v", c, i, err)
@@ -84,7 +89,7 @@ func TestStressExactlyOneOutcome(t *testing.T) {
 	}
 	wg.Wait()
 
-	total := ok.Load() + shedFull.Load() + shedDeadline.Load() + ctxExpired.Load() + unexpected.Load()
+	total := ok.Load() + shedFull.Load() + shedDeadline.Load() + ctxExpired.Load() + panicked.Load() + unexpected.Load()
 	if want := int64(clients * iterations); total != want {
 		t.Fatalf("outcomes = %d, want exactly %d (one per request)", total, want)
 	}
@@ -94,10 +99,20 @@ func TestStressExactlyOneOutcome(t *testing.T) {
 	if ok.Load() == 0 {
 		t.Fatal("no request succeeded under stress; workload is degenerate")
 	}
-	t.Logf("outcomes: %d ok, %d queue-full, %d deadline-shed, %d ctx-expired",
-		ok.Load(), shedFull.Load(), shedDeadline.Load(), ctxExpired.Load())
+	t.Logf("outcomes: %d ok, %d queue-full, %d deadline-shed, %d ctx-expired, %d panicked",
+		ok.Load(), shedFull.Load(), shedDeadline.Load(), ctxExpired.Load(), panicked.Load())
 
-	// Every flight must retire even though some waiters left early.
+	// Every flight must retire even though some waiters left early, and
+	// every retired flight gives its MaxQueue slot back.
+	for deadline := time.Now().Add(10 * time.Second); d.InFlight() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("inflight = %d 10s after the clients finished, want 0", d.InFlight())
+		}
+	}
+	drained := seq("drained", d.Options().MaxQueue)
+	if _, err := d.Submit(context.Background(), items(drained...)); err != nil {
+		t.Errorf("%d new items on the drained dispatcher: %v, want them admitted", len(drained), err)
+	}
 	d.Close()
 	if n := d.InFlight(); n != 0 {
 		t.Errorf("inflight = %d after Close, want 0", n)

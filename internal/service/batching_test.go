@@ -43,9 +43,8 @@ func checkServedMatchReference(t *testing.T, srv *Server, items []ecom.Item, got
 
 // TestServedMatchesDetector pins the dispatcher's transparency: a
 // request served over HTTP gets the verdicts the model's own
-// DetectWithFeatures gives the same items in-process. The request is
-// smaller than MaxBatch, so it goes through the queue and the
-// singleflight map rather than the bypass, and it ends with two items
+// DetectWithFeatures gives the same items in-process. The request goes
+// through the queue and the singleflight map, and it ends with two items
 // that carry no ID: they are different items and must get different
 // verdicts, not share the first one's flight.
 func TestServedMatchesDetector(t *testing.T) {
@@ -74,15 +73,16 @@ func TestServedMatchesDetector(t *testing.T) {
 		t.Errorf("the two ID-less items share one verdict: %+v", out.Detections[n-2:])
 	}
 	if after := scrapeMetric(t, ts.URL, "cats_serve_batches_total"); after <= batchesBefore {
-		t.Errorf("cats_serve_batches_total did not move (%g → %g); request bypassed the dispatcher", batchesBefore, after)
+		t.Errorf("cats_serve_batches_total did not move (%g → %g); request skipped the dispatcher", batchesBefore, after)
 	}
 }
 
-// TestOversizeRequestBypassesAdmission: a request of MaxBatch items or
-// more is a batch by itself and skips the admission queue, so a detect
-// larger than MaxQueue is answered, not shed. MaxItems (10,000 by
-// default) above the default MaxQueue (4,096) relies on this.
-func TestOversizeRequestBypassesAdmission(t *testing.T) {
+// TestRequestLargerThanQueueIs413: a detect whose new items alone
+// exceed the tenant's MaxQueue can never be admitted, however idle the
+// tenant, so it is a 413 without Retry-After, not a 503 inviting a
+// retry. At default flags MaxQueue equals MaxItems, so every detect
+// the service accepts fits an idle tenant.
+func TestRequestLargerThanQueueIs413(t *testing.T) {
 	srv, ts, test := newTestService(t, Options{}, dispatch.Options{MaxBatch: 8, MaxQueue: 4})
 	defer srv.Close()
 
@@ -91,15 +91,15 @@ func TestOversizeRequestBypassesAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const bypass = `cats_serve_bypass_total{tenant="default"}`
-	before := scrapeMetric(t, ts.URL, bypass)
-	resp, out := postDetect(t, ts.URL, body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("a %d-item detect against MaxQueue 4 answered %d, want 200", len(items), resp.StatusCode)
+	resp, _ := postDetect(t, ts.URL, body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("a %d-item detect against MaxQueue 4 answered %d, want 413", len(items), resp.StatusCode)
 	}
-	checkServedMatchReference(t, srv, items, out)
-	if after := scrapeMetric(t, ts.URL, bypass); after <= before {
-		t.Errorf("%s did not move (%g → %g); the request was not bypassed", bypass, before, after)
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		t.Errorf("413 carries Retry-After %q; no retry can admit it", ra)
+	}
+	if got, want := (Options{}).withDefaults().MaxItems, dispatch.New(nil, dispatch.Options{}).Options().MaxQueue; got != want {
+		t.Errorf("default MaxItems %d != default MaxQueue %d", got, want)
 	}
 }
 
@@ -107,11 +107,12 @@ func TestOversizeRequestBypassesAdmission(t *testing.T) {
 // against a one-slot admission queue: a burst of concurrent distinct-item
 // requests is answered 200 or 503 and nothing else, every 503 carries a
 // Retry-After hint matching the configured delay, and every 200 carries
-// a full, correct verdict set. At least one of each occurs whatever the
-// scheduling: the first request to reach the idle dispatcher is always
-// admitted, and client 0 sends two items, which can never fit the queue.
-// (What a busy scorer does to the queue is dispatch.TestShedQueueFull's,
-// where the scorer can be held.)
+// a full, correct verdict set. The first request to reach the idle
+// dispatcher is always admitted. Client 0 sends two items, which can
+// never fit the queue: that is a 413 without Retry-After, not a shed.
+// Whether any one-item request is shed depends on scheduling; that a
+// busy tenant sheds past its budget is dispatch.TestShedQueueFull's and
+// dispatch.TestMaxQueueBoundsHeldItems', where the scorer can be held.
 func TestSaturationShedsWith503(t *testing.T) {
 	srv, ts, test := newTestService(t, Options{}, dispatch.Options{
 		MaxBatch:   64,
@@ -171,6 +172,9 @@ func TestSaturationShedsWith503(t *testing.T) {
 
 	var ok, shed int
 	for c, o := range outcomes {
+		if c == 0 {
+			continue // the never-fits request, checked below
+		}
 		switch o.status {
 		case http.StatusOK:
 			ok++
@@ -186,8 +190,8 @@ func TestSaturationShedsWith503(t *testing.T) {
 			t.Errorf("client %d: status %d, want 200 or 503", c, o.status)
 		}
 	}
-	if outcomes[0].status != http.StatusServiceUnavailable {
-		t.Errorf("the two-item request got %d, want 503: it cannot fit a one-slot queue", outcomes[0].status)
+	if o := outcomes[0]; o.status != http.StatusRequestEntityTooLarge || o.retryAfter != "" {
+		t.Errorf("the two-item request got %d with Retry-After %q, want 413 and none: it can never fit a one-slot queue", o.status, o.retryAfter)
 	}
 	if ok == 0 {
 		t.Error("no request was admitted; queue never drained")

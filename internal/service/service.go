@@ -356,8 +356,9 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 
 // detect scores a request's items through the handle's dispatcher: the
 // one scoring call of detect and explain. On failure it answers the
-// request itself — 503 with Retry-After for a shed, nothing to a client
-// that went away, else 500 — and reports false.
+// request itself — 503 with Retry-After for a shed, 413 for a request
+// larger than the tenant's whole queue, nothing to a client that went
+// away, else 500 — and reports false.
 func (s *Server) detect(w http.ResponseWriter, r *http.Request, h *registry.Handle, items []ecom.Item) ([]core.Detection, [][]float64, bool) {
 	res, err := h.Dispatcher().Submit(r.Context(), items)
 	switch {
@@ -365,6 +366,9 @@ func (s *Server) detect(w http.ResponseWriter, r *http.Request, h *registry.Hand
 		return res.Detections, res.Features, true
 	case dispatch.IsShed(err):
 		s.writeShed(w, h)
+	case errors.Is(err, dispatch.ErrTooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("the request's new items exceed the tenant's %d-item queue", h.Dispatcher().Options().MaxQueue))
 	case r.Context().Err() == nil: // else nobody is listening
 		writeError(w, http.StatusInternalServerError, err.Error())
 	}

@@ -6,8 +6,10 @@
 # tenant via the authenticated /admin/reload mid-traffic (asserting
 # zero non-2xx responses across the swap and that
 # cats_registry_reloads_total moved), sends one detect of
-# -batch-max-size items (answered 200 through the dispatcher's bypass:
-# cats_serve_bypass_total moves), picks up a third tenant via
+# -batch-max-size copies of one item (answered 200 through the queue
+# like any request: the copies coalesce onto one flight, so
+# cats_serve_coalesced_total moves by 63 and cats_serve_batches_total
+# moves), picks up a third tenant via
 # SIGHUP re-scan (booted from a columnar .catc snapshot to exercise the
 # registry's format sniffing), closes the drift loop (labeled feedback
 # on /v1/feedback — the canonical batch into a window whose byte gauge
@@ -161,30 +163,37 @@ fi
 curl -fsS -X POST -H 'Content-Type: application/json' \
   -d "{\"items\":[${ITEM_JSON}]}" "${BASE}/t/eplatform/v1/detect" >/dev/null
 
-echo "== serve-smoke: a detect of -batch-max-size items is a batch by itself"
-# 64 items, the -batch-max-size above: the dispatcher scores the request
-# as its own batch, past the admission queue. The body goes through a
-# file, as it is too large for a command-line argument.
+echo "== serve-smoke: a detect of -batch-max-size copies of one item coalesces in the queue"
+# 64 items, the -batch-max-size above, all the same item: the request
+# is queued like any other, its 63 repeats ride on the first copy's
+# flight, and a batch scores it. The body goes through a file, as it is
+# too large for a command-line argument.
 ITEM_JSON="${ITEM_JSON}" awk 'BEGIN {
   item = ENVIRON["ITEM_JSON"]
   printf "{\"items\":["
   for (i = 0; i < 64; i++) printf "%s%s", (i ? "," : ""), item
   printf "]}"
 }' > "${WORK}/oversize.json"
-BYPASS_BEFORE="$(counter_value 'cats_serve_bypass_total{tenant="taobao"}')"
+COALESCED_BEFORE="$(counter_value 'cats_serve_coalesced_total{tenant="taobao"}')"
+BATCHES_BEFORE="$(counter_value 'cats_serve_batches_total{tenant="taobao"}')"
 curl -fsS -o "${WORK}/oversize.out" -X POST -H 'Content-Type: application/json' \
   -d @"${WORK}/oversize.json" "${BASE}/t/taobao/v1/detect"
 OVERSIZE_N="$(grep -o '"item_id"' "${WORK}/oversize.out" | wc -l)"
-BYPASS_AFTER="$(counter_value 'cats_serve_bypass_total{tenant="taobao"}')"
+COALESCED_AFTER="$(counter_value 'cats_serve_coalesced_total{tenant="taobao"}')"
+BATCHES_AFTER="$(counter_value 'cats_serve_batches_total{tenant="taobao"}')"
 if [[ "${OVERSIZE_N}" -ne 64 ]]; then
   echo "serve-smoke: FAIL: a 64-item detect answered ${OVERSIZE_N} detections" >&2
   exit 1
 fi
-if ! awk -v a="${BYPASS_AFTER}" -v b="${BYPASS_BEFORE}" 'BEGIN { exit !(a > b) }'; then
-  echo "serve-smoke: FAIL: cats_serve_bypass_total{taobao} did not move (${BYPASS_BEFORE} -> ${BYPASS_AFTER})" >&2
+if ! awk -v a="${COALESCED_AFTER}" -v b="${COALESCED_BEFORE}" 'BEGIN { exit !(a - b >= 63) }'; then
+  echo "serve-smoke: FAIL: cats_serve_coalesced_total{taobao} moved by less than 63 (${COALESCED_BEFORE} -> ${COALESCED_AFTER})" >&2
   exit 1
 fi
-echo "== serve-smoke: 64-item detect answered 64 verdicts (bypasses ${BYPASS_BEFORE} -> ${BYPASS_AFTER})"
+if ! awk -v a="${BATCHES_AFTER}" -v b="${BATCHES_BEFORE}" 'BEGIN { exit !(a > b) }'; then
+  echo "serve-smoke: FAIL: cats_serve_batches_total{taobao} did not move (${BATCHES_BEFORE} -> ${BATCHES_AFTER})" >&2
+  exit 1
+fi
+echo "== serve-smoke: 64-item detect answered 64 verdicts (coalesced ${COALESCED_BEFORE} -> ${COALESCED_AFTER}, batches ${BATCHES_BEFORE} -> ${BATCHES_AFTER})"
 
 echo "== serve-smoke: SIGHUP re-scan picks up a new tenant (columnar snapshot)"
 cp "${WORK}/mobile.catc" "${WORK}/models/mobile.catc"
