@@ -85,6 +85,8 @@ bench-quick:
 # segmenter against the map-based reference, the word-ID analysis
 # kernel against the string/map oracle, word2vec training against its
 # sequential reference step (every trained vector bit for bit), the
+# boosted trees' presorted fit against the per-node stable-sort search
+# (snapshot bytes equal on tie-heavy data), the
 # table-driven IsPunct against the unicode-package definition, the
 # service's request
 # decoder against arbitrary bodies (never a 5xx), its detect/explain
@@ -114,6 +116,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzIsPunct -fuzztime=10s ./internal/tokenize
 	$(GO) test -run='^$$' -fuzz=FuzzAnalyzeDifferential -fuzztime=10s ./internal/features
 	$(GO) test -run='^$$' -fuzz=FuzzTrainDifferential -fuzztime=10s ./internal/word2vec
+	$(GO) test -run='^$$' -fuzz=FuzzFitDifferential -fuzztime=10s ./internal/ml/gbt
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDetectDifferential -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz='FuzzDecodeFeedback$$' -fuzztime=10s ./internal/service

@@ -219,17 +219,6 @@ func benchMLDataset(n int) *ml.Dataset {
 	return ds
 }
 
-func BenchmarkGBTTrain(b *testing.B) {
-	ds := benchMLDataset(2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clf := gbt.New(gbt.Config{Rounds: 50, MaxDepth: 4, Seed: 1})
-		if err := clf.Fit(ds); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkGBTPredict(b *testing.B) {
 	ds := benchMLDataset(2000)
 	clf := gbt.New(gbt.Config{Rounds: 100, MaxDepth: 4, Seed: 1})
@@ -385,15 +374,4 @@ func BenchmarkDetectStreamColumnar(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(comments)*float64(b.N)/b.Elapsed().Seconds(), "comments/s")
-}
-
-func BenchmarkGBTTrainParallel(b *testing.B) {
-	ds := benchMLDataset(2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clf := gbt.New(gbt.Config{Rounds: 50, MaxDepth: 4, Seed: 1, Workers: 8})
-		if err := clf.Fit(ds); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

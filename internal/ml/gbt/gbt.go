@@ -11,6 +11,13 @@
 // shrinkage (learning rate), and optional row/column subsampling. Leaf
 // weights are −G/(H+λ). Feature importance is the number of times each
 // feature is chosen for a split, the measure behind the paper's Fig 7.
+//
+// As in Chen & Guestrin's §4.1, Fit sorts each feature's column once, by
+// value and then row index, and every node sweeps its rows in that
+// order; no node sorts. Rows of tied value are therefore summed in row
+// order, as a stable sort of each node's rows would sum them, and G and
+// H are summed in row order too: the model is a function of the data
+// and the Config alone, not of how a sort happens to order ties.
 package gbt
 
 import (
@@ -119,36 +126,19 @@ func (c *Classifier) Fit(ds *ml.Dataset) error {
 	p = math.Min(math.Max(p, 1e-6), 1-1e-6)
 	c.baseScore = math.Log(p / (1 - p))
 
-	rng := rand.New(rand.NewSource(c.cfg.Seed))
+	g := newGrower(c, ds)
 	margin := make([]float64, n)
 	for i := range margin {
 		margin[i] = c.baseScore
 	}
-	grad := make([]float64, n)
-	hess := make([]float64, n)
-	rows := make([]int, 0, n)
 	for round := 0; round < c.cfg.Rounds; round++ {
 		for i := 0; i < n; i++ {
 			pi := sigmoid(margin[i])
-			grad[i] = pi - float64(ds.Y[i])
-			hess[i] = pi * (1 - pi)
+			g.grad[i] = pi - float64(ds.Y[i])
+			g.hess[i] = pi * (1 - pi)
 		}
-		rows = rows[:0]
-		if c.cfg.Subsample < 1 {
-			for i := 0; i < n; i++ {
-				if rng.Float64() < c.cfg.Subsample {
-					rows = append(rows, i)
-				}
-			}
-			if len(rows) == 0 {
-				rows = append(rows, rng.Intn(n))
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				rows = append(rows, i)
-			}
-		}
-		root := c.buildNode(ds, rows, grad, hess, 0, rng)
+		m := g.sampleRows()
+		root := g.buildNode(0, m, 0)
 		c.flat.roots = append(c.flat.roots, root)
 		for i := 0; i < n; i++ {
 			margin[i] += c.cfg.LearningRate * c.flat.leaf(root, ds.X[i])
@@ -157,80 +147,194 @@ func (c *Classifier) Fit(ds *ml.Dataset) error {
 	return nil
 }
 
-func (c *Classifier) sampleCols(nf int, rng *rand.Rand) []int {
-	cols := make([]int, nf)
+// grower holds one Fit's split-search state. Every feature's rows are
+// sorted once, by (value, row index), into sorted. Each round copies
+// the round's rows of every sorted column into cols, plus one more
+// column holding them in row order; a node owns the segment [lo, hi)
+// of all nf+1 columns, and a split stably partitions each segment into
+// its left rows, then its right rows. The order of every column within
+// a node is therefore what a stable sort of the node's rows would give,
+// and the row-order column keeps G and H summed in row order.
+type grower struct {
+	c          *Classifier
+	n, nf      int
+	x          []float64 // column-major values: feature f of row r at x[f*n+r]
+	sorted     []int32   // feature f's rows by (value, row) at sorted[f*n:(f+1)*n]
+	cols       []int32   // the round's columns: feature f at cols[f*n:], row order at cols[nf*n:]
+	goLeft     []uint8   // per row: 1 if the split being applied sends it left, else 0
+	tmp        []int32   // a partition's right rows
+	colSample  []int     // the node's sampled features
+	grad, hess []float64
+	rng        *rand.Rand
+}
+
+func newGrower(c *Classifier, ds *ml.Dataset) *grower {
+	n, nf := ds.Len(), ds.NumFeatures()
+	g := &grower{
+		c: c, n: n, nf: nf,
+		x:         make([]float64, nf*n),
+		sorted:    make([]int32, nf*n),
+		cols:      make([]int32, (nf+1)*n),
+		goLeft:    make([]uint8, n),
+		tmp:       make([]int32, n),
+		colSample: make([]int, nf),
+		grad:      make([]float64, n),
+		hess:      make([]float64, n),
+		rng:       rand.New(rand.NewSource(c.cfg.Seed)),
+	}
+	for r, row := range ds.X {
+		for f, v := range row {
+			g.x[f*n+r] = v
+		}
+	}
+	for f := 0; f < nf; f++ {
+		xf := g.x[f*n : (f+1)*n]
+		col := g.sorted[f*n : (f+1)*n]
+		for r := range col {
+			col[r] = int32(r)
+		}
+		// Validate rejected NaN, so values are totally ordered and the
+		// row index breaks every tie.
+		slices.SortFunc(col, func(a, b int32) int {
+			switch va, vb := xf[a], xf[b]; {
+			case va < vb:
+				return -1
+			case va > vb:
+				return 1
+			}
+			return int(a - b)
+		})
+	}
+	return g
+}
+
+// sampleRows draws the round's row subsample, fills cols with it and
+// returns its size.
+func (g *grower) sampleRows() int {
+	n, nf := g.n, g.nf
+	rows := g.cols[nf*n : nf*n]
+	for i := 0; i < n; i++ {
+		if g.c.cfg.Subsample >= 1 || g.rng.Float64() < g.c.cfg.Subsample {
+			rows = append(rows, int32(i))
+		}
+	}
+	if len(rows) == 0 {
+		rows = append(rows, int32(g.rng.Intn(n)))
+	}
+	in := g.goLeft // unused until the round's first split
+	clear(in)
+	for _, r := range rows {
+		in[r] = 1
+	}
+	m := len(rows)
+	for f := 0; f < nf; f++ {
+		// Branch-free: every row is written, but only a sampled one
+		// advances k.
+		dst, k := g.cols[f*n:(f+1)*n], 0
+		for _, r := range g.sorted[f*n : (f+1)*n] {
+			dst[k] = r
+			k += int(in[r])
+		}
+	}
+	return m
+}
+
+// sampleFeatures draws the node's column sample into g.colSample.
+func (g *grower) sampleFeatures() []int {
+	cols := g.colSample[:g.nf]
 	for i := range cols {
 		cols[i] = i
 	}
-	if c.cfg.ColSample >= 1 {
+	if g.c.cfg.ColSample >= 1 {
 		return cols
 	}
-	k := int(math.Ceil(c.cfg.ColSample * float64(nf)))
+	k := int(math.Ceil(g.c.cfg.ColSample * float64(g.nf)))
 	if k < 1 {
 		k = 1
 	}
-	rng.Shuffle(nf, func(i, j int) { cols[i], cols[j] = cols[j], cols[i] })
+	g.rng.Shuffle(g.nf, func(i, j int) { cols[i], cols[j] = cols[j], cols[i] })
 	cols = cols[:k]
 	sort.Ints(cols)
 	return cols
 }
 
-// buildNode grows one tree node via exact greedy search over a per-node
-// column sample, appending it and then its left and right subtrees to
-// the flat node slice (pre-order), and returns the node's index.
-func (c *Classifier) buildNode(ds *ml.Dataset, rows []int, grad, hess []float64, depth int, rng *rand.Rand) int32 {
+// col returns feature f's segment [lo, hi) of the round's columns;
+// f == nf is the row-order column.
+func (g *grower) col(f, lo, hi int) []int32 { return g.cols[f*g.n+lo : f*g.n+hi] }
+
+// buildNode grows the node owning rows [lo, hi) via exact greedy search
+// over a per-node column sample, appending it and then its left and
+// right subtrees to the flat node slice (pre-order), and returns the
+// node's index.
+func (g *grower) buildNode(lo, hi, depth int) int32 {
+	c := g.c
 	var G, H float64
-	for _, i := range rows {
-		G += grad[i]
-		H += hess[i]
+	for _, r := range g.col(g.nf, lo, hi) {
+		G += g.grad[r]
+		H += g.hess[r]
 	}
 	nd := int32(len(c.flat.nodes))
 	c.flat.nodes = append(c.flat.nodes, flatNode{Feature: -1, Value: -G / (H + c.cfg.Lambda)})
-	if depth >= c.cfg.MaxDepth || len(rows) < 2 {
+	if depth >= c.cfg.MaxDepth || hi-lo < 2 {
 		return nd
 	}
 
 	parentScore := G * G / (H + c.cfg.Lambda)
-	cols := c.sampleCols(ds.NumFeatures(), rng)
+	cols := g.sampleFeatures()
 
 	var best splitCandidate
-	if c.cfg.Workers > 1 && len(rows) >= 256 {
-		best = c.bestSplitParallel(ds, rows, cols, grad, hess, G, H, parentScore)
+	if c.cfg.Workers > 1 && hi-lo >= 256 {
+		best = g.bestSplitParallel(lo, hi, cols, G, H, parentScore)
 	} else {
-		buf := make([]splitPair, len(rows))
 		best = splitCandidate{feat: -1}
 		for _, f := range cols {
-			cand := c.bestSplitFeature(ds, rows, f, grad, hess, G, H, parentScore, buf)
-			best = reduceCandidates(best, cand)
+			best = reduceCandidates(best, g.bestSplitFeature(f, lo, hi, G, H, parentScore))
 		}
 	}
-	bestFeat, bestThr := best.feat, best.thr
-	if bestFeat < 0 {
+	if best.feat < 0 {
 		return nd
 	}
 
-	var left, right []int
-	for _, i := range rows {
-		if ds.X[i][bestFeat] <= bestThr {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
+	xf := g.x[best.feat*g.n : (best.feat+1)*g.n]
+	nl := 0
+	for _, r := range g.col(g.nf, lo, hi) {
+		g.goLeft[r] = 0
+		if xf[r] <= best.thr {
+			g.goLeft[r] = 1
+			nl++
 		}
 	}
-	if len(left) == 0 || len(right) == 0 {
+	if nl == 0 || nl == hi-lo {
 		return nd
 	}
-	c.splitCount[bestFeat]++
-	l := c.buildNode(ds, left, grad, hess, depth+1, rng)
-	r := c.buildNode(ds, right, grad, hess, depth+1, rng)
-	c.flat.nodes[nd] = flatNode{Feature: int32(bestFeat), Left: l, Right: r, Value: bestThr}
+	// Children at MaxDepth are leaves: they read only the row order.
+	if depth+1 < c.cfg.MaxDepth {
+		for f := 0; f < g.nf; f++ {
+			g.partition(g.col(f, lo, hi))
+		}
+	}
+	g.partition(g.col(g.nf, lo, hi))
+	c.splitCount[best.feat]++
+	l := g.buildNode(lo, lo+nl, depth+1)
+	r := g.buildNode(lo+nl, hi, depth+1)
+	c.flat.nodes[nd] = flatNode{Feature: int32(best.feat), Left: l, Right: r, Value: best.thr}
 	return nd
 }
 
-// splitPair is one row's (value, gradient, hessian) for split search.
-type splitPair struct {
-	v    float64
-	g, h float64
+// partition stably moves seg's left rows (g.goLeft) before its right
+// rows. A split's sides are unpredictable, so it does not branch on
+// them: each row is written to both sides and advances one.
+func (g *grower) partition(seg []int32) {
+	right := g.tmp[:len(seg)]
+	w, k := 0, 0
+	for _, r := range seg {
+		l := int(g.goLeft[r])
+		seg[w] = r // w <= the read index: seg[w] has been read
+		right[k] = r
+		w += l
+		k += 1 - l
+	}
+	copy(seg[w:], right[:k])
 }
 
 // splitCandidate is one feature's best split.
@@ -253,50 +357,32 @@ func reduceCandidates(a, b splitCandidate) splitCandidate {
 	return a
 }
 
-// sortSplitPairs orders a node's pairs by feature value. The compare is
-// negative exactly when a.v < b.v, so slices.SortFunc makes the
-// comparisons and swaps sort.Slice made with that less — the same
-// permutation, ties included, hence the same GL/HL sums and the same
-// model — without sort.Slice's reflection swapper over 24-byte
-// elements. It is a variable so the test can fit the same model through
-// the sort.Slice form and compare snapshots.
-var sortSplitPairs = func(pairs []splitPair) {
-	slices.SortFunc(pairs, func(a, b splitPair) int {
-		switch {
-		case a.v < b.v:
-			return -1
-		case a.v > b.v:
-			return 1
-		}
-		return 0
-	})
-}
-
-// bestSplitFeature finds feature f's gain-maximizing threshold via a
-// sorted sweep. buf must have len(rows) capacity and is clobbered.
-func (c *Classifier) bestSplitFeature(ds *ml.Dataset, rows []int, f int, grad, hess []float64, G, H, parentScore float64, buf []splitPair) splitCandidate {
-	pairs := buf[:len(rows)]
-	for k, i := range rows {
-		pairs[k] = splitPair{ds.X[i][f], grad[i], hess[i]}
-	}
-	sortSplitPairs(pairs)
+// bestSplitFeature finds feature f's gain-maximizing threshold over the
+// node's rows [lo, hi) by one sweep of its sorted segment. It only
+// reads the grower, so workers may call it concurrently.
+func (g *grower) bestSplitFeature(f, lo, hi int, G, H, parentScore float64) splitCandidate {
+	cfg := &g.c.cfg
+	seg := g.col(f, lo, hi)
+	xf := g.x[f*g.n : (f+1)*g.n]
 	best := splitCandidate{feat: -1}
 	var GL, HL float64
-	for k := 0; k < len(pairs)-1; k++ {
-		GL += pairs[k].g
-		HL += pairs[k].h
-		if pairs[k].v == pairs[k+1].v {
+	for k := 0; k < len(seg)-1; k++ {
+		r := seg[k]
+		GL += g.grad[r]
+		HL += g.hess[r]
+		v, next := xf[r], xf[seg[k+1]]
+		if v == next {
 			continue
 		}
 		GR, HR := G-GL, H-HL
-		if HL < c.cfg.MinChildWeight || HR < c.cfg.MinChildWeight {
+		if HL < cfg.MinChildWeight || HR < cfg.MinChildWeight {
 			continue
 		}
-		gain := 0.5*(GL*GL/(HL+c.cfg.Lambda)+GR*GR/(HR+c.cfg.Lambda)-parentScore) - c.cfg.Gamma
+		gain := 0.5*(GL*GL/(HL+cfg.Lambda)+GR*GR/(HR+cfg.Lambda)-parentScore) - cfg.Gamma
 		// best.gain starts at 0 with feat -1, so non-positive gains
 		// are never accepted — matching the pre-parallel serial loop.
 		if gain > best.gain {
-			best = splitCandidate{gain: gain, feat: f, thr: (pairs[k].v + pairs[k+1].v) / 2}
+			best = splitCandidate{gain: gain, feat: f, thr: (v + next) / 2}
 		}
 	}
 	return best
@@ -304,11 +390,8 @@ func (c *Classifier) bestSplitFeature(ds *ml.Dataset, rows []int, f int, grad, h
 
 // bestSplitParallel fans the per-feature search over a worker pool and
 // reduces deterministically.
-func (c *Classifier) bestSplitParallel(ds *ml.Dataset, rows, cols []int, grad, hess []float64, G, H, parentScore float64) splitCandidate {
-	workers := c.cfg.Workers
-	if workers > len(cols) {
-		workers = len(cols)
-	}
+func (g *grower) bestSplitParallel(lo, hi int, cols []int, G, H, parentScore float64) splitCandidate {
+	workers := min(g.c.cfg.Workers, len(cols))
 	results := make([]splitCandidate, len(cols))
 	var wg sync.WaitGroup
 	ch := make(chan int)
@@ -316,9 +399,8 @@ func (c *Classifier) bestSplitParallel(ds *ml.Dataset, rows, cols []int, grad, h
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			buf := make([]splitPair, len(rows))
 			for ci := range ch {
-				results[ci] = c.bestSplitFeature(ds, rows, cols[ci], grad, hess, G, H, parentScore, buf)
+				results[ci] = g.bestSplitFeature(cols[ci], lo, hi, G, H, parentScore)
 			}
 		}()
 	}

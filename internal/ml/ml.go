@@ -24,8 +24,9 @@ type Dataset struct {
 // ErrEmptyDataset is returned by Fit when there are no rows.
 var ErrEmptyDataset = errors.New("ml: empty dataset")
 
-// Validate checks structural consistency: non-empty, rectangular, and
-// label/row count agreement. Classifiers call it at the top of Fit.
+// Validate checks structural consistency: non-empty, rectangular,
+// finite feature values, and label/row count agreement. Classifiers
+// call it at the top of Fit.
 func (d *Dataset) Validate() error {
 	if d == nil || len(d.X) == 0 {
 		return ErrEmptyDataset
@@ -41,6 +42,11 @@ func (d *Dataset) Validate() error {
 		if len(row) != w {
 			return fmt.Errorf("ml: row %d has %d features, want %d", i, len(row), w)
 		}
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("ml: row %d feature %s is %v", i, d.featureName(j), v)
+			}
+		}
 	}
 	for i, y := range d.Y {
 		if y != 0 && y != 1 {
@@ -48,6 +54,15 @@ func (d *Dataset) Validate() error {
 		}
 	}
 	return nil
+}
+
+// featureName names feature j for an error: its index, and its name
+// when the dataset has one.
+func (d *Dataset) featureName(j int) string {
+	if j < len(d.FeatureNames) {
+		return fmt.Sprintf("%d (%s)", j, d.FeatureNames[j])
+	}
+	return fmt.Sprint(j)
 }
 
 // NumFeatures returns the width of the design matrix (0 if empty).

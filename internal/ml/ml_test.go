@@ -2,6 +2,7 @@ package ml
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -27,6 +28,18 @@ func TestValidate(t *testing.T) {
 	for _, c := range cases {
 		if err := c.ds.Validate(); err == nil {
 			t.Errorf("%s: Validate() = nil, want error", c.name)
+		}
+	}
+	// A non-finite value is refused by row and feature, named when the
+	// dataset names its features.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		ds := &Dataset{X: [][]float64{{1, 2}, {3, v}}, Y: []int{0, 1}}
+		if err := ds.Validate(); err == nil || err.Error() != fmt.Sprintf("ml: row 1 feature 1 is %v", v) {
+			t.Errorf("feature %v: Validate() = %v", v, err)
+		}
+		ds.FeatureNames = []string{"a", "b"}
+		if err := ds.Validate(); err == nil || err.Error() != fmt.Sprintf("ml: row 1 feature 1 (b) is %v", v) {
+			t.Errorf("named feature %v: Validate() = %v", v, err)
 		}
 	}
 	if !errors.Is((&Dataset{}).Validate(), ErrEmptyDataset) {

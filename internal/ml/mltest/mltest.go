@@ -5,7 +5,9 @@
 package mltest
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/ml"
@@ -75,6 +77,16 @@ func Conformance(t *testing.T, name string, factory func() ml.Classifier) {
 		bad := &ml.Dataset{X: [][]float64{{1, 2}, {3}}, Y: []int{0, 1}}
 		if err := factory().Fit(bad); err == nil {
 			t.Fatal("Fit(ragged) = nil, want error")
+		}
+	})
+
+	t.Run(name+"/rejects non-finite features", func(t *testing.T) {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			bad := Gaussians(40, 2, 3.0, 1)
+			bad.X[7][1] = v
+			if err := factory().Fit(bad); err == nil || !strings.Contains(err.Error(), "row 7 feature 1") {
+				t.Fatalf("Fit(feature %v) = %v, want an error naming row 7 feature 1", v, err)
+			}
 		}
 	})
 
