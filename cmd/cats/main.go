@@ -101,12 +101,15 @@ func run(trainPath, detectPath string, threshold float64, corpusSize int, outPat
 	defer toScore.Close()
 
 	var sys *cats.System
+	var load time.Duration
 	switch {
 	case loadPath != "":
+		t0 := time.Now()
 		sys, err = cats.LoadFile(loadPath)
 		if err != nil {
 			return err
 		}
+		load = time.Since(t0)
 	case trainPath != "":
 		labeled, err := dataset.ReadAll(trainPath)
 		if err != nil {
@@ -179,7 +182,7 @@ func run(trainPath, detectPath string, threshold float64, corpusSize int, outPat
 			return fmt.Errorf("write detections: %w", err)
 		}
 	}
-	fmt.Fprintln(os.Stderr, summary(stats, wall))
+	fmt.Fprintln(os.Stderr, summary(stats, load, wall))
 
 	// When the detection set carries ground-truth labels (synthetic or
 	// curated data), report evaluation metrics too.
@@ -189,12 +192,14 @@ func run(trainPath, detectPath string, threshold float64, corpusSize int, outPat
 	return nil
 }
 
-// summary is the run's stderr line: busy time per DetectStream stage
-// beside the wall — the largest is the bottleneck, and the three sum to
-// more than the wall by what they overlapped.
-func summary(stats cats.StreamStats, wall time.Duration) string {
-	return fmt.Sprintf("cats: scored %d items, reported %d fraud (%d batches: read %.3fs score %.3fs emit %.3fs wall %.3fs)",
-		stats.Items, stats.Reported, stats.Batches, stats.ReadSeconds, stats.ScoreSeconds, stats.EmitSeconds, wall.Seconds())
+// summary is the run's stderr line: the time -load-model took (0 for a
+// model trained in the run), then busy time per DetectStream stage
+// beside the stream's wall — the largest stage is the bottleneck, and
+// the three sum to more than the wall by what they overlapped. The load
+// comes before the stream and is not part of its wall.
+func summary(stats cats.StreamStats, load, wall time.Duration) string {
+	return fmt.Sprintf("cats: scored %d items, reported %d fraud (%d batches: load %.3fs read %.3fs score %.3fs emit %.3fs wall %.3fs)",
+		stats.Items, stats.Reported, stats.Batches, load.Seconds(), stats.ReadSeconds, stats.ScoreSeconds, stats.EmitSeconds, wall.Seconds())
 }
 
 // appendRow appends d's TSV row — item_id, score to four decimals,

@@ -205,8 +205,8 @@ func TestIgnoredFlagIsAUsageError(t *testing.T) {
 // TestSummaryLine: the stage line keeps its fields where they were.
 func TestSummaryLine(t *testing.T) {
 	stats := cats.StreamStats{Items: 9433, Reported: 12, Batches: 10, ReadSeconds: 0.0774, ScoreSeconds: 0.057, EmitSeconds: 0.001}
-	const want = "cats: scored 9433 items, reported 12 fraud (10 batches: read 0.077s score 0.057s emit 0.001s wall 0.082s)"
-	if got := summary(stats, 82*time.Millisecond); got != want {
+	const want = "cats: scored 9433 items, reported 12 fraud (10 batches: load 0.002s read 0.077s score 0.057s emit 0.001s wall 0.082s)"
+	if got := summary(stats, 2100*time.Microsecond, 82*time.Millisecond); got != want {
 		t.Errorf("\n got  %s\n want %s", got, want)
 	}
 }

@@ -209,11 +209,12 @@ func (r *Reader) Offset() int64 { return r.off }
 // container.
 func (r *Reader) Next() (name string, payload []byte, err error) { return r.NextArena(nil) }
 
-// NextArena is Next for a reader of dataset chunks, whose strings alias
-// the chunk's arena for as long as the chunk is in use: the payload of
-// a block named "arena" is read straight into *arena, a string of its
-// own, and not returned. The bytes go from the read buffer into the
-// string's memory, the CRC kept as they pass; no scratch copy exists.
+// NextArena is Next for a reader whose strings alias the arena for as
+// long as they are in use (a dataset chunk, a model snapshot): the
+// payload of a block named "arena" is read straight into *arena, a
+// string of its own, and not returned. The bytes go from the read
+// buffer into the string's memory, the CRC kept as they pass; no
+// scratch copy exists.
 func (r *Reader) NextArena(arena *string) (name string, payload []byte, err error) {
 	if _, err := r.r.Peek(1); err == io.EOF {
 		return "", nil, io.EOF
@@ -301,10 +302,32 @@ func (r *Reader) payloadString(name string, n int) (string, uint32, error) {
 // Decode runs fn over a column decoder for payload, one that reports
 // failures with this reader's version and the block's name, and returns
 // the decoder's Done: its first failure, or an error for bytes fn left
-// unread. It is the only way to a Dec outside this package, so no block
-// is decoded without that final check.
+// unread. It and Block.Decode are the only ways to a Dec outside this
+// package, so no block is decoded without that final check.
 func (r *Reader) Decode(block string, payload []byte, fn func(*Dec)) error {
-	d := &Dec{version: r.version, block: block, b: payload}
+	return Block{version: r.version, name: block, payload: payload}.Decode(fn)
+}
+
+// Block is a payload held past the Next call that returned it, so that
+// it can be decoded later, as often as needed, with the diagnostic
+// context of the reader it came from.
+type Block struct {
+	version int
+	name    string
+	payload []byte
+}
+
+// Keep takes the payload the last Next returned out of the reader's
+// hands: later blocks are read into scratch of their own, so the kept
+// bytes never change. payload must be that last payload.
+func (r *Reader) Keep(name string, payload []byte) Block {
+	r.buf = nil
+	return Block{version: r.version, name: name, payload: payload}
+}
+
+// Decode is Reader.Decode over the kept payload.
+func (b Block) Decode(fn func(*Dec)) error {
+	d := &Dec{version: b.version, block: b.name, b: b.payload}
 	fn(d)
 	return d.Done()
 }

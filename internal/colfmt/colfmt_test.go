@@ -43,6 +43,47 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestKeptBlockOutlivesNext: a payload taken with Keep is not the
+// scratch later blocks are read into, and decodes with its block's
+// context however many blocks follow.
+func TestKeptBlockOutlivesNext(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, KindSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"kept", "next", "last"} {
+		var e Enc
+		e.Str(name + " payload")
+		w.WriteBlock(name, e.Bytes())
+	}
+	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	name, payload, err := r.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := r.Keep(name, payload)
+	for i := 0; i < 2; i++ {
+		if _, _, err := r.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		var got string
+		if err := kept.Decode(func(d *Dec) { got = d.Str() }); err != nil || got != "kept payload" {
+			t.Fatalf("kept block decodes to %q, %v", got, err)
+		}
+	}
+	err = kept.Decode(func(d *Dec) { d.Failf("refused") })
+	var ce *Error
+	if !errors.As(err, &ce) || ce.Block != "kept" {
+		t.Fatalf("kept block failure %v, want one naming block kept", err)
+	}
+}
+
 func TestSniff(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -337,6 +378,12 @@ func skipPairs(arena string) map[string]struct {
 		"StringCol": {func(d *Dec) int { return len(d.StringCol(arena)) }, func(d *Dec) int { return d.SkipStringCol(arena) }},
 		"IntCol":    {func(d *Dec) int { return len(d.IntCol()) }, (*Dec).SkipIntCol},
 		"ByteCol":   {func(d *Dec) int { return len(d.ByteCol()) }, (*Dec).SkipByteCol},
+		"F64s": {func(d *Dec) int { return len(d.F64s(3)) }, func(d *Dec) int {
+			if d.SkipF64s(3); d.Err() != nil {
+				return 0
+			}
+			return 3
+		}},
 	}
 }
 
@@ -350,6 +397,7 @@ func TestSkipDecodersMatchBuilders(t *testing.T) {
 		"StringCol": func(e *Enc) { e.StringCol(&arena, []string{"a", "", "ccc", "很好"}) },
 		"IntCol":    func(e *Enc) { e.IntCol([]int64{0, -1, 1 << 40, -(1 << 62)}) },
 		"ByteCol":   func(e *Enc) { e.ByteCol([]byte{0, 1, 2, 255}) },
+		"F64s":      func(e *Enc) { e.F64(1); e.F64(-0.5); e.F64(1e300) },
 	}
 	for name, write := range cols {
 		var e Enc

@@ -159,6 +159,19 @@ func (d *Dec) F64s(n int) []float64 {
 	return out
 }
 
+// SkipF64s is F64s without the floats: the same bound, nothing
+// allocated or converted.
+func (d *Dec) SkipF64s(n int) {
+	if d.err != nil {
+		return
+	}
+	if n < 0 || n > d.remaining()/8 {
+		d.Failf("%d floats exceed %d remaining payload bytes", n, d.remaining())
+		return
+	}
+	d.off += 8 * n
+}
+
 // Byte reads one byte.
 //
 //cats:hotpath
@@ -217,6 +230,13 @@ func (d *Dec) count(what string, minBytes int) int {
 	}
 	return int(v)
 }
+
+// ColLen reads a column's length prefix, refusing one the rest of the
+// payload cannot hold at minBytes a value: 1 for an IntCol, IntsCol or
+// ByteCol, 8 for an F64Col. The caller then reads the values one at a
+// time (Int, Byte, F64), which decodes a column straight into where it
+// is kept.
+func (d *Dec) ColLen(minBytes int) int { return d.count("column length", minBytes) }
 
 // IntCol reads a varint-packed signed column.
 func (d *Dec) IntCol() []int64 {

@@ -42,10 +42,13 @@ type AnalyzerConfig struct {
 // concurrent use.
 type Analyzer struct {
 	Segmenter *tokenize.Segmenter
-	Embedding *word2vec.Model
 	Positive  *lexicon.Set
 	Negative  *lexicon.Set
 	Sentiment *sentiment.Model
+
+	// embedding is the word2vec model (see Embedding). Scoring never
+	// reads it: the lexicons it expanded are what the extractor uses.
+	embedding *deferred[*word2vec.Model]
 
 	// extractor is built on first use and then shared: assembling one
 	// reads all three models into its word table, which every detector
@@ -72,7 +75,7 @@ func TrainAnalyzer(corpus []string, polarTexts []string, polarLabels []int, voca
 	if err != nil {
 		return nil, fmt.Errorf("core: train word2vec: %w", err)
 	}
-	a.Embedding = model
+	a.embedding = decoded(model)
 
 	posSeeds := cfg.PositiveSeeds
 	if len(posSeeds) == 0 {
@@ -127,8 +130,13 @@ func TrainAnalyzer(corpus []string, polarTexts []string, polarLabels []int, voca
 // NewAnalyzerFromParts assembles an Analyzer from already-built pieces
 // (used by tests and by callers that train components separately).
 func NewAnalyzerFromParts(seg *tokenize.Segmenter, emb *word2vec.Model, pos, neg *lexicon.Set, sent *sentiment.Model) *Analyzer {
-	return &Analyzer{Segmenter: seg, Embedding: emb, Positive: pos, Negative: neg, Sentiment: sent}
+	return &Analyzer{Segmenter: seg, embedding: decoded(emb), Positive: pos, Negative: neg, Sentiment: sent}
 }
+
+// Embedding returns the word2vec model the lexicons were expanded
+// with, or nil for an analyzer built without one. A model loaded from a
+// columnar snapshot decodes it on the first call.
+func (a *Analyzer) Embedding() *word2vec.Model { return a.embedding.get() }
 
 // Extractor returns the feature extractor backed by this analyzer: the
 // same one on every call, built from the fields as they stand at the

@@ -3,30 +3,34 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/colfmt"
+	"repro/internal/features"
 	"repro/internal/ml/gbt"
 	"repro/internal/sentiment"
 	"repro/internal/word2vec"
 )
 
 // Columnar snapshot layout (colfmt container, KindSnapshot). Blocks in
-// write order; readers skip unknown names:
+// write order; readers skip unknown names. A load decodes the blocks
+// scoring reads and checks the deferred ones in full without decoding
+// them; those are decoded on first read (readSnapshotColumnar):
 //
 //	meta        snapshot version, classifier kind (always "xgboost"),
 //	            detector config, presence flags
 //	arena       shared string bytes every string column points into
 //	vocab       segmenter dictionary            (string col)
 //	lexicon     positive + negative lexicons    (2 string cols)
-//	sentiment   priors/OOV + per-class word→loglik pairs, words sorted
-//	w2v         dim, counts, embeddings, words  (when present)
+//	sentiment   priors/OOV + per-class word and loglik columns, words
+//	            sorted, each once
+//	w2v         dim, counts, embeddings, words  (when flagged; deferred)
 //	gbt         config, base score, split counts, names, node columns
-//	trainsample drift-baseline feature matrix   (when present)
+//	trainsample drift-baseline feature matrix   (when flagged; deferred)
 //
 // The writer is byte-stable: the same snapshot always encodes to the
-// same bytes (sentiment maps are serialized in sorted word order), so
-// content-hash model versions stay meaningful.
+// same bytes (sentiment words in sorted order, a block present exactly
+// when its flag is set), so content-hash model versions stay
+// meaningful.
 
 // Presence flag bits in the meta block.
 const (
@@ -46,6 +50,7 @@ func WriteSnapshotColumnar(w io.Writer, s *DetectorSnapshot) error {
 	if s == nil || s.Analyzer == nil || s.Analyzer.Sentiment == nil || s.GBT == nil {
 		return fmt.Errorf("core: encode columnar snapshot: incomplete snapshot")
 	}
+	s = s.resolved()
 	cw, err := colfmt.NewWriter(w, colfmt.KindSnapshot)
 	if err != nil {
 		return fmt.Errorf("core: encode snapshot: %w", err)
@@ -71,7 +76,9 @@ func WriteSnapshotColumnar(w io.Writer, s *DetectorSnapshot) error {
 	vocab.StringCol(&arena, s.Analyzer.Vocabulary)
 	lexicon.StringCol(&arena, s.Analyzer.Positive)
 	lexicon.StringCol(&arena, s.Analyzer.Negative)
-	encodeSentiment(&sent, &arena, s.Analyzer.Sentiment)
+	if err := encodeSentiment(&sent, &arena, s.Analyzer.Sentiment); err != nil {
+		return err
+	}
 	if s.Analyzer.Embedding != nil {
 		if err := encodeEmbedding(&w2v, &arena, s.Analyzer.Embedding); err != nil {
 			return err
@@ -97,24 +104,22 @@ func WriteSnapshotColumnar(w io.Writer, s *DetectorSnapshot) error {
 	return cw.Err()
 }
 
-func encodeSentiment(e *colfmt.Enc, arena *colfmt.Arena, s *sentiment.Snapshot) {
+func encodeSentiment(e *colfmt.Enc, arena *colfmt.Arena, s *sentiment.Snapshot) error {
 	e.F64(s.LogPrior[0])
 	e.F64(s.LogPrior[1])
 	e.F64(s.LogOOV[0])
 	e.F64(s.LogOOV[1])
-	for c := 0; c < 2; c++ {
-		words := make([]string, 0, len(s.LogLik[c]))
-		for w := range s.LogLik[c] {
-			words = append(words, w)
+	for c, l := range s.LogLik {
+		if len(l.Words) != len(l.Vals) {
+			return fmt.Errorf("core: encode columnar snapshot: sentiment class %d has %d words but %d log-likelihoods", c, len(l.Words), len(l.Vals))
 		}
-		sort.Strings(words)
-		e.StringCol(arena, words)
-		vals := make([]float64, len(words))
-		for i, w := range words {
-			vals[i] = s.LogLik[c][w]
-		}
-		e.F64Col(vals)
+		// Whoever built the snapshot, the block holds each word once in
+		// ascending order: what keeps the bytes stable.
+		l = l.Sorted()
+		e.StringCol(arena, l.Words)
+		e.F64Col(l.Vals)
 	}
+	return nil
 }
 
 func encodeEmbedding(e *colfmt.Enc, arena *colfmt.Arena, s *word2vec.Snapshot) error {
@@ -207,6 +212,14 @@ func encodeMatrix(e *colfmt.Enc, rows [][]float64) {
 // readSnapshotColumnar decodes a columnar snapshot positioned at the
 // container header. Decode failures carry the format version, block
 // name, and byte offset via colfmt.Error.
+//
+// The w2v and trainsample blocks are read, CRC-checked and walked with
+// every check their decode makes, then kept undecoded (deferred): the
+// snapshot's Embedding and TrainingSample stay nil and the parts are
+// decoded when a writer, the analyzer's Embedding or the detector's
+// TrainingSample first reads them. The meta flags say which of the two
+// blocks the file holds; a block they deny is an error, as is a missing
+// block they promise.
 func readSnapshotColumnar(r io.Reader) (*DetectorSnapshot, error) {
 	cr, err := colfmt.NewReader(r)
 	if err != nil {
@@ -221,7 +234,7 @@ func readSnapshotColumnar(r io.Reader) (*DetectorSnapshot, error) {
 	var flags byte
 	seen := map[string]bool{}
 	for {
-		name, payload, err := cr.Next()
+		name, payload, err := cr.NextArena(&arena)
 		if err == io.EOF {
 			break
 		}
@@ -249,9 +262,8 @@ func readSnapshotColumnar(r io.Reader) (*DetectorSnapshot, error) {
 				flags = d.Byte()
 			}
 		case "arena":
-			// One copy for the whole snapshot: every string column below
-			// returns slices of this arena.
-			arena = string(payload)
+			// One string for the whole snapshot, read straight into arena:
+			// every string column below returns slices of it.
 			continue
 		case "vocab":
 			decode = func(d *colfmt.Dec) { s.Analyzer.Vocabulary = d.StringCol(arena) }
@@ -263,16 +275,29 @@ func readSnapshotColumnar(r io.Reader) (*DetectorSnapshot, error) {
 		case "sentiment":
 			decode = func(d *colfmt.Dec) { s.Analyzer.Sentiment = decodeSentiment(d, arena) }
 		case "w2v":
-			decode = func(d *colfmt.Dec) { s.Analyzer.Embedding = decodeEmbedding(d, arena) }
+			if flags&snapFlagEmbedding == 0 {
+				return nil, fmt.Errorf("core: decode snapshot: block %q present but meta flags no embedding", name)
+			}
+			decode = func(d *colfmt.Dec) { decodeEmbedding(d, arena, false) }
 		case "gbt":
 			decode = func(d *colfmt.Dec) { s.GBT = decodeGBT(d, arena) }
 		case "trainsample":
-			decode = func(d *colfmt.Dec) { s.TrainingSample = decodeMatrix(d) }
+			if flags&snapFlagTrainSample == 0 {
+				return nil, fmt.Errorf("core: decode snapshot: block %q present but meta flags no training sample", name)
+			}
+			decode = func(d *colfmt.Dec) { decodeMatrix(d, false) }
 		default:
 			continue // unknown block: skip for forward compatibility
 		}
 		if err := cr.Decode(name, payload, decode); err != nil {
 			return nil, fmt.Errorf("core: decode snapshot: %w", err)
+		}
+		switch name {
+		case "w2v":
+			blk, arena := cr.Keep(name, payload), arena
+			s.Analyzer.w2v = deferBlock(blk, func(d *colfmt.Dec) *word2vec.Snapshot { return decodeEmbedding(d, arena, true) })
+		case "trainsample":
+			s.trainSample = deferBlock(cr.Keep(name, payload), func(d *colfmt.Dec) [][]float64 { return decodeMatrix(d, true) })
 		}
 	}
 	for _, required := range []string{"meta", "arena", "vocab", "lexicon", "sentiment", "gbt"} {
@@ -289,13 +314,26 @@ func readSnapshotColumnar(r io.Reader) (*DetectorSnapshot, error) {
 	return s, nil
 }
 
+// deferBlock defers a kept block's decode to its part's first read. The
+// load decoded the same bytes with the same checks and accepted them, so
+// a failure here is a broken invariant, not bad input.
+func deferBlock[T any](blk colfmt.Block, decode func(*colfmt.Dec) T) *deferred[T] {
+	return later(func() T {
+		var v T
+		if err := blk.Decode(func(d *colfmt.Dec) { v = decode(d) }); err != nil {
+			panic(fmt.Sprintf("core: a snapshot block the load accepted no longer decodes: %v", err))
+		}
+		return v
+	})
+}
+
 func decodeSentiment(d *colfmt.Dec, arena string) *sentiment.Snapshot {
 	s := &sentiment.Snapshot{}
 	s.LogPrior[0] = d.F64()
 	s.LogPrior[1] = d.F64()
 	s.LogOOV[0] = d.F64()
 	s.LogOOV[1] = d.F64()
-	for c := 0; c < 2; c++ {
+	for c := range s.LogLik {
 		words := d.StringCol(arena)
 		vals := d.F64Col()
 		if d.Err() != nil {
@@ -305,20 +343,29 @@ func decodeSentiment(d *colfmt.Dec, arena string) *sentiment.Snapshot {
 			d.Failf("class %d has %d words but %d log-likelihoods", c, len(words), len(vals))
 			return s
 		}
-		s.LogLik[c] = make(map[string]float64, len(words))
-		for i, w := range words {
-			s.LogLik[c][w] = vals[i]
-		}
+		s.LogLik[c] = sentiment.LogLik{Words: words, Vals: vals}
 	}
 	return s
 }
 
-func decodeEmbedding(d *colfmt.Dec, arena string) *word2vec.Snapshot {
+// decodeEmbedding decodes a w2v block, or with build false only walks
+// it: the same reads and checks, with no column built.
+func decodeEmbedding(d *colfmt.Dec, arena string, build bool) *word2vec.Snapshot {
 	s := &word2vec.Snapshot{}
 	s.Dim = d.Int()
 	n := int(d.Uvarint())
-	s.Words = d.StringCol(arena)
-	s.Counts = d.IntsCol()
+	var words, counts int
+	if build {
+		s.Words = d.StringCol(arena)
+		s.Counts = d.IntsCol()
+		words, counts = len(s.Words), len(s.Counts)
+	} else {
+		words = d.SkipStringCol(arena)
+		counts = d.ColLen(1)
+		for i := 0; i < counts; i++ {
+			d.Int() // IntsCol's check, without the column
+		}
+	}
 	if d.Err() != nil {
 		return s
 	}
@@ -326,16 +373,20 @@ func decodeEmbedding(d *colfmt.Dec, arena string) *word2vec.Snapshot {
 		d.Failf("embedding dim %d out of range", s.Dim)
 		return s
 	}
-	if n != len(s.Words) || len(s.Counts) != len(s.Words) {
-		d.Failf("embedding shape mismatch: %d promised, %d words, %d counts", n, len(s.Words), len(s.Counts))
+	if n != words || counts != words {
+		d.Failf("embedding shape mismatch: %d promised, %d words, %d counts", n, words, counts)
 		return s
 	}
+	if !build {
+		d.SkipF64s(words * s.Dim)
+		return nil
+	}
 	// One backing array, made only once the payload is known to hold it.
-	flat := d.F64s(len(s.Words) * s.Dim)
+	flat := d.F64s(words * s.Dim)
 	if d.Err() != nil {
 		return s
 	}
-	s.Vectors = make([][]float64, len(s.Words))
+	s.Vectors = make([][]float64, words)
 	for i := range s.Vectors {
 		s.Vectors[i], flat = flat[:s.Dim:s.Dim], flat[s.Dim:]
 	}
@@ -359,12 +410,6 @@ func decodeGBT(d *colfmt.Dec, arena string) *gbt.Snapshot {
 	s.Names = d.StringCol(arena)
 
 	counts := d.IntsCol()
-	features := d.IntsCol()
-	thresholds := d.F64Col()
-	leaves := d.ByteCol()
-	weights := d.F64Col()
-	lefts := d.IntsCol()
-	rights := d.IntsCol()
 	if d.Err() != nil {
 		return s
 	}
@@ -376,43 +421,71 @@ func decodeGBT(d *colfmt.Dec, arena string) *gbt.Snapshot {
 		}
 		total += c
 	}
-	if len(features) != total || len(thresholds) != total || len(leaves) != total ||
-		len(weights) != total || len(lefts) != total || len(rights) != total {
-		d.Failf("node columns disagree with %d total nodes: %d features, %d thresholds, %d leaves, %d weights, %d lefts, %d rights",
-			total, len(features), len(thresholds), len(leaves), len(weights), len(lefts), len(rights))
+	// Each node column is decoded straight into its field of one node
+	// array that every tree slices; the first column's length, which
+	// the payload bounds, must match before the array is made.
+	if !nodeColumn(d, "features", 1, total) {
+		return s
+	}
+	nodes := make([]gbt.NodeDTO, total)
+	decodeNodes(d, nodes)
+	if d.Err() != nil {
 		return s
 	}
 	s.Trees = make([][]gbt.NodeDTO, len(counts))
-	off := 0
 	for ti, c := range counts {
-		tree := make([]gbt.NodeDTO, c)
-		off = fillNodes(tree, off, features, thresholds, leaves, weights, lefts, rights)
-		s.Trees[ti] = tree
+		s.Trees[ti], nodes = nodes[:c:c], nodes[c:]
 	}
 	return s
 }
 
-// fillNodes transposes the flat node columns into one tree's node
-// structs, starting at column offset off and returning the offset past
-// the tree: one struct store per node, nothing allocated.
+// decodeNodes reads the node columns, the first one's length already
+// read, into their fields of nodes: one store per value, nothing
+// allocated.
 //
 //cats:hotpath
-func fillNodes(tree []gbt.NodeDTO, off int, features []int, thresholds []float64, leaves []byte, weights []float64, lefts, rights []int) int {
-	for i := range tree {
-		tree[i] = gbt.NodeDTO{
-			Feature:   features[off],
-			Threshold: thresholds[off],
-			Leaf:      leaves[off] == 1,
-			Weight:    weights[off],
-			Left:      lefts[off],
-			Right:     rights[off],
-		}
-		off++
+func decodeNodes(d *colfmt.Dec, nodes []gbt.NodeDTO) {
+	for i := range nodes {
+		nodes[i].Feature = d.Int()
 	}
-	return off
+	nodeColumn(d, "thresholds", 8, len(nodes))
+	for i := range nodes {
+		nodes[i].Threshold = d.F64()
+	}
+	nodeColumn(d, "leaves", 1, len(nodes))
+	for i := range nodes {
+		nodes[i].Leaf = d.Byte() == 1
+	}
+	nodeColumn(d, "weights", 8, len(nodes))
+	for i := range nodes {
+		nodes[i].Weight = d.F64()
+	}
+	nodeColumn(d, "lefts", 1, len(nodes))
+	for i := range nodes {
+		nodes[i].Left = d.Int()
+	}
+	nodeColumn(d, "rights", 1, len(nodes))
+	for i := range nodes {
+		nodes[i].Right = d.Int()
+	}
 }
 
-func decodeMatrix(d *colfmt.Dec) [][]float64 {
+// nodeColumn reads a node column's length and reports whether it is
+// the n nodes the trees hold, failing d if not.
+//
+//cats:hotpath
+func nodeColumn(d *colfmt.Dec, name string, minBytes, n int) bool {
+	got := d.ColLen(minBytes)
+	if d.Err() == nil && got != n {
+		d.Failf("node column %s has %d values, the trees hold %d nodes", name, got, n)
+	}
+	return d.Err() == nil
+}
+
+// decodeMatrix decodes the drift sample, or with build false only
+// walks it. Every row is a feature vector: a row of any other length is
+// refused here, before its floats are counted or allocated.
+func decodeMatrix(d *colfmt.Dec, build bool) [][]float64 {
 	n := int(d.Uvarint())
 	lens := d.IntsCol()
 	if d.Err() != nil {
@@ -422,23 +495,32 @@ func decodeMatrix(d *colfmt.Dec) [][]float64 {
 		d.Failf("matrix promises %d rows but has %d row lengths", n, len(lens))
 		return nil
 	}
-	total := 0
+	if n == 0 {
+		// The writer leaves out the block (and its meta flag) for an empty
+		// sample, so a re-save of this file would not reproduce it.
+		d.Failf("matrix has no rows")
+		return nil
+	}
 	for i, ln := range lens {
-		if ln < 0 || ln > 1<<20 {
-			d.Failf("matrix row %d length %d out of range", i, ln)
+		if ln != features.NumFeatures {
+			d.Failf("matrix row %d has %d features, the extractor produces %d", i, ln, features.NumFeatures)
 			return nil
 		}
-		total += ln
 	}
-	// A row length is a promise; the floats behind it are checked before
-	// the one backing array every row slices is made.
+	total := n * features.NumFeatures
+	if !build {
+		d.SkipF64s(total)
+		return nil
+	}
+	// The floats behind the rows are checked before the one backing
+	// array every row slices is made.
 	flat := d.F64s(total)
 	if d.Err() != nil {
 		return nil
 	}
-	rows := make([][]float64, len(lens))
-	for i, ln := range lens {
-		rows[i], flat = flat[:ln:ln], flat[ln:]
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i], flat = flat[:features.NumFeatures:features.NumFeatures], flat[features.NumFeatures:]
 	}
 	return rows
 }

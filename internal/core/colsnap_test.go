@@ -5,11 +5,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/colfmt"
+	"repro/internal/ecom"
 	"repro/internal/synth"
 	"repro/internal/textgen"
 	"repro/internal/word2vec"
@@ -363,5 +367,153 @@ func TestColumnarSnapshotWrongKind(t *testing.T) {
 	}
 	if _, err := ReadSnapshot(bytes.NewReader(out.Bytes())); err == nil {
 		t.Fatal("dataset container accepted as snapshot")
+	}
+}
+
+// TestColumnarSnapshotFlagsDenyBlock: a w2v or trainsample block the
+// meta flags deny is refused at load, as a missing block they promise
+// is. Loaded, it came back with its flag set, so a re-save wrote other
+// bytes than the file's and the content-hash version moved.
+func TestColumnarSnapshotFlagsDenyBlock(t *testing.T) {
+	for _, c := range []struct {
+		deny  byte
+		block string
+	}{{snapFlagEmbedding, "w2v"}, {snapFlagTrainSample, "trainsample"}} {
+		raw := reframeSnapshot(t, tinySnapshot(), func(name string, payload []byte) ([]byte, bool) {
+			if name == "meta" {
+				payload = bytes.Clone(payload)
+				payload[len(payload)-1] &^= c.deny
+			}
+			return payload, true
+		})
+		_, err := ReadSnapshot(bytes.NewReader(raw))
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(c.block)+" present but meta flags no") {
+			t.Errorf("%s block without its flag: err = %v, want it refused by name", c.block, err)
+		}
+	}
+}
+
+// TestColumnarSnapshotEmptySample: a trainsample block of no rows is
+// refused. The writer leaves the block and its flag out for an empty
+// sample, so no re-save could reproduce the file.
+func TestColumnarSnapshotEmptySample(t *testing.T) {
+	raw := reframeSnapshot(t, tinySnapshot(), func(name string, payload []byte) ([]byte, bool) {
+		if name == "trainsample" {
+			var e colfmt.Enc
+			e.Uvarint(0)
+			e.IntsCol(nil)
+			payload = e.Bytes()
+		}
+		return payload, true
+	})
+	_, err := ReadSnapshot(bytes.NewReader(raw))
+	var ce *colfmt.Error
+	if !errors.As(err, &ce) || ce.Block != "trainsample" {
+		t.Fatalf("empty trainsample block: err = %v, want a colfmt.Error in that block", err)
+	}
+}
+
+// TestColumnarLoadDefersEmbeddingAndSample: a columnar load leaves the
+// embedding and the drift sample undecoded through detection, and the
+// first read of each — or a re-save — decodes exactly what was saved.
+func TestColumnarLoadDefersEmbeddingAndSample(t *testing.T) {
+	want := tinySnapshot()
+	var saved, savedJSON bytes.Buffer
+	if err := WriteSnapshotColumnar(&saved, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteSnapshot(&savedJSON, want); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ReadSnapshot(bytes.NewReader(saved.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Analyzer.Embedding != nil || snap.TrainingSample != nil {
+		t.Fatal("a columnar read decoded the embedding or the drift sample")
+	}
+	det, a, err := DetectorFromSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	item := ecom.Item{ID: "x", SalesVolume: 100, Comments: []ecom.Comment{{Content: "好评很好"}}}
+	if _, err := det.DetectItem(&item); err != nil {
+		t.Fatal(err)
+	}
+	for name, pending := range map[string]bool{
+		"snapshot embedding":  snap.Analyzer.w2v.decode != nil,
+		"snapshot sample":     snap.trainSample.decode != nil,
+		"analyzer embedding":  a.embedding.decode != nil,
+		"detector drift base": det.trainSample.decode != nil,
+	} {
+		if !pending {
+			t.Errorf("%s decoded by load and detection", name)
+		}
+	}
+
+	if got := det.TrainingSample(); !reflect.DeepEqual(got, want.TrainingSample) {
+		t.Errorf("drift sample %v, want %v", got, want.TrainingSample)
+	}
+	emb := a.Embedding()
+	for i, w := range want.Analyzer.Embedding.Words {
+		if v, ok := emb.Vector(w); !ok || !reflect.DeepEqual(v, want.Analyzer.Embedding.Vectors[i]) {
+			t.Errorf("embedding of %q = %v, want %v", w, v, want.Analyzer.Embedding.Vectors[i])
+		}
+	}
+	for format, wantBytes := range map[SnapshotFormat][]byte{FormatColumnar: saved.Bytes(), FormatJSON: savedJSON.Bytes()} {
+		var again bytes.Buffer
+		if err := WriteSnapshotFormat(&again, snap, format); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), wantBytes) {
+			t.Errorf("format %d: the loaded snapshot re-encodes to other bytes", format)
+		}
+	}
+}
+
+// TestDeferredPartsFirstReadConcurrent: goroutines that read a loaded
+// model's deferred parts for the first time at once — the registry
+// publishing the drift baseline, a lexicon query, a re-save — all see
+// the same decoded parts. Run under -race.
+func TestDeferredPartsFirstReadConcurrent(t *testing.T) {
+	var saved bytes.Buffer
+	if err := WriteSnapshotColumnar(&saved, tinySnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ReadSnapshot(bytes.NewReader(saved.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, a, err := DetectorFromSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers = 8
+	samples := make([][][]float64, readers)
+	models := make([]*word2vec.Model, readers)
+	resaves := make([][]byte, readers)
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			samples[i] = det.TrainingSample()
+			models[i] = a.Embedding()
+			models[i].Nearest("好评", 1)
+			var buf bytes.Buffer
+			if err := WriteSnapshotColumnar(&buf, snap); err != nil {
+				t.Error(err)
+			}
+			resaves[i] = buf.Bytes()
+		}()
+	}
+	wg.Wait()
+	for i := 1; i < readers; i++ {
+		if &samples[i][0] != &samples[0][0] || models[i] != models[0] {
+			t.Fatal("concurrent first reads decoded a part more than once")
+		}
+		if !bytes.Equal(resaves[i], saved.Bytes()) {
+			t.Fatal("a concurrent re-save wrote other bytes")
+		}
 	}
 }

@@ -57,8 +57,9 @@ type Detector struct {
 
 	// trainSample is a bounded, deterministic sample of training
 	// feature vectors, kept as the drift baseline for monitoring
-	// deployments (see internal/service's /v1/drift).
-	trainSample [][]float64
+	// deployments (see internal/service's /v1/drift). Detection never
+	// reads it; a loaded model decodes it on first read.
+	trainSample *deferred[[][]float64]
 
 	// m is the tenant-labeled pipeline instrumentation this detector
 	// reports into; SetMetricsTenant rebinds it. Never nil.
@@ -158,18 +159,20 @@ func (d *Detector) Train(ds *ecom.Dataset, workers int) error {
 	if stride < 1 {
 		stride = 1
 	}
-	d.trainSample = d.trainSample[:0]
+	var sample [][]float64
 	for i := 0; i < len(mlds.X); i += stride {
-		d.trainSample = append(d.trainSample, mlds.X[i])
+		sample = append(sample, mlds.X[i])
 	}
+	d.trainSample = decoded(sample)
 	d.trained = true
 	return nil
 }
 
 // TrainingSample returns the detector's drift baseline: a bounded
-// sample of training feature vectors. Callers must not mutate the
+// sample of training feature vectors, decoded on this first call for a
+// model loaded from a columnar snapshot. Callers must not mutate the
 // returned rows.
-func (d *Detector) TrainingSample() [][]float64 { return d.trainSample }
+func (d *Detector) TrainingSample() [][]float64 { return d.trainSample.get() }
 
 // Detection is one scored item.
 type Detection struct {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"runtime"
 	"strings"
@@ -30,8 +31,11 @@ func tinySnapshot() *DetectorSnapshot {
 			Negative:   []string{"差评"},
 			Sentiment: &sentiment.Snapshot{
 				LogPrior: [2]float64{-0.7, -0.7},
-				LogLik:   [2]map[string]float64{{"差评": -1, "物流": -2}, {"好评": -1, "很好": -1.5, "物流": -2}},
-				LogOOV:   [2]float64{-5, -5},
+				LogLik: [2]sentiment.LogLik{
+					{Words: []string{"差评", "物流"}, Vals: []float64{-1, -2}},
+					{Words: []string{"好评", "很好", "物流"}, Vals: []float64{-1, -1.5, -2}},
+				},
+				LogOOV: [2]float64{-5, -5},
 			},
 			Embedding: &word2vec.Snapshot{
 				Dim: 2, Words: []string{"好评", "差评"}, Counts: []int{3, 1},
@@ -57,7 +61,8 @@ func tinySnapshot() *DetectorSnapshot {
 // is a colfmt.Error or a core: error, never another package's bare
 // one; and a load allocates within a fixed multiple of its input, so a
 // count, dimension or row length the bytes cannot back is refused
-// before it is allocated.
+// before it is allocated. Then every part a load may defer is read
+// (materializeAll): none of that may fail either.
 func FuzzReadSnapshot(f *testing.F) {
 	for _, format := range []SnapshotFormat{FormatColumnar, FormatJSON} {
 		var buf bytes.Buffer
@@ -77,6 +82,21 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		return payload, true
 	}))
+	// A w2v block one float short of the dim × words its header
+	// promises, and one its meta flags deny.
+	f.Add(reframeSnapshot(f, tinySnapshot(), func(name string, payload []byte) ([]byte, bool) {
+		if name == "w2v" {
+			payload = payload[:len(payload)-8]
+		}
+		return payload, true
+	}))
+	f.Add(reframeSnapshot(f, tinySnapshot(), func(name string, payload []byte) ([]byte, bool) {
+		if name == "meta" {
+			payload = bytes.Clone(payload)
+			payload[len(payload)-1] = snapFlagTrainSample
+		}
+		return payload, true
+	}))
 	f.Add([]byte(`{"version":1,"analyzer":{"vocabulary":[""],"sentiment":{}},"gbt":{"trees":[[{"leaf":true}]]}}`))
 	f.Add([]byte("CATC\x01\x01\x05arena\x80\x80\x80\x80\x04\x00\x00\x00\x00")) // 1 GiB declared, nothing delivered
 
@@ -88,8 +108,9 @@ func FuzzReadSnapshot(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		snap, err := ReadSnapshot(bytes.NewReader(data))
 		var det *Detector
+		var a *Analyzer
 		if err == nil {
-			det, _, err = DetectorFromSnapshot(snap)
+			det, a, err = DetectorFromSnapshot(snap)
 		}
 		runtime.ReadMemStats(&after)
 		if err != nil {
@@ -111,5 +132,51 @@ func FuzzReadSnapshot(f *testing.F) {
 		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(5<<20+200*len(data)); !raceEnabled && grew > limit {
 			t.Fatalf("loading %d bytes allocated %d, limit %d", len(data), grew, limit)
 		}
+		if err == nil {
+			materializeAll(t, snap, det, a)
+		}
 	})
+}
+
+// materializeAll reads every part of an accepted model that a load may
+// leave undecoded — the drift sample, an embedding query, and a re-save
+// of the snapshot and of the model in both formats, which decode both —
+// and fails if any of it errors or panics: deferring a decode must never
+// turn a load-time rejection into a later failure. What the columnar
+// re-save writes must load again.
+func materializeAll(t *testing.T, snap *DetectorSnapshot, det *Detector, a *Analyzer) {
+	t.Helper()
+	det.TrainingSample()
+	if emb := a.Embedding(); emb != nil {
+		for _, w := range emb.Words() {
+			emb.Nearest(w, 2)
+		}
+	}
+	resaved, err := det.Snapshot(snap.Analyzer.Vocabulary, a)
+	if err != nil {
+		t.Fatalf("an accepted model cannot snapshot: %v", err)
+	}
+	for _, s := range []*DetectorSnapshot{snap, resaved} {
+		for _, format := range []SnapshotFormat{FormatColumnar, FormatJSON} {
+			var buf bytes.Buffer
+			err := WriteSnapshotFormat(&buf, s, format)
+			var unsupported *json.UnsupportedValueError
+			if format == FormatJSON && errors.As(err, &unsupported) {
+				continue // JSON has no spelling for the NaN or ±Inf a columnar file can hold
+			}
+			if err != nil {
+				t.Fatalf("an accepted model cannot be saved in format %d: %v", format, err)
+			}
+			if format != FormatColumnar {
+				continue
+			}
+			back, err := ReadSnapshot(&buf)
+			if err == nil {
+				_, _, err = DetectorFromSnapshot(back)
+			}
+			if err != nil {
+				t.Fatalf("the columnar re-save of an accepted model does not load: %v", err)
+			}
+		}
+	}
 }

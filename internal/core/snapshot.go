@@ -21,13 +21,19 @@ const snapshotVersion = 1
 
 // AnalyzerSnapshot is the JSON-serializable form of a trained semantic
 // analyzer: the segmenter dictionary, the expanded lexicons, the
-// sentiment model, and (optionally) the word2vec embeddings.
+// sentiment model, and (optionally) the word2vec embeddings. On a
+// columnar read, Embedding is nil even when the file holds one (see
+// ReadSnapshot).
 type AnalyzerSnapshot struct {
 	Vocabulary []string            `json:"vocabulary"`
 	Positive   []string            `json:"positive"`
 	Negative   []string            `json:"negative"`
 	Sentiment  *sentiment.Snapshot `json:"sentiment"`
 	Embedding  *word2vec.Snapshot  `json:"embedding,omitempty"`
+
+	// w2v is a columnar load's embedding, checked but not decoded;
+	// Embedding is nil beside it until resolved.
+	w2v *deferred[*word2vec.Snapshot]
 }
 
 // Snapshot captures the analyzer. The segmenter dictionary cannot be
@@ -47,13 +53,15 @@ func (a *Analyzer) Snapshot(vocabulary []string) (*AnalyzerSnapshot, error) {
 		Negative:   a.Negative.Words(),
 		Sentiment:  sent,
 	}
-	if a.Embedding != nil {
-		s.Embedding = a.Embedding.Snapshot()
+	if emb := a.Embedding(); emb != nil {
+		s.Embedding = emb.Snapshot()
 	}
 	return s, nil
 }
 
-// AnalyzerFromSnapshot reconstructs an analyzer.
+// AnalyzerFromSnapshot reconstructs an analyzer. An embedding a
+// columnar load deferred stays undecoded until Embedding is first
+// called; one already decoded is checked and restored here.
 func AnalyzerFromSnapshot(s *AnalyzerSnapshot) (*Analyzer, error) {
 	if s == nil {
 		return nil, errors.New("core: nil analyzer snapshot")
@@ -68,12 +76,23 @@ func AnalyzerFromSnapshot(s *AnalyzerSnapshot) (*Analyzer, error) {
 		Negative:  lexicon.NewSet(s.Negative),
 		Sentiment: sent,
 	}
-	if s.Embedding != nil {
+	switch {
+	case s.w2v != nil:
+		w2v := s.w2v
+		a.embedding = later(func() *word2vec.Model {
+			emb, err := word2vec.FromSnapshot(w2v.get())
+			if err != nil {
+				// The block's checks include every one FromSnapshot makes.
+				panic(fmt.Sprintf("core: restore a deferred embedding: %v", err))
+			}
+			return emb
+		})
+	case s.Embedding != nil:
 		emb, err := word2vec.FromSnapshot(s.Embedding)
 		if err != nil {
 			return nil, fmt.Errorf("core: restore embedding: %w", err)
 		}
-		a.Embedding = emb
+		a.embedding = decoded(emb)
 	}
 	return a, nil
 }
@@ -87,8 +106,32 @@ type DetectorSnapshot struct {
 	GBT      *gbt.Snapshot     `json:"gbt"`
 	// TrainingSample is the drift baseline: a bounded sample of
 	// training feature vectors, so deployments restored from the
-	// snapshot can monitor traffic drift.
+	// snapshot can monitor traffic drift. Nil on a columnar read even
+	// when the file holds one (see ReadSnapshot).
 	TrainingSample [][]float64 `json:"training_sample,omitempty"`
+
+	// trainSample is a columnar load's drift sample, checked but not
+	// decoded; TrainingSample is nil beside it until resolved.
+	trainSample *deferred[[][]float64]
+}
+
+// resolved returns s with the parts a columnar load deferred decoded
+// into Embedding and TrainingSample, the fields the writers encode;
+// s itself is left as it is.
+func (s *DetectorSnapshot) resolved() *DetectorSnapshot {
+	if s == nil || s.trainSample == nil && (s.Analyzer == nil || s.Analyzer.w2v == nil) {
+		return s
+	}
+	c := *s
+	if s.trainSample != nil {
+		c.TrainingSample, c.trainSample = s.trainSample.get(), nil
+	}
+	if s.Analyzer != nil && s.Analyzer.w2v != nil {
+		a := *s.Analyzer
+		a.Embedding, a.w2v = a.w2v.get(), nil
+		c.Analyzer = &a
+	}
+	return &c
 }
 
 // Snapshot captures a trained detector. vocabulary is the segmenter
@@ -110,7 +153,7 @@ func (d *Detector) Snapshot(vocabulary []string, a *Analyzer) (*DetectorSnapshot
 		Analyzer:       as,
 		Config:         d.cfg,
 		GBT:            gs,
-		TrainingSample: d.trainSample,
+		TrainingSample: d.TrainingSample(),
 	}, nil
 }
 
@@ -137,18 +180,23 @@ func DetectorFromSnapshot(s *DetectorSnapshot) (*Detector, *Analyzer, error) {
 		return nil, nil, fmt.Errorf("core: snapshot model has %d features, the extractor produces %d", n, features.NumFeatures)
 	}
 	// So do the drift comparisons: each baseline row is read column by
-	// column against scored vectors.
-	for i, row := range s.TrainingSample {
-		if len(row) != features.NumFeatures {
-			return nil, nil, fmt.Errorf("core: snapshot training sample row %d has %d features, the extractor produces %d", i, len(row), features.NumFeatures)
+	// column against scored vectors. (A columnar load's deferred sample
+	// had its row lengths checked in its block.)
+	sample := s.trainSample
+	if sample == nil {
+		for i, row := range s.TrainingSample {
+			if len(row) != features.NumFeatures {
+				return nil, nil, fmt.Errorf("core: snapshot training sample row %d has %d features, the extractor produces %d", i, len(row), features.NumFeatures)
+			}
 		}
+		sample = decoded(s.TrainingSample)
 	}
 	d := &Detector{
 		cfg:         s.Config.withDefaults(),
 		extractor:   a.Extractor(),
 		clf:         clf,
 		trained:     true,
-		trainSample: s.TrainingSample,
+		trainSample: sample,
 		m:           pipelineByTenant.For(DefaultTenant),
 	}
 	return d, a, nil
@@ -170,7 +218,7 @@ const (
 // WriteSnapshot JSON-encodes a detector snapshot to w.
 func WriteSnapshot(w io.Writer, s *DetectorSnapshot) error {
 	enc := json.NewEncoder(w)
-	if err := enc.Encode(s); err != nil {
+	if err := enc.Encode(s.resolved()); err != nil {
 		return fmt.Errorf("core: encode snapshot: %w", err)
 	}
 	return nil
@@ -201,6 +249,12 @@ func WriteSnapshotFormat(w io.Writer, s *DetectorSnapshot, f SnapshotFormat) err
 // the format version, block name, and byte offset (colfmt.Error) — the
 // detail a failed tenant reload surfaces in its /admin/reload response
 // body.
+//
+// A columnar read checks every block in full but leaves the embedding
+// and the drift sample undecoded: Analyzer.Embedding and TrainingSample
+// are nil on the snapshot it returns, the writers and
+// DetectorFromSnapshot's model decode them when they first need them,
+// and a model that only scores never does.
 func ReadSnapshot(r io.Reader) (*DetectorSnapshot, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {

@@ -191,6 +191,50 @@ func TestLoadFileErrorsAreDiagnosable(t *testing.T) {
 	}
 }
 
+// TestLoadFileVersionIsContentHash: a file load's version is its base
+// name and a 64-bit content hash in 16 hex digits. The same bytes give
+// the same version under any name; a one-byte change gives a new one.
+func TestLoadFileVersionIsContentHash(t *testing.T) {
+	_, _, snap := trainSnapshot(t, 104, core.DetectorConfig{})
+	var buf bytes.Buffer
+	if err := core.WriteSnapshotFormat(&buf, snap, core.FormatColumnar); err != nil {
+		t.Fatal(err)
+	}
+	// The same model with one byte changed: the JSON encoding's
+	// trailing newline as a space.
+	var js bytes.Buffer
+	if err := core.WriteSnapshot(&js, snap); err != nil {
+		t.Fatal(err)
+	}
+	edited := bytes.Clone(js.Bytes())
+	edited[len(edited)-1] = ' '
+	dir := t.TempDir()
+	files := map[string][]byte{"a.catc": buf.Bytes(), "b.catc": buf.Bytes(), "c.json": js.Bytes(), "d.json": edited}
+	hash := map[string]string{}
+	r := New(Options{})
+	for name, data := range files {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		info, err := r.LoadFile(context.Background(), "taobao", path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, h, ok := strings.Cut(info.Version, "#")
+		if !ok || base != name || len(h) != 16 || strings.Trim(h, "0123456789abcdef") != "" {
+			t.Fatalf("%s: version %q, want %s# and 16 hex digits", name, info.Version, name)
+		}
+		hash[name] = h
+	}
+	if hash["a.catc"] != hash["b.catc"] {
+		t.Errorf("the same bytes hash to %s and %s", hash["a.catc"], hash["b.catc"])
+	}
+	if hash["c.json"] == hash["d.json"] {
+		t.Errorf("a one-byte change kept the hash %s", hash["c.json"])
+	}
+}
+
 // TestFailedFirstLoadMakesNoTenant: a load that fails for a name the
 // registry does not know — a missing file, a snapshot that does not
 // decode, a candidate the probes veto — counts the failure under that

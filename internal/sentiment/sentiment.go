@@ -8,12 +8,13 @@ package sentiment
 import (
 	"errors"
 	"math"
+	"slices"
 )
 
 // Model is a fitted two-class multinomial NB sentiment model.
 type Model struct {
 	logPrior [2]float64 // 0 = negative, 1 = positive
-	logLik   [2]map[string]float64
+	logLik   [2]LogLik  // per class, words sorted
 	logOOV   [2]float64 // smoothed likelihood for unseen words
 	fitted   bool
 }
@@ -51,19 +52,36 @@ func Train(docs [][]string, labels []int) (*Model, error) {
 	v := float64(len(vocab))
 	for c := 0; c < 2; c++ {
 		m.logPrior[c] = math.Log(float64(docCount[c]) / total)
-		m.logLik[c] = make(map[string]float64, len(counts[c]))
 		denom := wordTotal[c] + v + 1
-		for w, n := range counts[c] {
-			m.logLik[c][w] = math.Log((n + 1) / denom)
+		l := &m.logLik[c]
+		l.Words = make([]string, 0, len(counts[c]))
+		for w := range counts[c] {
+			l.Words = append(l.Words, w)
+		}
+		slices.Sort(l.Words)
+		l.Vals = make([]float64, len(l.Words))
+		for i, w := range l.Words {
+			l.Vals[i] = math.Log((counts[c][w] + 1) / denom)
 		}
 		m.logOOV[c] = math.Log(1 / denom)
 	}
 	return m, nil
 }
 
+// logLikOf returns class c's log-likelihood of w, or false for a word
+// the class never saw.
+func (m *Model) logLikOf(c int, w string) (float64, bool) {
+	l := &m.logLik[c]
+	i, ok := slices.BinarySearch(l.Words, w)
+	if !ok {
+		return 0, false
+	}
+	return l.Vals[i], true
+}
+
 // Score returns P(positive|words). Empty input scores a neutral 0.5.
 //
-// This is the string-keyed form: two map lookups per word. The
+// This is the string-keyed form: two binary searches per word. The
 // detection path does not call it — the feature extractor reads each
 // word's log-odds term (EachWordLogOdds) into its ID-indexed table once
 // and sums the same floats in the same order — so it stays as the
@@ -71,11 +89,11 @@ func Train(docs [][]string, labels []int) (*Model, error) {
 func (m *Model) Score(words []string) float64 {
 	logOdds := m.PriorLogOdds()
 	for _, w := range words {
-		l1, ok := m.logLik[1][w]
+		l1, ok := m.logLikOf(1, w)
 		if !ok {
 			l1 = m.logOOV[1]
 		}
-		l0, ok := m.logLik[0][w]
+		l0, ok := m.logLikOf(0, w)
 		if !ok {
 			l0 = m.logOOV[0]
 		}
@@ -91,23 +109,26 @@ func (m *Model) PriorLogOdds() float64 { return m.logPrior[1] - m.logPrior[0] }
 // OOVLogOdds is the term of a word unseen in training.
 func (m *Model) OOVLogOdds() float64 { return m.logOOV[1] - m.logOOV[0] }
 
-// EachWordLogOdds calls fn once per word seen in training, in no
-// particular order, with the term that word adds to a document's
+// EachWordLogOdds calls fn once per word seen in training, in
+// ascending byte order, with the term that word adds to a document's
 // log-odds: l1 − l0, each side falling back to its class's smoothed
-// unseen-word likelihood exactly as Score does.
+// unseen-word likelihood exactly as Score does. It is one merge of the
+// two classes' sorted columns; nothing is looked up or allocated.
 func (m *Model) EachWordLogOdds(fn func(word string, term float64)) {
-	//lint:ignore map-range-determinism each word is visited once and its term depends on the word alone; callers index by word, never by visit order
-	for w, l1 := range m.logLik[1] {
-		l0, ok := m.logLik[0][w]
-		if !ok {
-			l0 = m.logOOV[0]
-		}
-		fn(w, l1-l0)
-	}
-	//lint:ignore map-range-determinism as above
-	for w, l0 := range m.logLik[0] {
-		if _, ok := m.logLik[1][w]; !ok {
-			fn(w, m.logOOV[1]-l0)
+	neg, pos := &m.logLik[0], &m.logLik[1]
+	i, j := 0, 0
+	for i < len(neg.Words) || j < len(pos.Words) {
+		switch {
+		case j == len(pos.Words) || (i < len(neg.Words) && neg.Words[i] < pos.Words[j]):
+			fn(neg.Words[i], m.logOOV[1]-neg.Vals[i])
+			i++
+		case i == len(neg.Words) || pos.Words[j] < neg.Words[i]:
+			fn(pos.Words[j], pos.Vals[j]-m.logOOV[0])
+			j++
+		default:
+			fn(pos.Words[j], pos.Vals[j]-neg.Vals[i])
+			i++
+			j++
 		}
 	}
 }
@@ -146,11 +167,7 @@ func (m *Model) Classify(words []string) int {
 
 // VocabSize returns the number of distinct words seen in training.
 func (m *Model) VocabSize() int {
-	seen := map[string]struct{}{}
-	for c := 0; c < 2; c++ {
-		for w := range m.logLik[c] {
-			seen[w] = struct{}{}
-		}
-	}
-	return len(seen)
+	n := 0
+	m.EachWordLogOdds(func(string, float64) { n++ })
+	return n
 }

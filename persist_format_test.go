@@ -2,7 +2,9 @@ package cats
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/synth"
@@ -99,4 +101,36 @@ func TestGoldenFormatEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLoadFileCost pins what LoadFile of a trained columnar snapshot
+// allocates: 750,056 bytes in 102 allocations for this model since the
+// embedding and the drift sample stopped being decoded at load (it was
+// 1,285,376 in 328), plus 25 %. A decode that creeps back into the load
+// fails it. The fewest of five loads is taken, so a stray runtime
+// allocation does not count.
+func TestLoadFileCost(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates beside the code it instruments")
+	}
+	path := filepath.Join(t.TempDir(), "model.catc")
+	if err := trainSystem(t).SaveFileFormat(path, textgen.NewBank().Vocabulary(), FormatColumnar); err != nil {
+		t.Fatal(err)
+	}
+	bytesLeast, allocsLeast := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := LoadFile(path); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		bytesLeast = min(bytesLeast, after.TotalAlloc-before.TotalAlloc)
+		allocsLeast = min(allocsLeast, after.Mallocs-before.Mallocs)
+	}
+	const maxBytes, maxAllocs = 937_570, 127
+	if bytesLeast > maxBytes || allocsLeast > maxAllocs {
+		t.Errorf("LoadFile allocated %d bytes in %d allocations; the pin is %d in %d", bytesLeast, allocsLeast, maxBytes, maxAllocs)
+	}
+	t.Logf("LoadFile: %d bytes in %d allocations", bytesLeast, allocsLeast)
 }
