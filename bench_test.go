@@ -116,6 +116,42 @@ func BenchmarkSegmenterAppend(b *testing.B) {
 	_ = words
 }
 
+// BenchmarkSegmenterCorpus times the analysis kernel's segmentation
+// pass (AppendWordTokens) over the comments a detection corpus holds:
+// synth.Stream items shaped like the benchmark module's corpora (about
+// ten comments an item, 2% fraud), ≈ 27 runes a comment against the
+// 136 of BenchmarkSegmenterAppend's fraud comments. One op is one
+// comment.
+func BenchmarkSegmenterCorpus(b *testing.B) {
+	seg := tokenize.NewSegmenter(textgen.NewBank().Vocabulary())
+	var comments []string
+	_, err := synth.Stream(synth.Config{
+		Name: "bench", Platform: "taobao", Seed: 9901,
+		FraudEvidence: 8, Normal: 392,
+		FraudCommentsMin: 8, FraudCommentsMax: 20,
+		NormalCommentsMin: 3, NormalCommentsMax: 18,
+	}, func(it *ecom.Item) error {
+		for i := range it.Comments {
+			comments = append(comments, it.Comments[i].Content)
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var runes int
+	for _, c := range comments {
+		runes += tokenize.RuneLen(c)
+	}
+	toks := make([]tokenize.WordToken, 0, 256)
+	b.SetBytes(int64(runes / len(comments)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		toks, _, _ = seg.AppendWordTokens(toks[:0], comments[i%len(comments)])
+	}
+}
+
 func benchExtractor(b *testing.B) (*features.Extractor, []ecom.Item) {
 	b.Helper()
 	bank := textgen.NewBank()

@@ -11,7 +11,8 @@
 //
 // A flag the run would not read is a usage error, not a silent default:
 // -threshold or -corpus beside -load-model, -model-format without
-// -save-model.
+// -save-model. A -threshold outside [0, 1] is refused too: a model
+// saved with one would not load.
 //
 // The output is a TSV: a header, then item_id, score, fraud, filtered
 // per item. An item_id holding a tab, CR or LF, or beginning with a
@@ -84,6 +85,10 @@ func ignoredFlag(set map[string]bool) error {
 func run(trainPath, detectPath string, threshold float64, corpusSize int, outPath, savePath, saveFmt, loadPath string) error {
 	if detectPath == "" {
 		return fmt.Errorf("-detect is required")
+	}
+	if !(threshold >= 0 && threshold <= 1) {
+		// A saved model carries it, and a load refuses one outside.
+		return fmt.Errorf("-threshold %v is outside [0, 1]", threshold)
 	}
 	var format cats.SnapshotFormat
 	switch saveFmt {

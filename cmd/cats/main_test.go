@@ -202,6 +202,18 @@ func TestIgnoredFlagIsAUsageError(t *testing.T) {
 	}
 }
 
+// TestThresholdOutsideUnitIsRefused: a model trained at a threshold
+// outside [0, 1] would save but never load again, so the run refuses it
+// before reading anything.
+func TestThresholdOutsideUnitIsRefused(t *testing.T) {
+	for _, thr := range []float64{1.5, -0.1, math.NaN()} {
+		err := run("train.jsonl", "missing.jsonl", thr, 10, "-", "", "json", "")
+		if err == nil || !strings.Contains(err.Error(), "-threshold") {
+			t.Errorf("threshold %v: err = %v, want it refused by name", thr, err)
+		}
+	}
+}
+
 // TestSummaryLine: the stage line keeps its fields where they were.
 func TestSummaryLine(t *testing.T) {
 	stats := cats.StreamStats{Items: 9433, Reported: 12, Batches: 10, ReadSeconds: 0.0774, ScoreSeconds: 0.057, EmitSeconds: 0.001}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"runtime"
@@ -364,6 +365,38 @@ func TestF64sGuard(t *testing.T) {
 	}
 }
 
+// TestSkipF64sRefusesNonFinite: the validating skip fails at the first
+// NaN or ±Inf, naming the column, the row and the value's place in it,
+// and passes every finite float, the extremes included.
+func TestSkipF64sRefusesNonFinite(t *testing.T) {
+	finite := []float64{0, math.Copysign(0, -1), 1, -2.5, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
+	var e Enc
+	for _, v := range finite {
+		e.F64(v)
+	}
+	d := newDec("t", e.Bytes())
+	if d.SkipF64s("v", len(finite), 1); d.Done() != nil {
+		t.Fatalf("finite floats: %v", d.Err())
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var e Enc
+		for i := 0; i < 6; i++ {
+			v := float64(i)
+			if i == 4 {
+				v = bad
+			}
+			e.F64(v)
+		}
+		d := newDec("t", e.Bytes())
+		d.SkipF64s("vectors", 6, 3)
+		want := fmt.Sprintf("vectors row 1 value 1 is %v", bad)
+		var ce *Error
+		if !errors.As(d.Err(), &ce) || ce.Msg != want || ce.Offset != 32 {
+			t.Fatalf("%v at float 4 of rows of 3: err %v, want %q at offset 32", bad, d.Err(), want)
+		}
+	}
+}
+
 // skipPairs is every column decoder that has a skip form, beside it.
 // build returns the built column's length.
 func skipPairs(arena string) map[string]struct {
@@ -379,7 +412,7 @@ func skipPairs(arena string) map[string]struct {
 		"IntCol":    {func(d *Dec) int { return len(d.IntCol()) }, (*Dec).SkipIntCol},
 		"ByteCol":   {func(d *Dec) int { return len(d.ByteCol()) }, (*Dec).SkipByteCol},
 		"F64s": {func(d *Dec) int { return len(d.F64s(3)) }, func(d *Dec) int {
-			if d.SkipF64s(3); d.Err() != nil {
+			if d.SkipF64s("f", 3, 1); d.Err() != nil {
 				return 0
 			}
 			return 3

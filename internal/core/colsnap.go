@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/colfmt"
 	"repro/internal/features"
@@ -258,7 +259,9 @@ func readSnapshotColumnar(r io.Reader) (*DetectorSnapshot, error) {
 				}
 				s.Config.MinSalesVolume = d.Int()
 				s.Config.DisableRuleFilter = d.Bool()
-				s.Config.Threshold = d.F64()
+				if s.Config.Threshold = d.F64(); !validThreshold(s.Config.Threshold) {
+					d.Failf("config threshold %v is outside [0, 1]", s.Config.Threshold)
+				}
 				flags = d.Byte()
 			}
 		case "arena":
@@ -329,10 +332,11 @@ func deferBlock[T any](blk colfmt.Block, decode func(*colfmt.Dec) T) *deferred[T
 
 func decodeSentiment(d *colfmt.Dec, arena string) *sentiment.Snapshot {
 	s := &sentiment.Snapshot{}
-	s.LogPrior[0] = d.F64()
-	s.LogPrior[1] = d.F64()
-	s.LogOOV[0] = d.F64()
-	s.LogOOV[1] = d.F64()
+	s.LogPrior[0] = finiteRow(d, "log priors", 0, d.F64())
+	s.LogPrior[1] = finiteRow(d, "log priors", 1, d.F64())
+	s.LogOOV[0] = finiteRow(d, "OOV log-likelihoods", 0, d.F64())
+	s.LogOOV[1] = finiteRow(d, "OOV log-likelihoods", 1, d.F64())
+	cols := [...]string{"class 0 log-likelihoods", "class 1 log-likelihoods"}
 	for c := range s.LogLik {
 		words := d.StringCol(arena)
 		vals := d.F64Col()
@@ -342,6 +346,9 @@ func decodeSentiment(d *colfmt.Dec, arena string) *sentiment.Snapshot {
 		if len(words) != len(vals) {
 			d.Failf("class %d has %d words but %d log-likelihoods", c, len(words), len(vals))
 			return s
+		}
+		for i, v := range vals {
+			finiteRow(d, cols[c], i, v)
 		}
 		s.LogLik[c] = sentiment.LogLik{Words: words, Vals: vals}
 	}
@@ -378,7 +385,7 @@ func decodeEmbedding(d *colfmt.Dec, arena string, build bool) *word2vec.Snapshot
 		return s
 	}
 	if !build {
-		d.SkipF64s(words * s.Dim)
+		d.SkipF64s("vectors", words*s.Dim, s.Dim)
 		return nil
 	}
 	// One backing array, made only once the payload is known to hold it.
@@ -397,15 +404,15 @@ func decodeGBT(d *colfmt.Dec, arena string) *gbt.Snapshot {
 	s := &gbt.Snapshot{}
 	s.Config.Rounds = d.Int()
 	s.Config.MaxDepth = d.Int()
-	s.Config.LearningRate = d.F64()
-	s.Config.Lambda = d.F64()
-	s.Config.Gamma = d.F64()
-	s.Config.MinChildWeight = d.F64()
-	s.Config.Subsample = d.F64()
-	s.Config.ColSample = d.F64()
+	s.Config.LearningRate = finite(d, "config LearningRate", d.F64())
+	s.Config.Lambda = finite(d, "config Lambda", d.F64())
+	s.Config.Gamma = finite(d, "config Gamma", d.F64())
+	s.Config.MinChildWeight = finite(d, "config MinChildWeight", d.F64())
+	s.Config.Subsample = finite(d, "config Subsample", d.F64())
+	s.Config.ColSample = finite(d, "config ColSample", d.F64())
 	s.Config.Seed = d.Varint()
 	s.Config.Workers = d.Int()
-	s.BaseScore = d.F64()
+	s.BaseScore = finite(d, "base score", d.F64())
 	s.SplitCount = d.IntsCol()
 	s.Names = d.StringCol(arena)
 
@@ -450,7 +457,7 @@ func decodeNodes(d *colfmt.Dec, nodes []gbt.NodeDTO) {
 	}
 	nodeColumn(d, "thresholds", 8, len(nodes))
 	for i := range nodes {
-		nodes[i].Threshold = d.F64()
+		nodes[i].Threshold = finiteRow(d, "node column thresholds", i, d.F64())
 	}
 	nodeColumn(d, "leaves", 1, len(nodes))
 	for i := range nodes {
@@ -458,7 +465,7 @@ func decodeNodes(d *colfmt.Dec, nodes []gbt.NodeDTO) {
 	}
 	nodeColumn(d, "weights", 8, len(nodes))
 	for i := range nodes {
-		nodes[i].Weight = d.F64()
+		nodes[i].Weight = finiteRow(d, "node column weights", i, d.F64())
 	}
 	nodeColumn(d, "lefts", 1, len(nodes))
 	for i := range nodes {
@@ -468,6 +475,26 @@ func decodeNodes(d *colfmt.Dec, nodes []gbt.NodeDTO) {
 	for i := range nodes {
 		nodes[i].Right = d.Int()
 	}
+}
+
+// finite returns v, failing d if it is NaN or ±Inf: every float a
+// loaded model holds is one its JSON spelling can carry. name names the
+// field.
+func finite(d *colfmt.Dec, name string, v float64) float64 {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		d.Failf("%s is %v", name, v)
+	}
+	return v
+}
+
+// finiteRow is finite for row row of column col.
+//
+//cats:hotpath
+func finiteRow(d *colfmt.Dec, col string, row int, v float64) float64 {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		d.Failf("%s row %d is %v", col, row, v)
+	}
+	return v
 }
 
 // nodeColumn reads a node column's length and reports whether it is
@@ -509,7 +536,7 @@ func decodeMatrix(d *colfmt.Dec, build bool) [][]float64 {
 	}
 	total := n * features.NumFeatures
 	if !build {
-		d.SkipF64s(total)
+		d.SkipF64s("sample", total, features.NumFeatures)
 		return nil
 	}
 	// The floats behind the rows are checked before the one backing

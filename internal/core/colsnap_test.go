@@ -413,6 +413,76 @@ func TestColumnarSnapshotEmptySample(t *testing.T) {
 	}
 }
 
+// TestColumnarSnapshotRefusesNonFinite: a float a loaded model holds
+// must be finite, and its Threshold a probability. Each file below is
+// refused at load in the block and with the column and row that carry
+// the bad value, the deferred blocks included, so no first read later
+// meets a value a JSON re-save cannot spell.
+func TestColumnarSnapshotRefusesNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	written := func(edit func(s *DetectorSnapshot)) []byte {
+		s := tinySnapshot()
+		edit(s)
+		return reframeSnapshot(t, s, func(_ string, payload []byte) ([]byte, bool) { return payload, true })
+	}
+	for _, c := range []struct {
+		name, block, msg string
+		raw              []byte
+	}{
+		{"NaN split threshold", "gbt", "node column thresholds row 0 is NaN",
+			written(func(s *DetectorSnapshot) { s.GBT.Trees[0][0].Threshold = nan })},
+		{"+Inf leaf weight", "gbt", "node column weights row 2 is +Inf",
+			written(func(s *DetectorSnapshot) { s.GBT.Trees[0][2].Weight = inf })},
+		{"NaN base score", "gbt", "base score is NaN",
+			written(func(s *DetectorSnapshot) { s.GBT.BaseScore = nan })},
+		{"-Inf learning rate", "gbt", "config LearningRate is -Inf",
+			written(func(s *DetectorSnapshot) { s.GBT.Config.LearningRate = -inf })},
+		{"NaN log prior", "sentiment", "log priors row 1 is NaN",
+			written(func(s *DetectorSnapshot) { s.Analyzer.Sentiment.LogPrior[1] = nan })},
+		{"-Inf OOV value", "sentiment", "OOV log-likelihoods row 0 is -Inf",
+			written(func(s *DetectorSnapshot) { s.Analyzer.Sentiment.LogOOV[0] = -inf })},
+		{"NaN log-likelihood", "sentiment", "class 1 log-likelihoods row 2 is NaN",
+			written(func(s *DetectorSnapshot) { s.Analyzer.Sentiment.LogLik[1].Vals[2] = nan })},
+		{"NaN threshold", "meta", "config threshold NaN is outside [0, 1]",
+			written(func(s *DetectorSnapshot) { s.Config.Threshold = nan })},
+		{"threshold above 1", "meta", "config threshold 1.5 is outside [0, 1]",
+			written(func(s *DetectorSnapshot) { s.Config.Threshold = 1.5 })},
+		{"-Inf embedding value", "w2v", "vectors row 1 value 0 is -Inf",
+			written(func(s *DetectorSnapshot) { s.Analyzer.Embedding.Vectors[1][0] = -inf })},
+		{"NaN training-sample value", "trainsample", "sample row 1 value 10 is NaN",
+			reframeSnapshot(t, tinySnapshot(), func(name string, payload []byte) ([]byte, bool) {
+				if name == "trainsample" {
+					payload = bytes.Clone(payload)
+					binary.LittleEndian.PutUint64(payload[len(payload)-8:], math.Float64bits(nan))
+				}
+				return payload, true
+			})},
+	} {
+		_, err := ReadSnapshot(bytes.NewReader(c.raw))
+		var ce *colfmt.Error
+		if !errors.As(err, &ce) || ce.Block != c.block || ce.Msg != c.msg {
+			t.Errorf("%s: err = %v, want %q in block %q", c.name, err, c.msg, c.block)
+		}
+	}
+}
+
+// TestJSONSnapshotThresholdRange: a JSON model's Threshold must be a
+// probability too, so every model a load accepts re-saves in the
+// columnar format to a file that loads.
+func TestJSONSnapshotThresholdRange(t *testing.T) {
+	for _, thr := range []float64{-0.5, 1.5} {
+		s := tinySnapshot()
+		s.Config.Threshold = thr
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadSnapshot(&buf); err == nil || !strings.Contains(err.Error(), "outside [0, 1]") {
+			t.Errorf("JSON threshold %v: err = %v, want it refused", thr, err)
+		}
+	}
+}
+
 // TestColumnarLoadDefersEmbeddingAndSample: a columnar load leaves the
 // embedding and the drift sample undecoded through detection, and the
 // first read of each — or a re-save — decodes exactly what was saved.

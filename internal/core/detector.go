@@ -37,6 +37,10 @@ type DetectorConfig struct {
 	Threshold float64
 }
 
+// validThreshold reports whether t is a Threshold a snapshot may hold:
+// a probability in [0, 1], 0 meaning the default.
+func validThreshold(t float64) bool { return t >= 0 && t <= 1 }
+
 func (c DetectorConfig) withDefaults() DetectorConfig {
 	if c.MinSalesVolume <= 0 {
 		c.MinSalesVolume = 5

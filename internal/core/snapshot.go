@@ -269,6 +269,9 @@ func ReadSnapshot(r io.Reader) (*DetectorSnapshot, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("core: decode snapshot (%s): %w", decodeFailureDetail(dec, err, s.Version), err)
 	}
+	if !validThreshold(s.Config.Threshold) {
+		return nil, fmt.Errorf("core: decode snapshot: config threshold %v is outside [0, 1]", s.Config.Threshold)
+	}
 	return &s, nil
 }
 

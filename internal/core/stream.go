@@ -55,7 +55,9 @@ const streamDepth = 3
 
 // streamBatch is the unit the stages hand each other. The run's
 // streamDepth batches are allocated once and recycled, so a batch's
-// items are overwritten by a later read.
+// items are overwritten by a later read. A batch's items grow with what
+// is read into it, up to BatchSize: a 16-item job never makes room for
+// 1,024.
 type streamBatch struct {
 	items []ecom.Item // projected (dataset.Reader.NextTexts)
 	dets  []Detection // dets[i] scores items[i]; set by the score stage
@@ -120,7 +122,7 @@ func (d *Detector) DetectStream(ctx context.Context, r *dataset.Reader, opts Str
 }
 
 func (s *streamRun) run(ctx context.Context) error {
-	first := s.newBatch()
+	first := new(streamBatch)
 	s.fill(first)
 	if first.end != nil {
 		// The whole input fits one batch: nothing to overlap.
@@ -144,7 +146,7 @@ func (s *streamRun) overlap(ctx context.Context, first *streamBatch) error {
 	free := make(chan *streamBatch, streamDepth)
 	filled <- first
 	for i := 1; i < streamDepth; i++ {
-		free <- s.newBatch()
+		free <- new(streamBatch)
 	}
 
 	var wg sync.WaitGroup
@@ -223,10 +225,6 @@ func finish(ctx context.Context, end error) error {
 	return end
 }
 
-func (s *streamRun) newBatch() *streamBatch {
-	return &streamBatch{items: make([]ecom.Item, 0, s.opts.BatchSize)}
-}
-
 // contain, deferred by a stage's step over b, turns a panic in it into
 // the stream's end: b drops its items and carries the panic and stack.
 func contain(stage string, b *streamBatch) {
@@ -252,6 +250,13 @@ func (s *streamRun) fill(b *streamBatch) {
 		if err != nil {
 			b.items, b.end = b.items[:0], fmt.Errorf("core: stream read: %w", err)
 			break
+		}
+		if len(b.items) == cap(b.items) {
+			// Double, from 16, but never past BatchSize: append's own
+			// growth would overshoot it.
+			grown := make([]ecom.Item, len(b.items), min(max(2*cap(b.items), 16), s.opts.BatchSize))
+			copy(grown, b.items)
+			b.items = grown
 		}
 		b.items = append(b.items, *item)
 	}

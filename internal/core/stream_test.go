@@ -95,3 +95,31 @@ func TestDetectStreamUntrained(t *testing.T) {
 		t.Fatalf("err = %v, want ErrNotTrained", err)
 	}
 }
+
+// TestStreamBatchGrowsByNeed: a batch makes room for what is read into
+// it, doubling from 16, and never for more than BatchSize items — a
+// short job does not pay for a full batch it cannot fill.
+func TestStreamBatchGrowsByNeed(t *testing.T) {
+	d, _ := trainedDetector(t, DetectorConfig{})
+	u := synth.Generate(synth.Config{Name: "grow", Seed: 103, FraudEvidence: 4, Normal: 36, Shops: 2})
+	path := filepath.Join(t.TempDir(), "items.jsonl")
+	if err := dataset.WriteAll(path, &u.Dataset); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ batch, items, capacity int }{
+		{1024, 40, 64}, // 40 items: 16, 32, 64
+		{24, 24, 24},   // a full batch: 16, then BatchSize, not 32
+	} {
+		r, err := dataset.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := &streamRun{d: d, r: r, opts: StreamOptions{BatchSize: c.batch}.withDefaults()}
+		b := new(streamBatch)
+		s.fill(b)
+		r.Close()
+		if len(b.items) != c.items || cap(b.items) != c.capacity {
+			t.Errorf("BatchSize %d: read %d items into capacity %d, want %d into %d", c.batch, len(b.items), cap(b.items), c.items, c.capacity)
+		}
+	}
+}

@@ -70,35 +70,45 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 // FuzzSegmentDifferential pins the byte-level trie walk against the
 // retained map-based reference implementation: on any valid UTF-8
 // input, both must produce the identical Text/Kind token stream, with
-// and without whitespace tokens. (Invalid UTF-8 is skipped: the
+// and without whitespace tokens, and each word token must carry
+// WordID's answer for its text. It runs over two dictionaries: the
+// small overlapping one and hashVocab, whose edge table is crowded
+// enough for probes to collide and wrap. (Invalid UTF-8 is skipped: the
 // reference's []rune conversion re-encodes invalid bytes as U+FFFD,
 // while the zero-copy path preserves the original bytes — an
 // intentional improvement, not a divergence to pin.)
 func FuzzSegmentDifferential(f *testing.F) {
-	seg := fuzzSegmenter()
+	segs := []*Segmenter{fuzzSegmenter(), NewSegmenter(hashVocab())}
+	refs := []*reference{fuzzRef, newReference(hashVocab())}
 	f.Add("我很喜欢这件商品")
 	f.Add("我喜欢质量不错的好评")
 	f.Add("质量不错，物流很快！ok 5星")
 	f.Add("五星好评五星好 评五星")
 	f.Add("３．１４ １２３ ①②③")
 	f.Add("latin好run12好评3.14end")
+	f.Add(hashPrefix + "好" + hashPrefix[:3*11] + "好 " + hashPrefix[:3*15])
+	f.Add(string(hashHan()[:9]) + "，" + string(hashHan()[190:]))
+	f.Add("\x00\x00好\x00 😀😁😀好评 \U0010FFFF\U0010FFFF一 okay123")
 	f.Fuzz(func(t *testing.T, s string) {
 		if !utf8.ValidString(s) {
 			t.Skip()
 		}
-		for _, keepSpace := range []bool{false, true} {
-			got := seg.appendTokens(nil, s, keepSpace)
-			want := fuzzRef.referenceSegment(s, keepSpace)
-			if len(got) != len(want) {
-				t.Fatalf("keepSpace=%v: %d tokens, reference has %d\n got: %v\nwant: %v",
-					keepSpace, len(got), len(want), got, want)
-			}
-			for i := range got {
-				if got[i].Text != want[i].Text || got[i].Kind != want[i].Kind {
-					t.Fatalf("keepSpace=%v: token %d = {%q %d}, reference {%q %d} in %q",
-						keepSpace, i, got[i].Text, got[i].Kind, want[i].Text, want[i].Kind, s)
+		for k, seg := range segs {
+			for _, keepSpace := range []bool{false, true} {
+				got := seg.appendTokens(nil, s, keepSpace)
+				want := refs[k].referenceSegment(s, keepSpace)
+				if len(got) != len(want) {
+					t.Fatalf("dictionary %d keepSpace=%v: %d tokens, reference has %d\n got: %v\nwant: %v",
+						k, keepSpace, len(got), len(want), got, want)
+				}
+				for i := range got {
+					if got[i].Text != want[i].Text || got[i].Kind != want[i].Kind {
+						t.Fatalf("dictionary %d keepSpace=%v: token %d = {%q %d}, reference {%q %d} in %q",
+							k, keepSpace, i, got[i].Text, got[i].Kind, want[i].Text, want[i].Kind, s)
+					}
 				}
 			}
+			checkWordTokens(t, seg, s)
 		}
 	})
 }

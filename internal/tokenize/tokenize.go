@@ -11,15 +11,17 @@
 // split against the dictionary with a single-rune fallback.
 //
 // The segmenter is built for the detection hot path: dictionary words
-// live in a flattened prefix trie matched directly over the input's
-// UTF-8 bytes (no []rune conversion, no per-probe substring), emitted
-// tokens are zero-copy substrings of the input carrying byte offsets
-// and rune counts, and the Append* entry points let callers reuse token
-// and word buffers across comments so a steady-state segmentation pass
-// allocates nothing. Every dictionary word also has a dense integer ID,
-// carried by the trie node it ends at; AppendWordTokens hands each word
-// token out with its ID, so a consumer that indexes by ID (the feature
-// extractor's analysis kernel) never hashes a word's text.
+// live in a prefix trie whose edges sit in one hash table keyed by
+// (node, rune), so each rune of a match is one probe, and the match
+// runs directly over the input's UTF-8 bytes (no []rune conversion, no
+// per-probe substring); emitted tokens are zero-copy substrings of the
+// input carrying byte offsets and rune counts, and the Append* entry
+// points let callers reuse token and word buffers across comments so a
+// steady-state segmentation pass allocates nothing. Every dictionary
+// word also has a dense integer ID, carried by the trie edge into the
+// node it ends at; AppendWordTokens hands each word token out with its
+// ID, so a consumer that indexes by ID (the feature extractor's
+// analysis kernel) never hashes a word's text.
 package tokenize
 
 import (
@@ -60,9 +62,9 @@ type Token struct {
 // A Segmenter is immutable after construction (apart from its call
 // counter) and safe for concurrent use by multiple goroutines.
 type Segmenter struct {
-	// trie is the vocabulary as a flattened prefix trie whose terminal
-	// nodes carry dense word IDs; it is the segmenter's only copy of
-	// the dictionary.
+	// trie is the vocabulary as a prefix trie whose edges carry the
+	// dense IDs of the words ending below them; it is the segmenter's
+	// only copy of the dictionary.
 	trie *matchTrie
 
 	// calls counts segmentation passes, so tests can assert the
@@ -218,7 +220,7 @@ func (s *Segmenter) AppendWordTokensUncounted(dst []WordToken, text string) (tok
 // returns the token starting at byte offset i of text as its end
 // offset, rune count, kind and (for a word) dictionary ID. It advances
 // over text's UTF-8 bytes directly: runs (space, latin, digit) extend
-// byte offsets and dictionary matches come from the flattened trie.
+// byte offsets and dictionary matches come from the trie.
 // Runes of the CJK Unified block skip the classifier chain, which can
 // only ever send them to the dictionary match.
 //
@@ -229,7 +231,7 @@ func (s *Segmenter) scan(text string, i int) (end, runes int, kind Kind, id int3
 		r, sz = utf8.DecodeRuneInString(text[i:])
 	}
 	if isHan(r) {
-		end, runes, id = s.trie.match(text, i+sz, s.trie.han[r-hanLo])
+		end, runes, id = s.trie.match(text, i+sz, s.trie.step(0, r))
 		return end, runes, KindWord, id
 	}
 	switch {
@@ -265,7 +267,7 @@ func (s *Segmenter) scan(text string, i int) (end, runes int, kind Kind, id int3
 		return j, n, KindWord, s.trie.lookup(text[i:j])
 	default:
 		// Anything else that is not Han: forward maximum match too.
-		end, runes, id = s.trie.match(text, i+sz, s.trie.child(0, r))
+		end, runes, id = s.trie.match(text, i+sz, s.trie.step(0, r))
 		return end, runes, KindWord, id
 	}
 }

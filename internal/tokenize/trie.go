@@ -1,7 +1,7 @@
 package tokenize
 
 import (
-	"cmp"
+	"math/bits"
 	"slices"
 	"unicode/utf8"
 )
@@ -12,8 +12,7 @@ const NoID int32 = -1
 // The CJK Unified Ideographs block. Runes in it are never whitespace,
 // punctuation, Latin letters or digits (TestHanRangeIsPlainWordRunes
 // sweeps the block against every classifier), so the segmenter sends
-// them straight to the dictionary match, and the trie resolves its
-// root fan-out for them with one indexed load.
+// them straight to the dictionary match.
 const (
 	hanLo   rune = 0x4E00
 	hanHi   rune = 0x9FFF
@@ -23,62 +22,78 @@ const (
 //cats:hotpath
 func isHan(r rune) bool { return uint32(r-hanLo) < uint32(hanSpan) }
 
-// matchTrie is the segmenter's dictionary flattened into two contiguous
-// arrays: a node table and an edge table. Each node owns a sorted span
-// of the edge table (edges[lo:hi], ordered by rune), so a dictionary
-// probe is a binary search per rune with no pointer chasing and no
-// per-probe allocation. Matching walks the input's UTF-8 bytes directly
-// — the segmenter never materializes a []rune and never builds a
-// substring to look up.
+// matchTrie is the segmenter's dictionary as a prefix trie whose edges
+// all live in one open-addressed hash table keyed by (node, rune): a
+// step from a node over a rune is one hashed probe, whatever the
+// node's fan-out, with no pointer chasing and no per-probe allocation.
+// Matching walks the input's UTF-8 bytes directly — the segmenter never
+// materializes a []rune and never builds a substring to look up.
 //
-// Every node where a dictionary word ends carries that word's dense ID
-// (assigned in breadth-first order, so the same vocabulary always gets
-// the same IDs); the walk that finds a token therefore also names it,
-// and nothing downstream has to hash its text.
+// An edge carries what the walk needs of the node it leads to: that
+// node's index, or leaf when the node has no children (the walk stops
+// there without probing), and the dense ID of the dictionary word
+// ending there (NoID if none). IDs are assigned in breadth-first order
+// of the nodes, children in rune order, so the same vocabulary always
+// gets the same IDs; the walk that finds a token therefore also names
+// it, and nothing downstream has to hash its text.
 //
 // The trie is immutable after construction and safe for concurrent use.
 type matchTrie struct {
-	nodes []trieNode
+	// edges is the hash table: a power of two long and at most half
+	// full, so every probe sequence reaches an empty slot (next 0).
 	edges []trieEdge
-	// han is the root's fan-out over [hanLo, hanHi]: han[r-hanLo] is
-	// the root's child for r, or 0. Node 0 is the root and never a
-	// child, so 0 means "no edge" here and in child.
-	han []int32
+	// shift turns a key's 64-bit product into a slot index: the table
+	// is 1<<(64-shift) slots long.
+	shift uint8
 	// words is the number of word IDs handed out: IDs are [0, words).
 	words int32
 }
 
-// trieNode is one trie state. Its outgoing edges are edges[lo:hi],
-// sorted by rune for binary search. id is the ID of the dictionary word
-// ending at this node, or NoID.
-type trieNode struct {
-	lo, hi int32
-	id     int32
+// trieEdge is one edge in a slot of the table. key is edgeKey of the
+// node it leaves and the rune it steps over. next is the child's node
+// index, or leaf; 0 marks an empty slot, since node 0 is the root and
+// never a child. id is the ID of the dictionary word ending at the
+// child, or NoID.
+type trieEdge struct {
+	key  uint64
+	next int32
+	id   int32
 }
 
-// trieEdge maps one rune to the next node index.
-type trieEdge struct {
-	r    rune
-	next int32
-}
+// edgeKey packs an edge's node and rune into its table key.
+//
+//cats:hotpath
+func edgeKey(n int32, r rune) uint64 { return uint64(uint32(n))<<32 | uint64(uint32(r)) }
+
+// leaf is trieEdge.next for a child with no children of its own.
+const leaf int32 = -1
 
 // buildNode is the temporary node used only while inserting the
 // vocabulary: first-child/next-sibling links into one slice, so the
 // build allocates no per-node map. flatten converts the result into the
-// contiguous arrays.
+// edge table.
 type buildNode struct {
 	r        rune
-	child    int32 // first child, 0 for none
-	sibling  int32 // next sibling, 0 for none
+	child    int32 // most recently added child, 0 for none
+	sibling  int32 // previously added sibling, 0 for none
 	terminal bool
 }
 
-// newMatchTrie builds the flattened trie from the vocabulary. Empty
-// entries are ignored, and so are entries that are not valid UTF-8: the
-// match never steps over an invalid byte, so such an entry could never
-// equal a token's text.
+// newMatchTrie builds the trie from the vocabulary. Empty entries are
+// ignored, and so are entries that are not valid UTF-8: the match never
+// steps over an invalid byte, so such an entry could never equal a
+// token's text.
+//
+// The words are inserted in sorted order (a vocabulary that is not
+// sorted is sorted in a copy), so a node's children are added in rune
+// order and the only child a later word can share is the one added
+// last: each insertion step compares one rune, and a node's children
+// are linked newest first.
 func newMatchTrie(vocab []string) *matchTrie {
-	t := &matchTrie{han: make([]int32, hanSpan)}
+	if !slices.IsSorted(vocab) {
+		vocab = slices.Clone(vocab)
+		slices.Sort(vocab)
+	}
 	b := make([]buildNode, 1, 2*len(vocab)+1)
 	for _, w := range vocab {
 		if w == "" || !utf8.ValidString(w) {
@@ -86,104 +101,89 @@ func newMatchTrie(vocab []string) *matchTrie {
 		}
 		cur := int32(0)
 		for _, r := range w {
-			// While building, han indexes the root's children by build
-			// index, so the widest fan-out is never searched linearly.
-			atRoot := cur == 0 && isHan(r)
-			next := int32(0)
-			if atRoot {
-				next = t.han[r-hanLo]
-			} else {
-				for c := b[cur].child; c != 0 && next == 0; c = b[c].sibling {
-					if b[c].r == r {
-						next = c
-					}
-				}
-			}
-			if next == 0 {
+			next := b[cur].child
+			if next == 0 || b[next].r != r {
 				next = int32(len(b))
 				b = append(b, buildNode{r: r, sibling: b[cur].child})
 				b[cur].child = next
-				if atRoot {
-					t.han[r-hanLo] = next
-				}
 			}
 			cur = next
 		}
 		b[cur].terminal = true
 	}
+	t := &matchTrie{}
 	t.flatten(b)
 	return t
 }
 
-// flatten lays the build trie out breadth-first so each node's children
-// are contiguous in the edge table, sorted by rune, and sibling
-// subtrees stay close together in memory. Word IDs are handed out in
-// the same order. It leaves han holding the root's flattened children.
+// flatten numbers the build trie's nodes breadth-first, each node's
+// children in rune order, hands out word IDs in the same order, and
+// inserts every edge into a table sized to stay at most half full.
 func (t *matchTrie) flatten(b []buildNode) {
-	t.nodes = make([]trieNode, len(b))
-	t.edges = make([]trieEdge, 0, len(b)-1)
-	queue := make([]int32, 1, len(b)) // build indices; position is the flat index
+	size := 2
+	for size < 2*(len(b)-1) {
+		size <<= 1
+	}
+	t.edges = make([]trieEdge, size)
+	t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	queue := make([]int32, 1, len(b)) // build indices; position is the node index
 	for head := 0; head < len(queue); head++ {
-		n := &b[queue[head]]
-		node := &t.nodes[head]
-		node.id = NoID
-		if n.terminal {
-			node.id = t.words
-			t.words++
+		first := len(queue)
+		for c := b[queue[head]].child; c != 0; c = b[c].sibling {
+			queue = append(queue, c)
 		}
-		node.lo = int32(len(t.edges))
-		for c := n.child; c != 0; c = b[c].sibling {
-			t.edges = append(t.edges, trieEdge{r: b[c].r, next: c})
-		}
-		node.hi = int32(len(t.edges))
-		span := t.edges[node.lo:node.hi]
-		slices.SortFunc(span, func(x, y trieEdge) int { return cmp.Compare(x.r, y.r) })
-		for i := range span {
-			queue = append(queue, span[i].next)
-			span[i].next = int32(len(queue) - 1)
-		}
-	}
-	for _, e := range t.edges[t.nodes[0].lo:t.nodes[0].hi] {
-		if isHan(e.r) {
-			t.han[e.r-hanLo] = e.next
+		// The links run newest, that is highest rune, first.
+		slices.Reverse(queue[first:])
+		for i := first; i < len(queue); i++ {
+			c := &b[queue[i]]
+			e := trieEdge{key: edgeKey(int32(head), c.r), next: int32(i), id: NoID}
+			if c.child == 0 {
+				e.next = leaf
+			}
+			if c.terminal {
+				e.id = t.words
+				t.words++
+			}
+			t.insert(e)
 		}
 	}
 }
 
-// child returns the node reached from n via rune r, or 0.
+// slot is the home slot of the edge with key k.
 //
 //cats:hotpath
-func (t *matchTrie) child(n int32, r rune) int32 {
-	lo, hi := t.nodes[n].lo, t.nodes[n].hi
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch e := t.edges[mid]; {
-		case e.r == r:
-			return e.next
-		case e.r < r:
-			lo = mid + 1
-		default:
-			hi = mid
-		}
+func (t *matchTrie) slot(k uint64) int { return int(k * 0x9E3779B97F4A7C15 >> (t.shift & 63)) }
+
+// insert puts e in the first empty slot from its home slot on.
+func (t *matchTrie) insert(e trieEdge) {
+	mask := len(t.edges) - 1
+	i := t.slot(e.key)
+	for t.edges[i].next != 0 {
+		i = (i + 1) & mask
 	}
-	return 0
+	t.edges[i] = e
 }
 
-// rootChild is child(0, r) with the CJK block resolved by table.
+// step returns the edge from node n over rune r: its slot, or an empty
+// slot (next 0) when n has no child for r. An empty slot's key is the
+// root's over U+0000, so a probe for that edge, when the root has none,
+// stops at an empty slot as at a match, and reads the same miss.
 //
 //cats:hotpath
-func (t *matchTrie) rootChild(r rune) int32 {
-	if isHan(r) {
-		return t.han[r-hanLo]
+func (t *matchTrie) step(n int32, r rune) trieEdge {
+	k, mask := edgeKey(n, r), len(t.edges)-1
+	for i := t.slot(k); ; i = (i + 1) & mask {
+		if e := t.edges[i]; e.key == k || e.next == 0 {
+			return e
+		}
 	}
-	return t.child(0, r)
 }
 
 // match returns the word token of text whose first rune ends at byte
-// offset end and leads from the root to node cur (0 when the root has
-// no edge for it): the longest dictionary word of at least two runes
-// starting with that rune, or else the rune on its own. Two runes is
-// the lower bound the forward-maximum-match loop has always used; a
+// offset end and is carried by first, the root's edge for it (empty
+// when the root has none): the longest dictionary word of at least two
+// runes starting with that rune, or else the rune on its own. Two runes
+// is the lower bound the forward-maximum-match loop has always used; a
 // one-rune dictionary hit segments exactly like the single-rune
 // fallback and differs only in carrying an ID. id is the matched
 // word's ID, or NoID when the single rune is not itself a dictionary
@@ -195,27 +195,28 @@ func (t *matchTrie) rootChild(r rune) int32 {
 // it carries that word's ID.
 //
 //cats:hotpath
-func (t *matchTrie) match(text string, end int, cur int32) (int, int, int32) {
-	runes, id := 1, NoID
-	if cur == 0 {
-		return end, runes, id
+func (t *matchTrie) match(text string, end int, first trieEdge) (int, int, int32) {
+	if first.next == 0 {
+		return end, 1, NoID
 	}
-	id = t.nodes[cur].id
-	for j, n := end, 1; j < len(text); {
+	runes, id := 1, first.id
+	for j, n, cur := end, 1, first.next; cur != leaf && j < len(text); {
 		r, sz := decodeWide(text, j), 3
 		if r < 0 {
 			if r, sz = utf8.DecodeRuneInString(text[j:]); r == utf8.RuneError && sz == 1 {
 				break
 			}
 		}
-		if cur = t.child(cur, r); cur == 0 {
+		e := t.step(cur, r)
+		if e.next == 0 {
 			break
 		}
 		j += sz
 		n++
-		if w := t.nodes[cur].id; w != NoID {
-			end, runes, id = j, n, w
+		if e.id != NoID {
+			end, runes, id = j, n, e.id
 		}
+		cur = e.next
 	}
 	return end, runes, id
 }
@@ -227,18 +228,18 @@ func (t *matchTrie) lookup(w string) int32 {
 	if w == "" || !utf8.ValidString(w) {
 		return NoID
 	}
-	cur := int32(0)
-	for i, r := range w {
-		if i == 0 {
-			cur = t.rootChild(r)
-		} else {
-			cur = t.child(cur, r)
-		}
-		if cur == 0 {
+	cur, id := int32(0), NoID
+	for _, r := range w {
+		if cur == leaf {
 			return NoID
 		}
+		e := t.step(cur, r)
+		if e.next == 0 {
+			return NoID
+		}
+		cur, id = e.next, e.id
 	}
-	return t.nodes[cur].id
+	return id
 }
 
 // decodeWide decodes the three-byte sequence at text[i:] when its lead
