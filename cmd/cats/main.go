@@ -58,13 +58,23 @@ func main() {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if err := ignoredFlag(set); err != nil {
-		fmt.Fprintln(os.Stderr, "cats:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(2)
 	}
 	if err := run(*trainPath, *detectPath, *threshold, *corpusSize, *outPath, *savePath, *saveFmt, *loadPath); err != nil {
-		fmt.Fprintln(os.Stderr, "cats:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine is the stderr line for a failed run: the error behind one
+// "cats: " prefix, which an error from the cats package already has.
+func errorLine(err error) string {
+	msg := err.Error()
+	if strings.HasPrefix(msg, "cats: ") {
+		return msg
+	}
+	return "cats: " + msg
 }
 
 // ignoredFlag refuses a flag the user set that this run would not read,

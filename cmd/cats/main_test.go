@@ -214,6 +214,28 @@ func TestThresholdOutsideUnitIsRefused(t *testing.T) {
 	}
 }
 
+// TestMissingModelErrorLine: a -load-model that does not exist fails
+// the run with one "cats: " prefix on its line, not the library's
+// prefix behind main's.
+func TestMissingModelErrorLine(t *testing.T) {
+	dir := t.TempDir()
+	detect := filepath.Join(dir, "items.jsonl")
+	if err := os.WriteFile(detect, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(dir, "nonexist.catc")
+	err := run("", detect, 0.5, 0, "-", "", "json", missing)
+	if err == nil {
+		t.Fatal("a missing model loaded")
+	}
+	if got, want := errorLine(err), "cats: load: open "+missing+": no such file or directory"; got != want {
+		t.Errorf("\n got  %s\n want %s", got, want)
+	}
+	if got, want := errorLine(fmt.Errorf("-detect is required")), "cats: -detect is required"; got != want {
+		t.Errorf("\n got  %s\n want %s", got, want)
+	}
+}
+
 // TestSummaryLine: the stage line keeps its fields where they were.
 func TestSummaryLine(t *testing.T) {
 	stats := cats.StreamStats{Items: 9433, Reported: 12, Batches: 10, ReadSeconds: 0.0774, ScoreSeconds: 0.057, EmitSeconds: 0.001}

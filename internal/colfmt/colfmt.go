@@ -302,32 +302,10 @@ func (r *Reader) payloadString(name string, n int) (string, uint32, error) {
 // Decode runs fn over a column decoder for payload, one that reports
 // failures with this reader's version and the block's name, and returns
 // the decoder's Done: its first failure, or an error for bytes fn left
-// unread. It and Block.Decode are the only ways to a Dec outside this
-// package, so no block is decoded without that final check.
+// unread. It is the only way to a Dec outside this package, so no block
+// is decoded without that final check.
 func (r *Reader) Decode(block string, payload []byte, fn func(*Dec)) error {
-	return Block{version: r.version, name: block, payload: payload}.Decode(fn)
-}
-
-// Block is a payload held past the Next call that returned it, so that
-// it can be decoded later, as often as needed, with the diagnostic
-// context of the reader it came from.
-type Block struct {
-	version int
-	name    string
-	payload []byte
-}
-
-// Keep takes the payload the last Next returned out of the reader's
-// hands: later blocks are read into scratch of their own, so the kept
-// bytes never change. payload must be that last payload.
-func (r *Reader) Keep(name string, payload []byte) Block {
-	r.buf = nil
-	return Block{version: r.version, name: name, payload: payload}
-}
-
-// Decode is Reader.Decode over the kept payload.
-func (b Block) Decode(fn func(*Dec)) error {
-	d := &Dec{version: b.version, block: b.name, b: b.payload}
+	d := &Dec{version: r.version, block: block, b: payload}
 	fn(d)
 	return d.Done()
 }

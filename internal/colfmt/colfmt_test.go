@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/racetest"
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
@@ -41,47 +42,6 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 	if _, _, err := r.Next(); err != io.EOF {
 		t.Fatalf("want io.EOF at container end, got %v", err)
-	}
-}
-
-// TestKeptBlockOutlivesNext: a payload taken with Keep is not the
-// scratch later blocks are read into, and decodes with its block's
-// context however many blocks follow.
-func TestKeptBlockOutlivesNext(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, KindSnapshot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"kept", "next", "last"} {
-		var e Enc
-		e.Str(name + " payload")
-		w.WriteBlock(name, e.Bytes())
-	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	name, payload, err := r.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept := r.Keep(name, payload)
-	for i := 0; i < 2; i++ {
-		if _, _, err := r.Next(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 2; i++ {
-		var got string
-		if err := kept.Decode(func(d *Dec) { got = d.Str() }); err != nil || got != "kept payload" {
-			t.Fatalf("kept block decodes to %q, %v", got, err)
-		}
-	}
-	err = kept.Decode(func(d *Dec) { d.Failf("refused") })
-	var ce *Error
-	if !errors.As(err, &ce) || ce.Block != "kept" {
-		t.Fatalf("kept block failure %v, want one naming block kept", err)
 	}
 }
 
@@ -365,38 +325,6 @@ func TestF64sGuard(t *testing.T) {
 	}
 }
 
-// TestSkipF64sRefusesNonFinite: the validating skip fails at the first
-// NaN or ±Inf, naming the column, the row and the value's place in it,
-// and passes every finite float, the extremes included.
-func TestSkipF64sRefusesNonFinite(t *testing.T) {
-	finite := []float64{0, math.Copysign(0, -1), 1, -2.5, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
-	var e Enc
-	for _, v := range finite {
-		e.F64(v)
-	}
-	d := newDec("t", e.Bytes())
-	if d.SkipF64s("v", len(finite), 1); d.Done() != nil {
-		t.Fatalf("finite floats: %v", d.Err())
-	}
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		var e Enc
-		for i := 0; i < 6; i++ {
-			v := float64(i)
-			if i == 4 {
-				v = bad
-			}
-			e.F64(v)
-		}
-		d := newDec("t", e.Bytes())
-		d.SkipF64s("vectors", 6, 3)
-		want := fmt.Sprintf("vectors row 1 value 1 is %v", bad)
-		var ce *Error
-		if !errors.As(d.Err(), &ce) || ce.Msg != want || ce.Offset != 32 {
-			t.Fatalf("%v at float 4 of rows of 3: err %v, want %q at offset 32", bad, d.Err(), want)
-		}
-	}
-}
-
 // skipPairs is every column decoder that has a skip form, beside it.
 // build returns the built column's length.
 func skipPairs(arena string) map[string]struct {
@@ -411,12 +339,6 @@ func skipPairs(arena string) map[string]struct {
 		"StringCol": {func(d *Dec) int { return len(d.StringCol(arena)) }, func(d *Dec) int { return d.SkipStringCol(arena) }},
 		"IntCol":    {func(d *Dec) int { return len(d.IntCol()) }, (*Dec).SkipIntCol},
 		"ByteCol":   {func(d *Dec) int { return len(d.ByteCol()) }, (*Dec).SkipByteCol},
-		"F64s": {func(d *Dec) int { return len(d.F64s(3)) }, func(d *Dec) int {
-			if d.SkipF64s("f", 3, 1); d.Err() != nil {
-				return 0
-			}
-			return 3
-		}},
 	}
 }
 
@@ -430,7 +352,6 @@ func TestSkipDecodersMatchBuilders(t *testing.T) {
 		"StringCol": func(e *Enc) { e.StringCol(&arena, []string{"a", "", "ccc", "很好"}) },
 		"IntCol":    func(e *Enc) { e.IntCol([]int64{0, -1, 1 << 40, -(1 << 62)}) },
 		"ByteCol":   func(e *Enc) { e.ByteCol([]byte{0, 1, 2, 255}) },
-		"F64s":      func(e *Enc) { e.F64(1); e.F64(-0.5); e.F64(1e300) },
 	}
 	for name, write := range cols {
 		var e Enc
@@ -448,7 +369,7 @@ func TestSkipDecodersMatchBuilders(t *testing.T) {
 				t.Fatalf("%s cut at %d: skip err %v, build err %v", name, cut, skipped.Err(), built.Err())
 			}
 		}
-		if raceEnabled {
+		if racetest.Enabled {
 			continue
 		}
 		d := newDec("t", e.Bytes())
@@ -576,7 +497,7 @@ func TestPayloadAllocationFollowsInput(t *testing.T) {
 			t.Fatalf("as string %v: err %v, want unexpected EOF", asString, err)
 		}
 		// (The race detector's allocator doubles the count.)
-		if grew := after.TotalAlloc - before.TotalAlloc; !raceEnabled && grew > payloadStep+1<<20 {
+		if grew := after.TotalAlloc - before.TotalAlloc; !racetest.Enabled && grew > payloadStep+1<<20 {
 			t.Fatalf("as string %v: allocated %d bytes for a 21-byte file", asString, grew)
 		}
 	}

@@ -159,28 +159,6 @@ func (d *Dec) F64s(n int) []float64 {
 	return out
 }
 
-// SkipF64s is F64s without the floats: the same bound, nothing
-// allocated. It also checks what F64s does not: the n floats are col's
-// rows of width values each, and every one must be finite. The first
-// NaN or ±Inf fails d, named by its row and its place in the row.
-func (d *Dec) SkipF64s(col string, n, width int) {
-	if d.err != nil {
-		return
-	}
-	if n < 0 || n > d.remaining()/8 {
-		d.Failf("%d floats exceed %d remaining payload bytes", n, d.remaining())
-		return
-	}
-	const exp = 0x7FF << 52 // all ones only in NaN and ±Inf
-	for i := 0; i < n; i++ {
-		if bits := binary.LittleEndian.Uint64(d.b[d.off:]); bits&exp == exp {
-			d.Failf("%s row %d value %d is %v", col, i/width, i%width, math.Float64frombits(bits))
-			return
-		}
-		d.off += 8
-	}
-}
-
 // Byte reads one byte.
 //
 //cats:hotpath

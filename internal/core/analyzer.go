@@ -36,19 +36,17 @@ type AnalyzerConfig struct {
 	NegativeSeeds []string
 }
 
-// Analyzer is CATS' semantic analyzer: it owns the trained word2vec
-// model, the expanded positive/negative lexicons, the sentiment model,
-// and the segmenter. It is immutable after TrainAnalyzer and safe for
-// concurrent use.
+// Analyzer is CATS' semantic analyzer: the segmenter, the expanded
+// positive/negative lexicons and the sentiment model. The word2vec
+// model that expanded the lexicons is training-only: TrainAnalyzer
+// drops it once they are built, since scoring reads only the lexicons.
+// An Analyzer is immutable after TrainAnalyzer and safe for concurrent
+// use.
 type Analyzer struct {
 	Segmenter *tokenize.Segmenter
 	Positive  *lexicon.Set
 	Negative  *lexicon.Set
 	Sentiment *sentiment.Model
-
-	// embedding is the word2vec model (see Embedding). Scoring never
-	// reads it: the lexicons it expanded are what the extractor uses.
-	embedding *deferred[*word2vec.Model]
 
 	// extractor is built on first use and then shared: assembling one
 	// reads all three models into its word table, which every detector
@@ -75,7 +73,6 @@ func TrainAnalyzer(corpus []string, polarTexts []string, polarLabels []int, voca
 	if err != nil {
 		return nil, fmt.Errorf("core: train word2vec: %w", err)
 	}
-	a.embedding = decoded(model)
 
 	posSeeds := cfg.PositiveSeeds
 	if len(posSeeds) == 0 {
@@ -129,14 +126,9 @@ func TrainAnalyzer(corpus []string, polarTexts []string, polarLabels []int, voca
 
 // NewAnalyzerFromParts assembles an Analyzer from already-built pieces
 // (used by tests and by callers that train components separately).
-func NewAnalyzerFromParts(seg *tokenize.Segmenter, emb *word2vec.Model, pos, neg *lexicon.Set, sent *sentiment.Model) *Analyzer {
-	return &Analyzer{Segmenter: seg, embedding: decoded(emb), Positive: pos, Negative: neg, Sentiment: sent}
+func NewAnalyzerFromParts(seg *tokenize.Segmenter, pos, neg *lexicon.Set, sent *sentiment.Model) *Analyzer {
+	return &Analyzer{Segmenter: seg, Positive: pos, Negative: neg, Sentiment: sent}
 }
-
-// Embedding returns the word2vec model the lexicons were expanded
-// with, or nil for an analyzer built without one. A model loaded from a
-// columnar snapshot decodes it on the first call.
-func (a *Analyzer) Embedding() *word2vec.Model { return a.embedding.get() }
 
 // Extractor returns the feature extractor backed by this analyzer: the
 // same one on every call, built from the fields as they stand at the
@@ -163,5 +155,5 @@ func OracleAnalyzer(vocab, positive, negative, polarTexts []string, polarLabels 
 	if err != nil {
 		return nil, fmt.Errorf("core: train sentiment model: %w", err)
 	}
-	return NewAnalyzerFromParts(seg, nil, lexicon.NewSet(positive), lexicon.NewSet(negative), sm), nil
+	return NewAnalyzerFromParts(seg, lexicon.NewSet(positive), lexicon.NewSet(negative), sm), nil
 }

@@ -9,13 +9,11 @@ import (
 	"repro/internal/features"
 	"repro/internal/ml/gbt"
 	"repro/internal/sentiment"
-	"repro/internal/word2vec"
 )
 
 // Columnar snapshot layout (colfmt container, KindSnapshot). Blocks in
-// write order; readers skip unknown names. A load decodes the blocks
-// scoring reads and checks the deferred ones in full without decoding
-// them; those are decoded on first read (readSnapshotColumnar):
+// write order; readers skip unknown names. A load decodes every block
+// it keeps (readSnapshotColumnar):
 //
 //	meta        snapshot version, classifier kind (always "xgboost"),
 //	            detector config, presence flags
@@ -24,20 +22,23 @@ import (
 //	lexicon     positive + negative lexicons    (2 string cols)
 //	sentiment   priors/OOV + per-class word and loglik columns, words
 //	            sorted, each once
-//	w2v         dim, counts, embeddings, words  (when flagged; deferred)
 //	gbt         config, base score, split counts, names, node columns
-//	trainsample drift-baseline feature matrix   (when flagged; deferred)
+//	trainsample drift-baseline feature matrix   (when flagged)
+//
+// Files written before the word2vec embedding left the model also hold
+// a "w2v" block between sentiment and gbt, with meta flag bit 0 set.
+// The embedding is training-only (it expands the lexicons, which are
+// stored), so a load skips that block as an unknown one, unread past
+// its CRC, and ignores the bit; no writer sets either.
 //
 // The writer is byte-stable: the same snapshot always encodes to the
 // same bytes (sentiment words in sorted order, a block present exactly
 // when its flag is set), so content-hash model versions stay
 // meaningful.
 
-// Presence flag bits in the meta block.
-const (
-	snapFlagEmbedding   = 1 << 0
-	snapFlagTrainSample = 1 << 1
-)
+// snapFlagTrainSample is the meta block's presence flag for the
+// trainsample block. Bit 0 flagged an embedding in older files.
+const snapFlagTrainSample = 1 << 1
 
 // metaModelKind fills the meta block's positional classifier-kind
 // slot, kept so files written before the detector had one model type
@@ -51,14 +52,13 @@ func WriteSnapshotColumnar(w io.Writer, s *DetectorSnapshot) error {
 	if s == nil || s.Analyzer == nil || s.Analyzer.Sentiment == nil || s.GBT == nil {
 		return fmt.Errorf("core: encode columnar snapshot: incomplete snapshot")
 	}
-	s = s.resolved()
 	cw, err := colfmt.NewWriter(w, colfmt.KindSnapshot)
 	if err != nil {
 		return fmt.Errorf("core: encode snapshot: %w", err)
 	}
 
 	var arena colfmt.Arena
-	var meta, vocab, lexicon, sent, w2v, gbtBlk, train colfmt.Enc
+	var meta, vocab, lexicon, sent, gbtBlk, train colfmt.Enc
 
 	meta.Uvarint(uint64(s.Version))
 	meta.Str(metaModelKind)
@@ -66,9 +66,6 @@ func WriteSnapshotColumnar(w io.Writer, s *DetectorSnapshot) error {
 	meta.Bool(s.Config.DisableRuleFilter)
 	meta.F64(s.Config.Threshold)
 	var flags byte
-	if s.Analyzer.Embedding != nil {
-		flags |= snapFlagEmbedding
-	}
 	if len(s.TrainingSample) > 0 {
 		flags |= snapFlagTrainSample
 	}
@@ -80,11 +77,6 @@ func WriteSnapshotColumnar(w io.Writer, s *DetectorSnapshot) error {
 	if err := encodeSentiment(&sent, &arena, s.Analyzer.Sentiment); err != nil {
 		return err
 	}
-	if s.Analyzer.Embedding != nil {
-		if err := encodeEmbedding(&w2v, &arena, s.Analyzer.Embedding); err != nil {
-			return err
-		}
-	}
 	encodeGBT(&gbtBlk, &arena, s.GBT)
 	if len(s.TrainingSample) > 0 {
 		encodeMatrix(&train, s.TrainingSample)
@@ -95,9 +87,6 @@ func WriteSnapshotColumnar(w io.Writer, s *DetectorSnapshot) error {
 	cw.WriteBlock("vocab", vocab.Bytes())
 	cw.WriteBlock("lexicon", lexicon.Bytes())
 	cw.WriteBlock("sentiment", sent.Bytes())
-	if s.Analyzer.Embedding != nil {
-		cw.WriteBlock("w2v", w2v.Bytes())
-	}
 	cw.WriteBlock("gbt", gbtBlk.Bytes())
 	if len(s.TrainingSample) > 0 {
 		cw.WriteBlock("trainsample", train.Bytes())
@@ -119,26 +108,6 @@ func encodeSentiment(e *colfmt.Enc, arena *colfmt.Arena, s *sentiment.Snapshot) 
 		l = l.Sorted()
 		e.StringCol(arena, l.Words)
 		e.F64Col(l.Vals)
-	}
-	return nil
-}
-
-func encodeEmbedding(e *colfmt.Enc, arena *colfmt.Arena, s *word2vec.Snapshot) error {
-	if len(s.Words) != len(s.Vectors) || len(s.Words) != len(s.Counts) {
-		return fmt.Errorf("core: encode columnar snapshot: embedding shape mismatch: %d words, %d counts, %d vectors",
-			len(s.Words), len(s.Counts), len(s.Vectors))
-	}
-	e.Varint(int64(s.Dim))
-	e.Uvarint(uint64(len(s.Words)))
-	e.StringCol(arena, s.Words)
-	e.IntsCol(s.Counts)
-	for _, v := range s.Vectors {
-		if len(v) != s.Dim {
-			return fmt.Errorf("core: encode columnar snapshot: embedding vector has dim %d, want %d", len(v), s.Dim)
-		}
-		for _, x := range v {
-			e.F64(x)
-		}
 	}
 	return nil
 }
@@ -212,15 +181,9 @@ func encodeMatrix(e *colfmt.Enc, rows [][]float64) {
 
 // readSnapshotColumnar decodes a columnar snapshot positioned at the
 // container header. Decode failures carry the format version, block
-// name, and byte offset via colfmt.Error.
-//
-// The w2v and trainsample blocks are read, CRC-checked and walked with
-// every check their decode makes, then kept undecoded (deferred): the
-// snapshot's Embedding and TrainingSample stay nil and the parts are
-// decoded when a writer, the analyzer's Embedding or the detector's
-// TrainingSample first reads them. The meta flags say which of the two
-// blocks the file holds; a block they deny is an error, as is a missing
-// block they promise.
+// name, and byte offset via colfmt.Error. The meta flags say whether
+// the file holds a trainsample block; a block they deny is an error, as
+// is a missing block they promise.
 func readSnapshotColumnar(r io.Reader) (*DetectorSnapshot, error) {
 	cr, err := colfmt.NewReader(r)
 	if err != nil {
@@ -277,30 +240,20 @@ func readSnapshotColumnar(r io.Reader) (*DetectorSnapshot, error) {
 			}
 		case "sentiment":
 			decode = func(d *colfmt.Dec) { s.Analyzer.Sentiment = decodeSentiment(d, arena) }
-		case "w2v":
-			if flags&snapFlagEmbedding == 0 {
-				return nil, fmt.Errorf("core: decode snapshot: block %q present but meta flags no embedding", name)
-			}
-			decode = func(d *colfmt.Dec) { decodeEmbedding(d, arena, false) }
 		case "gbt":
 			decode = func(d *colfmt.Dec) { s.GBT = decodeGBT(d, arena) }
 		case "trainsample":
 			if flags&snapFlagTrainSample == 0 {
 				return nil, fmt.Errorf("core: decode snapshot: block %q present but meta flags no training sample", name)
 			}
-			decode = func(d *colfmt.Dec) { decodeMatrix(d, false) }
+			decode = func(d *colfmt.Dec) { s.TrainingSample = decodeMatrix(d) }
 		default:
-			continue // unknown block: skip for forward compatibility
+			// An unknown block, or an older file's w2v: skip it for
+			// forward (and backward) compatibility.
+			continue
 		}
 		if err := cr.Decode(name, payload, decode); err != nil {
 			return nil, fmt.Errorf("core: decode snapshot: %w", err)
-		}
-		switch name {
-		case "w2v":
-			blk, arena := cr.Keep(name, payload), arena
-			s.Analyzer.w2v = deferBlock(blk, func(d *colfmt.Dec) *word2vec.Snapshot { return decodeEmbedding(d, arena, true) })
-		case "trainsample":
-			s.trainSample = deferBlock(cr.Keep(name, payload), func(d *colfmt.Dec) [][]float64 { return decodeMatrix(d, true) })
 		}
 	}
 	for _, required := range []string{"meta", "arena", "vocab", "lexicon", "sentiment", "gbt"} {
@@ -308,26 +261,10 @@ func readSnapshotColumnar(r io.Reader) (*DetectorSnapshot, error) {
 			return nil, fmt.Errorf("core: decode snapshot: missing block %q", required)
 		}
 	}
-	if flags&snapFlagEmbedding != 0 && !seen["w2v"] {
-		return nil, fmt.Errorf("core: decode snapshot: meta promises an embedding but block %q is missing", "w2v")
-	}
 	if flags&snapFlagTrainSample != 0 && !seen["trainsample"] {
 		return nil, fmt.Errorf("core: decode snapshot: meta promises a training sample but block %q is missing", "trainsample")
 	}
 	return s, nil
-}
-
-// deferBlock defers a kept block's decode to its part's first read. The
-// load decoded the same bytes with the same checks and accepted them, so
-// a failure here is a broken invariant, not bad input.
-func deferBlock[T any](blk colfmt.Block, decode func(*colfmt.Dec) T) *deferred[T] {
-	return later(func() T {
-		var v T
-		if err := blk.Decode(func(d *colfmt.Dec) { v = decode(d) }); err != nil {
-			panic(fmt.Sprintf("core: a snapshot block the load accepted no longer decodes: %v", err))
-		}
-		return v
-	})
 }
 
 func decodeSentiment(d *colfmt.Dec, arena string) *sentiment.Snapshot {
@@ -351,51 +288,6 @@ func decodeSentiment(d *colfmt.Dec, arena string) *sentiment.Snapshot {
 			finiteRow(d, cols[c], i, v)
 		}
 		s.LogLik[c] = sentiment.LogLik{Words: words, Vals: vals}
-	}
-	return s
-}
-
-// decodeEmbedding decodes a w2v block, or with build false only walks
-// it: the same reads and checks, with no column built.
-func decodeEmbedding(d *colfmt.Dec, arena string, build bool) *word2vec.Snapshot {
-	s := &word2vec.Snapshot{}
-	s.Dim = d.Int()
-	n := int(d.Uvarint())
-	var words, counts int
-	if build {
-		s.Words = d.StringCol(arena)
-		s.Counts = d.IntsCol()
-		words, counts = len(s.Words), len(s.Counts)
-	} else {
-		words = d.SkipStringCol(arena)
-		counts = d.ColLen(1)
-		for i := 0; i < counts; i++ {
-			d.Int() // IntsCol's check, without the column
-		}
-	}
-	if d.Err() != nil {
-		return s
-	}
-	if s.Dim < 1 || s.Dim > 1<<16 {
-		d.Failf("embedding dim %d out of range", s.Dim)
-		return s
-	}
-	if n != words || counts != words {
-		d.Failf("embedding shape mismatch: %d promised, %d words, %d counts", n, words, counts)
-		return s
-	}
-	if !build {
-		d.SkipF64s("vectors", words*s.Dim, s.Dim)
-		return nil
-	}
-	// One backing array, made only once the payload is known to hold it.
-	flat := d.F64s(words * s.Dim)
-	if d.Err() != nil {
-		return s
-	}
-	s.Vectors = make([][]float64, words)
-	for i := range s.Vectors {
-		s.Vectors[i], flat = flat[:s.Dim:s.Dim], flat[s.Dim:]
 	}
 	return s
 }
@@ -509,10 +401,10 @@ func nodeColumn(d *colfmt.Dec, name string, minBytes, n int) bool {
 	return d.Err() == nil
 }
 
-// decodeMatrix decodes the drift sample, or with build false only
-// walks it. Every row is a feature vector: a row of any other length is
-// refused here, before its floats are counted or allocated.
-func decodeMatrix(d *colfmt.Dec, build bool) [][]float64 {
+// decodeMatrix decodes the drift sample. Every row is a feature
+// vector: a row of any other length is refused here, before its floats
+// are counted or allocated, and so is a value that is NaN or ±Inf.
+func decodeMatrix(d *colfmt.Dec) [][]float64 {
 	n := int(d.Uvarint())
 	lens := d.IntsCol()
 	if d.Err() != nil {
@@ -534,16 +426,17 @@ func decodeMatrix(d *colfmt.Dec, build bool) [][]float64 {
 			return nil
 		}
 	}
-	total := n * features.NumFeatures
-	if !build {
-		d.SkipF64s("sample", total, features.NumFeatures)
-		return nil
-	}
-	// The floats behind the rows are checked before the one backing
-	// array every row slices is made.
-	flat := d.F64s(total)
+	// One backing array every row slices, made only once the payload
+	// is known to hold it.
+	flat := d.F64s(n * features.NumFeatures)
 	if d.Err() != nil {
 		return nil
+	}
+	for i, v := range flat {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			d.Failf("sample row %d value %d is %v", i/features.NumFeatures, i%features.NumFeatures, v)
+			return nil
+		}
 	}
 	rows := make([][]float64, n)
 	for i := range rows {

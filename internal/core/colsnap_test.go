@@ -7,16 +7,12 @@ import (
 	"math"
 	"reflect"
 	"runtime"
-	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/colfmt"
-	"repro/internal/ecom"
 	"repro/internal/synth"
 	"repro/internal/textgen"
-	"repro/internal/word2vec"
 )
 
 // trainedSnapshot builds a small trained detector and returns its
@@ -267,76 +263,34 @@ func TestColumnarSnapshotForeignModelKind(t *testing.T) {
 	}
 }
 
-// TestColumnarSnapshotAllocationFollowsInput: a trainsample or w2v
-// block whose shape promises more floats than its payload holds fails
-// in that block before the floats are allocated — the hostile load costs
-// no more than a valid load of the same snapshot, not the size it
-// promised (a 6-byte trainsample block promising one 2^20-float row, a
-// w2v block promising 65,536-dim vectors).
+// TestColumnarSnapshotAllocationFollowsInput: a trainsample block
+// whose shape promises more floats than its payload holds fails in that
+// block before the floats are allocated — the hostile load costs no
+// more than a valid load of the same snapshot, not the size it promised
+// (a 6-byte trainsample block promising one 2^20-float row).
 func TestColumnarSnapshotAllocationFollowsInput(t *testing.T) {
 	snap, _ := trainedSnapshot(t, 311)
-	snap.Analyzer.Embedding = &word2vec.Snapshot{
-		Dim: 4, Words: []string{"好评", "差评"}, Counts: []int{3, 2},
-		Vectors: [][]float64{{1, 0, 0.5, 0}, {0, 1, 0, -0.5}},
-	}
-	keep := func(_ string, payload []byte) ([]byte, bool) { return payload, true }
-	valid := reframeSnapshot(t, snap, keep)
+	valid := reframeSnapshot(t, snap, func(_ string, payload []byte) ([]byte, bool) { return payload, true })
 	validBytes, err := loadAllocBytes(valid)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	hostile := map[string]func(payload []byte) []byte{
-		"trainsample": func([]byte) []byte {
+	raw := reframeSnapshot(t, snap, func(name string, payload []byte) ([]byte, bool) {
+		if name == "trainsample" {
 			var e colfmt.Enc
 			e.Uvarint(1)
 			e.IntsCol([]int{1 << 20})
-			return e.Bytes()
-		},
-		"w2v": func(payload []byte) []byte {
-			// The valid block with its dim raised to the cap and its
-			// floats dropped: words and counts still check out.
-			_, k := binary.Varint(payload)
-			var e colfmt.Enc
-			e.Varint(1 << 16)
-			return append(e.Bytes(), payload[k:len(payload)-8*4*2]...)
-		},
-	}
-	for block, edit := range hostile {
-		raw := reframeSnapshot(t, snap, func(name string, payload []byte) ([]byte, bool) {
-			if name == block {
-				return edit(payload), true
-			}
-			return payload, true
-		})
-		got, err := loadAllocBytes(raw)
-		var ce *colfmt.Error
-		if !errors.As(err, &ce) || ce.Block != block {
-			t.Fatalf("hostile %s block: err = %v, want a colfmt.Error in that block", block, err)
+			payload = e.Bytes()
 		}
-		if got > validBytes {
-			t.Errorf("hostile %s block (%d-byte snapshot): load allocated %d bytes, a valid load %d", block, len(raw), got, validBytes)
-		}
-	}
-}
-
-// TestColumnarSnapshotRejectsDimZero: a w2v block of dim 0 is refused
-// in that block. Accepted, it restored a model that saved itself at the
-// default dim with empty vectors, a file no load accepts.
-func TestColumnarSnapshotRejectsDimZero(t *testing.T) {
-	snap, _ := trainedSnapshot(t, 312)
-	snap.Analyzer.Embedding = &word2vec.Snapshot{
-		Dim: 0, Words: []string{"好评", "差评"}, Counts: []int{3, 2},
-		Vectors: [][]float64{{}, {}},
-	}
-	var buf bytes.Buffer
-	if err := WriteSnapshotFormat(&buf, snap, FormatColumnar); err != nil {
-		t.Fatal(err)
-	}
-	_, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+		return payload, true
+	})
+	got, err := loadAllocBytes(raw)
 	var ce *colfmt.Error
-	if !errors.As(err, &ce) || ce.Block != "w2v" {
-		t.Fatalf("dim-0 embedding: err = %v, want a colfmt.Error in block w2v", err)
+	if !errors.As(err, &ce) || ce.Block != "trainsample" {
+		t.Fatalf("hostile trainsample block: err = %v, want a colfmt.Error in that block", err)
+	}
+	if got > validBytes {
+		t.Errorf("hostile trainsample block (%d-byte snapshot): load allocated %d bytes, a valid load %d", len(raw), got, validBytes)
 	}
 }
 
@@ -370,26 +324,21 @@ func TestColumnarSnapshotWrongKind(t *testing.T) {
 	}
 }
 
-// TestColumnarSnapshotFlagsDenyBlock: a w2v or trainsample block the
-// meta flags deny is refused at load, as a missing block they promise
-// is. Loaded, it came back with its flag set, so a re-save wrote other
+// TestColumnarSnapshotFlagsDenyBlock: a trainsample block the meta
+// flags deny is refused at load, as a missing block they promise is.
+// Loaded, it came back with its flag set, so a re-save wrote other
 // bytes than the file's and the content-hash version moved.
 func TestColumnarSnapshotFlagsDenyBlock(t *testing.T) {
-	for _, c := range []struct {
-		deny  byte
-		block string
-	}{{snapFlagEmbedding, "w2v"}, {snapFlagTrainSample, "trainsample"}} {
-		raw := reframeSnapshot(t, tinySnapshot(), func(name string, payload []byte) ([]byte, bool) {
-			if name == "meta" {
-				payload = bytes.Clone(payload)
-				payload[len(payload)-1] &^= c.deny
-			}
-			return payload, true
-		})
-		_, err := ReadSnapshot(bytes.NewReader(raw))
-		if err == nil || !strings.Contains(err.Error(), strconv.Quote(c.block)+" present but meta flags no") {
-			t.Errorf("%s block without its flag: err = %v, want it refused by name", c.block, err)
+	raw := reframeSnapshot(t, tinySnapshot(), func(name string, payload []byte) ([]byte, bool) {
+		if name == "meta" {
+			payload = bytes.Clone(payload)
+			payload[len(payload)-1] &^= snapFlagTrainSample
 		}
+		return payload, true
+	})
+	_, err := ReadSnapshot(bytes.NewReader(raw))
+	if err == nil || !strings.Contains(err.Error(), `"trainsample" present but meta flags no`) {
+		t.Errorf("trainsample block without its flag: err = %v, want it refused by name", err)
 	}
 }
 
@@ -416,8 +365,7 @@ func TestColumnarSnapshotEmptySample(t *testing.T) {
 // TestColumnarSnapshotRefusesNonFinite: a float a loaded model holds
 // must be finite, and its Threshold a probability. Each file below is
 // refused at load in the block and with the column and row that carry
-// the bad value, the deferred blocks included, so no first read later
-// meets a value a JSON re-save cannot spell.
+// the bad value, so no model holds a value a JSON re-save cannot spell.
 func TestColumnarSnapshotRefusesNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	written := func(edit func(s *DetectorSnapshot)) []byte {
@@ -447,8 +395,6 @@ func TestColumnarSnapshotRefusesNonFinite(t *testing.T) {
 			written(func(s *DetectorSnapshot) { s.Config.Threshold = nan })},
 		{"threshold above 1", "meta", "config threshold 1.5 is outside [0, 1]",
 			written(func(s *DetectorSnapshot) { s.Config.Threshold = 1.5 })},
-		{"-Inf embedding value", "w2v", "vectors row 1 value 0 is -Inf",
-			written(func(s *DetectorSnapshot) { s.Analyzer.Embedding.Vectors[1][0] = -inf })},
 		{"NaN training-sample value", "trainsample", "sample row 1 value 10 is NaN",
 			reframeSnapshot(t, tinySnapshot(), func(name string, payload []byte) ([]byte, bool) {
 				if name == "trainsample" {
@@ -483,10 +429,10 @@ func TestJSONSnapshotThresholdRange(t *testing.T) {
 	}
 }
 
-// TestColumnarLoadDefersEmbeddingAndSample: a columnar load leaves the
-// embedding and the drift sample undecoded through detection, and the
-// first read of each — or a re-save — decodes exactly what was saved.
-func TestColumnarLoadDefersEmbeddingAndSample(t *testing.T) {
+// TestColumnarLoadDecodesEveryPart: a columnar read returns the whole
+// snapshot that was saved, the drift sample included, and re-encodes to
+// the saved bytes in both formats.
+func TestColumnarLoadDecodesEveryPart(t *testing.T) {
 	want := tinySnapshot()
 	var saved, savedJSON bytes.Buffer
 	if err := WriteSnapshotColumnar(&saved, want); err != nil {
@@ -499,36 +445,15 @@ func TestColumnarLoadDefersEmbeddingAndSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Analyzer.Embedding != nil || snap.TrainingSample != nil {
-		t.Fatal("a columnar read decoded the embedding or the drift sample")
+	if !reflect.DeepEqual(snap, want) {
+		t.Errorf("columnar read = %+v, want %+v", snap, want)
 	}
-	det, a, err := DetectorFromSnapshot(snap)
+	det, _, err := DetectorFromSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	item := ecom.Item{ID: "x", SalesVolume: 100, Comments: []ecom.Comment{{Content: "好评很好"}}}
-	if _, err := det.DetectItem(&item); err != nil {
-		t.Fatal(err)
-	}
-	for name, pending := range map[string]bool{
-		"snapshot embedding":  snap.Analyzer.w2v.decode != nil,
-		"snapshot sample":     snap.trainSample.decode != nil,
-		"analyzer embedding":  a.embedding.decode != nil,
-		"detector drift base": det.trainSample.decode != nil,
-	} {
-		if !pending {
-			t.Errorf("%s decoded by load and detection", name)
-		}
-	}
-
 	if got := det.TrainingSample(); !reflect.DeepEqual(got, want.TrainingSample) {
 		t.Errorf("drift sample %v, want %v", got, want.TrainingSample)
-	}
-	emb := a.Embedding()
-	for i, w := range want.Analyzer.Embedding.Words {
-		if v, ok := emb.Vector(w); !ok || !reflect.DeepEqual(v, want.Analyzer.Embedding.Vectors[i]) {
-			t.Errorf("embedding of %q = %v, want %v", w, v, want.Analyzer.Embedding.Vectors[i])
-		}
 	}
 	for format, wantBytes := range map[SnapshotFormat][]byte{FormatColumnar: saved.Bytes(), FormatJSON: savedJSON.Bytes()} {
 		var again bytes.Buffer
@@ -541,49 +466,50 @@ func TestColumnarLoadDefersEmbeddingAndSample(t *testing.T) {
 	}
 }
 
-// TestDeferredPartsFirstReadConcurrent: goroutines that read a loaded
-// model's deferred parts for the first time at once — the registry
-// publishing the drift baseline, a lexicon query, a re-save — all see
-// the same decoded parts. Run under -race.
-func TestDeferredPartsFirstReadConcurrent(t *testing.T) {
-	var saved bytes.Buffer
-	if err := WriteSnapshotColumnar(&saved, tinySnapshot()); err != nil {
+// TestLegacyEmbeddingIsSkipped: a file written while models still
+// carried the word2vec embedding loads to the snapshot it holds without
+// it, whatever the embedding's shape or the meta flag bit that
+// announced it, and a re-save is the current writer's file: no w2v
+// block, no flag, no JSON embedding key.
+func TestLegacyEmbeddingIsSkipped(t *testing.T) {
+	var current, currentJSON bytes.Buffer
+	if err := WriteSnapshotColumnar(&current, tinySnapshot()); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := ReadSnapshot(bytes.NewReader(saved.Bytes()))
-	if err != nil {
+	if err := WriteSnapshot(&currentJSON, tinySnapshot()); err != nil {
 		t.Fatal(err)
 	}
-	det, a, err := DetectorFromSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const readers = 8
-	samples := make([][][]float64, readers)
-	models := make([]*word2vec.Model, readers)
-	resaves := make([][]byte, readers)
-	var wg sync.WaitGroup
-	for i := 0; i < readers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			samples[i] = det.TrainingSample()
-			models[i] = a.Embedding()
-			models[i].Nearest("好评", 1)
-			var buf bytes.Buffer
-			if err := WriteSnapshotColumnar(&buf, snap); err != nil {
-				t.Error(err)
-			}
-			resaves[i] = buf.Bytes()
-		}()
-	}
-	wg.Wait()
-	for i := 1; i < readers; i++ {
-		if &samples[i][0] != &samples[0][0] || models[i] != models[0] {
-			t.Fatal("concurrent first reads decoded a part more than once")
+	keep := func(b byte) byte { return b }
+	same := func(p []byte) []byte { return p }
+	for name, raw := range map[string][]byte{
+		"columnar as written":             legacyColumnar(t, keep, same),
+		"columnar, flag bit 0 clear":      legacyColumnar(t, func(b byte) byte { return b &^ 1 }, same),
+		"columnar, block one float short": legacyColumnar(t, keep, func(p []byte) []byte { return p[:len(p)-8] }),
+		"columnar, dim 0": legacyColumnar(t, keep, func(p []byte) []byte {
+			return append([]byte{0}, p[1:]...) // dim is the first varint: 2 → 0
+		}),
+		"JSON as written": legacyJSON(t, `{"dim":2,"words":["好评","差评"],"counts":[3,1],"vectors":[[1,0],[0,1]]}`),
+		"JSON, malformed": legacyJSON(t, `{"dim":"two","vectors":[[1,"x"]]}`),
+	} {
+		snap, err := ReadSnapshot(bytes.NewReader(raw))
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
 		}
-		if !bytes.Equal(resaves[i], saved.Bytes()) {
-			t.Fatal("a concurrent re-save wrote other bytes")
+		if _, _, err := DetectorFromSnapshot(snap); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(snap, tinySnapshot()) {
+			t.Errorf("%s: read %+v, want tinySnapshot", name, snap)
+		}
+		for format, want := range map[SnapshotFormat][]byte{FormatColumnar: current.Bytes(), FormatJSON: currentJSON.Bytes()} {
+			var again bytes.Buffer
+			if err := WriteSnapshotFormat(&again, snap, format); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.Bytes(), want) {
+				t.Errorf("%s: the format %d re-save is not the current writer's file", name, format)
+			}
 		}
 	}
 }

@@ -62,8 +62,8 @@ type Detector struct {
 	// trainSample is a bounded, deterministic sample of training
 	// feature vectors, kept as the drift baseline for monitoring
 	// deployments (see internal/service's /v1/drift). Detection never
-	// reads it; a loaded model decodes it on first read.
-	trainSample *deferred[[][]float64]
+	// reads it.
+	trainSample [][]float64
 
 	// m is the tenant-labeled pipeline instrumentation this detector
 	// reports into; SetMetricsTenant rebinds it. Never nil.
@@ -167,16 +167,15 @@ func (d *Detector) Train(ds *ecom.Dataset, workers int) error {
 	for i := 0; i < len(mlds.X); i += stride {
 		sample = append(sample, mlds.X[i])
 	}
-	d.trainSample = decoded(sample)
+	d.trainSample = sample
 	d.trained = true
 	return nil
 }
 
 // TrainingSample returns the detector's drift baseline: a bounded
-// sample of training feature vectors, decoded on this first call for a
-// model loaded from a columnar snapshot. Callers must not mutate the
+// sample of training feature vectors. Callers must not mutate the
 // returned rows.
-func (d *Detector) TrainingSample() [][]float64 { return d.trainSample.get() }
+func (d *Detector) TrainingSample() [][]float64 { return d.trainSample }
 
 // Detection is one scored item.
 type Detection struct {

@@ -12,13 +12,13 @@ import (
 	"repro/internal/ecom"
 	"repro/internal/features"
 	"repro/internal/ml/gbt"
+	"repro/internal/racetest"
 	"repro/internal/sentiment"
-	"repro/internal/word2vec"
 )
 
 // tinySnapshot is a complete model small enough to mutate fast: every
-// block a columnar snapshot can hold (embedding and drift sample
-// included), a four-word dictionary and a one-split ensemble.
+// block a columnar snapshot can hold (the drift sample included), a
+// four-word dictionary and a one-split ensemble.
 func tinySnapshot() *DetectorSnapshot {
 	split := make([]int, features.NumFeatures)
 	split[0] = 1
@@ -37,10 +37,6 @@ func tinySnapshot() *DetectorSnapshot {
 				},
 				LogOOV: [2]float64{-5, -5},
 			},
-			Embedding: &word2vec.Snapshot{
-				Dim: 2, Words: []string{"好评", "差评"}, Counts: []int{3, 1},
-				Vectors: [][]float64{{1, 0}, {0, 1}},
-			},
 		},
 		Config: DetectorConfig{Threshold: 0.5},
 		GBT: &gbt.Snapshot{
@@ -55,14 +51,80 @@ func tinySnapshot() *DetectorSnapshot {
 	}
 }
 
+// legacyColumnar is tinySnapshot in the layout of a file written while
+// models still carried the word2vec embedding: meta flag bit 0 set and,
+// before the gbt block, a w2v block — dim, word count, a string column
+// into the shared arena, a counts column, then the vectors row by row.
+// (That writer put the words in the arena before the gbt names; a load
+// accepts any arena order.) flags edits the meta flags byte and w2v the
+// block's payload.
+func legacyColumnar(t testing.TB, flags func(byte) byte, w2v func([]byte) []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteSnapshotColumnar(&buf, tinySnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	r, err := colfmt.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	w, err := colfmt.NewWriter(&out, colfmt.KindSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var emb colfmt.Enc
+	for {
+		name, payload, err := r.Next()
+		if err != nil {
+			break
+		}
+		switch name {
+		case "meta":
+			payload = bytes.Clone(payload)
+			payload[len(payload)-1] = flags(payload[len(payload)-1] | 1)
+		case "arena":
+			// The embedding's words go after the strings already there.
+			var arena colfmt.Arena
+			new(colfmt.Enc).StringCol(&arena, []string{string(payload)})
+			emb.Varint(2)
+			emb.Uvarint(2)
+			emb.StringCol(&arena, []string{"好评", "差评"})
+			emb.IntsCol([]int{3, 1})
+			for _, v := range []float64{1, 0, 0, 1} {
+				emb.F64(v)
+			}
+			payload = arena.Bytes()
+		case "gbt":
+			w.WriteBlock("w2v", w2v(emb.Bytes()))
+		}
+		w.WriteBlock(name, payload)
+	}
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// legacyJSON is tinySnapshot's JSON with the analyzer's "embedding"
+// key, which older writers filled, set to embedding.
+func legacyJSON(t testing.TB, embedding string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, tinySnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Replace(buf.Bytes(), []byte(`"analyzer":{`), []byte(`"analyzer":{"embedding":`+embedding+`,`), 1)
+}
+
 // FuzzReadSnapshot feeds arbitrary bytes to the model loader as every
 // load path does — ReadSnapshot, then DetectorFromSnapshot — and scores
 // a fixed item with whatever it accepts. Nothing may panic; a rejection
 // is a colfmt.Error or a core: error, never another package's bare
 // one; and a load allocates within a fixed multiple of its input, so a
-// count, dimension or row length the bytes cannot back is refused
-// before it is allocated. Then every part a load may defer is read
-// (materializeAll): none of that may fail either.
+// count or row length the bytes cannot back is refused before it is
+// allocated. Then the accepted model is saved again (resaveAll): none
+// of that may fail either.
 func FuzzReadSnapshot(f *testing.F) {
 	for _, format := range []SnapshotFormat{FormatColumnar, FormatJSON} {
 		var buf bytes.Buffer
@@ -82,21 +144,13 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		return payload, true
 	}))
-	// A w2v block one float short of the dim × words its header
-	// promises, and one its meta flags deny.
-	f.Add(reframeSnapshot(f, tinySnapshot(), func(name string, payload []byte) ([]byte, bool) {
-		if name == "w2v" {
-			payload = payload[:len(payload)-8]
-		}
-		return payload, true
-	}))
-	f.Add(reframeSnapshot(f, tinySnapshot(), func(name string, payload []byte) ([]byte, bool) {
-		if name == "meta" {
-			payload = bytes.Clone(payload)
-			payload[len(payload)-1] = snapFlagTrainSample
-		}
-		return payload, true
-	}))
+	// An older file's w2v block, which a load skips unread: as written,
+	// and one float short of its promise in a file whose meta flags deny
+	// it.
+	f.Add(legacyColumnar(f, func(b byte) byte { return b }, func(p []byte) []byte { return p }))
+	f.Add(legacyColumnar(f, func(b byte) byte { return b &^ 1 }, func(p []byte) []byte { return p[:len(p)-8] }))
+	// An older JSON file's embedding, which a load ignores.
+	f.Add(legacyJSON(f, `{"dim":2,"words":["好评","差评"],"counts":[3,1],"vectors":[[1,0],[0,1]]}`))
 	// A NaN leaf weight, which a JSON re-save could not spell.
 	nan := tinySnapshot()
 	nan.GBT.Trees[0][1].Weight = math.NaN()
@@ -133,29 +187,21 @@ func FuzzReadSnapshot(f *testing.F) {
 		// input byte at full size, ≈ 170 at this fuzzer's seed sizes, where
 		// the fixed part dominates. Race instrumentation allocates beside
 		// the code it instruments, so the bound holds only without it.
-		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(5<<20+200*len(data)); !raceEnabled && grew > limit {
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(5<<20+200*len(data)); !racetest.Enabled && grew > limit {
 			t.Fatalf("loading %d bytes allocated %d, limit %d", len(data), grew, limit)
 		}
 		if err == nil {
-			materializeAll(t, snap, det, a)
+			resaveAll(t, snap, det, a)
 		}
 	})
 }
 
-// materializeAll reads every part of an accepted model that a load may
-// leave undecoded — the drift sample, an embedding query, and a re-save
-// of the snapshot and of the model in both formats, which decode both —
-// and fails if any of it errors or panics: deferring a decode must never
-// turn a load-time rejection into a later failure. What the columnar
+// resaveAll saves an accepted model — the snapshot as read and the
+// model's own snapshot, in both formats — and fails if any of it errors
+// or panics: every model a load accepts can be saved. What the columnar
 // re-save writes must load again.
-func materializeAll(t *testing.T, snap *DetectorSnapshot, det *Detector, a *Analyzer) {
+func resaveAll(t *testing.T, snap *DetectorSnapshot, det *Detector, a *Analyzer) {
 	t.Helper()
-	det.TrainingSample()
-	if emb := a.Embedding(); emb != nil {
-		for _, w := range emb.Words() {
-			emb.Nearest(w, 2)
-		}
-	}
 	resaved, err := det.Snapshot(snap.Analyzer.Vocabulary, a)
 	if err != nil {
 		t.Fatalf("an accepted model cannot snapshot: %v", err)

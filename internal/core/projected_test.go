@@ -16,6 +16,7 @@ import (
 	"repro/internal/colfmt"
 	"repro/internal/dataset"
 	"repro/internal/ecom"
+	"repro/internal/racetest"
 	"repro/internal/synth"
 )
 
@@ -343,7 +344,7 @@ func arenaBytes(t *testing.T, data []byte) (n, largest int) {
 // same corpus twice over, which cancels what a run pays once: the
 // batches, the read buffers, the first chunk's regrowth.
 func TestDetectStreamColumnarAllocationBudget(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	d := sharedDetector(t)
@@ -389,7 +390,7 @@ func TestDetectStreamColumnarAllocationBudget(t *testing.T) {
 // (DESIGN §13 leaves a single pinned string, one chunk at most,
 // unguarded).
 func TestDetectStreamRetainsNoChunk(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("heap sizes are not meaningful under -race")
 	}
 	d := sharedDetector(t)

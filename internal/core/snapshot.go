@@ -13,27 +13,21 @@ import (
 	"repro/internal/ml/gbt"
 	"repro/internal/sentiment"
 	"repro/internal/tokenize"
-	"repro/internal/word2vec"
 )
 
 // snapshotVersion is bumped on incompatible format changes.
 const snapshotVersion = 1
 
 // AnalyzerSnapshot is the JSON-serializable form of a trained semantic
-// analyzer: the segmenter dictionary, the expanded lexicons, the
-// sentiment model, and (optionally) the word2vec embeddings. On a
-// columnar read, Embedding is nil even when the file holds one (see
-// ReadSnapshot).
+// analyzer: the segmenter dictionary, the expanded lexicons and the
+// sentiment model. The word2vec embedding is not part of it: scoring
+// never reads it, and a file written before it left the model has its
+// embedding ignored on load.
 type AnalyzerSnapshot struct {
 	Vocabulary []string            `json:"vocabulary"`
 	Positive   []string            `json:"positive"`
 	Negative   []string            `json:"negative"`
 	Sentiment  *sentiment.Snapshot `json:"sentiment"`
-	Embedding  *word2vec.Snapshot  `json:"embedding,omitempty"`
-
-	// w2v is a columnar load's embedding, checked but not decoded;
-	// Embedding is nil beside it until resolved.
-	w2v *deferred[*word2vec.Snapshot]
 }
 
 // Snapshot captures the analyzer. The segmenter dictionary cannot be
@@ -47,21 +41,15 @@ func (a *Analyzer) Snapshot(vocabulary []string) (*AnalyzerSnapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot sentiment: %w", err)
 	}
-	s := &AnalyzerSnapshot{
+	return &AnalyzerSnapshot{
 		Vocabulary: append([]string(nil), vocabulary...),
 		Positive:   a.Positive.Words(),
 		Negative:   a.Negative.Words(),
 		Sentiment:  sent,
-	}
-	if emb := a.Embedding(); emb != nil {
-		s.Embedding = emb.Snapshot()
-	}
-	return s, nil
+	}, nil
 }
 
-// AnalyzerFromSnapshot reconstructs an analyzer. An embedding a
-// columnar load deferred stays undecoded until Embedding is first
-// called; one already decoded is checked and restored here.
+// AnalyzerFromSnapshot reconstructs an analyzer.
 func AnalyzerFromSnapshot(s *AnalyzerSnapshot) (*Analyzer, error) {
 	if s == nil {
 		return nil, errors.New("core: nil analyzer snapshot")
@@ -70,31 +58,12 @@ func AnalyzerFromSnapshot(s *AnalyzerSnapshot) (*Analyzer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: restore sentiment: %w", err)
 	}
-	a := &Analyzer{
+	return &Analyzer{
 		Segmenter: tokenize.NewSegmenter(s.Vocabulary),
 		Positive:  lexicon.NewSet(s.Positive),
 		Negative:  lexicon.NewSet(s.Negative),
 		Sentiment: sent,
-	}
-	switch {
-	case s.w2v != nil:
-		w2v := s.w2v
-		a.embedding = later(func() *word2vec.Model {
-			emb, err := word2vec.FromSnapshot(w2v.get())
-			if err != nil {
-				// The block's checks include every one FromSnapshot makes.
-				panic(fmt.Sprintf("core: restore a deferred embedding: %v", err))
-			}
-			return emb
-		})
-	case s.Embedding != nil:
-		emb, err := word2vec.FromSnapshot(s.Embedding)
-		if err != nil {
-			return nil, fmt.Errorf("core: restore embedding: %w", err)
-		}
-		a.embedding = decoded(emb)
-	}
-	return a, nil
+	}, nil
 }
 
 // DetectorSnapshot is the JSON-serializable form of a trained detector
@@ -106,32 +75,8 @@ type DetectorSnapshot struct {
 	GBT      *gbt.Snapshot     `json:"gbt"`
 	// TrainingSample is the drift baseline: a bounded sample of
 	// training feature vectors, so deployments restored from the
-	// snapshot can monitor traffic drift. Nil on a columnar read even
-	// when the file holds one (see ReadSnapshot).
+	// snapshot can monitor traffic drift.
 	TrainingSample [][]float64 `json:"training_sample,omitempty"`
-
-	// trainSample is a columnar load's drift sample, checked but not
-	// decoded; TrainingSample is nil beside it until resolved.
-	trainSample *deferred[[][]float64]
-}
-
-// resolved returns s with the parts a columnar load deferred decoded
-// into Embedding and TrainingSample, the fields the writers encode;
-// s itself is left as it is.
-func (s *DetectorSnapshot) resolved() *DetectorSnapshot {
-	if s == nil || s.trainSample == nil && (s.Analyzer == nil || s.Analyzer.w2v == nil) {
-		return s
-	}
-	c := *s
-	if s.trainSample != nil {
-		c.TrainingSample, c.trainSample = s.trainSample.get(), nil
-	}
-	if s.Analyzer != nil && s.Analyzer.w2v != nil {
-		a := *s.Analyzer
-		a.Embedding, a.w2v = a.w2v.get(), nil
-		c.Analyzer = &a
-	}
-	return &c
 }
 
 // Snapshot captures a trained detector. vocabulary is the segmenter
@@ -180,23 +125,18 @@ func DetectorFromSnapshot(s *DetectorSnapshot) (*Detector, *Analyzer, error) {
 		return nil, nil, fmt.Errorf("core: snapshot model has %d features, the extractor produces %d", n, features.NumFeatures)
 	}
 	// So do the drift comparisons: each baseline row is read column by
-	// column against scored vectors. (A columnar load's deferred sample
-	// had its row lengths checked in its block.)
-	sample := s.trainSample
-	if sample == nil {
-		for i, row := range s.TrainingSample {
-			if len(row) != features.NumFeatures {
-				return nil, nil, fmt.Errorf("core: snapshot training sample row %d has %d features, the extractor produces %d", i, len(row), features.NumFeatures)
-			}
+	// column against scored vectors.
+	for i, row := range s.TrainingSample {
+		if len(row) != features.NumFeatures {
+			return nil, nil, fmt.Errorf("core: snapshot training sample row %d has %d features, the extractor produces %d", i, len(row), features.NumFeatures)
 		}
-		sample = decoded(s.TrainingSample)
 	}
 	d := &Detector{
 		cfg:         s.Config.withDefaults(),
 		extractor:   a.Extractor(),
 		clf:         clf,
 		trained:     true,
-		trainSample: sample,
+		trainSample: s.TrainingSample,
 		m:           pipelineByTenant.For(DefaultTenant),
 	}
 	return d, a, nil
@@ -218,7 +158,7 @@ const (
 // WriteSnapshot JSON-encodes a detector snapshot to w.
 func WriteSnapshot(w io.Writer, s *DetectorSnapshot) error {
 	enc := json.NewEncoder(w)
-	if err := enc.Encode(s.resolved()); err != nil {
+	if err := enc.Encode(s); err != nil {
 		return fmt.Errorf("core: encode snapshot: %w", err)
 	}
 	return nil
@@ -250,11 +190,9 @@ func WriteSnapshotFormat(w io.Writer, s *DetectorSnapshot, f SnapshotFormat) err
 // detail a failed tenant reload surfaces in its /admin/reload response
 // body.
 //
-// A columnar read checks every block in full but leaves the embedding
-// and the drift sample undecoded: Analyzer.Embedding and TrainingSample
-// are nil on the snapshot it returns, the writers and
-// DetectorFromSnapshot's model decode them when they first need them,
-// and a model that only scores never does.
+// Both formats decode every part they keep. An embedding that an older
+// file carries (a columnar "w2v" block, a JSON "embedding" key) is
+// skipped unread.
 func ReadSnapshot(r io.Reader) (*DetectorSnapshot, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/ecom"
+	"repro/internal/racetest"
 	"repro/internal/synth"
 )
 
@@ -227,7 +228,7 @@ func budgetCorpus(t testing.TB) (data []byte, items []ecom.Item) {
 // at most 4 allocations per item and twice the kept bytes (encoding/json
 // took 69 allocations here).
 func TestJSONLProjectedReadBudget(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	data, items := budgetCorpus(t)

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/colfmt"
 	"repro/internal/ecom"
+	"repro/internal/racetest"
 )
 
 // The projected read (Reader.NextTexts) against the full one
@@ -168,7 +169,7 @@ func TestProjectedReadMatchesRows(t *testing.T) {
 // contents column's string header and nothing that grows with the six
 // columns it skips.
 func TestProjectedReadAllocatesNoComments(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	items := chunkCrossers()["fat"]

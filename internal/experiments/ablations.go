@@ -122,7 +122,7 @@ func (l *Lab) LexiconSizeAblation(ctx context.Context) (fmt.Stringer, error) {
 	res := &Sweep{Title: "Ablation — lexicon size cap"}
 	for _, cap := range []int{25, 50, 100, 200} {
 		pos, neg := head(bank.Positive, cap), head(bank.Negative, cap)
-		capped := core.NewAnalyzerFromParts(a.Segmenter, a.Embedding(), lexicon.NewSet(pos), lexicon.NewSet(neg), a.Sentiment)
+		capped := core.NewAnalyzerFromParts(a.Segmenter, lexicon.NewSet(pos), lexicon.NewSet(neg), a.Sentiment)
 		det, err := l.trainOnD0(capped, core.DetectorConfig{})
 		if err != nil {
 			return nil, err

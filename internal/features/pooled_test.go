@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ecom"
+	"repro/internal/racetest"
 	"repro/internal/synth"
 )
 
@@ -74,7 +75,7 @@ func TestVectorSignalSegmentsOncePerComment(t *testing.T) {
 // miss under parallel test runs but not a per-call or per-comment
 // allocation.
 func TestVectorSignalAllocations(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	e := synthExtractor(t)
@@ -102,7 +103,7 @@ func TestVectorSignalAllocations(t *testing.T) {
 // TestHasPositiveSignalAllocations: the filter-only fast path reuses
 // pooled word buffers and must stay allocation-free when warm.
 func TestHasPositiveSignalAllocations(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	e := synthExtractor(t)

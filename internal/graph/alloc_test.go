@@ -1,12 +1,16 @@
 package graph
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/racetest"
+)
 
 // TestHotpathZeroAlloc pins the //cats:hotpath contract: with the pair
 // table pre-grown, incrementing pairs and union-find operations must
 // not allocate.
 func TestHotpathZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("race instrumentation allocates")
 	}
 	tab := newPairTable(1 << 10)

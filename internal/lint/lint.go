@@ -32,6 +32,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -222,8 +223,9 @@ func (r *Runner) Import(path string) (*types.Package, error) {
 	return p, nil
 }
 
-// load parses and type-checks the non-test Go files of one directory,
-// memoized by import path so a package reached both as a lint target
+// load parses and type-checks the non-test Go files of one directory
+// that a default build compiles (internal/racetest declares its
+// constant in two files behind opposite build tags), memoized by import path so a package reached both as a lint target
 // and as a dependency is checked exactly once (two instances of the
 // same package would make its types mutually incompatible).
 func (r *Runner) load(dir, path string) (*Package, error) {
@@ -240,7 +242,13 @@ func (r *Runner) load(dir, path string) (*Package, error) {
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
 			continue
 		}
-		names = append(names, n)
+		ok, err := build.Default.MatchFile(dir, n)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	if len(names) == 0 {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ml"
+	"repro/internal/racetest"
 )
 
 func flatTestDataset(n, nf int, seed int64) *ml.Dataset {
@@ -148,7 +149,7 @@ func TestSnapshotRoundTripFlat(t *testing.T) {
 // TestPredictZeroAlloc: single and batch prediction over the flat
 // ensemble must not allocate (beyond a caller-provided buffer).
 func TestPredictZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	ds := flatTestDataset(64, 6, 12)

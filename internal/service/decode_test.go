@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/dispatch"
 	"repro/internal/ecom"
+	"repro/internal/racetest"
 	"repro/internal/synth"
 	"repro/internal/trainer"
 )
@@ -582,7 +583,7 @@ func (*resetBody) Close() error { return nil }
 // a decoder that does not go back regrows its scratch on every request,
 // a dozen allocations and more.
 func TestDecodeItemsSteadyStateAllocations(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	srv, _, _ := newTestService(t, Options{}, dispatch.Options{})

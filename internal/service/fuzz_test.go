@@ -13,7 +13,9 @@ import (
 	"testing"
 	"testing/iotest"
 
+	"repro/internal/core"
 	"repro/internal/dispatch"
+	"repro/internal/ecom"
 	"repro/internal/synth"
 	"repro/internal/trainer"
 )
@@ -76,9 +78,10 @@ func FuzzDecodeRequest(f *testing.F) {
 
 // FuzzDecodeDetectDifferential holds the request decoder to
 // json.Unmarshal. For arbitrary bytes: it accepts a body iff
-// encoding/json does, with the same items (checkDetectDifferential); and
-// /v1/detect and /v1/explain answer a body encoding/json accepts as they
-// answer its canonical re-encoding (reencode) — same status, same
+// encoding/json does, with the same items (checkDetectDifferential);
+// every item of an accepted body scores a probability (checkScores);
+// and /v1/detect and /v1/explain answer a body encoding/json accepts as
+// they answer its canonical re-encoding (reencode) — same status, same
 // verdicts — and one it rejects with a 4xx.
 func FuzzDecodeDetectDifferential(f *testing.F) {
 	det, analyzer, _ := trainTestDetector(f)
@@ -123,6 +126,9 @@ func FuzzDecodeDetectDifferential(f *testing.F) {
 		}{{"/v1/detect", new(DetectRequest)}, {"/v1/explain", new(ExplainRequest)}} {
 			got := post(handler, c.path, body)
 			canonical, ok := reencode(t, body, c.req)
+			if ok {
+				checkScores(t, det, c.req)
+			}
 			switch {
 			case got.Code >= 500 || (!ok && got.Code == http.StatusOK):
 				t.Fatalf("%s answered %d to body %q, which encoding/json accepts: %v", c.path, got.Code, body, ok)
@@ -152,6 +158,31 @@ func FuzzDecodeDetectDifferential(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkScores scores each item of a decoded detect or explain request
+// with det, and fails unless both the detection's Score and the model's
+// probability for the item's vector — what the rule filter would have
+// skipped included — are finite and within [0, 1].
+func checkScores(t *testing.T, det *core.Detector, req any) {
+	t.Helper()
+	var items []ecom.Item
+	switch r := req.(type) {
+	case *DetectRequest:
+		items = r.Items
+	case *ExplainRequest:
+		items = []ecom.Item{r.Item}
+	}
+	for i := range items {
+		d, err := det.DetectItem(&items[i])
+		if err != nil {
+			t.Fatalf("item %d: %v", i, err)
+		}
+		p := det.Model().PredictProba(det.Extractor().Vector(&items[i]))
+		if !(d.Score >= 0 && d.Score <= 1) || !(p >= 0 && p <= 1) {
+			t.Fatalf("item %d (%q) scored %v, probability %v; want both finite and within [0, 1]", i, items[i].ID, d.Score, p)
+		}
+	}
 }
 
 // FuzzDecodeFeedback pins the same input contract for the drift loop's

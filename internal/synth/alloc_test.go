@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ecom"
+	"repro/internal/racetest"
 )
 
 // streamComments runs Stream over cfg, discarding the items, and
@@ -21,7 +22,7 @@ func streamComments(tb testing.TB, cfg Config) int {
 // comment or word — an item of 40 comments costs at most a small
 // constant more than one of 4.
 func TestStreamAllocationsPerItem(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	const items = 50
@@ -42,7 +43,7 @@ func TestStreamAllocationsPerItem(t *testing.T) {
 // TestStreamAllocationsPerComment bounds Stream's allocations per
 // comment at the benchmark's item shape, the user-pool build included.
 func TestStreamAllocationsPerComment(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	cfg := benchShape(2000, 9902)

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"unicode/utf8"
+
+	"repro/internal/racetest"
 )
 
 // trieCorpus builds deterministic pseudo-comments over the test
@@ -104,7 +106,7 @@ func TestTokenOffsets(t *testing.T) {
 // AppendWordTokens and WordsAppend must not allocate — the zero-allocation contract of the
 // segmentation hot path.
 func TestAppendReuseZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	seg := fuzzSegmenter()

@@ -206,25 +206,22 @@ func nearestReference(m *Model, w string, k int) []Neighbor {
 // vectors) and the zero vector included.
 func TestNearestMatchesFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	s := &Snapshot{Dim: 5}
+	m := &Model{dim: 5, vocab: map[string]int{}}
 	for i := 0; i < 200; i++ {
-		v := make([]float64, s.Dim)
+		v := make([]float64, m.dim)
 		switch {
 		case i%17 == 3:
-			copy(v, s.Vectors[i-1])
+			copy(v, m.in[i-1])
 		case i == 50:
 		default:
 			for d := range v {
 				v[d] = rng.NormFloat64()
 			}
 		}
-		s.Words = append(s.Words, fmt.Sprintf("w%03d", i))
-		s.Counts = append(s.Counts, 1)
-		s.Vectors = append(s.Vectors, v)
-	}
-	m, err := FromSnapshot(s)
-	if err != nil {
-		t.Fatal(err)
+		m.vocab[fmt.Sprintf("w%03d", i)] = i
+		m.words = append(m.words, fmt.Sprintf("w%03d", i))
+		m.counts = append(m.counts, 1)
+		m.in = append(m.in, v)
 	}
 	for _, w := range []string{"w000", "w002", "w003", "w050", "w199"} {
 		for _, k := range []int{0, 1, 7, 50, 199, 500} {
