@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/colfmt"
+	"repro/internal/features"
 	"repro/internal/synth"
 	"repro/internal/textgen"
 )
@@ -408,6 +410,52 @@ func TestColumnarSnapshotRefusesNonFinite(t *testing.T) {
 		var ce *colfmt.Error
 		if !errors.As(err, &ce) || ce.Block != c.block || ce.Msg != c.msg {
 			t.Errorf("%s: err = %v, want %q in block %q", c.name, err, c.msg, c.block)
+		}
+	}
+}
+
+// TestColumnarSampleRefusesNonFinite: every finite float, the extremes
+// and -0 among them, loads bit for bit in the drift sample; a NaN or
+// ±Inf anywhere in it is refused, named by its row and its place in
+// the row.
+func TestColumnarSampleRefusesNonFinite(t *testing.T) {
+	finite := []float64{0, math.Copysign(0, -1), 1, -2.5, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
+	s := tinySnapshot()
+	s.TrainingSample = [][]float64{make([]float64, features.NumFeatures), make([]float64, features.NumFeatures)}
+	for i := 0; i < 2*features.NumFeatures; i++ {
+		s.TrainingSample[i/features.NumFeatures][i%features.NumFeatures] = finite[i%len(finite)]
+	}
+	var buf bytes.Buffer
+	if err := WriteSnapshotColumnar(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatalf("finite sample: %v", err)
+	}
+	for i, row := range s.TrainingSample {
+		for j, v := range row {
+			if g := got.TrainingSample[i][j]; math.Float64bits(g) != math.Float64bits(v) {
+				t.Fatalf("sample row %d value %d: read %v, wrote %v", i, j, g, v)
+			}
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		raw := reframeSnapshot(t, s, func(name string, payload []byte) ([]byte, bool) {
+			if name == "trainsample" {
+				// The floats end the block: row 1 value 1 is the
+				// (NumFeatures-1)th from the end.
+				payload = bytes.Clone(payload)
+				off := len(payload) - 8*(features.NumFeatures-1)
+				binary.LittleEndian.PutUint64(payload[off:], math.Float64bits(bad))
+			}
+			return payload, true
+		})
+		_, err := ReadSnapshot(bytes.NewReader(raw))
+		want := fmt.Sprintf("sample row 1 value 1 is %v", bad)
+		var ce *colfmt.Error
+		if !errors.As(err, &ce) || ce.Block != "trainsample" || ce.Msg != want {
+			t.Errorf("%v at sample row 1 value 1: err = %v, want %q in block trainsample", bad, err, want)
 		}
 	}
 }
